@@ -78,7 +78,7 @@ struct PhasePlan {
 };
 
 /// One served run over the scenario: every slot's outcome plus the
-/// engine Select actually ran (from ServingEngine::last_select_engines).
+/// engine Select actually ran (from ServingEngine::last_select_engine).
 struct RunStats {
   std::vector<SlotOutcome> outcomes;   // slots 1..plan.slots
   std::vector<GreedyEngine> engines;   // parallel to outcomes
@@ -146,9 +146,7 @@ RunStats ServeRun(const ChurnScenarioSetup& setup, const PhasePlan& plan,
     SlotOutcome out = server.ServeSlot(t, delta, batch);
     stats.utility += out.selection.Utility();
     stats.outcomes.push_back(std::move(out));
-    stats.engines.push_back(engine->last_select_engines().empty()
-                                ? cfg.scheduler
-                                : engine->last_select_engines()[0]);
+    stats.engines.push_back(engine->last_select_engine());
   }
   if (!trace_path.empty()) engine->FinishTrace();
   return stats;

@@ -46,30 +46,6 @@ BENCH_pr.json artifact and diffs it against the committed baseline
      deterministic for a fixed seed on every host) must equal the
      committed baseline digest — a changed digest means a kernel changed
      an answer, which requires an explicit --update to bless;
-  9. when --fig15 is given: the sharded-serving gate — any row whose
-     sharded outcomes were not bit-identical to the unsharded reference
-     (`identical: false`) fails, zero tolerance, on every host; and at
-     the largest measured population the closed-loop slots/sec must be
-     monotone (within 5% timer noise) from 1 shard up to
-     --fig15-gate-shards (default 4). The monotonicity check is
-     hardware-gated exactly like the fig12 parallel gate: it arms only
-     when the host has at least --fig15-gate-shards hardware threads (a
-     1-core container cannot exhibit fan-out speedup by construction and
-     only warns), and --update refuses to record sharded rows measured
-     on such hosts into the baseline. Per-shard monitor records are
-     stripped from the merged artifact (the nightly job archives the raw
-     JSON instead);
- 11. when --fig17 is given: the pipelined-serving gate — any row whose
-     pipelined outcomes were not bit-identical to the sequential twin
-     (`identical: false`) fails, zero tolerance, on every host; and the
-     unsharded pipelined row at the gate population (100k sensors) must
-     show a sustained-throughput speedup of at least --min-fig17-speedup
-     (default 1.3x) over its sequential twin. The speedup check is
-     hardware-gated like the fig12/fig15 fan-out gates: the overlap
-     needs a second core for the task-graph worker, so it arms only when
-     the host has at least 2 hardware threads (a 1-core container
-     time-slices the overlap and only warns), and --update refuses to
-     record pipelined rows measured on such hosts into the baseline;
   8. when --fig14 is given: the record/replay gate — any engine row whose
      trace replay was not bit-identical to the live closed-loop run
      (`identical: false`) fails, zero tolerance, on every host; and the
@@ -118,15 +94,14 @@ BENCH_pr.json artifact and diffs it against the committed baseline
 
 Usage:
   check_bench_regression.py --fig11 fig11.json [--fig12 fig12.json]
-      [--fig13 fig13.json] [--fig14 fig14.json] [--fig15 fig15.json]
-      [--fig16 fig16.json] [--fig17 fig17.json] [--fig18 fig18.json]
+      [--fig13 fig13.json] [--fig14 fig14.json] [--fig16 fig16.json]
+      [--fig18 fig18.json]
       [--schedulers sched.json]
       --baseline bench/BENCH_baseline.json --out BENCH_pr.json
       [--min-speedup 10] [--min-fig12-speedup 4]
       [--min-fig13-speedup 3] [--min-fig13-utility 0.95]
       [--min-sieve-utility 0.8] [--min-sieve-speedup 20]
-      [--min-fig14-speedup 0.9] [--fig15-gate-shards 4]
-      [--min-soa-speedup 1.5] [--min-fig17-speedup 1.3]
+      [--min-fig14-speedup 0.9] [--min-soa-speedup 1.5]
       [--min-fig18-hit-rate 0.95]
       [--tolerance 0.2] [--strict-time] [--update]
 
@@ -163,9 +138,7 @@ def main():
     ap.add_argument("--fig12", help="fig12_streaming --json output")
     ap.add_argument("--fig13", help="fig13_approx_quality --json output")
     ap.add_argument("--fig14", help="fig14_replay --json output")
-    ap.add_argument("--fig15", help="fig15_shard_sweep --json output")
     ap.add_argument("--fig16", help="fig16_kernel_microbench --json output")
-    ap.add_argument("--fig17", help="fig17_pipeline_throughput --json output")
     ap.add_argument("--fig18", help="fig18_adaptive_slo --json output")
     ap.add_argument("--schedulers", help="bench_schedulers --benchmark_out JSON")
     ap.add_argument("--baseline", required=True)
@@ -199,17 +172,6 @@ def main():
     # percent against each other on shared runners.
     ap.add_argument("--min-fig14-speedup", type=float, default=0.9)
     ap.add_argument("--min-parallel-speedup", type=float, default=2.0)
-    ap.add_argument("--fig15-gate-shards", type=int, default=4,
-                    help="largest shard count the fig15 monotone-throughput "
-                         "check covers; also the hardware-thread floor for "
-                         "that check to arm")
-    # 1.3x, well under the ~1.6-1.8x a full turnover/selection overlap
-    # can reach: the pipelined win is bounded by the *shorter* of the two
-    # overlapped phases (Amdahl over the slot cycle), and the gate
-    # scenario's turnover/selection split shifts with allocator and cache
-    # behaviour across hosts. The floor asserts the overlap is real, not
-    # that it is perfectly balanced.
-    ap.add_argument("--min-fig17-speedup", type=float, default=1.3)
     # Same-process ratio (the AoS pass and the slab pass are timed in one
     # binary run), so the floor is host-normalized by construction;
     # 1.5x sits well under the ~2x measured on the gate scenario.
@@ -232,17 +194,9 @@ def main():
     fig12 = load(args.fig12) if args.fig12 else None
     fig13 = load(args.fig13) if args.fig13 else None
     fig14 = load(args.fig14) if args.fig14 else None
-    fig15 = load(args.fig15) if args.fig15 else None
     fig16 = load(args.fig16) if args.fig16 else None
-    fig17 = load(args.fig17) if args.fig17 else None
     fig18 = load(args.fig18) if args.fig18 else None
     schedulers = load(args.schedulers) if args.schedulers else None
-
-    # Per-shard monitor records are observability artifacts, not
-    # regression metrics — strip them so the committed baseline stays
-    # readable (the nightly job archives the raw fig15 JSON instead).
-    fig15_rows = [{k: v for k, v in r.items() if k != "shard_monitors"}
-                  for r in (fig15 or {}).get("results", [])]
 
     pr = {
         "cal_ms": fig11.get("cal_ms", 0.0),
@@ -251,9 +205,7 @@ def main():
         "fig12_parallel": (fig12 or {}).get("parallel_results", []),
         "fig13": (fig13 or {}).get("results", []),
         "fig14": (fig14 or {}).get("results", []),
-        "fig15": fig15_rows,
         "fig16": (fig16 or {}).get("results", []),
-        "fig17": (fig17 or {}).get("results", []),
         "fig18": (fig18 or {}).get("results", []),
         "scheduler_times_ms": google_benchmark_times(schedulers),
     }
@@ -279,12 +231,8 @@ def main():
             updated["fig13"] = old["fig13"]
         if fig14 is None and old.get("fig14"):
             updated["fig14"] = old["fig14"]
-        if fig15 is None and old.get("fig15"):
-            updated["fig15"] = old["fig15"]
         if fig16 is None and old.get("fig16"):
             updated["fig16"] = old["fig16"]
-        if fig17 is None and old.get("fig17"):
-            updated["fig17"] = old["fig17"]
         if fig18 is None and old.get("fig18"):
             updated["fig18"] = old["fig18"]
         if schedulers is None and old.get("scheduler_times_ms"):
@@ -317,72 +265,6 @@ def main():
                 if prev is not None:
                     kept.append(prev)
             updated["fig12_parallel"] = kept
-        if fig15 is not None:
-            # Same hardware rule as the fig12 parallel rows: a sharded
-            # row measured on a host without the threads to run the
-            # fan-out records a meaningless ~1x speedup; keep the
-            # previously committed row for that shape instead.
-            def fig15_key(r):
-                return (r["sensors"], r["shards"], r.get("slots", 0),
-                        r.get("queries", 0))
-
-            old_fig15 = {fig15_key(r): r for r in (old.get("fig15") or [])}
-            kept15 = []
-            for r in pr["fig15"]:
-                hardware = r.get("hardware_threads", 0)
-                threads = r.get("threads", 1)
-                if r.get("shards", 1) == 1 or hardware >= threads:
-                    kept15.append(r)
-                    continue
-                prev = old_fig15.get(fig15_key(r))
-                if prev is not None and not (
-                        prev.get("hardware_threads", 0)
-                        >= prev.get("threads", 1)):
-                    prev = None  # the committed row is itself misleading
-                print(f"warning: fig15 n={r['sensors']} "
-                      f"shards={r['shards']}: host has {hardware} hardware "
-                      f"thread(s) for a {threads}-thread fan-out; NOT "
-                      "recording its throughput into the baseline"
-                      + (" (keeping previous row)" if prev else ""))
-                if prev is not None:
-                    kept15.append(prev)
-            updated["fig15"] = kept15
-        if fig17 is not None:
-            # Same hardware rule as the fig12/fig15 fan-out rows: the
-            # pipelined overlap needs a core for the task-graph worker on
-            # top of the serving (and shard fan-out) threads; a row
-            # measured without them records a meaningless ~1x speedup.
-            def fig17_key(r):
-                return (r["sensors"], r.get("pipeline", 0),
-                        r.get("shards", 1), r.get("slots", 0),
-                        r.get("queries", 0))
-
-            old_fig17 = {fig17_key(r): r for r in (old.get("fig17") or [])}
-
-            def fig17_needed(r):
-                return (max(1, r.get("shards", 1))
-                        + (1 if r.get("pipeline", 0) == 2 else 0))
-
-            kept17 = []
-            for r in pr["fig17"]:
-                hardware = r.get("hardware_threads", 0)
-                needed = fig17_needed(r)
-                if needed == 1 or hardware >= needed:
-                    kept17.append(r)
-                    continue
-                prev = old_fig17.get(fig17_key(r))
-                if prev is not None and (
-                        prev.get("hardware_threads", 0) < fig17_needed(prev)):
-                    prev = None  # the committed row is itself misleading
-                print(f"warning: fig17 n={r['sensors']} "
-                      f"pipeline={r.get('pipeline', 0)} "
-                      f"shards={r.get('shards', 1)}: host has {hardware} "
-                      f"hardware thread(s), row needs {needed}; NOT "
-                      "recording its throughput into the baseline"
-                      + (" (keeping previous row)" if prev else ""))
-                if prev is not None:
-                    kept17.append(prev)
-            updated["fig17"] = kept17
         with open(args.baseline, "w") as f:
             json.dump(updated, f, indent=2)
         print(f"baseline updated: {args.baseline}")
@@ -503,92 +385,6 @@ def main():
         if fig14_gate_rows == 0:
             failures.append(
                 "fig14 produced no gate row (lazy @ 100k sensors)")
-
-    # 9. fig15 sharded-serving gate (only when the run provided it).
-    if fig15 is not None:
-        for r in pr["fig15"]:
-            # Bit-equality against the unsharded engine: fatal on every
-            # host, every population, every shard count.
-            if not r.get("identical", False):
-                failures.append(
-                    f"fig15 n={r['sensors']} shards={r['shards']}: sharded "
-                    "outcomes diverged from the unsharded engine")
-        if not pr["fig15"]:
-            failures.append("fig15 produced no results")
-        else:
-            top = max(r["sensors"] for r in pr["fig15"])
-            by_shards = {r["shards"]: r
-                         for r in pr["fig15"] if r["sensors"] == top}
-            hardware = max(r.get("hardware_threads", 0)
-                           for r in pr["fig15"])
-            gate_shards = args.fig15_gate_shards
-            ladder = sorted(s for s in by_shards if s <= gate_shards)
-            if hardware < gate_shards:
-                warnings.append(
-                    f"fig15 n={top}: throughput-monotonicity check SKIPPED "
-                    f"— host has {hardware} hardware thread(s), gate needs "
-                    f">= {gate_shards} (bit-equality still enforced)")
-            elif len(ladder) < 2 or 1 not in by_shards:
-                failures.append(
-                    f"fig15 n={top}: no shard ladder to gate (need shard "
-                    f"counts 1..{gate_shards}, got {sorted(by_shards)})")
-            else:
-                # Monotone within 5% timer noise: each step up the ladder
-                # must hold at least 95% of the previous rate; sharding
-                # that *loses* throughput on a capable host is a real
-                # regression in the fan-out or the reconcile.
-                ok = True
-                for prev_s, s in zip(ladder, ladder[1:]):
-                    prev_rate = by_shards[prev_s]["slots_per_sec"]
-                    rate = by_shards[s]["slots_per_sec"]
-                    if prev_rate > 0 and rate < 0.95 * prev_rate:
-                        ok = False
-                        failures.append(
-                            f"fig15 n={top}: slots/sec dropped from "
-                            f"{prev_rate:.2f} at {prev_s} shard(s) to "
-                            f"{rate:.2f} at {s} — not monotone")
-                if ok:
-                    print(f"ok: fig15 n={top} slots/sec monotone over "
-                          f"shards {ladder} "
-                          f"({by_shards[ladder[0]]['slots_per_sec']:.2f} -> "
-                          f"{by_shards[ladder[-1]]['slots_per_sec']:.2f})")
-
-    # 11. fig17 pipelined-serving gate (only when the run provided it).
-    if fig17 is not None:
-        for r in pr["fig17"]:
-            # Bit-equality against the sequential twin: fatal on every
-            # host, every population, every shard count.
-            if not r.get("identical", False):
-                failures.append(
-                    f"fig17 n={r['sensors']} pipeline={r.get('pipeline', 0)} "
-                    f"shards={r.get('shards', 1)}: pipelined outcomes "
-                    "diverged from the sequential schedule")
-        gate = [r for r in pr["fig17"]
-                if r["sensors"] == 100_000 and r.get("pipeline", 0) == 2
-                and r.get("shards", 1) == 1]
-        if not gate:
-            failures.append(
-                "fig17 produced no gate row (pipelined unsharded @ 100k "
-                "sensors) — was the population capped?")
-        for r in gate:
-            hardware = r.get("hardware_threads", 0)
-            if hardware < 2:
-                # The overlap needs a second core for the task-graph
-                # worker; a 1-core host time-slices the two phases and
-                # cannot exhibit the speedup by construction.
-                warnings.append(
-                    f"fig17 n={r['sensors']}: pipelined speedup check "
-                    f"SKIPPED — host has {hardware} hardware thread(s), "
-                    "gate needs >= 2 (bit-equality still enforced)")
-            elif r["speedup_vs_sequential"] < args.min_fig17_speedup:
-                failures.append(
-                    f"fig17 n={r['sensors']}: pipelined sustained "
-                    f"throughput {r['speedup_vs_sequential']:.2f}x "
-                    f"sequential < required {args.min_fig17_speedup:.2f}x")
-            else:
-                print(f"ok: fig17 n={r['sensors']} pipelined throughput "
-                      f"{r['speedup_vs_sequential']:.2f}x sequential "
-                      f"(>= {args.min_fig17_speedup:.2f}x)")
 
     # 12. fig18 adaptive-SLO gate (only when the run provided it).
     if fig18 is not None:
@@ -879,35 +675,6 @@ def main():
                            f"baseline {norm_base:.4f}")
                     (failures if args.strict_time else warnings).append(msg)
 
-        # fig15: normalized closed-loop wall time per (population, shard
-        # count). Skipped for rows the current host could not run at full
-        # fan-out (hardware < threads) — their wall time says nothing
-        # about the sharded path and the baseline only holds eligible
-        # rows anyway.
-        def fig15_base_key(r):
-            return (r["sensors"], r["shards"], r.get("slots", 0),
-                    r.get("queries", 0))
-
-        base_fig15 = {fig15_base_key(r): r for r in base.get("fig15", [])}
-        for r in pr["fig15"]:
-            if (r.get("shards", 1) > 1
-                    and r.get("hardware_threads", 0) < r.get("threads", 1)):
-                continue
-            b = base_fig15.get(fig15_base_key(r))
-            if b is None:
-                warnings.append(f"fig15 n={r['sensors']} "
-                                f"shards={r['shards']}: not in baseline")
-                continue
-            if pr["cal_ms"] > 0 and base.get("cal_ms", 0) > 0 \
-                    and b.get("wall_ms", 0) > 0:
-                norm_pr = r["wall_ms"] / pr["cal_ms"]
-                norm_base = b["wall_ms"] / base["cal_ms"]
-                if norm_base > 0 and norm_pr > norm_base * limit:
-                    msg = (f"fig15 n={r['sensors']} shards={r['shards']}: "
-                           f"normalized closed-loop time {norm_pr:.4f} > "
-                           f"{limit:.2f}x baseline {norm_base:.4f}")
-                    (failures if args.strict_time else warnings).append(msg)
-
         # fig16: the outcome digest is an FNV-1a hash over the selection's
         # raw bit patterns, deterministic for a fixed seed on every host —
         # a changed digest means a kernel changed an answer, which is
@@ -935,39 +702,6 @@ def main():
                 if norm_base > 0 and norm_pr > norm_base * limit:
                     msg = (f"fig16 {r['query']} n={r['sensors']}: normalized "
                            f"slab kernel time {norm_pr:.4f} > {limit:.2f}x "
-                           f"baseline {norm_base:.4f}")
-                    (failures if args.strict_time else warnings).append(msg)
-
-        # fig17: normalized closed-loop wall time per (population,
-        # pipeline, shard) shape. Skipped for rows the current host could
-        # not overlap at full width (hardware below the row's thread
-        # need) — their wall time says nothing about the pipelined path.
-        def fig17_diff_key(r):
-            return (r["sensors"], r.get("pipeline", 0), r.get("shards", 1),
-                    r.get("slots", 0), r.get("queries", 0))
-
-        base_fig17 = {fig17_diff_key(r): r for r in base.get("fig17", [])}
-        for r in pr["fig17"]:
-            needed = (max(1, r.get("shards", 1))
-                      + (1 if r.get("pipeline", 0) == 2 else 0))
-            if needed > 1 and r.get("hardware_threads", 0) < needed:
-                continue
-            b = base_fig17.get(fig17_diff_key(r))
-            if b is None:
-                warnings.append(f"fig17 n={r['sensors']} "
-                                f"pipeline={r.get('pipeline', 0)} "
-                                f"shards={r.get('shards', 1)}: "
-                                "not in baseline")
-                continue
-            if pr["cal_ms"] > 0 and base.get("cal_ms", 0) > 0 \
-                    and b.get("wall_ms", 0) > 0:
-                norm_pr = r["wall_ms"] / pr["cal_ms"]
-                norm_base = b["wall_ms"] / base["cal_ms"]
-                if norm_base > 0 and norm_pr > norm_base * limit:
-                    msg = (f"fig17 n={r['sensors']} "
-                           f"pipeline={r.get('pipeline', 0)} "
-                           f"shards={r.get('shards', 1)}: normalized "
-                           f"closed-loop time {norm_pr:.4f} > {limit:.2f}x "
                            f"baseline {norm_base:.4f}")
                     (failures if args.strict_time else warnings).append(msg)
 

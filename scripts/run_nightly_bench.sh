@@ -42,30 +42,19 @@ run fig10_query_mix
 # captured. fig14 keeps its recorded traces under the log directory so
 # the nightly workflow can upload them as artifacts — a nightly-fresh
 # corpus of real serving traces for offline replay and debugging.
-# --huge extends fig11/fig15 with a 10M-sensor point (nightly-only: the
-# brute-force reference and the shard fan-out at that scale are far too
-# heavy for the PR-path --quick gate).
+# --huge extends fig11 with a 10M-sensor point (nightly-only: the
+# brute-force reference at that scale is far too heavy for the PR-path
+# --quick gate).
 run fig11_scale_sweep --huge --json "$LOG_DIR/fig11_nightly.json"
 run fig12_streaming --json "$LOG_DIR/fig12_nightly.json"
 run fig13_approx_quality --json "$LOG_DIR/fig13_nightly.json"
 mkdir -p "$LOG_DIR/traces"
 run fig14_replay --json "$LOG_DIR/fig14_nightly.json" \
   --trace-dir "$LOG_DIR/traces"
-# Sharded serving sweep: full populations up to 1M (plus the --huge 10M
-# point) at shard counts {1,2,4,8}. The JSON embeds one monitor record
-# per shard per row; the merge step below splits them out into per-row
-# monitor files so the nightly artifact exposes per-shard turnover
-# latency / index-repair stats without parsing the full sweep JSON.
-run fig15_shard_sweep --huge --json "$LOG_DIR/fig15_nightly.json"
 # SoA slab-vs-AoS kernel microbench: full populations (10k/100k/1M), one
 # row per query type. Exits non-zero by itself if any slab outcome is not
 # bit-identical to the scalar reference.
 run fig16_kernel_microbench --json "$LOG_DIR/fig16_nightly.json"
-# Pipelined slot execution: sequential-vs-pipelined sustained slots/sec
-# at 100k/1M under 1% churn, with the fatal bit-equality column. Exits
-# non-zero by itself if any pipelined outcome diverges from its
-# sequential twin.
-run fig17_pipeline_throughput --json "$LOG_DIR/fig17_nightly.json"
 # Adaptive SLO scheduling: base -> spike -> recover loops at the full
 # population, static-vs-adaptive hit rates plus the fatal
 # replay-identity column. Exits non-zero by itself if any adaptive run
@@ -89,27 +78,8 @@ fig11 = load("fig11_nightly.json") or {}
 fig12 = load("fig12_nightly.json") or {}
 fig13 = load("fig13_nightly.json") or {}
 fig14 = load("fig14_nightly.json") or {}
-fig15 = load("fig15_nightly.json") or {}
 fig16 = load("fig16_nightly.json") or {}
-fig17 = load("fig17_nightly.json") or {}
 fig18 = load("fig18_nightly.json") or {}
-
-# Split the per-shard monitor records (turnover-latency histogram +
-# index-repair stats, one JSON object per shard) out of each fig15 row
-# into standalone artifact files; the merged doc keeps the throughput
-# rows themselves monitor-free.
-monitor_dir = os.path.join(log_dir, "shard_monitors")
-os.makedirs(monitor_dir, exist_ok=True)
-fig15_rows = []
-for row in fig15.get("results", []):
-    monitors = row.pop("shard_monitors", [])
-    if monitors:
-        name = f"fig15_n{row.get('sensors', 0)}_s{row.get('shards', 0)}.json"
-        with open(os.path.join(monitor_dir, name), "w") as f:
-            json.dump({"sensors": row.get("sensors"),
-                       "shards": row.get("shards"),
-                       "per_shard": monitors}, f, indent=2)
-    fig15_rows.append(row)
 
 doc = {
     "suite": "nightly-full",
@@ -120,9 +90,7 @@ doc = {
     "fig12_parallel": fig12.get("parallel_results", []),
     "fig13": fig13.get("results", []),
     "fig14": fig14.get("results", []),
-    "fig15": fig15_rows,
     "fig16": fig16.get("results", []),
-    "fig17": fig17.get("results", []),
     "fig18": fig18.get("results", []),
     "logs": sorted(f for f in os.listdir(log_dir) if f.endswith(".log")),
 }

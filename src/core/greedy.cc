@@ -64,12 +64,7 @@ SelectionResult EagerGreedySensorSelection(const std::vector<MultiQuery*>& queri
   // at the next BeginSlot; a selection never outlives its slot).
   ArenaBuffer<char> remaining;
   remaining.Acquire(slot.arena, static_cast<size_t>(n));
-  // SlotContext::eligible (per-shard scheduler passes) restricts which
-  // sensors may be *selected*; valuations and payments are untouched.
-  for (int s = 0; s < n; ++s) {
-    remaining[static_cast<size_t>(s)] =
-        slot.eligible == nullptr || (*slot.eligible)[static_cast<size_t>(s)];
-  }
+  std::fill(remaining.begin(), remaining.end(), 1);
 
   const CandidatePlan plan = BuildCandidatePlan(queries, n, slot.arena);
   NetEvaluator evaluator(queries, plan, slot, cost_scale, slot.pool);

@@ -47,10 +47,7 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
   // with slot.pool, parallel) sweep: nets for every scan sensor, then heap
   // pushes in the same ascending order the serial loop used, so the heap
   // state, every cached value, and the valuation-call totals are
-  // bit-identical to evaluating one sensor at a time. Sensors outside
-  // SlotContext::eligible (per-shard scheduler passes) never enter the
-  // heap — they may not be selected here, though their valuations and
-  // payments are untouched.
+  // bit-identical to evaluating one sensor at a time.
   std::priority_queue<Candidate, std::vector<Candidate>, CandidateLess> heap;
   {
     const std::span<const int> scan = plan.ScanSensors();
@@ -58,10 +55,6 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
     net.Acquire(slot.arena, scan.size());
     evaluator.EvaluateNets(scan, net.data());
     for (size_t k = 0; k < scan.size(); ++k) {
-      if (slot.eligible != nullptr &&
-          !(*slot.eligible)[static_cast<size_t>(scan[k])]) {
-        continue;
-      }
       heap.push(Candidate{net[k], 0, scan[k]});
     }
   }

@@ -176,12 +176,6 @@ struct SlotContext {
   /// valuation paths even when the slabs are populated. The two paths
   /// are bit-identical (tests/soa_kernel_equivalence_test).
   bool use_soa = true;
-  /// Optional selection-eligibility mask, indexed by slot-sensor index.
-  /// Non-null restricts which sensors the greedy engines may *select*
-  /// (valuations and payments are unaffected); the per-shard scheduler
-  /// passes use it to confine each pass to one shard's members. Null
-  /// means everyone is eligible.
-  const std::vector<char>* eligible = nullptr;
 
   /// True when the slab columns mirror `sensors` and kernels may use
   /// them (see SlotSlabs invariant).

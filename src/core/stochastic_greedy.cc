@@ -47,16 +47,8 @@ SelectionResult StochasticGreedySensorSelection(
 
   // Remaining candidates in mutable order: the partial Fisher-Yates below
   // shuffles a per-round prefix; pruning compacts the prefix in place.
-  // Sensors outside SlotContext::eligible (per-shard scheduler passes)
-  // never enter the pool, so they cannot be sampled or selected.
   const std::span<const int> scan0 = plan.ScanSensors();
-  std::vector<int> remaining;
-  remaining.reserve(scan0.size());
-  for (int s : scan0) {
-    if (slot.eligible == nullptr || (*slot.eligible)[static_cast<size_t>(s)]) {
-      remaining.push_back(s);
-    }
-  }
+  std::vector<int> remaining(scan0.begin(), scan0.end());
   const int sample_size =
       StochasticSampleSize(slot.approx, static_cast<int>(remaining.size()),
                            static_cast<int>(queries.size()));

@@ -2,12 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <utility>
 
+#include "core/sieve_streaming.h"
 #include "core/stochastic_greedy.h"
+#include "engine/adaptive_policy.h"
 #include "engine/membership_merge.h"
+#include "engine/serving_engine.h"
 #include "trace/trace_writer.h"
 
 namespace psens {
+namespace {
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+}  // namespace
 
 /// Presents the engine's id-keyed dynamic index as the slot-indexed
 /// SpatialIndex the schedulers consume. ctx_.sensors is sorted ascending
@@ -42,37 +59,18 @@ class AcquisitionEngine::SlotIndexView : public SpatialIndex {
 
 AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
                                      const ServingConfig& config)
-    : AcquisitionEngine(
-          std::make_shared<std::vector<Sensor>>(std::move(sensors)), config,
-          ShardSlice{}) {}
-
-AcquisitionEngine::AcquisitionEngine(
-    std::shared_ptr<std::vector<Sensor>> registry, const ServingConfig& config,
-    const ShardSlice& slice)
     : config_(config),
-      registry_(std::move(registry)),
-      sensors_(*registry_),
-      slice_(slice),
-      journal_repairs_(slice.sharded()) {
-  assert((!slice_.sharded() || config_.incremental) &&
-         "shard engines require incremental mode");
-  Init();
-}
-
-void AcquisitionEngine::Init() {
+      sensors_(std::move(sensors)),
+      last_select_engine_(config.scheduler) {
   const int n = static_cast<int>(sensors_.size());
   for (int i = 0; i < n; ++i) {
     assert(sensors_[i].id() == i && "registry must be id-dense");
     (void)i;
   }
-  pipelined_ = config_.pipeline == 2;
-  const int nbuf = pipelined_ ? 2 : 1;
-  for (int k = 0; k < nbuf; ++k) {
-    buf_[k].ctx.dmax = config_.dmax;
-    buf_[k].ctx.index_policy = config_.index_policy;
-    buf_[k].ctx.index_auto_threshold = config_.index_auto_threshold;
-    buf_[k].slot_pos.assign(static_cast<size_t>(n), -1);
-  }
+  ctx_.dmax = config_.dmax;
+  ctx_.index_policy = config_.index_policy;
+  ctx_.index_auto_threshold = config_.index_auto_threshold;
+  slot_pos_.assign(static_cast<size_t>(n), -1);
   if (config_.threads != 1) {
     pool_ = std::make_unique<ThreadPool>(config_.threads);
   }
@@ -92,28 +90,14 @@ void AcquisitionEngine::Init() {
     header.sample_hint = config_.approx.sample_hint;
     trace_ = TraceWriter::Open(config_.trace_path, header);
   }
-  // A standalone pipelined engine runs its staged repair on its own
-  // single-worker executor (one early task per slot — the overlap comes
-  // from the serving thread's concurrent selection, not intra-repair
-  // parallelism). Shard engines leave graph_ null: the router's executor
-  // drives their EarlyRepairStaged as tasks of its own per-slot graph.
-  if (pipelined_ && !slice_.sharded()) {
-    graph_ = std::make_unique<TaskGraphExecutor>(1);
-  }
   if (!config_.incremental) return;
   changed_flag_.assign(static_cast<size_t>(n), 0);
   cost_dirty_.assign(static_cast<size_t>(n), 0);
   privacy_flag_.assign(static_cast<size_t>(n), 0);
   changed_.reserve(static_cast<size_t>(n));
   if (config_.index_policy != SlotIndexPolicy::kNone) {
-    // A shard engine indexes only its slice, so size the backend for its
-    // expected share of the population.
-    const int expected =
-        slice_.sharded() ? std::max(1, n / slice_.map.shards) : n;
-    for (int k = 0; k < nbuf; ++k) {
-      buf_[k].index = std::make_unique<DynamicSpatialIndex>(
-          config_.working_region, config_.index_policy, expected);
-    }
+    index_ = std::make_unique<DynamicSpatialIndex>(config_.working_region,
+                                                   config_.index_policy, n);
   }
   for (int id = 0; id < n; ++id) {
     MarkChanged(id, /*cost_dirty=*/true);
@@ -172,7 +156,8 @@ void AcquisitionEngine::ApplyTrace(const Trace& trace, int slot) {
   if (trace_ != nullptr && !recorded.empty()) trace_->StageDelta(recorded);
 }
 
-void AcquisitionEngine::ApplyDeltaToRegistry(const SensorDelta& delta) {
+void AcquisitionEngine::ApplyDelta(const SensorDelta& delta) {
+  if (trace_ != nullptr) trace_->StageDelta(delta);
   for (const SensorDelta::Placement& a : delta.arrivals) {
     sensors_[a.sensor_id].SetPosition(a.position, true);
     MarkChanged(a.sensor_id, /*cost_dirty=*/false);
@@ -191,57 +176,46 @@ void AcquisitionEngine::ApplyDeltaToRegistry(const SensorDelta& delta) {
   }
 }
 
-void AcquisitionEngine::ApplyDelta(const SensorDelta& delta) {
-  if (trace_ != nullptr) trace_->StageDelta(delta);
-  ApplyDeltaToRegistry(delta);
-}
-
-void AcquisitionEngine::RefreshMember(SlotBuffer& b, int id, int time) {
+void AcquisitionEngine::RefreshMember(int id, int time) {
   const Sensor& s = sensors_[id];
-  const bool member = s.available() &&
-                      config_.working_region.Contains(s.position()) &&
-                      slice_.Owns(s.position());
-  const int pos = b.slot_pos[id];
+  const bool member =
+      s.available() && config_.working_region.Contains(s.position());
+  const int pos = slot_pos_[id];
   if (member && pos < 0) {
     pending_insert_.push_back(id);
-    if (b.index != nullptr) b.index->Insert(id, s.position());
+    if (index_ != nullptr) index_->Insert(id, s.position());
     return;
   }
   if (!member) {
     if (pos >= 0) {
       pending_remove_.push_back(id);
-      if (b.index != nullptr) b.index->Remove(id);
+      if (index_ != nullptr) index_->Remove(id);
     }
     return;
   }
   // Continuing member: patch announcement in place — slab row included,
   // so the SoA columns stay in lockstep without a rebuild.
-  SlotSensor& ss = b.ctx.sensors[static_cast<size_t>(pos)];
+  SlotSensor& ss = ctx_.sensors[static_cast<size_t>(pos)];
   if (!(ss.location == s.position())) {
     ss.location = s.position();
-    b.ctx.slabs.x[static_cast<size_t>(pos)] = ss.location.x;
-    b.ctx.slabs.y[static_cast<size_t>(pos)] = ss.location.y;
-    if (b.index != nullptr) b.index->Move(id, s.position());
+    ctx_.slabs.x[static_cast<size_t>(pos)] = ss.location.x;
+    ctx_.slabs.y[static_cast<size_t>(pos)] = ss.location.y;
+    if (index_ != nullptr) index_->Move(id, s.position());
   }
   if (cost_dirty_[id] || privacy_flag_[id]) {
     ss.cost = s.Cost(time);
-    b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
+    ctx_.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
     // Readings (the one thing that drains energy) arrive here with
     // cost_dirty set, so the diagnostic energy column rides the same patch.
-    b.ctx.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
+    ctx_.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
   }
-  if (journal_repairs_) repairs_.patched.push_back(id);
 }
 
-void AcquisitionEngine::RebuildMembership(SlotBuffer& b, int time) {
+void AcquisitionEngine::RebuildMembership(int time) {
   std::sort(pending_insert_.begin(), pending_insert_.end());
   std::sort(pending_remove_.begin(), pending_remove_.end());
-  if (journal_repairs_) {
-    repairs_.inserted = pending_insert_;
-    repairs_.removed = pending_remove_;
-  }
   MergeSortedMembership(
-      &b.ctx.sensors, &merge_scratch_, &b.slot_pos, pending_insert_,
+      &ctx_.sensors, &merge_scratch_, &slot_pos_, pending_insert_,
       pending_remove_,
       [&](SlotSensor& ss, int id) {
         const Sensor& s = sensors_[id];
@@ -249,20 +223,8 @@ void AcquisitionEngine::RebuildMembership(SlotBuffer& b, int time) {
         ss.cost = s.Cost(time);
         ss.inaccuracy = s.profile().inaccuracy;
         ss.trust = s.profile().trust;
-        // A freshly inserted member with decaying privacy history must be
-        // on the refresh list, or its announced cost would freeze at this
-        // slot's value. Matters for cross-shard migrations (the departing
-        // shard's refresh state doesn't travel); behavior-neutral for a
-        // standalone engine, where such a sensor is either still enrolled
-        // or its cost has already aged to the post-window constant.
-        if (!privacy_flag_[id] &&
-            PrivacyLevelValue(s.profile().privacy) > 0.0 &&
-            !s.report_history().empty()) {
-          privacy_flag_[id] = 1;
-          privacy_refresh_.push_back(id);
-        }
       },
-      &b.ctx.slabs, &slab_scratch_,
+      &ctx_.slabs, &slab_scratch_,
       [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
         out.SetRowFrom(row, ss, sensors_[static_cast<size_t>(id)]);
       });
@@ -270,61 +232,46 @@ void AcquisitionEngine::RebuildMembership(SlotBuffer& b, int time) {
   pending_remove_.clear();
 }
 
-void AcquisitionEngine::AttachIndex(SlotBuffer& b) {
-  const int n = static_cast<int>(b.ctx.sensors.size());
+void AcquisitionEngine::AttachIndex() {
+  const int n = static_cast<int>(ctx_.sensors.size());
   const bool want =
-      b.index != nullptr && n > 0 &&
+      index_ != nullptr && n > 0 &&
       !(config_.index_policy == SlotIndexPolicy::kAuto &&
         n < config_.index_auto_threshold);
   if (!want) {
-    b.ctx.index.reset();
+    ctx_.index.reset();
     return;
   }
-  if (b.view == nullptr) {
-    b.view = std::make_shared<SlotIndexView>(b.index.get(), &b.slot_pos);
+  if (view_ == nullptr) {
+    view_ = std::make_shared<SlotIndexView>(index_.get(), &slot_pos_);
   }
-  b.ctx.index = b.view;
+  ctx_.index = view_;
 }
 
 const SlotContext& AcquisitionEngine::BeginSlot(int time) {
-  SlotBuffer& b = buf_[front_];
   // Per-slot scratch dies here: everything the previous slot's selection
   // carved from the arena (candidate plans, evaluator buffers, gain
   // scratch) is invalidated in one pointer reset.
   arena_.Reset();
   if (!config_.incremental) {
-    b.ctx = BuildSlotContext(sensors_, config_.working_region, time,
-                             config_.dmax, config_.index_policy,
-                             config_.index_auto_threshold);
-    b.ctx.arena = &arena_;  // the assignment above wiped the stamp
-    b.ctx.pool = pool_.get();
-    b.ctx.approx = config_.approx;
-    b.ctx.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
-    if (has_pinned_slot_seed_) {
-      b.ctx.approx.slot_seed = pinned_slot_seed_;
-      has_pinned_slot_seed_ = false;
-    }
-    if (trace_ != nullptr) trace_->BeginSlot(time, b.ctx.approx.slot_seed);
-    return b.ctx;
+    ctx_ = BuildSlotContext(sensors_, config_.working_region, time,
+                            config_.dmax, config_.index_policy,
+                            config_.index_auto_threshold);
   }
-  if (journal_repairs_) {
-    repairs_.inserted.clear();
-    repairs_.removed.clear();
-    repairs_.patched.clear();
-  }
-  b.ctx.time = time;
-  b.ctx.arena = &arena_;
-  b.ctx.pool = pool_.get();
+  ctx_.time = time;
+  ctx_.arena = &arena_;
+  ctx_.pool = pool_.get();
   // Pin the approximate schedulers' per-slot stream: both engine modes
   // stamp the identical derived seed, so approximate selections agree
   // between incremental and rebuild serving bit for bit.
-  b.ctx.approx = config_.approx;
-  b.ctx.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
+  ctx_.approx = config_.approx;
+  ctx_.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
   if (has_pinned_slot_seed_) {
-    b.ctx.approx.slot_seed = pinned_slot_seed_;
+    ctx_.approx.slot_seed = pinned_slot_seed_;
     has_pinned_slot_seed_ = false;
   }
-  if (trace_ != nullptr) trace_->BeginSlot(time, b.ctx.approx.slot_seed);
+  if (trace_ != nullptr) trace_->BeginSlot(time, ctx_.approx.slot_seed);
+  if (!config_.incremental) return ctx_;
   // Privacy-decay set: announced cost drifts with wall-clock time even
   // without any event; membership never changes from it. Sensors also in
   // changed_ get the full refresh below instead. Once every history
@@ -340,12 +287,11 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
       continue;
     }
     const Sensor& s = sensors_[id];
-    const int pos = b.slot_pos[id];
+    const int pos = slot_pos_[id];
     if (pos >= 0) {
-      b.ctx.sensors[static_cast<size_t>(pos)].cost = s.Cost(time);
-      b.ctx.slabs.cost[static_cast<size_t>(pos)] =
-          b.ctx.sensors[static_cast<size_t>(pos)].cost;
-      if (journal_repairs_) repairs_.patched.push_back(id);
+      ctx_.sensors[static_cast<size_t>(pos)].cost = s.Cost(time);
+      ctx_.slabs.cost[static_cast<size_t>(pos)] =
+          ctx_.sensors[static_cast<size_t>(pos)].cost;
     }
     const bool decaying =
         !s.report_history().empty() &&
@@ -362,277 +308,17 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   // pre-sorted pending lists).
   std::sort(changed_.begin(), changed_.end());
   for (int id : changed_) {
-    RefreshMember(b, id, time);
+    RefreshMember(id, time);
     changed_flag_[id] = 0;
     cost_dirty_[id] = 0;
   }
   changed_.clear();
   if (!pending_insert_.empty() || !pending_remove_.empty()) {
-    RebuildMembership(b, time);
+    RebuildMembership(time);
   }
-  AttachIndex(b);
-  return b.ctx;
+  AttachIndex();
+  return ctx_;
 }
-
-// --- Pipelined slot lifecycle ----------------------------------------------
-
-void AcquisitionEngine::StageNextSlot(int time, const SensorDelta& delta) {
-  if (!pipelined_) {
-    // Sequential degradation: exactly the ApplyDelta + (deferred)
-    // BeginSlot path, so drivers can call Stage/Activate unconditionally.
-    ApplyDelta(delta);
-    staged_time_ = time;
-    return;
-  }
-  // Trace staging stays on the serving thread, preserving the recorded
-  // stream order (slot t's queries were staged before this call).
-  if (trace_ != nullptr) trace_->StageDelta(delta);
-  staged_time_ = time;
-  staged_delta_ = delta;
-  assert(graph_ != nullptr &&
-         "shard engines are staged by their router's graph");
-  graph_->AddTask([this] {
-    ApplyDeltaToRegistry(staged_delta_);
-    EarlyRepairStaged(staged_time_);
-  });
-  graph_->Launch();
-}
-
-void AcquisitionEngine::StagedIndexApply(SlotBuffer& b, IndexOp op) {
-  if (b.index == nullptr) return;
-  op_log_.push_back(op);
-  switch (op.kind) {
-    case IndexOp::kInsert:
-      b.index->Insert(op.id, op.p);
-      break;
-    case IndexOp::kRemove:
-      b.index->Remove(op.id);
-      break;
-    case IndexOp::kMove:
-      b.index->Move(op.id, op.p);
-      break;
-  }
-}
-
-void AcquisitionEngine::StageRefreshMember(int id) {
-  SlotBuffer& f = buf_[front_];
-  SlotBuffer& b = buf_[front_ ^ 1];
-  const Sensor& s = sensors_[id];
-  const bool member = s.available() &&
-                      config_.working_region.Contains(s.position()) &&
-                      slice_.Owns(s.position());
-  const int pos = f.slot_pos[id];
-  if (member && pos < 0) {
-    pending_insert_.push_back(id);
-    StagedIndexApply(b, IndexOp{IndexOp::kInsert, id, s.position()});
-    return;
-  }
-  if (!member) {
-    if (pos >= 0) {
-      pending_remove_.push_back(id);
-      StagedIndexApply(b, IndexOp{IndexOp::kRemove, id, Point{}});
-    }
-    return;
-  }
-  // Continuing member. The front entry holds the previous slot's
-  // announcement, so the comparisons below are against exactly the state
-  // sequential RefreshMember would patch in place; the patch itself is
-  // deferred until the cross-buffer merge fixes positions.
-  const SlotSensor& ss = f.ctx.sensors[static_cast<size_t>(pos)];
-  const bool moved = !(ss.location == s.position());
-  if (moved) StagedIndexApply(b, IndexOp{IndexOp::kMove, id, s.position()});
-  staged_patches_.push_back(
-      StagedPatch{id, moved, cost_dirty_[id] != 0 || privacy_flag_[id] != 0});
-}
-
-void AcquisitionEngine::EarlyRepairStaged(int time) {
-  assert(pipelined_ && "staged repair requires double-buffered construction");
-  SlotBuffer& f = buf_[front_];
-  SlotBuffer& b = buf_[front_ ^ 1];
-  if (!config_.incremental) {
-    // Reference mode: the overlappable work IS the full rebuild.
-    // (Validate rejects this combination with record_readings — a rebuild
-    // would re-announce every sensor before the overlapped slot's
-    // readings land.)
-    b.ctx = BuildSlotContext(sensors_, config_.working_region, time,
-                             config_.dmax, config_.index_policy,
-                             config_.index_auto_threshold);
-    return;
-  }
-  if (journal_repairs_) {
-    repairs_.inserted.clear();
-    repairs_.removed.clear();
-    repairs_.patched.clear();
-  }
-  // Catch this buffer's index up: replay the ops the previous staging
-  // applied to the other buffer, so both indexes share one op history.
-  if (b.index != nullptr) {
-    for (const IndexOp& op : replay_log_) {
-      switch (op.kind) {
-        case IndexOp::kInsert:
-          b.index->Insert(op.id, op.p);
-          break;
-        case IndexOp::kRemove:
-          b.index->Remove(op.id);
-          break;
-        case IndexOp::kMove:
-          b.index->Move(op.id, op.p);
-          break;
-      }
-    }
-  }
-  replay_log_.clear();
-  staged_patches_.clear();
-  b.ctx.time = time;
-  // Privacy compaction — same decisions as BeginSlot's loop (the decaying
-  // test reads only registry state this staging cannot change), with the
-  // context patches deferred to post-merge positions.
-  size_t keep = 0;
-  for (int id : privacy_refresh_) {
-    if (changed_flag_[id]) {
-      privacy_refresh_[keep++] = id;
-      continue;
-    }
-    const Sensor& s = sensors_[id];
-    if (f.slot_pos[id] >= 0) {
-      staged_patches_.push_back(StagedPatch{id, false, true});
-    }
-    const bool decaying =
-        !s.report_history().empty() &&
-        time - s.report_history().back() < s.profile().privacy_window;
-    if (decaying) {
-      privacy_refresh_[keep++] = id;
-    } else {
-      privacy_flag_[id] = 0;
-    }
-  }
-  privacy_refresh_.resize(keep);
-  std::sort(changed_.begin(), changed_.end());
-  for (int id : changed_) {
-    StageRefreshMember(id);
-    changed_flag_[id] = 0;
-    cost_dirty_[id] = 0;
-  }
-  changed_.clear();
-  std::sort(pending_insert_.begin(), pending_insert_.end());
-  std::sort(pending_remove_.begin(), pending_remove_.end());
-  if (journal_repairs_) {
-    repairs_.inserted = pending_insert_;
-    repairs_.removed = pending_remove_;
-  }
-  // Cross-buffer membership merge: always runs (zero events degenerate to
-  // a straight copy), rebuilding the back buffer's member array, slabs,
-  // and slot_pos from the immutable front state.
-  MergeSortedMembershipInto(
-      f.ctx.sensors, f.ctx.slabs, f.slot_pos, &b.ctx.sensors, &b.ctx.slabs,
-      &b.slot_pos, pending_insert_, pending_remove_,
-      [&](SlotSensor& ss, int id) {
-        const Sensor& s = sensors_[id];
-        ss.location = s.position();
-        ss.cost = s.Cost(time);
-        ss.inaccuracy = s.profile().inaccuracy;
-        ss.trust = s.profile().trust;
-        // Same migrated-member re-enrollment as RebuildMembership's fill.
-        if (!privacy_flag_[id] &&
-            PrivacyLevelValue(s.profile().privacy) > 0.0 &&
-            !s.report_history().empty()) {
-          privacy_flag_[id] = 1;
-          privacy_refresh_.push_back(id);
-        }
-      },
-      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
-        out.SetRowFrom(row, ss, sensors_[static_cast<size_t>(id)]);
-      });
-  pending_insert_.clear();
-  pending_remove_.clear();
-  // Deferred announcement patches, now at post-merge back positions. The
-  // values and gating predicates are byte-for-byte sequential
-  // RefreshMember's / the compaction loop's.
-  for (const StagedPatch& p : staged_patches_) {
-    const int pos = b.slot_pos[p.id];
-    if (pos < 0) continue;
-    const Sensor& s = sensors_[p.id];
-    SlotSensor& ss = b.ctx.sensors[static_cast<size_t>(pos)];
-    if (p.loc) {
-      ss.location = s.position();
-      b.ctx.slabs.x[static_cast<size_t>(pos)] = ss.location.x;
-      b.ctx.slabs.y[static_cast<size_t>(pos)] = ss.location.y;
-    }
-    if (p.cost) {
-      ss.cost = s.Cost(time);
-      b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-      b.ctx.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
-    }
-    if (journal_repairs_) repairs_.patched.push_back(p.id);
-  }
-  AttachIndex(b);
-}
-
-void AcquisitionEngine::LateFeedbackStaged(
-    const std::vector<std::pair<int, int>>& readings, int slot_time) {
-  if (readings.empty()) return;
-  assert(config_.incremental &&
-         "readings feedback requires incremental mode when pipelined");
-  SlotBuffer& b = buf_[front_ ^ 1];
-  // Two passes: charge every reading first, then re-cost — so announced
-  // costs see the complete post-slot history exactly as the sequential
-  // NoteReading-then-BeginSlot order produced.
-  for (const std::pair<int, int>& r : readings) {
-    sensors_[static_cast<size_t>(r.first)].RecordReading(r.second);
-  }
-  for (const std::pair<int, int>& r : readings) {
-    const int id = r.first;
-    const Sensor& s = sensors_[static_cast<size_t>(id)];
-    const int pos = b.slot_pos[id];
-    if (pos >= 0) {
-      SlotSensor& ss = b.ctx.sensors[static_cast<size_t>(pos)];
-      ss.cost = s.Cost(slot_time);
-      b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-      b.ctx.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
-    }
-    if (!privacy_flag_[id] &&
-        PrivacyLevelValue(s.profile().privacy) > 0.0) {
-      privacy_flag_[id] = 1;
-      privacy_refresh_.push_back(id);
-    }
-  }
-}
-
-void AcquisitionEngine::FlipStaged() {
-  // The ops this staging applied to the (about-to-be) front index await
-  // replay onto the new back index at the next staging.
-  std::swap(replay_log_, op_log_);
-  op_log_.clear();
-  front_ ^= 1;
-}
-
-const SlotContext& AcquisitionEngine::ActivateStagedSlot() {
-  if (!pipelined_) return BeginSlot(staged_time_);
-  graph_->Join();  // commit barrier; rethrows staged-task errors
-  SlotBuffer& b = buf_[front_ ^ 1];
-  LateFeedbackStaged(pending_readings_, staged_time_);
-  pending_readings_.clear();
-  // The previous slot's selection is complete by the time the driver
-  // activates, so its arena scratch is dead; one shared arena serves
-  // both buffers.
-  arena_.Reset();
-  b.ctx.time = staged_time_;
-  b.ctx.arena = &arena_;
-  b.ctx.pool = pool_.get();
-  b.ctx.approx = config_.approx;
-  b.ctx.approx.slot_seed = ApproxSlotSeed(config_.approx, staged_time_);
-  if (has_pinned_slot_seed_) {
-    b.ctx.approx.slot_seed = pinned_slot_seed_;
-    has_pinned_slot_seed_ = false;
-  }
-  if (trace_ != nullptr) {
-    trace_->BeginSlot(staged_time_, b.ctx.approx.slot_seed);
-  }
-  FlipStaged();
-  return buf_[front_].ctx;
-}
-
-// ---------------------------------------------------------------------------
 
 void AcquisitionEngine::NoteReading(int id, int time) {
   Sensor& s = sensors_[id];
@@ -647,34 +333,91 @@ void AcquisitionEngine::NoteReading(int id, int time) {
 
 void AcquisitionEngine::RecordReadings(const std::vector<int>& sensor_ids,
                                        int time) {
-  if (pipelined_) {
-    // A staging may be in flight: defer — ActivateStagedSlot applies the
-    // queue at the commit barrier.
-    for (int id : sensor_ids) pending_readings_.emplace_back(id, time);
-    return;
-  }
   for (int id : sensor_ids) NoteReading(id, time);
 }
 
 void AcquisitionEngine::RecordSlotReadings(const std::vector<int>& slot_indices,
                                            int time) {
-  const SlotContext& ctx = buf_[front_].ctx;
-  if (pipelined_) {
-    for (int si : slot_indices) {
-      pending_readings_.emplace_back(
-          ctx.sensors[static_cast<size_t>(si)].sensor_id, time);
-    }
-    return;
-  }
   for (int si : slot_indices) {
-    NoteReading(ctx.sensors[static_cast<size_t>(si)].sensor_id, time);
+    NoteReading(ctx_.sensors[static_cast<size_t>(si)].sensor_id, time);
   }
 }
 
 const char* AcquisitionEngine::IndexBackendName() const {
   if (!config_.incremental) return "rebuild";
-  if (buf_[front_].ctx.index == nullptr) return "none";
-  return buf_[front_].ctx.index->Name();
+  if (ctx_.index == nullptr) return "none";
+  return ctx_.index->Name();
+}
+
+void AcquisitionEngine::PinNextSelectEngine(GreedyEngine engine) {
+  pinned_engine_ = engine;
+  has_pinned_engine_ = true;
+}
+
+SelectionResult AcquisitionEngine::Select(
+    const std::vector<MultiQuery*>& queries, const SlotContext& slot,
+    const SensorDelta& delta) {
+  // Replay pinning overrides everything: the recorded run already made
+  // the (wall-clock-dependent) choice, and re-deriving it would diverge.
+  if (has_pinned_engine_) {
+    has_pinned_engine_ = false;
+    SelectionResult r = SelectWith(queries, slot, delta, pinned_engine_);
+    if (trace_ != nullptr) trace_->StageEngineChoices({pinned_engine_});
+    return r;
+  }
+  if (config_.slo_ms <= 0.0) {
+    return SelectWith(queries, slot, delta, config_.scheduler);
+  }
+  // Adaptive path (ServingConfig::slo_ms > 0): choose, run self-timed,
+  // feed the realized latency back, and record the choice.
+  if (policy_ == nullptr) {
+    policy_ = std::make_unique<AdaptivePolicy>(config_.slo_ms,
+                                               config_.scheduler);
+  }
+  AdaptivePolicy::SlotFeatures features;
+  features.members = static_cast<int>(slot.sensors.size());
+  features.churn = static_cast<int>(
+      delta.arrivals.size() + delta.departures.size() + delta.moves.size() +
+      delta.price_changes.size());
+  features.queries = static_cast<int>(queries.size());
+  const GreedyEngine engine = policy_->Choose(features, last_turnover_ms_);
+  const auto start = std::chrono::steady_clock::now();
+  SelectionResult r = SelectWith(queries, slot, delta, engine);
+  policy_->Observe(engine, features, MsSince(start));
+  if (trace_ != nullptr) trace_->StageEngineChoices({engine});
+  return r;
+}
+
+SelectionResult AcquisitionEngine::SelectWith(
+    const std::vector<MultiQuery*>& queries, const SlotContext& slot,
+    const SensorDelta& delta, GreedyEngine engine) {
+  // Re-entering the sieve after another engine's slots: the carried
+  // buckets missed those slots' deltas, so the state is stale — rebuild
+  // (SelectDelta falls back to a full re-stream). Keyed purely on the
+  // choice sequence, so pinned replay choices reproduce the same resets.
+  // A static all-sieve run never transitions, so its buckets carry across
+  // every slot. (Before the first Select sieve_ is still null, so the
+  // initial last_select_engine_ value does not matter.)
+  const bool stale = last_select_engine_ != GreedyEngine::kSieve;
+  last_select_engine_ = engine;
+  if (engine != GreedyEngine::kSieve) {
+    return GreedySensorSelection(queries, slot, nullptr, engine);
+  }
+  if (sieve_ == nullptr || stale) {
+    sieve_ = std::make_unique<SieveStreamingScheduler>(config_.approx);
+  }
+  return sieve_->SelectDelta(queries, slot, delta);
+}
+
+std::unique_ptr<ServingEngine> MakeServingEngine(std::vector<Sensor> sensors,
+                                                 const ServingConfig& config) {
+  const std::string problem = config.Validate();
+  if (!problem.empty()) {
+    std::fprintf(stderr, "MakeServingEngine: invalid config: %s\n",
+                 problem.c_str());
+    std::abort();
+  }
+  return std::make_unique<AcquisitionEngine>(std::move(sensors), config);
 }
 
 }  // namespace psens

@@ -3,41 +3,36 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include <utility>
-
-#include "common/geometry.h"
-#include "common/task_graph.h"
 #include "common/thread_pool.h"
 #include "core/arena.h"
+#include "core/greedy.h"
 #include "core/sensor.h"
 #include "core/sensor_delta.h"
 #include "core/slot.h"
 #include "engine/serving_config.h"
-#include "engine/serving_engine.h"
 #include "index/dynamic_index.h"
 #include "mobility/trace.h"
-#include "shard/shard_map.h"
 
 namespace psens {
 
+class AdaptivePolicy;
+class SieveStreamingScheduler;
 class TraceWriter;
 
-/// Long-running acquisition service state: owns the sensor registry, the
-/// current slot context, and a *dynamic* spatial index, carrying all three
-/// across time slots. Callers stream in population changes (a mobility
-/// trace slot or a churn delta), call BeginSlot to get the slot context
-/// schedulers consume, and report the slot's purchased readings back:
+/// The serving engine: owns the sensor registry, the current slot
+/// context, a *dynamic* spatial index, and the cross-slot selection state,
+/// carrying all of them across time slots. It is the one surface the
+/// serving layer (SlotServer, the closed loop, the trace replayer, the
+/// fig benches) programs against (engine/serving_engine.h names it
+/// ServingEngine). One slot's lifecycle:
 ///
-///   AcquisitionEngine engine(std::move(sensors), config);
-///   for (int t = 0; t < slots; ++t) {
-///     engine.ApplyTrace(trace, t);            // or engine.ApplyDelta(...)
-///     const SlotContext& slot = engine.BeginSlot(t);
-///     ... schedule queries against `slot` ...
-///     engine.RecordSlotReadings(result.selected_sensors, t);
-///   }
+///   engine.ApplyDelta(delta);                   // or ApplyTrace
+///   const SlotContext& slot = engine.BeginSlot(t);
+///   ... bind the slot's queries against `slot` ...
+///   SelectionResult r = engine.Select(queries, slot, delta);
+///   engine.RecordSlotReadings(r.selected_sensors, t);
 ///
 /// In incremental mode BeginSlot only touches what the delta invalidated:
 /// membership changes merge into the sorted slot-sensor array, moved
@@ -47,25 +42,25 @@ class TraceWriter;
 /// set — see below). The resulting context is bit-identical to a from-
 /// scratch BuildSlotContext over the same registry.
 ///
-/// As a shard (the ShardSlice constructor, used by shard/shard_router.h):
-/// the registry is shared across all shard engines, slot membership is
-/// additionally filtered by shard ownership (ShardSlice::Owns), and the
-/// engine journals its per-slot context repairs (last_repairs) so the
-/// router can patch its merged global context in O(churn). Shard engines
-/// never mutate the shared registry — the router applies deltas and
-/// notifies owners through NoteChange.
+/// Select runs the configured scheduler (ServingConfig::scheduler) and
+/// commits Algorithm 1's proportional payments through
+/// CommitWithProportionalPayments; for GreedyEngine::kSieve it owns the
+/// cross-slot sieve bucket state, which is part of the run's determinism
+/// and therefore lives with the engine, not with any one serving loop.
+///
+/// Contract: for a fixed input stream (registry, deltas, query batches,
+/// per-slot seeds), selections, payments, and valuation-call counts are
+/// bit-identical regardless of thread count, index policy, or incremental
+/// vs rebuild mode. SameOutcome() (trace/slot_server.h) is the
+/// comparator; the streaming-equivalence and replay differential suites
+/// enforce it.
 ///
 /// The registry must be id-dense: sensors_[i].id() == i (what
 /// GenerateSensors produces). Asserted at construction.
-class AcquisitionEngine : public ServingEngine {
+class AcquisitionEngine {
  public:
   AcquisitionEngine(std::vector<Sensor> sensors, const ServingConfig& config);
-  /// Shard-engine constructor: a shared registry plus this engine's slice
-  /// of the shard map. Requires config.incremental when the slice is
-  /// actually sharded. Repair journaling (last_repairs) is enabled.
-  AcquisitionEngine(std::shared_ptr<std::vector<Sensor>> registry,
-                    const ServingConfig& config, const ShardSlice& slice);
-  ~AcquisitionEngine() override;
+  ~AcquisitionEngine();  // out-of-line: sieve_/policy_ types are incomplete
 
   // Pinned: the slot context's index view holds pointers into this
   // object (slot_pos_, the dynamic index), so a moved-from or copied
@@ -78,135 +73,79 @@ class AcquisitionEngine : public ServingEngine {
   /// Streams one mobility-trace slot in as a delta: only sensors whose
   /// position or presence actually changed are touched. Sensors beyond the
   /// trace width are marked absent (same convention as ApplyTraceSlot).
-  void ApplyTrace(const Trace& trace, int slot) override;
+  void ApplyTrace(const Trace& trace, int slot);
 
   /// Applies a churn delta (arrivals/departures/moves/price changes).
-  void ApplyDelta(const SensorDelta& delta) override;
+  void ApplyDelta(const SensorDelta& delta);
 
   /// Finalizes announcements for slot `time` and returns the context.
   /// Valid until the next BeginSlot call or engine destruction.
-  const SlotContext& BeginSlot(int time) override;
-
-  /// Pipelined slot lifecycle (see ServingEngine). With
-  /// ServingConfig::pipeline == 2, StageNextSlot journals the delta,
-  /// copies it, and launches the *back* buffer's repair (delta
-  /// application, membership merge, announced-cost refresh, dynamic-index
-  /// maintenance) on the engine's task-graph executor, overlapping the
-  /// caller's in-flight selection over the *front* buffer.
-  /// ActivateStagedSlot joins that work, applies the deferred readings
-  /// feedback, stamps the slot, and flips buffers. With pipeline < 2 both
-  /// degrade to the sequential ApplyDelta + BeginSlot path.
-  void StageNextSlot(int time, const SensorDelta& delta) override;
-  const SlotContext& ActivateStagedSlot() override;
+  const SlotContext& BeginSlot(int time);
 
   /// Charges one reading each to the given *global sensor ids* at slot
   /// `time` (energy + privacy history), flagging their announcements for
   /// refresh at the next BeginSlot.
-  void RecordReadings(const std::vector<int>& sensor_ids, int time) override;
+  void RecordReadings(const std::vector<int>& sensor_ids, int time);
 
   /// Same, addressed by the current context's slot-sensor indices (the
   /// form scheduler results use).
-  void RecordSlotReadings(const std::vector<int>& slot_indices,
-                          int time) override;
+  void RecordSlotReadings(const std::vector<int>& slot_indices, int time);
 
-  const std::vector<Sensor>& sensors() const override { return sensors_; }
-  const ServingConfig& config() const override { return config_; }
+  /// Runs the configured scheduler over the bound queries and commits
+  /// proportional payments. `delta` is the slot's churn delta (the sieve
+  /// absorbs it instead of re-streaming the population; the other
+  /// schedulers ignore it).
+  ///
+  /// With ServingConfig::slo_ms > 0 the scheduler is chosen per slot by
+  /// an AdaptivePolicy (the configured scheduler is the quality ceiling),
+  /// the realized selection latency is fed back to the policy's cost
+  /// model, and the chosen engine is staged onto the slot's trace record
+  /// (version-2 traces). A pinned choice (PinNextSelectEngine — the
+  /// replay path) overrides both the policy and the static config.
+  SelectionResult Select(const std::vector<MultiQuery*>& queries,
+                         const SlotContext& slot, const SensorDelta& delta);
+
+  /// Reports the measured ApplyDelta+BeginSlot latency of the slot about
+  /// to be selected; the adaptive policy subtracts it from slo_ms to get
+  /// Select's remaining budget. SlotServer calls this each slot; callers
+  /// that never do simply leave the full SLO as Select's budget.
+  void NoteTurnoverMs(double ms) { last_turnover_ms_ = ms; }
+
+  /// Pins the engine for the *next* Select call, overriding the adaptive
+  /// policy and the static config for that one slot. The trace replayer
+  /// imposes each recorded slot's choice this way, so an adaptive run
+  /// replays bit-identically without re-deriving choices from
+  /// (machine-dependent) wall-clock observations.
+  void PinNextSelectEngine(GreedyEngine engine);
+
+  /// The engine the most recent Select actually ran (the configured
+  /// scheduler before the first Select). What fig18 reads to report the
+  /// adaptive engine mix.
+  GreedyEngine last_select_engine() const { return last_select_engine_; }
+
+  const std::vector<Sensor>& sensors() const { return sensors_; }
+  const ServingConfig& config() const { return config_; }
   /// Name of the live dynamic-index backend ("dynamic-grid",
   /// "kd-buffered", "rebuild" in reference mode, "none" when unindexed).
-  const char* IndexBackendName() const override;
+  const char* IndexBackendName() const;
 
   /// Pins the approx slot seed the *next* BeginSlot stamps, overriding
   /// the (approx.seed, time) derivation for that one slot. The trace
   /// replayer uses this to impose each recorded slot's seed, which is
   /// what lets a replayed stochastic run reproduce the live run's
   /// selections without knowing the original base seed.
-  void PinNextSlotSeed(uint64_t slot_seed) override;
+  void PinNextSlotSeed(uint64_t slot_seed);
 
   /// The live trace recorder, or null when ServingConfig::trace_path is
   /// empty (or the file could not be created). The serving layer stages
   /// each slot's query batch here after BeginSlot.
-  TraceWriter* trace_writer() override { return trace_.get(); }
+  TraceWriter* trace_writer() { return trace_.get(); }
 
   /// Finalizes the trace (patches the slot count, closes the file).
   /// Called automatically on destruction; call it explicitly to read the
   /// trace back while the engine lives. Returns false if recording was
   /// off or any write failed.
-  bool FinishTrace() override;
-
-  // --- Shard-engine surface (shard/shard_router.h) -----------------------
-
-  /// The per-slot context repairs the last BeginSlot performed, journaled
-  /// only for shard engines (the ShardSlice constructor): the membership
-  /// inserts/removes (sorted ascending by id) and the continuing members
-  /// whose announcement payload was rewritten in place.
-  struct SlotRepairs {
-    std::vector<int> inserted;
-    std::vector<int> removed;
-    std::vector<int> patched;
-  };
-  const SlotRepairs& last_repairs() const { return repairs_; }
-
-  /// Router-side registry mutation hook: the router applies deltas to the
-  /// shared registry itself (once, in recorded order) and notifies the
-  /// owning engine(s) here so the next BeginSlot re-evaluates the sensor.
-  void NoteChange(int id, bool cost_dirty) { MarkChanged(id, cost_dirty); }
-
-  /// The raw id-keyed dynamic index of the *front* (active) buffer (null
-  /// when unindexed or in rebuild mode) — the router's sharded index view
-  /// fans queries out to these. In pipelined mode the front index is
-  /// immutable between flips, so the view may probe it while the back
-  /// buffer's repair is in flight.
-  const SpatialIndex* raw_dynamic_index() const {
-    return buf_[front_].index.get();
-  }
-
-  /// This engine's current slot entry for global sensor `id`, or null
-  /// when the sensor is not a member here. Valid until the next
-  /// BeginSlot. The router copies announcement payloads from here when
-  /// reconciling its merged context.
-  const SlotSensor* MemberEntry(int id) const {
-    const SlotBuffer& b = buf_[front_];
-    const int pos = b.slot_pos[id];
-    return pos < 0 ? nullptr : &b.ctx.sensors[static_cast<size_t>(pos)];
-  }
-
-  // --- Staged shard surface (router-driven pipelining) -------------------
-  //
-  // A ShardRouter with pipeline == 2 drives its shard engines' staged
-  // repair from its own task graph instead of letting each shard run one:
-  // per slot it calls EarlyRepairStaged on every shard (concurrent graph
-  // tasks, after the router applied the delta), reconciles the staged
-  // journals/entries into its merged back context, then at its commit
-  // barrier applies readings feedback through LateFeedbackStaged and
-  // flips every shard with FlipStaged in lockstep with its own buffers.
-
-  /// Repairs this engine's *back* buffer for slot `time` from the marks
-  /// accumulated since the last flip (the early, overlappable phase of a
-  /// pipelined slot). Requires double-buffered construction
-  /// (ServingConfig::pipeline == 2). Journals repairs for shard engines.
-  void EarlyRepairStaged(int time);
-
-  /// Applies the previous slot's readings feedback to the registry and
-  /// the *back* buffer: each (sensor id, reading slot) pair is charged
-  /// via Sensor::RecordReading, then the sensor's staged announcement is
-  /// re-costed at `slot_time` and enrolled for privacy refresh — the
-  /// deferred equivalent of the sequential NoteReading + RefreshMember
-  /// sequence. Serving-thread only, after the staged repair joined.
-  void LateFeedbackStaged(const std::vector<std::pair<int, int>>& readings,
-                          int slot_time);
-
-  /// Promotes the back buffer to front (and queues the staged index ops
-  /// for replay onto the new back buffer's index at the next staging).
-  void FlipStaged();
-
-  /// The *back* buffer's slot entry for `id` after EarlyRepairStaged, or
-  /// null when not a staged member. The router's staged reconcile copies
-  /// announcement payloads from here.
-  const SlotSensor* StagedMemberEntry(int id) const {
-    const SlotBuffer& b = buf_[front_ ^ 1];
-    const int pos = b.slot_pos[id];
-    return pos < 0 ? nullptr : &b.ctx.sensors[static_cast<size_t>(pos)];
-  }
+  bool FinishTrace();
 
  private:
   /// Adapter presenting the engine's id-keyed dynamic index as the
@@ -214,72 +153,27 @@ class AcquisitionEngine : public ServingEngine {
   /// slot indices, so translated results stay ascending.
   class SlotIndexView;
 
-  /// One copy of the per-slot serving state. Sequential serving uses
-  /// buf_[0] only; pipelined serving (ServingConfig::pipeline == 2)
-  /// double-buffers so the staged repair of slot t+1 writes the back
-  /// buffer while slot t's selection reads the front one. Each buffer's
-  /// index view is pinned to that buffer's index and slot_pos, so a
-  /// context handed out at a flip keeps translating through the right
-  /// map.
-  struct SlotBuffer {
-    SlotContext ctx;
-    /// id -> position in ctx.sensors, or -1 when not a member.
-    std::vector<int> slot_pos;
-    std::unique_ptr<DynamicSpatialIndex> index;
-    std::shared_ptr<SlotIndexView> view;
-  };
-
-  /// One dynamic-index mutation, journaled during a staged repair so the
-  /// identical op sequence can be replayed onto the other buffer's index
-  /// at the next staging — both indexes then share the exact op history
-  /// (including kAuto rechoice counters), which keeps their query
-  /// behavior, and therefore selection outcomes, bitwise in lockstep
-  /// with a sequential single-index run.
-  struct IndexOp {
-    enum Kind { kInsert, kRemove, kMove };
-    Kind kind;
-    int id;
-    Point p;
-  };
-
-  /// A continuing member whose staged announcement needs patching after
-  /// the cross-buffer membership merge lands (positions are only known
-  /// post-merge).
-  struct StagedPatch {
-    int id;
-    bool loc;
-    bool cost;
-  };
-
-  void Init();
   void MarkChanged(int id, bool cost_dirty);
   void NoteReading(int id, int time);
-  void ApplyDeltaToRegistry(const SensorDelta& delta);
-  void RefreshMember(SlotBuffer& b, int id, int time);
-  void RebuildMembership(SlotBuffer& b, int time);
-  void AttachIndex(SlotBuffer& b);
-  /// Classification half of RefreshMember for the staged path: reads the
-  /// *front* buffer's membership, applies index ops to the *back* index
-  /// (journaling them), and defers context patches to staged_patches_.
-  void StageRefreshMember(int id);
-  void StagedIndexApply(SlotBuffer& b, IndexOp op);
+  void RefreshMember(int id, int time);
+  void RebuildMembership(int time);
+  void AttachIndex();
+  /// Runs one engine over the slot, owning the sieve lifecycle: the
+  /// cross-slot sieve state is reset when the choice sequence re-enters
+  /// kSieve from a different engine (the carried buckets missed the
+  /// intervening deltas), a rule that depends only on the choice sequence
+  /// so replayed choices reproduce the same resets.
+  SelectionResult SelectWith(const std::vector<MultiQuery*>& queries,
+                             const SlotContext& slot,
+                             const SensorDelta& delta, GreedyEngine engine);
 
   ServingConfig config_;
-  /// The sensor registry. Exclusively owned by a standalone engine;
-  /// shared across all shard engines of one router (each mutating it only
-  /// through the router's single-writer delta application).
-  std::shared_ptr<std::vector<Sensor>> registry_;
-  /// Alias of *registry_ (the engine is pinned, so the reference is safe).
-  std::vector<Sensor>& sensors_;
-  /// This engine's slice of the shard map; default slice owns everything.
-  ShardSlice slice_;
-  /// Journal context repairs into repairs_ (shard engines only).
-  bool journal_repairs_ = false;
-  SlotRepairs repairs_;
-  /// Double-buffered slot state; front_ indexes the active buffer (always
-  /// 0 in sequential mode).
-  SlotBuffer buf_[2];
-  int front_ = 0;
+  std::vector<Sensor> sensors_;
+  SlotContext ctx_;
+  /// id -> position in ctx_.sensors, or -1 when not a member.
+  std::vector<int> slot_pos_;
+  std::unique_ptr<DynamicSpatialIndex> index_;
+  std::shared_ptr<SlotIndexView> view_;
   /// Sensors touched since the last BeginSlot (dedup by flag).
   std::vector<int> changed_;
   std::vector<char> changed_flag_;
@@ -299,9 +193,7 @@ class AcquisitionEngine : public ServingEngine {
   /// merge_scratch_ (engine/membership_merge.h).
   SlotSlabs slab_scratch_;
   /// Slot-lifetime scratch arena handed to schedulers through
-  /// SlotContext::arena; reset at every BeginSlot (or, pipelined, at each
-  /// ActivateStagedSlot — by which point the previous selection's scratch
-  /// is dead). One arena serves both buffers.
+  /// SlotContext::arena; reset at every BeginSlot.
   SlotArena arena_;
   /// Intra-slot selection pool (ServingConfig::threads), handed to
   /// schedulers through SlotContext::pool. Null when threads == 1.
@@ -312,27 +204,16 @@ class AcquisitionEngine : public ServingEngine {
   uint64_t pinned_slot_seed_ = 0;
   bool has_pinned_slot_seed_ = false;
 
-  // --- Pipelined serving state (ServingConfig::pipeline == 2) ------------
-  /// Double buffers allocated; Stage/Activate run the overlapped path.
-  bool pipelined_ = false;
-  /// Work-stealing executor the staged repair runs on. Standalone engines
-  /// own one; shard engines leave it null (the router's graph drives them
-  /// through EarlyRepairStaged).
-  std::unique_ptr<TaskGraphExecutor> graph_;
-  int staged_time_ = 0;
-  /// Engine-owned copy of the staged slot's delta (the caller's delta may
-  /// die before the early task consumes it).
-  SensorDelta staged_delta_;
-  std::vector<StagedPatch> staged_patches_;
-  /// Index ops journaled by the in-flight staging (op_log_) and the ops
-  /// of the previous staging awaiting replay onto the new back index
-  /// (replay_log_); swapped at each flip.
-  std::vector<IndexOp> op_log_;
-  std::vector<IndexOp> replay_log_;
-  /// Deferred readings feedback: (sensor id, reading slot) pairs queued
-  /// by RecordReadings while a staging is in flight, applied at the next
-  /// ActivateStagedSlot.
-  std::vector<std::pair<int, int>> pending_readings_;
+  /// Cross-slot sieve bucket state (GreedyEngine::kSieve only), built
+  /// lazily from config().approx on the first Select.
+  std::unique_ptr<SieveStreamingScheduler> sieve_;
+  /// Latency-SLO policy (ServingConfig::slo_ms > 0), built lazily.
+  std::unique_ptr<AdaptivePolicy> policy_;
+  double last_turnover_ms_ = 0.0;
+  /// One-shot engine override for the next Select (replay).
+  bool has_pinned_engine_ = false;
+  GreedyEngine pinned_engine_ = GreedyEngine::kLazy;
+  GreedyEngine last_select_engine_;
 };
 
 }  // namespace psens

@@ -6,7 +6,7 @@
 namespace psens {
 
 /// Latency-SLO scheduler selection (ServingConfig::slo_ms). Each slot,
-/// ServingEngine::Select asks the policy which engine to run given the
+/// AcquisitionEngine::Select asks the policy which engine to run given the
 /// slot's features and how much of the budget the slot's turnover
 /// already spent; after the selection runs, Observe() feeds the realized
 /// latency back into a per-engine online cost model.
@@ -35,7 +35,7 @@ namespace psens {
 /// observation history). Live runs feed wall-clock observations, so live
 /// choices are machine-dependent — which is exactly why the chosen
 /// engines are recorded per slot in version-2 traces and pinned on
-/// replay (ServingEngine::PinNextSelectEngines) instead of re-derived.
+/// replay (AcquisitionEngine::PinNextSelectEngine) instead of re-derived.
 class AdaptivePolicy {
  public:
   /// Slot features the cost model predicts from.

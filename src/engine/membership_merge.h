@@ -30,10 +30,8 @@ inline size_t MemberInsertPosition(const std::vector<int>& slot_pos, int id,
 }
 
 /// Applies a sorted batch of membership events to a member array sorted
-/// ascending by sensor id — the one merge implementation behind both the
-/// single engine's slot turnover (AcquisitionEngine::RebuildMembership)
-/// and the ShardRouter's cross-shard reconciliation, so the two paths
-/// cannot drift.
+/// ascending by sensor id — the engine's slot turnover
+/// (AcquisitionEngine::RebuildMembership).
 ///
 /// Segment merge into a scratch buffer whose capacity persists across
 /// slots. With k churn events over n members the array has at most k+1
@@ -44,14 +42,12 @@ inline size_t MemberInsertPosition(const std::vector<int>& slot_pos, int id,
 /// shifts), but at streaming bandwidth it undercuts both a per-element
 /// branch-and-push_back loop and an in-place read-modify-write pass.
 ///
-/// When `slabs`/`slab_scratch` are non-null, the SoA columns
-/// (core/slot.h SlotSlabs) ride the same merge: every copy_run memcpys
-/// the identical row range of each column, so the slabs stay in lockstep
-/// with `members` at no extra bookkeeping, and `slab_fill(out, row, ss,
-/// id)` is invoked (after `fill`, with `ss` the freshly filled entry and
-/// `out` the merge-target slabs) to populate a freshly inserted row —
-/// typically out.SetRowFrom(row, ss, registry[id]). Pass nulls for the
-/// legacy slab-free merge.
+/// The SoA columns (core/slot.h SlotSlabs) ride the same merge: every
+/// copy_run memcpys the identical row range of each column, so the slabs
+/// stay in lockstep with `members` at no extra bookkeeping, and
+/// `slab_fill(out, row, ss, id)` is invoked (after `fill`, with `ss` the
+/// freshly filled entry and `out` the merge-target slabs) to populate a
+/// freshly inserted row — typically out.SetRowFrom(row, ss, registry[id]).
 ///
 /// `inserts` and `removes` must be sorted ascending and disjoint;
 /// `slot_pos` maps sensor id -> position in `members` (-1 = non-member)
@@ -69,8 +65,7 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
                            SlabFillFn&& slab_fill) {
   const size_t old_size = members->size();
   scratch->resize(old_size + inserts.size());
-  const bool merge_slabs = slabs != nullptr && slab_scratch != nullptr;
-  if (merge_slabs) slab_scratch->Resize(old_size + inserts.size());
+  slab_scratch->Resize(old_size + inserts.size());
   const SlotSensor* src = members->data();
   SlotSensor* dst = scratch->data();
   size_t si = 0;  // source cursor (old array)
@@ -84,15 +79,13 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
     const size_t len = src_end - si;
     if (len == 0) return;
     std::memcpy(dst + di, src + si, len * sizeof(SlotSensor));
-    if (merge_slabs) {
-      copy_column(slab_scratch->x, slabs->x, di, si, len);
-      copy_column(slab_scratch->y, slabs->y, di, si, len);
-      copy_column(slab_scratch->cost, slabs->cost, di, si, len);
-      copy_column(slab_scratch->inaccuracy, slabs->inaccuracy, di, si, len);
-      copy_column(slab_scratch->trust, slabs->trust, di, si, len);
-      copy_column(slab_scratch->privacy_mult, slabs->privacy_mult, di, si, len);
-      copy_column(slab_scratch->energy, slabs->energy, di, si, len);
-    }
+    copy_column(slab_scratch->x, slabs->x, di, si, len);
+    copy_column(slab_scratch->y, slabs->y, di, si, len);
+    copy_column(slab_scratch->cost, slabs->cost, di, si, len);
+    copy_column(slab_scratch->inaccuracy, slabs->inaccuracy, di, si, len);
+    copy_column(slab_scratch->trust, slabs->trust, di, si, len);
+    copy_column(slab_scratch->privacy_mult, slabs->privacy_mult, di, si, len);
+    copy_column(slab_scratch->energy, slabs->energy, di, si, len);
     if (di != si) {
       const int shift = static_cast<int>(di) - static_cast<int>(si);
       for (size_t k = di; k < di + len; ++k) {
@@ -119,7 +112,7 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
       ss.index = static_cast<int>(di);
       ss.sensor_id = id;
       fill(ss, id);
-      if (merge_slabs) slab_fill(*slab_scratch, di, ss, id);
+      slab_fill(*slab_scratch, di, ss, id);
       (*slot_pos)[id] = static_cast<int>(di);
       ++di;
     } else {
@@ -131,105 +124,9 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
   }
   copy_run(old_size);
   scratch->resize(di);
-  if (merge_slabs) {
-    slab_scratch->Resize(di);
-    std::swap(*slabs, *slab_scratch);
-  }
+  slab_scratch->Resize(di);
+  std::swap(*slabs, *slab_scratch);
   std::swap(*members, *scratch);
-}
-
-/// Cross-buffer variant for pipelined double-buffered serving
-/// (ServingConfig::pipeline == 2): applies the same sorted event walk as
-/// MergeSortedMembership, but reads an immutable source member array /
-/// slab set / slot_pos map (the *front* buffer, which a concurrent
-/// selection pass may be reading) and writes a fully rebuilt destination
-/// (the *back* buffer). `dst_slot_pos` is reset to -1 and repopulated for
-/// every surviving member — the back buffer's map is two slots stale, so
-/// entries for ids removed in earlier slots cannot be trusted and an
-/// incremental fixup would leave them dangling. The event walk, fill
-/// order, and insert-position rule are byte-for-byte the in-place
-/// merge's, so front-to-back and in-place produce identical member
-/// arrays.
-template <typename FillFn, typename SlabFillFn>
-void MergeSortedMembershipInto(const std::vector<SlotSensor>& src,
-                               const SlotSlabs& src_slabs,
-                               const std::vector<int>& src_slot_pos,
-                               std::vector<SlotSensor>* dst,
-                               SlotSlabs* dst_slabs,
-                               std::vector<int>* dst_slot_pos,
-                               const std::vector<int>& inserts,
-                               const std::vector<int>& removes, FillFn&& fill,
-                               SlabFillFn&& slab_fill) {
-  const size_t old_size = src.size();
-  dst->resize(old_size + inserts.size());
-  dst_slabs->Resize(old_size + inserts.size());
-  dst_slot_pos->assign(src_slot_pos.size(), -1);
-  const SlotSensor* sp = src.data();
-  SlotSensor* dp = dst->data();
-  size_t si = 0;
-  size_t di = 0;
-  const auto copy_column = [](std::vector<double>& to,
-                              const std::vector<double>& from, size_t di_,
-                              size_t si_, size_t len) {
-    std::memcpy(to.data() + di_, from.data() + si_, len * sizeof(double));
-  };
-  const auto copy_run = [&](size_t src_end) {
-    const size_t len = src_end - si;
-    if (len == 0) return;
-    std::memcpy(dp + di, sp + si, len * sizeof(SlotSensor));
-    copy_column(dst_slabs->x, src_slabs.x, di, si, len);
-    copy_column(dst_slabs->y, src_slabs.y, di, si, len);
-    copy_column(dst_slabs->cost, src_slabs.cost, di, si, len);
-    copy_column(dst_slabs->inaccuracy, src_slabs.inaccuracy, di, si, len);
-    copy_column(dst_slabs->trust, src_slabs.trust, di, si, len);
-    copy_column(dst_slabs->privacy_mult, src_slabs.privacy_mult, di, si, len);
-    copy_column(dst_slabs->energy, src_slabs.energy, di, si, len);
-    const int shift = static_cast<int>(di) - static_cast<int>(si);
-    for (size_t k = di; k < di + len; ++k) {
-      if (shift != 0) dp[k].index += shift;
-      (*dst_slot_pos)[dp[k].sensor_id] = static_cast<int>(k);
-    }
-    si = src_end;
-    di += len;
-  };
-  size_t ii = 0;
-  size_t ri = 0;
-  while (ii < inserts.size() || ri < removes.size()) {
-    const bool take_insert =
-        ri >= removes.size() ||
-        (ii < inserts.size() && inserts[ii] < removes[ri]);
-    if (take_insert) {
-      const int id = inserts[ii++];
-      copy_run(MemberInsertPosition(src_slot_pos, id, old_size));
-      SlotSensor& ss = dp[di];
-      ss.index = static_cast<int>(di);
-      ss.sensor_id = id;
-      fill(ss, id);
-      slab_fill(*dst_slabs, di, ss, id);
-      (*dst_slot_pos)[id] = static_cast<int>(di);
-      ++di;
-    } else {
-      const int id = removes[ri++];
-      copy_run(static_cast<size_t>(src_slot_pos[id]));
-      ++si;  // skip the removed element; dst_slot_pos already holds -1
-    }
-  }
-  copy_run(old_size);
-  dst->resize(di);
-  dst_slabs->Resize(di);
-}
-
-/// Legacy slab-free merge (kept for callers whose contexts do not carry
-/// the SoA columns).
-template <typename FillFn>
-void MergeSortedMembership(std::vector<SlotSensor>* members,
-                           std::vector<SlotSensor>* scratch,
-                           std::vector<int>* slot_pos,
-                           const std::vector<int>& inserts,
-                           const std::vector<int>& removes, FillFn&& fill) {
-  MergeSortedMembership(members, scratch, slot_pos, inserts, removes,
-                        static_cast<FillFn&&>(fill), nullptr, nullptr,
-                        [](SlotSlabs&, size_t, const SlotSensor&, int) {});
 }
 
 }  // namespace psens

@@ -11,44 +11,12 @@ std::string ServingConfig::Validate() const {
     return "working_region is inverted (max < min)";
   }
   if (threads < 0) return "threads must be >= 0 (0 = hardware concurrency)";
-  if (shards < 1) return "shards must be >= 1";
-  if (shards > 1 && !incremental) {
-    return "sharded serving requires incremental mode (shard engines repair "
-           "ownership-filtered slot state from deltas; the rebuild reference "
-           "path has no ownership filter)";
-  }
-  if (!shard_schedulers.empty()) {
-    if (shards <= 1) {
-      return "shard_schedulers requires shards > 1 (per-shard passes need a "
-             "shard partition to confine eligibility to)";
-    }
-    if (static_cast<int>(shard_schedulers.size()) != shards) {
-      return "shard_schedulers must name exactly one engine per shard";
-    }
-    for (GreedyEngine e : shard_schedulers) {
-      if (e == GreedyEngine::kSieve) {
-        return "shard_schedulers cannot use kSieve (its cross-slot bucket "
-               "state has no per-pass home)";
-      }
-    }
-  }
   if (!(approx.epsilon > 0.0)) return "approx.epsilon must be positive";
   if (approx.min_sample < 1) return "approx.min_sample must be >= 1";
   if (approx.sample_hint < 0) return "approx.sample_hint must be >= 0";
   if (index_auto_threshold < 0) return "index_auto_threshold must be >= 0";
-  if (pipeline < 0) return "pipeline must be >= 0";
-  if (pipeline > 2) {
-    return "pipeline depth > 2 would reorder cross-slot feedback (slot t+2's "
-           "announcements would freeze before slot t's readings land); only "
-           "0/1 (sequential) and 2 (double-buffered) are supported";
-  }
   if (!std::isfinite(slo_ms) || slo_ms < 0.0) {
     return "slo_ms must be finite and >= 0 (0 disables adaptive scheduling)";
-  }
-  if (pipeline == 2 && record_readings && !incremental) {
-    return "pipeline == 2 with record_readings requires incremental mode "
-           "(the rebuild path re-announces every sensor in the early phase, "
-           "before the overlapped slot's readings commit)";
   }
   return std::string();
 }

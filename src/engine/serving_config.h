@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/geometry.h"
 #include "core/greedy.h"
@@ -16,22 +15,20 @@ namespace psens {
 /// used to be scattered over `EngineConfig`, `SlotServer::Options`,
 /// `ClosedLoopConfig`, and ad-hoc bench fields now live here, so a
 /// serving run (live closed loop, trace replay, or bench) is described
-/// by exactly one validated value. `AcquisitionEngine`, `ShardRouter`,
-/// and the `MakeServingEngine` factory all consume it; `shards` is what
-/// turns the config into a sharded deployment without a new call site.
+/// by exactly one validated value, consumed by `MakeServingEngine`.
 ///
 /// Every knob preserves the bit-identical-results discipline: for a
 /// fixed input stream, `threads`, `index_policy`/`index_auto_threshold`,
-/// `incremental`, and `shards` change wall-clock only — selections,
-/// payments, and valuation-call counts are bitwise invariant
-/// (tests/streaming_equivalence_test.cc, tests/shard_invariance_test.cc).
+/// and `incremental` change wall-clock only — selections, payments, and
+/// valuation-call counts are bitwise invariant
+/// (tests/streaming_equivalence_test.cc).
 struct ServingConfig {
   /// Working region filtering slot membership (same role as the
   /// `working_region` argument of BuildSlotContext).
   Rect working_region;
   double dmax = 5.0;
   /// Selection engine the serving loop runs each slot (SlotServer /
-  /// ServingEngine::Select). kSieve carries cross-slot bucket state.
+  /// AcquisitionEngine::Select). kSieve carries cross-slot bucket state.
   GreedyEngine scheduler = GreedyEngine::kLazy;
   SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
   int index_auto_threshold = kSlotIndexAutoThreshold;
@@ -39,77 +36,35 @@ struct ServingConfig {
   /// per slot). false: reference mode — BeginSlot rebuilds both from the
   /// full registry exactly like the pre-engine batch loops. Both modes
   /// produce bit-identical slot contexts, selections, and payments
-  /// (tests/streaming_equivalence_test.cc). Sharded serving (shards > 1)
-  /// requires incremental mode — Validate() rejects the combination.
+  /// (tests/streaming_equivalence_test.cc).
   bool incremental = true;
-  /// Worker threads. Unsharded: intra-slot parallel selection workers
-  /// (BeginSlot attaches an engine-owned ThreadPool to SlotContext::pool,
-  /// which the greedy engines use to shard each round's valuation batch).
-  /// Sharded: the same pool additionally fans per-shard slot turnover out
-  /// across the shard engines. 1 (default) = serial, no pool; 0 =
-  /// hardware concurrency; N > 1 = that many workers. Selections,
-  /// payments, and ValuationCalls() are bit-identical for every value —
-  /// the knob only buys wall-clock (bench/fig12_streaming --threads,
-  /// bench/fig15_shard_sweep --shards).
+  /// Intra-slot parallel selection workers (BeginSlot attaches an
+  /// engine-owned ThreadPool to SlotContext::pool, which the greedy
+  /// engines use to shard each round's valuation batch). 1 (default) =
+  /// serial, no pool; 0 = hardware concurrency; N > 1 = that many
+  /// workers. Selections, payments, and ValuationCalls() are bit-identical
+  /// for every value — the knob only buys wall-clock
+  /// (bench/fig12_streaming --threads).
   int threads = 1;
-  /// Number of geo-partitioned AcquisitionEngine shards behind the
-  /// serving API. 1 (default) serves from a single engine; N > 1 makes
-  /// MakeServingEngine build a ShardRouter that partitions the registry
-  /// across N shard engines (src/shard/shard_router.h) with bit-identical
-  /// outcomes for any value.
-  int shards = 1;
-  /// Heterogeneous per-shard scheduling. Empty (default): `scheduler`
-  /// runs once globally over the merged context — the bit-identical-to-
-  /// unsharded path. Size == `shards` (requires shards > 1): Select runs
-  /// one sequential pass per shard in ascending shard order, pass s using
-  /// shard_schedulers[s] with selection *eligibility* confined to shard
-  /// s's members (SlotContext::eligible); valuations, payments, and
-  /// cross-shard marginal visibility stay global, so earlier passes'
-  /// selections shrink later passes' marginals exactly as one global run
-  /// would. The outcome is NOT the unrestricted global outcome — the
-  /// contract is instead self-consistency: bit-identical selections,
-  /// payments, and valuation calls for any thread count and repeat run
-  /// (tests/shard_invariance_test.cc pins a merged-outcome digest).
-  /// kSieve entries are rejected by Validate(): the sieve's cross-slot
-  /// bucket state has no per-pass home.
-  std::vector<GreedyEngine> shard_schedulers;
   /// Approximate-scheduler knobs, stamped onto every slot context.
   /// BeginSlot derives the per-slot RNG stream from (approx.seed, time)
   /// unless approx.slot_seed pins it, so an approximate selection re-run
-  /// for the same slot — incremental or rebuild mode, any thread or shard
-  /// count — is reproducible (core/stochastic_greedy.h).
+  /// for the same slot — incremental or rebuild mode, any thread count —
+  /// is reproducible (core/stochastic_greedy.h).
   ApproxParams approx;
   /// When non-empty, the serving engine records its input stream — every
   /// ApplyDelta/ApplyTrace change and every BeginSlot with its stamped
   /// per-slot approx seed — to a binary trace at this path
-  /// (src/trace/trace_format.h). A ShardRouter records at the router
-  /// (pre-split) level, so a trace recorded sharded replays under any
-  /// shard count. Recording never alters scheduling.
+  /// (src/trace/trace_format.h). Recording never alters scheduling.
   std::string trace_path;
   /// Feed purchased readings back via RecordSlotReadings — the closed
   /// loop's cross-slot energy/privacy feedback. Replay uses the same
   /// default so the feedback path is replayed too.
   bool record_readings = true;
-  /// Pipelined slot execution depth. 0 or 1 (default 0): sequential —
-  /// each slot's turnover (ApplyDelta + BeginSlot) completes before its
-  /// selection starts. 2: double-buffered — the driver stages slot t+1's
-  /// delta ingestion, membership repair, and dynamic-index maintenance
-  /// on a work-stealing task graph (src/common/task_graph.h) while slot
-  /// t's selection runs, committing at a deterministic barrier
-  /// (StageNextSlot / ActivateStagedSlot). Outcomes are bit-identical to
-  /// sequential for every scheduler, thread count, and shard count; the
-  /// knob only buys sustained slots/sec (bench/fig17_pipeline_throughput).
-  /// Depths > 2 are rejected by Validate(): slot t+2's announcements
-  /// would have to freeze before slot t's readings land, reordering the
-  /// cross-slot feedback the paper's per-slot cycle defines. Pipelined
-  /// rebuild mode (incremental == false) with record_readings is rejected
-  /// for the same reason — a full rebuild re-announces every sensor in
-  /// the early phase, before the overlapped slot's readings commit.
-  int pipeline = 0;
   /// Per-slot latency budget in milliseconds for the adaptive scheduler
   /// (src/engine/adaptive_policy.h). 0 (default): static scheduling —
-  /// `scheduler` (or `shard_schedulers`) runs every slot exactly as
-  /// configured. > 0: ServingEngine::Select consults an AdaptivePolicy
+  /// `scheduler` runs every slot exactly as configured. > 0:
+  /// AcquisitionEngine::Select consults an AdaptivePolicy
   /// each slot, treating `scheduler` as the quality *ceiling* and
   /// degrading down the ladder (lazy -> stochastic -> sieve) when the
   /// policy's per-engine cost model predicts the ceiling would blow the
@@ -117,14 +72,11 @@ struct ServingConfig {
   /// Chosen engines are recorded per slot in version-2 traces, so an
   /// adaptive run — whose live choices depend on wall-clock observations —
   /// still replays bit-identically (the replayer pins the recorded
-  /// choices via PinNextSelectEngines). Under shard_schedulers the policy
-  /// picks one degradation level per slot and each pass runs the
-  /// min-quality of its configured engine and that level (sieve excluded
-  /// from passes, as always).
+  /// choice via PinNextSelectEngine).
   double slo_ms = 0.0;
 
   // Builder-style setters, so call sites can assemble a config in one
-  // expression (`ServingConfig().WithRegion(field).WithShards(4)`).
+  // expression (`ServingConfig().WithRegion(field).WithThreads(4)`).
   ServingConfig& WithRegion(const Rect& region) {
     working_region = region;
     return *this;
@@ -153,14 +105,6 @@ struct ServingConfig {
     threads = n;
     return *this;
   }
-  ServingConfig& WithShards(int n) {
-    shards = n;
-    return *this;
-  }
-  ServingConfig& WithShardSchedulers(std::vector<GreedyEngine> engines) {
-    shard_schedulers = std::move(engines);
-    return *this;
-  }
   ServingConfig& WithApprox(const ApproxParams& params) {
     approx = params;
     return *this;
@@ -179,10 +123,6 @@ struct ServingConfig {
   }
   ServingConfig& WithRecordReadings(bool on) {
     record_readings = on;
-    return *this;
-  }
-  ServingConfig& WithPipeline(int depth) {
-    pipeline = depth;
     return *this;
   }
   ServingConfig& WithSloMs(double ms) {

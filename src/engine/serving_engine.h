@@ -1,198 +1,24 @@
 #ifndef PSENS_ENGINE_SERVING_ENGINE_H_
 #define PSENS_ENGINE_SERVING_ENGINE_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/greedy.h"
 #include "core/sensor.h"
-#include "core/sensor_delta.h"
-#include "core/slot.h"
+#include "engine/acquisition_engine.h"
 #include "engine/serving_config.h"
-#include "mobility/trace.h"
 
 namespace psens {
 
-class AdaptivePolicy;
-class SieveStreamingScheduler;
-class TraceWriter;
-struct ShardMap;
+/// The serving API's name for the one engine class: every serving path
+/// (SlotServer, the closed loop, the trace replayer, the benches) holds
+/// a ServingEngine built by MakeServingEngine.
+using ServingEngine = AcquisitionEngine;
 
-/// The serving API every engine-shaped thing implements — the single
-/// AcquisitionEngine and the sharded ShardRouter — and the only surface
-/// the serving layer (SlotServer, the closed loop, the trace replayer,
-/// the fig benches) programs against. One slot's lifecycle:
-///
-///   engine->ApplyDelta(delta);                   // or ApplyTrace
-///   const SlotContext& slot = engine->BeginSlot(t);
-///   ... bind the slot's queries against `slot` ...
-///   SelectionResult r = engine->Select(queries, slot, delta);
-///   engine->RecordSlotReadings(r.selected_sensors, t);
-///
-/// Select runs the configured scheduler (ServingConfig::scheduler) and
-/// commits Algorithm 1's proportional payments through
-/// CommitWithProportionalPayments; for GreedyEngine::kSieve it owns the
-/// cross-slot sieve bucket state, which is part of the run's determinism
-/// and therefore lives with the engine, not with any one serving loop.
-///
-/// Contract: for a fixed input stream (registry, deltas, query batches,
-/// per-slot seeds), every implementation produces bit-identical
-/// selections, payments, and valuation-call counts — regardless of
-/// thread count, index policy, incremental vs rebuild mode, or shard
-/// count. SameOutcome() (trace/slot_server.h) is the comparator; the
-/// streaming-equivalence, shard-invariance, and replay differential
-/// suites enforce it.
-class ServingEngine {
- public:
-  ServingEngine();  // out-of-line: sieve_'s type is incomplete here
-  virtual ~ServingEngine();
-
-  /// Streams one mobility-trace slot in as a delta: only sensors whose
-  /// position or presence actually changed are touched.
-  virtual void ApplyTrace(const Trace& trace, int slot) = 0;
-
-  /// Applies a churn delta (arrivals/departures/moves/price changes).
-  virtual void ApplyDelta(const SensorDelta& delta) = 0;
-
-  /// Finalizes announcements for slot `time` and returns the context.
-  /// Valid until the next BeginSlot call or engine destruction.
-  virtual const SlotContext& BeginSlot(int time) = 0;
-
-  /// Charges one reading each to the given *global sensor ids* at slot
-  /// `time` (energy + privacy history), flagging their announcements for
-  /// refresh at the next BeginSlot.
-  virtual void RecordReadings(const std::vector<int>& sensor_ids,
-                              int time) = 0;
-
-  /// Same, addressed by the current context's slot-sensor indices (the
-  /// form scheduler results use).
-  virtual void RecordSlotReadings(const std::vector<int>& slot_indices,
-                                  int time) = 0;
-
-  virtual const std::vector<Sensor>& sensors() const = 0;
-  virtual const ServingConfig& config() const = 0;
-  /// Name of the live index backend ("dynamic-grid", "kd-buffered",
-  /// "sharded", "rebuild" in reference mode, "none" when unindexed).
-  virtual const char* IndexBackendName() const = 0;
-  /// Number of shard engines behind this serving engine (1 when single).
-  virtual int shard_count() const { return 1; }
-  /// The geo-partition behind a sharded engine, or null when single.
-  /// Select's heterogeneous per-shard passes
-  /// (ServingConfig::shard_schedulers) derive each pass's eligibility
-  /// mask from it.
-  virtual const ShardMap* shard_map_ptr() const { return nullptr; }
-
-  /// Pipelined slot lifecycle (ServingConfig::pipeline == 2). The
-  /// driver's slot t sequence becomes
-  ///
-  ///   ctx = engine->ActivateStagedSlot();        // commit barrier
-  ///   engine->StageNextSlot(t + 1, delta_t1);    // overlaps with...
-  ///   r = engine->Select(queries_t, ctx, ...);   // ...slot t's selection
-  ///   engine->RecordSlotReadings(r.selected_sensors, t);  // deferred
-  ///
-  /// StageNextSlot journals the delta to the trace (serving thread),
-  /// copies it, and launches slot t+1's delta ingestion, membership
-  /// repair, and dynamic-index maintenance on the engine's work-stealing
-  /// task graph against *back* (double-buffered) slot state the
-  /// in-flight selection never reads. ActivateStagedSlot is the
-  /// deterministic commit barrier: it joins the staged work (rethrowing
-  /// any task error), applies the previous slot's deferred readings
-  /// feedback (queued by RecordReadings/RecordSlotReadings, which in
-  /// pipelined mode never touch the registry inline), stamps the slot
-  /// and flips buffers. Outcomes are bit-identical to the sequential
-  /// ApplyDelta + BeginSlot path for every scheduler, thread count, and
-  /// shard count. With pipeline < 2 both calls degrade to exactly that
-  /// sequential path, so drivers can call them unconditionally.
-  virtual void StageNextSlot(int time, const SensorDelta& delta) = 0;
-  virtual const SlotContext& ActivateStagedSlot() = 0;
-
-  /// Pins the approx slot seed the *next* BeginSlot stamps, overriding
-  /// the (approx.seed, time) derivation for that one slot. The trace
-  /// replayer uses this to impose each recorded slot's seed.
-  virtual void PinNextSlotSeed(uint64_t slot_seed) = 0;
-
-  /// The live trace recorder, or null when ServingConfig::trace_path is
-  /// empty (or the file could not be created). The serving layer stages
-  /// each slot's query batch here after BeginSlot.
-  virtual TraceWriter* trace_writer() = 0;
-
-  /// Finalizes the trace (patches the slot count, closes the file).
-  /// Returns false if recording was off or any write failed.
-  virtual bool FinishTrace() = 0;
-
-  /// Runs the configured scheduler over the bound queries and commits
-  /// proportional payments. `delta` is the slot's churn delta (the sieve
-  /// absorbs it instead of re-streaming the population; the other
-  /// schedulers ignore it). Not virtual: selection is global and shared —
-  /// sharding lives entirely inside BeginSlot's context assembly.
-  ///
-  /// With ServingConfig::slo_ms > 0 the scheduler is chosen per slot by
-  /// an AdaptivePolicy (the configured scheduler is the quality ceiling),
-  /// the realized selection latency is fed back to the policy's cost
-  /// model, and the chosen engines are staged onto the slot's trace
-  /// record (version-2 traces). A pinned choice (PinNextSelectEngines —
-  /// the replay path) overrides both the policy and the static config.
-  SelectionResult Select(const std::vector<MultiQuery*>& queries,
-                         const SlotContext& slot, const SensorDelta& delta);
-
-  /// Reports the measured ApplyDelta+BeginSlot latency of the slot about
-  /// to be selected; the adaptive policy subtracts it from slo_ms to get
-  /// Select's remaining budget. SlotServer calls this each slot; callers
-  /// that never do simply leave the full SLO as Select's budget.
-  void NoteTurnoverMs(double ms) { last_turnover_ms_ = ms; }
-
-  /// Pins the engine choice(s) for the *next* Select call, overriding the
-  /// adaptive policy and the static config for that one slot: entry 0 in
-  /// single-engine mode, one entry per shard pass under shard_schedulers.
-  /// The trace replayer imposes each recorded slot's choices this way, so
-  /// an adaptive run replays bit-identically without re-deriving choices
-  /// from (machine-dependent) wall-clock observations.
-  void PinNextSelectEngines(std::vector<GreedyEngine> engines);
-
-  /// The engines the most recent Select actually ran: one entry in
-  /// single-engine mode, one per shard pass otherwise. What fig18 reads
-  /// to report the adaptive engine mix.
-  const std::vector<GreedyEngine>& last_select_engines() const {
-    return last_select_engines_;
-  }
-
- private:
-  /// Heterogeneous per-shard selection (ServingConfig::shard_schedulers):
-  /// one sequential pass per shard in ascending shard order, each pass
-  /// confined by an ownership-derived SlotContext::eligible mask. See the
-  /// shard_schedulers field doc for the determinism contract. `engines`,
-  /// when non-null, overrides the configured per-pass engine list (the
-  /// adaptive/pinned paths; must have shard_count() entries).
-  SelectionResult SelectShardPasses(const std::vector<MultiQuery*>& queries,
-                                    const SlotContext& slot,
-                                    const std::vector<GreedyEngine>* engines);
-  /// Runs one engine over the slot, owning the sieve lifecycle: the
-  /// cross-slot sieve state is reset when the choice sequence re-enters
-  /// kSieve from a different engine (the carried buckets missed the
-  /// intervening deltas), a rule that depends only on the choice sequence
-  /// so replayed choices reproduce the same resets.
-  SelectionResult SelectSingle(const std::vector<MultiQuery*>& queries,
-                               const SlotContext& slot,
-                               const SensorDelta& delta, GreedyEngine engine);
-  /// Cross-slot sieve bucket state (GreedyEngine::kSieve only), built
-  /// lazily from config().approx on the first Select.
-  std::unique_ptr<SieveStreamingScheduler> sieve_;
-  /// Latency-SLO policy (ServingConfig::slo_ms > 0), built lazily.
-  std::unique_ptr<AdaptivePolicy> policy_;
-  double last_turnover_ms_ = 0.0;
-  bool pinned_ = false;
-  std::vector<GreedyEngine> pinned_engines_;
-  std::vector<GreedyEngine> last_select_engines_;
-  bool has_last_single_ = false;
-  GreedyEngine last_single_engine_ = GreedyEngine::kLazy;
-};
-
-/// Builds the serving engine the config describes: a plain
-/// AcquisitionEngine for shards == 1, a ShardRouter over
-/// config.shards geo-partitioned engines otherwise. Asserts
-/// config.Validate() passes. Defined in src/shard/shard_router.cc (the
-/// only translation unit that knows both implementations).
+/// Builds the serving engine the config describes. Refuses (prints the
+/// problem and aborts) when config.Validate() reports one, so
+/// configuration mistakes surface at construction instead of as silent
+/// mis-serving.
 std::unique_ptr<ServingEngine> MakeServingEngine(std::vector<Sensor> sensors,
                                                  const ServingConfig& config);
 

@@ -70,12 +70,11 @@ ServingConfig StampServingConfig(ServingConfig serving,
 /// Runs `slots` slot bodies either sequentially with sensor-state feedback
 /// (RecordReadings between slots) or sharded over a thread pool when the
 /// population carries no cross-slot feedback. Every path streams the trace
-/// through a persistent serving engine (MakeServingEngine — single or
-/// sharded per ServingConfig::shards) — the slot context and spatial
-/// index are repaired from each slot's position/presence delta rather than
-/// rebuilt — which is bit-identical to per-slot reconstruction
-/// (tests/streaming_equivalence_test.cc). `body(t, slot)` must only read
-/// `slot` and return the slot's partials.
+/// through a persistent serving engine (MakeServingEngine) — the slot
+/// context and spatial index are repaired from each slot's
+/// position/presence delta rather than rebuilt — which is bit-identical
+/// to per-slot reconstruction (tests/streaming_equivalence_test.cc).
+/// `body(t, slot)` must only read `slot` and return the slot's partials.
 template <typename SlotBody>
 std::vector<SlotOutcome> RunSlots(const Trace& trace, int slots,
                                   const std::vector<Sensor>& sensors,

@@ -86,10 +86,9 @@ struct AggregateExperimentConfig {
   /// (same contract as PointExperimentConfig::index_policy), `threads`
   /// the *intra-slot* parallel-selection workers (each greedy round's
   /// valuation batch is sharded inside the slot; composes with
-  /// `parallelism` above — prefer one axis, not both), and `shards` a
-  /// sharded deployment. The working region and dmax are stamped from
-  /// this config's own fields by the runner. Results are bit-identical
-  /// across thread, shard, and index choices.
+  /// `parallelism` above — prefer one axis, not both). The working region
+  /// and dmax are stamped from this config's own fields by the runner.
+  /// Results are bit-identical across thread and index choices.
   ServingConfig serving;
 };
 
@@ -178,7 +177,7 @@ struct QueryMixExperimentConfig {
   uint64_t seed = 123;
   /// Serving stack for the Algorithm 1 selection inside Algorithm 5 —
   /// same contract as AggregateExperimentConfig::serving (scheduler,
-  /// approx knobs, index policy, intra-slot threads, shards).
+  /// approx knobs, index policy, intra-slot threads).
   ServingConfig serving;
 };
 

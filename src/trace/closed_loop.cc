@@ -3,43 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <utility>
 
 namespace psens {
-namespace {
-
-/// Pulls the closed loop's slot inputs (slot 0 cold build, then the
-/// churn/query streams) for SlotServer::ServeLoop. The streams are
-/// dedicated RNG forks independent of serving results, so the loop's
-/// one-slot-ahead pull in pipelined mode consumes them in the exact
-/// per-stream order the sequential loop does.
-class ChurnInputSource : public SlotInputSource {
- public:
-  ChurnInputSource(ChurnWorkload* workload, int slots)
-      : workload_(workload), slots_(slots) {}
-
-  bool Next(SlotInput* out) override {
-    if (next_ > slots_) return false;
-    out->time = next_;
-    if (next_ == 0) {
-      out->delta = SensorDelta{};
-      out->queries = SlotQueryBatch{};
-    } else {
-      out->delta = workload_->NextDelta();
-      out->queries = workload_->NextQueries(next_);
-    }
-    out->pin_seed = false;
-    ++next_;
-    return true;
-  }
-
- private:
-  ChurnWorkload* workload_;
-  int slots_;
-  int next_ = 0;
-};
-
-}  // namespace
 
 ChurnWorkload::ChurnWorkload(const ChurnScenarioSetup* setup,
                              const ChurnQueryConfig& config)
@@ -98,30 +63,20 @@ ClosedLoopResult RunChurnClosedLoop(const ChurnScenarioSetup& setup,
   server.set_monitors(monitors);
 
   ClosedLoopResult result;
-  if (scfg.pipeline == 2) {
-    // Pipelined serving runs the same inputs through ServeLoop's
-    // overlapped schedule (slot 0 cold build included).
-    ChurnInputSource source(&workload, config.slots);
-    ServeLoopResult loop = server.ServeLoop(&source);
-    result.outcomes = std::move(loop.outcomes);
-    result.wall_ms = loop.wall_ms;
-  } else {
-    result.outcomes.reserve(static_cast<size_t>(config.slots) + 1);
-    const auto start = std::chrono::steady_clock::now();
-    // Slot 0 is the cold build, served uniformly as an empty-input slot
-    // so a recorded trace replays it the same way (outcomes[0] is
-    // trivial).
-    result.outcomes.push_back(
-        server.ServeSlot(0, SensorDelta{}, SlotQueryBatch{}));
-    for (int t = 1; t <= config.slots; ++t) {
-      const SensorDelta delta = workload.NextDelta();
-      const SlotQueryBatch queries = workload.NextQueries(t);
-      result.outcomes.push_back(server.ServeSlot(t, delta, queries));
-    }
-    result.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
+  result.outcomes.reserve(static_cast<size_t>(config.slots) + 1);
+  const auto start = std::chrono::steady_clock::now();
+  // Slot 0 is the cold build, served uniformly as an empty-input slot so
+  // a recorded trace replays it the same way (outcomes[0] is trivial).
+  result.outcomes.push_back(
+      server.ServeSlot(0, SensorDelta{}, SlotQueryBatch{}));
+  for (int t = 1; t <= config.slots; ++t) {
+    const SensorDelta delta = workload.NextDelta();
+    const SlotQueryBatch queries = workload.NextQueries(t);
+    result.outcomes.push_back(server.ServeSlot(t, delta, queries));
   }
+  result.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   for (const SlotOutcome& o : result.outcomes) {
     result.total_utility += o.selection.Utility();
     result.total_payment += o.total_payment;

@@ -49,13 +49,13 @@ class ChurnWorkload {
 };
 
 /// A live closed-loop churn run: serving-engine construction
-/// (MakeServingEngine — single or sharded per ServingConfig::shards),
-/// slot 0 cold build, then `slots` served slots through one SlotServer.
+/// (MakeServingEngine), slot 0 cold build, then `slots` served slots
+/// through one SlotServer.
 struct ClosedLoopConfig {
   int slots = 20;
   ChurnQueryConfig queries;
-  /// The serving stack (scheduler, threads, shards, index policy, approx
-  /// knobs, trace recording, readings feedback). working_region and dmax
+  /// The serving stack (scheduler, threads, index policy, approx knobs,
+  /// trace recording, readings feedback). working_region and dmax
   /// are stamped from the scenario setup by RunChurnClosedLoop. The
   /// approx seed keeps the closed loop's historical default of 123
   /// unless the caller overrides it.

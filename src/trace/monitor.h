@@ -68,8 +68,7 @@ class MonitorBase {
 
 /// Per-slot serve-latency histogram over power-of-two buckets: bucket i
 /// spans [2^i, 2^(i+1)) microseconds, with underflows clamped into
-/// bucket 0 and overflows into the last bucket. Mergeable across shards
-/// or runs.
+/// bucket 0 and overflows into the last bucket. Mergeable across runs.
 class LatencyHistogramMonitor : public MonitorBase {
  public:
   static constexpr int kNumBuckets = 32;

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <memory>
-#include <thread>
-#include <utility>
 
 #include "core/multi_query.h"
 #include "trace/trace_writer.h"
@@ -92,108 +90,6 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
   out.total_ms = MsSince(slot_start);
   if (monitors_ != nullptr) monitors_->NotifySlotEnd(time, out.total_ms);
   return out;
-}
-
-ServeLoopResult SlotServer::ServeLoop(SlotInputSource* source,
-                                      double target_slots_per_sec) {
-  ServeLoopResult result;
-  const SteadyClock::time_point loop_start = SteadyClock::now();
-  const auto pace = [&](size_t i) {
-    if (target_slots_per_sec <= 0.0) return;
-    std::this_thread::sleep_until(
-        loop_start + std::chrono::duration_cast<SteadyClock::duration>(
-                         std::chrono::duration<double>(
-                             static_cast<double>(i) / target_slots_per_sec)));
-  };
-  SlotInput cur;
-  if (!source->Next(&cur)) {
-    result.wall_ms = MsSince(loop_start);
-    return result;
-  }
-  if (engine_->config().pipeline < 2) {
-    size_t i = 0;
-    do {
-      pace(i++);
-      if (cur.pin_seed) engine_->PinNextSlotSeed(cur.slot_seed);
-      if (!cur.pin_engines.empty()) {
-        engine_->PinNextSelectEngines(cur.pin_engines);
-      }
-      result.outcomes.push_back(ServeSlot(cur.time, cur.delta, cur.queries));
-    } while (source->Next(&cur));
-    result.wall_ms = MsSince(loop_start);
-    return result;
-  }
-  // Pipelined schedule: slot t's binding/selection/commit overlap slot
-  // t+1's staged turnover. The statement order per slot is the serving
-  // contract's: activate (trace BeginSlot t) -> stage slot t's queries ->
-  // stage slot t+1 (trace StageDelta t+1) -> bind -> select -> commit —
-  // so a recorded trace is byte-identical to the sequential loop's.
-  engine_->StageNextSlot(cur.time, cur.delta);
-  bool have = true;
-  size_t i = 0;
-  while (have) {
-    pace(i++);
-    SlotOutcome out;
-    out.time = cur.time;
-    const SteadyClock::time_point slot_start = SteadyClock::now();
-    const SlotContext* slot = nullptr;
-    {
-      const SteadyClock::time_point start = SteadyClock::now();
-      if (cur.pin_seed) engine_->PinNextSlotSeed(cur.slot_seed);
-      if (!cur.pin_engines.empty()) {
-        engine_->PinNextSelectEngines(cur.pin_engines);
-      }
-      slot = &engine_->ActivateStagedSlot();
-      out.turnover_ms = MsSince(start);
-    }
-    engine_->NoteTurnoverMs(out.turnover_ms);
-    if (monitors_ != nullptr) {
-      monitors_->NotifyTurnover(cur.time, out.turnover_ms);
-    }
-    if (TraceWriter* writer = engine_->trace_writer()) {
-      writer->StageAggregateQueries(cur.queries.aggregates);
-      writer->StagePointQueries(cur.queries.points);
-    }
-    // Pull one ahead and launch the overlapped turnover before the
-    // expensive phases of this slot.
-    SlotInput next;
-    const bool have_next = source->Next(&next);
-    if (have_next) engine_->StageNextSlot(next.time, next.delta);
-
-    std::vector<std::unique_ptr<AggregateQuery>> aggregates;
-    std::vector<std::unique_ptr<PointMultiQuery>> points;
-    std::vector<MultiQuery*> all;
-    aggregates.reserve(cur.queries.aggregates.size());
-    points.reserve(cur.queries.points.size());
-    all.reserve(cur.queries.aggregates.size() + cur.queries.points.size());
-    for (const AggregateQuery::Params& params : cur.queries.aggregates) {
-      aggregates.push_back(std::make_unique<AggregateQuery>(params, *slot));
-      all.push_back(aggregates.back().get());
-    }
-    for (const PointQuery& spec : cur.queries.points) {
-      points.push_back(std::make_unique<PointMultiQuery>(spec, slot));
-      all.push_back(points.back().get());
-    }
-    if (!all.empty()) {
-      const SteadyClock::time_point start = SteadyClock::now();
-      out.selection = engine_->Select(all, *slot, cur.delta);
-      out.selection_ms = MsSince(start);
-    }
-    if (monitors_ != nullptr) {
-      monitors_->NotifySelection(cur.time, out.selection, out.selection_ms);
-    }
-    for (const MultiQuery* q : all) out.total_payment += q->TotalPayment();
-    if (engine_->config().record_readings) {
-      engine_->RecordSlotReadings(out.selection.selected_sensors, cur.time);
-    }
-    out.total_ms = MsSince(slot_start);
-    if (monitors_ != nullptr) monitors_->NotifySlotEnd(cur.time, out.total_ms);
-    result.outcomes.push_back(std::move(out));
-    cur = std::move(next);
-    have = have_next;
-  }
-  result.wall_ms = MsSince(loop_start);
-  return result;
 }
 
 }  // namespace psens

@@ -1,7 +1,6 @@
 #ifndef PSENS_TRACE_SLOT_SERVER_H_
 #define PSENS_TRACE_SLOT_SERVER_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "core/aggregate_query.h"
@@ -37,55 +36,19 @@ struct SlotOutcome {
 /// Bit-exact equality of the deterministic fields of two slot outcomes
 /// (selections, values, costs, payments, valuation calls) — timings are
 /// measurements, not outcomes, and are ignored. The replay differential
-/// suite and the fig14/fig15/fig17 gates both rest on this comparator.
+/// suite and the fig14 gate both rest on this comparator.
 bool SameOutcome(const SlotOutcome& a, const SlotOutcome& b);
 
-/// One slot's full input for a pulled serving loop: the churn delta, the
-/// query arrivals, and (replay) the recorded slot seed and adaptive
-/// engine choices to pin.
-struct SlotInput {
-  int time = 0;
-  SensorDelta delta;
-  SlotQueryBatch queries;
-  bool pin_seed = false;
-  uint64_t slot_seed = 0;
-  /// Non-empty on replay of an adaptive (version-2) trace: the engines
-  /// the recorded run chose for this slot, pinned via
-  /// ServingEngine::PinNextSelectEngines before the slot is served.
-  std::vector<GreedyEngine> pin_engines;
-};
-
-/// Pull-style input stream for SlotServer::ServeLoop. Next() fills the
-/// next slot's input and returns true, or returns false at end of
-/// stream. The loop pulls one slot ahead in pipelined mode, so sources
-/// must produce inputs independent of serving results (both drivers'
-/// streams are: churn and queries come from dedicated forked RNG
-/// streams, replay records from the decoded trace).
-class SlotInputSource {
- public:
-  virtual ~SlotInputSource() = default;
-  virtual bool Next(SlotInput* out) = 0;
-};
-
-/// What ServeLoop produced: every slot's outcome plus the loop's wall
-/// time (the sustained-throughput numerator fig17 measures).
-struct ServeLoopResult {
-  std::vector<SlotOutcome> outcomes;
-  double wall_ms = 0.0;
-};
-
-/// The serving step shared by every consumer of a ServingEngine — the
-/// live closed loop (trace/closed_loop.h), the trace replayer
-/// (trace/trace_replayer.h), and the fig14/fig15 benches: apply the
+/// The one serving step, shared by every consumer of a ServingEngine —
+/// the live closed loop (trace/closed_loop.h), the trace replayer
+/// (trace/trace_replayer.h), and the fig14/fig18 benches: apply the
 /// slot's churn delta, begin the slot, bind the query batch, run the
 /// engine's configured scheduler, charge payments, and (when
 /// ServingConfig::record_readings) feed the purchased readings back into
-/// the engine's energy/privacy state.
-///
-/// The server is implementation-blind: handed a single AcquisitionEngine
-/// or a ShardRouter it executes the identical statements per slot, which
-/// is what makes the replay and shard differential tests meaningful —
-/// any schedule drift is a real determinism bug, not a harness skew.
+/// the engine's energy/privacy state. Live and replayed runs execute the
+/// identical statements per slot, which is what makes the replay
+/// differential tests meaningful — any schedule drift is a real
+/// determinism bug, not a harness skew.
 ///
 /// When the engine is recording (ServingConfig::trace_path), the server
 /// stages each slot's query batch onto the open trace record; attaching
@@ -101,19 +64,6 @@ class SlotServer {
   /// the slot's arrivals.
   SlotOutcome ServeSlot(int time, const SensorDelta& delta,
                         const SlotQueryBatch& queries);
-
-  /// Serves an input stream to exhaustion. With the engine configured
-  /// sequentially (ServingConfig::pipeline < 2) this is ServeSlot per
-  /// input; with pipeline == 2 the loop runs the overlapped schedule —
-  /// activate slot t at the commit barrier, stage slot t+1 (pulled one
-  /// ahead from the source), then select slot t while the staged
-  /// turnover runs on the engine's task graph. Outcomes are bit-identical
-  /// between the two schedules. `target_slots_per_sec` > 0 paces slot i
-  /// to start no earlier than i/rate seconds into the loop (the replay
-  /// harness's pacing, hoisted here so the pipelined path paces the
-  /// activation barrier, not the staging).
-  ServeLoopResult ServeLoop(SlotInputSource* source,
-                            double target_slots_per_sec = 0.0);
 
  private:
   ServingEngine* engine_;

@@ -89,12 +89,13 @@ struct TraceSlotRecord {
   SensorDelta delta;
   std::vector<PointQuery> point_queries;
   std::vector<AggregateQuery::Params> aggregate_queries;
-  /// Version >= 2 only: the engines the adaptive policy chose for this
-  /// slot's Select — one entry in single-engine mode, one per shard pass
-  /// under shard_schedulers, empty when Select never ran (query-free
-  /// slots) or the run was not adaptive. Replay pins them
-  /// (ServingEngine::PinNextSelectEngines) so the schedule reproduces
-  /// bit for bit.
+  /// Version >= 2 only: the engine the adaptive policy chose for this
+  /// slot's Select — one entry, or none when Select never ran (query-free
+  /// slots) or the run was not adaptive. Replay pins it
+  /// (AcquisitionEngine::PinNextSelectEngine) so the schedule reproduces
+  /// bit for bit. The on-disk section is a list; records with more than
+  /// one entry came from per-shard scheduler passes and TraceReplayer
+  /// refuses them.
   std::vector<GreedyEngine> engine_choices;
 };
 

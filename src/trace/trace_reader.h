@@ -26,6 +26,8 @@ class TraceFile {
   int num_slots() const { return static_cast<int>(records_.size()); }
 
   /// Decodes slot record `i`. Thread-safe (reads the immutable image).
+  /// Besides DecodeSlotRecord's field checks, refuses delta sensor ids
+  /// outside [0, header().registry_count).
   bool DecodeSlot(int i, TraceSlotRecord* record, std::string* error) const;
 
   /// Total on-disk size, for bench reporting.

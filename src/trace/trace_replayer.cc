@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "engine/serving_engine.h"
@@ -76,54 +77,6 @@ class ParallelDecoder {
   std::vector<std::thread> workers_;
 };
 
-/// Feeds decoded slot records to SlotServer::ServeLoop (the pipelined
-/// replay path). Decode errors surface through error() after the loop
-/// returns — Next() just ends the stream.
-class RecordInputSource : public SlotInputSource {
- public:
-  RecordInputSource(const TraceFile& trace, ParallelDecoder* decoder,
-                    bool pin_seeds)
-      : trace_(trace),
-        decoder_(decoder),
-        pin_seeds_(pin_seeds),
-        n_(static_cast<size_t>(trace.num_slots())) {}
-
-  bool Next(SlotInput* out) override {
-    if (i_ >= n_) return false;
-    TraceSlotRecord* record = nullptr;
-    if (decoder_ != nullptr) {
-      if (!decoder_->Wait(i_, &record, &error_)) return false;
-    } else {
-      if (!trace_.DecodeSlot(static_cast<int>(i_), &inline_record_, &error_)) {
-        return false;
-      }
-      record = &inline_record_;
-    }
-    out->time = record->time;
-    out->delta = record->delta;
-    out->queries.points = std::move(record->point_queries);
-    out->queries.aggregates = std::move(record->aggregate_queries);
-    out->pin_seed = pin_seeds_;
-    out->slot_seed = record->slot_seed;
-    // Version-2 (adaptive) traces carry the recorded engine choices;
-    // ServeLoop pins them so the replayed schedule matches bit for bit.
-    out->pin_engines = std::move(record->engine_choices);
-    ++i_;
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  const TraceFile& trace_;
-  ParallelDecoder* decoder_;
-  bool pin_seeds_;
-  size_t n_;
-  size_t i_ = 0;
-  TraceSlotRecord inline_record_;
-  std::string error_;
-};
-
 }  // namespace
 
 TraceReplayer::TraceReplayer(const ReplayConfig& config) : config_(config) {}
@@ -174,26 +127,6 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
     decoder = std::make_unique<ParallelDecoder>(trace, decode_threads);
   }
 
-  if (scfg.pipeline == 2) {
-    // Pipelined replay: ServeLoop owns the schedule (and the pacing), the
-    // source feeds it decoded records one slot ahead.
-    RecordInputSource source(trace, decoder.get(), config_.pin_slot_seeds);
-    ServeLoopResult loop =
-        server.ServeLoop(&source, config_.target_slots_per_sec);
-    if (!source.error().empty()) {
-      result.error = source.error();
-      return result;
-    }
-    result.outcomes = std::move(loop.outcomes);
-    result.wall_ms = loop.wall_ms;
-    result.slots_per_sec = result.wall_ms > 0.0
-                               ? 1000.0 * static_cast<double>(n) /
-                                     result.wall_ms
-                               : 0.0;
-    result.ok = true;
-    return result;
-  }
-
   const auto start = std::chrono::steady_clock::now();
   TraceSlotRecord inline_record;
   for (size_t i = 0; i < n; ++i) {
@@ -207,6 +140,16 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
       }
       record = &inline_record;
     }
+    if (record->engine_choices.size() > 1) {
+      // Only per-shard scheduler passes (no longer supported) recorded
+      // more than one engine per slot; serving the first choice alone
+      // would silently diverge from the recorded run.
+      result.error = "slot " + std::to_string(i) + ": records " +
+                     std::to_string(record->engine_choices.size()) +
+                     " engine choices (a per-shard scheduler run); only "
+                     "single-engine traces can be replayed";
+      return result;
+    }
     if (config_.target_slots_per_sec > 0.0) {
       const auto due =
           start + std::chrono::duration_cast<
@@ -218,7 +161,7 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
     }
     if (config_.pin_slot_seeds) engine->PinNextSlotSeed(record->slot_seed);
     if (!record->engine_choices.empty()) {
-      engine->PinNextSelectEngines(std::move(record->engine_choices));
+      engine->PinNextSelectEngine(record->engine_choices[0]);
     }
     SlotQueryBatch batch;
     batch.points = std::move(record->point_queries);

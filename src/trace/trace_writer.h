@@ -55,7 +55,7 @@ class TraceWriter {
       const std::vector<AggregateQuery::Params>& queries);
 
   /// Attach the adaptive policy's engine choices to the open slot record
-  /// (ServingEngine::Select calls this as it dispatches). Recorded only
+  /// (AcquisitionEngine::Select calls this as it dispatches). Recorded only
   /// when the trace was opened at kTraceVersionAdaptive or later — on a
   /// version-1 writer this is a no-op, keeping v1 bytes choice-free.
   void StageEngineChoices(const std::vector<GreedyEngine>& engines);

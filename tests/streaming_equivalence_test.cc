@@ -5,7 +5,7 @@
 // every slot, across schedulers, under zero churn (mobility trace only)
 // and under full churn streams, including feedback populations whose
 // announced costs drift with readings (privacy decay, linear energy,
-// wear-out).
+// wear-out). Also covered here: the ServingConfig::Validate contract.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "core/point_scheduling.h"
 #include "core/slot.h"
 #include "engine/acquisition_engine.h"
+#include "engine/serving_config.h"
 #include "mobility/random_waypoint.h"
 #include "sim/workload.h"
 #include "trace/closed_loop.h"
@@ -498,108 +499,34 @@ TEST(StreamingEquivalenceTest, DepartedSensorsLeaveTheSlot) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined serving (ServingConfig::pipeline == 2) overlaps slot t+1's
-// staged turnover — delta apply, membership repair, slab rebuild, index
-// maintenance — with slot t's selection on a task-graph worker. The
-// commit barrier must make the overlap invisible: every outcome field
-// (selections, values, costs, valuation-call counts, payments) is
-// bit-identical to the sequential schedule.
+// ServingConfig::Validate: MakeServingEngine refuses a config Validate
+// rejects, so these are the construction-time guard rails.
 
-void ExpectPipelinedMatchesSequential(const ChurnScenarioSetup& setup,
-                                      const ClosedLoopConfig& base) {
-  const ClosedLoopResult sequential = RunChurnClosedLoop(setup, base);
-  // The run did real work; empty schedules would pass vacuously.
-  EXPECT_GT(sequential.total_payment, 0.0);
-  EXPECT_GT(sequential.valuation_calls, 0);
-
-  ClosedLoopConfig overlapped = base;
-  overlapped.serving.pipeline = 2;
-  ASSERT_TRUE(overlapped.serving.Validate().empty())
-      << overlapped.serving.Validate();
-  const ClosedLoopResult pipelined = RunChurnClosedLoop(setup, overlapped);
-  ASSERT_EQ(sequential.outcomes.size(), pipelined.outcomes.size());
-  for (size_t i = 0; i < sequential.outcomes.size(); ++i) {
-    EXPECT_TRUE(SameOutcome(sequential.outcomes[i], pipelined.outcomes[i]))
-        << "slot " << sequential.outcomes[i].time
-        << " diverged: sequential selected "
-        << sequential.outcomes[i].selection.selected_sensors.size()
-        << " sensors (value "
-        << sequential.outcomes[i].selection.total_value << ", payment "
-        << sequential.outcomes[i].total_payment << "), pipelined selected "
-        << pipelined.outcomes[i].selection.selected_sensors.size()
-        << " (value " << pipelined.outcomes[i].selection.total_value
-        << ", payment " << pipelined.outcomes[i].total_payment << ")";
-  }
-  EXPECT_EQ(sequential.total_payment, pipelined.total_payment);
-  EXPECT_EQ(sequential.valuation_calls, pipelined.valuation_calls);
+TEST(ServingConfigTest, ValidateAcceptsDefaultsAndBuilderChains) {
+  EXPECT_TRUE(ServingConfig().Validate().empty());
+  const ServingConfig built = ServingConfig()
+                                  .WithRegion(Rect{0, 0, 100, 100})
+                                  .WithDmax(8.0)
+                                  .WithScheduler(GreedyEngine::kSieve)
+                                  .WithThreads(0)
+                                  .WithEpsilon(0.2)
+                                  .WithApproxSeed(9)
+                                  .WithRecordReadings(false);
+  EXPECT_TRUE(built.Validate().empty()) << built.Validate();
+  EXPECT_EQ(built.scheduler, GreedyEngine::kSieve);
+  EXPECT_EQ(built.threads, 0);
+  EXPECT_EQ(built.approx.epsilon, 0.2);
+  EXPECT_FALSE(built.record_readings);
 }
 
-ClosedLoopConfig PipelineLoopConfig(GreedyEngine scheduler, uint64_t seed) {
-  ClosedLoopConfig config;
-  config.slots = 12;
-  config.queries.queries_per_slot = 24;
-  config.queries.aggregates_per_slot = 4;
-  config.serving.scheduler = scheduler;
-  config.serving.approx.seed = seed;
-  return config;
-}
-
-TEST(PipelinedEquivalenceTest, MatchesSequentialAcrossSchedulers) {
-  // Cross-slot feedback on (energy drain + privacy decay), so the late
-  // reading-commit phase actually changes later announcements; mobility
-  // and churn exercise the staged membership repair and index ops.
-  SensorPopulationConfig profile;
-  profile.linear_energy = true;
-  profile.random_privacy = true;
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      600, /*churn_fraction=*/0.05, /*seed=*/91, /*with_mobility=*/true,
-      profile);
-  for (GreedyEngine scheduler :
-       {GreedyEngine::kLazy, GreedyEngine::kEager, GreedyEngine::kStochastic,
-        GreedyEngine::kSieve}) {
-    SCOPED_TRACE(testing::Message()
-                 << "scheduler=" << static_cast<int>(scheduler));
-    ExpectPipelinedMatchesSequential(setup,
-                                     PipelineLoopConfig(scheduler, 91));
-  }
-}
-
-TEST(PipelinedEquivalenceTest, MatchesSequentialOnPlainChurnPopulation) {
-  // Fixed announced costs, churn only: the staged repair path with no
-  // feedback patches (the zero-readings early-return) must still merge
-  // membership identically.
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      500, /*churn_fraction=*/0.08, /*seed=*/17, /*with_mobility=*/true);
-  ExpectPipelinedMatchesSequential(setup,
-                                   PipelineLoopConfig(GreedyEngine::kLazy, 17));
-}
-
-TEST(PipelinedEquivalenceTest, MatchesSequentialInRebuildMode) {
-  // Rebuild mode stages a full BuildSlotContext on the worker. Readings
-  // are off (Validate rejects the pipeline+readings+rebuild combo), so
-  // this pins the announce-everything early phase.
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      400, /*churn_fraction=*/0.05, /*seed=*/29, /*with_mobility=*/true);
-  ClosedLoopConfig config = PipelineLoopConfig(GreedyEngine::kEager, 29);
-  config.serving.incremental = false;
-  config.serving.record_readings = false;
-  ExpectPipelinedMatchesSequential(setup, config);
-}
-
-TEST(PipelinedEquivalenceTest, MatchesSequentialAcrossThreadCounts) {
-  // The selection thread pool and the turnover task graph share nothing
-  // but the barrier; worker count must not leak into outcomes.
-  SensorPopulationConfig profile;
-  profile.linear_energy = true;
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      500, /*churn_fraction=*/0.05, /*seed=*/53, /*with_mobility=*/true,
-      profile);
-  for (int threads : {2, 4}) {
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    ClosedLoopConfig config = PipelineLoopConfig(GreedyEngine::kStochastic, 53);
-    config.serving.threads = threads;
-    ExpectPipelinedMatchesSequential(setup, config);
-  }
+TEST(ServingConfigTest, ValidateRejectsBrokenConfigs) {
+  EXPECT_FALSE(ServingConfig().WithDmax(0.0).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithDmax(-1.0).Validate().empty());
+  EXPECT_FALSE(
+      ServingConfig().WithRegion(Rect{10, 0, 0, 10}).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithThreads(-1).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithEpsilon(0.0).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithEpsilon(-0.1).Validate().empty());
 }
 
 }  // namespace

@@ -323,6 +323,46 @@ TEST_F(TraceCorruptionTest, HeaderOnlyTraceHasZeroSlots) {
   std::remove(tmp.c_str());
 }
 
+/// Overwrites the first `kind` entry of `record`'s delta with sensor `id`.
+void CorruptDeltaId(TraceSlotRecord* record, const std::string& kind,
+                    int32_t id) {
+  SensorDelta& d = record->delta;
+  if (kind == "arrival") d.arrivals[0].sensor_id = id;
+  if (kind == "departure") d.departures[0] = id;
+  if (kind == "move") d.moves[0].sensor_id = id;
+  if (kind == "price-change") d.price_changes[0].sensor_id = id;
+}
+
+// Delta sensor ids index the replaying engine's registry, so a record
+// whose framing is intact but whose ids fall outside [0, registry_count)
+// must fail at decode with a clean error, never reach the engine.
+TEST(TraceFormatStandaloneTest, OutOfRangeDeltaSensorIdsRejected) {
+  const int32_t registry = 64;  // MakeGoldenData's registry_count
+  const std::string tmp = TempPath("corrupt_ids.trace");
+  for (const char* kind : {"arrival", "departure", "move", "price-change"}) {
+    for (int32_t bad_id : {-1, registry}) {
+      SCOPED_TRACE(testing::Message() << kind << " id " << bad_id);
+      TraceData data = MakeGoldenData();
+      CorruptDeltaId(&data.slots[1], kind, bad_id);
+      ASSERT_TRUE(WriteTraceFile(tmp, data));
+      TraceFile trace;
+      std::string error;
+      ASSERT_TRUE(trace.Load(tmp, &error)) << error;
+      TraceSlotRecord record;
+      EXPECT_TRUE(trace.DecodeSlot(0, &record, &error)) << error;
+      EXPECT_FALSE(trace.DecodeSlot(1, &record, &error));
+      EXPECT_NE(error.find("slot 1"), std::string::npos) << error;
+      EXPECT_NE(error.find(std::string(kind) + " sensor id " +
+                           std::to_string(bad_id)),
+                std::string::npos)
+          << error;
+      TraceData decoded;
+      EXPECT_FALSE(ReadTraceFile(tmp, &decoded, &error));
+    }
+  }
+  std::remove(tmp.c_str());
+}
+
 TEST(TraceFormatStandaloneTest, MissingFileIsACleanError) {
   TraceFile trace;
   std::string error;

@@ -16,6 +16,7 @@
 #include "trace/closed_loop.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_replayer.h"
+#include "trace/trace_writer.h"
 
 namespace psens {
 namespace {
@@ -125,53 +126,6 @@ TEST(TraceReplayTest, DecodeThreadCountDoesNotChangeOutcomes) {
   std::remove(path.c_str());
 }
 
-// Pipelined replay (ServingConfig::pipeline == 2) routes through
-// SlotServer::ServeLoop, overlapping slot t+1's staged turnover with
-// slot t's selection; outcomes must still reproduce the live sequential
-// run bit for bit, for any decode-thread count.
-TEST(TraceReplayTest, PipelinedReplayReproducesSequentialLiveRun) {
-  const ChurnScenarioSetup setup = MakeSetup();
-  const std::string path = TracePath("replay_pipelined.trc");
-  const ClosedLoopResult live =
-      RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kStochastic, path));
-  EXPECT_GT(live.total_payment, 0.0);
-
-  for (int decode_threads : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "decode_threads=" << decode_threads);
-    ReplayConfig rcfg;
-    rcfg.serving.scheduler = GreedyEngine::kStochastic;
-    rcfg.serving.pipeline = 2;
-    rcfg.decode_threads = decode_threads;
-    const ReplayResult replayed =
-        TraceReplayer(rcfg).Replay(path, setup.scenario.sensors);
-    ASSERT_TRUE(replayed.ok) << replayed.error;
-    ExpectSameOutcomes(live.outcomes, replayed.outcomes);
-  }
-  std::remove(path.c_str());
-}
-
-// A trace recorded under pipelined serving is interchangeable with a
-// sequentially recorded one: the overlapped schedule stages the trace
-// writer's records in the sequential statement order (BeginSlot t ->
-// queries t -> StageDelta t+1), so a sequential replay of a pipelined
-// recording reproduces the pipelined live run.
-TEST(TraceReplayTest, PipelinedRecordingReplaysSequentially) {
-  const ChurnScenarioSetup setup = MakeSetup();
-  const std::string path = TracePath("replay_pipelined_rec.trc");
-  ClosedLoopConfig lcfg = MakeLoopConfig(GreedyEngine::kLazy, path);
-  lcfg.serving.pipeline = 2;
-  const ClosedLoopResult live = RunChurnClosedLoop(setup, lcfg);
-  EXPECT_GT(live.total_payment, 0.0);
-
-  ReplayConfig rcfg;
-  rcfg.serving.scheduler = GreedyEngine::kLazy;
-  const ReplayResult replayed =
-      TraceReplayer(rcfg).Replay(path, setup.scenario.sensors);
-  ASSERT_TRUE(replayed.ok) << replayed.error;
-  ExpectSameOutcomes(live.outcomes, replayed.outcomes);
-  std::remove(path.c_str());
-}
-
 // The ApproxSlotSeed persistence regression (the satellite fix): every
 // slot record carries the seed the recording engine stamped, and the
 // replayer pins it, so a stochastic replay reproduces the live
@@ -234,6 +188,49 @@ TEST(TraceReplayTest, MismatchedRegistryIsRefused) {
       TraceReplayer(ReplayConfig{}).Replay(path, short_registry);
   EXPECT_FALSE(short_result.ok);
   std::remove(path.c_str());
+}
+
+// Version-2 slot records carry a list of engine choices. A single choice
+// (the adaptive policy's) is pinned and replays bit-identically; more
+// than one came from per-shard scheduler passes, which the single engine
+// cannot reproduce, so the replayer refuses the trace and names the slot
+// instead of silently serving the first choice.
+TEST(TraceReplayTest, MultiEngineChoiceRecordsAreRefused) {
+  const ChurnScenarioSetup setup = MakeSetup();
+  const std::string live_path = TracePath("replay_choices_live.trc");
+  const ClosedLoopResult live =
+      RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kLazy, live_path));
+  TraceData data;
+  std::string error;
+  ASSERT_TRUE(ReadTraceFile(live_path, &data, &error)) << error;
+  std::remove(live_path.c_str());
+
+  data.header.version = kTraceVersionAdaptive;
+  for (TraceSlotRecord& slot : data.slots) {
+    if (!slot.point_queries.empty() || !slot.aggregate_queries.empty()) {
+      slot.engine_choices = {GreedyEngine::kLazy};
+    }
+  }
+  const std::string single_path = TracePath("replay_choices_single.trc");
+  ASSERT_TRUE(WriteTraceFile(single_path, data));
+  ReplayConfig rcfg;
+  rcfg.serving.scheduler = GreedyEngine::kLazy;
+  const ReplayResult single =
+      TraceReplayer(rcfg).Replay(single_path, setup.scenario.sensors);
+  ASSERT_TRUE(single.ok) << single.error;
+  ExpectSameOutcomes(live.outcomes, single.outcomes);
+  std::remove(single_path.c_str());
+
+  data.slots[3].engine_choices = {GreedyEngine::kLazy, GreedyEngine::kEager};
+  const std::string multi_path = TracePath("replay_choices_multi.trc");
+  ASSERT_TRUE(WriteTraceFile(multi_path, data));
+  const ReplayResult multi =
+      TraceReplayer(rcfg).Replay(multi_path, setup.scenario.sensors);
+  EXPECT_FALSE(multi.ok);
+  EXPECT_NE(multi.error.find("slot 3"), std::string::npos) << multi.error;
+  EXPECT_NE(multi.error.find("engine choices"), std::string::npos)
+      << multi.error;
+  std::remove(multi_path.c_str());
 }
 
 TEST(TraceReplayTest, RecordedTraceHasOneRecordPerServedSlot) {
