@@ -31,11 +31,50 @@ double SensorTheta(double inaccuracy, double trust) {
   return (1.0 - inaccuracy) * trust;
 }
 
+/// `v` clamped to [0, hi] in double, then truncated: no float-to-int
+/// conversion can overflow, and NaN maps to 0.
+int ClampIndex(double v, int hi) {
+  if (!(v > 0.0)) return 0;
+  if (v >= hi) return hi;
+  return static_cast<int>(v);
+}
+
+/// Inclusive index run [first, last] of the ascending axis centers
+/// `origin + (i + 0.5) * cell` that pass the 1-D disk test around `p`;
+/// empty when first > last. The arithmetic estimate only seeds a walk
+/// over `side`, so the run is exact whatever the estimate's rounding.
+struct AxisRun {
+  int first;
+  int last;
+};
+
+AxisRun AxisWindow(const std::vector<double>& centers, double origin,
+                   double cell, double p, double range) {
+  const int hi = static_cast<int>(centers.size()) - 1;
+  // Center i under the 1-D test sqrt(d * d) <= range, rounded as
+  // `Distance` rounds it with the other coordinate equal: 0 = fails below
+  // p, 1 = passes, 2 = fails above p (or NaN). Non-decreasing in i.
+  const auto side = [&](int i) {
+    const double d = centers[i] - p;
+    if (std::sqrt(d * d) <= range) return 1;
+    return d < 0.0 ? 0 : 2;
+  };
+  int first = ClampIndex(std::ceil((p - range - origin) / cell - 0.5), hi);
+  while (first > 0 && side(first - 1) >= 1) --first;
+  while (first <= hi && side(first) < 1) ++first;
+  int last = ClampIndex(std::floor((p + range - origin) / cell - 0.5), hi);
+  while (last < hi && side(last + 1) <= 1) ++last;
+  while (last >= 0 && side(last) > 1) --last;
+  return AxisRun{first, last};
+}
+
 /// Shared batched-sweep kernel of the two coverage valuations (Eq. 5 over
 /// region cells / trajectory-corridor cells): out[i] = marginal of probing
 /// sensors[i] against the accumulated coverage state. Masks live in one
-/// flat word slab (`words` per candidate ordinal); `value_from` is the
-/// owner's ValueFrom (they differ only in captured params).
+/// flat word slab (`words` per candidate ordinal) and `theta` is keyed by
+/// the same ordinal, so a probe reads both next to each other;
+/// `value_from` is the owner's ValueFrom (they differ only in captured
+/// params).
 ///
 /// When `cached_at`/`cached_delta` are non-null (slab-synced binds), the
 /// kernel memoizes each candidate's delta under `version` — the owner's
@@ -69,7 +108,8 @@ void CoverageMarginals(std::span<const int> sensors, std::span<double> out,
     const uint64_t* mask =
         mask_words.data() + static_cast<size_t>(ord) * static_cast<size_t>(words);
     const int new_covered = PopCountOr(acc_mask, mask);
-    out[i] = value_from(new_covered, theta_sum + theta[s], count) - current_value;
+    out[i] =
+        value_from(new_covered, theta_sum + theta[ord], count) - current_value;
     if (cached_at != nullptr) {
       cached_at[ord] = version;
       cached_delta[ord] = out[i];
@@ -86,9 +126,18 @@ AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
   const int cells_y =
       std::max(1, static_cast<int>(std::ceil(params_.region.Height() / cell)));
   num_cells_ = cells_x_ * cells_y;
+  // Cell centers per axis, from the same expressions (same operand order)
+  // a per-cell evaluation would use, so every center keeps its bits.
+  std::vector<double> col_x(static_cast<size_t>(cells_x_));
+  for (int cx = 0; cx < cells_x_; ++cx) {
+    col_x[cx] = params_.region.x_min + (cx + 0.5) * cell;
+  }
+  std::vector<double> row_y(static_cast<size_t>(cells_y));
+  for (int cy = 0; cy < cells_y; ++cy) {
+    row_y[cy] = params_.region.y_min + (cy + 0.5) * cell;
+  }
 
   mask_slot_.assign(slot.sensors.size(), -1);
-  theta_.assign(slot.sensors.size(), 0.0);
   const double range = params_.sensing_range;
   // Quick reject: a sensing disk touching the region requires the sensor
   // inside the region grown by the range. With a slot index this is one
@@ -108,30 +157,46 @@ AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
   // Bind loop over the coarse survivors. On a slab-synced slot the
   // location and quality inputs stream from the SoA columns (identical
   // bits, contiguous loads); hand-built contexts read the AoS records.
+  //
+  // Each survivor tests only the cells of its exact axis windows. A cell
+  // is covered iff Distance(center, loc) <= range, i.e. iff
+  // sqrt(fl(fl(dx*dx) + fl(dy*dy))) <= range. IEEE rounding is monotone
+  // and fl(dy*dy) >= 0, so the rounded sum is never below fl(dx*dx), and
+  // sqrt is monotone: a column failing the 1-D test sqrt(fl(dx*dx)) <=
+  // range (the same predicate with dy = 0) fails in every row, and a NaN
+  // sum fails the 2-D test outright. Rows likewise. The 1-D test is monotone in |dx| and
+  // the centers ascend with the index, so the passing columns form one
+  // run, which AxisWindow finds exactly. The unchanged 2-D test over the
+  // window therefore sets exactly the bits a test of every region cell
+  // would set, in O(window cells) per candidate.
   const bool slabs = slot.SlabsSynced();
   std::vector<uint64_t> mask(static_cast<size_t>(NumWords()), 0);
   for (int si : coarse) {
     const SlotSensor& s = slot.sensors[si];
     const Point loc = slabs ? Point{slot.slabs.x[si], slot.slabs.y[si]}
                             : s.location;
+    const AxisRun cols =
+        AxisWindow(col_x, params_.region.x_min, cell, loc.x, range);
+    if (cols.first > cols.last) continue;
+    const AxisRun rows =
+        AxisWindow(row_y, params_.region.y_min, cell, loc.y, range);
     std::fill(mask.begin(), mask.end(), 0);
     bool any = false;
-    for (int c = 0; c < num_cells_; ++c) {
-      const int cx = c % cells_x_;
-      const int cy = c / cells_x_;
-      const Point center{params_.region.x_min + (cx + 0.5) * cell,
-                         params_.region.y_min + (cy + 0.5) * cell};
-      if (Distance(center, loc) <= range) {
-        mask[c / 64] |= uint64_t{1} << (c % 64);
-        any = true;
+    for (int cy = rows.first; cy <= rows.last; ++cy) {
+      for (int cx = cols.first; cx <= cols.last; ++cx) {
+        // Branch-free: which window cells pass is data-dependent.
+        const bool in = Distance(Point{col_x[cx], row_y[cy]}, loc) <= range;
+        const int c = cy * cells_x_ + cx;
+        mask[c / 64] |= uint64_t{in} << (c % 64);
+        any |= in;
       }
     }
     if (any) {
       mask_slot_[s.index] = static_cast<int>(candidates_.size());
       mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
-      theta_[s.index] = slabs ? SensorTheta(slot.slabs.inaccuracy[si],
-                                            slot.slabs.trust[si])
-                              : SensorTheta(s.inaccuracy, s.trust);
+      theta_.push_back(slabs ? SensorTheta(slot.slabs.inaccuracy[si],
+                                           slot.slabs.trust[si])
+                             : SensorTheta(s.inaccuracy, s.trust));
       candidates_.push_back(s.index);
     }
   }
@@ -162,7 +227,7 @@ double AggregateQuery::MarginalValue(int sensor) const {
                          static_cast<size_t>(ord) * static_cast<size_t>(NumWords());
   const int new_covered = PopCountOr(acc_mask_, mask);
   const double new_value =
-      ValueFrom(new_covered, theta_sum_ + theta_[sensor],
+      ValueFrom(new_covered, theta_sum_ + theta_[ord],
                 static_cast<int>(selected_.size()) + 1);
   return new_value - current_value_;
 }
@@ -185,7 +250,7 @@ void AggregateQuery::Commit(int sensor, double payment) {
     OrInto(acc_mask_, mask_words_.data() +
                           static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
     covered_cells_ = PopCount(acc_mask_);
-    theta_sum_ += theta_[sensor];
+    theta_sum_ += theta_[ord];
   }
   selected_.push_back(sensor);
   current_value_ = ValueFrom(covered_cells_, theta_sum_,
@@ -215,7 +280,7 @@ double AggregateQuery::ValueOf(const std::vector<int>& sensors) const {
     if (ord >= 0) {
       OrInto(acc, mask_words_.data() +
                       static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
-      theta_sum += theta_[s];
+      theta_sum += theta_[ord];
     }
     ++count;
   }
@@ -257,7 +322,6 @@ TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
   }
 
   mask_slot_.assign(slot.sensors.size(), -1);
-  theta_.assign(slot.sensors.size(), 0.0);
   // Coarse pruning: a sensor covering any corridor cell lies inside the
   // cell centers' bounding box grown by the sensing range.
   slot_indexed_ = slot.index != nullptr;
@@ -307,9 +371,9 @@ TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
     if (any) {
       mask_slot_[s.index] = static_cast<int>(candidates_.size());
       mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
-      theta_[s.index] = slabs ? SensorTheta(slot.slabs.inaccuracy[si],
-                                            slot.slabs.trust[si])
-                              : SensorTheta(s.inaccuracy, s.trust);
+      theta_.push_back(slabs ? SensorTheta(slot.slabs.inaccuracy[si],
+                                           slot.slabs.trust[si])
+                             : SensorTheta(s.inaccuracy, s.trust));
       candidates_.push_back(s.index);
     }
   }
@@ -340,7 +404,7 @@ double TrajectoryQuery::MarginalValue(int sensor) const {
                          static_cast<size_t>(ord) * static_cast<size_t>(NumWords());
   const int new_covered = PopCountOr(acc_mask_, mask);
   const double new_value =
-      ValueFrom(new_covered, theta_sum_ + theta_[sensor],
+      ValueFrom(new_covered, theta_sum_ + theta_[ord],
                 static_cast<int>(selected_.size()) + 1);
   return new_value - current_value_;
 }
@@ -363,7 +427,7 @@ void TrajectoryQuery::Commit(int sensor, double payment) {
     OrInto(acc_mask_, mask_words_.data() +
                           static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
     covered_cells_ = PopCount(acc_mask_);
-    theta_sum_ += theta_[sensor];
+    theta_sum_ += theta_[ord];
   }
   selected_.push_back(sensor);
   current_value_ = ValueFrom(covered_cells_, theta_sum_,
@@ -393,7 +457,7 @@ double TrajectoryQuery::ValueOf(const std::vector<int>& sensors) const {
     if (ord >= 0) {
       OrInto(acc, mask_words_.data() +
                       static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
-      theta_sum += theta_[s];
+      theta_sum += theta_[ord];
     }
     ++count;
   }

@@ -36,9 +36,17 @@ class AggregateQuery : public MultiQueryBase {
     double cell_size = 2.0;
   };
 
+  /// Largest rasterization grid (columns x rows) a query may ask for.
+  /// In-repo workloads build at most 2,500 cells. The constructor assumes
+  /// finite params, a positive cell size, a non-negative range, an
+  /// uninverted region and a grid within this cap; trace decode refuses
+  /// replayed records that break any of these.
+  static constexpr int kMaxCells = 1 << 20;
+
   /// Binds the query to the slot: precomputes each candidate sensor's
-  /// covered-cell bitset. Sensors whose disk misses the region entirely
-  /// are not candidates.
+  /// covered-cell bitset, testing only the cells inside the exact
+  /// per-axis window its disk can reach. Sensors whose disk misses the
+  /// region entirely are not candidates.
   AggregateQuery(const Params& params, const SlotContext& slot);
 
   double MarginalValue(int sensor) const override;
@@ -80,6 +88,7 @@ class AggregateQuery : public MultiQueryBase {
   /// word order is unchanged, so marginals stay bit-identical.
   std::vector<int> mask_slot_;
   std::vector<uint64_t> mask_words_;
+  /// Per candidate ordinal: the sensor's theta (filled beside candidates_).
   std::vector<double> theta_;
   /// Sensors with non-empty masks, ascending; valid when slot_indexed_.
   std::vector<int> candidates_;
@@ -138,7 +147,8 @@ class TrajectoryQuery : public MultiQueryBase {
   Params params_;
   int num_cells_ = 0;
   std::vector<Point> cell_centers_;
-  /// Flat coverage slab, same layout as AggregateQuery's.
+  /// Flat coverage slab and ordinal-keyed theta, same layout as
+  /// AggregateQuery's.
   std::vector<int> mask_slot_;
   std::vector<uint64_t> mask_words_;
   std::vector<double> theta_;

@@ -1,6 +1,10 @@
 #include "trace/trace_format.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace psens {
 namespace {
@@ -145,6 +149,59 @@ constexpr size_t kDepartureBytes = 4;
 constexpr size_t kPriceChangeBytes = 4 + 8;
 constexpr size_t kPointQueryBytes = 4 + 8 + 8 + 8 + 8 + 4;
 constexpr size_t kAggregateBytes = 4 + 4 * 8 + 8 + 8 + 8;
+
+std::string FormatF64(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  return buffer;
+}
+
+/// Replay binds decoded aggregate params straight into AggregateQuery,
+/// whose grid arithmetic converts region extents over the cell size to
+/// int; refuse every input that would make that undefined or ask for an
+/// absurd grid (see AggregateQuery::kMaxCells).
+bool CheckAggregateParams(const AggregateQuery::Params& p,
+                          std::string* error) {
+  const auto refuse = [&](const char* field, double value,
+                          const std::string& why) {
+    *error = "corrupt slot record: aggregate query " + std::to_string(p.id) +
+             " " + field + " " + FormatF64(value) + " " + why;
+    return false;
+  };
+  const std::pair<const char*, double> fields[] = {
+      {"region.x_min", p.region.x_min}, {"region.y_min", p.region.y_min},
+      {"region.x_max", p.region.x_max}, {"region.y_max", p.region.y_max},
+      {"budget", p.budget},             {"sensing_range", p.sensing_range},
+      {"cell_size", p.cell_size}};
+  for (const auto& [field, value] : fields) {
+    if (!std::isfinite(value)) return refuse(field, value, "is not finite");
+  }
+  if (p.cell_size <= 0.0) {
+    return refuse("cell_size", p.cell_size, "is not positive");
+  }
+  if (p.sensing_range < 0.0) {
+    return refuse("sensing_range", p.sensing_range, "is negative");
+  }
+  if (p.region.x_min > p.region.x_max) {
+    return refuse("region.x_min", p.region.x_min,
+                  "exceeds region.x_max " + FormatF64(p.region.x_max));
+  }
+  if (p.region.y_min > p.region.y_max) {
+    return refuse("region.y_min", p.region.y_min,
+                  "exceeds region.y_max " + FormatF64(p.region.y_max));
+  }
+  // In double, so no extent can overflow; an infinite quotient fails too.
+  const double cells =
+      std::max(1.0, std::ceil(p.region.Width() / p.cell_size)) *
+      std::max(1.0, std::ceil(p.region.Height() / p.cell_size));
+  if (!(cells <= AggregateQuery::kMaxCells)) {
+    return refuse("cell_size", p.cell_size,
+                  "asks for a grid of " + FormatF64(cells) +
+                      " cells, above the cap of " +
+                      std::to_string(AggregateQuery::kMaxCells));
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -370,6 +427,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetF64(&p.budget);
     c.GetF64(&p.sensing_range);
     c.GetF64(&p.cell_size);
+    if (!CheckAggregateParams(p, error)) return false;
   }
   record->engine_choices.clear();
   if (version >= kTraceVersionAdaptive) {

@@ -122,7 +122,10 @@ void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
 /// Decodes one slot-record payload (the bytes after payload_bytes) laid
 /// out per `version` (the containing trace header's). Returns false and
 /// sets `*error` on any malformed input — bad magic, counts exceeding
-/// the payload, trailing bytes — without reading out of bounds.
+/// the payload, trailing bytes, aggregate params that AggregateQuery
+/// cannot bind (non-finite, non-positive cell size, negative range,
+/// inverted region, grid above AggregateQuery::kMaxCells) — without
+/// reading out of bounds.
 bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
                       std::string* error, uint32_t version = kTraceVersion);
 

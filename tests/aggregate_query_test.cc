@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "common/rng.h"
 
 namespace psens {
@@ -115,6 +119,188 @@ TEST(AggregateQueryTest, MaxValueIsBudget) {
   const SlotContext slot = MakeSlot({Point{10, 10}});
   AggregateQuery q(BaseParams(), slot);
   EXPECT_DOUBLE_EQ(q.MaxValue(), 100.0);
+}
+
+// ---------------------------------------------------------------------------
+// Windowed bind vs the every-cell oracle
+// ---------------------------------------------------------------------------
+
+/// The bind the windowed constructor replaced, kept as the test oracle:
+/// the grown-rect quick reject, then every region cell tested with
+/// Distance(center, loc) <= range.
+struct OracleGrid {
+  int num_cells = 0;
+  /// Per slot sensor: covered cells (empty when the quick reject drops it).
+  std::vector<std::vector<bool>> covered;
+};
+
+OracleGrid EveryCellBind(const AggregateQuery::Params& p,
+                         const SlotContext& slot) {
+  const double cell = std::max(1e-9, p.cell_size);
+  const int cells_x =
+      std::max(1, static_cast<int>(std::ceil(p.region.Width() / cell)));
+  const int cells_y =
+      std::max(1, static_cast<int>(std::ceil(p.region.Height() / cell)));
+  const double range = p.sensing_range;
+  const Rect grown{p.region.x_min - range, p.region.y_min - range,
+                   p.region.x_max + range, p.region.y_max + range};
+  OracleGrid grid;
+  grid.num_cells = cells_x * cells_y;
+  grid.covered.resize(slot.sensors.size());
+  for (const SlotSensor& s : slot.sensors) {
+    if (!grown.Contains(s.location)) continue;
+    std::vector<bool>& mask = grid.covered[s.index];
+    mask.assign(grid.num_cells, false);
+    for (int c = 0; c < grid.num_cells; ++c) {
+      const int cx = c % cells_x;
+      const int cy = c / cells_x;
+      const Point center{p.region.x_min + (cx + 0.5) * cell,
+                         p.region.y_min + (cy + 0.5) * cell};
+      mask[c] = Distance(center, s.location) <= range;
+    }
+  }
+  return grid;
+}
+
+/// Eq. (5) value of `sensors` from the oracle's covered-cell count, in
+/// the valuation's own operation order; `*covered_cells` gets the count.
+double OracleValue(const AggregateQuery::Params& p, const SlotContext& slot,
+                   const OracleGrid& grid, const std::vector<int>& sensors,
+                   int* covered_cells) {
+  std::vector<bool> acc(grid.num_cells, false);
+  double theta_sum = 0.0;
+  for (int s : sensors) {
+    const std::vector<bool>& mask = grid.covered[s];
+    bool any = false;
+    for (size_t c = 0; c < mask.size(); ++c) {
+      if (mask[c]) acc[c] = any = true;
+    }
+    const SlotSensor& sensor = slot.sensors[s];
+    if (any) theta_sum += (1.0 - sensor.inaccuracy) * sensor.trust;
+  }
+  *covered_cells = static_cast<int>(std::count(acc.begin(), acc.end(), true));
+  if (sensors.empty()) return 0.0;
+  const double coverage = static_cast<double>(*covered_cells) / grid.num_cells;
+  return p.budget * coverage *
+         (theta_sum / static_cast<int>(sensors.size()));
+}
+
+struct BindCase {
+  std::string name;
+  Rect region;
+  double cell_size;
+  double sensing_range;
+  std::vector<Point> sensors;  // hand-placed; random ones are appended
+};
+
+/// Fixed points plus random ones spread over the grown rect and a margin
+/// beyond it, with sensor-specific theta.
+SlotContext MakeCaseSlot(const BindCase& bc, uint64_t seed) {
+  std::vector<Point> positions = bc.sensors;
+  Rng rng(seed);
+  const double reach = bc.sensing_range + 2.0;
+  for (int i = 0; i < 48; ++i) {
+    positions.push_back(
+        Point{rng.Uniform(bc.region.x_min - reach, bc.region.x_max + reach),
+              rng.Uniform(bc.region.y_min - reach, bc.region.y_max + reach)});
+  }
+  SlotContext slot = MakeSlot(positions);
+  slot.slabs.Resize(slot.sensors.size());
+  for (SlotSensor& s : slot.sensors) {
+    s.inaccuracy = 0.05 * (s.index % 7);
+    s.trust = 1.0 - 0.03 * (s.index % 5);
+    slot.slabs.SetRow(static_cast<size_t>(s.index), s, 1.0, 1.0);
+  }
+  return slot;
+}
+
+std::vector<BindCase> BindCases() {
+  std::vector<BindCase> cases;
+  // Centers sit on odd coordinates; 3-4-5 and 6-8-10 offsets put sensors
+  // at exactly `range` from a center, and axis-aligned offsets put them
+  // exactly on a column's or row's 1-D window edge.
+  cases.push_back({"exact_range", Rect{0, 0, 20, 20}, 2.0, 5.0,
+                   {{8, 9}, {9, 8}, {2, 1}, {10, 5}, {5, 0}, {0, 5},
+                    {-4, 1}, {24, 19}, {19, 24}, {10, 10}, {15, 3}}});
+  cases.push_back({"exact_range_10", Rect{0, 0, 40, 30}, 2.0, 10.0,
+                   {{11, 13}, {13, 11}, {-9, 1}, {1, -9}, {49, 29},
+                    {39, 39}, {20, 20}}});
+  // Coarse survivors outside the region, some covering nothing.
+  cases.push_back({"outside_region", Rect{0, 0, 20, 20}, 2.0, 5.0,
+                   {{-4.5, 10}, {24, 3}, {-3, -3}, {23.9, 23.9}, {10, -4.99},
+                    {10, 25}, {-5, -5}, {25, 25}}});
+  // One column whose only center (x = 11) lies past x_max.
+  cases.push_back({"narrow_region", Rect{10, 10, 10.5, 30}, 2.0, 3.0,
+                   {{8, 21}, {14, 21}, {13.9, 15}, {7.9, 15}, {10.2, 35},
+                    {10.25, 10}, {13.5, 33}}});
+  // 11 columns for a 20.5 width: the last center (21) lies past x_max.
+  cases.push_back({"ragged_width", Rect{0, 0, 20.5, 9}, 2.0, 3.0,
+                   {{23.5, 5}, {24, 5}, {23.4, 9}, {21, 12}, {-3, 0},
+                    {20.5, 4.5}}});
+  cases.push_back({"negative_coords", Rect{-30, -25, -5, -3}, 2.5, 4.0,
+                   {{-31.75, -23.75}, {-6.25, -0.75}, {-34, -29}, {-1, 1},
+                    {-17.5, -14}}});
+  // Range below half a cell: a disk holds at most one center.
+  cases.push_back({"tiny_range", Rect{0, 0, 20, 20}, 2.0, 0.7,
+                   {{1, 1}, {2, 2}, {1.7, 1}, {19, 19.7}, {10, 10},
+                    {-0.7, 1}}});
+  // Range beyond the region's diagonal.
+  cases.push_back({"huge_range", Rect{0, 0, 10, 10}, 2.0, 50.0,
+                   {{5, 5}, {-40, 5}, {55, 55}, {60, -40}, {-39, -39},
+                    {5, 59}}});
+  return cases;
+}
+
+TEST(AggregateQueryTest, WindowedBindMatchesEveryCellOracle) {
+  uint64_t seed = 11;
+  for (const BindCase& bc : BindCases()) {
+    AggregateQuery::Params params = BaseParams();
+    params.region = bc.region;
+    params.cell_size = bc.cell_size;
+    params.sensing_range = bc.sensing_range;
+    SlotContext synced = MakeCaseSlot(bc, seed++);
+    SlotContext scalar = synced;
+    synced.index_policy = SlotIndexPolicy::kGrid;
+    AttachSlotIndex(synced);
+    scalar.use_soa = false;
+    ASSERT_TRUE(synced.SlabsSynced());
+    ASSERT_FALSE(scalar.SlabsSynced());
+    const OracleGrid grid = EveryCellBind(params, synced);
+    const int n = static_cast<int>(synced.sensors.size());
+
+    std::vector<std::vector<int>> sets;
+    for (int i = 0; i < n; ++i) sets.push_back({i});
+    for (int i = 0; i < n; ++i) sets.push_back({i, (i + 1) % n});
+    for (int i = 0; i < n; ++i) sets.push_back({i, (i + 5) % n, (i + 13) % n});
+
+    std::vector<int> oracle_candidates;
+    for (int i = 0; i < n; ++i) {
+      const std::vector<bool>& mask = grid.covered[i];
+      if (std::find(mask.begin(), mask.end(), true) != mask.end()) {
+        oracle_candidates.push_back(i);
+      }
+    }
+
+    for (const SlotContext* slot : {&synced, &scalar}) {
+      SCOPED_TRACE(bc.name + (slot == &synced ? " synced" : " scalar"));
+      AggregateQuery q(params, *slot);
+      if (slot->index != nullptr) {
+        ASSERT_NE(q.CandidateSensors(), nullptr);
+        EXPECT_EQ(*q.CandidateSensors(), oracle_candidates);
+      }
+      for (const std::vector<int>& set : sets) {
+        int covered = 0;
+        const double expected = OracleValue(params, *slot, grid, set, &covered);
+        EXPECT_EQ(q.ValueOf(set), expected) << "set starting " << set[0];
+        q.ResetSelection();
+        for (int s : set) q.Commit(s, 0.0);
+        EXPECT_EQ(q.CurrentCoverage(),
+                  static_cast<double>(covered) / grid.num_cells)
+            << "set starting " << set[0];
+        EXPECT_EQ(q.CurrentValue(), expected) << "set starting " << set[0];
+      }
+    }
+  }
 }
 
 TEST(TrajectoryQueryTest, SensorOnTrajectoryCovers) {

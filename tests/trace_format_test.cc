@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "trace/trace_format.h"
@@ -359,6 +360,64 @@ TEST(TraceFormatStandaloneTest, OutOfRangeDeltaSensorIdsRejected) {
       TraceData decoded;
       EXPECT_FALSE(ReadTraceFile(tmp, &decoded, &error));
     }
+  }
+  std::remove(tmp.c_str());
+}
+
+/// The aggregate param a MalformedAggregateParamsRejected case overwrites.
+double* AggregateField(AggregateQuery::Params* p, const std::string& field) {
+  if (field == "region.x_min") return &p->region.x_min;
+  if (field == "region.y_min") return &p->region.y_min;
+  if (field == "region.x_max") return &p->region.x_max;
+  if (field == "region.y_max") return &p->region.y_max;
+  if (field == "budget") return &p->budget;
+  if (field == "sensing_range") return &p->sensing_range;
+  if (field == "cell_size") return &p->cell_size;
+  return nullptr;
+}
+
+// Replay binds decoded aggregate params straight into AggregateQuery,
+// whose grid arithmetic converts region / cell to int: a record whose
+// framing is intact but whose params cannot be bound must fail at decode,
+// naming the slot and the field.
+TEST(TraceFormatStandaloneTest, MalformedAggregateParamsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // The golden aggregate has region {5, 5, 30, 35}, cell 5, range 10.
+  const struct {
+    const char* field;
+    double value;
+  } cases[] = {
+      {"region.x_min", nan},   {"region.y_min", -inf},
+      {"region.x_max", inf},   {"region.y_max", nan},
+      {"budget", inf},         {"sensing_range", nan},
+      {"cell_size", inf},      {"cell_size", 0.0},
+      {"cell_size", -5.0},     {"sensing_range", -1.0},
+      {"region.x_min", 31.0},  // inverted: x_max is 30
+      {"region.y_min", 36.0},  // inverted: y_max is 35
+      {"cell_size", 1e-3},     // 25000 x 30000 cells, above the cap
+  };
+  const std::string tmp = TempPath("corrupt_aggregate.trace");
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.field << " = " << c.value);
+    TraceData data = MakeGoldenData();
+    double* field =
+        AggregateField(&data.slots[1].aggregate_queries[0], c.field);
+    ASSERT_NE(field, nullptr);
+    *field = c.value;
+    ASSERT_TRUE(WriteTraceFile(tmp, data));
+    TraceFile trace;
+    std::string error;
+    ASSERT_TRUE(trace.Load(tmp, &error)) << error;
+    TraceSlotRecord record;
+    EXPECT_TRUE(trace.DecodeSlot(0, &record, &error)) << error;
+    EXPECT_FALSE(trace.DecodeSlot(1, &record, &error));
+    EXPECT_NE(error.find("slot 1"), std::string::npos) << error;
+    EXPECT_NE(error.find("aggregate query 2001 " + std::string(c.field) + " "),
+              std::string::npos)
+        << error;
+    TraceData decoded;
+    EXPECT_FALSE(ReadTraceFile(tmp, &decoded, &error));
   }
   std::remove(tmp.c_str());
 }
