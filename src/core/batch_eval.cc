@@ -66,10 +66,12 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
   pair_delta_.Acquire(arena, static_cast<size_t>(max_window));
   counts_.Acquire(arena, queries.size());
   std::fill(counts_.begin(), counts_.end(), int64_t{0});
+  // Both member-sized buffers stay unfilled: SweepQueries reads mark_
+  // only at scan sensors, so only those start cleared, and EvaluateNets
+  // clears positive_sum_ over its own eval set.
   mark_.Acquire(arena, n);
-  std::fill(mark_.begin(), mark_.end(), char{0});
+  for (int s : plan_.ScanSensors()) mark_[static_cast<size_t>(s)] = 0;
   positive_sum_.Acquire(arena, n);
-  std::fill(positive_sum_.begin(), positive_sum_.end(), 0.0);
 
   parallel_ = pool_ != nullptr && pool_->size() > 1;
   if (parallel_) {
@@ -110,7 +112,10 @@ void NetEvaluator::SweepQueries(int window_begin, int begin, int end) {
 
 void NetEvaluator::EvaluateNets(std::span<const int> sensors, double* net) {
   if (sensors.empty()) return;
-  for (int s : sensors) mark_[static_cast<size_t>(s)] = 1;
+  for (int s : sensors) {
+    mark_[static_cast<size_t>(s)] = 1;
+    positive_sum_[static_cast<size_t>(s)] = 0.0;
+  }
 
   // Windows run sequentially in ascending query order; within a window,
   // stage 1 computes per-query batched deltas (each query's pairs land in
@@ -151,11 +156,11 @@ void NetEvaluator::EvaluateNets(std::span<const int> sensors, double* net) {
     }
   }
 
-  // Stage 3: gather nets in eval-set order, resetting the touched state.
+  // Stage 3: gather nets in eval-set order, clearing the marks. A sensor
+  // no query lists collected no pairs, so its net is exactly -cost.
   for (size_t k = 0; k < sensors.size(); ++k) {
     const int s = sensors[k];
     net[k] = positive_sum_[static_cast<size_t>(s)] - ScaledCost(s);
-    positive_sum_[static_cast<size_t>(s)] = 0.0;
     mark_[static_cast<size_t>(s)] = 0;
   }
 

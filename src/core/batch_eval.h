@@ -104,9 +104,12 @@ class NetEvaluator {
   ArenaBuffer<int> pair_sensor_;
   ArenaBuffer<double> pair_delta_;
   ArenaBuffer<int64_t> counts_;
-  /// Eval-set membership (by sensor id) for the current EvaluateNets call.
+  /// Eval-set membership (by slot index) for the current EvaluateNets
+  /// call. Member-sized but cleared only at scan sensors, the only entries
+  /// SweepQueries reads.
   ArenaBuffer<char> mark_;
-  /// Per-sensor positive-marginal accumulator (zeroed between rounds).
+  /// Per-sensor positive-marginal accumulator, zeroed over each
+  /// EvaluateNets call's own eval set when the call starts.
   ArenaBuffer<double> positive_sum_;
   /// Scratch for EvaluateNet's sharded single-sensor path (lazily grown
   /// per call, so it stays an owned vector).

@@ -20,7 +20,7 @@ namespace psens {
 /// every possible selection state), so a sensor with no interested query
 /// has net gain <= -cost and can never be picked by Algorithm 1's
 /// positive-net rule. Scanning `sensors` (ascending) instead of all slot
-/// sensors, and summing marginals over `queries_of_sensor[s]` (ascending
+/// sensors, and summing marginals over `QueriesOf(s)` (ascending
 /// query order) instead of all queries, therefore reproduces the dense
 /// scan's selections, payments, and tie-breaks bit for bit.
 struct CandidatePlan {
@@ -28,22 +28,31 @@ struct CandidatePlan {
   /// reference dense loops (identical behaviour *and* identical
   /// valuation-call counts to the pre-index code).
   bool active = false;
-  /// Sensors (ascending) with at least one interested query.
+  /// Scan sensors, ascending: those with at least one interested query
+  /// (every sensor when the plan is inactive or some query is dense).
+  /// Position r in this list is the sensor's scan row.
   ArenaBuffer<int> sensors;
-  /// CSR inverted index: sensor s's interested queries, ascending by
-  /// query position, are qs_data[qs_offsets[s] .. qs_offsets[s+1]). One
-  /// flat slab (arena-backed when the slot carries an arena) replaces the
-  /// former vector-of-vectors — O(1) allocations per plan instead of one
-  /// per sensor, and each sensor's query run is a contiguous read.
+  /// One bit per slot sensor, set for scan sensors (active plans only).
+  /// QueriesOf tests it before touching row_of, so sensors no query lists
+  /// — the sieve's arrivals and carried bucket members — resolve to an
+  /// empty query run without reading row_of.
+  ArenaBuffer<uint64_t> scan_bits;
+  /// Scan row of each scan sensor: sensors[row_of[s]] == s. Written only
+  /// where s's scan bit is set, and read only there, so the buffer is
+  /// never filled — an active plan costs O(pairs + n/64), not O(n).
+  ArenaBuffer<int> row_of;
+  /// CSR inverted index over scan rows: row r's interested queries,
+  /// ascending by query position, are qs_data[qs_offsets[r] ..
+  /// qs_offsets[r+1]). One flat slab (arena-backed when the slot carries
+  /// an arena) instead of a vector per sensor, so each sensor's query run
+  /// is a contiguous read.
   ArenaBuffer<int64_t> qs_offsets;
   ArenaBuffer<int> qs_data;
-  /// Dense fallbacks (0..n-1 / 0..Q-1), filled only when !active or some
-  /// query is dense.
-  ArenaBuffer<int> all_sensors;
+  /// Dense query fallback (0..Q-1), filled only when the plan is inactive.
   ArenaBuffer<int> all_queries;
 
   /// Per query: where its candidate sensor list (ascending) lives — the
-  /// query-major mirror of queries_of_sensor, used by the batched round
+  /// query-major mirror of QueriesOf, used by the batched round
   /// evaluator (core/batch_eval.h) to sweep each query's sensors in one
   /// MarginalValues call. `external` points into the query object's own
   /// CandidateSensors() storage (stable during a selection run and across
@@ -57,17 +66,19 @@ struct CandidatePlan {
   /// Backing storage for sanitized query_candidates entries.
   std::vector<std::vector<int>> sanitized;
 
-  /// Sensors an engine must scan, resolving the dense fallback.
+  /// Sensors an engine must scan (ascending).
   std::span<const int> ScanSensors() const {
-    const ArenaBuffer<int>& s = active ? sensors : all_sensors;
-    return {s.data(), s.size()};
+    return {sensors.data(), sensors.size()};
   }
-  /// Queries that may value `sensor`, resolving the dense fallback.
+  /// Queries that may value `sensor`, ascending; empty for a sensor no
+  /// query lists.
   std::span<const int> QueriesOf(int sensor) const {
     if (!active) return {all_queries.data(), all_queries.size()};
-    const size_t b = static_cast<size_t>(qs_offsets[static_cast<size_t>(sensor)]);
-    const size_t e =
-        static_cast<size_t>(qs_offsets[static_cast<size_t>(sensor) + 1]);
+    const size_t s = static_cast<size_t>(sensor);
+    if (((scan_bits[s >> 6] >> (s & 63)) & 1) == 0) return {};
+    const size_t row = static_cast<size_t>(row_of[s]);
+    const size_t b = static_cast<size_t>(qs_offsets[row]);
+    const size_t e = static_cast<size_t>(qs_offsets[row + 1]);
     return {qs_data.data() + b, e - b};
   }
   /// Sensors query `query` may value (ascending), resolving the dense
@@ -82,7 +93,8 @@ struct CandidatePlan {
       const std::vector<int>& s = sanitized[static_cast<size_t>(ref.sanitized_index)];
       return {s.data(), s.size()};
     }
-    return {all_sensors.data(), all_sensors.size()};
+    // A dense query: every sensor is a scan sensor.
+    return ScanSensors();
   }
 };
 

@@ -83,12 +83,11 @@ struct SlotSensor {
 };
 
 /// Structure-of-arrays view of SlotContext::sensors: one contiguous
-/// column per hot field, row i mirroring sensors[i] exactly. The delta
-/// kernels in the query classes and batch_eval stream these columns
-/// instead of chasing 48-byte SlotSensor records, which keeps the fp
-/// math loads contiguous and lets the compiler auto-vectorize without
-/// intrinsics. privacy_mult and energy mirror the registry-side inputs
-/// of the announced cost (Eq. 8) for monitors and diagnostics.
+/// column per field the valuation kernels read, row i mirroring
+/// sensors[i] exactly. The delta kernels in the query classes and
+/// batch_eval stream these columns instead of chasing 48-byte SlotSensor
+/// records, which keeps the fp math loads contiguous and lets the
+/// compiler auto-vectorize without intrinsics.
 ///
 /// Invariant: a context with use_soa set and slabs.size() ==
 /// sensors.size() has every column entry equal to the corresponding
@@ -103,8 +102,6 @@ struct SlotSlabs {
   std::vector<double> cost;
   std::vector<double> inaccuracy;
   std::vector<double> trust;
-  std::vector<double> privacy_mult;
-  std::vector<double> energy;
 
   size_t size() const { return x.size(); }
 
@@ -114,28 +111,17 @@ struct SlotSlabs {
     cost.resize(n);
     inaccuracy.resize(n);
     trust.resize(n);
-    privacy_mult.resize(n);
-    energy.resize(n);
   }
 
   void Clear() { Resize(0); }
 
-  /// Writes row i from a SlotSensor plus the registry-side fields.
-  void SetRow(size_t i, const SlotSensor& s, double privacy_multiplier,
-              double energy_level) {
+  /// Writes row i from a SlotSensor.
+  void SetRow(size_t i, const SlotSensor& s) {
     x[i] = s.location.x;
     y[i] = s.location.y;
     cost[i] = s.cost;
     inaccuracy[i] = s.inaccuracy;
     trust[i] = s.trust;
-    privacy_mult[i] = privacy_multiplier;
-    energy[i] = energy_level;
-  }
-
-  /// Row i from the registry sensor backing SlotSensor s.
-  void SetRowFrom(size_t i, const SlotSensor& s, const Sensor& reg) {
-    SetRow(i, s, PrivacyLevelValue(reg.profile().privacy),
-           reg.RemainingEnergy());
   }
 };
 
@@ -215,8 +201,7 @@ inline SlotContext BuildSlotContext(const std::vector<Sensor>& sensors,
   }
   ctx.slabs.Resize(ctx.sensors.size());
   for (const SlotSensor& ss : ctx.sensors) {
-    ctx.slabs.SetRowFrom(static_cast<size_t>(ss.index), ss,
-                         sensors[static_cast<size_t>(ss.sensor_id)]);
+    ctx.slabs.SetRow(static_cast<size_t>(ss.index), ss);
   }
   AttachSlotIndex(ctx);
   return ctx;

@@ -1,6 +1,7 @@
 #include "engine/acquisition_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -91,10 +92,9 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
     trace_ = TraceWriter::Open(config_.trace_path, header);
   }
   if (!config_.incremental) return;
-  changed_flag_.assign(static_cast<size_t>(n), 0);
+  changed_bits_.assign((static_cast<size_t>(n) + 63) / 64, 0);
   cost_dirty_.assign(static_cast<size_t>(n), 0);
   privacy_flag_.assign(static_cast<size_t>(n), 0);
-  changed_.reserve(static_cast<size_t>(n));
   if (config_.index_policy != SlotIndexPolicy::kNone) {
     index_ = std::make_unique<DynamicSpatialIndex>(config_.working_region,
                                                    config_.index_policy, n);
@@ -123,10 +123,7 @@ bool AcquisitionEngine::FinishTrace() {
 void AcquisitionEngine::MarkChanged(int id, bool cost_dirty) {
   if (!config_.incremental) return;
   if (cost_dirty) cost_dirty_[id] = 1;
-  if (!changed_flag_[id]) {
-    changed_flag_[id] = 1;
-    changed_.push_back(id);
-  }
+  changed_bits_[static_cast<size_t>(id) >> 6] |= uint64_t{1} << (id & 63);
 }
 
 void AcquisitionEngine::ApplyTrace(const Trace& trace, int slot) {
@@ -205,15 +202,13 @@ void AcquisitionEngine::RefreshMember(int id, int time) {
   if (cost_dirty_[id] || privacy_flag_[id]) {
     ss.cost = s.Cost(time);
     ctx_.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-    // Readings (the one thing that drains energy) arrive here with
-    // cost_dirty set, so the diagnostic energy column rides the same patch.
-    ctx_.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
   }
 }
 
 void AcquisitionEngine::RebuildMembership(int time) {
-  std::sort(pending_insert_.begin(), pending_insert_.end());
-  std::sort(pending_remove_.begin(), pending_remove_.end());
+  // BeginSlot's ascending changed-bit sweep queues both lists in id order.
+  assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
+  assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
   MergeSortedMembership(
       &ctx_.sensors, &merge_scratch_, &slot_pos_, pending_insert_,
       pending_remove_,
@@ -224,10 +219,7 @@ void AcquisitionEngine::RebuildMembership(int time) {
         ss.inaccuracy = s.profile().inaccuracy;
         ss.trust = s.profile().trust;
       },
-      &ctx_.slabs, &slab_scratch_,
-      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
-        out.SetRowFrom(row, ss, sensors_[static_cast<size_t>(id)]);
-      });
+      &ctx_.slabs, &slab_scratch_);
   pending_insert_.clear();
   pending_remove_.clear();
 }
@@ -273,8 +265,8 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   if (trace_ != nullptr) trace_->BeginSlot(time, ctx_.approx.slot_seed);
   if (!config_.incremental) return ctx_;
   // Privacy-decay set: announced cost drifts with wall-clock time even
-  // without any event; membership never changes from it. Sensors also in
-  // changed_ get the full refresh below instead. Once every history
+  // without any event; membership never changes from it. Changed sensors
+  // get the full refresh below instead. Once every history
   // entry has aged past the privacy window the cost is constant until
   // the next reading (which re-enrolls the sensor via NoteReading), so
   // the set is compacted after writing that final constant value —
@@ -282,7 +274,7 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   // O(churn) turnover claim would erode with run age.
   size_t keep = 0;
   for (int id : privacy_refresh_) {
-    if (changed_flag_[id]) {
+    if (IsChanged(id)) {
       privacy_refresh_[keep++] = id;  // full refresh below; re-evaluate next slot
       continue;
     }
@@ -303,16 +295,19 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
     }
   }
   privacy_refresh_.resize(keep);
-  // Ascending id order turns the refresh loop's registry, context, and
-  // slot_pos accesses into forward sweeps (and hands RebuildMembership
-  // pre-sorted pending lists).
-  std::sort(changed_.begin(), changed_.end());
-  for (int id : changed_) {
-    RefreshMember(id, time);
-    changed_flag_[id] = 0;
-    cost_dirty_[id] = 0;
+  // Sweeping the changed bits visits ids in ascending order, which turns
+  // the refresh loop's registry, context, and slot_pos accesses into
+  // forward sweeps (and hands RebuildMembership pre-sorted pending lists).
+  for (size_t w = 0; w < changed_bits_.size(); ++w) {
+    uint64_t bits = changed_bits_[w];
+    if (bits == 0) continue;
+    changed_bits_[w] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      const int id = static_cast<int>(w * 64) + std::countr_zero(bits);
+      RefreshMember(id, time);
+      cost_dirty_[id] = 0;
+    }
   }
-  changed_.clear();
   if (!pending_insert_.empty() || !pending_remove_.empty()) {
     RebuildMembership(time);
   }

@@ -154,6 +154,9 @@ class AcquisitionEngine {
   class SlotIndexView;
 
   void MarkChanged(int id, bool cost_dirty);
+  bool IsChanged(int id) const {
+    return (changed_bits_[static_cast<size_t>(id) >> 6] >> (id & 63)) & 1;
+  }
   void NoteReading(int id, int time);
   void RefreshMember(int id, int time);
   void RebuildMembership(int time);
@@ -174,10 +177,11 @@ class AcquisitionEngine {
   std::vector<int> slot_pos_;
   std::unique_ptr<DynamicSpatialIndex> index_;
   std::shared_ptr<SlotIndexView> view_;
-  /// Sensors touched since the last BeginSlot (dedup by flag).
-  std::vector<int> changed_;
-  std::vector<char> changed_flag_;
-  /// Subset of changed_ whose announced cost must be recomputed.
+  /// One bit per registry id: sensors touched since the last BeginSlot.
+  /// BeginSlot sweeps the set bits in ascending id order, clearing each
+  /// word as it goes, so turnover costs O(changed + n/64), not a sort.
+  std::vector<uint64_t> changed_bits_;
+  /// Changed sensors whose announced cost must be recomputed.
   std::vector<char> cost_dirty_;
   /// Sensors whose privacy cost decays with wall-clock time (privacy
   /// multiplier > 0 and non-empty report history): refreshed every slot.

@@ -44,10 +44,8 @@ inline size_t MemberInsertPosition(const std::vector<int>& slot_pos, int id,
 ///
 /// The SoA columns (core/slot.h SlotSlabs) ride the same merge: every
 /// copy_run memcpys the identical row range of each column, so the slabs
-/// stay in lockstep with `members` at no extra bookkeeping, and
-/// `slab_fill(out, row, ss, id)` is invoked (after `fill`, with `ss` the
-/// freshly filled entry and `out` the merge-target slabs) to populate a
-/// freshly inserted row — typically out.SetRowFrom(row, ss, registry[id]).
+/// stay in lockstep with `members` at no extra bookkeeping, and a freshly
+/// inserted row is written from its just-filled SlotSensor (SetRow).
 ///
 /// `inserts` and `removes` must be sorted ascending and disjoint;
 /// `slot_pos` maps sensor id -> position in `members` (-1 = non-member)
@@ -55,14 +53,13 @@ inline size_t MemberInsertPosition(const std::vector<int>& slot_pos, int id,
 /// entry's payload (location/cost/inaccuracy/trust); .index and
 /// .sensor_id are set by the merge. fill is invoked in ascending id
 /// order. `members`/`scratch` (and the slab pairs) are swapped on return.
-template <typename FillFn, typename SlabFillFn>
+template <typename FillFn>
 void MergeSortedMembership(std::vector<SlotSensor>* members,
                            std::vector<SlotSensor>* scratch,
                            std::vector<int>* slot_pos,
                            const std::vector<int>& inserts,
                            const std::vector<int>& removes, FillFn&& fill,
-                           SlotSlabs* slabs, SlotSlabs* slab_scratch,
-                           SlabFillFn&& slab_fill) {
+                           SlotSlabs* slabs, SlotSlabs* slab_scratch) {
   const size_t old_size = members->size();
   scratch->resize(old_size + inserts.size());
   slab_scratch->Resize(old_size + inserts.size());
@@ -84,8 +81,6 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
     copy_column(slab_scratch->cost, slabs->cost, di, si, len);
     copy_column(slab_scratch->inaccuracy, slabs->inaccuracy, di, si, len);
     copy_column(slab_scratch->trust, slabs->trust, di, si, len);
-    copy_column(slab_scratch->privacy_mult, slabs->privacy_mult, di, si, len);
-    copy_column(slab_scratch->energy, slabs->energy, di, si, len);
     if (di != si) {
       const int shift = static_cast<int>(di) - static_cast<int>(si);
       for (size_t k = di; k < di + len; ++k) {
@@ -112,7 +107,7 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
       ss.index = static_cast<int>(di);
       ss.sensor_id = id;
       fill(ss, id);
-      slab_fill(*slab_scratch, di, ss, id);
+      slab_scratch->SetRow(di, ss);
       (*slot_pos)[id] = static_cast<int>(di);
       ++di;
     } else {

@@ -76,13 +76,20 @@ struct GridGeometry {
     return b;
   }
 
+  /// Cell coordinate of `v` (already floored, in cell units) clamped to
+  /// [0, count - 1]. The clamp runs in double before the int conversion,
+  /// which is undefined for NaN and out-of-range values: NaN maps to 0
+  /// and +-inf or huge coordinates to the edge cells.
+  static int ClampCell(double v, int count) {
+    if (!(v > 0.0)) return 0;
+    if (v >= count - 1) return count - 1;
+    return static_cast<int>(v);
+  }
   int CellX(double x) const {
-    const int c = static_cast<int>(std::floor((x - bounds.x_min) / cell));
-    return std::clamp(c, 0, nx - 1);
+    return ClampCell(std::floor((x - bounds.x_min) / cell), nx);
   }
   int CellY(double y) const {
-    const int c = static_cast<int>(std::floor((y - bounds.y_min) / cell));
-    return std::clamp(c, 0, ny - 1);
+    return ClampCell(std::floor((y - bounds.y_min) / cell), ny);
   }
   int CellOf(const Point& p) const { return CellY(p.y) * nx + CellX(p.x); }
   size_t NumCells() const { return static_cast<size_t>(nx) * ny; }
@@ -119,10 +126,15 @@ struct RangeFilter {
   double r2_lo;
   double r2_hi;
 
+  /// r2_lo is capped at the largest finite double: when r*r overflows,
+  /// a distance whose square overflows too must reach the exact
+  /// predicate (which rejects it for any finite r) instead of passing
+  /// inf <= inf.
   RangeFilter(const Point& c, double r)
       : center(c),
         radius(r),
-        r2_lo(r * r * (1.0 - 1e-12)),
+        r2_lo(std::min(r * r * (1.0 - 1e-12),
+                       std::numeric_limits<double>::max())),
         r2_hi(r * r * (1.0 + 1e-12)) {}
 
   bool Accept(const Point& p) const {

@@ -82,9 +82,11 @@ void KdTreeIndex::RangeRecurse(int node_id, const Point& center, double radius,
   const Node& node = nodes_[node_id];
   if (DefinitelyFarther(BoxMinDist2(node.bbox, center), r2)) return;
   if (node.left < 0) {
-    // Two-phase filter (see uniform_grid.cc): squared distance away from
-    // the boundary, the exact brute-force predicate within it.
-    const double r2_lo = r2 * (1.0 - 1e-12);
+    // Two-phase filter (RangeFilter in grid_geometry.h, including its
+    // overflow cap): squared distance away from the boundary, the exact
+    // brute-force predicate within it.
+    const double r2_lo =
+        std::min(r2 * (1.0 - 1e-12), std::numeric_limits<double>::max());
     const double r2_hi = r2 * (1.0 + 1e-12);
     for (int k = node.begin; k < node.end; ++k) {
       const double dx = xs_[k] - center.x;

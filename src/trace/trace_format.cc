@@ -156,6 +156,67 @@ std::string FormatF64(double v) {
   return buffer;
 }
 
+/// Sets *error to a decode refusal naming the record entry (e.g.
+/// "arrival 0 (sensor 3)"), the field, and its value; returns false.
+bool RefuseValue(const std::string& entry, const char* field, double value,
+                 const std::string& why, std::string* error) {
+  *error = "corrupt slot record: " + entry + " " + field + " " +
+           FormatF64(value) + " " + why;
+  return false;
+}
+
+/// Replay moves sensors to decoded positions, so a non-finite coordinate
+/// would reach the spatial index and every distance test. `kind` names
+/// the delta section ("arrival", "move").
+bool CheckPlacements(const std::vector<SensorDelta::Placement>& placements,
+                     const char* kind, std::string* error) {
+  for (size_t i = 0; i < placements.size(); ++i) {
+    const SensorDelta::Placement& p = placements[i];
+    const std::pair<const char*, double> fields[] = {
+        {"position.x", p.position.x}, {"position.y", p.position.y}};
+    for (const auto& [field, value] : fields) {
+      if (std::isfinite(value)) continue;
+      return RefuseValue(std::string(kind) + " " + std::to_string(i) +
+                             " (sensor " + std::to_string(p.sensor_id) + ")",
+                         field, value, "is not finite", error);
+    }
+  }
+  return true;
+}
+
+/// A replayed base price becomes an announced cost: NaN would make nets
+/// NaN, which breaks the CELF heap comparator's strict weak ordering, and
+/// a negative price would yield negative payments.
+bool CheckPriceChanges(const std::vector<SensorDelta::PriceChange>& changes,
+                       std::string* error) {
+  for (size_t i = 0; i < changes.size(); ++i) {
+    const SensorDelta::PriceChange& pc = changes[i];
+    const bool finite = std::isfinite(pc.base_price);
+    if (finite && pc.base_price >= 0.0) continue;
+    return RefuseValue("price change " + std::to_string(i) + " (sensor " +
+                           std::to_string(pc.sensor_id) + ")",
+                       "base_price", pc.base_price,
+                       finite ? "is negative" : "is not finite", error);
+  }
+  return true;
+}
+
+/// Point queries bind their location, budget and threshold straight into
+/// the valuation (Eq. 3-4); refuse any that is not finite.
+bool CheckPointQuery(const PointQuery& q, std::string* error) {
+  const std::pair<const char*, double> fields[] = {
+      {"location.x", q.location.x},
+      {"location.y", q.location.y},
+      {"budget", q.budget},
+      {"theta_min", q.theta_min}};
+  for (const auto& [field, value] : fields) {
+    if (std::isfinite(value)) continue;
+    return RefuseValue("point query " + std::to_string(q.id), field, value,
+                       "is not finite", error);
+  }
+  return true;
+}
+
 /// Replay binds decoded aggregate params straight into AggregateQuery,
 /// whose grid arithmetic converts region extents over the cell size to
 /// int; refuse every input that would make that undefined or ask for an
@@ -164,9 +225,8 @@ bool CheckAggregateParams(const AggregateQuery::Params& p,
                           std::string* error) {
   const auto refuse = [&](const char* field, double value,
                           const std::string& why) {
-    *error = "corrupt slot record: aggregate query " + std::to_string(p.id) +
-             " " + field + " " + FormatF64(value) + " " + why;
-    return false;
+    return RefuseValue("aggregate query " + std::to_string(p.id), field,
+                       value, why, error);
   };
   const std::pair<const char*, double> fields[] = {
       {"region.x_min", p.region.x_min}, {"region.y_min", p.region.y_min},
@@ -375,6 +435,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetF64(&a.position.x);
     c.GetF64(&a.position.y);
   }
+  if (!CheckPlacements(record->delta.arrivals, "arrival", error)) return false;
   if (!c.GetCount(kDepartureBytes, &n)) {
     *error = "corrupt slot record: departure count exceeds record payload";
     return false;
@@ -391,6 +452,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetF64(&m.position.x);
     c.GetF64(&m.position.y);
   }
+  if (!CheckPlacements(record->delta.moves, "move", error)) return false;
   if (!c.GetCount(kPriceChangeBytes, &n)) {
     *error = "corrupt slot record: price-change count exceeds record payload";
     return false;
@@ -400,6 +462,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetI32(&pc.sensor_id);
     c.GetF64(&pc.base_price);
   }
+  if (!CheckPriceChanges(record->delta.price_changes, error)) return false;
   if (!c.GetCount(kPointQueryBytes, &n)) {
     *error = "corrupt slot record: point-query count exceeds record payload";
     return false;
@@ -412,6 +475,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetF64(&q.budget);
     c.GetF64(&q.theta_min);
     c.GetI32(&q.parent);
+    if (!CheckPointQuery(q, error)) return false;
   }
   if (!c.GetCount(kAggregateBytes, &n)) {
     *error = "corrupt slot record: aggregate count exceeds record payload";

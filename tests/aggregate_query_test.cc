@@ -209,7 +209,7 @@ SlotContext MakeCaseSlot(const BindCase& bc, uint64_t seed) {
   for (SlotSensor& s : slot.sensors) {
     s.inaccuracy = 0.05 * (s.index % 7);
     s.trust = 1.0 - 0.03 * (s.index % 5);
-    slot.slabs.SetRow(static_cast<size_t>(s.index), s, 1.0, 1.0);
+    slot.slabs.SetRow(static_cast<size_t>(s.index), s);
   }
   return slot;
 }

@@ -4,20 +4,30 @@
 // and pruned/zero-candidate sensors — and must account exactly the same
 // number of valuation calls. Also pins the deferred-accounting split
 // (MarginalValuesUncounted + AddValuationCalls) the parallel engines rely
-// on.
+// on, and the scratch hygiene of the candidate plan and the net evaluator:
+// they must read no arena memory they did not write.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/aggregate_query.h"
+#include "core/arena.h"
+#include "core/batch_eval.h"
+#include "core/candidate_pruning.h"
+#include "core/greedy.h"
 #include "core/multi_query.h"
 #include "core/multi_sensor_point_query.h"
+#include "core/sensor_delta.h"
+#include "core/sieve_streaming.h"
 #include "core/slot.h"
 #include "sim/workload.h"
+#include "trace/slot_server.h"
 
 namespace psens {
 namespace {
@@ -261,6 +271,236 @@ TEST(BatchedValuationTest, DeferredAccountingMergesExactly) {
   const int64_t before_empty = query.ValuationCalls();
   query.MarginalValues(std::span<const int>(), std::span<double>());
   EXPECT_EQ(query.ValuationCalls(), before_empty);
+}
+
+// ---------------------------------------------------------------------------
+// Scratch hygiene. BuildCandidatePlan and NetEvaluator take member-sized
+// arena buffers (row_of, mark_, positive_sum_) without filling them and
+// must read only entries they wrote. An arena poisoned with 0xFF bytes —
+// NaN as a double, -1 as an int — must therefore reproduce, bit for bit,
+// the runs over zero-initialized owned buffers (arena = nullptr).
+// ---------------------------------------------------------------------------
+
+/// Far past the high-water mark of any slot below; the arena's one chunk
+/// holds it, so every allocation lands in poisoned memory.
+constexpr size_t kPoisonBytes = size_t{1} << 20;
+
+void PoisonArena(SlotArena* arena) {
+  arena->Reset();
+  std::memset(arena->Allocate(kPoisonBytes), 0xFF, kPoisonBytes);
+  arena->Reset();
+}
+
+/// A registry of `count` sensors placed uniformly in a 60 x 60 field.
+std::vector<Sensor> MakeRegistry(int count, uint64_t seed) {
+  SensorPopulationConfig population;
+  population.count = count;
+  Rng rng(seed);
+  std::vector<Sensor> sensors = GenerateSensors(population, rng);
+  for (Sensor& s : sensors) {
+    s.SetPosition(Point{rng.Uniform(0.0, 60.0), rng.Uniform(0.0, 60.0)}, true);
+  }
+  return sensors;
+}
+
+/// A mixed query batch (point, multi-sensor point, aggregate) bound to
+/// one slot, all inside `area`: sensors well outside it are listed by no
+/// query.
+struct MixedBatch {
+  MixedBatch(const SlotContext& slot, const Rect& area, uint64_t seed) {
+    Rng rng(seed);
+    for (const PointQuery& p : GeneratePointQueries(
+             12, area, BudgetScheme{15.0, false, 0.0}, 0.2, 100, rng)) {
+      Add(std::make_unique<PointMultiQuery>(p, &slot));
+    }
+    for (int k = 0; k < 3; ++k) {
+      MultiSensorPointQuery::Params mp;
+      mp.id = 500 + k;
+      mp.location = Point{rng.Uniform(area.x_min, area.x_max),
+                          rng.Uniform(area.y_min, area.y_max)};
+      mp.budget = 20.0;
+      mp.redundancy = 2;
+      Add(std::make_unique<MultiSensorPointQuery>(mp, &slot));
+    }
+    for (const AggregateQuery::Params& p :
+         GenerateAggregateQueries(3, area, 6.0, 15.0, 400, rng)) {
+      Add(std::make_unique<AggregateQuery>(p, slot));
+    }
+  }
+  void Add(std::unique_ptr<MultiQuery> q) {
+    all.push_back(q.get());
+    owned.push_back(std::move(q));
+  }
+  std::vector<std::unique_ptr<MultiQuery>> owned;
+  std::vector<MultiQuery*> all;
+};
+
+/// SameOutcome over one selection, plus the per-query payments and call
+/// counts it sums.
+void ExpectSameSelection(const SelectionResult& poisoned,
+                         const MixedBatch& poisoned_batch,
+                         const SelectionResult& clean,
+                         const MixedBatch& clean_batch, const char* label) {
+  SlotOutcome a;
+  SlotOutcome b;
+  a.selection = poisoned;
+  b.selection = clean;
+  for (const MultiQuery* q : poisoned_batch.all) a.total_payment += q->TotalPayment();
+  for (const MultiQuery* q : clean_batch.all) b.total_payment += q->TotalPayment();
+  EXPECT_TRUE(SameOutcome(a, b)) << label;
+  EXPECT_FALSE(clean.selected_sensors.empty()) << label;
+  ASSERT_EQ(poisoned_batch.all.size(), clean_batch.all.size()) << label;
+  for (size_t i = 0; i < clean_batch.all.size(); ++i) {
+    EXPECT_EQ(poisoned_batch.all[i]->TotalPayment(),
+              clean_batch.all[i]->TotalPayment())
+        << label << " query " << i;
+    EXPECT_EQ(poisoned_batch.all[i]->ValuationCalls(),
+              clean_batch.all[i]->ValuationCalls())
+        << label << " query " << i;
+  }
+}
+
+TEST(ScratchHygieneTest, PoisonedArenaMatchesOwnedBuffersForEveryEngine) {
+  const Rect field{0, 0, 60, 60};
+  const Rect area{0, 0, 25, 60};
+  const SlotContext slot =
+      BuildSlotContext(MakeRegistry(1200, 41), field, 0, 8.0);
+  ASSERT_NE(slot.index, nullptr);
+  ASSERT_TRUE(slot.SlabsSynced());
+  SlotArena arena(kPoisonBytes);
+  SlotContext poisoned = slot;
+  poisoned.arena = &arena;
+  SlotContext clean = slot;
+  clean.arena = nullptr;
+
+  const struct {
+    GreedyEngine engine;
+    const char* label;
+  } engines[] = {{GreedyEngine::kLazy, "lazy"},
+                 {GreedyEngine::kEager, "eager"},
+                 {GreedyEngine::kStochastic, "stochastic"},
+                 {GreedyEngine::kSieve, "sieve"}};
+  for (const auto& e : engines) {
+    PoisonArena(&arena);
+    MixedBatch poisoned_batch(poisoned, area, 77);
+    MixedBatch clean_batch(clean, area, 77);
+    const SelectionResult a =
+        GreedySensorSelection(poisoned_batch.all, poisoned, nullptr, e.engine);
+    const SelectionResult b =
+        GreedySensorSelection(clean_batch.all, clean, nullptr, e.engine);
+    EXPECT_EQ(arena.chunk_count(), 1u) << e.label << ": spilled past the poison";
+    ExpectSameSelection(a, poisoned_batch, b, clean_batch, e.label);
+  }
+}
+
+TEST(ScratchHygieneTest, SieveDeltaWithArrivalsNoQueryListsMatches) {
+  const Rect field{0, 0, 60, 60};
+  const Rect areas[] = {{0, 0, 25, 25}, {0, 35, 25, 60}};
+  std::vector<Sensor> registry = MakeRegistry(1200, 43);
+  // Sensors 0..19 start absent and arrive next slot in the far corner,
+  // beyond every query's reach.
+  SensorDelta arrivals;
+  for (int id = 0; id < 20; ++id) {
+    registry[id].SetPosition(registry[id].position(), false);
+    arrivals.arrivals.push_back(
+        SensorDelta::Placement{id, Point{55.0 + 0.2 * id, 58.0 - 0.1 * id}});
+  }
+  const SlotContext slot0 = BuildSlotContext(registry, field, 0, 8.0);
+  for (const SensorDelta::Placement& a : arrivals.arrivals) {
+    registry[a.sensor_id].SetPosition(a.position, true);
+  }
+  const SlotContext slot1 = BuildSlotContext(registry, field, 1, 8.0);
+
+  SlotArena arena(kPoisonBytes);
+  SieveStreamingScheduler poisoned_sieve;
+  SieveStreamingScheduler clean_sieve;
+  const SlotContext* slots[] = {&slot0, &slot1};
+  const SensorDelta deltas[] = {SensorDelta{}, arrivals};
+  std::vector<int> carried;  // slot 0's winners, by global id
+  for (int t = 0; t < 2; ++t) {
+    SlotContext poisoned = *slots[t];
+    poisoned.arena = &arena;
+    SlotContext clean = *slots[t];
+    clean.arena = nullptr;
+    PoisonArena(&arena);
+    // Slot 1's batch sits in the other half of `area`, so carried bucket
+    // members are listed by no query of slot 1.
+    MixedBatch poisoned_batch(poisoned, areas[t], 90 + t);
+    MixedBatch clean_batch(clean, areas[t], 90 + t);
+    if (t == 1) {
+      const CandidatePlan plan = BuildCandidatePlan(
+          clean_batch.all, static_cast<int>(clean.sensors.size()), nullptr);
+      ASSERT_TRUE(plan.active);
+      int unlisted_arrivals = 0;
+      int unlisted_carried = 0;
+      for (const SlotSensor& ss : clean.sensors) {
+        const bool unlisted = plan.QueriesOf(ss.index).empty();
+        if (ss.sensor_id < 20 && unlisted) ++unlisted_arrivals;
+        if (unlisted && std::find(carried.begin(), carried.end(),
+                                  ss.sensor_id) != carried.end()) {
+          ++unlisted_carried;
+        }
+      }
+      EXPECT_EQ(unlisted_arrivals, 20);
+      EXPECT_GT(unlisted_carried, 0);
+    }
+    const SelectionResult a =
+        poisoned_sieve.SelectDelta(poisoned_batch.all, poisoned, deltas[t]);
+    const SelectionResult b =
+        clean_sieve.SelectDelta(clean_batch.all, clean, deltas[t]);
+    EXPECT_EQ(arena.chunk_count(), 1u) << "slot " << t;
+    ExpectSameSelection(a, poisoned_batch, b, clean_batch,
+                        t == 0 ? "sieve full" : "sieve delta");
+    carried = clean_sieve.winner_members();
+  }
+}
+
+TEST(ScratchHygieneTest, NonCandidatesGetNoQueriesAndNetMinusCost) {
+  const Rect field{0, 0, 60, 60};
+  const SlotContext slot =
+      BuildSlotContext(MakeRegistry(1200, 47), field, 0, 8.0);
+  SlotArena arena(kPoisonBytes);
+  PoisonArena(&arena);
+  SlotContext poisoned = slot;
+  poisoned.arena = &arena;
+  MixedBatch batch(poisoned, Rect{0, 0, 25, 60}, 53);
+  const int n = static_cast<int>(slot.sensors.size());
+  const CandidatePlan plan = BuildCandidatePlan(batch.all, n, &arena);
+  const CandidatePlan owned_plan = BuildCandidatePlan(batch.all, n, nullptr);
+  ASSERT_TRUE(plan.active);
+  NetEvaluator evaluator(batch.all, plan, poisoned, nullptr, nullptr);
+
+  // Every other sensor, so the eval set mixes candidates (the left part)
+  // and non-candidates (the right part) in ascending order.
+  std::vector<int> mix;
+  std::vector<char> listed(static_cast<size_t>(n), 0);
+  for (int s : plan.ScanSensors()) listed[static_cast<size_t>(s)] = 1;
+  int candidates = 0;
+  for (int s = 0; s < n; s += 2) {
+    mix.push_back(s);
+    if (listed[static_cast<size_t>(s)]) {
+      ++candidates;
+    } else {
+      EXPECT_TRUE(plan.QueriesOf(s).empty()) << "sensor " << s;
+      EXPECT_TRUE(owned_plan.QueriesOf(s).empty()) << "sensor " << s;
+    }
+  }
+  ASSERT_GT(candidates, 0);
+  ASSERT_LT(candidates, static_cast<int>(mix.size()));
+  // Twice: the second call must not inherit the first call's sums.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<double> net(mix.size());
+    evaluator.EvaluateNets(mix, net.data());
+    for (size_t k = 0; k < mix.size(); ++k) {
+      const int s = mix[k];
+      if (listed[static_cast<size_t>(s)]) {
+        EXPECT_EQ(net[k], evaluator.EvaluateNet(s)) << "sensor " << s;
+      } else {
+        EXPECT_EQ(net[k], -slot.sensors[static_cast<size_t>(s)].cost)
+            << "sensor " << s;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -98,6 +99,33 @@ void CheckIndexAgainstBruteForce(const SpatialIndex& index,
   EXPECT_TRUE(got.empty());
   index.RectQuery(Rect{1e6, 1e6, 1e6 + 1, 1e6 + 1}, &got);
   EXPECT_TRUE(got.empty());
+  // Non-finite and huge probes: infinite radii, +-1e300 and +-inf rect
+  // edges, NaN centers and edges. The grids' cell arithmetic must clamp
+  // them (an int conversion of such values is undefined) and still
+  // return exactly the brute-force set.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Point centers[] = {{25.0, 25.0}, {-1e300, 1e300}, {nan, 10.0},
+                           {10.0, nan}, {nan, nan}};
+  for (const Point& c : centers) {
+    for (double radius : {inf, 1e300, 1e200, nan}) {
+      index.RangeQuery(c, radius, &got);
+      EXPECT_EQ(got, BruteRange(points, c, radius))
+          << "center (" << c.x << ", " << c.y << ") r=" << radius;
+    }
+  }
+  const Rect rects[] = {
+      {-inf, -inf, inf, inf},         {-1e300, -1e300, 1e300, 1e300},
+      {-inf, 10.0, 20.0, inf},        {15.0, -1e300, 1e300, 30.0},
+      {-1e300, -inf, -1e300, inf},    {1e300, 1e300, inf, inf},
+      {nan, 0.0, 50.0, 50.0},         {0.0, 0.0, 50.0, nan},
+      {-inf, -inf, nan, nan}};
+  for (const Rect& r : rects) {
+    index.RectQuery(r, &got);
+    EXPECT_EQ(got, BruteRect(points, r))
+        << "rect {" << r.x_min << ", " << r.y_min << ", " << r.x_max << ", "
+        << r.y_max << "}";
+  }
 }
 
 std::vector<Point> UniformPoints(int n, uint64_t seed) {
@@ -173,6 +201,14 @@ TEST(SpatialIndexTest, BothMatchBruteForceOnClusteredInputs) {
   CheckIndexAgainstBruteForce(tree, points, 11);
 }
 
+/// Loads `points` into a dynamic index as ids 0..n-1, so the static
+/// brute-force helpers above apply to it unchanged.
+void InsertAll(SpatialIndex* index, const std::vector<Point>& points) {
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(index->Insert(static_cast<int>(i), points[i]));
+  }
+}
+
 TEST(SpatialIndexTest, AdversarialInputs) {
   for (const NamedPoints& set : AdversarialSets()) {
     SCOPED_TRACE(set.name);
@@ -184,7 +220,35 @@ TEST(SpatialIndexTest, AdversarialInputs) {
       EXPECT_EQ(grid.Nearest(Point{0, 0}), -1);
       EXPECT_EQ(tree.Nearest(Point{0, 0}), -1);
     }
+    // Every dynamic backend, over fixed bounds some sets leave (the
+    // collinear-y set sits at x = -3, in the clamped edge cells).
+    const Rect bounds{0, 0, 50, 50};
+    const int n = static_cast<int>(set.points.size());
+    DynamicGridIndex dynamic_grid(bounds, n);
+    BufferedKdTreeIndex buffered_tree;
+    DynamicSpatialIndex auto_index(bounds, SlotIndexPolicy::kAuto, n);
+    DynamicSpatialIndex grid_index(bounds, SlotIndexPolicy::kGrid, n);
+    DynamicSpatialIndex kd_index(bounds, SlotIndexPolicy::kKdTree, n);
+    for (SpatialIndex* index :
+         std::initializer_list<SpatialIndex*>{&dynamic_grid, &buffered_tree,
+                                              &auto_index, &grid_index,
+                                              &kd_index}) {
+      SCOPED_TRACE(index->Name());
+      InsertAll(index, set.points);
+      CheckIndexAgainstBruteForce(*index, set.points, 23);
+    }
   }
+}
+
+TEST(DynamicIndexTest, MatchBruteForceOnRandomInputs) {
+  const std::vector<Point> points = UniformPoints(400, 4);
+  const Rect bounds{0, 0, 50, 50};
+  DynamicGridIndex dynamic_grid(bounds, 400);
+  BufferedKdTreeIndex buffered_tree;
+  InsertAll(&dynamic_grid, points);
+  InsertAll(&buffered_tree, points);
+  CheckIndexAgainstBruteForce(dynamic_grid, points, 104);
+  CheckIndexAgainstBruteForce(buffered_tree, points, 104);
 }
 
 TEST(SpatialIndexTest, NearestTieBreaksToLowestIndex) {

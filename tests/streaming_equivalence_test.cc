@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -496,6 +497,65 @@ TEST(StreamingEquivalenceTest, DepartedSensorsLeaveTheSlot) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The engine keeps its changed set as one bit per registry id and sweeps
+// it word by word. Ids 0, 63, 64, 127, 128 and 129 sit on every 64-bit
+// word edge of a 130-sensor registry, whose last word is partial; each is
+// touched in one slot, several through more than one delta kind plus a
+// reading, and the repaired context must equal a fresh build.
+TEST(StreamingEquivalenceTest, ChangedBitSweepCoversWordEdges) {
+  SensorPopulationConfig population;
+  population.count = 130;
+  population.random_privacy = true;
+  population.linear_energy = true;
+  Rng rng(59);
+  std::vector<Sensor> sensors = GenerateSensors(population, rng);
+  for (Sensor& s : sensors) {
+    s.SetPosition(Point{rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)}, true);
+  }
+  // 64 and 129 start outside the slot so this slot can bring them in.
+  sensors[64].SetPosition(sensors[64].position(), false);
+  sensors[129].SetPosition(sensors[129].position(), false);
+  const Rect region{0, 0, 20, 20};
+  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, true));
+  ExpectSameContext(engine.BeginSlot(0),
+                    BuildSlotContext(engine.sensors(), region, 0, 5.0), 0);
+
+  engine.RecordReadings({0, 63, 127, 128}, 0);
+  SensorDelta delta;
+  delta.arrivals = {{64, Point{1.0, 2.0}}, {129, Point{19.5, 19.5}}};
+  delta.departures = {63, 128};
+  delta.moves = {{0, Point{10.0, 10.0}},
+                 {64, Point{3.0, 4.0}},
+                 {127, Point{0.5, 0.5}}};
+  delta.price_changes = {{0, 3.5}, {63, 7.0}, {127, 9.0}, {129, 2.25}};
+  engine.ApplyDelta(delta);
+  const SlotContext& slot = engine.BeginSlot(1);
+  ExpectSameContext(slot, BuildSlotContext(engine.sensors(), region, 1, 5.0),
+                    1);
+  std::vector<int> members;
+  for (const SlotSensor& s : slot.sensors) members.push_back(s.sensor_id);
+  for (int id : {0, 64, 127, 129}) {
+    EXPECT_TRUE(std::find(members.begin(), members.end(), id) != members.end())
+        << "sensor " << id;
+  }
+  for (int id : {63, 128}) {
+    EXPECT_TRUE(std::find(members.begin(), members.end(), id) == members.end())
+        << "sensor " << id;
+  }
+
+  // The sweep cleared every word: a quiet slot, then the edges again.
+  ExpectSameContext(engine.BeginSlot(2),
+                    BuildSlotContext(engine.sensors(), region, 2, 5.0), 2);
+  SensorDelta back;
+  back.arrivals = {{63, Point{5.0, 6.0}}, {128, Point{7.0, 8.0}}};
+  back.departures = {0, 129};
+  back.price_changes = {{64, 4.5}};
+  engine.RecordReadings({64, 127}, 2);
+  engine.ApplyDelta(back);
+  ExpectSameContext(engine.BeginSlot(3),
+                    BuildSlotContext(engine.sensors(), region, 3, 5.0), 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -422,6 +422,75 @@ TEST(TraceFormatStandaloneTest, MalformedAggregateParamsRejected) {
   std::remove(tmp.c_str());
 }
 
+// Replay feeds decoded delta and point-query values straight into the
+// engine: a non-finite coordinate, budget, threshold or price, or a
+// negative price, must fail at decode, naming the slot, entry and field.
+TEST(TraceFormatStandaloneTest, MalformedSlotValuesRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Slot 1 of the golden data has arrivals of sensors 3 and 9, a move of
+  // sensor 5, a price change of sensor 8, and point queries 1001 and 1002.
+  const struct {
+    const char* expect;
+    double value;
+    double* (*field)(TraceSlotRecord*);
+  } cases[] = {
+      {"arrival 0 (sensor 3) position.x nan is not finite", nan,
+       [](TraceSlotRecord* r) { return &r->delta.arrivals[0].position.x; }},
+      {"arrival 1 (sensor 9) position.y inf is not finite", inf,
+       [](TraceSlotRecord* r) { return &r->delta.arrivals[1].position.y; }},
+      {"move 0 (sensor 5) position.x -inf is not finite", -inf,
+       [](TraceSlotRecord* r) { return &r->delta.moves[0].position.x; }},
+      {"move 0 (sensor 5) position.y nan is not finite", nan,
+       [](TraceSlotRecord* r) { return &r->delta.moves[0].position.y; }},
+      {"price change 0 (sensor 8) base_price nan is not finite", nan,
+       [](TraceSlotRecord* r) {
+         return &r->delta.price_changes[0].base_price;
+       }},
+      {"price change 0 (sensor 8) base_price inf is not finite", inf,
+       [](TraceSlotRecord* r) {
+         return &r->delta.price_changes[0].base_price;
+       }},
+      {"price change 0 (sensor 8) base_price -0.5 is negative", -0.5,
+       [](TraceSlotRecord* r) {
+         return &r->delta.price_changes[0].base_price;
+       }},
+      {"point query 1001 location.x nan is not finite", nan,
+       [](TraceSlotRecord* r) { return &r->point_queries[0].location.x; }},
+      {"point query 1002 location.y -inf is not finite", -inf,
+       [](TraceSlotRecord* r) { return &r->point_queries[1].location.y; }},
+      {"point query 1001 budget inf is not finite", inf,
+       [](TraceSlotRecord* r) { return &r->point_queries[0].budget; }},
+      {"point query 1002 theta_min nan is not finite", nan,
+       [](TraceSlotRecord* r) { return &r->point_queries[1].theta_min; }},
+  };
+  const std::string tmp = TempPath("corrupt_slot_values.trace");
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.expect);
+    TraceData data = MakeGoldenData();
+    *c.field(&data.slots[1]) = c.value;
+    ASSERT_TRUE(WriteTraceFile(tmp, data));
+    TraceFile trace;
+    std::string error;
+    ASSERT_TRUE(trace.Load(tmp, &error)) << error;
+    TraceSlotRecord record;
+    EXPECT_TRUE(trace.DecodeSlot(0, &record, &error)) << error;
+    EXPECT_FALSE(trace.DecodeSlot(1, &record, &error));
+    EXPECT_NE(error.find("slot 1"), std::string::npos) << error;
+    EXPECT_NE(error.find(c.expect), std::string::npos) << error;
+    TraceData decoded;
+    EXPECT_FALSE(ReadTraceFile(tmp, &decoded, &error));
+  }
+  // A zero price is a valid announcement, not a malformed one.
+  TraceData data = MakeGoldenData();
+  data.slots[1].delta.price_changes[0].base_price = 0.0;
+  ASSERT_TRUE(WriteTraceFile(tmp, data));
+  TraceData decoded;
+  std::string error;
+  EXPECT_TRUE(ReadTraceFile(tmp, &decoded, &error)) << error;
+  std::remove(tmp.c_str());
+}
+
 TEST(TraceFormatStandaloneTest, MissingFileIsACleanError) {
   TraceFile trace;
   std::string error;
