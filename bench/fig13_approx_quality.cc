@@ -23,6 +23,11 @@
 // slot-selection latency, speedup over exact (and over lazy), realized
 // utility ratio vs exact, and valuation-call totals.
 //
+// The exact row also carries the column-kernel ablation: the same exact
+// selection re-run with `use_soa = false`, whose scalar reference path
+// reads rows assembled from the slot's columns (SlotSensorTable::Row),
+// not a separate AoS layout.
+//
 // `--json PATH` emits the record consumed by
 // scripts/check_bench_regression.py, which gates the stochastic row at
 // the 100k population: >= 5x median speedup vs exact AND utility ratio
@@ -66,10 +71,10 @@ struct EngineRow {
   double utility_ratio = 0.0; // vs exact
   int64_t valuation_calls = 0;
   int64_t exact_valuation_calls = 0;
-  // SoA kernel ablation, populated on the exact row only: the same exact
-  // selection re-run against an AoS copy of each slot context
-  // (use_soa = false, arena = nullptr → every valuation takes the legacy
-  // scalar path). soa_speedup = AoS median / slab median;
+  // Column-kernel ablation, populated on the exact row only: the same
+  // exact selection re-run against a copy of each slot context with
+  // use_soa = false, arena = nullptr (every valuation takes the scalar
+  // path over assembled rows). soa_speedup = scalar median / column median;
   // soa_identical = the two paths agreed bit-for-bit on every slot's
   // selections, values, costs, payments, and ValuationCalls.
   double soa_speedup = 0.0;
@@ -122,8 +127,8 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
   EngineState lazy{"lazy", {}, 0.0, 0};
   EngineState stochastic{"stochastic", {}, 0.0, 0};
   EngineState sieve{"sieve", {}, 0.0, 0};
-  // SoA ablation reference: exact greedy re-run against an AoS copy of
-  // the slot context (scalar valuation paths, no arena).
+  // Column-kernel ablation reference: exact greedy re-run against a copy
+  // of the slot context with the scalar valuation paths and no arena.
   EngineState exact_aos{"exact_aos", {}, 0.0, 0};
   bool soa_identical = true;
   SieveStreamingScheduler sieve_scheduler(ecfg.approx);
@@ -173,10 +178,10 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
     };
     const SelectionResult exact_result = run_engine(exact, GreedyEngine::kEager);
     {
-      // SoA ablation: the identical batch, re-bound against an AoS copy
-      // of this slot (use_soa off routes every kernel to the scalar
+      // Column-kernel ablation: the identical batch, re-bound against a
+      // copy of this slot with use_soa off (every kernel takes the scalar
       // path), selected with the same exact engine. Binding is untimed,
-      // like the slab run's. A single diverging bit in the observable
+      // like the column run's. A single diverging bit in the observable
       // outcome flips soa_identical, which the regression gate treats as
       // fatal.
       SlotContext scalar = slot;

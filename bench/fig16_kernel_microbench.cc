@@ -1,20 +1,22 @@
-// Fig. 16 (beyond the paper): slab-vs-AoS valuation kernel microbench.
+// Fig. 16 (beyond the paper): column-kernel vs scalar valuation microbench.
 //
-// The SoA slot slabs (core/slot.h, SlotSlabs) rewire the per-query delta
-// loops of all four query families — PointMultiQuery,
-// MultiSensorPointQuery, AggregateQuery, TrajectoryQuery — as branch-light
-// sweeps over contiguous columns. This sweep isolates that change: per
-// population (10k..1M) and per query family it runs the identical
-// exact-greedy selection against (a) the engine's slab-synced slot
-// context and (b) a copy with `use_soa = false, arena = nullptr`, which
-// routes every valuation through the legacy AoS scalar path. Reported per
+// The slot stores its announcements once, as columns (core/slot.h,
+// SlotSensorTable), and the per-query delta loops of all four query
+// families — PointMultiQuery, MultiSensorPointQuery, AggregateQuery,
+// TrajectoryQuery — run as branch-light sweeps over those columns. This
+// sweep isolates the kernels: per population (10k..1M) and per query
+// family it runs the identical exact-greedy selection against (a) the
+// engine's slot context and (b) a copy with `use_soa = false, arena =
+// nullptr`, which routes every valuation through the scalar reference
+// path. That path reads rows assembled from the same columns
+// (SlotSensorTable::Row); there is no separate AoS layout. Reported per
 // row: median selection latency of both paths, the speedup, and a
 // bit-identity verdict over the full observable outcome (selections,
 // values, costs, payments, ValuationCalls).
 //
-// Divergence is fatal (exit 1): the slab kernels are a pure layout
-// change, so a single differing bit means a kernel reordered or
-// re-associated a reduction.
+// Divergence is fatal (exit 1): the column kernels only change how the
+// same inputs are loaded, so a single differing bit means a kernel
+// reordered or re-associated a reduction.
 //
 // `--json PATH` emits the record scripts/check_bench_regression.py
 // consumes (the fig16 gate re-checks the `identical` flags). `--digest
@@ -123,7 +125,7 @@ const char* KindName(QueryKind kind) {
 }
 
 /// Binding is untimed and identical for both contexts: queries are
-/// regenerated from the same seed, so the slab and AoS runs bind the
+/// regenerated from the same seed, so the column and scalar runs bind the
 /// same batch against their respective views of the same slot.
 Batch MakeBatch(QueryKind kind, const SlotContext& slot, const Rect& field,
                 uint64_t seed, bool quick) {
@@ -252,7 +254,7 @@ struct KernelRow {
 std::vector<KernelRow> RunOne(int n, const bench::BenchArgs& args,
                               bool* all_identical) {
   // Same city-scale geometry/churn generator as the fig12/fig13 gates;
-  // a few warm slots of churn so the slabs being measured went through
+  // a few warm slots of churn so the columns being measured went through
   // the O(churn) repair path, not just the cold build.
   const ChurnScenarioSetup setup =
       MakeChurnScenario(n, /*churn_fraction=*/0.01, args.seed,
@@ -276,9 +278,9 @@ std::vector<KernelRow> RunOne(int n, const bench::BenchArgs& args,
   }
   const SlotContext& slot = engine.BeginSlot(warm_slots + 1);
 
-  // AoS reference: same membership, same index, same everything — only
-  // the kernels and the arena disabled. SlabsSynced() goes false and
-  // every valuation runs the legacy scalar path.
+  // Scalar reference: same membership, same index, same everything —
+  // only the kernels and the arena disabled, so every valuation runs the
+  // scalar path over rows assembled from the columns.
   SlotContext scalar = slot;
   scalar.use_soa = false;
   scalar.arena = nullptr;

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
                                 .count();
       }
       for (int si : r.selected_sensors) {
-        sensors[slot.sensors[si].sensor_id].RecordReading(t);
+        sensors[slot.sensors.sensor_id[si]].RecordReading(t);
       }
       lm.RemoveExpired(t + 1);
       return r.Utility();

@@ -80,7 +80,7 @@ int main() {
     const RegionMonitoringManager::SlotOutcome outcome = manager.ApplyResults(
         slot, created, schedule.assignments, schedule.selected_sensors);
     for (int si : schedule.selected_sensors) {
-      sensors[slot.sensors[si].sensor_id].RecordReading(t);
+      sensors[slot.sensors.sensor_id[si]].RecordReading(t);
     }
     welfare += outcome.value_gain - schedule.total_cost;
     std::printf("%4d  %7zu  %9d  %6.1f  %10.2f  %9.2f\n", t, created.size(),

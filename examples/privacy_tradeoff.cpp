@@ -49,7 +49,7 @@ int main() {
     for (int t = 0; t < kSlots; ++t) {
       ApplyTraceSlot(trace, t, &sensors);
       const SlotContext slot = BuildSlotContext(sensors, working, t, 5.0);
-      for (const SlotSensor& s : slot.sensors) price.Add(s.cost);
+      for (double cost : slot.sensors.cost) price.Add(cost);
       Rng slot_rng = workload_rng.Fork(t);
       const auto queries = GeneratePointQueries(
           150, working, BudgetScheme{20.0, false, 0.0}, 0.2, 0, slot_rng);
@@ -60,7 +60,7 @@ int main() {
       asked += static_cast<int64_t>(queries.size());
       answered += r.NumSatisfied();
       for (int si : r.selected_sensors) {
-        const int id = slot.sensors[si].sensor_id;
+        const int id = slot.sensors.sensor_id[si];
         sensors[id].RecordReading(t);
         ++readings_per_sensor[id];
       }

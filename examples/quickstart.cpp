@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     for (const PointAssignment& a : result.assignments) {
       if (!a.satisfied()) continue;
       std::printf("  query %d <- sensor %d  quality=%.2f value=%.2f pays %.2f\n",
-                  a.query, slot.sensors[a.sensor].sensor_id, a.quality, a.value,
+                  a.query, slot.sensors.sensor_id[a.sensor], a.quality, a.value,
                   a.payment);
     }
   }

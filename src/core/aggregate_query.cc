@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <span>
 
 #include "index/spatial_index.h"
@@ -76,7 +77,7 @@ AxisRun AxisWindow(const std::vector<double>& centers, double origin,
 /// `value_from` is the owner's ValueFrom (they differ only in captured
 /// params).
 ///
-/// When `cached_at`/`cached_delta` are non-null (slab-synced binds), the
+/// When `cached_at`/`cached_delta` are non-null (SlotContext::use_soa), the
 /// kernel memoizes each candidate's delta under `version` — the owner's
 /// selection-state version, bumped on every Commit/ResetSelection. A hit
 /// replays the exact double computed by this same kernel under identical
@@ -146,17 +147,17 @@ AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
   const Rect grown{params_.region.x_min - range, params_.region.y_min - range,
                    params_.region.x_max + range, params_.region.y_max + range};
   slot_indexed_ = slot.index != nullptr;
+  const SlotSensorTable& table = slot.sensors;
   std::vector<int> coarse;
   if (slot_indexed_) {
     slot.index->RectQuery(grown, &coarse);
   } else {
-    for (const SlotSensor& s : slot.sensors) {
-      if (grown.Contains(s.location)) coarse.push_back(s.index);
+    for (int si = 0; si < static_cast<int>(table.size()); ++si) {
+      if (grown.Contains(Point{table.x[si], table.y[si]})) coarse.push_back(si);
     }
   }
-  // Bind loop over the coarse survivors. On a slab-synced slot the
-  // location and quality inputs stream from the SoA columns (identical
-  // bits, contiguous loads); hand-built contexts read the AoS records.
+  // Bind loop over the coarse survivors, whose location and quality
+  // inputs stream from the slot's columns.
   //
   // Each survivor tests only the cells of its exact axis windows. A cell
   // is covered iff Distance(center, loc) <= range, i.e. iff
@@ -169,12 +170,9 @@ AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
   // run, which AxisWindow finds exactly. The unchanged 2-D test over the
   // window therefore sets exactly the bits a test of every region cell
   // would set, in O(window cells) per candidate.
-  const bool slabs = slot.SlabsSynced();
   std::vector<uint64_t> mask(static_cast<size_t>(NumWords()), 0);
   for (int si : coarse) {
-    const SlotSensor& s = slot.sensors[si];
-    const Point loc = slabs ? Point{slot.slabs.x[si], slot.slabs.y[si]}
-                            : s.location;
+    const Point loc{table.x[si], table.y[si]};
     const AxisRun cols =
         AxisWindow(col_x, params_.region.x_min, cell, loc.x, range);
     if (cols.first > cols.last) continue;
@@ -192,16 +190,14 @@ AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
       }
     }
     if (any) {
-      mask_slot_[s.index] = static_cast<int>(candidates_.size());
+      mask_slot_[si] = static_cast<int>(candidates_.size());
       mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
-      theta_.push_back(slabs ? SensorTheta(slot.slabs.inaccuracy[si],
-                                           slot.slabs.trust[si])
-                             : SensorTheta(s.inaccuracy, s.trust));
-      candidates_.push_back(s.index);
+      theta_.push_back(SensorTheta(table.inaccuracy[si], table.trust[si]));
+      candidates_.push_back(si);
     }
   }
   acc_mask_.assign(NumWords(), 0);
-  soa_ = slabs;
+  soa_ = slot.use_soa;
   if (soa_) {
     cached_at_.assign(candidates_.size(), 0);
     cached_delta_.resize(candidates_.size());
@@ -325,6 +321,7 @@ TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
   // Coarse pruning: a sensor covering any corridor cell lies inside the
   // cell centers' bounding box grown by the sensing range.
   slot_indexed_ = slot.index != nullptr;
+  const SlotSensorTable& table = slot.sensors;
   std::vector<int> coarse;
   if (slot_indexed_) {
     Rect grown;
@@ -352,14 +349,12 @@ TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
     grown.y_max += params_.sensing_range + slack;
     slot.index->RectQuery(grown, &coarse);
   } else {
-    for (const SlotSensor& s : slot.sensors) coarse.push_back(s.index);
+    coarse.resize(table.size());
+    std::iota(coarse.begin(), coarse.end(), 0);
   }
-  const bool slabs = slot.SlabsSynced();
   std::vector<uint64_t> mask(static_cast<size_t>(NumWords()), 0);
   for (int si : coarse) {
-    const SlotSensor& s = slot.sensors[si];
-    const Point loc = slabs ? Point{slot.slabs.x[si], slot.slabs.y[si]}
-                            : s.location;
+    const Point loc{table.x[si], table.y[si]};
     std::fill(mask.begin(), mask.end(), 0);
     bool any = false;
     for (int c = 0; c < num_cells_; ++c) {
@@ -369,16 +364,14 @@ TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
       }
     }
     if (any) {
-      mask_slot_[s.index] = static_cast<int>(candidates_.size());
+      mask_slot_[si] = static_cast<int>(candidates_.size());
       mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
-      theta_.push_back(slabs ? SensorTheta(slot.slabs.inaccuracy[si],
-                                           slot.slabs.trust[si])
-                             : SensorTheta(s.inaccuracy, s.trust));
-      candidates_.push_back(s.index);
+      theta_.push_back(SensorTheta(table.inaccuracy[si], table.trust[si]));
+      candidates_.push_back(si);
     }
   }
   acc_mask_.assign(NumWords(), 0);
-  soa_ = slabs;
+  soa_ = slot.use_soa;
   if (soa_) {
     cached_at_.assign(candidates_.size(), 0);
     cached_delta_.resize(candidates_.size());

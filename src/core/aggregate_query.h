@@ -99,11 +99,11 @@ class AggregateQuery : public MultiQueryBase {
   int covered_cells_ = 0;
   double theta_sum_ = 0.0;
 
-  /// Per-candidate round-delta memo, armed only on slab-synced binds
-  /// (SlotContext::SlabsSynced — the SoA ablation switch, so the AoS
-  /// reference path recomputes every probe). `state_version_` names the
-  /// current selection state; a memo entry stamped with it replays the
-  /// identical double the sweep kernel computed under the same inputs.
+  /// Per-candidate round-delta memo, armed only under SlotContext::use_soa
+  /// (the ablation switch, so the scalar reference path recomputes every
+  /// probe). `state_version_` names the current selection state; a memo
+  /// entry stamped with it replays the identical double the sweep kernel
+  /// computed under the same inputs.
   /// Written from at most one worker at a time (each query's batch slice
   /// belongs to one NetEvaluator worker, with a join between rounds).
   bool soa_ = false;

@@ -35,7 +35,7 @@ QueryMixSlotResult Aggregator::RunSlot(const Trace& trace, int time) {
   // Selected sensors provide one measurement each: consume energy and
   // extend the privacy history (their next announced price reflects it).
   for (int si : result.selected_sensors) {
-    sensors_[slot.sensors[si].sensor_id].RecordReading(time);
+    sensors_[slot.sensors.sensor_id[si]].RecordReading(time);
   }
   if (location_manager_ != nullptr) location_manager_->RemoveExpired(time + 1);
   if (region_manager_ != nullptr) region_manager_->RemoveExpired(time + 1);

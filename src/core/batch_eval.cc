@@ -34,7 +34,6 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
       pool_(pool) {
   const size_t n = slot.sensors.size();
   SlotArena* arena = slot.arena;
-  cost_column_ = slot.SlabsSynced() ? slot.slabs.cost.data() : nullptr;
   offsets_.Acquire(arena, queries.size() + 1);
   offsets_[0] = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -87,10 +86,7 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
 double NetEvaluator::ScaledCost(int sensor) const {
   double scale = 1.0;
   if (cost_scale_ != nullptr) scale = (*cost_scale_)[sensor];
-  const double cost = cost_column_ != nullptr
-                          ? cost_column_[sensor]
-                          : slot_.sensors[static_cast<size_t>(sensor)].cost;
-  return cost * scale;
+  return slot_.sensors.cost[static_cast<size_t>(sensor)] * scale;
 }
 
 void NetEvaluator::SweepQueries(int window_begin, int begin, int end) {

@@ -80,10 +80,6 @@ class NetEvaluator {
   ThreadPool* pool_;
   bool parallel_ = false;
 
-  /// Announced-cost column of the slot's SoA slabs when synced (same bits
-  /// as the AoS field, contiguous loads in stage 3), else null.
-  const double* cost_column_ = nullptr;
-
   /// Pair buffer in query-major CSR layout: query q's slice starts at
   /// offsets_[q] - offsets_[window begin] within the current window's
   /// buffer and holds counts_[q] live entries per round. Queries are

@@ -25,7 +25,7 @@ double CommitWithProportionalPayments(const std::vector<MultiQuery*>& queries,
   // on the thread coordinating a selection; concurrent selection runs
   // (slot sharding) each see their own thread_local copy.
   thread_local std::vector<std::pair<int, double>> marginals;
-  const double true_cost = slot.sensors[sensor].cost;
+  const double true_cost = slot.sensors.cost[sensor];
   marginals.clear();
   double positive_sum = 0.0;
   for (int qi : plan.QueriesOf(sensor)) {
@@ -127,7 +127,7 @@ SelectionResult BaselineSequentialSelection(const std::vector<MultiQuery*>& quer
   const int64_t calls_before = TotalValuationCalls(queries);
   const int n = static_cast<int>(slot.sensors.size());
   std::vector<double> remaining_cost(n);
-  for (int s = 0; s < n; ++s) remaining_cost[s] = slot.sensors[s].cost;
+  for (int s = 0; s < n; ++s) remaining_cost[s] = slot.sensors.cost[s];
   std::vector<char> selected(n, 0);
 
   std::vector<int> all_sensors(n);
@@ -158,7 +158,7 @@ SelectionResult BaselineSequentialSelection(const std::vector<MultiQuery*>& quer
       if (!selected[best_sensor]) {
         selected[best_sensor] = 1;
         result.selected_sensors.push_back(best_sensor);
-        result.total_cost += slot.sensors[best_sensor].cost;
+        result.total_cost += slot.sensors.cost[best_sensor];
       }
       remaining_cost[best_sensor] = 0.0;  // buffered data is free from now on
     }

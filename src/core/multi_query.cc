@@ -19,7 +19,8 @@ void MultiQuery::MarginalValuesUncounted(std::span<const int> sensors,
 
 double PointMultiQuery::MarginalValue(int sensor) const {
   ++valuation_calls_;
-  const double v = PointQueryValue(query_, slot_->sensors[sensor], slot_->dmax);
+  const double v =
+      PointQueryValue(query_, slot_->sensors.Row(sensor), slot_->dmax);
   return v - current_value_;  // current_value_ is the best committed value
 }
 
@@ -27,8 +28,8 @@ void PointMultiQuery::MarginalValuesUncounted(std::span<const int> sensors,
                                               std::span<double> out) const {
   const double dmax = slot_->dmax;
   const double current = current_value_;
-  if (slot_->SlabsSynced()) {
-    const SlotSlabs& sl = slot_->slabs;
+  const SlotSensorTable& sl = slot_->sensors;
+  if (slot_->use_soa) {
     if (cand_values_ready_) {
       // The pruned engines probe ascending subsequences of the candidate
       // list; a two-pointer walk resolves each probe to its cached Eq. 3
@@ -51,7 +52,7 @@ void PointMultiQuery::MarginalValuesUncounted(std::span<const int> sensors,
       }
       return;
     }
-    // Column kernel: contiguous 8-byte loads instead of 48-byte records.
+    // Column kernel: contiguous 8-byte loads instead of whole rows.
     for (size_t i = 0; i < sensors.size(); ++i) {
       const int s = sensors[i];
       out[i] = PointQueryValueAt(query_, sl.x[s], sl.y[s], sl.inaccuracy[s],
@@ -60,14 +61,14 @@ void PointMultiQuery::MarginalValuesUncounted(std::span<const int> sensors,
     }
     return;
   }
-  const std::vector<SlotSensor>& announced = slot_->sensors;
   for (size_t i = 0; i < sensors.size(); ++i) {
-    out[i] = PointQueryValue(query_, announced[sensors[i]], dmax) - current;
+    out[i] = PointQueryValue(query_, sl.Row(sensors[i]), dmax) - current;
   }
 }
 
 void PointMultiQuery::Commit(int sensor, double payment) {
-  const double v = PointQueryValue(query_, slot_->sensors[sensor], slot_->dmax);
+  const double v =
+      PointQueryValue(query_, slot_->sensors.Row(sensor), slot_->dmax);
   if (v > current_value_) {
     current_value_ = v;
     best_sensor_ = sensor;
@@ -81,8 +82,8 @@ const std::vector<int>* PointMultiQuery::CandidateSensors() const {
   if (!candidates_ready_) {
     slot_->index->RangeQuery(query_.location, slot_->dmax, &candidates_);
     candidates_ready_ = true;
-    if (slot_->SlabsSynced()) {
-      const SlotSlabs& sl = slot_->slabs;
+    if (slot_->use_soa) {
+      const SlotSensorTable& sl = slot_->sensors;
       cand_values_.resize(candidates_.size());
       for (size_t j = 0; j < candidates_.size(); ++j) {
         const int s = candidates_[j];
@@ -98,7 +99,8 @@ const std::vector<int>* PointMultiQuery::CandidateSensors() const {
 
 double PointMultiQuery::BestQuality() const {
   if (best_sensor_ < 0) return 0.0;
-  return SlotQuality(slot_->sensors[best_sensor_], query_.location, slot_->dmax);
+  return SlotQuality(slot_->sensors.Row(best_sensor_), query_.location,
+                     slot_->dmax);
 }
 
 double CallbackMultiQuery::MarginalValue(int sensor) const {

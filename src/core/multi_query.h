@@ -139,9 +139,9 @@ class PointMultiQuery : public MultiQueryBase {
   const PointQuery& query() const { return query_; }
 
   double MarginalValue(int sensor) const override;
-  /// Tight sweep: one fused pass, no per-sensor virtual dispatch. On a
-  /// slab-synced slot (SlotContext::SlabsSynced) the pass streams the
-  /// SoA columns; when the candidate value cache is warm (the pruned
+  /// Tight sweep: one fused pass, no per-sensor virtual dispatch. With
+  /// SlotContext::use_soa the pass streams the slot's columns; when the
+  /// candidate value cache is warm (the pruned
   /// engines probe ascending subsequences of CandidateSensors, and Eq. 3
   /// is selection-independent) probes become cached-value lookups. All
   /// paths produce bit-identical values and accounting.
@@ -173,7 +173,7 @@ class PointMultiQuery : public MultiQueryBase {
   mutable std::vector<int> candidates_;
   mutable bool candidates_ready_ = false;
   /// Eq. 3 value per candidate (parallel to candidates_), computed once
-  /// per slot binding when the slabs are synced: the valuation depends
+  /// per slot binding under SlotContext::use_soa: the valuation depends
   /// only on (query, sensor), never on selection state, so re-probes hit
   /// this cache. Filled on the coordinating thread by CandidateSensors
   /// (the pruning plan builds before any worker probes), read-only after.

@@ -11,10 +11,10 @@ const std::vector<int>* MultiSensorPointQuery::CandidateSensors() const {
   if (!candidates_ready_) {
     slot_->index->RangeQuery(params_.location, slot_->dmax, &candidates_);
     candidates_ready_ = true;
-    if (slot_->SlabsSynced()) {
+    if (slot_->use_soa) {
       cand_theta_.resize(candidates_.size());
       for (size_t j = 0; j < candidates_.size(); ++j) {
-        cand_theta_[j] = QualityFromSlabs(candidates_[j]);
+        cand_theta_[j] = QualityFromColumns(candidates_[j]);
       }
       cand_theta_ready_ = true;
     }
@@ -23,13 +23,13 @@ const std::vector<int>* MultiSensorPointQuery::CandidateSensors() const {
 }
 
 double MultiSensorPointQuery::Quality(int sensor) const {
-  const double theta = SlotQuality(slot_->sensors[sensor], params_.location,
-                                   slot_->dmax);
+  const double theta = SlotQuality(slot_->sensors.Row(sensor),
+                                   params_.location, slot_->dmax);
   return theta >= params_.theta_min ? theta : 0.0;
 }
 
-double MultiSensorPointQuery::QualityFromSlabs(int sensor) const {
-  const SlotSlabs& sl = slot_->slabs;
+double MultiSensorPointQuery::QualityFromColumns(int sensor) const {
+  const SlotSensorTable& sl = slot_->sensors;
   const size_t s = static_cast<size_t>(sensor);
   const double theta = ReadingQuality(
       sl.inaccuracy[s], sl.trust[s],
@@ -61,9 +61,9 @@ void MultiSensorPointQuery::MarginalValuesUncounted(
   if (sensors.empty()) return;
   // Probe-quality resolver: cached candidate theta when warm (the pruned
   // engines probe ascending subsequences of the candidate list), else the
-  // slab kernel, else the scalar reference. All three compute the same
+  // column kernel, else the scalar reference. All three compute the same
   // ReadingQuality on the same inputs — bit-identical.
-  const bool slabs = slot_->SlabsSynced();
+  const bool columns = slot_->use_soa;
   size_t cj = 0;
   const size_t cm = candidates_.size();
   const auto probe_quality = [&](int s) -> double {
@@ -71,7 +71,7 @@ void MultiSensorPointQuery::MarginalValuesUncounted(
       while (cj < cm && candidates_[cj] < s) ++cj;
       if (cj < cm && candidates_[cj] == s) return cand_theta_[cj++];
     }
-    return slabs ? QualityFromSlabs(s) : Quality(s);
+    return columns ? QualityFromColumns(s) : Quality(s);
   };
   if (params_.redundancy <= 0) {
     // ValueFromQualities is identically zero; mirror the scalar branch

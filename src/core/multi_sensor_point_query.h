@@ -63,9 +63,9 @@ class MultiSensorPointQuery : public MultiQueryBase {
 
  private:
   double Quality(int sensor) const;
-  /// Quality(sensor) computed from the slot's SoA columns (bit-identical;
-  /// requires SlotContext::SlabsSynced).
-  double QualityFromSlabs(int sensor) const;
+  /// Quality(sensor) computed straight from the slot's columns
+  /// (bit-identical to the row-assembling scalar path).
+  double QualityFromColumns(int sensor) const;
   /// Valuation from a set of reading qualities (top-k mean scaled by B).
   double ValueFromQualities(std::vector<double> qualities) const;
 
@@ -75,7 +75,7 @@ class MultiSensorPointQuery : public MultiQueryBase {
   mutable std::vector<int> candidates_;
   mutable bool candidates_ready_ = false;
   /// Filtered quality theta per candidate (parallel to candidates_),
-  /// computed once per slot binding when the slabs are synced — the
+  /// computed once per slot binding under SlotContext::use_soa — the
   /// quality depends only on (query, sensor), so batch probes resolve
   /// against this cache. Same fill/read discipline as PointMultiQuery's
   /// candidate value cache.

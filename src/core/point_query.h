@@ -28,9 +28,9 @@ inline double PointQueryValue(const PointQuery& q, const SlotSensor& s,
   return q.budget * theta;
 }
 
-/// Slab-kernel form of Eq. (3): the same valuation from SlotSlabs column
-/// entries. Routes through the same ReadingQuality as the AoS form with
-/// identically ordered operands, so for equal inputs the result is
+/// Column-kernel form of Eq. (3): the same valuation from SlotSensorTable
+/// column entries. Routes through the same ReadingQuality as the row form
+/// with identically ordered operands, so for equal inputs the result is
 /// bit-identical whatever the build flags.
 inline double PointQueryValueAt(const PointQuery& q, double x, double y,
                                 double inaccuracy, double trust, double dmax) {

@@ -30,14 +30,14 @@ PointScheduleResult MakeResult(const std::vector<PointQuery>& queries,
     const int sensor = loc >= 0 ? solution.assignment[loc] : -1;
     if (sensor < 0) continue;
     sensor_total_value[sensor] +=
-        PointQueryValue(queries[qi], slot.sensors[sensor], slot.dmax);
+        PointQueryValue(queries[qi], slot.sensors.Row(sensor), slot.dmax);
   }
 
   for (int i = 0; i < static_cast<int>(slot.sensors.size()); ++i) {
     if (i < static_cast<int>(solution.open.size()) && solution.open[i] &&
         sensor_total_value[i] > 0.0) {
       result.selected_sensors.push_back(i);
-      result.total_cost += slot.sensors[i].cost;
+      result.total_cost += slot.sensors.cost[i];
     }
   }
 
@@ -47,13 +47,14 @@ PointScheduleResult MakeResult(const std::vector<PointQuery>& queries,
     const int loc = location_of_query[qi];
     const int sensor = loc >= 0 ? solution.assignment[loc] : -1;
     if (sensor < 0) continue;
-    const double value = PointQueryValue(queries[qi], slot.sensors[sensor], slot.dmax);
+    const SlotSensor s = slot.sensors.Row(sensor);
+    const double value = PointQueryValue(queries[qi], s, slot.dmax);
     if (value <= 0.0) continue;  // co-located query below its theta_min
     a.sensor = sensor;
     a.value = value;
-    a.quality = SlotQuality(slot.sensors[sensor], queries[qi].location, slot.dmax);
+    a.quality = SlotQuality(s, queries[qi].location, slot.dmax);
     // Eq. (11): pi = v_q(s) * c_s / (total valuation yielded by s).
-    a.payment = value * slot.sensors[sensor].cost / sensor_total_value[sensor];
+    a.payment = value * s.cost / sensor_total_value[sensor];
     result.total_value += value;
   }
   return result;
@@ -63,10 +64,7 @@ PointScheduleResult RunBaseline(const std::vector<PointQuery>& queries,
                                 const SlotContext& slot) {
   PointScheduleResult result;
   result.assignments.resize(queries.size());
-  std::vector<double> remaining_cost(slot.sensors.size());
-  for (size_t i = 0; i < slot.sensors.size(); ++i) {
-    remaining_cost[i] = slot.sensors[i].cost;
-  }
+  std::vector<double> remaining_cost = slot.sensors.cost;
   // A sensor already selected for an earlier query also answers any later
   // query at the same location for free; we implement the more general
   // rule from Section 4.3 (cost of selected sensors drops to zero).
@@ -91,26 +89,27 @@ PointScheduleResult RunBaseline(const std::vector<PointQuery>& queries,
     }
     const std::vector<int>& scan = slot.index != nullptr ? candidates : all_sensors;
     for (int si : scan) {
-      const SlotSensor& s = slot.sensors[si];
-      const double value = PointQueryValue(queries[qi], s, slot.dmax);
+      const double value =
+          PointQueryValue(queries[qi], slot.sensors.Row(si), slot.dmax);
       if (value <= 0.0) continue;
-      const double utility = value - remaining_cost[s.index];
+      const double utility = value - remaining_cost[si];
       if (utility > best_utility) {
         best_utility = utility;
-        best_sensor = s.index;
+        best_sensor = si;
         best_value = value;
       }
     }
     if (best_sensor < 0) continue;
     a.sensor = best_sensor;
     a.value = best_value;
-    a.quality = SlotQuality(slot.sensors[best_sensor], queries[qi].location, slot.dmax);
+    a.quality = SlotQuality(slot.sensors.Row(best_sensor), queries[qi].location,
+                            slot.dmax);
     a.payment = remaining_cost[best_sensor];  // first user pays the full price
     result.total_value += best_value;
     if (!selected[best_sensor]) {
       selected[best_sensor] = 1;
       result.selected_sensors.push_back(best_sensor);
-      result.total_cost += slot.sensors[best_sensor].cost;
+      result.total_cost += slot.sensors.cost[best_sensor];
     }
     remaining_cost[best_sensor] = 0.0;
   }
@@ -278,9 +277,8 @@ FacilityLocationProblem BuildPointProblem(const std::vector<PointQuery>& queries
     (*location_of_query)[qi] = it->second;
   }
   problem.num_locations = static_cast<int>(locations.size());
-  problem.open_cost.resize(slot.sensors.size());
+  problem.open_cost = slot.sensors.cost;
   problem.value.resize(slot.sensors.size());
-  for (const SlotSensor& s : slot.sensors) problem.open_cost[s.index] = s.cost;
 
   // Queries grouped per location in arrival order, so each (location,
   // sensor) valuation sum accumulates in exactly the order the dense
@@ -314,7 +312,7 @@ FacilityLocationProblem BuildPointProblem(const std::vector<PointQuery>& queries
     for (int qi : queries_at[l]) {
       for (size_t k = 0; k < scan.size(); ++k) {
         const double v =
-            PointQueryValue(queries[qi], slot.sensors[scan[k]], slot.dmax);
+            PointQueryValue(queries[qi], slot.sensors.Row(scan[k]), slot.dmax);
         if (v > 0.0) sums[k] += v;
       }
     }

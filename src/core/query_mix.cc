@@ -145,7 +145,7 @@ QueryMixSlotResult RunBaselineMix(const SlotContext& slot,
   // stage (buffered data).
   SlotContext discounted = slot;
   for (int si : aggregate_selection.selected_sensors) {
-    discounted.sensors[si].cost = 0.0;
+    discounted.sensors.cost[si] = 0.0;
   }
 
   // Step 2: point queries (end-user + those generated for continuous
@@ -194,7 +194,7 @@ QueryMixSlotResult RunBaselineMix(const SlotContext& slot,
   for (int si = 0; si < static_cast<int>(slot.sensors.size()); ++si) {
     if (selected[si]) {
       result.selected_sensors.push_back(si);
-      result.total_cost += slot.sensors[si].cost;
+      result.total_cost += slot.sensors.cost[si];
     }
   }
 

@@ -73,14 +73,14 @@ std::vector<double> RegionMonitoringManager::CostScale(const SlotContext& slot) 
       slot.index->RectQuery(q.region, &in_region);
       for (int si : in_region) ++counts[si];
     }
-  } else if (slot.SlabsSynced()) {
-    // Unindexed hot path over the coordinate slabs: a branch-light
+  } else if (slot.use_soa) {
+    // Unindexed hot path over the coordinate columns: a branch-light
     // contains test per (query, sensor) in query-major order. Identical
-    // counts to the AoS scan below — Contains is the same comparison
+    // counts to the row scan below — Contains is the same comparison
     // chain, only the operand loads changed.
     const size_t n = slot.sensors.size();
-    const double* xs = slot.slabs.x.data();
-    const double* ys = slot.slabs.y.data();
+    const double* xs = slot.sensors.x.data();
+    const double* ys = slot.sensors.y.data();
     for (const RegionMonitoringQuery& q : queries_) {
       if (!q.ActiveAt(slot.time)) continue;
       const Rect r = q.region;
@@ -91,9 +91,10 @@ std::vector<double> RegionMonitoringManager::CostScale(const SlotContext& slot) 
       }
     }
   } else {
-    for (const SlotSensor& s : slot.sensors) {
+    for (size_t si = 0; si < slot.sensors.size(); ++si) {
+      const Point loc = slot.sensors.Row(si).location;
       for (const RegionMonitoringQuery& q : queries_) {
-        if (q.ActiveAt(slot.time) && q.region.Contains(s.location)) ++counts[s.index];
+        if (q.ActiveAt(slot.time) && q.region.Contains(loc)) ++counts[si];
       }
     }
   }
@@ -130,7 +131,7 @@ std::vector<int> RegionMonitoringManager::SelectSamplingPoints(
   std::vector<int> dropped;
 #endif
   for (int si : in_region) {
-    const Point& loc = slot.sensors[si].location;
+    const Point loc = slot.sensors.Row(si).location;
     if (Distance(loc, query.region.Clamp(loc)) <= support) {
       candidates.push_back(si);
     } else {
@@ -152,7 +153,7 @@ std::vector<int> RegionMonitoringManager::SelectSamplingPoints(
   // gains are largest): IncrementalGpSelector::MarginalGain must agree
   // that every pruned candidate is worthless.
   for (int si : dropped) {
-    assert(selectors[0].MarginalGain(slot.sensors[si].location) <=
+    assert(selectors[0].MarginalGain(slot.sensors.Row(si).location) <=
                1e-6 * spatial_kernel_->Variance() &&
            "kernel-support pruning dropped a sensor with nonzero marginal gain");
   }
@@ -187,7 +188,7 @@ std::vector<int> RegionMonitoringManager::SelectSamplingPoints(
     for (size_t ci = 0; ci < candidates.size(); ++ci) {
       const int si = candidates[ci];
       if (member[ti][si]) continue;
-      batch_points.push_back(slot.sensors[si].location);
+      batch_points.push_back(slot.sensors.Row(si).location);
       batch_pos.push_back(ci);
     }
     batch_gains.resize(batch_points.size());
@@ -203,8 +204,8 @@ std::vector<int> RegionMonitoringManager::SelectSamplingPoints(
     double best_delta = 0.0;
     for (size_t ci = 0; ci < candidates.size(); ++ci) {
       const int si = candidates[ci];
-      const SlotSensor& s = slot.sensors[si];
-      const double theta = (1.0 - s.inaccuracy) * s.trust;
+      const double theta =
+          (1.0 - slot.sensors.inaccuracy[si]) * slot.sensors.trust[si];
       for (size_t ti = 0; ti < selectors.size(); ++ti) {
         if (member[ti][si]) continue;
         const int t = tc + static_cast<int>(ti);
@@ -222,9 +223,10 @@ std::vector<int> RegionMonitoringManager::SelectSamplingPoints(
       }
     }
     if (best_sensor < 0 || best_delta <= 1e-12) break;
-    selectors[static_cast<size_t>(best_t)].Add(slot.sensors[best_sensor].location);
+    selectors[static_cast<size_t>(best_t)].Add(
+        slot.sensors.Row(best_sensor).location);
     member[static_cast<size_t>(best_t)][best_sensor] = 1;
-    cost_so_far += slot.sensors[best_sensor].cost * cost_scale[best_sensor];
+    cost_so_far += slot.sensors.cost[best_sensor] * cost_scale[best_sensor];
     if (best_t == 0) chosen.push_back(best_sensor);
     // Re-sweep the one row whose conditioning set grew — unless the
     // budget is spent and no further round will read it.
@@ -249,15 +251,17 @@ std::vector<PointQuery> RegionMonitoringManager::CreatePointQueries(
     if (slot.index != nullptr) {
       slot.index->RectQuery(q.region, &in_region);
     } else {
-      for (const SlotSensor& s : slot.sensors) {
-        if (q.region.Contains(s.location)) in_region.push_back(s.index);
+      for (int si = 0; si < static_cast<int>(slot.sensors.size()); ++si) {
+        if (q.region.Contains(slot.sensors.Row(si).location)) {
+          in_region.push_back(si);
+        }
       }
     }
     const std::vector<int> planned =
         SelectSamplingPoints(q, slot, in_region, cost_scale, remaining);
     planned_[qi] = planned;
     double expected = 0.0;
-    for (int si : planned) expected += slot.sensors[si].cost;
+    for (int si : planned) expected += slot.sensors.cost[si];
     expected_cost_[qi] = expected;
 
     // Point query per planned sensor, valued at its marginal contribution
@@ -265,7 +269,7 @@ std::vector<PointQuery> RegionMonitoringManager::CreatePointQueries(
     const std::vector<STPoint> recent = RecentSamples(q, slot.time);
     std::vector<STPoint> full = recent;
     for (int si : planned) {
-      full.push_back(STPoint{slot.sensors[si].location,
+      full.push_back(STPoint{slot.sensors.Row(si).location,
                              static_cast<double>(slot.time)});
     }
     const double full_value = SlotValue(q, slot.time, full, 1.0);
@@ -273,14 +277,14 @@ std::vector<PointQuery> RegionMonitoringManager::CreatePointQueries(
       std::vector<STPoint> without = recent;
       for (int sj : planned) {
         if (sj == si) continue;
-        without.push_back(STPoint{slot.sensors[sj].location,
+        without.push_back(STPoint{slot.sensors.Row(sj).location,
                                   static_cast<double>(slot.time)});
       }
       const double marginal = full_value - SlotValue(q, slot.time, without, 1.0);
       if (marginal <= 0.0) continue;
       PointQuery pq;
       pq.id = q.id;
-      pq.location = slot.sensors[si].location;
+      pq.location = slot.sensors.Row(si).location;
       pq.budget = marginal;
       pq.theta_min = config_.theta_min;
       pq.parent = static_cast<int>(qi);
@@ -310,7 +314,7 @@ RegionMonitoringManager::SlotOutcome RegionMonitoringManager::ApplyResults(
       const PointAssignment& a = assignments[i];
       if (!a.satisfied()) continue;  // unsatisfied planned sample: dropped
       new_samples.push_back(
-          STPoint{slot.sensors[a.sensor].location, static_cast<double>(t)});
+          STPoint{slot.sensors.Row(a.sensor).location, static_cast<double>(t)});
       new_qualities.push_back(a.quality);
       paid += a.payment;
     }
@@ -328,7 +332,7 @@ RegionMonitoringManager::SlotOutcome RegionMonitoringManager::ApplyResults(
     if (allowance > 0.0) {
       for (int si : other_selected) {
         if (allowance <= 0.0) break;
-        const SlotSensor& s = slot.sensors[si];
+        const SlotSensor s = slot.sensors.Row(si);
         if (!q.region.Contains(s.location)) continue;
         bool duplicate = false;
         for (const STPoint& ns : new_samples) {
@@ -356,7 +360,7 @@ RegionMonitoringManager::SlotOutcome RegionMonitoringManager::ApplyResults(
     std::vector<STPoint> planned_cond = recent;
     for (int si : planned_[qi]) {
       planned_cond.push_back(
-          STPoint{slot.sensors[si].location, static_cast<double>(t)});
+          STPoint{slot.sensors.Row(si).location, static_cast<double>(t)});
     }
     const double requested_gain =
         SlotValue(q, t, planned_cond, 1.0) - base_value;

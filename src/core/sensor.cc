@@ -55,9 +55,12 @@ double Sensor::PrivacyCost(int now) const {
 
 void Sensor::RecordReading(int now) {
   ++readings_taken_;
+  if (profile_.privacy_window <= 0) return;
   report_history_.push_back(now);
-  while (static_cast<int>(report_history_.size()) > profile_.privacy_window) {
-    report_history_.pop_front();
+  const size_t window = static_cast<size_t>(profile_.privacy_window);
+  if (report_history_.size() > window) {
+    report_history_.erase(report_history_.begin(),
+                          report_history_.end() - static_cast<long>(window));
   }
 }
 

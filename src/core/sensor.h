@@ -2,7 +2,6 @@
 #define PSENS_CORE_SENSOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/geometry.h"
@@ -99,11 +98,13 @@ class Sensor {
   double Cost(int now) const { return EnergyCost() + PrivacyCost(now); }
 
   /// Records that the sensor provided a measurement at slot `now`:
-  /// consumes one reading and appends `now` to the (bounded) history of
-  /// revealed report times.
+  /// consumes one reading and appends `now` to the history of revealed
+  /// report times, which keeps only the last max(0, privacy_window).
   void RecordReading(int now);
 
-  const std::deque<int>& report_history() const { return report_history_; }
+  /// Revealed report times, oldest first: the last max(0, privacy_window)
+  /// readings. Empty until the first reading, with no heap block.
+  const std::vector<int>& report_history() const { return report_history_; }
 
  private:
   int id_ = -1;
@@ -111,7 +112,7 @@ class Sensor {
   Point position_;
   bool available_ = false;
   int readings_taken_ = 0;
-  std::deque<int> report_history_;
+  std::vector<int> report_history_;
 };
 
 /// Quality of a reading from sensor `s` for queried location `lq`

@@ -1,6 +1,8 @@
 #ifndef PSENS_CORE_SENSOR_DELTA_H_
 #define PSENS_CORE_SENSOR_DELTA_H_
 
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/geometry.h"
@@ -40,6 +42,17 @@ struct SensorDelta {
            price_changes.empty();
   }
 };
+
+/// Whether `delta` can be applied to a registry of `registry_count`
+/// sensors. Refuses a non-finite arrival or move coordinate, a NaN,
+/// infinite or negative price, and a sensor id outside
+/// [0, registry_count), checked in that order; on refusal sets *error to
+/// a message naming the entry, field and value (e.g. "arrival 0 (sensor
+/// 3) position.x nan is not finite") and returns false. The one check
+/// shared by trace decode (TraceFile::DecodeSlot) and the live engine
+/// (AcquisitionEngine::ApplyDelta).
+bool ValidateSensorDelta(const SensorDelta& delta, size_t registry_count,
+                         std::string* error);
 
 }  // namespace psens
 

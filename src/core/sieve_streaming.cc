@@ -16,15 +16,14 @@ namespace psens {
 namespace {
 
 /// Slot index of a global sensor id, or -1 when the sensor is not a slot
-/// member. Slot sensors ascend by sensor_id (BuildSlotContext walks the
+/// member. Slot rows ascend by sensor_id (BuildSlotContext walks the
 /// id-dense registry in order; the engine maintains a sorted member
-/// array), so a binary search suffices.
+/// table), so a binary search of the id column suffices.
 int SlotIndexOf(const SlotContext& slot, int sensor_id) {
-  const auto it = std::lower_bound(
-      slot.sensors.begin(), slot.sensors.end(), sensor_id,
-      [](const SlotSensor& s, int id) { return s.sensor_id < id; });
-  if (it == slot.sensors.end() || it->sensor_id != sensor_id) return -1;
-  return it->index;
+  const std::vector<int>& ids = slot.sensors.sensor_id;
+  const auto it = std::lower_bound(ids.begin(), ids.end(), sensor_id);
+  if (it == ids.end() || *it != sensor_id) return -1;
+  return static_cast<int>(it - ids.begin());
 }
 
 double ClampEpsilon(double epsilon) {
@@ -191,7 +190,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     for (size_t k = 0; k < offered.size(); ++k) {
       if (net0[k] <= 0.0) continue;
       const int gid =
-          slot.sensors[static_cast<size_t>(offered[k])].sensor_id;
+          slot.sensors.sensor_id[static_cast<size_t>(offered[k])];
       merged[gid] = net0[k];  // newest observation wins
     }
     bench_.clear();
@@ -235,7 +234,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     for (size_t k = 0; k < offered.size(); ++k) {
       if (net0[k] <= 0.0 || net0[k] < tau) continue;
       const int idx = offered[k];
-      const int gid = slot.sensors[static_cast<size_t>(idx)].sensor_id;
+      const int gid = slot.sensors.sensor_id[static_cast<size_t>(idx)];
       if (std::binary_search(sorted_members.begin(), sorted_members.end(),
                              gid)) {
         continue;
@@ -352,7 +351,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     for (size_t k = 0; k < pool.size(); ++k) {
       if (fill[k] <= 0.0) continue;
       bench_.emplace_back(
-          fill[k], slot.sensors[static_cast<size_t>(pool[k])].sensor_id);
+          fill[k], slot.sensors.sensor_id[static_cast<size_t>(pool[k])]);
     }
     std::sort(bench_.begin(), bench_.end(),
               [](const std::pair<double, int>& a,
@@ -408,7 +407,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   result.total_cost = use_refined ? refined_cost : winner_cost;
   result.selected_sensors = final_sel;
   for (int idx : final_sel) {
-    winner_members_.push_back(slot.sensors[static_cast<size_t>(idx)].sensor_id);
+    winner_members_.push_back(slot.sensors.sensor_id[static_cast<size_t>(idx)]);
   }
 
   for (const MultiQuery* q : queries) result.total_value += q->CurrentValue();

@@ -69,10 +69,10 @@ struct ApproxParams {
 
 /// A sensor as announced to the aggregator at the beginning of a time slot
 /// (Section 2.1): its location and its price for providing one measurement
-/// now, plus the static quality attributes the aggregator knows.
+/// now, plus the static quality attributes the aggregator knows. A plain
+/// value type: SlotContext stores the announcements as columns
+/// (SlotSensorTable), and scalar code assembles one with Row(i).
 struct SlotSensor {
-  /// Index into the owning SlotContext::sensors (schedulers use this).
-  int index = 0;
   /// Global sensor id (index into the aggregator's sensor registry).
   int sensor_id = 0;
   Point location;
@@ -82,30 +82,26 @@ struct SlotSensor {
   double trust = 1.0;
 };
 
-/// Structure-of-arrays view of SlotContext::sensors: one contiguous
-/// column per field the valuation kernels read, row i mirroring
-/// sensors[i] exactly. The delta kernels in the query classes and
-/// batch_eval stream these columns instead of chasing 48-byte SlotSensor
-/// records, which keeps the fp math loads contiguous and lets the
-/// compiler auto-vectorize without intrinsics.
-///
-/// Invariant: a context with use_soa set and slabs.size() ==
-/// sensors.size() has every column entry equal to the corresponding
-/// SlotSensor field (x/y == location, cost/inaccuracy/trust verbatim).
-/// Contexts built by BuildSlotContext or an engine's BeginSlot always
-/// satisfy it; hand-assembled contexts that skip the slabs simply fall
-/// back to the scalar AoS paths (SlotContext::SlabsSynced gates every
-/// kernel).
-struct SlotSlabs {
+/// The slot's announcements, stored once, as columns: row i is slot
+/// sensor i (the index schedulers use), and rows ascend by sensor_id.
+/// Each row is 44 bytes (a 4-byte id plus five 8-byte fields). The
+/// valuation kernels in the query classes and batch_eval stream the
+/// columns, which keeps their fp loads contiguous and lets the compiler
+/// auto-vectorize without intrinsics; scalar reference code reads whole
+/// rows through Row(i).
+struct SlotSensorTable {
+  std::vector<int> sensor_id;
   std::vector<double> x;
   std::vector<double> y;
   std::vector<double> cost;
   std::vector<double> inaccuracy;
   std::vector<double> trust;
 
-  size_t size() const { return x.size(); }
+  size_t size() const { return sensor_id.size(); }
 
+  /// Resizes every column; shrinking keeps the capacity.
   void Resize(size_t n) {
+    sensor_id.resize(n);
     x.resize(n);
     y.resize(n);
     cost.resize(n);
@@ -113,15 +109,20 @@ struct SlotSlabs {
     trust.resize(n);
   }
 
-  void Clear() { Resize(0); }
+  /// Row i assembled as a value.
+  SlotSensor Row(size_t i) const {
+    return SlotSensor{sensor_id[i], Point{x[i], y[i]}, cost[i], inaccuracy[i],
+                      trust[i]};
+  }
 
-  /// Writes row i from a SlotSensor.
-  void SetRow(size_t i, const SlotSensor& s) {
-    x[i] = s.location.x;
-    y[i] = s.location.y;
-    cost[i] = s.cost;
-    inaccuracy[i] = s.inaccuracy;
-    trust[i] = s.trust;
+  /// Appends `s` as the next row.
+  void Append(const SlotSensor& s) {
+    sensor_id.push_back(s.sensor_id);
+    x.push_back(s.location.x);
+    y.push_back(s.location.y);
+    cost.push_back(s.cost);
+    inaccuracy.push_back(s.inaccuracy);
+    trust.push_back(s.trust);
   }
 };
 
@@ -131,7 +132,8 @@ struct SlotContext {
   /// Maximum distance at which a sensor can serve a queried location
   /// (d_max of Eq. 4). Experiment-wide constant in the paper.
   double dmax = 5.0;
-  std::vector<SlotSensor> sensors;
+  /// The announcements of the slot's participating sensors.
+  SlotSensorTable sensors;
   SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
   /// Minimum population for which kAuto builds an index (ablation knob;
   /// bench CLIs expose it as --index-threshold).
@@ -149,25 +151,15 @@ struct SlotContext {
   ThreadPool* pool = nullptr;
   /// Approximate-scheduler knobs (ignored by the exact engines).
   ApproxParams approx;
-  /// Column view of `sensors` (see SlotSlabs). Kept in lockstep by
-  /// BuildSlotContext and the engines' incremental repair; empty on
-  /// hand-assembled contexts, which makes SlabsSynced() false and routes
-  /// every kernel to its scalar reference path.
-  SlotSlabs slabs;
   /// Slot-lifetime scratch arena (non-owning; the engine resets it at
   /// each BeginSlot). Null means scratch consumers fall back to owned
   /// heap buffers.
   SlotArena* arena = nullptr;
-  /// Ablation/differential-test switch: false forces the scalar AoS
-  /// valuation paths even when the slabs are populated. The two paths
-  /// are bit-identical (tests/soa_kernel_equivalence_test).
+  /// Ablation/differential-test switch: false routes every valuation
+  /// kernel to its scalar reference path, which reads rows assembled from
+  /// the same columns (SlotSensorTable::Row). The two paths are
+  /// bit-identical (tests/soa_kernel_equivalence_test).
   bool use_soa = true;
-
-  /// True when the slab columns mirror `sensors` and kernels may use
-  /// them (see SlotSlabs invariant).
-  bool SlabsSynced() const {
-    return use_soa && slabs.size() == sensors.size();
-  }
 };
 
 /// (Re)builds `slot.index` from `slot.sensors` per `slot.index_policy`.
@@ -190,18 +182,8 @@ inline SlotContext BuildSlotContext(const std::vector<Sensor>& sensors,
   for (const Sensor& s : sensors) {
     if (!s.available()) continue;
     if (!working_region.Contains(s.position())) continue;
-    SlotSensor slot_sensor;
-    slot_sensor.index = static_cast<int>(ctx.sensors.size());
-    slot_sensor.sensor_id = s.id();
-    slot_sensor.location = s.position();
-    slot_sensor.cost = s.Cost(time);
-    slot_sensor.inaccuracy = s.profile().inaccuracy;
-    slot_sensor.trust = s.profile().trust;
-    ctx.sensors.push_back(slot_sensor);
-  }
-  ctx.slabs.Resize(ctx.sensors.size());
-  for (const SlotSensor& ss : ctx.sensors) {
-    ctx.slabs.SetRow(static_cast<size_t>(ss.index), ss);
+    ctx.sensors.Append(SlotSensor{s.id(), s.position(), s.Cost(time),
+                                  s.profile().inaccuracy, s.profile().trust});
   }
   AttachSlotIndex(ctx);
   return ctx;

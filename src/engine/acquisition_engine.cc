@@ -28,8 +28,8 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 /// Presents the engine's id-keyed dynamic index as the slot-indexed
-/// SpatialIndex the schedulers consume. ctx_.sensors is sorted ascending
-/// by sensor_id, so the id -> slot-index map is monotone and translated
+/// SpatialIndex the schedulers consume. ctx_.sensors' rows ascend by
+/// sensor_id, so the id -> slot-index map is monotone and translated
 /// result lists stay ascending — the tie-break/accumulation-order half of
 /// the exactness contract survives the translation for free.
 class AcquisitionEngine::SlotIndexView : public SpatialIndex {
@@ -153,7 +153,14 @@ void AcquisitionEngine::ApplyTrace(const Trace& trace, int slot) {
   if (trace_ != nullptr && !recorded.empty()) trace_->StageDelta(recorded);
 }
 
-void AcquisitionEngine::ApplyDelta(const SensorDelta& delta) {
+bool AcquisitionEngine::ApplyDelta(const SensorDelta& delta,
+                                   std::string* error) {
+  std::string why;
+  if (!ValidateSensorDelta(delta, sensors_.size(), &why)) {
+    ++refused_deltas_;
+    if (error != nullptr) *error = std::move(why);
+    return false;
+  }
   if (trace_ != nullptr) trace_->StageDelta(delta);
   for (const SensorDelta::Placement& a : delta.arrivals) {
     sensors_[a.sensor_id].SetPosition(a.position, true);
@@ -171,6 +178,7 @@ void AcquisitionEngine::ApplyDelta(const SensorDelta& delta) {
     sensors_[pc.sensor_id].SetBasePrice(pc.base_price);
     MarkChanged(pc.sensor_id, /*cost_dirty=*/true);
   }
+  return true;
 }
 
 void AcquisitionEngine::RefreshMember(int id, int time) {
@@ -190,19 +198,15 @@ void AcquisitionEngine::RefreshMember(int id, int time) {
     }
     return;
   }
-  // Continuing member: patch announcement in place — slab row included,
-  // so the SoA columns stay in lockstep without a rebuild.
-  SlotSensor& ss = ctx_.sensors[static_cast<size_t>(pos)];
-  if (!(ss.location == s.position())) {
-    ss.location = s.position();
-    ctx_.slabs.x[static_cast<size_t>(pos)] = ss.location.x;
-    ctx_.slabs.y[static_cast<size_t>(pos)] = ss.location.y;
+  // Continuing member: patch its row in place.
+  const size_t row = static_cast<size_t>(pos);
+  SlotSensorTable& table = ctx_.sensors;
+  if (!(Point{table.x[row], table.y[row]} == s.position())) {
+    table.x[row] = s.position().x;
+    table.y[row] = s.position().y;
     if (index_ != nullptr) index_->Move(id, s.position());
   }
-  if (cost_dirty_[id] || privacy_flag_[id]) {
-    ss.cost = s.Cost(time);
-    ctx_.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-  }
+  if (cost_dirty_[id] || privacy_flag_[id]) table.cost[row] = s.Cost(time);
 }
 
 void AcquisitionEngine::RebuildMembership(int time) {
@@ -210,16 +214,13 @@ void AcquisitionEngine::RebuildMembership(int time) {
   assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
   assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
   MergeSortedMembership(
-      &ctx_.sensors, &merge_scratch_, &slot_pos_, pending_insert_,
-      pending_remove_,
-      [&](SlotSensor& ss, int id) {
+      &ctx_.sensors, &slot_pos_, pending_insert_, pending_remove_,
+      [&](int id) {
         const Sensor& s = sensors_[id];
-        ss.location = s.position();
-        ss.cost = s.Cost(time);
-        ss.inaccuracy = s.profile().inaccuracy;
-        ss.trust = s.profile().trust;
+        return SlotSensor{id, s.position(), s.Cost(time),
+                          s.profile().inaccuracy, s.profile().trust};
       },
-      &ctx_.slabs, &slab_scratch_);
+      &merge_plan_);
   pending_insert_.clear();
   pending_remove_.clear();
 }
@@ -280,11 +281,7 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
     }
     const Sensor& s = sensors_[id];
     const int pos = slot_pos_[id];
-    if (pos >= 0) {
-      ctx_.sensors[static_cast<size_t>(pos)].cost = s.Cost(time);
-      ctx_.slabs.cost[static_cast<size_t>(pos)] =
-          ctx_.sensors[static_cast<size_t>(pos)].cost;
-    }
+    if (pos >= 0) ctx_.sensors.cost[static_cast<size_t>(pos)] = s.Cost(time);
     const bool decaying =
         !s.report_history().empty() &&
         time - s.report_history().back() < s.profile().privacy_window;
@@ -334,7 +331,7 @@ void AcquisitionEngine::RecordReadings(const std::vector<int>& sensor_ids,
 void AcquisitionEngine::RecordSlotReadings(const std::vector<int>& slot_indices,
                                            int time) {
   for (int si : slot_indices) {
-    NoteReading(ctx_.sensors[static_cast<size_t>(si)].sensor_id, time);
+    NoteReading(ctx_.sensors.sensor_id[static_cast<size_t>(si)], time);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -11,6 +12,7 @@
 #include "core/sensor.h"
 #include "core/sensor_delta.h"
 #include "core/slot.h"
+#include "engine/membership_merge.h"
 #include "engine/serving_config.h"
 #include "index/dynamic_index.h"
 #include "mobility/trace.h"
@@ -35,7 +37,7 @@ class TraceWriter;
 ///   engine.RecordSlotReadings(r.selected_sensors, t);
 ///
 /// In incremental mode BeginSlot only touches what the delta invalidated:
-/// membership changes merge into the sorted slot-sensor array, moved
+/// membership changes merge into the sorted slot-sensor table, moved
 /// sensors patch their location in place and in the index, and announced
 /// costs are recomputed only for sensors whose cost can actually have
 /// changed (price re-announcements, readings taken, and the privacy decay
@@ -76,7 +78,14 @@ class AcquisitionEngine {
   void ApplyTrace(const Trace& trace, int slot);
 
   /// Applies a churn delta (arrivals/departures/moves/price changes).
-  void ApplyDelta(const SensorDelta& delta);
+  /// A delta ValidateSensorDelta refuses (an id outside the registry, a
+  /// non-finite coordinate, a NaN, infinite or negative price) is refused
+  /// whole: nothing is applied or recorded, refused_deltas() counts it,
+  /// and the call returns false with the reason in `*error` when given.
+  bool ApplyDelta(const SensorDelta& delta, std::string* error = nullptr);
+
+  /// Deltas ApplyDelta has refused so far.
+  int64_t refused_deltas() const { return refused_deltas_; }
 
   /// Finalizes announcements for slot `time` and returns the context.
   /// Valid until the next BeginSlot call or engine destruction.
@@ -173,7 +182,7 @@ class AcquisitionEngine {
   ServingConfig config_;
   std::vector<Sensor> sensors_;
   SlotContext ctx_;
-  /// id -> position in ctx_.sensors, or -1 when not a member.
+  /// id -> row of ctx_.sensors, or -1 when not a member.
   std::vector<int> slot_pos_;
   std::unique_ptr<DynamicSpatialIndex> index_;
   std::shared_ptr<SlotIndexView> view_;
@@ -190,12 +199,8 @@ class AcquisitionEngine {
   /// Membership changes discovered by BeginSlot, merged in one pass.
   std::vector<int> pending_insert_;
   std::vector<int> pending_remove_;
-  /// Merge target whose capacity persists across slots (swapped with
-  /// ctx_.sensors after each membership rebuild).
-  std::vector<SlotSensor> merge_scratch_;
-  /// Slab-column merge target, swapped with ctx_.slabs in lockstep with
-  /// merge_scratch_ (engine/membership_merge.h).
-  SlotSlabs slab_scratch_;
+  /// The membership merge's run plan (engine/membership_merge.h).
+  MembershipMergePlan merge_plan_;
   /// Slot-lifetime scratch arena handed to schedulers through
   /// SlotContext::arena; reset at every BeginSlot.
   SlotArena arena_;
@@ -204,6 +209,7 @@ class AcquisitionEngine {
   std::unique_ptr<ThreadPool> pool_;
   /// Live trace recorder (ServingConfig::trace_path); null when off.
   std::unique_ptr<TraceWriter> trace_;
+  int64_t refused_deltas_ = 0;
   /// One-shot approx-seed override for the next BeginSlot (replay).
   uint64_t pinned_slot_seed_ = 0;
   bool has_pinned_slot_seed_ = false;

@@ -36,7 +36,9 @@ void AttachSlotIndex(SlotContext& slot) {
   if (n == 0) return;
   std::vector<Point> points;
   points.reserve(slot.sensors.size());
-  for (const SlotSensor& s : slot.sensors) points.push_back(s.location);
+  for (int i = 0; i < n; ++i) {
+    points.push_back(Point{slot.sensors.x[i], slot.sensors.y[i]});
+  }
   switch (slot.index_policy) {
     case SlotIndexPolicy::kGrid:
       slot.index = BuildUniformGridIndex(points);

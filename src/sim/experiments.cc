@@ -185,7 +185,7 @@ ExperimentResult RunPointExperiment(const PointExperimentConfig& config) {
     }
     out.read_sensor_ids.reserve(schedule.selected_sensors.size());
     for (int si : schedule.selected_sensors) {
-      out.read_sensor_ids.push_back(slot.sensors[si].sensor_id);
+      out.read_sensor_ids.push_back(slot.sensors.sensor_id[si]);
     }
     return out;
   };
@@ -234,7 +234,7 @@ ExperimentResult RunAggregateExperiment(const AggregateExperimentConfig& config)
     }
     out.read_sensor_ids.reserve(selection.selected_sensors.size());
     for (int si : selection.selected_sensors) {
-      out.read_sensor_ids.push_back(slot.sensors[si].sensor_id);
+      out.read_sensor_ids.push_back(slot.sensors.sensor_id[si]);
     }
     return out;
   };

@@ -157,48 +157,12 @@ std::string FormatF64(double v) {
 }
 
 /// Sets *error to a decode refusal naming the record entry (e.g.
-/// "arrival 0 (sensor 3)"), the field, and its value; returns false.
+/// "point query 1001"), the field, and its value; returns false.
 bool RefuseValue(const std::string& entry, const char* field, double value,
                  const std::string& why, std::string* error) {
   *error = "corrupt slot record: " + entry + " " + field + " " +
            FormatF64(value) + " " + why;
   return false;
-}
-
-/// Replay moves sensors to decoded positions, so a non-finite coordinate
-/// would reach the spatial index and every distance test. `kind` names
-/// the delta section ("arrival", "move").
-bool CheckPlacements(const std::vector<SensorDelta::Placement>& placements,
-                     const char* kind, std::string* error) {
-  for (size_t i = 0; i < placements.size(); ++i) {
-    const SensorDelta::Placement& p = placements[i];
-    const std::pair<const char*, double> fields[] = {
-        {"position.x", p.position.x}, {"position.y", p.position.y}};
-    for (const auto& [field, value] : fields) {
-      if (std::isfinite(value)) continue;
-      return RefuseValue(std::string(kind) + " " + std::to_string(i) +
-                             " (sensor " + std::to_string(p.sensor_id) + ")",
-                         field, value, "is not finite", error);
-    }
-  }
-  return true;
-}
-
-/// A replayed base price becomes an announced cost: NaN would make nets
-/// NaN, which breaks the CELF heap comparator's strict weak ordering, and
-/// a negative price would yield negative payments.
-bool CheckPriceChanges(const std::vector<SensorDelta::PriceChange>& changes,
-                       std::string* error) {
-  for (size_t i = 0; i < changes.size(); ++i) {
-    const SensorDelta::PriceChange& pc = changes[i];
-    const bool finite = std::isfinite(pc.base_price);
-    if (finite && pc.base_price >= 0.0) continue;
-    return RefuseValue("price change " + std::to_string(i) + " (sensor " +
-                           std::to_string(pc.sensor_id) + ")",
-                       "base_price", pc.base_price,
-                       finite ? "is negative" : "is not finite", error);
-  }
-  return true;
 }
 
 /// Point queries bind their location, budget and threshold straight into
@@ -435,7 +399,6 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetF64(&a.position.x);
     c.GetF64(&a.position.y);
   }
-  if (!CheckPlacements(record->delta.arrivals, "arrival", error)) return false;
   if (!c.GetCount(kDepartureBytes, &n)) {
     *error = "corrupt slot record: departure count exceeds record payload";
     return false;
@@ -452,7 +415,6 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetF64(&m.position.x);
     c.GetF64(&m.position.y);
   }
-  if (!CheckPlacements(record->delta.moves, "move", error)) return false;
   if (!c.GetCount(kPriceChangeBytes, &n)) {
     *error = "corrupt slot record: price-change count exceeds record payload";
     return false;
@@ -462,7 +424,6 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetI32(&pc.sensor_id);
     c.GetF64(&pc.base_price);
   }
-  if (!CheckPriceChanges(record->delta.price_changes, error)) return false;
   if (!c.GetCount(kPointQueryBytes, &n)) {
     *error = "corrupt slot record: point-query count exceeds record payload";
     return false;

@@ -125,7 +125,8 @@ void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
 /// the payload, trailing bytes, aggregate params that AggregateQuery
 /// cannot bind (non-finite, non-positive cell size, negative range,
 /// inverted region, grid above AggregateQuery::kMaxCells) — without
-/// reading out of bounds.
+/// reading out of bounds. The delta's values and ids are checked
+/// separately, by ValidateSensorDelta in TraceFile::DecodeSlot.
 bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
                       std::string* error, uint32_t version = kTraceVersion);
 

@@ -39,33 +39,6 @@ uint32_t ReadU32LE(const char* data) {
   return v;
 }
 
-/// Replay indexes the registry by the delta's sensor ids, so an id
-/// outside [0, registry_count) in a corrupt record would write out of
-/// bounds; refuse it here, where the header's registry size is known.
-bool CheckSensorIds(const SensorDelta& delta, uint32_t registry_count,
-                    std::string* error) {
-  const auto check = [&](int id, const char* kind) {
-    if (id >= 0 && static_cast<uint32_t>(id) < registry_count) return true;
-    *error = std::string("corrupt slot record: ") + kind + " sensor id " +
-             std::to_string(id) + " outside the registry [0, " +
-             std::to_string(registry_count) + ")";
-    return false;
-  };
-  for (const SensorDelta::Placement& a : delta.arrivals) {
-    if (!check(a.sensor_id, "arrival")) return false;
-  }
-  for (int id : delta.departures) {
-    if (!check(id, "departure")) return false;
-  }
-  for (const SensorDelta::Placement& m : delta.moves) {
-    if (!check(m.sensor_id, "move")) return false;
-  }
-  for (const SensorDelta::PriceChange& pc : delta.price_changes) {
-    if (!check(pc.sensor_id, "price-change")) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool TraceFile::Load(const std::string& path, std::string* error) {
@@ -110,9 +83,13 @@ bool TraceFile::DecodeSlot(int i, TraceSlotRecord* record,
                            std::string* error) const {
   const RecordSpan& span = records_[static_cast<size_t>(i)];
   if (!DecodeSlotRecord(bytes_.data() + span.offset, span.size, record,
-                        error, header_.version) ||
-      !CheckSensorIds(record->delta, header_.registry_count, error)) {
+                        error, header_.version)) {
     *error = "slot " + std::to_string(i) + ": " + *error;
+    return false;
+  }
+  std::string why;
+  if (!ValidateSensorDelta(record->delta, header_.registry_count, &why)) {
+    *error = "slot " + std::to_string(i) + ": corrupt slot record: " + why;
     return false;
   }
   return true;

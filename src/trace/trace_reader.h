@@ -26,8 +26,10 @@ class TraceFile {
   int num_slots() const { return static_cast<int>(records_.size()); }
 
   /// Decodes slot record `i`. Thread-safe (reads the immutable image).
-  /// Besides DecodeSlotRecord's field checks, refuses delta sensor ids
-  /// outside [0, header().registry_count).
+  /// Besides DecodeSlotRecord's field checks, refuses any delta
+  /// ValidateSensorDelta refuses against header().registry_count (ids
+  /// outside the registry, non-finite positions, NaN, infinite or
+  /// negative prices) — the check AcquisitionEngine::ApplyDelta applies.
   bool DecodeSlot(int i, TraceSlotRecord* record, std::string* error) const;
 
   /// Total on-disk size, for bench reporting.

@@ -257,13 +257,12 @@ SlotContext MakeUniformThetaSlot(int num_sensors, uint64_t seed) {
   slot.dmax = 10.0;
   for (int i = 0; i < num_sensors; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     s.location = Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)};
     s.cost = rng.Uniform(1.0, 4.0);
     s.inaccuracy = 0.0;
     s.trust = 1.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   return slot;
 }

@@ -17,13 +17,12 @@ SlotContext MakeSlot(std::vector<Point> positions, double cost = 10.0) {
   slot.dmax = 10.0;
   for (size_t i = 0; i < positions.size(); ++i) {
     SlotSensor s;
-    s.index = static_cast<int>(i);
     s.sensor_id = static_cast<int>(i);
     s.location = positions[i];
     s.cost = cost;
     s.inaccuracy = 0.0;
     s.trust = 1.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   return slot;
 }
@@ -80,7 +79,7 @@ TEST(AggregateQueryTest, ValuationIsNonMonotone) {
   // Adding a low-quality sensor that covers nothing new drags the mean
   // theta down: the Eq. (5) valuation is non-monotone (Section 3.2).
   SlotContext slot = MakeSlot({Point{10, 10}, Point{10, 10}});
-  slot.sensors[1].inaccuracy = 0.9;  // theta = 0.1
+  slot.sensors.inaccuracy[1] = 0.9;  // theta = 0.1
   AggregateQuery::Params params = BaseParams();
   params.region = Rect{5, 5, 15, 15};
   AggregateQuery q(params, slot);
@@ -147,9 +146,10 @@ OracleGrid EveryCellBind(const AggregateQuery::Params& p,
   OracleGrid grid;
   grid.num_cells = cells_x * cells_y;
   grid.covered.resize(slot.sensors.size());
-  for (const SlotSensor& s : slot.sensors) {
+  for (size_t si = 0; si < slot.sensors.size(); ++si) {
+    const SlotSensor s = slot.sensors.Row(si);
     if (!grown.Contains(s.location)) continue;
-    std::vector<bool>& mask = grid.covered[s.index];
+    std::vector<bool>& mask = grid.covered[si];
     mask.assign(grid.num_cells, false);
     for (int c = 0; c < grid.num_cells; ++c) {
       const int cx = c % cells_x;
@@ -175,7 +175,7 @@ double OracleValue(const AggregateQuery::Params& p, const SlotContext& slot,
     for (size_t c = 0; c < mask.size(); ++c) {
       if (mask[c]) acc[c] = any = true;
     }
-    const SlotSensor& sensor = slot.sensors[s];
+    const SlotSensor sensor = slot.sensors.Row(s);
     if (any) theta_sum += (1.0 - sensor.inaccuracy) * sensor.trust;
   }
   *covered_cells = static_cast<int>(std::count(acc.begin(), acc.end(), true));
@@ -205,11 +205,9 @@ SlotContext MakeCaseSlot(const BindCase& bc, uint64_t seed) {
               rng.Uniform(bc.region.y_min - reach, bc.region.y_max + reach)});
   }
   SlotContext slot = MakeSlot(positions);
-  slot.slabs.Resize(slot.sensors.size());
-  for (SlotSensor& s : slot.sensors) {
-    s.inaccuracy = 0.05 * (s.index % 7);
-    s.trust = 1.0 - 0.03 * (s.index % 5);
-    slot.slabs.SetRow(static_cast<size_t>(s.index), s);
+  for (size_t i = 0; i < slot.sensors.size(); ++i) {
+    slot.sensors.inaccuracy[i] = 0.05 * (i % 7);
+    slot.sensors.trust[i] = 1.0 - 0.03 * (i % 5);
   }
   return slot;
 }
@@ -263,8 +261,6 @@ TEST(AggregateQueryTest, WindowedBindMatchesEveryCellOracle) {
     synced.index_policy = SlotIndexPolicy::kGrid;
     AttachSlotIndex(synced);
     scalar.use_soa = false;
-    ASSERT_TRUE(synced.SlabsSynced());
-    ASSERT_FALSE(scalar.SlabsSynced());
     const OracleGrid grid = EveryCellBind(params, synced);
     const int n = static_cast<int>(synced.sensors.size());
 

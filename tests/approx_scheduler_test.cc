@@ -36,13 +36,12 @@ SlotContext MakeUniformThetaSlot(int num_sensors, uint64_t seed) {
   slot.dmax = 10.0;
   for (int i = 0; i < num_sensors; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     s.location = Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)};
     s.cost = rng.Uniform(1.0, 4.0);
     s.inaccuracy = 0.0;
     s.trust = 1.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   return slot;
 }
@@ -251,7 +250,8 @@ SieveSlotRun RunSieveSlot(SieveStreamingScheduler& sieve,
                    ? sieve.SelectFull(ptrs, slot)
                    : sieve.SelectArrivals(ptrs, slot, *arrivals);
   for (int idx : run.result.selected_sensors) {
-    run.selected_ids.push_back(slot.sensors[static_cast<size_t>(idx)].sensor_id);
+    run.selected_ids.push_back(
+        slot.sensors.sensor_id[static_cast<size_t>(idx)]);
   }
   return run;
 }
@@ -263,14 +263,13 @@ SlotContext RestrictSlot(const SlotContext& base,
   slot.time = base.time + 1;
   slot.dmax = base.dmax;
   slot.approx = base.approx;
-  for (const SlotSensor& s : base.sensors) {
+  for (size_t i = 0; i < base.sensors.size(); ++i) {
+    const SlotSensor s = base.sensors.Row(i);
     if (std::find(departed_ids.begin(), departed_ids.end(), s.sensor_id) !=
         departed_ids.end()) {
       continue;
     }
-    SlotSensor copy = s;
-    copy.index = static_cast<int>(slot.sensors.size());
-    slot.sensors.push_back(copy);
+    slot.sensors.Append(s);
   }
   return slot;
 }
@@ -314,15 +313,14 @@ TEST(SieveStreamingTest, DominantArrivalIsAbsorbedWithoutRestreaming) {
   // the right side covers query cells nothing else can reach — a
   // genuinely dominant candidate rather than a redundant one.
   SlotContext slot = MakeUniformThetaSlot(50, 41);
-  for (SlotSensor& s : slot.sensors) s.location.x *= 0.45;
+  for (double& x : slot.sensors.x) x *= 0.45;
   SieveStreamingScheduler sieve;
   const SieveSlotRun first = RunSieveSlot(sieve, slot, 6, 42, nullptr);
   const int64_t calls_full = first.result.valuation_calls;
 
   // A nearly free, perfectly placed sensor arrives (id above the existing
-  // range keeps the slot array ascending).
+  // range keeps the slot rows ascending).
   SlotSensor arrival;
-  arrival.index = static_cast<int>(slot.sensors.size());
   arrival.sensor_id = 1000;
   arrival.location = Point{32.0, 20.0};
   arrival.cost = 0.01;
@@ -330,7 +328,7 @@ TEST(SieveStreamingTest, DominantArrivalIsAbsorbedWithoutRestreaming) {
   arrival.trust = 1.0;
   SlotContext next_slot = slot;
   next_slot.time = slot.time + 1;
-  next_slot.sensors.push_back(arrival);
+  next_slot.sensors.Append(arrival);
 
   const std::vector<int> arrivals{1000};
   const SieveSlotRun next =
@@ -351,7 +349,6 @@ TEST(SieveStreamingTest, SelectDeltaMatchesSelectArrivals) {
   (void)RunSieveSlot(b, slot, 6, 52, nullptr);
 
   SlotSensor arrival;
-  arrival.index = static_cast<int>(slot.sensors.size());
   arrival.sensor_id = 500;
   arrival.location = Point{10.0, 10.0};
   arrival.cost = 0.5;
@@ -359,7 +356,7 @@ TEST(SieveStreamingTest, SelectDeltaMatchesSelectArrivals) {
   arrival.trust = 1.0;
   SlotContext next_slot = slot;
   next_slot.time = slot.time + 1;
-  next_slot.sensors.push_back(arrival);
+  next_slot.sensors.Append(arrival);
 
   SensorDelta delta;
   delta.arrivals.push_back({500, arrival.location});

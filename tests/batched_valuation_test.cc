@@ -41,13 +41,12 @@ SlotContext MakeSlot(int num_sensors, uint64_t seed, bool indexed,
   slot.index_policy = indexed ? SlotIndexPolicy::kGrid : SlotIndexPolicy::kNone;
   for (int i = 0; i < num_sensors; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     s.location = Point{rng.Uniform(0.0, region_side), rng.Uniform(0.0, region_side)};
     s.cost = rng.Uniform(5.0, 15.0);
     s.inaccuracy = rng.Uniform(0.0, 0.3);
     s.trust = rng.Uniform(0.6, 1.0);
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   AttachSlotIndex(slot);
   return slot;
@@ -92,7 +91,7 @@ TEST(BatchedValuationTest, PointMultiQueryMatchesScalar) {
     PointQuery spec;
     spec.id = 1;
     // Anchor the query on a real sensor so in-range candidates exist.
-    spec.location = slot.sensors[40].location;
+    spec.location = slot.sensors.Row(40).location;
     spec.budget = 15.0;
     spec.theta_min = 0.2;
     PointMultiQuery query(spec, &slot);
@@ -104,7 +103,7 @@ TEST(BatchedValuationTest, PointMultiQueryMatchesScalar) {
     int best = -1;
     double best_value = 0.0;
     for (int s : all) {
-      const double v = PointQueryValue(spec, slot.sensors[s], slot.dmax);
+      const double v = PointQueryValue(spec, slot.sensors.Row(s), slot.dmax);
       if (v > best_value) {
         best_value = v;
         best = s;
@@ -132,7 +131,7 @@ TEST(BatchedValuationTest, MultiSensorPointQueryMatchesScalar) {
     const SlotContext slot = MakeSlot(150, 13, indexed, 30.0);
     MultiSensorPointQuery::Params params;
     params.id = 2;
-    params.location = slot.sensors[50].location;
+    params.location = slot.sensors.Row(50).location;
     params.budget = 20.0;
     params.theta_min = 0.1;
     params.redundancy = 3;
@@ -184,7 +183,8 @@ TEST(BatchedValuationTest, AggregateQueryMatchesScalarIncludingNegative) {
     int best = -1;
     double best_theta = -1.0;
     for (int s : all) {
-      const double theta = (1.0 - slot.sensors[s].inaccuracy) * slot.sensors[s].trust;
+      const double theta =
+          (1.0 - slot.sensors.inaccuracy[s]) * slot.sensors.trust[s];
       if (query.MarginalValue(s) > 0.0 && theta > best_theta) {
         best_theta = theta;
         best = s;
@@ -366,7 +366,7 @@ TEST(ScratchHygieneTest, PoisonedArenaMatchesOwnedBuffersForEveryEngine) {
   const SlotContext slot =
       BuildSlotContext(MakeRegistry(1200, 41), field, 0, 8.0);
   ASSERT_NE(slot.index, nullptr);
-  ASSERT_TRUE(slot.SlabsSynced());
+  ASSERT_TRUE(slot.use_soa);
   SlotArena arena(kPoisonBytes);
   SlotContext poisoned = slot;
   poisoned.arena = &arena;
@@ -433,11 +433,12 @@ TEST(ScratchHygieneTest, SieveDeltaWithArrivalsNoQueryListsMatches) {
       ASSERT_TRUE(plan.active);
       int unlisted_arrivals = 0;
       int unlisted_carried = 0;
-      for (const SlotSensor& ss : clean.sensors) {
-        const bool unlisted = plan.QueriesOf(ss.index).empty();
-        if (ss.sensor_id < 20 && unlisted) ++unlisted_arrivals;
-        if (unlisted && std::find(carried.begin(), carried.end(),
-                                  ss.sensor_id) != carried.end()) {
+      for (int row = 0; row < static_cast<int>(clean.sensors.size()); ++row) {
+        const int id = clean.sensors.sensor_id[row];
+        const bool unlisted = plan.QueriesOf(row).empty();
+        if (id < 20 && unlisted) ++unlisted_arrivals;
+        if (unlisted &&
+            std::find(carried.begin(), carried.end(), id) != carried.end()) {
           ++unlisted_carried;
         }
       }
@@ -496,7 +497,7 @@ TEST(ScratchHygieneTest, NonCandidatesGetNoQueriesAndNetMinusCost) {
       if (listed[static_cast<size_t>(s)]) {
         EXPECT_EQ(net[k], evaluator.EvaluateNet(s)) << "sensor " << s;
       } else {
-        EXPECT_EQ(net[k], -slot.sensors[static_cast<size_t>(s)].cost)
+        EXPECT_EQ(net[k], -slot.sensors.cost[static_cast<size_t>(s)])
             << "sensor " << s;
       }
     }

@@ -26,13 +26,12 @@ SlotContext MakeSlot(int num_sensors, uint64_t seed) {
   slot.dmax = 10.0;
   for (int i = 0; i < num_sensors; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     s.location = Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)};
     s.cost = rng.Uniform(5.0, 15.0);
     s.inaccuracy = rng.Uniform(0.0, 0.2);
     s.trust = 1.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   return slot;
 }
@@ -85,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, Theorem1Test, ::testing::Range(0, 15))
 
 TEST(GreedyTest, SelectsNothingWhenCostsDominate) {
   SlotContext slot = MakeSlot(5, 1);
-  for (SlotSensor& s : slot.sensors) s.cost = 1e6;
+  for (double& cost : slot.sensors.cost) cost = 1e6;
   auto queries = MakeAggregates(slot, 3, 2);
   std::vector<MultiQuery*> ptrs;
   for (auto& q : queries) ptrs.push_back(q.get());
@@ -101,11 +100,10 @@ TEST(GreedyTest, SharedSensorPaidOnceSplitProportionally) {
   slot.time = 0;
   slot.dmax = 5.0;
   SlotSensor s;
-  s.index = 0;
   s.sensor_id = 0;
   s.location = Point{0, 0};
   s.cost = 10.0;
-  slot.sensors.push_back(s);
+  slot.sensors.Append(s);
 
   PointQuery q1;
   q1.id = 1;
@@ -133,11 +131,10 @@ TEST(GreedyTest, CostScaleBiasesSelectionButChargesTrueCost) {
   slot.dmax = 5.0;
   for (int i = 0; i < 2; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     s.location = Point{static_cast<double>(i) * 0.1, 0};
     s.cost = 10.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   PointQuery q;
   q.id = 1;
@@ -158,11 +155,10 @@ TEST(BaselineSequentialTest, EarlierQueriesPayLaterQueriesFreeRide) {
   slot.time = 0;
   slot.dmax = 5.0;
   SlotSensor s;
-  s.index = 0;
   s.sensor_id = 0;
   s.location = Point{0, 0};
   s.cost = 10.0;
-  slot.sensors.push_back(s);
+  slot.sensors.Append(s);
   PointQuery q;
   q.location = Point{0, 0};
   q.budget = 20.0;
@@ -181,11 +177,10 @@ TEST(BaselineSequentialTest, QueryAloneCannotAffordSensor) {
   slot.time = 0;
   slot.dmax = 5.0;
   SlotSensor s;
-  s.index = 0;
   s.sensor_id = 0;
   s.location = Point{0, 0};
   s.cost = 10.0;
-  slot.sensors.push_back(s);
+  slot.sensors.Append(s);
   PointQuery q;
   q.location = Point{0, 0};
   q.budget = 7.0;  // value 7 < cost 10

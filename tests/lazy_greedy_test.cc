@@ -31,13 +31,12 @@ SlotContext MakeUniformThetaSlot(int num_sensors, uint64_t seed) {
   slot.dmax = 10.0;
   for (int i = 0; i < num_sensors; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     s.location = Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)};
     s.cost = rng.Uniform(5.0, 15.0);
     s.inaccuracy = 0.0;
     s.trust = 1.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   return slot;
 }
@@ -153,7 +152,9 @@ TEST(LazyGreedyTest, Theorem1PropertiesHoldOnNonSubmodularInstances) {
   for (int trial = 0; trial < 15; ++trial) {
     Rng rng(600 + trial);
     SlotContext slot = MakeUniformThetaSlot(15, 100 + trial);
-    for (SlotSensor& s : slot.sensors) s.inaccuracy = rng.Uniform(0.0, 0.3);
+    for (double& inaccuracy : slot.sensors.inaccuracy) {
+      inaccuracy = rng.Uniform(0.0, 0.3);
+    }
 
     auto queries = MakeCoverageQueries(slot, 6, 200 + trial);
     std::vector<MultiQuery*> ptrs;
@@ -174,7 +175,7 @@ TEST(LazyGreedyTest, Theorem1PropertiesHoldOnNonSubmodularInstances) {
 
 TEST(LazyGreedyTest, SelectsNothingWhenCostsDominate) {
   SlotContext slot = MakeUniformThetaSlot(8, 1);
-  for (SlotSensor& s : slot.sensors) s.cost = 1e7;
+  for (double& cost : slot.sensors.cost) cost = 1e7;
   auto queries = MakeCoverageQueries(slot, 4, 2);
   std::vector<MultiQuery*> ptrs;
   for (auto& q : queries) ptrs.push_back(q.get());

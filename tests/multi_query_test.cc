@@ -10,11 +10,10 @@ SlotContext OneSensorSlot(const Point& p, double cost = 10.0) {
   slot.time = 0;
   slot.dmax = 5.0;
   SlotSensor s;
-  s.index = 0;
   s.sensor_id = 7;
   s.location = p;
   s.cost = cost;
-  slot.sensors.push_back(s);
+  slot.sensors.Append(s);
   return slot;
 }
 
@@ -33,11 +32,10 @@ TEST(PointMultiQueryTest, MarginalEqualsEquation3Value) {
 TEST(PointMultiQueryTest, SecondWorseSensorHasNonPositiveMarginal) {
   SlotContext slot = OneSensorSlot(Point{0, 0});
   SlotSensor far;
-  far.index = 1;
   far.sensor_id = 8;
   far.location = Point{4, 0};  // theta 0.2 for a query at origin
   far.cost = 10.0;
-  slot.sensors.push_back(far);
+  slot.sensors.Append(far);
   PointQuery q;
   q.location = Point{0, 0};
   q.budget = 10.0;
@@ -51,11 +49,10 @@ TEST(PointMultiQueryTest, SecondWorseSensorHasNonPositiveMarginal) {
 TEST(PointMultiQueryTest, BetterSensorImprovesBest) {
   SlotContext slot = OneSensorSlot(Point{4, 0});  // theta 0.2
   SlotSensor close;
-  close.index = 1;
   close.sensor_id = 9;
   close.location = Point{0, 0};  // theta 1.0
   close.cost = 10.0;
-  slot.sensors.push_back(close);
+  slot.sensors.Append(close);
   PointQuery q;
   q.location = Point{0, 0};
   q.budget = 10.0;

@@ -14,11 +14,10 @@ SlotContext MakeSlot(std::vector<Point> positions) {
   slot.dmax = 5.0;
   for (size_t i = 0; i < positions.size(); ++i) {
     SlotSensor s;
-    s.index = static_cast<int>(i);
     s.sensor_id = static_cast<int>(i);
     s.location = positions[i];
     s.cost = 10.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   return slot;
 }

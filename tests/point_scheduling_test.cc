@@ -18,13 +18,12 @@ SlotContext MakeSlot(int num_sensors, uint64_t seed, double dmax = 5.0,
   slot.dmax = dmax;
   for (int i = 0; i < num_sensors; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = 100 + i;
     s.location = Point{rng.Uniform(0.0, extent), rng.Uniform(0.0, extent)};
     s.cost = 10.0;
     s.inaccuracy = rng.Uniform(0.0, 0.2);
     s.trust = 1.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   return slot;
 }
@@ -49,8 +48,9 @@ TEST(BuildPointProblemTest, GroupsQueriesByLocation) {
 
 TEST(BuildPointProblemTest, ValuesAreSumsOfColocatedQueryValues) {
   SlotContext slot = MakeSlot(1, 3);
-  slot.sensors[0].location = Point{5, 5};
-  slot.sensors[0].inaccuracy = 0.0;
+  slot.sensors.x[0] = 5;
+  slot.sensors.y[0] = 5;
+  slot.sensors.inaccuracy[0] = 0.0;
   PointQuery q;
   q.location = Point{5, 5};
   q.budget = 10.0;
@@ -64,7 +64,8 @@ TEST(BuildPointProblemTest, ValuesAreSumsOfColocatedQueryValues) {
 
 TEST(BuildPointProblemTest, DropsBelowThresholdValues) {
   SlotContext slot = MakeSlot(1, 4);
-  slot.sensors[0].location = Point{0, 0};
+  slot.sensors.x[0] = 0;
+  slot.sensors.y[0] = 0;
   PointQuery q;
   q.location = Point{4.5, 0};  // theta = 0.1 < theta_min
   q.budget = 10.0;
@@ -115,7 +116,7 @@ TEST_P(PaymentPropertiesTest, Equation11PaymentsCoverCostsExactly) {
     EXPECT_GE(a.payment, 0.0);
   }
   for (int si : result.selected_sensors) {
-    EXPECT_NEAR(collected[si], slot.sensors[si].cost, 1e-6) << "sensor " << si;
+    EXPECT_NEAR(collected[si], slot.sensors.cost[si], 1e-6) << "sensor " << si;
   }
   // Total utility equals total value minus total cost.
   EXPECT_NEAR(result.Utility(), result.total_value - result.total_cost, 1e-9);
@@ -164,8 +165,9 @@ TEST(PointSchedulingTest, SharingAnswersWhatBaselineCannot) {
   // Many co-located queries of budget 7 jointly exceed the sensor cost:
   // the optimizing schedulers answer them, the baseline cannot.
   SlotContext slot = MakeSlot(1, 80);
-  slot.sensors[0].location = Point{10, 10};
-  slot.sensors[0].inaccuracy = 0.0;
+  slot.sensors.x[0] = 10;
+  slot.sensors.y[0] = 10;
+  slot.sensors.inaccuracy[0] = 0.0;
   PointQuery q;
   q.location = Point{10, 10};
   q.budget = 7.0;
@@ -183,8 +185,9 @@ TEST(PointSchedulingTest, SharingAnswersWhatBaselineCannot) {
 
 TEST(PointSchedulingTest, AssignmentQualityMatchesEquation4) {
   SlotContext slot = MakeSlot(1, 90);
-  slot.sensors[0].location = Point{10, 10};
-  slot.sensors[0].inaccuracy = 0.1;
+  slot.sensors.x[0] = 10;
+  slot.sensors.y[0] = 10;
+  slot.sensors.inaccuracy[0] = 0.1;
   PointQuery q;
   q.location = Point{12, 10};  // distance 2, dmax 5
   q.budget = 30.0;

@@ -33,7 +33,6 @@ SlotContext MakeSlot(int num_sensors, uint64_t seed, SlotIndexPolicy policy) {
   slot.index_policy = policy;
   for (int i = 0; i < num_sensors; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     // Two clusters plus background, so candidate pruning actually bites.
     const double cx = (i % 3 == 0) ? 10.0 : 40.0;
@@ -43,7 +42,7 @@ SlotContext MakeSlot(int num_sensors, uint64_t seed, SlotIndexPolicy policy) {
     s.cost = rng.Uniform(5.0, 15.0);
     s.inaccuracy = rng.Uniform(0.0, 0.2);
     s.trust = 1.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   AttachSlotIndex(slot);
   return slot;

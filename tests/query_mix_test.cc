@@ -18,13 +18,12 @@ SlotContext MakeSlot(int num_sensors, uint64_t seed, int time = 12) {
   slot.dmax = 10.0;
   for (int i = 0; i < num_sensors; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     s.location = Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)};
     s.cost = 10.0;
     s.inaccuracy = rng.Uniform(0.0, 0.2);
     s.trust = 1.0;
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
   return slot;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace psens {
 namespace {
 
@@ -120,6 +122,48 @@ TEST(SensorTest, HistoryBoundedByPrivacyWindow) {
   for (int t = 0; t < 20; ++t) s.RecordReading(t);
   EXPECT_LE(s.report_history().size(), 5u);
   EXPECT_EQ(s.report_history().back(), 19);
+}
+
+TEST(SensorTest, HistoryKeepsTheLastWindowTimesInOrder) {
+  for (int window : {1, 3, 5}) {
+    SensorProfile profile = BaseProfile();
+    profile.privacy_window = window;
+    profile.lifetime = 1000;
+    Sensor s(0, profile);
+    EXPECT_TRUE(s.report_history().empty());
+    std::vector<int> times;
+    for (int k = 0; k < 3 * window; ++k) times.push_back(2 * k + 1);
+    for (int t : times) s.RecordReading(t);
+    const std::vector<int> last(times.end() - window, times.end());
+    EXPECT_EQ(s.report_history(), last) << "window " << window;
+    EXPECT_EQ(s.readings_taken(), 3 * window);
+  }
+}
+
+TEST(SensorTest, NonPositiveWindowKeepsNoHistory) {
+  for (int window : {0, -2}) {
+    SensorProfile profile = BaseProfile();
+    profile.privacy_window = window;
+    profile.privacy = PrivacySensitivity::kVeryHigh;
+    Sensor s(0, profile);
+    for (int t = 0; t < 4; ++t) s.RecordReading(t);
+    EXPECT_TRUE(s.report_history().empty()) << "window " << window;
+    EXPECT_EQ(s.readings_taken(), 4);
+    EXPECT_EQ(s.PrivacyLoss(4), 0.0);
+  }
+}
+
+TEST(SensorTest, PrivacyLossMatchesEquation14ByHand) {
+  SensorProfile profile = BaseProfile();
+  profile.privacy_window = 4;
+  profile.lifetime = 100;
+  Sensor s(0, profile);
+  // Six readings: only the last four (5, 7, 8, 9) stay in the history.
+  for (int t : {1, 2, 5, 7, 8, 9}) s.RecordReading(t);
+  ASSERT_EQ(s.report_history(), (std::vector<int>{5, 7, 8, 9}));
+  // At now = 11 the ages are 6, 4, 3, 2; ages >= w add nothing, so
+  // (w + (4-3) + (4-2)) / (w (w + 1) / 2) = (4 + 1 + 2) / 10.
+  EXPECT_EQ(s.PrivacyLoss(11), (4.0 + 1.0 + 2.0) / 10.0);
 }
 
 TEST(ReadingQualityTest, Equation4Cases) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace psens {
 namespace {
 
@@ -22,8 +25,7 @@ TEST(BuildSlotContextTest, FiltersByRegionAndAvailability) {
   const SlotContext slot =
       BuildSlotContext(sensors, Rect{0, 0, 10, 10}, /*time=*/3, /*dmax=*/5.0);
   ASSERT_EQ(slot.sensors.size(), 1u);
-  EXPECT_EQ(slot.sensors[0].sensor_id, 0);
-  EXPECT_EQ(slot.sensors[0].index, 0);
+  EXPECT_EQ(slot.sensors.sensor_id[0], 0);
   EXPECT_EQ(slot.time, 3);
   EXPECT_DOUBLE_EQ(slot.dmax, 5.0);
 }
@@ -36,7 +38,7 @@ TEST(BuildSlotContextTest, AnnouncedCostComesFromSensorModel) {
   const SlotContext slot =
       BuildSlotContext(sensors, Rect{0, 0, 10, 10}, 1, 5.0);
   ASSERT_EQ(slot.sensors.size(), 1u);
-  EXPECT_DOUBLE_EQ(slot.sensors[0].cost, sensors[0].Cost(1));
+  EXPECT_DOUBLE_EQ(slot.sensors.cost[0], sensors[0].Cost(1));
 }
 
 TEST(BuildSlotContextTest, WornOutSensorExcluded) {
@@ -44,18 +46,40 @@ TEST(BuildSlotContextTest, WornOutSensorExcluded) {
   for (int t = 0; t < 5; ++t) sensors[0].RecordReading(t);  // lifetime 5
   const SlotContext slot =
       BuildSlotContext(sensors, Rect{0, 0, 10, 10}, 6, 5.0);
-  EXPECT_TRUE(slot.sensors.empty());
+  EXPECT_EQ(slot.sensors.size(), 0u);
 }
 
-TEST(BuildSlotContextTest, IndicesAreDense) {
+TEST(BuildSlotContextTest, RowsAscendBySensorId) {
   std::vector<Sensor> sensors = ThreeSensors();
   sensors[1].SetPosition(Point{7, 7}, true);  // now also inside
   const SlotContext slot =
       BuildSlotContext(sensors, Rect{0, 0, 10, 10}, 0, 5.0);
   ASSERT_EQ(slot.sensors.size(), 2u);
-  EXPECT_EQ(slot.sensors[0].index, 0);
-  EXPECT_EQ(slot.sensors[1].index, 1);
-  EXPECT_EQ(slot.sensors[1].sensor_id, 1);
+  EXPECT_EQ(slot.sensors.sensor_id, (std::vector<int>{0, 1}));
+  EXPECT_EQ(slot.sensors.x, (std::vector<double>{5, 7}));
+  EXPECT_EQ(slot.sensors.y, (std::vector<double>{5, 7}));
+}
+
+TEST(SlotSensorTableTest, AppendThenRowRoundTripsEveryField) {
+  SlotSensorTable table;
+  const SlotSensor a{7, Point{1.5, -2.0}, 3.25, 0.125, 0.75};
+  const SlotSensor b{9, Point{4.0, 8.5}, 0.0, 0.5, 1.0};
+  table.Append(a);
+  table.Append(b);
+  ASSERT_EQ(table.size(), 2u);
+  for (const auto& [row, want] : {std::pair{0, a}, std::pair{1, b}}) {
+    const SlotSensor got = table.Row(static_cast<size_t>(row));
+    EXPECT_EQ(got.sensor_id, want.sensor_id) << "row " << row;
+    EXPECT_EQ(got.location, want.location) << "row " << row;
+    EXPECT_EQ(got.cost, want.cost) << "row " << row;
+    EXPECT_EQ(got.inaccuracy, want.inaccuracy) << "row " << row;
+    EXPECT_EQ(got.trust, want.trust) << "row " << row;
+  }
+  // Shrinking keeps the surviving rows.
+  table.Resize(1);
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.Row(0).sensor_id, 7);
+  EXPECT_EQ(table.trust.size(), 1u);
 }
 
 TEST(SlotQualityTest, MatchesReadingQuality) {

@@ -1,12 +1,12 @@
-// The SoA valuation contract (docs/ARCHITECTURE.md, "Valuation kernels"):
-// the slab kernels behind PointMultiQuery, MultiSensorPointQuery,
+// The column-kernel contract (docs/ARCHITECTURE.md, "Valuation kernels"):
+// the column kernels behind PointMultiQuery, MultiSensorPointQuery,
 // AggregateQuery, and TrajectoryQuery — plus the per-query candidate value
 // caches they enable — produce *bit-identical* selections, payments,
-// values, and ValuationCalls to the scalar AoS reference paths, for every
-// scheduler, under churn, with the slab columns repaired incrementally in
-// lockstep with the member array. SlotContext::use_soa is the ablation
-// switch: flipping it off on a copied context routes every kernel to its
-// scalar path (SlotSlabs doc in core/slot.h).
+// values, and ValuationCalls to the scalar reference paths, for every
+// scheduler, under churn, with the slot's columns repaired incrementally.
+// SlotContext::use_soa is the ablation switch: flipping it off on a copied
+// context routes every kernel to its scalar path, which reads rows
+// assembled from the same columns (SlotSensorTable in core/slot.h).
 
 #include <gtest/gtest.h>
 
@@ -25,20 +25,19 @@
 namespace psens {
 namespace {
 
-/// The slab invariant: every column entry equals the corresponding
-/// SlotSensor field. This is what the engines' O(churn) repair must
-/// maintain; a single drifted row would silently change valuations.
-void ExpectSlabsInLockstep(const SlotContext& slot, int t) {
-  ASSERT_TRUE(slot.SlabsSynced()) << "slot " << t;
-  for (size_t i = 0; i < slot.sensors.size(); ++i) {
-    const SlotSensor& s = slot.sensors[i];
-    ASSERT_EQ(slot.slabs.x[i], s.location.x) << "slot " << t << " row " << i;
-    ASSERT_EQ(slot.slabs.y[i], s.location.y) << "slot " << t << " row " << i;
-    ASSERT_EQ(slot.slabs.cost[i], s.cost) << "slot " << t << " row " << i;
-    ASSERT_EQ(slot.slabs.inaccuracy[i], s.inaccuracy)
-        << "slot " << t << " row " << i;
-    ASSERT_EQ(slot.slabs.trust[i], s.trust) << "slot " << t << " row " << i;
-  }
+/// The engine's O(churn) repair must leave every column equal to a fresh
+/// build over the same registry; a repair that skipped one column (or
+/// left it a different length) would silently change valuations.
+void ExpectSameContext(const SlotContext& repaired, const SlotContext& built,
+                       int t) {
+  const SlotSensorTable& a = repaired.sensors;
+  const SlotSensorTable& b = built.sensors;
+  ASSERT_EQ(a.sensor_id, b.sensor_id) << "slot " << t;
+  ASSERT_EQ(a.x, b.x) << "slot " << t;
+  ASSERT_EQ(a.y, b.y) << "slot " << t;
+  ASSERT_EQ(a.cost, b.cost) << "slot " << t;
+  ASSERT_EQ(a.inaccuracy, b.inaccuracy) << "slot " << t;
+  ASSERT_EQ(a.trust, b.trust) << "slot " << t;
 }
 
 /// Everything an observer can see from one joint selection.
@@ -156,11 +155,13 @@ TEST(SoaKernelEquivalenceTest, AllEnginesMatchScalarUnderChurn) {
   for (int t = 0; t < 8; ++t) {
     engine.ApplyDelta(stream.Next(churn_rng));
     const SlotContext& slot = engine.BeginSlot(t);
-    ExpectSlabsInLockstep(slot, t);
+    ExpectSameContext(
+        slot, BuildSlotContext(engine.sensors(), field, t, engine_config.dmax),
+        t);
 
     // Scalar reference: same context with the kernels and the arena
-    // disabled — SlabsSynced() goes false, every valuation runs the
-    // legacy AoS path, and scratch falls back to owned heap buffers.
+    // disabled — every valuation runs the scalar path over assembled
+    // rows, and scratch falls back to owned heap buffers.
     SlotContext scalar = slot;
     scalar.use_soa = false;
     scalar.arena = nullptr;
@@ -172,7 +173,7 @@ TEST(SoaKernelEquivalenceTest, AllEnginesMatchScalarUnderChurn) {
       ExpectSameOutcome(soa, aos, labels[e], t);
     }
     // Feed readings back so announced costs drift (privacy decay, energy)
-    // and the slab repair has real cost churn to track.
+    // and the column repair has real cost churn to track.
     const Outcome feedback =
         RunMixedSelection(slot, field, GreedyEngine::kLazy, 7000 + t);
     engine.RecordSlotReadings(feedback.selection.selected_sensors, t);
@@ -190,7 +191,6 @@ TEST(SoaKernelEquivalenceTest, RebuildModeMatchesScalarToo) {
     s.SetPosition(Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)}, true);
   }
   const SlotContext slot = BuildSlotContext(sensors, field, 3, 6.0);
-  ExpectSlabsInLockstep(slot, 3);
   SlotContext scalar = slot;
   scalar.use_soa = false;
   scalar.arena = nullptr;
@@ -202,7 +202,7 @@ TEST(SoaKernelEquivalenceTest, RebuildModeMatchesScalarToo) {
 }
 
 // Unindexed slots exercise the dense-plan kernels (no candidate lists, so
-// the caches never arm and the slab sweeps run over every sensor).
+// the caches never arm and the column sweeps run over every sensor).
 TEST(SoaKernelEquivalenceTest, UnindexedDensePlansMatchScalar) {
   const Rect field{0, 0, 30, 30};
   SensorPopulationConfig population;

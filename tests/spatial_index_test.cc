@@ -484,10 +484,9 @@ TEST(SpatialIndexTest, AttachSlotIndexHonorsPolicy) {
   slot.dmax = 5.0;
   for (int i = 0; i < 64; ++i) {
     SlotSensor s;
-    s.index = i;
     s.sensor_id = i;
     s.location = Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)};
-    slot.sensors.push_back(s);
+    slot.sensors.Append(s);
   }
 
   slot.index_policy = SlotIndexPolicy::kNone;
@@ -509,10 +508,11 @@ TEST(SpatialIndexTest, AttachSlotIndexHonorsPolicy) {
 
   // kAuto skips tiny populations (below kSlotIndexAutoThreshold).
   SlotContext tiny;
-  tiny.sensors.resize(kSlotIndexAutoThreshold - 1);
-  for (int i = 0; i < static_cast<int>(tiny.sensors.size()); ++i) {
-    tiny.sensors[i].index = i;
-    tiny.sensors[i].location = Point{static_cast<double>(i), 0.0};
+  for (int i = 0; i < kSlotIndexAutoThreshold - 1; ++i) {
+    SlotSensor s;
+    s.sensor_id = i;
+    s.location = Point{static_cast<double>(i), 0.0};
+    tiny.sensors.Append(s);
   }
   tiny.index_policy = SlotIndexPolicy::kAuto;
   AttachSlotIndex(tiny);

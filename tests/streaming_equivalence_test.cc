@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,11 +27,12 @@
 #include "sim/workload.h"
 #include "trace/closed_loop.h"
 #include "trace/slot_server.h"
+#include "trace/trace_reader.h"
 
 namespace psens {
 namespace {
 
-/// Field-exact SlotContext equality (announcements, order, index
+/// Field-exact SlotContext equality (all six columns, row order, index
 /// presence). The index *structures* may differ internally — exactness of
 /// their result sets is pinned by spatial_index_test — but indexed-ness
 /// must agree so schedulers take identical code paths.
@@ -37,17 +41,16 @@ void ExpectSameContext(const SlotContext& a, const SlotContext& b, int slot) {
   ASSERT_EQ(a.dmax, b.dmax) << "slot " << slot;
   ASSERT_EQ(a.sensors.size(), b.sensors.size()) << "slot " << slot;
   ASSERT_EQ(a.index == nullptr, b.index == nullptr) << "slot " << slot;
-  for (size_t i = 0; i < a.sensors.size(); ++i) {
-    const SlotSensor& x = a.sensors[i];
-    const SlotSensor& y = b.sensors[i];
-    ASSERT_EQ(x.index, y.index) << "slot " << slot << " sensor " << i;
-    ASSERT_EQ(x.sensor_id, y.sensor_id) << "slot " << slot << " sensor " << i;
-    ASSERT_EQ(x.location.x, y.location.x) << "slot " << slot << " sensor " << i;
-    ASSERT_EQ(x.location.y, y.location.y) << "slot " << slot << " sensor " << i;
-    ASSERT_EQ(x.cost, y.cost) << "slot " << slot << " sensor " << i;
-    ASSERT_EQ(x.inaccuracy, y.inaccuracy) << "slot " << slot << " sensor " << i;
-    ASSERT_EQ(x.trust, y.trust) << "slot " << slot << " sensor " << i;
-  }
+  const SlotSensorTable& x = a.sensors;
+  const SlotSensorTable& y = b.sensors;
+  // Each column is compared at its own size, so a repair that leaves one
+  // column short or long fails here, not only through a mismatched row.
+  ASSERT_EQ(x.sensor_id, y.sensor_id) << "slot " << slot;
+  ASSERT_EQ(x.x, y.x) << "slot " << slot;
+  ASSERT_EQ(x.y, y.y) << "slot " << slot;
+  ASSERT_EQ(x.cost, y.cost) << "slot " << slot;
+  ASSERT_EQ(x.inaccuracy, y.inaccuracy) << "slot " << slot;
+  ASSERT_EQ(x.trust, y.trust) << "slot " << slot;
 }
 
 void ExpectSameSchedule(const PointScheduleResult& a,
@@ -475,11 +478,10 @@ TEST(StreamingEquivalenceTest, DepartedSensorsLeaveTheSlot) {
   engine.ApplyDelta(delta);
   const SlotContext& after = engine.BeginSlot(1);
   EXPECT_EQ(after.sensors.size(), 47u);
-  for (const SlotSensor& s : after.sensors) {
-    EXPECT_NE(s.sensor_id, 7);
-    EXPECT_NE(s.sensor_id, 30);
-    EXPECT_NE(s.sensor_id, 49);
-    EXPECT_EQ(after.sensors[static_cast<size_t>(s.index)].sensor_id, s.sensor_id);
+  for (int id : after.sensors.sensor_id) {
+    EXPECT_NE(id, 7);
+    EXPECT_NE(id, 30);
+    EXPECT_NE(id, 49);
   }
 
   // Re-arrival restores membership at the announced location.
@@ -489,7 +491,8 @@ TEST(StreamingEquivalenceTest, DepartedSensorsLeaveTheSlot) {
   const SlotContext& restored = engine.BeginSlot(2);
   EXPECT_EQ(restored.sensors.size(), 48u);
   bool found = false;
-  for (const SlotSensor& s : restored.sensors) {
+  for (size_t i = 0; i < restored.sensors.size(); ++i) {
+    const SlotSensor s = restored.sensors.Row(i);
     if (s.sensor_id == 30) {
       found = true;
       EXPECT_EQ(s.location.x, 3.0);
@@ -534,8 +537,7 @@ TEST(StreamingEquivalenceTest, ChangedBitSweepCoversWordEdges) {
   const SlotContext& slot = engine.BeginSlot(1);
   ExpectSameContext(slot, BuildSlotContext(engine.sensors(), region, 1, 5.0),
                     1);
-  std::vector<int> members;
-  for (const SlotSensor& s : slot.sensors) members.push_back(s.sensor_id);
+  const std::vector<int>& members = slot.sensors.sensor_id;
   for (int id : {0, 64, 127, 129}) {
     EXPECT_TRUE(std::find(members.begin(), members.end(), id) != members.end())
         << "sensor " << id;
@@ -556,6 +558,263 @@ TEST(StreamingEquivalenceTest, ChangedBitSweepCoversWordEdges) {
   engine.ApplyDelta(back);
   ExpectSameContext(engine.BeginSlot(3),
                     BuildSlotContext(engine.sensors(), region, 3, 5.0), 3);
+}
+
+// The in-place membership merge at its boundaries: an arrival at the
+// first row while the last row departs (every surviving row shifts right
+// by one), the reverse (every row shifts left), spaced departures (runs
+// each moving further left), spaced arrivals followed by a block of
+// departures (runs each moving further right, then one moving left: the
+// right-moving runs must move last-first, or one overwrites the next
+// run's rows), spaced arrivals up to the end, arrivals and departures
+// interleaved, a slot that empties the table, and one that refills it.
+// Each repaired context must equal a fresh build.
+TEST(StreamingEquivalenceTest, MergeBoundariesMatchBuildSlotContext) {
+  SensorPopulationConfig population;
+  population.count = 40;
+  population.random_privacy = true;
+  Rng rng(61);
+  std::vector<Sensor> sensors = GenerateSensors(population, rng);
+  for (Sensor& s : sensors) {
+    s.SetPosition(Point{rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)}, true);
+  }
+  const int n = static_cast<int>(sensors.size());
+  sensors[0].SetPosition(sensors[0].position(), false);
+  const Rect region{0, 0, 20, 20};
+  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, true));
+  ExpectSameContext(engine.BeginSlot(0),
+                    BuildSlotContext(engine.sensors(), region, 0, 5.0), 0);
+  engine.RecordReadings({1, n / 2, n - 1}, 0);
+
+  // Id 0 arrives while id n-1 departs.
+  SensorDelta first_in_last_out;
+  first_in_last_out.arrivals = {{0, Point{2.0, 3.0}}};
+  first_in_last_out.departures = {n - 1};
+  ASSERT_TRUE(engine.ApplyDelta(first_in_last_out));
+  const SlotContext& s1 = engine.BeginSlot(1);
+  ExpectSameContext(s1, BuildSlotContext(engine.sensors(), region, 1, 5.0), 1);
+  ASSERT_EQ(s1.sensors.sensor_id.front(), 0);
+
+  // The reverse: id n-1 arrives while id 0 departs.
+  SensorDelta last_in_first_out;
+  last_in_first_out.arrivals = {{n - 1, Point{19.0, 18.0}}};
+  last_in_first_out.departures = {0};
+  ASSERT_TRUE(engine.ApplyDelta(last_in_first_out));
+  const SlotContext& s2 = engine.BeginSlot(2);
+  ExpectSameContext(s2, BuildSlotContext(engine.sensors(), region, 2, 5.0), 2);
+  ASSERT_EQ(s2.sensors.sensor_id.back(), n - 1);
+
+  SensorDelta spaced_out;
+  spaced_out.departures = {3, 6, 9, 12, 13, 30};
+  ASSERT_TRUE(engine.ApplyDelta(spaced_out));
+  ExpectSameContext(engine.BeginSlot(3),
+                    BuildSlotContext(engine.sensors(), region, 3, 5.0), 3);
+
+  SensorDelta right_then_left;
+  for (int id : {3, 6, 9}) {
+    right_then_left.arrivals.push_back({id, Point{1.0 + id, 2.0 + id}});
+  }
+  right_then_left.departures = {15, 16, 17, 18};
+  ASSERT_TRUE(engine.ApplyDelta(right_then_left));
+  ExpectSameContext(engine.BeginSlot(4),
+                    BuildSlotContext(engine.sensors(), region, 4, 5.0), 4);
+
+  SensorDelta right_to_end;
+  for (int id : {12, 13, 15, 16, 17, 18, 30}) {
+    right_to_end.arrivals.push_back({id, Point{1.0 + id % 7, 2.0 + id % 5}});
+  }
+  ASSERT_TRUE(engine.ApplyDelta(right_to_end));
+  ExpectSameContext(engine.BeginSlot(5),
+                    BuildSlotContext(engine.sensors(), region, 5, 5.0), 5);
+
+  SensorDelta interleaved;
+  interleaved.arrivals = {{0, Point{4.0, 4.0}}, {17, Point{5.0, 5.0}}};
+  interleaved.departures = {2, 5, 8, 20, 21, 22};
+  ASSERT_TRUE(engine.ApplyDelta(interleaved));
+  ExpectSameContext(engine.BeginSlot(6),
+                    BuildSlotContext(engine.sensors(), region, 6, 5.0), 6);
+  SensorDelta interleaved_back;
+  interleaved_back.arrivals = {{2, Point{6.0, 6.0}}, {5, Point{7.0, 7.0}},
+                               {8, Point{8.0, 8.0}}, {20, Point{9.0, 9.0}},
+                               {21, Point{10.0, 10.0}}};
+  interleaved_back.departures = {0, 1, 35};
+  ASSERT_TRUE(engine.ApplyDelta(interleaved_back));
+  ExpectSameContext(engine.BeginSlot(7),
+                    BuildSlotContext(engine.sensors(), region, 7, 5.0), 7);
+
+  // Everyone leaves.
+  SensorDelta empty_out;
+  for (int id = 0; id < n; ++id) {
+    if (engine.sensors()[id].present()) empty_out.departures.push_back(id);
+  }
+  ASSERT_TRUE(engine.ApplyDelta(empty_out));
+  const SlotContext& s8 = engine.BeginSlot(8);
+  ExpectSameContext(s8, BuildSlotContext(engine.sensors(), region, 8, 5.0), 8);
+  ASSERT_EQ(s8.sensors.size(), 0u);
+
+  // Everyone comes back, some at new places.
+  SensorDelta refill;
+  for (int id = 0; id < n; ++id) {
+    refill.arrivals.push_back({id, Point{0.5 * id, 20.0 - 0.5 * id}});
+  }
+  ASSERT_TRUE(engine.ApplyDelta(refill));
+  const SlotContext& s9 = engine.BeginSlot(9);
+  ExpectSameContext(s9, BuildSlotContext(engine.sensors(), region, 9, 5.0), 9);
+  ASSERT_EQ(s9.sensors.size(), static_cast<size_t>(n));
+}
+
+// RecordSlotReadings addresses the current slot's rows. After churn has
+// shifted them, row r must charge registry id sensors.sensor_id[r], not
+// the sensor that sat at row r before the merge.
+TEST(StreamingEquivalenceTest, SlotReadingsChargeTheRowsCurrentSensor) {
+  SensorPopulationConfig population;
+  population.count = 30;
+  Rng rng(67);
+  std::vector<Sensor> sensors = GenerateSensors(population, rng);
+  for (Sensor& s : sensors) {
+    s.SetPosition(Point{rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)}, true);
+  }
+  const Rect region{0, 0, 20, 20};
+  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, true));
+  const SlotContext& before = engine.BeginSlot(0);
+  ASSERT_EQ(before.sensors.sensor_id[5], 5);
+
+  // Departures below row 5 shift every later row left by two.
+  SensorDelta delta;
+  delta.departures = {1, 3};
+  ASSERT_TRUE(engine.ApplyDelta(delta));
+  const SlotContext& slot = engine.BeginSlot(1);
+  ASSERT_EQ(slot.sensors.sensor_id[5], 7);
+  const std::vector<int> rows = {0, 5, 20};
+  std::vector<int> readings_before;
+  for (int id = 0; id < 30; ++id) {
+    readings_before.push_back(engine.sensors()[id].readings_taken());
+  }
+  std::vector<int> charged;
+  for (int r : rows) charged.push_back(slot.sensors.sensor_id[r]);
+  engine.RecordSlotReadings(rows, 1);
+  for (int id = 0; id < 30; ++id) {
+    const bool is_charged =
+        std::find(charged.begin(), charged.end(), id) != charged.end();
+    EXPECT_EQ(engine.sensors()[id].readings_taken(),
+              readings_before[id] + (is_charged ? 1 : 0))
+        << "sensor " << id;
+  }
+  EXPECT_EQ(charged, (std::vector<int>{0, 7, 22}));
+}
+
+// Live ApplyDelta refuses what trace decode refuses: each malformed delta
+// is refused whole, counted, and leaves the next slot equal to a fresh
+// build over the untouched registry; a valid delta afterwards applies.
+TEST(StreamingEquivalenceTest, ApplyDeltaRefusesMalformedDeltasWhole) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  SensorPopulationConfig population;
+  population.count = 24;
+  Rng rng(71);
+  std::vector<Sensor> sensors = GenerateSensors(population, rng);
+  for (Sensor& s : sensors) {
+    s.SetPosition(Point{rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)}, true);
+  }
+  const int n = static_cast<int>(sensors.size());
+  const Rect region{0, 0, 20, 20};
+  const struct {
+    const char* name;
+    const char* expect;
+    SensorDelta bad;
+  } cases[] = {
+      {"arrival id -1", "arrival sensor id -1 outside the registry",
+       {.arrivals = {{-1, Point{1, 1}}}}},
+      {"arrival id n", "arrival sensor id 24 outside the registry",
+       {.arrivals = {{n, Point{1, 1}}}}},
+      {"departure id -1", "departure sensor id -1 outside the registry",
+       {.departures = {-1}}},
+      {"departure id n", "departure sensor id 24 outside the registry",
+       {.departures = {n}}},
+      {"move id n", "move sensor id 24 outside the registry",
+       {.moves = {{n, Point{1, 1}}}}},
+      {"price id -1", "price-change sensor id -1 outside the registry",
+       {.price_changes = {{-1, 5.0}}}},
+      {"arrival x nan", "arrival 0 (sensor 2) position.x nan is not finite",
+       {.arrivals = {{2, Point{nan, 1}}}}},
+      {"arrival x -inf", "arrival 0 (sensor 2) position.x -inf is not finite",
+       {.arrivals = {{2, Point{-inf, 1}}}}},
+      {"arrival y inf", "arrival 0 (sensor 2) position.y inf is not finite",
+       {.arrivals = {{2, Point{1, inf}}}}},
+      {"move x -inf", "move 0 (sensor 4) position.x -inf is not finite",
+       {.moves = {{4, Point{-inf, 1}}}}},
+      {"move y nan", "move 0 (sensor 4) position.y nan is not finite",
+       {.moves = {{4, Point{1, nan}}}}},
+      {"move x inf", "move 0 (sensor 4) position.x inf is not finite",
+       {.moves = {{4, Point{inf, 1}}}}},
+      {"price nan", "price change 0 (sensor 6) base_price nan is not finite",
+       {.price_changes = {{6, nan}}}},
+      {"price -1", "price change 0 (sensor 6) base_price -1 is negative",
+       {.price_changes = {{6, -1.0}}}},
+      {"price inf", "price change 0 (sensor 6) base_price inf is not finite",
+       {.price_changes = {{6, inf}}}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, true));
+    engine.BeginSlot(0);
+    // A valid departure rides along: a refusal must not apply it either.
+    SensorDelta delta = c.bad;
+    delta.departures.push_back(3);
+    std::string error;
+    EXPECT_FALSE(engine.ApplyDelta(delta, &error));
+    EXPECT_NE(error.find(c.expect), std::string::npos) << error;
+    EXPECT_EQ(engine.refused_deltas(), 1);
+    EXPECT_FALSE(engine.ApplyDelta(delta));  // the out-param is optional
+    EXPECT_EQ(engine.refused_deltas(), 2);
+    ExpectSameContext(engine.BeginSlot(1),
+                      BuildSlotContext(sensors, region, 1, 5.0), 1);
+
+    SensorDelta good;
+    good.departures = {0};
+    good.moves = {{3, Point{9.0, 9.0}}};
+    good.price_changes = {{6, 0.0}};
+    ASSERT_TRUE(engine.ApplyDelta(good, &error)) << error;
+    EXPECT_EQ(engine.refused_deltas(), 2);
+    const SlotContext& after = engine.BeginSlot(2);
+    ExpectSameContext(after, BuildSlotContext(engine.sensors(), region, 2, 5.0),
+                      2);
+    EXPECT_EQ(after.sensors.sensor_id.front(), 1);
+  }
+}
+
+// A refused delta is not journaled: the recorded slot carries only the
+// delta that applied.
+TEST(StreamingEquivalenceTest, RefusedDeltaIsNotRecorded) {
+  SensorPopulationConfig population;
+  population.count = 12;
+  Rng rng(73);
+  std::vector<Sensor> sensors = GenerateSensors(population, rng);
+  for (Sensor& s : sensors) {
+    s.SetPosition(Point{rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)}, true);
+  }
+  const std::string path =
+      ::testing::TempDir() + "/refused_delta_not_recorded.trace";
+  ServingConfig config = MakeConfig(Rect{0, 0, 20, 20}, 5.0, true);
+  config.trace_path = path;
+  {
+    AcquisitionEngine engine(sensors, config);
+    engine.BeginSlot(0);
+    SensorDelta bad;
+    bad.departures = {2, 99};
+    EXPECT_FALSE(engine.ApplyDelta(bad));
+    SensorDelta good;
+    good.departures = {5};
+    EXPECT_TRUE(engine.ApplyDelta(good));
+    engine.BeginSlot(1);
+    ASSERT_TRUE(engine.FinishTrace());
+  }
+  TraceData data;
+  std::string error;
+  ASSERT_TRUE(ReadTraceFile(path, &data, &error)) << error;
+  ASSERT_EQ(data.slots.size(), 2u);
+  EXPECT_EQ(data.slots[1].delta.departures, (std::vector<int>{5}));
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
