@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <numeric>
 #include <span>
 
 #include "index/spatial_index.h"
@@ -25,6 +24,16 @@ int PopCountOr(const std::vector<uint64_t>& a, const uint64_t* b) {
 
 void OrInto(std::vector<uint64_t>& acc, const uint64_t* mask) {
   for (size_t i = 0; i < acc.size(); ++i) acc[i] |= mask[i];
+}
+
+/// Position of `sensor` in the ascending candidate list, or -1 when the
+/// sensor covers no cell. Sensor-addressed calls (MarginalValue, Commit,
+/// ValueOf) and the dense keys of an unindexed slot resolve here.
+int OrdinalIn(const std::vector<int>& candidates, int sensor) {
+  const auto it =
+      std::lower_bound(candidates.begin(), candidates.end(), sensor);
+  if (it == candidates.end() || *it != sensor) return -1;
+  return static_cast<int>(it - candidates.begin());
 }
 
 /// Location-independent sensor quality used by the aggregate valuation.
@@ -69,13 +78,16 @@ AxisRun AxisWindow(const std::vector<double>& centers, double origin,
   return AxisRun{first, last};
 }
 
-/// Shared batched-sweep kernel of the two coverage valuations (Eq. 5 over
-/// region cells / trajectory-corridor cells): out[i] = marginal of probing
-/// sensors[i] against the accumulated coverage state. Masks live in one
-/// flat word slab (`words` per candidate ordinal) and `theta` is keyed by
-/// the same ordinal, so a probe reads both next to each other;
-/// `value_from` is the owner's ValueFrom (they differ only in captured
-/// params).
+/// Shared keyed-sweep kernel of the two coverage valuations (Eq. 5 over
+/// region cells / trajectory-corridor cells): out[i] = marginal of the
+/// sensor keys[i] addresses against the accumulated coverage state. On an
+/// indexed slot a key is the candidate ordinal (`row_keyed` is null); on
+/// an unindexed one it is a slot row, resolved by binary search over the
+/// ascending candidates `row_keyed` (-1: covers nothing, marginal 0).
+/// Masks live in one flat word slab (`words` per candidate ordinal) and
+/// `theta` is keyed by the same ordinal, so a probe reads both next to
+/// each other; `value_from` is the owner's ValueFrom (they differ only in
+/// captured params).
 ///
 /// When `cached_at`/`cached_delta` are non-null (SlotContext::use_soa), the
 /// kernel memoizes each candidate's delta under `version` — the owner's
@@ -83,21 +95,21 @@ AxisRun AxisWindow(const std::vector<double>& centers, double origin,
 /// replays the exact double computed by this same kernel under identical
 /// inputs (acc_mask, theta_sum, count, current_value are all unchanged
 /// since the stamp), so served values are bit-identical to recomputation;
-/// valuation-call accounting is external (NetEvaluator stage 4) and does
+/// valuation-call accounting is external (the round evaluator) and does
 /// not observe hits. In a joint greedy round only the queries the last
 /// commit touched recompute — everyone else's sweep becomes two loads.
 template <typename ValueFrom>
-void CoverageMarginals(std::span<const int> sensors, std::span<double> out,
-                       const std::vector<int>& mask_slot,
+void CoverageMarginals(std::span<const int> keys, std::span<double> out,
+                       const std::vector<int>* row_keyed,
                        const std::vector<uint64_t>& mask_words, int words,
                        const std::vector<double>& theta,
                        const std::vector<uint64_t>& acc_mask, double theta_sum,
                        int count, double current_value, uint64_t version,
                        uint64_t* cached_at, double* cached_delta,
                        const ValueFrom& value_from) {
-  for (size_t i = 0; i < sensors.size(); ++i) {
-    const int s = sensors[i];
-    const int ord = mask_slot[s];
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const int ord =
+        row_keyed != nullptr ? OrdinalIn(*row_keyed, keys[i]) : keys[i];
     if (ord < 0) {
       out[i] = 0.0;
       continue;
@@ -138,7 +150,6 @@ AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
     row_y[cy] = params_.region.y_min + (cy + 0.5) * cell;
   }
 
-  mask_slot_.assign(slot.sensors.size(), -1);
   const double range = params_.sensing_range;
   // Quick reject: a sensing disk touching the region requires the sensor
   // inside the region grown by the range. With a slot index this is one
@@ -190,7 +201,6 @@ AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
       }
     }
     if (any) {
-      mask_slot_[si] = static_cast<int>(candidates_.size());
       mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
       theta_.push_back(SensorTheta(table.inaccuracy[si], table.trust[si]));
       candidates_.push_back(si);
@@ -217,7 +227,7 @@ double AggregateQuery::ValueFrom(int covered_cells, double theta_sum,
 
 double AggregateQuery::MarginalValue(int sensor) const {
   ++valuation_calls_;
-  const int ord = mask_slot_[sensor];
+  const int ord = OrdinalIn(candidates_, sensor);
   if (ord < 0) return 0.0;  // not a candidate: no change
   const uint64_t* mask = mask_words_.data() +
                          static_cast<size_t>(ord) * static_cast<size_t>(NumWords());
@@ -228,10 +238,10 @@ double AggregateQuery::MarginalValue(int sensor) const {
   return new_value - current_value_;
 }
 
-void AggregateQuery::MarginalValuesUncounted(std::span<const int> sensors,
-                                             std::span<double> out) const {
-  CoverageMarginals(sensors, out, mask_slot_, mask_words_, NumWords(), theta_,
-                    acc_mask_, theta_sum_,
+void AggregateQuery::MarginalsAt(std::span<const int> keys,
+                                 std::span<double> out) const {
+  CoverageMarginals(keys, out, slot_indexed_ ? nullptr : &candidates_,
+                    mask_words_, NumWords(), theta_, acc_mask_, theta_sum_,
                     static_cast<int>(selected_.size()) + 1, current_value_,
                     state_version_, soa_ ? cached_at_.data() : nullptr,
                     soa_ ? cached_delta_.data() : nullptr,
@@ -241,7 +251,7 @@ void AggregateQuery::MarginalValuesUncounted(std::span<const int> sensors,
 }
 
 void AggregateQuery::Commit(int sensor, double payment) {
-  const int ord = mask_slot_[sensor];
+  const int ord = OrdinalIn(candidates_, sensor);
   if (ord >= 0) {
     OrInto(acc_mask_, mask_words_.data() +
                           static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
@@ -272,7 +282,7 @@ double AggregateQuery::ValueOf(const std::vector<int>& sensors) const {
   double theta_sum = 0.0;
   int count = 0;
   for (int s : sensors) {
-    const int ord = mask_slot_[s];
+    const int ord = OrdinalIn(candidates_, s);
     if (ord >= 0) {
       OrInto(acc, mask_words_.data() +
                       static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
@@ -317,13 +327,29 @@ TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
     }
   }
 
-  mask_slot_.assign(slot.sensors.size(), -1);
-  // Coarse pruning: a sensor covering any corridor cell lies inside the
-  // cell centers' bounding box grown by the sensing range.
-  slot_indexed_ = slot.index != nullptr;
+  // Candidates bind in ascending slot order, so candidates_ ascends.
   const SlotSensorTable& table = slot.sensors;
-  std::vector<int> coarse;
+  std::vector<uint64_t> mask(static_cast<size_t>(NumWords()), 0);
+  const auto bind = [&](int si) {
+    const Point loc{table.x[si], table.y[si]};
+    std::fill(mask.begin(), mask.end(), 0);
+    bool any = false;
+    for (int c = 0; c < num_cells_; ++c) {
+      if (Distance(cell_centers_[c], loc) <= params_.sensing_range) {
+        mask[c / 64] |= uint64_t{1} << (c % 64);
+        any = true;
+      }
+    }
+    if (any) {
+      mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
+      theta_.push_back(SensorTheta(table.inaccuracy[si], table.trust[si]));
+      candidates_.push_back(si);
+    }
+  };
+  slot_indexed_ = slot.index != nullptr;
   if (slot_indexed_) {
+    // Coarse pruning: a sensor covering any corridor cell lies inside the
+    // cell centers' bounding box grown by the sensing range.
     Rect grown;
     grown.x_min = grown.x_max = cell_centers_[0].x;
     grown.y_min = grown.y_max = cell_centers_[0].y;
@@ -347,28 +373,11 @@ TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
     grown.y_min -= params_.sensing_range + slack;
     grown.x_max += params_.sensing_range + slack;
     grown.y_max += params_.sensing_range + slack;
+    std::vector<int> coarse;
     slot.index->RectQuery(grown, &coarse);
+    for (int si : coarse) bind(si);
   } else {
-    coarse.resize(table.size());
-    std::iota(coarse.begin(), coarse.end(), 0);
-  }
-  std::vector<uint64_t> mask(static_cast<size_t>(NumWords()), 0);
-  for (int si : coarse) {
-    const Point loc{table.x[si], table.y[si]};
-    std::fill(mask.begin(), mask.end(), 0);
-    bool any = false;
-    for (int c = 0; c < num_cells_; ++c) {
-      if (Distance(cell_centers_[c], loc) <= params_.sensing_range) {
-        mask[c / 64] |= uint64_t{1} << (c % 64);
-        any = true;
-      }
-    }
-    if (any) {
-      mask_slot_[si] = static_cast<int>(candidates_.size());
-      mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
-      theta_.push_back(SensorTheta(table.inaccuracy[si], table.trust[si]));
-      candidates_.push_back(si);
-    }
+    for (int si = 0; si < static_cast<int>(table.size()); ++si) bind(si);
   }
   acc_mask_.assign(NumWords(), 0);
   soa_ = slot.use_soa;
@@ -391,7 +400,7 @@ double TrajectoryQuery::ValueFrom(int covered_cells, double theta_sum,
 
 double TrajectoryQuery::MarginalValue(int sensor) const {
   ++valuation_calls_;
-  const int ord = mask_slot_[sensor];
+  const int ord = OrdinalIn(candidates_, sensor);
   if (ord < 0) return 0.0;
   const uint64_t* mask = mask_words_.data() +
                          static_cast<size_t>(ord) * static_cast<size_t>(NumWords());
@@ -402,10 +411,10 @@ double TrajectoryQuery::MarginalValue(int sensor) const {
   return new_value - current_value_;
 }
 
-void TrajectoryQuery::MarginalValuesUncounted(std::span<const int> sensors,
-                                              std::span<double> out) const {
-  CoverageMarginals(sensors, out, mask_slot_, mask_words_, NumWords(), theta_,
-                    acc_mask_, theta_sum_,
+void TrajectoryQuery::MarginalsAt(std::span<const int> keys,
+                                  std::span<double> out) const {
+  CoverageMarginals(keys, out, slot_indexed_ ? nullptr : &candidates_,
+                    mask_words_, NumWords(), theta_, acc_mask_, theta_sum_,
                     static_cast<int>(selected_.size()) + 1, current_value_,
                     state_version_, soa_ ? cached_at_.data() : nullptr,
                     soa_ ? cached_delta_.data() : nullptr,
@@ -415,7 +424,7 @@ void TrajectoryQuery::MarginalValuesUncounted(std::span<const int> sensors,
 }
 
 void TrajectoryQuery::Commit(int sensor, double payment) {
-  const int ord = mask_slot_[sensor];
+  const int ord = OrdinalIn(candidates_, sensor);
   if (ord >= 0) {
     OrInto(acc_mask_, mask_words_.data() +
                           static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
@@ -446,7 +455,7 @@ double TrajectoryQuery::ValueOf(const std::vector<int>& sensors) const {
   double theta_sum = 0.0;
   int count = 0;
   for (int s : sensors) {
-    const int ord = mask_slot_[s];
+    const int ord = OrdinalIn(candidates_, s);
     if (ord >= 0) {
       OrInto(acc, mask_words_.data() +
                       static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));

@@ -49,11 +49,16 @@ class AggregateQuery : public MultiQueryBase {
   /// region entirely are not candidates.
   AggregateQuery(const Params& params, const SlotContext& slot);
 
+  /// Sensor-addressed reference probe; the sensor's candidate ordinal
+  /// comes from a binary search over candidates_ (as in Commit and
+  /// ValueOf).
   double MarginalValue(int sensor) const override;
-  /// Tight sweep over the probed sensors' precomputed coverage bitsets —
-  /// one virtual call per batch instead of per sensor.
-  void MarginalValuesUncounted(std::span<const int> sensors,
-                               std::span<double> out) const override;
+  /// Keyed sweep over precomputed coverage bitsets — one virtual call per
+  /// batch instead of per sensor. On an indexed slot a key *is* the
+  /// candidate ordinal; an unindexed slot's keys are slot rows, resolved
+  /// by binary search.
+  void MarginalsAt(std::span<const int> keys,
+                   std::span<double> out) const override;
   bool ThreadSafeBatchValuation() const override { return true; }
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return params_.budget; }
@@ -81,16 +86,13 @@ class AggregateQuery : public MultiQueryBase {
   Params params_;
   int num_cells_ = 0;
   int cells_x_ = 0;
-  /// Per slot-sensor: candidate ordinal into mask_words_, or -1 when the
-  /// sensor covers no cell. One flat word slab (NumWords() words per
-  /// ordinal) replaces the former vector-of-bitsets so the probe kernel
-  /// does one int load + one contiguous word run per sensor; popcount
-  /// word order is unchanged, so marginals stay bit-identical.
-  std::vector<int> mask_slot_;
+  /// Coverage masks in one flat word slab, NumWords() words per candidate
+  /// ordinal, so a keyed probe reads one contiguous word run. All bind
+  /// state is candidate-sized: nothing here spans the slot membership.
   std::vector<uint64_t> mask_words_;
   /// Per candidate ordinal: the sensor's theta (filled beside candidates_).
   std::vector<double> theta_;
-  /// Sensors with non-empty masks, ascending; valid when slot_indexed_.
+  /// Sensors with non-empty masks, ascending; position = ordinal.
   std::vector<int> candidates_;
   bool slot_indexed_ = false;
 
@@ -104,8 +106,8 @@ class AggregateQuery : public MultiQueryBase {
   /// probe). `state_version_` names the current selection state; a memo
   /// entry stamped with it replays the identical double the sweep kernel
   /// computed under the same inputs.
-  /// Written from at most one worker at a time (each query's batch slice
-  /// belongs to one NetEvaluator worker, with a join between rounds).
+  /// Written from at most one worker at a time (each query's keys belong
+  /// to one NetEvaluator worker, with a join between rounds).
   bool soa_ = false;
   uint64_t state_version_ = 1;
   mutable std::vector<uint64_t> cached_at_;
@@ -129,8 +131,8 @@ class TrajectoryQuery : public MultiQueryBase {
   TrajectoryQuery(const Params& params, const SlotContext& slot);
 
   double MarginalValue(int sensor) const override;
-  void MarginalValuesUncounted(std::span<const int> sensors,
-                               std::span<double> out) const override;
+  void MarginalsAt(std::span<const int> keys,
+                   std::span<double> out) const override;
   bool ThreadSafeBatchValuation() const override { return true; }
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return params_.budget; }
@@ -147,9 +149,8 @@ class TrajectoryQuery : public MultiQueryBase {
   Params params_;
   int num_cells_ = 0;
   std::vector<Point> cell_centers_;
-  /// Flat coverage slab and ordinal-keyed theta, same layout as
-  /// AggregateQuery's.
-  std::vector<int> mask_slot_;
+  /// Flat coverage slab, ordinal-keyed theta and ascending candidates,
+  /// same layout as AggregateQuery's.
   std::vector<uint64_t> mask_words_;
   std::vector<double> theta_;
   std::vector<int> candidates_;

@@ -15,7 +15,7 @@ namespace {
 constexpr size_t kMinParallelSensors = 64;
 constexpr size_t kMinParallelQueries = 256;
 
-/// Cap on the pair buffer (entries, ~12 bytes each): dense plans — every
+/// Cap on the pair buffer (entries, 12 bytes each): dense plans — every
 /// query interested in every sensor — would otherwise materialize the
 /// full |Q| x n cross product per selection. Queries are windowed to this
 /// budget instead; another pure performance/memory knob.
@@ -32,13 +32,16 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
       slot_(slot),
       cost_scale_(cost_scale),
       pool_(pool) {
-  const size_t n = slot.sensors.size();
+  const size_t num_rows = static_cast<size_t>(plan_.NumRows());
   SlotArena* arena = slot.arena;
+  // Query q's slice holds at most one pair per key: every row for a dense
+  // query, its listed entries otherwise.
   offsets_.Acquire(arena, queries.size() + 1);
   offsets_[0] = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    offsets_[qi + 1] =
-        offsets_[qi] + static_cast<int64_t>(plan_.SensorsOf(static_cast<int>(qi)).size());
+    const int q = static_cast<int>(qi);
+    const size_t keys = plan_.IsDense(q) ? num_rows : plan_.KeyRows(q).size();
+    offsets_[qi + 1] = offsets_[qi] + static_cast<int64_t>(keys);
   }
   // Window the queries to the pair-buffer budget (always at least one
   // query per window, so a single huge query still fits in one window's
@@ -61,16 +64,21 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
                                           offsets_[static_cast<size_t>(begin)]);
     windows_.push_back(static_cast<int>(queries.size()));
   }
-  pair_sensor_.Acquire(arena, static_cast<size_t>(max_window));
+  pair_key_.Acquire(arena, static_cast<size_t>(max_window));
   pair_delta_.Acquire(arena, static_cast<size_t>(max_window));
   counts_.Acquire(arena, queries.size());
   std::fill(counts_.begin(), counts_.end(), int64_t{0});
-  // Both member-sized buffers stay unfilled: SweepQueries reads mark_
-  // only at scan sensors, so only those start cleared, and EvaluateNets
-  // clears positive_sum_ over its own eval set.
-  mark_.Acquire(arena, n);
-  for (int s : plan_.ScanSensors()) mark_[static_cast<size_t>(s)] = 0;
-  positive_sum_.Acquire(arena, n);
+  calls_.Acquire(arena, queries.size());
+  std::fill(calls_.begin(), calls_.end(), int64_t{0});
+  // Row-sized state: EvaluateRowNets zeroes positive_sum_ over its own
+  // eval set, so only mark_ starts cleared.
+  mark_.Acquire(arena, num_rows);
+  std::fill(mark_.begin(), mark_.end(), char{0});
+  positive_sum_.Acquire(arena, num_rows);
+  row_cost_.Acquire(arena, num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    row_cost_[r] = ScaledCost(plan_.sensors[r]);
+  }
 
   parallel_ = pool_ != nullptr && pool_->size() > 1;
   if (parallel_) {
@@ -89,117 +97,138 @@ double NetEvaluator::ScaledCost(int sensor) const {
   return slot_.sensors.cost[static_cast<size_t>(sensor)] * scale;
 }
 
-void NetEvaluator::SweepQueries(int window_begin, int begin, int end) {
+void NetEvaluator::SweepQueries(std::span<const int> rows, int window_begin,
+                                int begin, int end) {
   const int64_t base = offsets_[static_cast<size_t>(window_begin)];
   for (int qi = begin; qi < end; ++qi) {
-    const std::span<const int> candidates = plan_.SensorsOf(qi);
-    int* sensors = pair_sensor_.data() + (offsets_[static_cast<size_t>(qi)] - base);
-    double* deltas = pair_delta_.data() + (offsets_[static_cast<size_t>(qi)] - base);
+    const size_t slice =
+        static_cast<size_t>(offsets_[static_cast<size_t>(qi)] - base);
+    int* keys = pair_key_.data() + slice;
     int64_t m = 0;
-    for (int s : candidates) {
-      if (mark_[static_cast<size_t>(s)]) sensors[m++] = s;
+    if (plan_.IsDense(qi)) {
+      // A dense query keys each row by the row itself: its keys are the
+      // whole eval set.
+      std::copy(rows.begin(), rows.end(), keys);
+      m = static_cast<int64_t>(rows.size());
+    } else {
+      const std::span<const int> key_rows = plan_.KeyRows(qi);
+      for (size_t k = 0; k < key_rows.size(); ++k) {
+        const int r = key_rows[k];
+        if (r >= 0 && mark_[static_cast<size_t>(r)]) {
+          keys[m++] = static_cast<int>(k);
+        }
+      }
     }
-    queries_[static_cast<size_t>(qi)]->MarginalValuesUncounted(
-        std::span<const int>(sensors, static_cast<size_t>(m)),
-        std::span<double>(deltas, static_cast<size_t>(m)));
+    queries_[static_cast<size_t>(qi)]->MarginalsAt(
+        std::span<const int>(keys, static_cast<size_t>(m)),
+        std::span<double>(pair_delta_.data() + slice, static_cast<size_t>(m)));
     counts_[static_cast<size_t>(qi)] = m;
   }
 }
 
-void NetEvaluator::EvaluateNets(std::span<const int> sensors, double* net) {
-  if (sensors.empty()) return;
-  for (int s : sensors) {
-    mark_[static_cast<size_t>(s)] = 1;
-    positive_sum_[static_cast<size_t>(s)] = 0.0;
+void NetEvaluator::EvaluateRowNets(std::span<const int> rows, double* net) {
+  if (rows.empty()) return;
+  for (int r : rows) {
+    mark_[static_cast<size_t>(r)] = 1;
+    positive_sum_[static_cast<size_t>(r)] = 0.0;
   }
 
   // Windows run sequentially in ascending query order; within a window,
-  // stage 1 computes per-query batched deltas (each query's pairs land in
+  // stage 1 computes per-query keyed deltas (each query's pairs land in
   // its own pre-laid slice, so parallel workers write disjoint memory and
   // the result is independent of scheduling) and stage 2 scatters them
-  // into per-sensor positive-marginal accumulators in ascending query
-  // order — across windows too, each sensor's sum stays one
-  // floating-point chain in exactly the reference sensor-major loop's
-  // (ascending query) order.
+  // into per-row positive-marginal accumulators in ascending query order
+  // — across windows too, each row's sum stays one floating-point chain
+  // in exactly the reference sensor-major loop's (ascending query) order.
   for (size_t w = 0; w + 1 < windows_.size(); ++w) {
     const int wbegin = windows_[w];
     const int wend = windows_[w + 1];
     const int window_queries = wend - wbegin;
     if (window_queries <= 0) continue;
-    if (parallel_ && sensors.size() >= kMinParallelSensors) {
+    if (parallel_ && rows.size() >= kMinParallelSensors) {
       const int chunks = std::min(window_queries, pool_->size() * 8);
       const int per_chunk = (window_queries + chunks - 1) / chunks;
       pool_->ParallelFor(chunks, [&](int c) {
         const int begin = wbegin + c * per_chunk;
         const int end = std::min(wend, begin + per_chunk);
-        if (begin < end) SweepQueries(wbegin, begin, end);
+        if (begin < end) SweepQueries(rows, wbegin, begin, end);
       });
     } else {
-      SweepQueries(wbegin, wbegin, wend);
+      SweepQueries(rows, wbegin, wbegin, wend);
     }
+    // Stage 2 maps each key back to its row: a dense query's key is the
+    // row, a listed query's row is its key's entry in the plan.
     const int64_t base = offsets_[static_cast<size_t>(wbegin)];
     for (int qi = wbegin; qi < wend; ++qi) {
-      const int* sensors_q =
-          pair_sensor_.data() + (offsets_[static_cast<size_t>(qi)] - base);
-      const double* deltas_q =
-          pair_delta_.data() + (offsets_[static_cast<size_t>(qi)] - base);
+      const size_t slice =
+          static_cast<size_t>(offsets_[static_cast<size_t>(qi)] - base);
+      const int* keys_q = pair_key_.data() + slice;
+      const double* deltas_q = pair_delta_.data() + slice;
       const int64_t m = counts_[static_cast<size_t>(qi)];
-      for (int64_t j = 0; j < m; ++j) {
-        if (deltas_q[j] > 0.0) {
-          positive_sum_[static_cast<size_t>(sensors_q[j])] += deltas_q[j];
+      if (plan_.IsDense(qi)) {
+        for (int64_t j = 0; j < m; ++j) {
+          if (deltas_q[j] > 0.0) {
+            positive_sum_[static_cast<size_t>(keys_q[j])] += deltas_q[j];
+          }
+        }
+      } else {
+        const int* key_rows = plan_.KeyRows(qi).data();
+        for (int64_t j = 0; j < m; ++j) {
+          if (deltas_q[j] > 0.0) {
+            positive_sum_[static_cast<size_t>(key_rows[keys_q[j]])] +=
+                deltas_q[j];
+          }
         }
       }
+      calls_[static_cast<size_t>(qi)] += m;
     }
   }
 
-  // Stage 3: gather nets in eval-set order, clearing the marks. A sensor
-  // no query lists collected no pairs, so its net is exactly -cost.
-  for (size_t k = 0; k < sensors.size(); ++k) {
-    const int s = sensors[k];
-    net[k] = positive_sum_[static_cast<size_t>(s)] - ScaledCost(s);
-    mark_[static_cast<size_t>(s)] = 0;
-  }
-
-  // Stage 4: batch-end accounting merge — one AddValuationCalls per query
-  // from this (the coordinating) thread, never from workers.
-  const int num_queries = static_cast<int>(queries_.size());
-  for (int qi = 0; qi < num_queries; ++qi) {
-    if (counts_[static_cast<size_t>(qi)] > 0) {
-      queries_[static_cast<size_t>(qi)]->AddValuationCalls(
-          counts_[static_cast<size_t>(qi)]);
-    }
+  // Stage 3: gather nets in eval-set order, clearing the marks.
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const size_t r = static_cast<size_t>(rows[k]);
+    net[k] = positive_sum_[r] - row_cost_[r];
+    mark_[r] = 0;
   }
 }
 
-double NetEvaluator::EvaluateNet(int sensor) {
-  const std::span<const int> interested = plan_.QueriesOf(sensor);
-  if (!parallel_ || interested.size() < kMinParallelQueries) {
-    // Serial reference: counted scalar probes, ascending query order.
+double NetEvaluator::EvaluateRowNet(int row) {
+  const size_t num_pairs = plan_.active
+                               ? plan_.PairsOf(row).size()
+                               : static_cast<size_t>(plan_.num_queries);
+  if (!parallel_ || num_pairs < kMinParallelQueries) {
+    // Serial reference: one keyed probe per pair, ascending query order.
     double positive_sum = 0.0;
-    for (int qi : interested) {
-      const double delta = queries_[static_cast<size_t>(qi)]->MarginalValue(sensor);
+    plan_.ForEachPair(row, [&](int qi, int key) {
+      double delta = 0.0;
+      queries_[static_cast<size_t>(qi)]->MarginalsAt(
+          std::span<const int>(&key, 1), std::span<double>(&delta, 1));
+      ++calls_[static_cast<size_t>(qi)];
       if (delta > 0.0) positive_sum += delta;
-    }
-    return positive_sum - ScaledCost(sensor);
+    });
+    return positive_sum - row_cost_[static_cast<size_t>(row)];
   }
 
-  // Stale-front re-evaluation batch: the sensor's per-query deltas are
-  // pure and independent, so workers fill disjoint slots of a dense array
-  // and the ascending-order reduction below reproduces the serial
+  // Stale-front re-evaluation batch: the row's per-query deltas are pure
+  // and independent, so workers fill disjoint slots of a dense array and
+  // the ascending-order reduction below reproduces the serial
   // floating-point chain exactly.
-  const int m = static_cast<int>(interested.size());
+  single_pairs_.clear();
+  plan_.ForEachPair(row, [&](int qi, int key) {
+    single_pairs_.push_back(CandidatePair{qi, key});
+  });
+  const int m = static_cast<int>(single_pairs_.size());
   single_deltas_.resize(static_cast<size_t>(m));
-  const int probe = sensor;
   const int chunks = std::min(m, pool_->size() * 8);
   const int per_chunk = (m + chunks - 1) / chunks;
   pool_->ParallelFor(chunks, [&](int c) {
     const int begin = c * per_chunk;
     const int end = std::min(m, begin + per_chunk);
     for (int p = begin; p < end; ++p) {
-      queries_[static_cast<size_t>(interested[static_cast<size_t>(p)])]
-          ->MarginalValuesUncounted(
-              std::span<const int>(&probe, 1),
-              std::span<double>(&single_deltas_[static_cast<size_t>(p)], 1));
+      const CandidatePair& pair = single_pairs_[static_cast<size_t>(p)];
+      queries_[static_cast<size_t>(pair.query)]->MarginalsAt(
+          std::span<const int>(&pair.key, 1),
+          std::span<double>(&single_deltas_[static_cast<size_t>(p)], 1));
     }
   });
   double positive_sum = 0.0;
@@ -207,11 +236,46 @@ double NetEvaluator::EvaluateNet(int sensor) {
     if (single_deltas_[static_cast<size_t>(p)] > 0.0) {
       positive_sum += single_deltas_[static_cast<size_t>(p)];
     }
+    ++calls_[static_cast<size_t>(single_pairs_[static_cast<size_t>(p)].query)];
   }
-  for (int qi : interested) {
-    queries_[static_cast<size_t>(qi)]->AddValuationCalls(1);
+  return positive_sum - row_cost_[static_cast<size_t>(row)];
+}
+
+void NetEvaluator::EvaluateSensorNets(std::span<const int> sensors,
+                                      double* net) {
+  // Listed sensors' rows ascend with the sensors, so they form a valid
+  // eval set; a sensor no query lists collects no pairs.
+  listed_rows_.clear();
+  listed_at_.clear();
+  for (size_t k = 0; k < sensors.size(); ++k) {
+    const int row = plan_.RowOf(sensors[k]);
+    if (row < 0) {
+      net[k] = 0.0 - ScaledCost(sensors[k]);
+      continue;
+    }
+    listed_rows_.push_back(row);
+    listed_at_.push_back(k);
   }
-  return positive_sum - ScaledCost(sensor);
+  listed_net_.resize(listed_rows_.size());
+  EvaluateRowNets(listed_rows_, listed_net_.data());
+  for (size_t j = 0; j < listed_at_.size(); ++j) {
+    net[listed_at_[j]] = listed_net_[j];
+  }
+}
+
+double NetEvaluator::EvaluateSensorNet(int sensor) {
+  const int row = plan_.RowOf(sensor);
+  if (row < 0) return 0.0 - ScaledCost(sensor);
+  return EvaluateRowNet(row);
+}
+
+void NetEvaluator::FlushValuationCalls() {
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    if (calls_[qi] != 0) {
+      queries_[qi]->AddValuationCalls(calls_[qi]);
+      calls_[qi] = 0;
+    }
+  }
 }
 
 }  // namespace psens

@@ -18,16 +18,16 @@ class ThreadPool;
 ///
 ///   net(s) = sum_{q interested in s, delta_{q,s} > 0} delta_{q,s} - c_s
 ///
-/// for one joint-selection run. Both greedy engines (the eager rescan in
-/// greedy.cc and the CELF heap in lazy_greedy.cc) funnel their valuation
-/// sweeps through this class, which restructures the reference
-/// sensor-major scalar loop into per-query MarginalValuesUncounted sweeps
-/// without changing a single observable bit:
+/// for one joint-selection run. Every engine funnels its valuation sweeps
+/// through this class, addressing sensors by the plan's scan row
+/// (core/candidate_pruning.h) and each query by the pair's key
+/// (MultiQuery::MarginalsAt), without changing a single observable bit:
 ///
 ///   - the (sensor, query) pairs evaluated are exactly the reference
-///     loop's pairs, so every query's ValuationCalls() total is unchanged
-///     (accounting is deferred per thread and merged once per batch via
-///     AddValuationCalls — never mutated from workers);
+///     sensor-major loop's pairs, so every query's ValuationCalls() total
+///     is unchanged (the evaluator counts every evaluated key and merges
+///     the counts through AddValuationCalls in FlushValuationCalls —
+///     never from workers);
 ///   - each sensor's positive-marginal sum accumulates in ascending query
 ///     order as a single floating-point chain, the reference order, so
 ///     nets are bit-identical;
@@ -48,30 +48,40 @@ class NetEvaluator {
                const CandidatePlan& plan, const SlotContext& slot,
                const std::vector<double>* cost_scale, ThreadPool* pool);
 
-  /// Fills net[k] with the net gain of sensors[k] against the current
-  /// selections (`net` must hold sensors.size() entries — callers size
-  /// their own, usually arena-backed, storage). `sensors` must be
-  /// ascending and duplicate-free (the engines pass remaining scan
-  /// sensors). Valuation-call accounting for every evaluated pair is
-  /// merged into the queries before returning.
-  void EvaluateNets(std::span<const int> sensors, double* net);
+  /// Fills net[k] with the net gain of scan row rows[k] against the
+  /// current selections (`net` must hold rows.size() entries — callers
+  /// size their own, usually arena-backed, storage). `rows` must be
+  /// ascending and duplicate-free (the engines pass remaining scan rows).
+  void EvaluateRowNets(std::span<const int> rows, double* net);
 
-  /// Net gain of a single sensor — the CELF stale-front re-evaluation.
-  /// Serial reference semantics; when the sensor interests many queries
-  /// and a pool is available, the per-query deltas are computed in
-  /// parallel and reduced sequentially in ascending query order.
-  double EvaluateNet(int sensor);
+  /// Net gain of one scan row — the CELF stale-front re-evaluation: one
+  /// walk of the row's pair run. When the row interests many queries and
+  /// a pool is available, the per-query deltas are computed in parallel
+  /// and reduced sequentially in ascending query order.
+  double EvaluateRowNet(int row);
 
-  /// True when EvaluateNets/EvaluateNet shard work across the pool.
+  /// Sensor-addressed forms for sensors that need not be scan sensors
+  /// (the sieve's arrivals and carried bucket members): each resolves its
+  /// row once, and a sensor no query lists has net exactly 0 - cost.
+  /// `sensors` must be ascending and duplicate-free.
+  void EvaluateSensorNets(std::span<const int> sensors, double* net);
+  double EvaluateSensorNet(int sensor);
+
+  /// Merges the valuation calls counted since the last flush into each
+  /// query's ValuationCalls(). Engines flush before reading the counts.
+  void FlushValuationCalls();
+
+  /// True when the Evaluate* calls shard work across the pool.
   bool parallel() const { return parallel_; }
 
  private:
   double ScaledCost(int sensor) const;
   /// Stage 1 kernel: evaluates queries [begin, end) of the window starting
-  /// at `window_begin` against the current eval set, writing (sensor,
-  /// delta) pairs into each query's slice and the per-query pair count
-  /// into counts_.
-  void SweepQueries(int window_begin, int begin, int end);
+  /// at `window_begin` against the eval rows `rows` (marked in mark_),
+  /// writing (key, delta) pairs into each query's slice and the per-query
+  /// pair count into counts_.
+  void SweepQueries(std::span<const int> rows, int window_begin, int begin,
+                    int end);
 
   const std::vector<MultiQuery*>& queries_;
   const CandidatePlan& plan_;
@@ -92,23 +102,32 @@ class NetEvaluator {
   ///
   /// All slot-lifetime scratch below draws from SlotContext::arena when
   /// the engine attached one (reset at the next BeginSlot — the evaluator
-  /// never outlives its slot) and owns heap storage otherwise.
+  /// never outlives its slot) and owns heap storage otherwise. Nothing is
+  /// sized by the slot membership: per-row state spans the scan rows.
   ArenaBuffer<int64_t> offsets_;
   /// Window boundaries: queries [windows_[w], windows_[w+1]) share one
   /// buffer fill.
   std::vector<int> windows_;
-  ArenaBuffer<int> pair_sensor_;
+  ArenaBuffer<int> pair_key_;
   ArenaBuffer<double> pair_delta_;
   ArenaBuffer<int64_t> counts_;
-  /// Eval-set membership (by slot index) for the current EvaluateNets
-  /// call. Member-sized but cleared only at scan sensors, the only entries
-  /// SweepQueries reads.
+  /// Valuation calls per query not yet merged (FlushValuationCalls).
+  ArenaBuffer<int64_t> calls_;
+  /// Eval-set membership by scan row for the current EvaluateRowNets call.
   ArenaBuffer<char> mark_;
-  /// Per-sensor positive-marginal accumulator, zeroed over each
-  /// EvaluateNets call's own eval set when the call starts.
+  /// Per-row positive-marginal accumulator, zeroed over each
+  /// EvaluateRowNets call's own eval set when the call starts.
   ArenaBuffer<double> positive_sum_;
-  /// Scratch for EvaluateNet's sharded single-sensor path (lazily grown
-  /// per call, so it stays an owned vector).
+  /// Scaled cost by scan row, gathered once per selection run.
+  ArenaBuffer<double> row_cost_;
+  /// EvaluateSensorNets scratch: the listed sensors' rows, their
+  /// positions in the caller's list, and their nets.
+  std::vector<int> listed_rows_;
+  std::vector<size_t> listed_at_;
+  std::vector<double> listed_net_;
+  /// Scratch for EvaluateRowNet's sharded path (lazily grown per call, so
+  /// it stays owned vectors).
+  std::vector<CandidatePair> single_pairs_;
   std::vector<double> single_deltas_;
 };
 

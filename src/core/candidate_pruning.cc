@@ -11,36 +11,41 @@ CandidatePlan BuildCandidatePlan(const std::vector<MultiQuery*>& queries,
                                  int num_sensors, SlotArena* arena) {
   CandidatePlan plan;
   const size_t n = static_cast<size_t>(num_sensors);
-  for (const MultiQuery* q : queries) {
-    if (q->CandidateSensors() != nullptr) {
-      plan.active = true;
-      break;
-    }
+  const size_t num_queries = queries.size();
+  plan.num_queries = static_cast<int>(num_queries);
+  // One hook call per query: a list is stable for the whole run.
+  ArenaBuffer<const std::vector<int>*> lists;
+  lists.Acquire(arena, num_queries);
+  plan.dense.Acquire(arena, num_queries);
+  plan.key_offsets.Acquire(arena, num_queries + 1);
+  plan.key_offsets[0] = 0;
+  int64_t num_dense = 0;
+  for (size_t qi = 0; qi < num_queries; ++qi) {
+    lists[qi] = queries[qi]->CandidateSensors();
+    plan.dense[qi] = lists[qi] == nullptr ? 1 : 0;
+    num_dense += plan.dense[qi];
+    plan.key_offsets[qi + 1] =
+        plan.key_offsets[qi] +
+        (lists[qi] != nullptr ? static_cast<int64_t>(lists[qi]->size()) : 0);
   }
-  plan.query_candidates.assign(queries.size(), CandidatePlan::QueryCandidateRef{});
+  plan.active = num_dense < static_cast<int64_t>(num_queries);
+  plan.key_rows.Acquire(arena,
+                        static_cast<size_t>(plan.key_offsets[num_queries]));
   if (!plan.active) {
     plan.sensors.Acquire(arena, n);
     std::iota(plan.sensors.begin(), plan.sensors.end(), 0);
-    plan.all_queries.Acquire(arena, queries.size());
-    std::iota(plan.all_queries.begin(), plan.all_queries.end(), 0);
-    // Default-constructed refs resolve to the dense fallback.
     return plan;
   }
 
   // Mark pass: one bit per sensor some query lists. A dense query
   // attaches to every sensor; out-of-range candidate entries are dropped
-  // here and mirrored below by the sanitized query-major copies.
+  // here and below.
   const size_t words = (n + 63) / 64;
   plan.scan_bits.Acquire(arena, words);
   std::fill(plan.scan_bits.begin(), plan.scan_bits.end(), uint64_t{0});
-  int64_t num_dense = 0;
-  for (const MultiQuery* q : queries) {
-    const std::vector<int>* candidates = q->CandidateSensors();
-    if (candidates == nullptr) {
-      ++num_dense;
-      continue;
-    }
-    for (int s : *candidates) {
+  for (size_t qi = 0; qi < num_queries; ++qi) {
+    if (lists[qi] == nullptr) continue;
+    for (int s : *lists[qi]) {
       if (s >= 0 && s < num_sensors) {
         plan.scan_bits[static_cast<size_t>(s) >> 6] |= uint64_t{1} << (s & 63);
       }
@@ -69,60 +74,55 @@ CandidatePlan BuildCandidatePlan(const std::vector<MultiQuery*>& queries,
   }
 
   // Counting pass: per-row interested-query tallies, then a prefix sum.
-  plan.qs_offsets.Acquire(arena, num_scan + 1);
-  plan.qs_offsets[0] = 0;
-  std::fill(plan.qs_offsets.begin() + 1, plan.qs_offsets.end(), num_dense);
-  for (const MultiQuery* q : queries) {
-    const std::vector<int>* candidates = q->CandidateSensors();
-    if (candidates == nullptr) continue;
-    for (int s : *candidates) {
+  plan.pair_offsets.Acquire(arena, num_scan + 1);
+  plan.pair_offsets[0] = 0;
+  std::fill(plan.pair_offsets.begin() + 1, plan.pair_offsets.end(), num_dense);
+  for (size_t qi = 0; qi < num_queries; ++qi) {
+    if (lists[qi] == nullptr) continue;
+    for (int s : *lists[qi]) {
       if (s >= 0 && s < num_sensors) {
-        ++plan.qs_offsets[static_cast<size_t>(plan.row_of[static_cast<size_t>(s)]) + 1];
+        const int r = plan.row_of[static_cast<size_t>(s)];
+        ++plan.pair_offsets[static_cast<size_t>(r) + 1];
       }
     }
   }
   for (size_t r = 0; r < num_scan; ++r) {
-    plan.qs_offsets[r + 1] += plan.qs_offsets[r];
+    plan.pair_offsets[r + 1] += plan.pair_offsets[r];
   }
-  plan.qs_data.Acquire(arena, static_cast<size_t>(plan.qs_offsets[num_scan]));
+  plan.pairs.Acquire(arena, static_cast<size_t>(plan.pair_offsets[num_scan]));
 
-  // Fill pass in ascending qi order: every per-row query run stays
-  // ascending, preserving the dense scan's marginal accumulation order
-  // exactly. cursor[r] tracks the next free slot of row r's run.
+  // Fill pass in ascending qi order: every per-row run stays ascending by
+  // query, preserving the dense scan's marginal accumulation order
+  // exactly. cursor[r] tracks the next free slot of row r's run. A key is
+  // the entry's position in its query's own list, so it stays valid where
+  // an out-of-range entry before it was dropped.
   ArenaBuffer<int64_t> cursor;
   cursor.Acquire(arena, num_scan);
-  std::copy(plan.qs_offsets.begin(), plan.qs_offsets.begin() + num_scan,
+  std::copy(plan.pair_offsets.begin(), plan.pair_offsets.begin() + num_scan,
             cursor.begin());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const std::vector<int>* candidates = queries[qi]->CandidateSensors();
-    if (candidates == nullptr) {
+  for (size_t qi = 0; qi < num_queries; ++qi) {
+    const int q = static_cast<int>(qi);
+    if (lists[qi] == nullptr) {
+      // A dense query keys every sensor by its row, which here is also
+      // its slot index: a dense query marks every sensor a scan row.
       for (size_t r = 0; r < num_scan; ++r) {
-        plan.qs_data[static_cast<size_t>(cursor[r]++)] = static_cast<int>(qi);
+        plan.pairs[static_cast<size_t>(cursor[r]++)] =
+            CandidatePair{q, static_cast<int>(r)};
       }
       continue;
     }
-    bool in_range = true;
-    for (int s : *candidates) {
-      if (s >= 0 && s < num_sensors) {
-        const size_t r = static_cast<size_t>(plan.row_of[static_cast<size_t>(s)]);
-        plan.qs_data[static_cast<size_t>(cursor[r]++)] = static_cast<int>(qi);
-      } else {
-        in_range = false;
+    const std::vector<int>& list = *lists[qi];
+    int* key_rows = plan.key_rows.data() + plan.key_offsets[qi];
+    for (size_t k = 0; k < list.size(); ++k) {
+      const int s = list[k];
+      if (s < 0 || s >= num_sensors) {
+        key_rows[k] = -1;
+        continue;
       }
-    }
-    if (in_range) {
-      plan.query_candidates[qi].external = candidates;
-    } else {
-      // Rare defensive path: mirror the in-range filter above so the
-      // query-major view scans exactly the pairs the inverted index
-      // indexes.
-      plan.query_candidates[qi].sanitized_index =
-          static_cast<int>(plan.sanitized.size());
-      plan.sanitized.emplace_back();
-      std::vector<int>& copy = plan.sanitized.back();
-      for (int s : *candidates) {
-        if (s >= 0 && s < num_sensors) copy.push_back(s);
-      }
+      const int r = plan.row_of[static_cast<size_t>(s)];
+      plan.pairs[static_cast<size_t>(cursor[static_cast<size_t>(r)]++)] =
+          CandidatePair{q, static_cast<int>(k)};
+      key_rows[k] = r;
     }
   }
   return plan;
@@ -137,14 +137,22 @@ void CheckPrunedMarginals(const std::vector<MultiQuery*>& queries,
 #else
   if (!plan.active) return;
   std::vector<char> interested(queries.size(), 0);
-  for (int qi : plan.QueriesOf(sensor)) {
-    interested[static_cast<size_t>(qi)] = 1;
+  const int row = plan.RowOf(sensor);
+  if (row >= 0) {
+    for (const CandidatePair& p : plan.PairsOf(row)) {
+      interested[static_cast<size_t>(p.query)] = 1;
+    }
   }
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     if (interested[qi]) continue;
     // The pruning contract: a sensor outside a query's candidate list can
-    // never carry positive marginal value for it.
-    assert(queries[qi]->MarginalValue(sensor) <= 1e-12 &&
+    // never carry positive marginal value for it. The probe is a check,
+    // not a valuation of the run: cancel whatever it counted.
+    const MultiQuery& q = *queries[qi];
+    const int64_t calls_before = q.ValuationCalls();
+    const double delta = q.MarginalValue(sensor);
+    q.AddValuationCalls(calls_before - q.ValuationCalls());
+    assert(delta <= 1e-12 &&
            "candidate pruning dropped a sensor with positive marginal value");
   }
 #endif

@@ -28,10 +28,13 @@ double CommitWithProportionalPayments(const std::vector<MultiQuery*>& queries,
   const double true_cost = slot.sensors.cost[sensor];
   marginals.clear();
   double positive_sum = 0.0;
-  for (int qi : plan.QueriesOf(sensor)) {
-    const double delta = queries[qi]->MarginalValue(sensor);
-    marginals.emplace_back(qi, delta);
-    if (delta > 0.0) positive_sum += delta;
+  const int row = plan.RowOf(sensor);
+  if (row >= 0) {
+    plan.ForEachPair(row, [&](int qi, int) {
+      const double delta = queries[qi]->MarginalValue(sensor);
+      marginals.emplace_back(qi, delta);
+      if (delta > 0.0) positive_sum += delta;
+    });
   }
   for (const auto& [qi, delta] : marginals) {
     if (delta > 0.0) {
@@ -50,52 +53,56 @@ namespace {
 /// interested queries — selections and payments are bit-identical to the
 /// dense scan (see core/candidate_pruning.h). The rescan itself runs
 /// through the batched round evaluator (core/batch_eval.h): per-query
-/// MarginalValues sweeps instead of per-sensor virtual probes, sharded
-/// over `slot.pool` when one is attached — with nets, tie-breaks, and
-/// valuation-call totals bit-identical to this loop's historical
-/// sensor-major scalar form for any thread count.
+/// keyed sweeps over the remaining scan rows instead of per-sensor
+/// virtual probes, sharded over `slot.pool` when one is attached — with
+/// nets, tie-breaks, and valuation-call totals bit-identical to this
+/// loop's historical sensor-major scalar form for any thread count.
 SelectionResult EagerGreedySensorSelection(const std::vector<MultiQuery*>& queries,
                                            const SlotContext& slot,
                                            const std::vector<double>* cost_scale) {
   SelectionResult result;
   const int64_t calls_before = TotalValuationCalls(queries);
   const int n = static_cast<int>(slot.sensors.size());
-  // Round scratch draws from the slot arena when one is attached (reset
-  // at the next BeginSlot; a selection never outlives its slot).
-  ArenaBuffer<char> remaining;
-  remaining.Acquire(slot.arena, static_cast<size_t>(n));
-  std::fill(remaining.begin(), remaining.end(), 1);
-
   const CandidatePlan plan = BuildCandidatePlan(queries, n, slot.arena);
   NetEvaluator evaluator(queries, plan, slot, cost_scale, slot.pool);
 
-  ArenaBuffer<int> scan;  // remaining scan sensors, ascending, per round
+  // Round scratch, by scan row, draws from the slot arena when one is
+  // attached (reset at the next BeginSlot; a selection never outlives its
+  // slot).
+  const size_t num_rows = static_cast<size_t>(plan.NumRows());
+  ArenaBuffer<char> remaining;
+  remaining.Acquire(slot.arena, num_rows);
+  std::fill(remaining.begin(), remaining.end(), 1);
+  ArenaBuffer<int> scan;  // remaining scan rows, ascending, per round
   ArenaBuffer<double> net;
-  scan.Acquire(slot.arena, static_cast<size_t>(n));
-  net.Acquire(slot.arena, static_cast<size_t>(n));
+  scan.Acquire(slot.arena, num_rows);
+  net.Acquire(slot.arena, num_rows);
   while (true) {
     size_t scan_n = 0;
-    for (int s : plan.ScanSensors()) {
-      if (remaining[static_cast<size_t>(s)]) scan[scan_n++] = s;
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (remaining[r]) scan[scan_n++] = static_cast<int>(r);
     }
-    evaluator.EvaluateNets({scan.data(), scan_n}, net.data());
-    int best_sensor = -1;
+    evaluator.EvaluateRowNets({scan.data(), scan_n}, net.data());
+    int best_row = -1;
     double best_net = 0.0;
     // Ascending stable argmax with strict >: the first maximum wins, the
-    // same (gain, sensor-id) tie-break as the reference ascending rescan.
+    // same (gain, sensor-id) tie-break as the reference ascending rescan
+    // (rows ascend with sensor index).
     for (size_t k = 0; k < scan_n; ++k) {
       if (net[k] > best_net) {
         best_net = net[k];
-        best_sensor = scan[k];
+        best_row = scan[k];
       }
     }
-    if (best_sensor < 0) break;  // line 12: no sensor with positive net gain
+    if (best_row < 0) break;  // line 12: no sensor with positive net gain
+    const int best_sensor = plan.sensors[static_cast<size_t>(best_row)];
     CheckPrunedMarginals(queries, plan, best_sensor);
     result.total_cost +=
         CommitWithProportionalPayments(queries, plan, slot, best_sensor);
-    remaining[static_cast<size_t>(best_sensor)] = 0;
+    remaining[static_cast<size_t>(best_row)] = 0;
     result.selected_sensors.push_back(best_sensor);
   }
+  evaluator.FlushValuationCalls();
 
   for (const MultiQuery* q : queries) result.total_value += q->CurrentValue();
   result.valuation_calls = TotalValuationCalls(queries) - calls_before;

@@ -1,7 +1,7 @@
 #include "core/lazy_greedy.h"
 
+#include <numeric>
 #include <queue>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,19 +11,21 @@
 namespace psens {
 namespace {
 
-/// Heap entry: a candidate sensor with its net gain as cached at `round`.
+/// Heap entry: a candidate's scan row with its net gain as cached at
+/// `round`.
 struct Candidate {
   double net = 0.0;
   int round = 0;
-  int sensor = 0;
+  int row = 0;
 };
 
-/// Max-heap order on net gain; ties prefer the lower sensor index so that
-/// the lazy run breaks ties exactly like the eager ascending scan.
+/// Max-heap order on net gain; ties prefer the lower row — rows ascend
+/// with sensor index, so the lazy run breaks ties exactly like the eager
+/// ascending scan.
 struct CandidateLess {
   bool operator()(const Candidate& a, const Candidate& b) const {
     if (a.net != b.net) return a.net < b.net;
-    return a.sensor > b.sensor;
+    return a.row > b.row;
   }
 };
 
@@ -44,18 +46,21 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
   NetEvaluator evaluator(queries, plan, slot, cost_scale, slot.pool);
 
   // Initial fill — the dominant cost of a CELF run — as one batched (and,
-  // with slot.pool, parallel) sweep: nets for every scan sensor, then heap
+  // with slot.pool, parallel) sweep: nets for every scan row, then heap
   // pushes in the same ascending order the serial loop used, so the heap
   // state, every cached value, and the valuation-call totals are
   // bit-identical to evaluating one sensor at a time.
   std::priority_queue<Candidate, std::vector<Candidate>, CandidateLess> heap;
   {
-    const std::span<const int> scan = plan.ScanSensors();
+    const size_t num_rows = static_cast<size_t>(plan.NumRows());
+    ArenaBuffer<int> rows;
+    rows.Acquire(slot.arena, num_rows);
+    std::iota(rows.begin(), rows.end(), 0);
     ArenaBuffer<double> net;
-    net.Acquire(slot.arena, scan.size());
-    evaluator.EvaluateNets(scan, net.data());
-    for (size_t k = 0; k < scan.size(); ++k) {
-      heap.push(Candidate{net[k], 0, scan[k]});
+    net.Acquire(slot.arena, num_rows);
+    evaluator.EvaluateRowNets({rows.data(), num_rows}, net.data());
+    for (size_t r = 0; r < num_rows; ++r) {
+      heap.push(Candidate{net[r], 0, static_cast<int>(r)});
     }
   }
 
@@ -64,24 +69,26 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
     Candidate top = heap.top();
     heap.pop();
     if (top.round != round) {
-      // Stale cache: re-evaluate against the current selection and
-      // reinsert; only the heap front ever pays this cost. The evaluator
-      // shards the per-query delta batch over the pool when the sensor
-      // interests enough queries (bit-identical either way).
-      top.net = evaluator.EvaluateNet(top.sensor);
+      // Stale cache: re-evaluate the row's pair run against the current
+      // selection and reinsert; only the heap front ever pays this cost.
+      // The evaluator shards the per-query deltas over the pool when the
+      // row interests enough queries (bit-identical either way).
+      top.net = evaluator.EvaluateRowNet(top.row);
       top.round = round;
       heap.push(top);
       continue;
     }
     if (top.net <= 0.0) break;  // fresh maximum without positive net gain
-    CheckPrunedMarginals(queries, plan, top.sensor);
+    const int sensor = plan.sensors[static_cast<size_t>(top.row)];
+    CheckPrunedMarginals(queries, plan, sensor);
 
     // Commit exactly like the eager loop (Algorithm 1 line 10).
     result.total_cost +=
-        CommitWithProportionalPayments(queries, plan, slot, top.sensor);
-    result.selected_sensors.push_back(top.sensor);
+        CommitWithProportionalPayments(queries, plan, slot, sensor);
+    result.selected_sensors.push_back(sensor);
     ++round;
   }
+  evaluator.FlushValuationCalls();
 
   for (const MultiQuery* q : queries) result.total_value += q->CurrentValue();
   result.valuation_calls = TotalValuationCalls(queries) - calls_before;

@@ -6,15 +6,19 @@
 
 namespace psens {
 
-void MultiQuery::MarginalValuesUncounted(std::span<const int> sensors,
-                                         std::span<double> out) const {
+void MultiQuery::MarginalsAt(std::span<const int> keys,
+                             std::span<double> out) const {
   // Reference fallback: per-sensor scalar probes. MarginalValue performs
   // its own accounting, which this entry point must not — cancel it so the
   // fallback and the tight overrides are observationally identical.
-  for (size_t i = 0; i < sensors.size(); ++i) {
-    out[i] = MarginalValue(sensors[i]);
+  const std::vector<int>* list = CandidateSensors();
+  const int64_t calls_before = ValuationCalls();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const int key = keys[i];
+    out[i] = MarginalValue(list != nullptr ? (*list)[static_cast<size_t>(key)]
+                                           : key);
   }
-  AddValuationCalls(-static_cast<int64_t>(sensors.size()));
+  AddValuationCalls(calls_before - ValuationCalls());
 }
 
 double PointMultiQuery::MarginalValue(int sensor) const {
@@ -24,45 +28,38 @@ double PointMultiQuery::MarginalValue(int sensor) const {
   return v - current_value_;  // current_value_ is the best committed value
 }
 
-void PointMultiQuery::MarginalValuesUncounted(std::span<const int> sensors,
-                                              std::span<double> out) const {
+void PointMultiQuery::MarginalsAt(std::span<const int> keys,
+                                  std::span<double> out) const {
   const double dmax = slot_->dmax;
   const double current = current_value_;
   const SlotSensorTable& sl = slot_->sensors;
-  if (slot_->use_soa) {
+  if (PointMultiQuery::CandidateSensors() != nullptr) {
+    // Keys are candidate positions.
     if (cand_values_ready_) {
-      // The pruned engines probe ascending subsequences of the candidate
-      // list; a two-pointer walk resolves each probe to its cached Eq. 3
-      // value (bit-identical: computed once by the same kernel). Probes
-      // outside the list (dense sweeps, tests) fall through to the
-      // kernel inline.
-      size_t j = 0;
-      const size_t m = candidates_.size();
-      for (size_t i = 0; i < sensors.size(); ++i) {
-        const int s = sensors[i];
-        while (j < m && candidates_[j] < s) ++j;
-        if (j < m && candidates_[j] == s) {
-          out[i] = cand_values_[j] - current;
-          ++j;
-        } else {
-          out[i] = PointQueryValueAt(query_, sl.x[s], sl.y[s],
-                                     sl.inaccuracy[s], sl.trust[s], dmax) -
-                   current;
-        }
+      for (size_t i = 0; i < keys.size(); ++i) {
+        out[i] = cand_values_[static_cast<size_t>(keys[i])] - current;
       }
       return;
     }
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const int s = candidates_[static_cast<size_t>(keys[i])];
+      out[i] = PointQueryValue(query_, sl.Row(s), dmax) - current;
+    }
+    return;
+  }
+  // Unindexed: keys are slot rows.
+  if (slot_->use_soa) {
     // Column kernel: contiguous 8-byte loads instead of whole rows.
-    for (size_t i = 0; i < sensors.size(); ++i) {
-      const int s = sensors[i];
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const int s = keys[i];
       out[i] = PointQueryValueAt(query_, sl.x[s], sl.y[s], sl.inaccuracy[s],
                                  sl.trust[s], dmax) -
                current;
     }
     return;
   }
-  for (size_t i = 0; i < sensors.size(); ++i) {
-    out[i] = PointQueryValue(query_, sl.Row(sensors[i]), dmax) - current;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    out[i] = PointQueryValue(query_, sl.Row(keys[i]), dmax) - current;
   }
 }
 
@@ -110,13 +107,13 @@ double CallbackMultiQuery::MarginalValue(int sensor) const {
   return valuation_(with) - current_value_;
 }
 
-void CallbackMultiQuery::MarginalValuesUncounted(std::span<const int> sensors,
-                                                 std::span<double> out) const {
-  if (sensors.empty()) return;
+void CallbackMultiQuery::MarginalsAt(std::span<const int> keys,
+                                     std::span<double> out) const {
+  if (keys.empty()) return;
   batch_with_ = selected_;
   batch_with_.push_back(0);
-  for (size_t i = 0; i < sensors.size(); ++i) {
-    batch_with_.back() = sensors[i];
+  for (size_t i = 0; i < keys.size(); ++i) {
+    batch_with_.back() = keys[i];
     out[i] = valuation_(batch_with_) - current_value_;
   }
 }

@@ -27,20 +27,17 @@ class MultiQuery {
   /// need not be monotone, e.g. Eq. 5).
   virtual double MarginalValue(int sensor) const = 0;
 
-  /// Batched valuation: out[i] = exactly the value MarginalValue(sensors[i])
-  /// would return against the current selection, with the same
-  /// valuation-call accounting folded into one AddValuationCalls merge.
-  /// Values and ValuationCalls() totals are bit-identical to the scalar
-  /// loop (tests/batched_valuation_test.cc pins this per query type).
-  void MarginalValues(std::span<const int> sensors, std::span<double> out) const {
-    MarginalValuesUncounted(sensors, out);
-    AddValuationCalls(static_cast<int64_t>(sensors.size()));
-  }
-
-  /// Computation core of MarginalValues, *without* the accounting. The
-  /// batched/parallel engines (core/batch_eval.h) call this from worker
-  /// threads and merge per-thread call counts at batch end through
-  /// AddValuationCalls, so ValuationCalls() is never mutated from workers.
+  /// Keyed batch kernel: out[i] = exactly the value MarginalValue would
+  /// return, against the current selection, for the sensor that keys[i]
+  /// addresses — *without* valuation-call accounting. A key is the
+  /// sensor's position in this query's CandidateSensors() list, or the
+  /// slot row itself when the query exposes no list. Keys thus index the
+  /// query's own candidate-sized state, and the candidate plan
+  /// (core/candidate_pruning.h) hands every pair its key. The round
+  /// evaluator (core/batch_eval.h) is the only batch caller and counts
+  /// each evaluated key through AddValuationCalls, so per-query
+  /// ValuationCalls() totals match the counted scalar probes exactly
+  /// (tests/batched_valuation_test.cc pins values and counts per type).
   ///
   /// Contract for overrides: no mutation of query state other than
   /// per-object scratch. Engines shard work *by query* — two threads may
@@ -48,21 +45,22 @@ class MultiQuery {
   /// probed by one thread at a time, so per-object scratch needs no
   /// locking. ThreadSafeBatchValuation() advertises conformance.
   ///
-  /// The default falls back to per-sensor MarginalValue probes (which
-  /// count) and cancels their accounting — correct and exactly equivalent,
-  /// but neither batched nor safe off the owning thread.
-  virtual void MarginalValuesUncounted(std::span<const int> sensors,
-                                       std::span<double> out) const;
+  /// The default resolves each key to its sensor and probes
+  /// MarginalValue, cancelling the probes' accounting — correct and
+  /// exactly equivalent, but neither batched nor safe off the owning
+  /// thread.
+  virtual void MarginalsAt(std::span<const int> keys,
+                           std::span<double> out) const;
 
   /// Merges externally tracked valuation-call counts into ValuationCalls().
   /// Engines use it to keep per-thread counters out of worker threads; the
   /// default is a no-op for implementations that do not track calls.
   virtual void AddValuationCalls(int64_t count) const { (void)count; }
 
-  /// True when MarginalValuesUncounted honours the no-shared-mutation
-  /// contract above, so the parallel selection path may probe this query
-  /// from worker threads. Engines fall back to the bit-identical serial
-  /// sweep when any participating query says no.
+  /// True when MarginalsAt honours the no-shared-mutation contract above,
+  /// so the parallel selection path may probe this query from worker
+  /// threads. Engines fall back to the bit-identical serial sweep when any
+  /// participating query says no.
   virtual bool ThreadSafeBatchValuation() const { return false; }
 
   /// Adds `sensor` to the selection, charging `payment` to the query.
@@ -139,14 +137,14 @@ class PointMultiQuery : public MultiQueryBase {
   const PointQuery& query() const { return query_; }
 
   double MarginalValue(int sensor) const override;
-  /// Tight sweep: one fused pass, no per-sensor virtual dispatch. With
-  /// SlotContext::use_soa the pass streams the slot's columns; when the
-  /// candidate value cache is warm (the pruned
-  /// engines probe ascending subsequences of CandidateSensors, and Eq. 3
-  /// is selection-independent) probes become cached-value lookups. All
-  /// paths produce bit-identical values and accounting.
-  void MarginalValuesUncounted(std::span<const int> sensors,
-                               std::span<double> out) const override;
+  /// Keyed sweep: on an indexed slot a key is a candidate position, and
+  /// under SlotContext::use_soa a probe is one load of the candidate's
+  /// cached Eq. 3 value (the valuation depends only on (query, sensor),
+  /// never on selection state). Unindexed slots key by slot row and
+  /// compute from the slot's columns. Every path computes the same
+  /// valuation on the same inputs: bit-identical values.
+  void MarginalsAt(std::span<const int> keys,
+                   std::span<double> out) const override;
   bool ThreadSafeBatchValuation() const override { return true; }
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return query_.budget; }
@@ -172,11 +170,12 @@ class PointMultiQuery : public MultiQueryBase {
   int best_sensor_ = -1;
   mutable std::vector<int> candidates_;
   mutable bool candidates_ready_ = false;
-  /// Eq. 3 value per candidate (parallel to candidates_), computed once
-  /// per slot binding under SlotContext::use_soa: the valuation depends
-  /// only on (query, sensor), never on selection state, so re-probes hit
-  /// this cache. Filled on the coordinating thread by CandidateSensors
-  /// (the pruning plan builds before any worker probes), read-only after.
+  /// Eq. 3 value per candidate (indexed by key, parallel to candidates_),
+  /// computed once per slot binding under SlotContext::use_soa: the
+  /// valuation depends only on (query, sensor), never on selection state,
+  /// so re-probes hit this cache. Filled on the coordinating thread by
+  /// CandidateSensors (the pruning plan builds before any worker probes),
+  /// read-only after.
   mutable std::vector<double> cand_values_;
   mutable bool cand_values_ready_ = false;
 };
@@ -192,11 +191,12 @@ class CallbackMultiQuery : public MultiQueryBase {
       : MultiQueryBase(id), valuation_(std::move(valuation)), max_value_(max_value) {}
 
   double MarginalValue(int sensor) const override;
-  /// Batched probe reusing one selection+candidate scratch vector instead
-  /// of copying the selection per sensor. ThreadSafeBatchValuation stays
+  /// Batched probe (keys are slot rows: the query exposes no candidate
+  /// list) reusing one selection+candidate scratch vector instead of
+  /// copying the selection per sensor. ThreadSafeBatchValuation stays
   /// false: the user-supplied callback's thread safety is unknown.
-  void MarginalValuesUncounted(std::span<const int> sensors,
-                               std::span<double> out) const override;
+  void MarginalsAt(std::span<const int> keys,
+                   std::span<double> out) const override;
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return max_value_; }
 

@@ -56,36 +56,35 @@ double MultiSensorPointQuery::MarginalValue(int sensor) const {
   return ValueFromQualities(std::move(with)) - current_value_;
 }
 
-void MultiSensorPointQuery::MarginalValuesUncounted(
-    std::span<const int> sensors, std::span<double> out) const {
-  if (sensors.empty()) return;
-  // Probe-quality resolver: cached candidate theta when warm (the pruned
-  // engines probe ascending subsequences of the candidate list), else the
-  // column kernel, else the scalar reference. All three compute the same
-  // ReadingQuality on the same inputs — bit-identical.
+void MultiSensorPointQuery::MarginalsAt(std::span<const int> keys,
+                                        std::span<double> out) const {
+  if (keys.empty()) return;
+  // Key-quality resolver: on an indexed slot a key is a candidate
+  // position — the cached theta under use_soa, else the scalar reference
+  // on the candidate's row; unindexed, a key is a slot row. Every branch
+  // computes the same ReadingQuality on the same inputs — bit-identical.
+  const bool listed = MultiSensorPointQuery::CandidateSensors() != nullptr;
   const bool columns = slot_->use_soa;
-  size_t cj = 0;
-  const size_t cm = candidates_.size();
-  const auto probe_quality = [&](int s) -> double {
-    if (cand_theta_ready_) {
-      while (cj < cm && candidates_[cj] < s) ++cj;
-      if (cj < cm && candidates_[cj] == s) return cand_theta_[cj++];
+  const auto probe_quality = [&](int key) -> double {
+    if (listed) {
+      const size_t k = static_cast<size_t>(key);
+      return cand_theta_ready_ ? cand_theta_[k] : Quality(candidates_[k]);
     }
-    return columns ? QualityFromColumns(s) : Quality(s);
+    return columns ? QualityFromColumns(key) : Quality(key);
   };
   if (params_.redundancy <= 0) {
     // ValueFromQualities is identically zero; mirror the scalar branch
     // structure exactly (theta <= 0 probes return a literal 0).
-    for (size_t i = 0; i < sensors.size(); ++i) {
-      out[i] = probe_quality(sensors[i]) <= 0.0 ? 0.0 : -current_value_;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      out[i] = probe_quality(keys[i]) <= 0.0 ? 0.0 : -current_value_;
     }
     return;
   }
   batch_sorted_ = qualities_;
   std::sort(batch_sorted_.begin(), batch_sorted_.end(), std::greater<double>());
   const size_t k = static_cast<size_t>(params_.redundancy);
-  for (size_t i = 0; i < sensors.size(); ++i) {
-    const double theta = probe_quality(sensors[i]);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const double theta = probe_quality(keys[i]);
     if (theta <= 0.0) {
       out[i] = 0.0;
       continue;

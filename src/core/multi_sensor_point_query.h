@@ -33,12 +33,14 @@ class MultiSensorPointQuery : public MultiQueryBase {
       : MultiQueryBase(params.id), params_(params), slot_(slot) {}
 
   double MarginalValue(int sensor) const override;
-  /// Batched probe: the committed qualities are sorted once per batch, and
-  /// each sensor's top-k value comes from an O(k) merge of its quality
-  /// into that shared order — the same non-increasing value sequence (and
-  /// so the same floating-point sum) the scalar copy+sort produces.
-  void MarginalValuesUncounted(std::span<const int> sensors,
-                               std::span<double> out) const override;
+  /// Keyed probe: a key's quality is one load of the candidate quality
+  /// cache on an indexed slot under SlotContext::use_soa. The committed
+  /// qualities are sorted once per batch, and each key's top-k value
+  /// comes from an O(k) merge of its quality into that shared order — the
+  /// same non-increasing value sequence (and so the same floating-point
+  /// sum) the scalar copy+sort produces.
+  void MarginalsAt(std::span<const int> keys,
+                   std::span<double> out) const override;
   bool ThreadSafeBatchValuation() const override { return true; }
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return params_.budget; }
@@ -74,16 +76,16 @@ class MultiSensorPointQuery : public MultiQueryBase {
   std::vector<double> qualities_;
   mutable std::vector<int> candidates_;
   mutable bool candidates_ready_ = false;
-  /// Filtered quality theta per candidate (parallel to candidates_),
-  /// computed once per slot binding under SlotContext::use_soa — the
-  /// quality depends only on (query, sensor), so batch probes resolve
-  /// against this cache. Same fill/read discipline as PointMultiQuery's
-  /// candidate value cache.
+  /// Filtered quality theta per candidate (indexed by key, parallel to
+  /// candidates_), computed once per slot binding under
+  /// SlotContext::use_soa — the quality depends only on (query, sensor),
+  /// so keyed probes resolve against this cache. Same fill/read
+  /// discipline as PointMultiQuery's candidate value cache.
   mutable std::vector<double> cand_theta_;
   mutable bool cand_theta_ready_ = false;
-  /// Per-batch scratch: qualities_ sorted descending (see
-  /// MarginalValuesUncounted). Per-object, so the by-query sharding of the
-  /// parallel engines needs no locking.
+  /// Per-batch scratch: qualities_ sorted descending (see MarginalsAt).
+  /// Per-object, so the by-query sharding of the parallel engines needs
+  /// no locking.
   mutable std::vector<double> batch_sorted_;
 };
 

@@ -169,7 +169,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   // upper-bound any later marginal, so a bucket only streams sensors whose
   // single net reaches its threshold.
   std::vector<double> net0(offered.size());
-  evaluator.EvaluateNets(offered, net0.data());
+  evaluator.EvaluateSensorNets(offered, net0.data());
   for (double v : net0) max_single_net_ = std::max(max_single_net_, v);
   EnsureBuckets(max_single_net_);
 
@@ -224,7 +224,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     for (int gid : bucket.members) {
       const int idx = SlotIndexOf(slot, gid);
       if (idx < 0) continue;
-      if (evaluator.EvaluateNet(idx) <= 0.0) continue;
+      if (evaluator.EvaluateSensorNet(idx) <= 0.0) continue;
       cost_sum += CommitWithProportionalPayments(queries, plan, slot, idx);
       members.push_back(gid);
     }
@@ -239,7 +239,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
                              gid)) {
         continue;
       }
-      const double net = evaluator.EvaluateNet(idx);
+      const double net = evaluator.EvaluateSensorNet(idx);
       if (net <= 0.0 || net < tau) continue;
       cost_sum += CommitWithProportionalPayments(queries, plan, slot, idx);
       members.push_back(gid);
@@ -339,7 +339,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
       int stamp;
     };
     std::vector<double> fill(pool.size());
-    evaluator.EvaluateNets(pool, fill.data());
+    evaluator.EvaluateSensorNets(pool, fill.data());
     // Bench refresh: the fill just computed every pool sensor's
     // singleton net against the CURRENT queries — the ranking the cap
     // eviction should use (the net0-based merge above ranks arrivals by
@@ -383,7 +383,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
         ++round;
         continue;
       }
-      top.net = evaluator.EvaluateNet(top.idx);
+      top.net = evaluator.EvaluateSensorNet(top.idx);
       top.stamp = round;
       if (top.net <= 0.0) continue;  // marginals only shrink (modulo caveat)
       heap.push_back(top);
@@ -409,6 +409,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   for (int idx : final_sel) {
     winner_members_.push_back(slot.sensors.sensor_id[static_cast<size_t>(idx)]);
   }
+  evaluator.FlushValuationCalls();
 
   for (const MultiQuery* q : queries) result.total_value += q->CurrentValue();
   result.valuation_calls = TotalValuationCalls(queries) - calls_before;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
+#include <numeric>
 #include <utility>
 
 #include "common/rng.h"
@@ -45,20 +45,24 @@ SelectionResult StochasticGreedySensorSelection(
   const CandidatePlan plan = BuildCandidatePlan(queries, n, slot.arena);
   NetEvaluator evaluator(queries, plan, slot, cost_scale, slot.pool);
 
-  // Remaining candidates in mutable order: the partial Fisher-Yates below
-  // shuffles a per-round prefix; pruning compacts the prefix in place.
-  const std::span<const int> scan0 = plan.ScanSensors();
-  std::vector<int> remaining(scan0.begin(), scan0.end());
+  // Remaining candidates (scan rows) in mutable order: the partial
+  // Fisher-Yates below shuffles a per-round prefix; pruning compacts the
+  // prefix in place. Rows ascend with sensor index, so sorting rows is
+  // sorting sensors.
+  std::vector<int> remaining(static_cast<size_t>(plan.NumRows()));
+  std::iota(remaining.begin(), remaining.end(), 0);
   const int sample_size =
       StochasticSampleSize(slot.approx, static_cast<int>(remaining.size()),
                            static_cast<int>(queries.size()));
   Rng rng(ApproxSlotSeed(slot.approx, slot.time));
 
-  std::vector<int> scan;  // this round's sample, ascending
+  std::vector<int> scan;  // this round's sampled rows, ascending
   std::vector<double> net;
 
   // Commit exactly like the exact engines (Algorithm 1 line 10).
-  const auto commit = [&](int best_sensor) {
+  const auto commit = [&](int best_row) {
+    const int best_sensor = plan.sensors[static_cast<size_t>(best_row)];
+    CheckPrunedMarginals(queries, plan, best_sensor);
     result.total_cost +=
         CommitWithProportionalPayments(queries, plan, slot, best_sensor);
     result.selected_sensors.push_back(best_sensor);
@@ -66,15 +70,15 @@ SelectionResult StochasticGreedySensorSelection(
 
   // Ascending stable argmax with strict >, the exact engines' tie-break.
   const auto argmax = [&]() {
-    int best_sensor = -1;
+    int best_row = -1;
     double best_net = 0.0;
     for (size_t k = 0; k < scan.size(); ++k) {
       if (net[k] > best_net) {
         best_net = net[k];
-        best_sensor = scan[k];
+        best_row = scan[k];
       }
     }
-    return best_sensor;
+    return best_row;
   };
 
   // Compacts remaining[0..s) down to the sampled sensors that stay viable
@@ -106,14 +110,11 @@ SelectionResult StochasticGreedySensorSelection(
   {
     scan = remaining;
     net.resize(scan.size());
-    evaluator.EvaluateNets(scan, net.data());
-    const int best_sensor = argmax();
-    if (best_sensor >= 0) {
-      CheckPrunedMarginals(queries, plan, best_sensor);
-      commit(best_sensor);
-    }
-    compact_prefix(static_cast<int>(remaining.size()), best_sensor);
-    if (best_sensor < 0) remaining.clear();  // nothing viable at all
+    evaluator.EvaluateRowNets(scan, net.data());
+    const int best_row = argmax();
+    if (best_row >= 0) commit(best_row);
+    compact_prefix(static_cast<int>(remaining.size()), best_row);
+    if (best_row < 0) remaining.clear();  // nothing viable at all
   }
 
   // Sampled rounds. An empty round doubles the next round's sample
@@ -133,23 +134,23 @@ SelectionResult StochasticGreedySensorSelection(
                 remaining[static_cast<size_t>(pick)]);
     }
     scan.assign(remaining.begin(), remaining.begin() + s);
-    // The evaluator contract wants ascending, duplicate-free sensors; the
+    // The evaluator contract wants ascending, duplicate-free rows; the
     // sample is duplicate-free by construction.
     std::sort(scan.begin(), scan.end());
     net.resize(scan.size());
-    evaluator.EvaluateNets(scan, net.data());
-    const int best_sensor = argmax();
-    if (best_sensor >= 0) {
+    evaluator.EvaluateRowNets(scan, net.data());
+    const int best_row = argmax();
+    if (best_row >= 0) {
       current_sample = sample_size;
-      CheckPrunedMarginals(queries, plan, best_sensor);
-      commit(best_sensor);
+      commit(best_row);
     } else if (s == static_cast<int>(remaining.size())) {
       break;  // a full empty sweep is the exact termination condition
     } else {
       current_sample *= 2;
     }
-    compact_prefix(s, best_sensor);
+    compact_prefix(s, best_row);
   }
+  evaluator.FlushValuationCalls();
 
   for (const MultiQuery* q : queries) result.total_value += q->CurrentValue();
   result.valuation_calls = TotalValuationCalls(queries) - calls_before;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/slot.h"
+#include "index/probe_order.h"
 
 namespace psens {
 
@@ -126,7 +127,7 @@ void DynamicGridIndex::RangeQuery(const Point& center, double radius,
       }
     }
   }
-  std::sort(out->begin(), out->end());
+  SortProbeIds(out);
 }
 
 void DynamicGridIndex::RectQuery(const Rect& rect, std::vector<int>* out) const {
@@ -150,7 +151,7 @@ void DynamicGridIndex::RectQuery(const Rect& rect, std::vector<int>* out) const 
       }
     }
   }
-  std::sort(out->begin(), out->end());
+  SortProbeIds(out);
 }
 
 int DynamicGridIndex::Nearest(const Point& p) const {
@@ -328,7 +329,7 @@ void BufferedKdTreeIndex::RangeQuery(const Point& center, double radius,
   for (int id : buffer_) {
     if (Distance(pos_of_id_[id], center) <= radius) out->push_back(id);
   }
-  std::sort(out->begin(), out->end());
+  SortProbeIds(out);
 }
 
 void BufferedKdTreeIndex::RectQuery(const Rect& rect, std::vector<int>* out) const {
@@ -342,7 +343,7 @@ void BufferedKdTreeIndex::RectQuery(const Rect& rect, std::vector<int>* out) con
   for (int id : buffer_) {
     if (rect.Contains(pos_of_id_[id])) out->push_back(id);
   }
-  std::sort(out->begin(), out->end());
+  SortProbeIds(out);
 }
 
 int BufferedKdTreeIndex::Nearest(const Point& p) const {

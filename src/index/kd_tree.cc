@@ -5,6 +5,8 @@
 #include <limits>
 #include <numeric>
 
+#include "index/probe_order.h"
+
 namespace psens {
 namespace {
 
@@ -108,7 +110,7 @@ void KdTreeIndex::RangeQuery(const Point& center, double radius,
   out->clear();
   if (nodes_.empty() || radius < 0.0) return;
   RangeRecurse(0, center, radius, radius * radius, out);
-  std::sort(out->begin(), out->end());
+  SortProbeIds(out);
 }
 
 void KdTreeIndex::RectRecurse(int node_id, const Rect& rect,
@@ -135,7 +137,7 @@ void KdTreeIndex::RectQuery(const Rect& rect, std::vector<int>* out) const {
   out->clear();
   if (nodes_.empty()) return;
   RectRecurse(0, rect, out);
-  std::sort(out->begin(), out->end());
+  SortProbeIds(out);
 }
 
 void KdTreeIndex::NearestRecurse(int node_id, const Point& p, int* best,

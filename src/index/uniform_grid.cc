@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "index/probe_order.h"
+
 namespace psens {
 
 UniformGridIndex::UniformGridIndex(const std::vector<Point>& points, double cell_size) {
@@ -53,7 +55,7 @@ void UniformGridIndex::RangeQuery(const Point& center, double radius,
       }
     }
   }
-  std::sort(out->begin(), out->end());
+  SortProbeIds(out);
 }
 
 void UniformGridIndex::RectQuery(const Rect& rect, std::vector<int>* out) const {
@@ -79,7 +81,7 @@ void UniformGridIndex::RectQuery(const Rect& rect, std::vector<int>* out) const 
       }
     }
   }
-  std::sort(out->begin(), out->end());
+  SortProbeIds(out);
 }
 
 int UniformGridIndex::Nearest(const Point& p) const {

@@ -1,18 +1,20 @@
-// The batched valuation contract (core/multi_query.h): for every concrete
-// MultiQuery type, MarginalValues(sensors, out) must produce bit-identical
-// values to per-sensor MarginalValue probes — including negative-marginal
-// and pruned/zero-candidate sensors — and must account exactly the same
-// number of valuation calls. Also pins the deferred-accounting split
-// (MarginalValuesUncounted + AddValuationCalls) the parallel engines rely
-// on, and the scratch hygiene of the candidate plan and the net evaluator:
-// they must read no arena memory they did not write.
+// The keyed valuation contract (core/multi_query.h): for every concrete
+// MultiQuery type, bound on an indexed and an unindexed slot, the keyed
+// batch kernel MarginalsAt(keys, out) must equal the counted
+// sensor-addressed MarginalValue(sensor) bit for bit — including
+// negative-marginal and zero-candidate sensors, before any commit and
+// after one and three — and must count no valuation call. Also pins the
+// scratch hygiene of the candidate plan and the net evaluator: they must
+// read no arena memory they did not write.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -52,233 +54,266 @@ SlotContext MakeSlot(int num_sensors, uint64_t seed, bool indexed,
   return slot;
 }
 
-std::vector<int> AllSensors(const SlotContext& slot) {
-  std::vector<int> all;
-  for (int s = 0; s < static_cast<int>(slot.sensors.size()); ++s) all.push_back(s);
-  return all;
-}
+/// Every key the query accepts, with the sensor each addresses: positions
+/// in its candidate list, or every slot row for a dense query.
+struct KeyedSensors {
+  std::vector<int> keys;
+  std::vector<int> sensors;
+};
 
-/// The contract check: batched == scalar, bit for bit, with identical
-/// valuation-call accounting, against the query's *current* selection
-/// state.
-void ExpectBatchedMatchesScalar(const MultiQuery& query,
-                                const std::vector<int>& sensors,
-                                const char* label) {
-  std::vector<double> scalar(sensors.size());
-  const int64_t calls_before_scalar = query.ValuationCalls();
-  for (size_t i = 0; i < sensors.size(); ++i) {
-    scalar[i] = query.MarginalValue(sensors[i]);
+KeyedSensors AllKeys(const MultiQuery& query, const SlotContext& slot) {
+  KeyedSensors out;
+  const std::vector<int>* list = query.CandidateSensors();
+  const int count = list != nullptr ? static_cast<int>(list->size())
+                                    : static_cast<int>(slot.sensors.size());
+  for (int k = 0; k < count; ++k) {
+    out.keys.push_back(k);
+    out.sensors.push_back(list != nullptr ? (*list)[static_cast<size_t>(k)]
+                                          : k);
   }
-  const int64_t scalar_calls = query.ValuationCalls() - calls_before_scalar;
+  return out;
+}
 
-  std::vector<double> batched(sensors.size());
-  const int64_t calls_before_batch = query.ValuationCalls();
-  query.MarginalValues(std::span<const int>(sensors.data(), sensors.size()),
-                       std::span<double>(batched.data(), batched.size()));
-  const int64_t batch_calls = query.ValuationCalls() - calls_before_batch;
+/// The contract check, against the query's *current* selection state:
+/// keyed == counted scalar, bit for bit, in ascending and in reversed key
+/// order, and the keyed kernel counts nothing.
+void ExpectKeyedMatchesScalar(const MultiQuery& query, const SlotContext& slot,
+                              const std::string& label) {
+  const KeyedSensors all = AllKeys(query, slot);
+  ASSERT_FALSE(all.keys.empty()) << label;
+  std::vector<double> keyed(all.keys.size());
+  std::vector<int> reversed_keys(all.keys.rbegin(), all.keys.rend());
+  std::vector<double> reversed(all.keys.size());
+  const int64_t calls_before = query.ValuationCalls();
+  query.MarginalsAt(all.keys, keyed);
+  query.MarginalsAt(reversed_keys, reversed);
+  query.MarginalsAt({}, {});
+  EXPECT_EQ(query.ValuationCalls(), calls_before)
+      << label << ": keyed probes count";
 
-  ASSERT_EQ(scalar_calls, static_cast<int64_t>(sensors.size())) << label;
-  EXPECT_EQ(batch_calls, scalar_calls) << label;
-  for (size_t i = 0; i < sensors.size(); ++i) {
-    // EXPECT_EQ, not NEAR: the batch API promises bit equality.
-    EXPECT_EQ(batched[i], scalar[i]) << label << " sensor " << sensors[i];
+  for (size_t i = 0; i < all.keys.size(); ++i) {
+    const double scalar = query.MarginalValue(all.sensors[i]);
+    // EXPECT_EQ, not NEAR: the kernel promises bit equality.
+    EXPECT_EQ(keyed[i], scalar) << label << " key " << all.keys[i];
+    EXPECT_EQ(reversed[all.keys.size() - 1 - i], scalar)
+        << label << " reversed key " << all.keys[i];
   }
-}
-
-TEST(BatchedValuationTest, PointMultiQueryMatchesScalar) {
-  for (bool indexed : {false, true}) {
-    const SlotContext slot = MakeSlot(120, 11, indexed, 30.0);
-    PointQuery spec;
-    spec.id = 1;
-    // Anchor the query on a real sensor so in-range candidates exist.
-    spec.location = slot.sensors.Row(40).location;
-    spec.budget = 15.0;
-    spec.theta_min = 0.2;
-    PointMultiQuery query(spec, &slot);
-    const std::vector<int> all = AllSensors(slot);
-    // Empty selection: marginals are raw values (out-of-range sensors 0).
-    ExpectBatchedMatchesScalar(query, all, "point/empty");
-    // Commit the best in-range sensor so later probes include *negative*
-    // marginals (a worse sensor's value minus the committed best).
-    int best = -1;
-    double best_value = 0.0;
-    for (int s : all) {
-      const double v = PointQueryValue(spec, slot.sensors.Row(s), slot.dmax);
-      if (v > best_value) {
-        best_value = v;
-        best = s;
-      }
-    }
-    ASSERT_GE(best, 0);
-    query.Commit(best, 1.0);
-    bool saw_negative = false;
-    for (int s : all) {
-      if (query.MarginalValue(s) < 0.0) saw_negative = true;
-    }
-    EXPECT_TRUE(saw_negative) << "test instance should exercise negative marginals";
-    ExpectBatchedMatchesScalar(query, all, "point/committed");
-    // Pruned-candidate case: the indexed slot's candidate list excludes
-    // far sensors, whose marginal must evaluate to a non-positive value
-    // through both entry points.
-    if (indexed) {
-      ASSERT_NE(query.CandidateSensors(), nullptr);
-    }
-  }
-}
-
-TEST(BatchedValuationTest, MultiSensorPointQueryMatchesScalar) {
-  for (bool indexed : {false, true}) {
-    const SlotContext slot = MakeSlot(150, 13, indexed, 30.0);
-    MultiSensorPointQuery::Params params;
-    params.id = 2;
-    params.location = slot.sensors.Row(50).location;
-    params.budget = 20.0;
-    params.theta_min = 0.1;
-    params.redundancy = 3;
-    MultiSensorPointQuery query(params, &slot);
-    const std::vector<int> all = AllSensors(slot);
-    ExpectBatchedMatchesScalar(query, all, "topk/empty");
-    // Fill the redundancy quota one commit at a time, re-checking the
-    // batch against the scalar at every selection depth (the top-k merge
-    // is where the batched fast path could diverge).
-    const std::vector<int>* candidates = query.CandidateSensors();
-    const std::vector<int>& commit_from = candidates != nullptr ? *candidates : all;
-    int committed = 0;
-    for (int s : commit_from) {
-      if (committed >= params.redundancy + 1) break;
-      query.Commit(s, 0.5);
-      ++committed;
-      ExpectBatchedMatchesScalar(query, all, "topk/committed");
-    }
-    ASSERT_GT(committed, params.redundancy) << "quota should overflow top-k";
-  }
-}
-
-TEST(BatchedValuationTest, MultiSensorPointQueryZeroRedundancy) {
-  const SlotContext slot = MakeSlot(20, 17, false);
-  MultiSensorPointQuery::Params params;
-  params.id = 3;
-  params.location = Point{10.0, 10.0};
-  params.budget = 20.0;
-  params.redundancy = 0;  // degenerate: valuation identically zero
-  MultiSensorPointQuery query(params, &slot);
-  ExpectBatchedMatchesScalar(query, AllSensors(slot), "topk/zero-redundancy");
-}
-
-TEST(BatchedValuationTest, AggregateQueryMatchesScalarIncludingNegative) {
-  for (bool indexed : {false, true}) {
-    const SlotContext slot = MakeSlot(80, 19, indexed);
-    AggregateQuery::Params params;
-    params.id = 4;
-    params.region = Rect{10.0, 10.0, 30.0, 30.0};
-    params.budget = 50.0;
-    params.sensing_range = 10.0;
-    params.cell_size = 2.0;
-    AggregateQuery query(params, slot);
-    const std::vector<int> all = AllSensors(slot);
-    ExpectBatchedMatchesScalar(query, all, "aggregate/empty");
-    // Commit the highest-theta covering sensor; Eq. 5's mean-quality
-    // factor then makes low-theta additions *negative* marginals, and
-    // non-covering sensors stay exactly 0 (the pruned-candidate case).
-    int best = -1;
-    double best_theta = -1.0;
-    for (int s : all) {
-      const double theta =
-          (1.0 - slot.sensors.inaccuracy[s]) * slot.sensors.trust[s];
-      if (query.MarginalValue(s) > 0.0 && theta > best_theta) {
-        best_theta = theta;
-        best = s;
-      }
-    }
-    ASSERT_GE(best, 0);
-    query.Commit(best, 1.0);
-    bool saw_negative = false;
-    bool saw_zero = false;
-    for (int s : all) {
-      const double delta = query.MarginalValue(s);
-      if (delta < 0.0) saw_negative = true;
-      if (delta == 0.0) saw_zero = true;
-    }
-    EXPECT_TRUE(saw_negative) << "Eq. 5 non-monotonicity should appear";
-    EXPECT_TRUE(saw_zero) << "non-covering sensors should stay exactly zero";
-    ExpectBatchedMatchesScalar(query, all, "aggregate/committed");
-  }
-}
-
-TEST(BatchedValuationTest, TrajectoryQueryMatchesScalar) {
-  for (bool indexed : {false, true}) {
-    const SlotContext slot = MakeSlot(80, 23, indexed);
-    TrajectoryQuery::Params params;
-    params.id = 5;
-    params.trajectory.waypoints = {Point{5.0, 5.0}, Point{20.0, 25.0},
-                                   Point{35.0, 30.0}};
-    params.budget = 40.0;
-    params.sensing_range = 8.0;
-    params.cell_size = 2.0;
-    params.corridor = 3.0;
-    TrajectoryQuery query(params, slot);
-    const std::vector<int> all = AllSensors(slot);
-    ExpectBatchedMatchesScalar(query, all, "trajectory/empty");
-    for (int s : all) {
-      if (query.MarginalValue(s) > 0.0) {
-        query.Commit(s, 1.0);
-        break;
-      }
-    }
-    ExpectBatchedMatchesScalar(query, all, "trajectory/committed");
-  }
-}
-
-TEST(BatchedValuationTest, CallbackMultiQueryMatchesScalar) {
-  const SlotContext slot = MakeSlot(12, 29, false);
-  // Deliberately non-submodular, non-monotone set valuation.
-  const auto valuation = [](const std::vector<int>& set) {
-    double v = 0.0;
-    for (int s : set) v += (s % 3 == 0) ? -2.0 : 5.0 + 0.25 * s;
-    if (set.size() >= 2) v += 3.0;  // complementarity
-    return v;
-  };
-  CallbackMultiQuery query(6, valuation, 100.0);
-  const std::vector<int> all = AllSensors(slot);
-  ExpectBatchedMatchesScalar(query, all, "callback/empty");
-  query.Commit(4, 1.0);
-  query.Commit(7, 1.0);
-  ExpectBatchedMatchesScalar(query, all, "callback/committed");
-}
-
-TEST(BatchedValuationTest, DeferredAccountingMergesExactly) {
-  // The parallel engines call MarginalValuesUncounted from workers and
-  // merge counts via AddValuationCalls at batch end; the sum must equal
-  // the counted entry point exactly.
-  const SlotContext slot = MakeSlot(30, 31, true);
-  PointQuery spec;
-  spec.id = 7;
-  spec.location = Point{15.0, 15.0};
-  spec.budget = 15.0;
-  PointMultiQuery query(spec, &slot);
-  const std::vector<int> all = AllSensors(slot);
-  std::vector<double> out(all.size());
-
-  const int64_t before = query.ValuationCalls();
-  query.MarginalValuesUncounted(std::span<const int>(all.data(), all.size()),
-                                std::span<double>(out.data(), out.size()));
-  EXPECT_EQ(query.ValuationCalls(), before) << "uncounted probe must not count";
-  query.AddValuationCalls(static_cast<int64_t>(all.size()));
   EXPECT_EQ(query.ValuationCalls(),
-            before + static_cast<int64_t>(all.size()));
+            calls_before + static_cast<int64_t>(all.keys.size()))
+      << label << ": the scalar probe counts one call each";
+}
 
-  // Empty batches are no-ops on values and accounting.
-  const int64_t before_empty = query.ValuationCalls();
-  query.MarginalValues(std::span<const int>(), std::span<double>());
-  EXPECT_EQ(query.ValuationCalls(), before_empty);
+/// Commits `count` sensors: first the best positive scalar marginal, then
+/// spread picks over the keyed sensors (any sensor is a legal commit).
+void CommitSome(MultiQuery& query, const SlotContext& slot, int count) {
+  const KeyedSensors all = AllKeys(query, slot);
+  int best = all.sensors.front();
+  double best_delta = -1.0;
+  for (int s : all.sensors) {
+    const double delta = query.MarginalValue(s);
+    if (delta > best_delta) {
+      best_delta = delta;
+      best = s;
+    }
+  }
+  query.Commit(best, 1.0);
+  for (int c = 1; c < count; ++c) {
+    const size_t pick = all.sensors.size() * static_cast<size_t>(c) / 3;
+    query.Commit(all.sensors[std::min(pick, all.sensors.size() - 1)], 0.5);
+  }
+}
+
+using QueryFactory =
+    std::function<std::unique_ptr<MultiQuery>(const SlotContext& slot)>;
+
+/// Binds the factory's query on an indexed and an unindexed slot, with the
+/// column kernels on and off, and checks the contract before any commit,
+/// after one and after three.
+void CheckKeyedContract(const QueryFactory& make, const char* name,
+                        int num_sensors, uint64_t seed, double side) {
+  for (bool indexed : {false, true}) {
+    for (bool soa : {true, false}) {
+      SlotContext slot = MakeSlot(num_sensors, seed, indexed, side);
+      slot.use_soa = soa;
+      const std::unique_ptr<MultiQuery> query = make(slot);
+      const std::string label = std::string(name) +
+                                (indexed ? "/indexed" : "/unindexed") +
+                                (soa ? "/soa" : "/scalar");
+      EXPECT_EQ(query->CandidateSensors() != nullptr,
+                indexed && std::string(name) != "callback")
+          << label;
+      ExpectKeyedMatchesScalar(*query, slot, label + "/empty");
+      CommitSome(*query, slot, 1);
+      ExpectKeyedMatchesScalar(*query, slot, label + "/1 commit");
+      CommitSome(*query, slot, 2);
+      ExpectKeyedMatchesScalar(*query, slot, label + "/3 commits");
+    }
+  }
+}
+
+TEST(KeyedValuationTest, PointMultiQueryMatchesScalar) {
+  CheckKeyedContract(
+      [](const SlotContext& slot) {
+        PointQuery spec;
+        spec.id = 1;
+        // Anchor the query on a real sensor so in-range candidates exist.
+        spec.location = slot.sensors.Row(40).location;
+        spec.budget = 15.0;
+        spec.theta_min = 0.2;
+        return std::make_unique<PointMultiQuery>(spec, &slot);
+      },
+      "point", 120, 11, 30.0);
+}
+
+TEST(KeyedValuationTest, MultiSensorPointQueryMatchesScalar) {
+  CheckKeyedContract(
+      [](const SlotContext& slot) {
+        MultiSensorPointQuery::Params params;
+        params.id = 2;
+        params.location = slot.sensors.Row(50).location;
+        params.budget = 20.0;
+        params.theta_min = 0.1;
+        params.redundancy = 2;  // three commits overflow the top-k
+        return std::make_unique<MultiSensorPointQuery>(params, &slot);
+      },
+      "topk", 150, 13, 30.0);
+}
+
+TEST(KeyedValuationTest, MultiSensorPointQueryZeroRedundancy) {
+  CheckKeyedContract(
+      [](const SlotContext& slot) {
+        MultiSensorPointQuery::Params params;
+        params.id = 3;
+        params.location = Point{10.0, 10.0};
+        params.budget = 20.0;
+        params.redundancy = 0;  // degenerate: valuation identically zero
+        return std::make_unique<MultiSensorPointQuery>(params, &slot);
+      },
+      "topk0", 40, 17, 20.0);
+}
+
+TEST(KeyedValuationTest, AggregateQueryMatchesScalar) {
+  CheckKeyedContract(
+      [](const SlotContext& slot) {
+        AggregateQuery::Params params;
+        params.id = 4;
+        params.region = Rect{10.0, 10.0, 30.0, 30.0};
+        params.budget = 50.0;
+        params.sensing_range = 10.0;
+        params.cell_size = 2.0;
+        return std::make_unique<AggregateQuery>(params, slot);
+      },
+      "aggregate", 80, 19, 40.0);
+}
+
+TEST(KeyedValuationTest, TrajectoryQueryMatchesScalar) {
+  CheckKeyedContract(
+      [](const SlotContext& slot) {
+        TrajectoryQuery::Params params;
+        params.id = 5;
+        params.trajectory.waypoints = {Point{5.0, 5.0}, Point{20.0, 25.0},
+                                       Point{35.0, 30.0}};
+        params.budget = 40.0;
+        params.sensing_range = 8.0;
+        params.cell_size = 2.0;
+        params.corridor = 3.0;
+        return std::make_unique<TrajectoryQuery>(params, slot);
+      },
+      "trajectory", 80, 23, 40.0);
+}
+
+TEST(KeyedValuationTest, CallbackMultiQueryMatchesScalar) {
+  CheckKeyedContract(
+      [](const SlotContext&) {
+        // Deliberately non-submodular, non-monotone set valuation.
+        const auto valuation = [](const std::vector<int>& set) {
+          double v = 0.0;
+          for (int s : set) v += (s % 3 == 0) ? -2.0 : 5.0 + 0.25 * s;
+          if (set.size() >= 2) v += 3.0;  // complementarity
+          return v;
+        };
+        return std::make_unique<CallbackMultiQuery>(6, valuation, 100.0);
+      },
+      "callback", 40, 29, 40.0);
+}
+
+TEST(KeyedValuationTest, AggregateMarginalsGoNegativeAndZero) {
+  // The cases the contract must cover do occur: after the best commit,
+  // Eq. 5's mean-quality factor makes low-theta additions negative, and a
+  // sensor covering no cell stays exactly 0.
+  const SlotContext slot = MakeSlot(80, 19, false);
+  AggregateQuery::Params params;
+  params.id = 4;
+  params.region = Rect{10.0, 10.0, 30.0, 30.0};
+  params.budget = 50.0;
+  AggregateQuery query(params, slot);
+  CommitSome(query, slot, 1);
+  const KeyedSensors all = AllKeys(query, slot);
+  std::vector<double> keyed(all.keys.size());
+  query.MarginalsAt(all.keys, keyed);
+  EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
+                          [](double d) { return d < 0.0; }));
+  EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
+                          [](double d) { return d == 0.0; }));
+}
+
+/// Aggregate and trajectory queries on a sensor outside their candidate
+/// list: the marginal is 0, yet a commit still grows |S| (diluting the
+/// mean quality), and ValueOf counts it in |S|.
+template <typename Query>
+void ExpectNonCandidateGrowsSelection(Query& query, int outside, int inside) {
+  const std::vector<int>& candidates = *query.CandidateSensors();
+  ASSERT_FALSE(
+      std::binary_search(candidates.begin(), candidates.end(), outside));
+  ASSERT_TRUE(std::binary_search(candidates.begin(), candidates.end(), inside));
+  EXPECT_EQ(query.MarginalValue(outside), 0.0);
+  query.Commit(inside, 1.0);
+  const double one = query.CurrentValue();
+  ASSERT_GT(one, 0.0);
+  EXPECT_EQ(query.MarginalValue(outside), 0.0);
+  query.Commit(outside, 1.0);
+  EXPECT_EQ(query.SelectedSensors().size(), 2u);
+  EXPECT_EQ(query.CurrentValue(), one / 2.0);
+  EXPECT_EQ(query.ValueOf({inside, outside}), one / 2.0);
+  EXPECT_EQ(query.ValueOf({outside}), 0.0);
+}
+
+TEST(KeyedValuationTest, CoverageQueriesOnNonCandidateSensors) {
+  SlotContext slot;
+  slot.dmax = 8.0;
+  slot.index_policy = SlotIndexPolicy::kGrid;
+  for (int i = 0; i < 40; ++i) {
+    SlotSensor s;
+    s.sensor_id = i;
+    // Sensor 0 sits far from every query; the rest cluster near (10, 10).
+    s.location =
+        i == 0 ? Point{90.0, 90.0} : Point{8.0 + 0.1 * i, 9.0 + 0.05 * i};
+    s.cost = 5.0;
+    s.inaccuracy = 0.1;
+    s.trust = 0.9;
+    slot.sensors.Append(s);
+  }
+  AttachSlotIndex(slot);
+  ASSERT_NE(slot.index, nullptr);
+  AggregateQuery::Params ap;
+  ap.region = Rect{5.0, 5.0, 15.0, 15.0};
+  ap.budget = 30.0;
+  AggregateQuery aggregate(ap, slot);
+  ExpectNonCandidateGrowsSelection(aggregate, 0, 5);
+  TrajectoryQuery::Params tp;
+  tp.trajectory.waypoints = {Point{6.0, 6.0}, Point{14.0, 12.0}};
+  tp.budget = 30.0;
+  TrajectoryQuery trajectory(tp, slot);
+  ExpectNonCandidateGrowsSelection(trajectory, 0, 5);
 }
 
 // ---------------------------------------------------------------------------
-// Scratch hygiene. BuildCandidatePlan and NetEvaluator take member-sized
-// arena buffers (row_of, mark_, positive_sum_) without filling them and
-// must read only entries they wrote. An arena poisoned with 0xFF bytes —
-// NaN as a double, -1 as an int — must therefore reproduce, bit for bit,
-// the runs over zero-initialized owned buffers (arena = nullptr).
+// Scratch hygiene. BuildCandidatePlan and NetEvaluator take arena buffers
+// without filling them (the member-sized row_of, the row-sized
+// positive_sum_) and must read only entries they wrote. An arena poisoned
+// with 0xFF bytes — NaN as a double, -1 as an int — must therefore
+// reproduce, bit for bit, the runs over zero-initialized owned buffers
+// (arena = nullptr).
 // ---------------------------------------------------------------------------
 
 /// Far past the high-water mark of any slot below; the arena's one chunk
@@ -435,7 +470,7 @@ TEST(ScratchHygieneTest, SieveDeltaWithArrivalsNoQueryListsMatches) {
       int unlisted_carried = 0;
       for (int row = 0; row < static_cast<int>(clean.sensors.size()); ++row) {
         const int id = clean.sensors.sensor_id[row];
-        const bool unlisted = plan.QueriesOf(row).empty();
+        const bool unlisted = plan.RowOf(row) < 0;
         if (id < 20 && unlisted) ++unlisted_arrivals;
         if (unlisted &&
             std::find(carried.begin(), carried.end(), id) != carried.end()) {
@@ -482,8 +517,8 @@ TEST(ScratchHygieneTest, NonCandidatesGetNoQueriesAndNetMinusCost) {
     if (listed[static_cast<size_t>(s)]) {
       ++candidates;
     } else {
-      EXPECT_TRUE(plan.QueriesOf(s).empty()) << "sensor " << s;
-      EXPECT_TRUE(owned_plan.QueriesOf(s).empty()) << "sensor " << s;
+      EXPECT_LT(plan.RowOf(s), 0) << "sensor " << s;
+      EXPECT_LT(owned_plan.RowOf(s), 0) << "sensor " << s;
     }
   }
   ASSERT_GT(candidates, 0);
@@ -491,11 +526,13 @@ TEST(ScratchHygieneTest, NonCandidatesGetNoQueriesAndNetMinusCost) {
   // Twice: the second call must not inherit the first call's sums.
   for (int round = 0; round < 2; ++round) {
     std::vector<double> net(mix.size());
-    evaluator.EvaluateNets(mix, net.data());
+    evaluator.EvaluateSensorNets(mix, net.data());
     for (size_t k = 0; k < mix.size(); ++k) {
       const int s = mix[k];
       if (listed[static_cast<size_t>(s)]) {
-        EXPECT_EQ(net[k], evaluator.EvaluateNet(s)) << "sensor " << s;
+        EXPECT_EQ(net[k], evaluator.EvaluateSensorNet(s)) << "sensor " << s;
+        EXPECT_EQ(net[k], evaluator.EvaluateRowNet(plan.RowOf(s)))
+            << "sensor " << s;
       } else {
         EXPECT_EQ(net[k], -slot.sensors.cost[static_cast<size_t>(s)])
             << "sensor " << s;

@@ -2,17 +2,20 @@
 // the k-d tree must return *exactly* the brute-force result set — same
 // predicate, ascending order — on random, clustered, and adversarial
 // (collinear, duplicate-point, degenerate) inputs, and the auto factory
-// must pick the right structure by density.
+// must pick the right structure by density. Probe outputs stay ascending
+// on both sides of the radix-sort cutoff.
 
 #include "index/spatial_index.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "core/slot.h"
 #include "index/dynamic_index.h"
 #include "index/kd_tree.h"
+#include "index/probe_order.h"
 #include "index/uniform_grid.h"
 
 namespace psens {
@@ -517,6 +521,127 @@ TEST(SpatialIndexTest, AttachSlotIndexHonorsPolicy) {
   tiny.index_policy = SlotIndexPolicy::kAuto;
   AttachSlotIndex(tiny);
   EXPECT_EQ(tiny.index, nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Probe ordering (index/probe_order.h): every backend orders its probe
+// output through SortProbeIds, which radix-sorts at or above
+// kRadixSortMinIds ids. Results just below, at and above that cutoff must
+// equal the brute-force ascending list, over id spaces whose largest id
+// needs one, two and three 8-bit radix passes.
+// ---------------------------------------------------------------------------
+
+/// `count` distinct ids from [0, id_space), scrambled, holding 0 and
+/// id_space - 1 whenever count >= 2.
+std::vector<int> PickIds(int id_space, int count, uint64_t seed) {
+  std::vector<int> ids;
+  if (count >= 2) ids = {id_space - 1, 0};
+  // The rest: a partial Fisher-Yates draw over the ids in between.
+  std::vector<int> middle;
+  for (int i = 1; i < id_space - 1; ++i) middle.push_back(i);
+  Rng rng(seed);
+  for (size_t k = 0; static_cast<int>(ids.size()) < count; ++k) {
+    const size_t j = k + static_cast<size_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(middle.size() - 1 - k)));
+    std::swap(middle[k], middle[j]);
+    ids.push_back(middle[k]);
+  }
+  return ids;
+}
+
+TEST(ProbeOrderTest, SortProbeIdsMatchesStdSort) {
+  // 1 << 8, 1 << 16 and 1 << 24 need one, two and three passes; the last
+  // reaches the top byte.
+  for (int id_space :
+       {1 << 8, 1 << 16, 1 << 24, std::numeric_limits<int>::max()}) {
+    for (int count : {0, 1, 2, 255, 256, 257, 3000}) {
+      if (count > id_space) continue;
+      Rng rng(static_cast<uint64_t>(id_space) + static_cast<uint64_t>(count));
+      std::vector<int> ids;
+      for (int i = 0; i < count; ++i) {
+        ids.push_back(static_cast<int>(rng.UniformInt(0, id_space - 1)));
+      }
+      if (count >= 2) {
+        ids[0] = id_space - 1;
+        ids[1] = 0;
+      }
+      std::vector<int> want = ids;
+      std::sort(want.begin(), want.end());
+      SortProbeIds(&ids);
+      EXPECT_EQ(ids, want) << "id space " << id_space << " count " << count;
+    }
+  }
+  // Every id equal: each digit is shared, so every pass is skipped.
+  std::vector<int> same(600, 70000);
+  SortProbeIds(&same);
+  EXPECT_EQ(same, std::vector<int>(600, 70000));
+}
+
+/// The picked ids sit in the unit square; everything else lies far off,
+/// so Rect{0, 0, 1, 1} and the 0.75-radius disk around (0.5, 0.5) both
+/// return exactly the picked ids.
+void ExpectProbesReturnSorted(const SpatialIndex& index,
+                              const std::vector<int>& picked,
+                              const std::string& label) {
+  std::vector<int> want = picked;
+  std::sort(want.begin(), want.end());
+  std::vector<int> got;
+  index.RectQuery(Rect{0.0, 0.0, 1.0, 1.0}, &got);
+  EXPECT_EQ(got, want) << label << " rect";
+  index.RangeQuery(Point{0.5, 0.5}, 0.75, &got);
+  EXPECT_EQ(got, want) << label << " range";
+  index.RectQuery(Rect{2.0, 2.0, 3.0, 3.0}, &got);
+  EXPECT_TRUE(got.empty()) << label << " empty rect";
+}
+
+TEST(ProbeOrderTest, EveryBackendOrdersResultsAroundTheCutoff) {
+  const int cutoff = static_cast<int>(kRadixSortMinIds);
+  // Largest ids 255, 65535 and 69999: one, two and three radix passes.
+  for (int id_space : {256, 1 << 16, 70000}) {
+    for (int count : {0, cutoff - 1, cutoff, cutoff + 1, 700}) {
+      if (count > id_space) continue;
+      const std::string label =
+          "ids " + std::to_string(id_space) + " count " + std::to_string(count);
+      const std::vector<int> picked =
+          PickIds(id_space, count, static_cast<uint64_t>(id_space + count));
+      Rng rng(static_cast<uint64_t>(id_space) * 7 +
+              static_cast<uint64_t>(count));
+      std::vector<char> inside(static_cast<size_t>(id_space), 0);
+      for (int id : picked) inside[static_cast<size_t>(id)] = 1;
+
+      // Static backends: id = position, so every id of the space exists.
+      std::vector<Point> points(static_cast<size_t>(id_space));
+      for (int i = 0; i < id_space; ++i) {
+        points[static_cast<size_t>(i)] =
+            inside[static_cast<size_t>(i)]
+                ? Point{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)}
+                : Point{rng.Uniform(10.0, 60.0), rng.Uniform(10.0, 60.0)};
+      }
+      ExpectProbesReturnSorted(UniformGridIndex(points), picked,
+                               label + " grid");
+      ExpectProbesReturnSorted(KdTreeIndex(points), picked, label + " kd");
+
+      // Dynamic backends: sparse ids — the picked ones plus a few hundred
+      // far fillers — half in the k-d snapshot and half buffered.
+      std::vector<std::pair<int, Point>> live;
+      for (int i = 0; i < id_space; ++i) {
+        if (inside[static_cast<size_t>(i)] || i % 97 == 3) {
+          live.emplace_back(i, points[static_cast<size_t>(i)]);
+        }
+      }
+      DynamicGridIndex grid(Rect{0.0, 0.0, 60.0, 60.0},
+                            static_cast<int>(live.size()));
+      for (const auto& [id, p] : live) ASSERT_TRUE(grid.Insert(id, p));
+      ExpectProbesReturnSorted(grid, picked, label + " dynamic grid");
+      std::vector<std::pair<int, Point>> snapshot;
+      for (size_t k = 0; k < live.size(); k += 2) snapshot.push_back(live[k]);
+      BufferedKdTreeIndex buffered(snapshot);
+      for (size_t k = 1; k < live.size(); k += 2) {
+        ASSERT_TRUE(buffered.Insert(live[k].first, live[k].second));
+      }
+      ExpectProbesReturnSorted(buffered, picked, label + " buffered kd");
+    }
+  }
 }
 
 }  // namespace
