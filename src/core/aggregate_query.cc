@@ -28,13 +28,44 @@ void OrInto(std::vector<uint64_t>& acc, const uint64_t* mask) {
 
 /// Position of `sensor` in the ascending candidate list, or -1 when the
 /// sensor covers no cell. Sensor-addressed calls (MarginalValue, Commit,
-/// ValueOf) and the dense keys of an unindexed slot resolve here.
+/// ValueOf) resolve here.
 int OrdinalIn(const std::vector<int>& candidates, int sensor) {
   const auto it =
       std::lower_bound(candidates.begin(), candidates.end(), sensor);
   if (it == candidates.end() || *it != sensor) return -1;
   return static_cast<int>(it - candidates.begin());
 }
+
+/// OrdinalIn for a batch of slot rows that usually ascend (the round
+/// evaluator's dense keys): a cursor resumes at the previous row's
+/// position, so a sweep over every row costs O(1) per row on top of one
+/// step per candidate, and a lone row costs O(log C). A row below its
+/// predecessor restarts the search, so any order resolves correctly.
+class OrdinalCursor {
+ public:
+  explicit OrdinalCursor(const std::vector<int>* candidates)
+      : candidates_(candidates) {}
+
+  int Resolve(int row) {
+    const std::vector<int>& c = *candidates_;
+    const int size = static_cast<int>(c.size());
+    if (row < prev_) at_ = 0;
+    prev_ = row;
+    if (at_ < size && c[static_cast<size_t>(at_)] < row) {
+      ++at_;
+      if (at_ < size && c[static_cast<size_t>(at_)] < row) {
+        at_ = static_cast<int>(
+            std::lower_bound(c.begin() + at_ + 1, c.end(), row) - c.begin());
+      }
+    }
+    return at_ < size && c[static_cast<size_t>(at_)] == row ? at_ : -1;
+  }
+
+ private:
+  const std::vector<int>* candidates_;
+  int at_ = 0;  // first candidate not below the previous row
+  int prev_ = 0;
+};
 
 /// Location-independent sensor quality used by the aggregate valuation.
 double SensorTheta(double inaccuracy, double trust) {
@@ -82,7 +113,7 @@ AxisRun AxisWindow(const std::vector<double>& centers, double origin,
 /// region cells / trajectory-corridor cells): out[i] = marginal of the
 /// sensor keys[i] addresses against the accumulated coverage state. On an
 /// indexed slot a key is the candidate ordinal (`row_keyed` is null); on
-/// an unindexed one it is a slot row, resolved by binary search over the
+/// an unindexed one it is a slot row, resolved by an OrdinalCursor over the
 /// ascending candidates `row_keyed` (-1: covers nothing, marginal 0).
 /// Masks live in one flat word slab (`words` per candidate ordinal) and
 /// `theta` is keyed by the same ordinal, so a probe reads both next to
@@ -107,9 +138,9 @@ void CoverageMarginals(std::span<const int> keys, std::span<double> out,
                        int count, double current_value, uint64_t version,
                        uint64_t* cached_at, double* cached_delta,
                        const ValueFrom& value_from) {
+  OrdinalCursor cursor(row_keyed);  // unused on an indexed slot
   for (size_t i = 0; i < keys.size(); ++i) {
-    const int ord =
-        row_keyed != nullptr ? OrdinalIn(*row_keyed, keys[i]) : keys[i];
+    const int ord = row_keyed != nullptr ? cursor.Resolve(keys[i]) : keys[i];
     if (ord < 0) {
       out[i] = 0.0;
       continue;

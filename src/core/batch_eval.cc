@@ -21,6 +21,17 @@ constexpr size_t kMinParallelQueries = 256;
 /// budget instead; another pure performance/memory knob.
 constexpr int64_t kMaxPairBufferEntries = int64_t{1} << 21;  // ~24 MB
 
+/// An eval set whose pairs number fewer than 1/kRowWalkRatio of the listed
+/// queries' keys walks its rows' pair runs instead of sweeping those keys
+/// for marks: stochastic greedy's sampled rounds and the sieve's arrivals
+/// and refinement pool would otherwise pay a full key sweep for a few
+/// hundred marginals. (A dense query's sweep already costs only the eval
+/// set, so an all-dense plan always sweeps.) A performance knob only —
+/// both walks produce the same nets and counts; fig13's stochastic ratio
+/// read the same at 2, 8 and 32 (docs/BENCHMARKS.md, "Candidate-local
+/// selection").
+constexpr int64_t kRowWalkRatio = 8;
+
 }  // namespace
 
 NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
@@ -38,11 +49,14 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
   // query, its listed entries otherwise.
   offsets_.Acquire(arena, queries.size() + 1);
   offsets_[0] = 0;
+  int64_t listed_keys = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const int q = static_cast<int>(qi);
     const size_t keys = plan_.IsDense(q) ? num_rows : plan_.KeyRows(q).size();
     offsets_[qi + 1] = offsets_[qi] + static_cast<int64_t>(keys);
+    if (!plan_.IsDense(q)) listed_keys += static_cast<int64_t>(keys);
   }
+  row_walk_pairs_ = listed_keys / kRowWalkRatio;
   // Window the queries to the pair-buffer budget (always at least one
   // query per window, so a single huge query still fits in one window's
   // oversized buffer rather than failing).
@@ -128,6 +142,17 @@ void NetEvaluator::SweepQueries(std::span<const int> rows, int window_begin,
 
 void NetEvaluator::EvaluateRowNets(std::span<const int> rows, double* net) {
   if (rows.empty()) return;
+  // Each row's sum is the same ascending-query chain either way.
+  int64_t eval_pairs = 0;
+  for (size_t k = 0; k < rows.size() && eval_pairs < row_walk_pairs_; ++k) {
+    eval_pairs += plan_.active
+                      ? static_cast<int64_t>(plan_.PairsOf(rows[k]).size())
+                      : plan_.num_queries;
+  }
+  if (eval_pairs < row_walk_pairs_) {
+    for (size_t k = 0; k < rows.size(); ++k) net[k] = EvaluateRowNet(rows[k]);
+    return;
+  }
   for (int r : rows) {
     mark_[static_cast<size_t>(r)] = 1;
     positive_sum_[static_cast<size_t>(r)] = 0.0;

@@ -52,6 +52,9 @@ class NetEvaluator {
   /// current selections (`net` must hold rows.size() entries — callers
   /// size their own, usually arena-backed, storage). `rows` must be
   /// ascending and duplicate-free (the engines pass remaining scan rows).
+  /// A large set sweeps each query's keys once (stages 1-3 below); a set
+  /// with few pairs against the listed queries' keys — a sampled round, a
+  /// batch of arrivals — walks its rows' pair runs through EvaluateRowNet.
   void EvaluateRowNets(std::span<const int> rows, double* net);
 
   /// Net gain of one scan row — the CELF stale-front re-evaluation: one
@@ -89,6 +92,8 @@ class NetEvaluator {
   const std::vector<double>* cost_scale_;
   ThreadPool* pool_;
   bool parallel_ = false;
+  /// EvaluateRowNets walks rows for eval sets of fewer pairs than this.
+  int64_t row_walk_pairs_ = 0;
 
   /// Pair buffer in query-major CSR layout: query q's slice starts at
   /// offsets_[q] - offsets_[window begin] within the current window's

@@ -3,7 +3,8 @@
 // batch kernel MarginalsAt(keys, out) must equal the counted
 // sensor-addressed MarginalValue(sensor) bit for bit — including
 // negative-marginal and zero-candidate sensors, before any commit and
-// after one and three — and must count no valuation call. Also pins the
+// after every commit up to three (up to redundancy + 1 for the top-k
+// query) — and must count no valuation call. Also pins the
 // scratch hygiene of the candidate plan and the net evaluator: they must
 // read no arena memory they did not write.
 
@@ -103,34 +104,60 @@ void ExpectKeyedMatchesScalar(const MultiQuery& query, const SlotContext& slot,
       << label << ": the scalar probe counts one call each";
 }
 
-/// Commits `count` sensors: first the best positive scalar marginal, then
-/// spread picks over the keyed sensors (any sensor is a legal commit).
-void CommitSome(MultiQuery& query, const SlotContext& slot, int count) {
+/// The keyed sensors whose marginal on the empty selection is positive —
+/// the in-range, covering or otherwise live candidates — falling back to
+/// every keyed sensor when none is (a degenerate query).
+std::vector<int> LiveSensors(const MultiQuery& query, const SlotContext& slot) {
   const KeyedSensors all = AllKeys(query, slot);
-  int best = all.sensors.front();
-  double best_delta = -1.0;
+  std::vector<int> live;
   for (int s : all.sensors) {
-    const double delta = query.MarginalValue(s);
-    if (delta > best_delta) {
-      best_delta = delta;
-      best = s;
+    if (query.MarginalValue(s) > 0.0) live.push_back(s);
+  }
+  return live.empty() ? all.sensors : live;
+}
+
+/// Commits the selection's next sensor: first the best scalar marginal,
+/// then spread picks over the live sensors not yet selected, so every
+/// commit is one the query values (a top-k query fills its quota
+/// exactly, then overflows it).
+void CommitNext(MultiQuery& query, const std::vector<int>& live, int depth) {
+  const std::vector<int>& selected = query.SelectedSensors();
+  const auto is_selected = [&](int s) {
+    return std::find(selected.begin(), selected.end(), s) != selected.end();
+  };
+  if (selected.empty()) {
+    int best = live.front();
+    double best_delta = -1.0;
+    for (int s : live) {
+      const double delta = query.MarginalValue(s);
+      if (delta > best_delta) {
+        best_delta = delta;
+        best = s;
+      }
     }
+    query.Commit(best, 1.0);
+    return;
   }
-  query.Commit(best, 1.0);
-  for (int c = 1; c < count; ++c) {
-    const size_t pick = all.sensors.size() * static_cast<size_t>(c) / 3;
-    query.Commit(all.sensors[std::min(pick, all.sensors.size() - 1)], 0.5);
+  std::vector<int> open;
+  for (int s : live) {
+    if (!is_selected(s)) open.push_back(s);
   }
+  ASSERT_FALSE(open.empty());
+  const size_t pick = open.size() * selected.size() / static_cast<size_t>(depth + 1);
+  query.Commit(open[std::min(pick, open.size() - 1)], 0.5);
 }
 
 using QueryFactory =
     std::function<std::unique_ptr<MultiQuery>(const SlotContext& slot)>;
 
 /// Binds the factory's query on an indexed and an unindexed slot, with the
-/// column kernels on and off, and checks the contract before any commit,
-/// after one and after three.
+/// column kernels on and off, and checks the contract before any commit
+/// and after every commit up to `depth`. With `negative_after_best`, the
+/// instance must also produce a negative keyed marginal once the best
+/// sensor is committed, so the contract covers that case.
 void CheckKeyedContract(const QueryFactory& make, const char* name,
-                        int num_sensors, uint64_t seed, double side) {
+                        int num_sensors, uint64_t seed, double side,
+                        int depth = 3, bool negative_after_best = false) {
   for (bool indexed : {false, true}) {
     for (bool soa : {true, false}) {
       SlotContext slot = MakeSlot(num_sensors, seed, indexed, side);
@@ -142,11 +169,23 @@ void CheckKeyedContract(const QueryFactory& make, const char* name,
       EXPECT_EQ(query->CandidateSensors() != nullptr,
                 indexed && std::string(name) != "callback")
           << label;
-      ExpectKeyedMatchesScalar(*query, slot, label + "/empty");
-      CommitSome(*query, slot, 1);
-      ExpectKeyedMatchesScalar(*query, slot, label + "/1 commit");
-      CommitSome(*query, slot, 2);
-      ExpectKeyedMatchesScalar(*query, slot, label + "/3 commits");
+      const std::vector<int> live = LiveSensors(*query, slot);
+      ExpectKeyedMatchesScalar(*query, slot, label + "/0 commits");
+      for (int c = 1; c <= depth; ++c) {
+        CommitNext(*query, live, depth);
+        ASSERT_EQ(query->SelectedSensors().size(), static_cast<size_t>(c))
+            << label;
+        ExpectKeyedMatchesScalar(*query, slot,
+                                 label + "/" + std::to_string(c) + " commits");
+        if (c == 1 && negative_after_best) {
+          const KeyedSensors all = AllKeys(*query, slot);
+          std::vector<double> keyed(all.keys.size());
+          query->MarginalsAt(all.keys, keyed);
+          EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
+                                  [](double d) { return d < 0.0; }))
+              << label << ": the instance should produce negative marginals";
+        }
+      }
     }
   }
 }
@@ -162,7 +201,7 @@ TEST(KeyedValuationTest, PointMultiQueryMatchesScalar) {
         spec.theta_min = 0.2;
         return std::make_unique<PointMultiQuery>(spec, &slot);
       },
-      "point", 120, 11, 30.0);
+      "point", 120, 11, 30.0, 3, /*negative_after_best=*/true);
 }
 
 TEST(KeyedValuationTest, MultiSensorPointQueryMatchesScalar) {
@@ -173,10 +212,12 @@ TEST(KeyedValuationTest, MultiSensorPointQueryMatchesScalar) {
         params.location = slot.sensors.Row(50).location;
         params.budget = 20.0;
         params.theta_min = 0.1;
-        params.redundancy = 2;  // three commits overflow the top-k
+        params.redundancy = 3;
         return std::make_unique<MultiSensorPointQuery>(params, &slot);
       },
-      "topk", 150, 13, 30.0);
+      // Every depth up to redundancy + 1: the top-k fills below, at and
+      // past |S| == k, where the batch's O(k) merge could diverge.
+      "topk", 150, 13, 30.0, /*depth=*/4);
 }
 
 TEST(KeyedValuationTest, MultiSensorPointQueryZeroRedundancy) {
@@ -203,7 +244,7 @@ TEST(KeyedValuationTest, AggregateQueryMatchesScalar) {
         params.cell_size = 2.0;
         return std::make_unique<AggregateQuery>(params, slot);
       },
-      "aggregate", 80, 19, 40.0);
+      "aggregate", 80, 19, 40.0, 3, /*negative_after_best=*/true);
 }
 
 TEST(KeyedValuationTest, TrajectoryQueryMatchesScalar) {
@@ -239,22 +280,29 @@ TEST(KeyedValuationTest, CallbackMultiQueryMatchesScalar) {
 
 TEST(KeyedValuationTest, AggregateMarginalsGoNegativeAndZero) {
   // The cases the contract must cover do occur: after the best commit,
-  // Eq. 5's mean-quality factor makes low-theta additions negative, and a
-  // sensor covering no cell stays exactly 0.
-  const SlotContext slot = MakeSlot(80, 19, false);
-  AggregateQuery::Params params;
-  params.id = 4;
-  params.region = Rect{10.0, 10.0, 30.0, 30.0};
-  params.budget = 50.0;
-  AggregateQuery query(params, slot);
-  CommitSome(query, slot, 1);
-  const KeyedSensors all = AllKeys(query, slot);
-  std::vector<double> keyed(all.keys.size());
-  query.MarginalsAt(all.keys, keyed);
-  EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
-                          [](double d) { return d < 0.0; }));
-  EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
-                          [](double d) { return d == 0.0; }));
+  // Eq. 5's mean-quality factor makes low-theta additions negative on
+  // either slot, and on the unindexed slot — whose keys span every
+  // sensor — a sensor covering no cell stays exactly 0.
+  for (bool indexed : {false, true}) {
+    const SlotContext slot = MakeSlot(80, 19, indexed);
+    AggregateQuery::Params params;
+    params.id = 4;
+    params.region = Rect{10.0, 10.0, 30.0, 30.0};
+    params.budget = 50.0;
+    AggregateQuery query(params, slot);
+    EXPECT_EQ(query.CandidateSensors() != nullptr, indexed);
+    CommitNext(query, LiveSensors(query, slot), 1);
+    const KeyedSensors all = AllKeys(query, slot);
+    std::vector<double> keyed(all.keys.size());
+    query.MarginalsAt(all.keys, keyed);
+    EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
+                            [](double d) { return d < 0.0; }))
+        << (indexed ? "indexed" : "unindexed");
+    if (!indexed) {
+      EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
+                              [](double d) { return d == 0.0; }));
+    }
+  }
 }
 
 /// Aggregate and trajectory queries on a sensor outside their candidate

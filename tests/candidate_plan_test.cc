@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -268,6 +269,58 @@ TEST(CandidatePlanTest, EvaluatorCountsEveryKeyOnceFlushed) {
   evaluator.FlushValuationCalls();  // idempotent once merged
   for (size_t qi = 0; qi < batch.all.size(); ++qi) {
     EXPECT_EQ(batch.all[qi]->ValuationCalls(), expected[qi]) << "query " << qi;
+  }
+}
+
+TEST(CandidatePlanTest, SmallEvalSetsWalkRowsToTheSweepsNetsAndCounts) {
+  // An eval set with few pairs against the listed queries' keys (a
+  // sampled round, a batch of arrivals) walks its rows' pair runs; the
+  // whole row set sweeps every query's keys. Both must give the same nets
+  // bit for bit and count the same calls, after a commit, with and
+  // without a dense query in the plan.
+  for (bool with_dense : {false, true}) {
+    const std::string label = with_dense ? "listed+dense" : "listed";
+    const SlotContext slot = MakeSlot(600, 17, true);
+    const int n = static_cast<int>(slot.sensors.size());
+    Batch batch;
+    AddSlotQueries(slot, 23, &batch);
+    if (with_dense) {
+      batch.Add(std::make_unique<CallbackMultiQuery>(
+          99, [](const std::vector<int>& set) { return 3.0 * set.size(); },
+          1e9));
+    }
+    const CandidatePlan plan = BuildCandidatePlan(batch.all, n, nullptr);
+    ASSERT_TRUE(plan.active) << label;
+    const int committed = plan.sensors[static_cast<size_t>(plan.NumRows() / 2)];
+    std::vector<int64_t> before;
+    for (MultiQuery* q : batch.all) {
+      q->Commit(committed, 1.0);
+      before.push_back(q->ValuationCalls());
+    }
+
+    NetEvaluator evaluator(batch.all, plan, slot, nullptr, nullptr);
+    std::vector<int> rows(static_cast<size_t>(plan.NumRows()));
+    for (size_t r = 0; r < rows.size(); ++r) rows[r] = static_cast<int>(r);
+    std::vector<double> swept(rows.size());
+    evaluator.EvaluateRowNets(rows, swept.data());
+    evaluator.FlushValuationCalls();
+    std::vector<int64_t> swept_calls;
+    for (size_t qi = 0; qi < batch.all.size(); ++qi) {
+      swept_calls.push_back(batch.all[qi]->ValuationCalls() - before[qi]);
+    }
+
+    // One-row sets: each holds a handful of pairs.
+    for (size_t r = 0; r < rows.size(); ++r) {
+      double walked = 0.0;
+      evaluator.EvaluateRowNets(std::span<const int>(&rows[r], 1), &walked);
+      EXPECT_EQ(walked, swept[r]) << label << " row " << r;
+    }
+    evaluator.FlushValuationCalls();
+    for (size_t qi = 0; qi < batch.all.size(); ++qi) {
+      EXPECT_GT(swept_calls[qi], 0) << label << " query " << qi;
+      EXPECT_EQ(batch.all[qi]->ValuationCalls() - before[qi], 2 * swept_calls[qi])
+          << label << " query " << qi;
+    }
   }
 }
 
