@@ -43,10 +43,9 @@ inline bool SameSchedule(const PointScheduleResult& a,
 ///   --slots N        simulate N time slots (default 50, the paper's setting)
 ///   --seed S         base RNG seed
 ///   --quick          shorthand for a fast smoke run (--slots 10)
-///   --threads N      worker threads for independent sweep points / slots,
-///                    and for fig12's intra-slot parallel selection row
-///                    (ServingConfig::threads; default 0 = hardware
-///                    concurrency; results are bit-identical for any value)
+///   --threads N      worker threads for independent sweep points / slots
+///                    (default 0 = hardware concurrency; results are
+///                    bit-identical for any value)
 ///   --json PATH      also write machine-readable results to PATH (only
 ///                    binaries that support it; fig11/fig12 do)
 ///   --max-sensors N  cap the population sweep (fig11/fig12)
@@ -56,7 +55,7 @@ inline bool SameSchedule(const PointScheduleResult& a,
 ///   --index-threshold N
 ///                    minimum population for which kAuto builds an index
 ///                    (default kSlotIndexAutoThreshold = 32)
-///   --epsilon E      quality knob of the approximate schedulers
+///   --epsilon E      quality knob of the approximate scheduler
 ///                    (fig13_approx_quality; default 0.1)
 ///   --huge           extend the full-mode population sweep with a
 ///                    10M-sensor point (nightly runs; ignored in --quick)

@@ -35,10 +35,6 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "core/aggregate_query.h"
-#include "core/greedy.h"
-#include "core/multi_query.h"
 #include "core/point_scheduling.h"
 #include "core/slot.h"
 #include "engine/acquisition_engine.h"
@@ -231,194 +227,8 @@ StreamResult RunOne(const char* workload, int n, int slots,
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Intra-slot parallel selection row (--threads): the same incremental
-// engine and churn stream as the gate row, but each slot's work is the
-// paper's joint greedy selection (Algorithm 1, eager engine) over a mixed
-// point + aggregate query set, run twice — ServingConfig::threads = 1 vs
-// --threads — over identical pregenerated delta and query streams. The
-// measured "serve" latency is ApplyDelta + BeginSlot + joint selection
-// (query-object binding is query-arrival work and excluded; it is
-// identical in both modes anyway). Bit-equality of the two modes'
-// schedules, payments, and ValuationCalls is checked slot by slot; see
-// docs/BENCHMARKS.md for the gate contract.
-// ---------------------------------------------------------------------------
-
-struct ParallelResult {
-  int sensors = 0;
-  int slots = 0;
-  int queries_per_slot = 0;
-  int aggregates_per_slot = 0;
-  int threads = 1;
-  int hardware_threads = 0;
-  double churn_fraction = 0.0;
-  double serial_serve_ms = 0.0;    // median per slot, threads = 1
-  double parallel_serve_ms = 0.0;  // median per slot, threads = N
-  double serve_speedup = 0.0;
-  bool identical = false;
-  std::string index_kind;
-};
-
-ParallelResult RunParallelRow(int n, int slots, double churn_fraction,
-                              const bench::BenchArgs& args) {
-  ParallelResult r;
-  r.sensors = n;
-  r.slots = slots;
-  r.churn_fraction = churn_fraction;
-  r.threads = args.threads >= 1 ? args.threads : ThreadPool::ResolveParallelism(0);
-  r.hardware_threads = ThreadPool::ResolveParallelism(0);
-
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      n, churn_fraction, args.seed, /*with_mobility=*/false);
-  const double side = setup.side;
-  const double dmax = setup.dmax;
-  const Rect& field = setup.field;
-  const ClusteredPopulationConfig& config = setup.config;
-  const ScaleScenario& scenario = setup.scenario;
-  const ChurnConfig& churn = setup.churn;
-  const Rng& rng = setup.rng_after_generation;
-
-  r.queries_per_slot = args.quick ? 128 : 256;
-  r.aggregates_per_slot = args.quick ? 16 : 24;
-
-  // Pregenerated streams shared verbatim by both modes: per-slot churn
-  // deltas and per-slot query sets (clustered point queries plus
-  // fixed-size aggregate monitoring regions at hotspot locations).
-  Rng fork_base = rng;
-  Rng churn_rng = fork_base.Fork(7);
-  Rng query_rng = fork_base.Fork(8);
-  ChurnStream stream(churn, scenario.sensors, field);
-  stream.SetClusteredPlacement(&scenario, &config);
-  std::vector<SensorDelta> deltas;
-  struct SlotQueries {
-    std::vector<PointQuery> points;
-    std::vector<AggregateQuery::Params> aggregates;
-  };
-  std::vector<SlotQueries> slot_queries;
-  const double agg_half = 25.0;  // 50x50 monitoring regions
-  const double agg_range = 10.0;
-  for (int t = 1; t <= slots; ++t) {
-    deltas.push_back(stream.Next(churn_rng));
-    SlotQueries q;
-    q.points = GenerateClusteredPointQueries(
-        r.queries_per_slot, scenario, config, BudgetScheme{15.0, false, 0.0},
-        /*theta_min=*/0.2, /*id_base=*/t * r.queries_per_slot, query_rng);
-    for (int i = 0; i < r.aggregates_per_slot; ++i) {
-      const Point c = DrawScenarioLocation(scenario, config, query_rng);
-      AggregateQuery::Params params;
-      params.id = t * 1000 + i;
-      params.region = Rect{std::max(0.0, c.x - agg_half), std::max(0.0, c.y - agg_half),
-                           std::min(side, c.x + agg_half), std::min(side, c.y + agg_half)};
-      // Paper-shaped budget (Section 4.4) at a factor keeping selections
-      // per region in the tens, so a slot stays interactive.
-      params.budget =
-          params.region.Width() * params.region.Height() / (1.5 * agg_range) * 2.0;
-      params.sensing_range = agg_range;
-      params.cell_size = 5.0;
-      q.aggregates.push_back(params);
-    }
-    slot_queries.push_back(std::move(q));
-  }
-
-  // Everything the two modes must agree on, recorded per slot.
-  struct Schedule {
-    std::vector<int> selected;
-    double total_value = 0.0;
-    double total_cost = 0.0;
-    int64_t valuation_calls = 0;
-    std::vector<double> payments;
-  };
-  struct ModeState {
-    std::unique_ptr<AcquisitionEngine> engine;
-    int next_slot = 1;
-    std::vector<double> serve_ms;
-    std::vector<Schedule> schedules;
-  };
-  const auto make_engine = [&](int threads) {
-    ServingConfig ecfg;
-    ecfg.working_region = field;
-    ecfg.dmax = dmax;
-    ecfg.index_policy = args.index_policy;
-    ecfg.index_auto_threshold = args.index_threshold;
-    ecfg.incremental = true;
-    ecfg.threads = threads;
-    return std::make_unique<AcquisitionEngine>(scenario.sensors, ecfg);
-  };
-  ModeState modes[2];
-  modes[0].engine = make_engine(1);
-  modes[1].engine = make_engine(r.threads);
-  for (ModeState& m : modes) m.engine->BeginSlot(0);
-
-  const auto serve_slot = [&](ModeState& m, int t) {
-    const SlotQueries& q = slot_queries[static_cast<size_t>(t - 1)];
-    const SlotContext* slot = nullptr;
-    double turnover_ms = bench::TimeMs([&] {
-      m.engine->ApplyDelta(deltas[static_cast<size_t>(t - 1)]);
-      slot = &m.engine->BeginSlot(t);
-    });
-    // Query binding (coverage masks, candidate probes) happens on
-    // arrival, outside the gated serve metric — identically for both
-    // modes.
-    std::vector<std::unique_ptr<AggregateQuery>> aggregates;
-    std::vector<std::unique_ptr<PointMultiQuery>> points;
-    std::vector<MultiQuery*> all;
-    for (const AggregateQuery::Params& params : q.aggregates) {
-      aggregates.push_back(std::make_unique<AggregateQuery>(params, *slot));
-      all.push_back(aggregates.back().get());
-    }
-    for (const PointQuery& spec : q.points) {
-      points.push_back(std::make_unique<PointMultiQuery>(spec, slot));
-      all.push_back(points.back().get());
-    }
-    SelectionResult selection;
-    const double selection_ms = bench::TimeMs([&] {
-      selection = GreedySensorSelection(all, *slot, nullptr, GreedyEngine::kEager);
-    });
-    m.serve_ms.push_back(turnover_ms + selection_ms);
-    Schedule schedule;
-    schedule.selected = std::move(selection.selected_sensors);
-    schedule.total_value = selection.total_value;
-    schedule.total_cost = selection.total_cost;
-    schedule.valuation_calls = selection.valuation_calls;
-    for (const MultiQuery* query : all) {
-      schedule.payments.push_back(query->TotalPayment());
-    }
-    m.schedules.push_back(std::move(schedule));
-  };
-
-  // Alternating 10-slot blocks, same rationale as the turnover passes:
-  // both modes sample the same machine conditions.
-  constexpr int kBlock = 10;
-  while (modes[0].next_slot <= slots || modes[1].next_slot <= slots) {
-    for (ModeState& m : modes) {
-      for (int b = 0; b < kBlock && m.next_slot <= slots; ++b) {
-        serve_slot(m, m.next_slot++);
-      }
-    }
-  }
-
-  r.identical = true;
-  for (int t = 0; t < slots; ++t) {
-    const Schedule& a = modes[0].schedules[static_cast<size_t>(t)];
-    const Schedule& b = modes[1].schedules[static_cast<size_t>(t)];
-    if (a.selected != b.selected || a.total_value != b.total_value ||
-        a.total_cost != b.total_cost ||
-        a.valuation_calls != b.valuation_calls || a.payments != b.payments) {
-      r.identical = false;
-    }
-  }
-  r.serial_serve_ms = bench::MedianMs(modes[0].serve_ms);
-  r.parallel_serve_ms = bench::MedianMs(modes[1].serve_ms);
-  r.serve_speedup = r.parallel_serve_ms > 0.0
-                        ? r.serial_serve_ms / r.parallel_serve_ms
-                        : 0.0;
-  r.index_kind = modes[1].engine->IndexBackendName();
-  return r;
-}
-
 void WriteJson(const std::string& path, double cal_ms,
-               const std::vector<StreamResult>& results,
-               const std::vector<ParallelResult>& parallel_results) {
+               const std::vector<StreamResult>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -443,22 +253,6 @@ void WriteJson(const std::string& path, double cal_ms,
                  r.turnover_speedup, r.slots_per_sec_rebuild,
                  r.slots_per_sec_incremental, r.identical ? "true" : "false",
                  r.index_kind.c_str(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"parallel_results\": [\n");
-  for (size_t i = 0; i < parallel_results.size(); ++i) {
-    const ParallelResult& r = parallel_results[i];
-    std::fprintf(f,
-                 "    {\"workload\": \"parallel\", \"sensors\": %d, "
-                 "\"slots\": %d, \"queries\": %d, \"aggregates\": %d, "
-                 "\"churn\": %.4f, \"threads\": %d, \"hardware_threads\": %d, "
-                 "\"serial_serve_ms\": %.4f, \"parallel_serve_ms\": %.4f, "
-                 "\"serve_speedup\": %.3f, \"identical\": %s, "
-                 "\"index\": \"%s\"}%s\n",
-                 r.sensors, r.slots, r.queries_per_slot, r.aggregates_per_slot,
-                 r.churn_fraction, r.threads, r.hardware_threads,
-                 r.serial_serve_ms, r.parallel_serve_ms, r.serve_speedup,
-                 r.identical ? "true" : "false", r.index_kind.c_str(),
-                 i + 1 < parallel_results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -516,37 +310,17 @@ int main(int argc, char** argv) {
   report(RunOne("mixed", populations.front(), slots, churn_fraction,
                 /*with_mobility=*/true, args));
 
-  // Intra-slot parallel selection: 1 thread vs --threads (default:
-  // hardware concurrency) over the joint greedy mix, at the gate
-  // population.
-  std::printf("\n%-8s %9s %6s %7s %14s %14s %8s %s\n", "workload", "sensors",
-              "slots", "threads", "serial_ms", "parallel_ms", "speedup",
-              "identical");
-  std::vector<ParallelResult> parallel_results;
-  {
-    ParallelResult pr =
-        RunParallelRow(populations.front(), slots, churn_fraction, args);
-    all_identical = all_identical && pr.identical;
-    std::printf("%-8s %9d %6d %4dx%-2d %14.3f %14.3f %7.2fx %s [%s]\n",
-                "parallel", pr.sensors, pr.slots, pr.threads,
-                pr.hardware_threads, pr.serial_serve_ms, pr.parallel_serve_ms,
-                pr.serve_speedup, pr.identical ? "yes" : "NO",
-                pr.index_kind.c_str());
-    parallel_results.push_back(std::move(pr));
-  }
-
   std::printf("\ncalibration: %.2f ms (fixed FP loop; regression-gate time "
               "normalizer)\n", cal_ms);
   if (!args.json_path.empty()) {
-    WriteJson(args.json_path, cal_ms, results, parallel_results);
+    WriteJson(args.json_path, cal_ms, results);
   }
   if (!all_identical) {
     std::fprintf(stderr,
-                 "FAIL: an equivalence pass diverged (incremental vs rebuild, "
-                 "or parallel vs serial selection)\n");
+                 "FAIL: an equivalence pass diverged (incremental vs "
+                 "rebuild)\n");
     return 1;
   }
-  std::printf("all incremental slots bit-identical to per-slot rebuild; "
-              "parallel selection bit-identical to serial\n");
+  std::printf("all incremental slots bit-identical to per-slot rebuild\n");
   return 0;
 }

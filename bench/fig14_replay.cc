@@ -14,9 +14,9 @@
 //      monitor set attached (latency histogram, valuation counters,
 //      index-repair timing), and
 //   3. checks every slot's schedule, payments, and valuation-call count
-//      replayed *bit-identically* — for the exact-eager, lazy,
-//      stochastic, and sieve engines alike — and reports the replayer's
-//      sustained slot rate next to the live closed loop's.
+//      replayed *bit-identically* — for the exact-eager, lazy, and sieve
+//      engines alike — and reports the replayer's sustained slot rate
+//      next to the live closed loop's.
 //
 // `--json PATH` emits the record consumed by
 // scripts/check_bench_regression.py, which fails on any `identical:
@@ -69,7 +69,6 @@ struct GreedyEngineCase {
 constexpr GreedyEngineCase kEngines[] = {
     {"exact", GreedyEngine::kEager},
     {"lazy", GreedyEngine::kLazy},
-    {"stochastic", GreedyEngine::kStochastic},
     {"sieve", GreedyEngine::kSieve},
 };
 

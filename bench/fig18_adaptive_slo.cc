@@ -6,7 +6,7 @@
 // engine's cost from the slot's features (members, churn, query batch)
 // with an online per-engine cost model and runs the best engine whose
 // prediction fits the remaining budget, degrading down the quality
-// ladder (lazy -> stochastic -> sieve) when the configured scheduler
+// ladder (lazy -> sieve) when the configured scheduler
 // would blow the deadline and climbing back when load drops. This bench
 // measures exactly that story on a three-phase workload over the
 // fig12/fig13 churn scenario:
@@ -165,7 +165,6 @@ struct SloRow {
   double spike_hit_rate = 0.0;
   int lazy_slots = 0;
   int eager_slots = 0;
-  int stochastic_slots = 0;
   int sieve_slots = 0;
   double utility_ratio_vs_static = 0.0;
   bool replay_identical = true;
@@ -194,7 +193,6 @@ SloRow ScoreRun(const RunStats& run, const PhasePlan& plan, double slo_ms) {
     switch (run.engines[i]) {
       case GreedyEngine::kLazy: ++row.lazy_slots; break;
       case GreedyEngine::kEager: ++row.eager_slots; break;
-      case GreedyEngine::kStochastic: ++row.stochastic_slots; break;
       case GreedyEngine::kSieve: ++row.sieve_slots; break;
     }
     if (plan.IsRecover(t) && run.engines[i] == GreedyEngine::kLazy) {
@@ -232,13 +230,13 @@ void WriteJson(const std::string& path, double cal_ms, double base_median_ms,
         "\"sensors\": %d, \"slots\": %d, \"base_queries\": %d, "
         "\"spike_queries\": %d, \"hardware_threads\": %d, "
         "\"hit_rate\": %.4f, \"spike_hit_rate\": %.4f, "
-        "\"lazy_slots\": %d, \"eager_slots\": %d, \"stochastic_slots\": %d, "
+        "\"lazy_slots\": %d, \"eager_slots\": %d, "
         "\"sieve_slots\": %d, \"utility_ratio_vs_static\": %.5f, "
         "\"replay_identical\": %s, \"recovered\": %s}%s\n",
         r.mode.c_str(), r.slo_label.c_str(), r.slo_ms, r.sensors, r.slots,
         r.base_queries, r.spike_queries, r.hardware_threads, r.hit_rate,
-        r.spike_hit_rate, r.lazy_slots, r.eager_slots, r.stochastic_slots,
-        r.sieve_slots, r.utility_ratio_vs_static,
+        r.spike_hit_rate, r.lazy_slots, r.eager_slots, r.sieve_slots,
+        r.utility_ratio_vs_static,
         r.replay_identical ? "true" : "false",
         r.recovered ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
@@ -308,9 +306,9 @@ int main(int argc, char** argv) {
   };
   const SloLevel levels[] = {{"tight", 0.6}, {"medium", 3.0}, {"loose", 50.0}};
 
-  std::printf("%-9s %-7s %10s %9s %10s %6s %6s %6s %6s %8s %8s\n", "mode",
+  std::printf("%-9s %-7s %10s %9s %10s %6s %6s %6s %8s %8s\n", "mode",
               "slo", "slo_ms", "hit_rate", "spike_hit", "lazy", "eager",
-              "stoch", "sieve", "replay", "recov");
+              "sieve", "replay", "recov");
   std::vector<SloRow> rows;
   bool all_identical = true;
   for (const SloLevel& level : levels) {
@@ -373,11 +371,11 @@ int main(int argc, char** argv) {
     arow.replay_identical = identical;
 
     for (const SloRow* r : {&srow, &arow}) {
-      std::printf("%-9s %-7s %10.3f %8.1f%% %9.1f%% %6d %6d %6d %6d %8s %8s\n",
+      std::printf("%-9s %-7s %10.3f %8.1f%% %9.1f%% %6d %6d %6d %8s %8s\n",
                   r->mode.c_str(), r->slo_label.c_str(), r->slo_ms,
                   100.0 * r->hit_rate, 100.0 * r->spike_hit_rate,
-                  r->lazy_slots, r->eager_slots, r->stochastic_slots,
-                  r->sieve_slots, r->replay_identical ? "yes" : "NO",
+                  r->lazy_slots, r->eager_slots, r->sieve_slots,
+                  r->replay_identical ? "yes" : "NO",
                   r->recovered ? "yes" : "no");
       rows.push_back(*r);
     }

@@ -7,22 +7,10 @@
 // Runs Algorithm 5 (joint greedy acquisition) against the sequential
 // baseline over a multi-slot day and prints the running social welfare.
 
-// Pass a thread count (default 1) to run each slot's joint greedy
-// selection with intra-slot parallel valuation (SlotContext::pool):
-//
-//   ./air_quality_city 8
-//
-// The welfare numbers are bit-identical for any thread count; the
-// slot-turnover timing printed at the end is what changes.
-
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/query_mix.h"
 #include "core/slot.h"
 #include "data/ozone_trace.h"
@@ -30,13 +18,9 @@
 #include "sim/workload.h"
 #include "sim/experiments.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace psens;
   constexpr int kSlots = 20;
-  const int threads = argc > 1 ? std::atoi(argv[1]) : 1;
-  // Only spawn workers when parallelism was requested.
-  std::unique_ptr<ThreadPool> pool;
-  if (threads != 1) pool = std::make_unique<ThreadPool>(threads);
 
   // Mobility: synthetic city trace (Nokia-campaign substitute).
   SyntheticNokiaConfig city;
@@ -70,7 +54,6 @@ int main(int argc, char** argv) {
 
   Rng workload_rng(99);
   double welfare_alg5 = 0.0, welfare_base = 0.0;
-  double alg5_turnover_ms = 0.0;
   std::printf("slot  alg5_utility  baseline_utility  alg5_cum  baseline_cum\n");
   for (int t = 0; t < kSlots; ++t) {
     // This slot's demand.
@@ -89,18 +72,11 @@ int main(int argc, char** argv) {
     auto run = [&](std::vector<Sensor>& sensors, LocationMonitoringManager& lm,
                    bool greedy) {
       ApplyTraceSlot(trace, t, &sensors);
-      const auto start = std::chrono::steady_clock::now();
-      SlotContext slot = BuildSlotContext(sensors, downtown, t, 10.0);
-      slot.pool = pool.get();  // intra-slot parallel selection (null = serial)
+      const SlotContext slot = BuildSlotContext(sensors, downtown, t, 10.0);
       QueryMixOptions options;
       options.use_greedy = greedy;
       const QueryMixSlotResult r =
           RunQueryMixSlot(slot, points, aggregates, &lm, nullptr, options);
-      if (greedy) {
-        alg5_turnover_ms += std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-      }
       for (int si : r.selected_sensors) {
         sensors[slot.sensors.sensor_id[si]].RecordReading(t);
       }
@@ -118,8 +94,5 @@ int main(int argc, char** argv) {
               welfare_alg5, welfare_base,
               welfare_base > 0 ? 100.0 * (welfare_alg5 - welfare_base) / welfare_base
                                : 100.0);
-  std::printf("Alg5 slot turnover (%d thread%s): %.2f ms/slot mean — the "
-              "welfare numbers above are bit-identical for any thread count\n",
-              threads, threads == 1 ? "" : "s", alg5_turnover_ms / kSlots);
   return 0;
 }

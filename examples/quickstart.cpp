@@ -1,33 +1,20 @@
 // Quickstart: the smallest end-to-end use of the psens public API.
 //
 // Sets up a handful of mobile sensors, submits point queries for one time
-// slot, runs the three schedulers, and prints who got what at which price.
-// Pass a thread count (default 1) to run the joint greedy selection of
-// step 5 with intra-slot parallel valuation — same answers to the bit,
-// with the slot-turnover timing printed:
-//
-//   ./quickstart 8
-//
-// A 12-sensor toy slot is far too small to profit from threads; this
-// only demonstrates the API. bench/fig12_streaming --threads N measures
-// the real serving speedup at city scale.
+// slot, runs the three schedulers, and prints who got what at which price;
+// then runs the same queries through Algorithm 1's joint greedy selection.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/greedy.h"
 #include "core/multi_query.h"
 #include "core/point_scheduling.h"
 #include "core/sensor.h"
 #include "core/slot.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace psens;
-  const int threads = argc > 1 ? std::atoi(argv[1]) : 1;
 
   // 1. A small sensor fleet. Each sensor has an inherent inaccuracy, a
   //    trust score, and announces a price per measurement (Eq. 8).
@@ -80,32 +67,18 @@ int main(int argc, char** argv) {
   }
 
   // 5. The same queries through Algorithm 1's joint greedy selection —
-  //    the serving path ServingConfig::threads parallelizes. With N > 1
-  //    the slot's valuation rounds shard across a worker pool; the
-  //    selection, payments, and ValuationCalls are bit-identical to the
-  //    serial run, only the slot turnover time changes.
+  //    the rule the serving engine runs every slot.
   {
-    // The pool only exists when parallelism was requested; a serial run
-    // never spawns a worker.
-    std::unique_ptr<ThreadPool> pool;
-    if (threads != 1) pool = std::make_unique<ThreadPool>(threads);
-    SlotContext parallel_slot = slot;
-    parallel_slot.pool = pool.get();
     std::vector<PointMultiQuery> multi;
     multi.reserve(queries.size());
-    for (const PointQuery& q : queries) multi.emplace_back(q, &parallel_slot);
+    for (const PointQuery& q : queries) multi.emplace_back(q, &slot);
     std::vector<MultiQuery*> ptrs;
     for (PointMultiQuery& q : multi) ptrs.push_back(&q);
-    const auto start = std::chrono::steady_clock::now();
-    const SelectionResult joint = GreedySensorSelection(ptrs, parallel_slot);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    std::printf("\nJoint greedy (%d thread%s): utility=%.2f, %zu sensors, "
-                "%lld valuation calls, slot turnover %.3f ms\n",
-                threads, threads == 1 ? "" : "s", joint.Utility(),
-                joint.selected_sensors.size(),
-                static_cast<long long>(joint.valuation_calls), ms);
+    const SelectionResult joint = GreedySensorSelection(ptrs, slot);
+    std::printf("\nJoint greedy: utility=%.2f, %zu sensors, "
+                "%lld valuation calls\n",
+                joint.Utility(), joint.selected_sensors.size(),
+                static_cast<long long>(joint.valuation_calls));
   }
   return 0;
 }

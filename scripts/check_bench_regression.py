@@ -18,22 +18,18 @@ BENCH_pr.json artifact and diffs it against the committed baseline
      hosts of different speeds. Time checks require --strict-time; without
      it they only warn, because shared CI runners jitter more than 20%
      while checks 1-3 stay exact;
-  5. when --fig13 is given: the approximation gate — the stochastic-greedy
-     row at the gate population (100k sensors) must show a median
-     slot-selection speedup of at least --min-fig13-speedup (default 3x)
-     over the exact engine AND a realized utility ratio of at least
-     --min-fig13-utility (default 0.95); utility ratios are deterministic
-     for a fixed seed, so a drop is a real quality regression, not noise.
-     The sieve row at the same gate population gates too: its refinement
-     pass (core/sieve_streaming.cc) must hold a utility ratio of at least
-     --min-sieve-utility (default 0.8) while keeping a median speedup of
-     at least --min-sieve-speedup (default 20x) over the exact engine —
-     quality without the speedup would mean the refinement re-greedies
-     the whole population, speedup without the quality would mean it
-     stopped refining. Valuation-call counts diff against the baseline
-     like other deterministic work metrics. The same fig13 run also
-     carries the SoA
-     kernel gate on its exact row: `soa_identical: false` (the slab
+  5. when --fig13 is given: the approximation gate — the sieve row at
+     the gate population (100k sensors) must hold a utility ratio of at
+     least --min-sieve-utility (default 0.8) while keeping a median
+     slot-selection speedup of at least --min-sieve-speedup (default
+     20x) over the exact engine — quality without the speedup would mean
+     the refinement pass (core/sieve_streaming.cc) re-greedies the whole
+     population, speedup without the quality would mean it stopped
+     refining; utility ratios are deterministic for a fixed seed, so a
+     drop is a real quality regression, not noise. Valuation-call counts
+     diff against the baseline like other deterministic work metrics.
+     The same fig13 run also carries the SoA kernel gate on its exact
+     row: `soa_identical: false` (the slab
      kernels diverged from the AoS scalar reference) fails, zero
      tolerance, on every host, and `soa_speedup` at the gate population
      must reach --min-soa-speedup (default 1.5x; both sides of the ratio
@@ -62,20 +58,6 @@ BENCH_pr.json artifact and diffs it against the committed baseline
      --min-fig12-speedup (default 4x; see the flag's help for why the
      floor sits below the typically observed 5-6x) on the gate scenario
      (the "churn" workload at 100k sensors, 1% churn);
-  7. when --fig12 is given and it carries `parallel_results` rows
-     (intra-slot parallel selection, `fig12_streaming --threads N`): any
-     row where the parallel selection diverged from the serial one —
-     zero tolerance, on every host — and a median slot-serve speedup
-     below --min-parallel-speedup (default 2x) at 100k sensors, enforced
-     only when the row requested at least --parallel-gate-threads
-     (default 8) workers AND the host has that many hardware threads.
-     Hosts without enough hardware threads (or low --threads runs, where
-     both passes are close to serial) cannot exhibit the speedup by
-     construction, so there the speedup check is *skipped* with a visible
-     warning (bit-equality still gates), and --update refuses to record
-     such a row into the baseline — it would freeze a misleading ~1x
-     speedup measured on hardware that cannot show the win — preserving
-     the previously committed row instead;
  12. when --fig18 is given: the adaptive-SLO gate — any adaptive row
      whose recorded version-2 trace did not replay bit-identically
      (`replay_identical: false`) fails, zero tolerance, on every host:
@@ -99,7 +81,6 @@ Usage:
       [--schedulers sched.json]
       --baseline bench/BENCH_baseline.json --out BENCH_pr.json
       [--min-speedup 10] [--min-fig12-speedup 4]
-      [--min-fig13-speedup 3] [--min-fig13-utility 0.95]
       [--min-sieve-utility 0.8] [--min-sieve-speedup 20]
       [--min-fig14-speedup 0.9] [--min-soa-speedup 1.5]
       [--min-fig18-hit-rate 0.95]
@@ -150,15 +131,6 @@ def main():
     # runs of the same binary), so the floor is set at what any capable
     # host clears rather than at a lucky measurement.
     ap.add_argument("--min-fig12-speedup", type=float, default=4.0)
-    # 3x, down from the 5x the gate held before the SoA slab kernels:
-    # the ratio's denominator is the *exact* engine's slot time, and the
-    # slab + coverage-memo work made that engine ~2.4x faster, shrinking
-    # the stochastic engine's relative advantage (both engines select
-    # the same sensors; only the exact side got cheaper). The floor
-    # guards the approximate scheduler's asymptotic win, not the exact
-    # engine's slowness — ~4x is what the gate scenario now measures.
-    ap.add_argument("--min-fig13-speedup", type=float, default=3.0)
-    ap.add_argument("--min-fig13-utility", type=float, default=0.95)
     # The sieve refinement pass re-greedies only the buckets' member
     # union (population-independent), so it buys back most of the
     # one-pass threshold loss without surrendering the asymptotic win:
@@ -171,18 +143,14 @@ def main():
     # wall-clock measurements of the same selection work and jitter a few
     # percent against each other on shared runners.
     ap.add_argument("--min-fig14-speedup", type=float, default=0.9)
-    ap.add_argument("--min-parallel-speedup", type=float, default=2.0)
     # Same-process ratio (the AoS pass and the slab pass are timed in one
     # binary run), so the floor is host-normalized by construction;
     # 1.5x sits well under the ~2x measured on the gate scenario.
     ap.add_argument("--min-soa-speedup", type=float, default=1.5)
-    # 0.95 over a 48+-slot run allows the policy's two optimistic trial
-    # slots (the first stochastic and the first sieve entry during the
-    # spike) to overrun while every modeled slot must hit.
+    # 0.95 over a 48+-slot run allows the policy's optimistic trial slot
+    # (the first sieve entry during the spike) to overrun while every
+    # modeled slot must hit.
     ap.add_argument("--min-fig18-hit-rate", type=float, default=0.95)
-    ap.add_argument("--parallel-gate-threads", type=int, default=8,
-                    help="minimum requested thread count (and hardware "
-                         "threads) for the parallel speedup gate to arm")
     ap.add_argument("--tolerance", type=float, default=0.20)
     ap.add_argument("--strict-time", action="store_true",
                     help="make normalized-time regressions fatal, not warnings")
@@ -202,7 +170,6 @@ def main():
         "cal_ms": fig11.get("cal_ms", 0.0),
         "fig11": fig11.get("results", []),
         "fig12": (fig12 or {}).get("results", []),
-        "fig12_parallel": (fig12 or {}).get("parallel_results", []),
         "fig13": (fig13 or {}).get("results", []),
         "fig14": (fig14 or {}).get("results", []),
         "fig16": (fig16 or {}).get("results", []),
@@ -225,8 +192,6 @@ def main():
             old = {}
         if fig12 is None and old.get("fig12"):
             updated["fig12"] = old["fig12"]
-        if fig12 is None and old.get("fig12_parallel"):
-            updated["fig12_parallel"] = old["fig12_parallel"]
         if fig13 is None and old.get("fig13"):
             updated["fig13"] = old["fig13"]
         if fig14 is None and old.get("fig14"):
@@ -237,34 +202,6 @@ def main():
             updated["fig18"] = old["fig18"]
         if schedulers is None and old.get("scheduler_times_ms"):
             updated["scheduler_times_ms"] = old["scheduler_times_ms"]
-        if fig12 is not None:
-            # A parallel row measured on a host without the hardware to
-            # exhibit the speedup (hardware_threads < requested threads,
-            # e.g. a 1-core container) records a meaningless ~1x ratio;
-            # freezing it into the baseline would mislead every later
-            # diff. Keep the previously committed row for that population
-            # instead, and say so.
-            old_parallel = {r["sensors"]: r
-                            for r in (old.get("fig12_parallel") or [])}
-            kept = []
-            for r in pr["fig12_parallel"]:
-                hardware = r.get("hardware_threads", 0)
-                threads = r.get("threads", 1)
-                if hardware >= threads and threads > 1:
-                    kept.append(r)
-                    continue
-                prev = old_parallel.get(r["sensors"])
-                if prev is not None and not (
-                        prev.get("hardware_threads", 0)
-                        >= prev.get("threads", 1) > 1):
-                    prev = None  # the committed row is itself misleading
-                print(f"warning: fig12 parallel n={r['sensors']}: host has "
-                      f"{hardware} hardware threads for a {threads}-thread "
-                      "row; NOT recording its speedup into the baseline"
-                      + (" (keeping previous row)" if prev else ""))
-                if prev is not None:
-                    kept.append(prev)
-            updated["fig12_parallel"] = kept
         with open(args.baseline, "w") as f:
             json.dump(updated, f, indent=2)
         print(f"baseline updated: {args.baseline}")
@@ -316,51 +253,6 @@ def main():
                           f"(>= {args.min_fig12_speedup:.1f}x)")
         if gate_rows == 0:
             failures.append("fig12 produced no gate row (churn @ 100k sensors)")
-
-        # 7. intra-slot parallel selection gate. Bit-equality is enforced
-        # on every host; the speedup bar is the ISSUE's literal "2x at 8
-        # threads", so it arms only when the run actually requested at
-        # least --parallel-gate-threads workers AND the host has that many
-        # hardware threads — a 1/2/4-core host (or a --threads 1 run,
-        # where both passes are serial) cannot exhibit the speedup by
-        # construction and only warns.
-        parallel_gate_rows = 0
-        for r in pr["fig12_parallel"]:
-            if not r.get("identical", False):
-                failures.append(
-                    f"fig12 parallel n={r['sensors']}: parallel selection "
-                    "diverged from serial")
-            if r["sensors"] != 100_000:
-                continue
-            parallel_gate_rows += 1
-            threads = r.get("threads", 1)
-            hardware = r.get("hardware_threads", 0)
-            eligible = (threads >= args.parallel_gate_threads
-                        and hardware >= threads)
-            if not eligible:
-                # Hardware-gated check: a host without enough threads (a
-                # 1-core runner, or a low --threads run) cannot exhibit
-                # the speedup by construction — skip loudly rather than
-                # report a meaningless ~1x ratio as a near-failure.
-                warnings.append(
-                    f"fig12 parallel n={r['sensors']}: speedup check "
-                    f"SKIPPED — ran {threads} thread(s) on {hardware} "
-                    f"hardware thread(s), gate needs >= "
-                    f"{args.parallel_gate_threads} of each "
-                    "(bit-equality still enforced)")
-            elif r["serve_speedup"] < args.min_parallel_speedup:
-                failures.append(
-                    f"fig12 parallel n={r['sensors']}: serve speedup "
-                    f"{r['serve_speedup']:.2f}x < required "
-                    f"{args.min_parallel_speedup:.1f}x at {threads} threads")
-            else:
-                print(f"ok: fig12 parallel n={r['sensors']} serve speedup "
-                      f"{r['serve_speedup']:.2f}x "
-                      f"(>= {args.min_parallel_speedup:.1f}x)")
-        if pr["fig12_parallel"] and parallel_gate_rows == 0:
-            failures.append(
-                "fig12 produced no parallel gate row (parallel @ 100k "
-                "sensors) — was the population capped?")
 
     # 8. fig14 record/replay gate (only when the run provided it).
     if fig14 is not None:
@@ -463,7 +355,6 @@ def main():
     # utility ratio is deterministic for a fixed seed — below-bar quality
     # is a real regression in the scheduler, not measurement noise.
     if fig13 is not None:
-        fig13_gate_rows = 0
         soa_gate_rows = 0
         sieve_gate_rows = 0
         for r in pr["fig13"]:
@@ -489,26 +380,6 @@ def main():
                     print(f"ok: fig13 exact n={r['sensors']} SoA kernel "
                           f"speedup {r['soa_speedup']:.2f}x vs AoS scalar "
                           f"(>= {args.min_soa_speedup:.1f}x)")
-            if r.get("engine") == "stochastic":
-                fig13_gate_rows += 1
-                if r["speedup_vs_exact"] < args.min_fig13_speedup:
-                    failures.append(
-                        f"fig13 stochastic n={r['sensors']}: speedup "
-                        f"{r['speedup_vs_exact']:.1f}x vs exact < required "
-                        f"{args.min_fig13_speedup:.1f}x")
-                else:
-                    print(f"ok: fig13 stochastic n={r['sensors']} speedup "
-                          f"{r['speedup_vs_exact']:.1f}x vs exact "
-                          f"(>= {args.min_fig13_speedup:.1f}x)")
-                if r["utility_ratio"] < args.min_fig13_utility:
-                    failures.append(
-                        f"fig13 stochastic n={r['sensors']}: utility ratio "
-                        f"{r['utility_ratio']:.4f} < required "
-                        f"{args.min_fig13_utility:.2f}")
-                else:
-                    print(f"ok: fig13 stochastic n={r['sensors']} utility "
-                          f"ratio {r['utility_ratio']:.4f} "
-                          f"(>= {args.min_fig13_utility:.2f})")
             if r.get("engine") == "sieve":
                 # The refinement pass (core/sieve_streaming.cc) closed the
                 # one-pass quality gap; both sides of the trade gate:
@@ -534,9 +405,6 @@ def main():
                     print(f"ok: fig13 sieve n={r['sensors']} speedup "
                           f"{r['speedup_vs_exact']:.1f}x vs exact "
                           f"(>= {args.min_sieve_speedup:.1f}x)")
-        if fig13_gate_rows == 0:
-            failures.append(
-                "fig13 produced no gate row (stochastic @ 100k sensors)")
         if soa_gate_rows == 0:
             failures.append(
                 "fig13 produced no SoA gate row (exact @ 100k sensors)")

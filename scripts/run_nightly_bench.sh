@@ -87,7 +87,6 @@ doc = {
     "cal_ms": fig11.get("cal_ms", 0.0),
     "fig11": fig11.get("results", []),
     "fig12": fig12.get("results", []),
-    "fig12_parallel": fig12.get("parallel_results", []),
     "fig13": fig13.get("results", []),
     "fig14": fig14.get("results", []),
     "fig16": fig16.get("results", []),

@@ -59,7 +59,6 @@ class AggregateQuery : public MultiQueryBase {
   /// by binary search.
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
-  bool ThreadSafeBatchValuation() const override { return true; }
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return params_.budget; }
 
@@ -106,8 +105,6 @@ class AggregateQuery : public MultiQueryBase {
   /// probe). `state_version_` names the current selection state; a memo
   /// entry stamped with it replays the identical double the sweep kernel
   /// computed under the same inputs.
-  /// Written from at most one worker at a time (each query's keys belong
-  /// to one NetEvaluator worker, with a join between rounds).
   bool soa_ = false;
   uint64_t state_version_ = 1;
   mutable std::vector<uint64_t> cached_at_;
@@ -133,7 +130,6 @@ class TrajectoryQuery : public MultiQueryBase {
   double MarginalValue(int sensor) const override;
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
-  bool ThreadSafeBatchValuation() const override { return true; }
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return params_.budget; }
   const std::vector<int>* CandidateSensors() const override;

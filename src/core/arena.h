@@ -9,16 +9,14 @@
 
 namespace psens {
 
-/// Bump allocator for slot-lifetime scratch (CSR batch slices, candidate
-/// lists, per-thread gain buffers). Allocations are O(1) pointer bumps
+/// Bump allocator for slot-lifetime scratch (round pair scratch, candidate
+/// lists, gain buffers). Allocations are O(1) pointer bumps
 /// into chunked blocks; nothing is freed individually — Reset() at the
 /// next BeginSlot recycles everything at once, so per-round heap churn
 /// disappears after the first slot warms the chunks up.
 ///
-/// Not thread-safe: allocate on the coordinating thread only (scheduler
-/// setup happens there; workers only *write through* spans handed to
-/// them, which is fine). Alignment is per-allocation, default
-/// alignof(std::max_align_t).
+/// Not thread-safe: one slot's selection allocates from it on one
+/// thread. Alignment is per-allocation, default alignof(std::max_align_t).
 class SlotArena {
  public:
   static constexpr size_t kDefaultChunkBytes = size_t{1} << 20;  // 1 MiB

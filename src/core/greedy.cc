@@ -8,7 +8,6 @@
 #include "core/candidate_pruning.h"
 #include "core/lazy_greedy.h"
 #include "core/sieve_streaming.h"
-#include "core/stochastic_greedy.h"
 
 namespace psens {
 
@@ -21,9 +20,8 @@ int64_t TotalValuationCalls(const std::vector<MultiQuery*>& queries) {
 double CommitWithProportionalPayments(const std::vector<MultiQuery*>& queries,
                                       const CandidatePlan& plan,
                                       const SlotContext& slot, int sensor) {
-  // (query, delta) scratch reused across commits. Commits only ever run
-  // on the thread coordinating a selection; concurrent selection runs
-  // (slot sharding) each see their own thread_local copy.
+  // (query, delta) scratch reused across commits. Concurrent selection
+  // runs (experiment slot sharding) each see their own thread_local copy.
   thread_local std::vector<std::pair<int, double>> marginals;
   const double true_cost = slot.sensors.cost[sensor];
   marginals.clear();
@@ -54,9 +52,8 @@ namespace {
 /// dense scan (see core/candidate_pruning.h). The rescan itself runs
 /// through the batched round evaluator (core/batch_eval.h): per-query
 /// keyed sweeps over the remaining scan rows instead of per-sensor
-/// virtual probes, sharded over `slot.pool` when one is attached — with
-/// nets, tie-breaks, and valuation-call totals bit-identical to this
-/// loop's historical sensor-major scalar form for any thread count.
+/// virtual probes — with nets, tie-breaks, and valuation-call totals
+/// bit-identical to this loop's historical sensor-major scalar form.
 SelectionResult EagerGreedySensorSelection(const std::vector<MultiQuery*>& queries,
                                            const SlotContext& slot,
                                            const std::vector<double>* cost_scale) {
@@ -64,7 +61,7 @@ SelectionResult EagerGreedySensorSelection(const std::vector<MultiQuery*>& queri
   const int64_t calls_before = TotalValuationCalls(queries);
   const int n = static_cast<int>(slot.sensors.size());
   const CandidatePlan plan = BuildCandidatePlan(queries, n, slot.arena);
-  NetEvaluator evaluator(queries, plan, slot, cost_scale, slot.pool);
+  NetEvaluator evaluator(queries, plan, slot, cost_scale);
 
   // Round scratch, by scan row, draws from the slot arena when one is
   // attached (reset at the next BeginSlot; a selection never outlives its
@@ -118,8 +115,6 @@ SelectionResult GreedySensorSelection(const std::vector<MultiQuery*>& queries,
   switch (engine) {
     case GreedyEngine::kEager:
       return EagerGreedySensorSelection(queries, slot, cost_scale);
-    case GreedyEngine::kStochastic:
-      return StochasticGreedySensorSelection(queries, slot, cost_scale);
     case GreedyEngine::kSieve:
       return SieveStreamingSensorSelection(queries, slot, cost_scale);
     case GreedyEngine::kLazy:

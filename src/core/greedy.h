@@ -23,30 +23,25 @@ struct SelectionResult {
   double Utility() const { return total_value - total_cost; }
 };
 
-/// Which engine executes the Algorithm 1 selection rule.
+/// Which engine executes the Algorithm 1 selection rule. The numbers are
+/// part of the version-2 trace format (per-slot engine choices), so they
+/// are written out: 2 named the removed stochastic-greedy engine, and
+/// trace decode refuses it.
 enum class GreedyEngine {
   /// CELF-style lazy evaluation (src/core/lazy_greedy.h): a max-heap of
   /// cached net gains where only the heap front is re-evaluated. Selects
   /// the identical sensor sequence as kEager whenever the valuations are
   /// submodular, with far fewer valuation calls. The default.
-  kLazy,
+  kLazy = 0,
   /// The paper's literal exhaustive rescan of every remaining sensor each
   /// round. Kept as the reference implementation for tests and for the
   /// valuation-call comparisons in bench_scheduler_quality.
-  kEager,
-  /// Stochastic greedy (src/core/stochastic_greedy.h): each round evaluates
-  /// only a seeded random sample of the remaining candidates instead of all
-  /// of them, trading the exact engines' bit-identical selections for a
-  /// (1 - 1/e - epsilon) expected-utility guarantee on monotone submodular
-  /// instances and per-slot cost independent of how many candidates each
-  /// round *could* probe. Reproducible: the sample stream derives from
-  /// SlotContext::approx (seed, time), not from global state.
-  kStochastic,
+  kEager = 1,
   /// Sieve streaming (src/core/sieve_streaming.h): threshold-bucketed
   /// single-pass selection. Deterministic; the bucket state can also be
   /// carried across slots by SieveStreamingScheduler so churn deltas are
   /// absorbed without re-streaming the whole population.
-  kSieve,
+  kSieve = 3,
 };
 
 /// Algorithm 1 ("Greedy Sensor Selection"): iteratively pick the sensor a
@@ -75,7 +70,7 @@ int64_t TotalValuationCalls(const std::vector<MultiQuery*>& queries);
 /// Algorithm 1 line 10: commits `sensor` to every benefiting query,
 /// splitting its *true* announced cost proportionally to the positive
 /// marginal values (pi_{q,a} = delta_v * c_a / sum delta_v). Returns the
-/// cost charged. Every engine — eager, lazy, stochastic, sieve — funnels
+/// cost charged. Every engine — eager, lazy, sieve — funnels
 /// its commits through this one implementation, so the Theorem 1 payment
 /// properties and cross-engine payment equivalence rest on a single body
 /// of code.

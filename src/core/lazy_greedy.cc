@@ -43,13 +43,13 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
   // over its interested queries. Identical selections and payments, fewer
   // valuation calls (core/candidate_pruning.h).
   const CandidatePlan plan = BuildCandidatePlan(queries, n, slot.arena);
-  NetEvaluator evaluator(queries, plan, slot, cost_scale, slot.pool);
+  NetEvaluator evaluator(queries, plan, slot, cost_scale);
 
-  // Initial fill — the dominant cost of a CELF run — as one batched (and,
-  // with slot.pool, parallel) sweep: nets for every scan row, then heap
-  // pushes in the same ascending order the serial loop used, so the heap
-  // state, every cached value, and the valuation-call totals are
-  // bit-identical to evaluating one sensor at a time.
+  // Initial fill — the dominant cost of a CELF run — as one batched
+  // sweep: nets for every scan row, then heap pushes in the same
+  // ascending order the scalar loop used, so the heap state, every cached
+  // value, and the valuation-call totals are bit-identical to evaluating
+  // one sensor at a time.
   std::priority_queue<Candidate, std::vector<Candidate>, CandidateLess> heap;
   {
     const size_t num_rows = static_cast<size_t>(plan.NumRows());
@@ -71,8 +71,6 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
     if (top.round != round) {
       // Stale cache: re-evaluate the row's pair run against the current
       // selection and reinsert; only the heap front ever pays this cost.
-      // The evaluator shards the per-query deltas over the pool when the
-      // row interests enough queries (bit-identical either way).
       top.net = evaluator.EvaluateRowNet(top.row);
       top.round = round;
       heap.push(top);

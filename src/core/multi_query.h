@@ -40,28 +40,18 @@ class MultiQuery {
   /// (tests/batched_valuation_test.cc pins values and counts per type).
   ///
   /// Contract for overrides: no mutation of query state other than
-  /// per-object scratch. Engines shard work *by query* — two threads may
-  /// probe different queries concurrently, but one query is only ever
-  /// probed by one thread at a time, so per-object scratch needs no
-  /// locking. ThreadSafeBatchValuation() advertises conformance.
+  /// per-object scratch.
   ///
   /// The default resolves each key to its sensor and probes
   /// MarginalValue, cancelling the probes' accounting — correct and
-  /// exactly equivalent, but neither batched nor safe off the owning
-  /// thread.
+  /// exactly equivalent, but not batched.
   virtual void MarginalsAt(std::span<const int> keys,
                            std::span<double> out) const;
 
-  /// Merges externally tracked valuation-call counts into ValuationCalls().
-  /// Engines use it to keep per-thread counters out of worker threads; the
-  /// default is a no-op for implementations that do not track calls.
+  /// Merges externally tracked valuation-call counts into ValuationCalls():
+  /// the batch evaluator counts keyed probes itself and merges them here.
+  /// The default is a no-op for implementations that do not track calls.
   virtual void AddValuationCalls(int64_t count) const { (void)count; }
-
-  /// True when MarginalsAt honours the no-shared-mutation contract above,
-  /// so the parallel selection path may probe this query from worker
-  /// threads. Engines fall back to the bit-identical serial sweep when any
-  /// participating query says no.
-  virtual bool ThreadSafeBatchValuation() const { return false; }
 
   /// Adds `sensor` to the selection, charging `payment` to the query.
   virtual void Commit(int sensor, double payment) = 0;
@@ -105,9 +95,8 @@ class MultiQueryBase : public MultiQuery {
   const std::vector<int>& SelectedSensors() const override { return selected_; }
   int64_t ValuationCalls() const override { return valuation_calls_; }
 
-  /// Single merge point for deferred (per-thread) call accounting. Only
-  /// ever invoked from the coordinating thread at batch end, so the plain
-  /// `mutable` field needs no synchronization.
+  /// Single merge point for the batch evaluator's deferred call
+  /// accounting.
   void AddValuationCalls(int64_t count) const override {
     valuation_calls_ += count;
   }
@@ -145,7 +134,6 @@ class PointMultiQuery : public MultiQueryBase {
   /// valuation on the same inputs: bit-identical values.
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
-  bool ThreadSafeBatchValuation() const override { return true; }
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return query_.budget; }
 
@@ -173,9 +161,8 @@ class PointMultiQuery : public MultiQueryBase {
   /// Eq. 3 value per candidate (indexed by key, parallel to candidates_),
   /// computed once per slot binding under SlotContext::use_soa: the
   /// valuation depends only on (query, sensor), never on selection state,
-  /// so re-probes hit this cache. Filled on the coordinating thread by
-  /// CandidateSensors (the pruning plan builds before any worker probes),
-  /// read-only after.
+  /// so re-probes hit this cache. Filled by CandidateSensors (the pruning
+  /// plan builds before any probe), read-only after.
   mutable std::vector<double> cand_values_;
   mutable bool cand_values_ready_ = false;
 };
@@ -193,8 +180,7 @@ class CallbackMultiQuery : public MultiQueryBase {
   double MarginalValue(int sensor) const override;
   /// Batched probe (keys are slot rows: the query exposes no candidate
   /// list) reusing one selection+candidate scratch vector instead of
-  /// copying the selection per sensor. ThreadSafeBatchValuation stays
-  /// false: the user-supplied callback's thread safety is unknown.
+  /// copying the selection per sensor.
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
   void Commit(int sensor, double payment) override;

@@ -41,7 +41,6 @@ class MultiSensorPointQuery : public MultiQueryBase {
   /// sum) the scalar copy+sort produces.
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
-  bool ThreadSafeBatchValuation() const override { return true; }
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return params_.budget; }
 
@@ -84,8 +83,6 @@ class MultiSensorPointQuery : public MultiQueryBase {
   mutable std::vector<double> cand_theta_;
   mutable bool cand_theta_ready_ = false;
   /// Per-batch scratch: qualities_ sorted descending (see MarginalsAt).
-  /// Per-object, so the by-query sharding of the parallel engines needs
-  /// no locking.
   mutable std::vector<double> batch_sorted_;
 };
 

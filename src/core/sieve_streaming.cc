@@ -10,7 +10,6 @@
 #include "core/batch_eval.h"
 #include "core/candidate_pruning.h"
 #include "core/sensor_delta.h"
-#include "core/stochastic_greedy.h"
 
 namespace psens {
 namespace {
@@ -147,7 +146,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
 
   for (MultiQuery* q : queries) q->ResetSelection();
   const CandidatePlan plan = BuildCandidatePlan(queries, n, slot.arena);
-  NetEvaluator evaluator(queries, plan, slot, cost_scale, slot.pool);
+  NetEvaluator evaluator(queries, plan, slot, cost_scale);
 
   // The offered stream, ascending slot indices: the whole candidate set on
   // (re)initialization, only the delta's arrivals afterwards.
@@ -303,9 +302,9 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     }
     {
       // Exploration sample (see kRefineSampleSize). Seeded from the
-      // slot seed the engine stamps (pinned on replay), xor-shifted so
-      // the stream is independent of stochastic greedy's — the sample,
-      // and hence the whole refinement, is bit-reproducible.
+      // slot seed the engine stamps (pinned on replay), xored with a
+      // fixed constant — the sample, and hence the whole refinement, is
+      // bit-reproducible.
       const std::span<const int> scan = plan.ScanSensors();
       const size_t sample = std::min(kRefineSampleSize, scan.size());
       if (sample > 0) {
@@ -328,8 +327,8 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     // CELF over the pool: one batched fill, then only stale heap fronts
     // re-evaluate. `stamp` is the round the cached net was computed in;
     // a fresh front commits. Ordering (net desc, idx asc) reproduces
-    // the eager loop's strict-> lowest-index tie-break; everything runs
-    // on one thread, so the pass is deterministic. The mean-quality
+    // the eager loop's strict-> lowest-index tie-break, so the pass is
+    // deterministic. The mean-quality
     // factor's mild non-submodularity carries the same caveat as the
     // CELF engine: a stale cache can under-rank a marginal that grew —
     // Theorem 1's payment properties are unaffected.

@@ -50,8 +50,10 @@ struct SensorDelta;
 ///     O(buckets * (members + arrivals)), independent of the population,
 ///     where every exact engine pays at least one full candidate sweep.
 ///
-/// Deterministic: no RNG anywhere; identical inputs (slot context bits,
-/// delta stream) produce identical selections on any thread count.
+/// Deterministic: the one RNG draw is the refinement's exploration
+/// sample, seeded from the slot context's stamped ApproxSlotSeed, so
+/// identical inputs (slot context bits, delta stream, slot seed) produce
+/// identical selections.
 class SieveStreamingScheduler {
  public:
   explicit SieveStreamingScheduler(const ApproxParams& params = {});

@@ -1,6 +1,7 @@
 #ifndef PSENS_CORE_SLOT_H_
 #define PSENS_CORE_SLOT_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -11,7 +12,6 @@ namespace psens {
 
 class SlotArena;
 class SpatialIndex;
-class ThreadPool;
 
 /// How (and whether) a slot's sensor locations are spatially indexed.
 /// The index only ever *prunes* candidate scans — every valuation is
@@ -31,30 +31,22 @@ enum class SlotIndexPolicy {
 /// Minimum population for which kAuto bothers building an index.
 inline constexpr int kSlotIndexAutoThreshold = 32;
 
-/// Knobs for the approximate schedulers (GreedyEngine::kStochastic and
-/// kSieve, src/core/stochastic_greedy.h / sieve_streaming.h). Carried on
-/// the SlotContext so schedulers see them the same way they see the pool
-/// and the index; the exact engines ignore them entirely.
+/// Knobs for the approximate scheduler (GreedyEngine::kSieve,
+/// src/core/sieve_streaming.h). Carried on the SlotContext so the
+/// scheduler sees them the same way it sees the index; the exact engines
+/// ignore them entirely.
 struct ApproxParams {
-  /// Quality knob shared by both engines. Stochastic greedy sizes its
-  /// per-round sample as ceil(ln(1/epsilon) * |candidates| / k_hint);
-  /// sieve streaming spaces its threshold grid by factors of
+  /// Sieve streaming spaces its threshold grid by factors of
   /// (1 + epsilon) and keeps buckets down to epsilon * max single net.
   double epsilon = 0.1;
-  /// Base seed of the stochastic engine's per-slot RNG stream. The
-  /// effective stream is derived from (seed, SlotContext::time) unless
-  /// `slot_seed` pins it, so re-running a slot — on any thread count, and
-  /// through either the incremental or the rebuild engine mode — samples
-  /// identically. Sieve streaming is deterministic and ignores it.
+  /// Base seed of the per-slot RNG stream the sieve's refinement pass
+  /// draws its exploration sample from. The effective stream is derived
+  /// from (seed, SlotContext::time) unless `slot_seed` pins it, so
+  /// re-running a slot — through either the incremental or the rebuild
+  /// engine mode — samples identically (ApproxSlotSeed).
   uint64_t seed = 0x5EEDC0DE5EEDC0DEULL;
   /// Pinned per-slot stream; 0 (default) derives it from seed and time.
   uint64_t slot_seed = 0;
-  /// Floor on the stochastic per-round sample size.
-  int min_sample = 32;
-  /// Expected number of selections k used to size the stochastic sample;
-  /// 0 (default) uses the number of participating queries, a natural
-  /// proxy in this workload where each query wants at least one sensor.
-  int sample_hint = 0;
   /// Sieve-streaming refinement pass (core/sieve_streaming.h): after
   /// the winning bucket commits, CELF-style re-greedy from scratch over
   /// a population-independent pool — bucket members, a persistent bench
@@ -66,6 +58,22 @@ struct ApproxParams {
   /// behaviour (ablations and the valuation-call micro-tests).
   bool sieve_refine = true;
 };
+
+/// The per-slot sampling stream: ApproxParams::slot_seed when set, else a
+/// splitmix64-style mix of ApproxParams::seed and `time`. The engine
+/// stamps it onto each slot context and traces record it, so a replay
+/// can pin the stream without knowing the base seed.
+inline uint64_t ApproxSlotSeed(const ApproxParams& params, int time) {
+  if (params.slot_seed != 0) return params.slot_seed;
+  // splitmix64 finalizer over seed xor a time-derived odd constant: slots
+  // get well-separated streams from one base seed.
+  uint64_t z = params.seed + 0x9E3779B97F4A7C15ULL *
+                                 (static_cast<uint64_t>(time) + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  z ^= z >> 31;
+  return z != 0 ? z : 1;  // 0 means "derive", never emit it
+}
 
 /// A sensor as announced to the aggregator at the beginning of a time slot
 /// (Section 2.1): its location and its price for providing one measurement
@@ -142,13 +150,6 @@ struct SlotContext {
   /// index i), or null when the policy/population says brute force.
   /// Schedulers treat null as "scan everything".
   std::shared_ptr<const SpatialIndex> index;
-  /// Worker pool for intra-slot parallel selection (non-owning; typically
-  /// the AcquisitionEngine's, attached by BeginSlot per
-  /// ServingConfig::threads). Null means serial. Schedulers that use it —
-  /// the greedy engines via core/batch_eval.h — produce bit-identical
-  /// selections, payments, and ValuationCalls() for any pool size,
-  /// including none.
-  ThreadPool* pool = nullptr;
   /// Approximate-scheduler knobs (ignored by the exact engines).
   ApproxParams approx;
   /// Slot-lifetime scratch arena (non-owning; the engine resets it at

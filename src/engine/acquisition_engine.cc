@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "core/sieve_streaming.h"
-#include "core/stochastic_greedy.h"
 #include "engine/adaptive_policy.h"
 #include "engine/membership_merge.h"
 #include "engine/serving_engine.h"
@@ -72,9 +71,6 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
   ctx_.index_policy = config_.index_policy;
   ctx_.index_auto_threshold = config_.index_auto_threshold;
   slot_pos_.assign(static_cast<size_t>(n), -1);
-  if (config_.threads != 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.threads);
-  }
   if (!config_.trace_path.empty()) {
     TraceHeader header;
     // Adaptive runs record their per-slot engine choices, which needs the
@@ -87,8 +83,6 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
     header.working_region = config_.working_region;
     header.approx_seed = config_.approx.seed;
     header.epsilon = config_.approx.epsilon;
-    header.min_sample = config_.approx.min_sample;
-    header.sample_hint = config_.approx.sample_hint;
     trace_ = TraceWriter::Open(config_.trace_path, header);
   }
   if (!config_.incremental) return;
@@ -253,10 +247,9 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   }
   ctx_.time = time;
   ctx_.arena = &arena_;
-  ctx_.pool = pool_.get();
-  // Pin the approximate schedulers' per-slot stream: both engine modes
-  // stamp the identical derived seed, so approximate selections agree
-  // between incremental and rebuild serving bit for bit.
+  // Pin the sieve's per-slot sample stream: both engine modes stamp the
+  // identical derived seed, so sieve selections agree between
+  // incremental and rebuild serving bit for bit.
   ctx_.approx = config_.approx;
   ctx_.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
   if (has_pinned_slot_seed_) {

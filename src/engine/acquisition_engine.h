@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/arena.h"
 #include "core/greedy.h"
 #include "core/sensor.h"
@@ -52,8 +51,8 @@ class TraceWriter;
 ///
 /// Contract: for a fixed input stream (registry, deltas, query batches,
 /// per-slot seeds), selections, payments, and valuation-call counts are
-/// bit-identical regardless of thread count, index policy, or incremental
-/// vs rebuild mode. SameOutcome() (trace/slot_server.h) is the
+/// bit-identical regardless of index policy or incremental vs rebuild
+/// mode. SameOutcome() (trace/slot_server.h) is the
 /// comparator; the streaming-equivalence and replay differential suites
 /// enforce it.
 ///
@@ -141,7 +140,7 @@ class AcquisitionEngine {
   /// Pins the approx slot seed the *next* BeginSlot stamps, overriding
   /// the (approx.seed, time) derivation for that one slot. The trace
   /// replayer uses this to impose each recorded slot's seed, which is
-  /// what lets a replayed stochastic run reproduce the live run's
+  /// what lets a replayed sieve run reproduce the live run's
   /// selections without knowing the original base seed.
   void PinNextSlotSeed(uint64_t slot_seed);
 
@@ -204,9 +203,6 @@ class AcquisitionEngine {
   /// Slot-lifetime scratch arena handed to schedulers through
   /// SlotContext::arena; reset at every BeginSlot.
   SlotArena arena_;
-  /// Intra-slot selection pool (ServingConfig::threads), handed to
-  /// schedulers through SlotContext::pool. Null when threads == 1.
-  std::unique_ptr<ThreadPool> pool_;
   /// Live trace recorder (ServingConfig::trace_path); null when off.
   std::unique_ptr<TraceWriter> trace_;
   int64_t refused_deltas_ = 0;

@@ -7,24 +7,11 @@ namespace {
 
 // Quality ladder from a given ceiling, best first. Lazy and eager are
 // quality-identical, so neither appears below the other — a ceiling of
-// either steps straight to stochastic.
-int Ladder(GreedyEngine ceiling, GreedyEngine out[4]) {
+// either steps straight to the sieve.
+int Ladder(GreedyEngine ceiling, GreedyEngine out[2]) {
   int n = 0;
-  switch (ceiling) {
-    case GreedyEngine::kLazy:
-    case GreedyEngine::kEager:
-      out[n++] = ceiling;
-      out[n++] = GreedyEngine::kStochastic;
-      out[n++] = GreedyEngine::kSieve;
-      break;
-    case GreedyEngine::kStochastic:
-      out[n++] = GreedyEngine::kStochastic;
-      out[n++] = GreedyEngine::kSieve;
-      break;
-    case GreedyEngine::kSieve:
-      out[n++] = GreedyEngine::kSieve;
-      break;
-  }
+  if (ceiling != GreedyEngine::kSieve) out[n++] = ceiling;
+  out[n++] = GreedyEngine::kSieve;
   return n;
 }
 
@@ -46,7 +33,7 @@ double AdaptivePolicy::WorkUnits(GreedyEngine engine,
 
 GreedyEngine AdaptivePolicy::Choose(const SlotFeatures& features,
                                     double turnover_ms) const {
-  GreedyEngine ladder[4];
+  GreedyEngine ladder[2];
   const int n = Ladder(ceiling_, ladder);
   const double budget = std::max(0.0, slo_ms_ - turnover_ms);
   for (int i = 0; i < n; ++i) {

@@ -20,7 +20,7 @@ namespace psens {
 ///
 /// Choose walks the quality ladder downward from the configured ceiling
 ///
-///   lazy/eager -> stochastic -> sieve
+///   lazy/eager -> sieve
 ///
 /// and returns the first engine whose predicted cost fits inside a
 /// safety-factored share of the remaining budget (slo_ms - turnover_ms).
@@ -66,9 +66,9 @@ class AdaptivePolicy {
   double slo_ms() const { return slo_ms_; }
   GreedyEngine ceiling() const { return ceiling_; }
 
-  /// The feature->work mapping per engine: full-sweep engines (eager,
-  /// lazy, stochastic) scale with members x queries; the sieve's delta
-  /// path scales with (churn + 1) x queries, independent of population.
+  /// The feature->work mapping per engine: the full-sweep engines (eager,
+  /// lazy) scale with members x queries; the sieve's delta path scales
+  /// with (churn + 1) x queries, independent of population.
   static double WorkUnits(GreedyEngine engine, const SlotFeatures& features);
 
   /// Fraction of the remaining budget a prediction must fit inside —
@@ -78,6 +78,7 @@ class AdaptivePolicy {
   static constexpr double kAlpha = 0.4;
 
  private:
+  /// Indexed by the GreedyEngine value (kSieve = 3; slot 2 stays unused).
   static constexpr int kNumEngines = 4;
 
   double slo_ms_;

@@ -18,10 +18,11 @@ namespace psens {
 /// by exactly one validated value, consumed by `MakeServingEngine`.
 ///
 /// Every knob preserves the bit-identical-results discipline: for a
-/// fixed input stream, `threads`, `index_policy`/`index_auto_threshold`,
-/// and `incremental` change wall-clock only — selections, payments, and
+/// fixed input stream, `index_policy`/`index_auto_threshold` and
+/// `incremental` change wall-clock only — selections, payments, and
 /// valuation-call counts are bitwise invariant
-/// (tests/streaming_equivalence_test.cc).
+/// (tests/streaming_equivalence_test.cc). Selection runs on the calling
+/// thread.
 struct ServingConfig {
   /// Working region filtering slot membership (same role as the
   /// `working_region` argument of BuildSlotContext).
@@ -38,19 +39,11 @@ struct ServingConfig {
   /// produce bit-identical slot contexts, selections, and payments
   /// (tests/streaming_equivalence_test.cc).
   bool incremental = true;
-  /// Intra-slot parallel selection workers (BeginSlot attaches an
-  /// engine-owned ThreadPool to SlotContext::pool, which the greedy
-  /// engines use to shard each round's valuation batch). 1 (default) =
-  /// serial, no pool; 0 = hardware concurrency; N > 1 = that many
-  /// workers. Selections, payments, and ValuationCalls() are bit-identical
-  /// for every value — the knob only buys wall-clock
-  /// (bench/fig12_streaming --threads).
-  int threads = 1;
   /// Approximate-scheduler knobs, stamped onto every slot context.
   /// BeginSlot derives the per-slot RNG stream from (approx.seed, time)
-  /// unless approx.slot_seed pins it, so an approximate selection re-run
-  /// for the same slot — incremental or rebuild mode, any thread count —
-  /// is reproducible (core/stochastic_greedy.h).
+  /// unless approx.slot_seed pins it, so a sieve selection re-run for the
+  /// same slot — incremental or rebuild mode — is reproducible
+  /// (ApproxSlotSeed, core/slot.h).
   ApproxParams approx;
   /// When non-empty, the serving engine records its input stream — every
   /// ApplyDelta/ApplyTrace change and every BeginSlot with its stamped
@@ -66,7 +59,7 @@ struct ServingConfig {
   /// `scheduler` runs every slot exactly as configured. > 0:
   /// AcquisitionEngine::Select consults an AdaptivePolicy
   /// each slot, treating `scheduler` as the quality *ceiling* and
-  /// degrading down the ladder (lazy -> stochastic -> sieve) when the
+  /// degrading down the ladder (lazy -> sieve) when the
   /// policy's per-engine cost model predicts the ceiling would blow the
   /// remaining budget (slo_ms minus the slot's measured turnover time).
   /// Chosen engines are recorded per slot in version-2 traces, so an
@@ -76,7 +69,7 @@ struct ServingConfig {
   double slo_ms = 0.0;
 
   // Builder-style setters, so call sites can assemble a config in one
-  // expression (`ServingConfig().WithRegion(field).WithThreads(4)`).
+  // expression (`ServingConfig().WithRegion(field).WithDmax(8.0)`).
   ServingConfig& WithRegion(const Rect& region) {
     working_region = region;
     return *this;
@@ -99,10 +92,6 @@ struct ServingConfig {
   }
   ServingConfig& WithIncremental(bool on) {
     incremental = on;
-    return *this;
-  }
-  ServingConfig& WithThreads(int n) {
-    threads = n;
     return *this;
   }
   ServingConfig& WithApprox(const ApproxParams& params) {

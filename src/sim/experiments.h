@@ -81,14 +81,11 @@ struct AggregateExperimentConfig {
   /// Same contract as PointExperimentConfig::parallelism.
   int parallelism = 0;
   /// The serving stack for the Algorithm 1 selection: `scheduler` picks
-  /// the engine (kStochastic / kSieve run the approximate schedulers,
-  /// configured by `serving.approx`), `index_policy` the slot index
-  /// (same contract as PointExperimentConfig::index_policy), `threads`
-  /// the *intra-slot* parallel-selection workers (each greedy round's
-  /// valuation batch is sharded inside the slot; composes with
-  /// `parallelism` above — prefer one axis, not both). The working region
-  /// and dmax are stamped from this config's own fields by the runner.
-  /// Results are bit-identical across thread and index choices.
+  /// the engine (kSieve runs the approximate scheduler, configured by
+  /// `serving.approx`), `index_policy` the slot index (same contract as
+  /// PointExperimentConfig::index_policy). The working region and dmax
+  /// are stamped from this config's own fields by the runner. Results are
+  /// bit-identical across `parallelism` and index choices.
   ServingConfig serving;
 };
 
@@ -177,7 +174,7 @@ struct QueryMixExperimentConfig {
   uint64_t seed = 123;
   /// Serving stack for the Algorithm 1 selection inside Algorithm 5 —
   /// same contract as AggregateExperimentConfig::serving (scheduler,
-  /// approx knobs, index policy, intra-slot threads).
+  /// approx knobs, index policy).
   ServingConfig serving;
 };
 

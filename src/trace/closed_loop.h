@@ -54,7 +54,7 @@ class ChurnWorkload {
 struct ClosedLoopConfig {
   int slots = 20;
   ChurnQueryConfig queries;
-  /// The serving stack (scheduler, threads, index policy, approx knobs,
+  /// The serving stack (scheduler, index policy, approx knobs,
   /// trace recording, readings feedback). working_region and dmax
   /// are stamped from the scenario setup by RunChurnClosedLoop. The
   /// approx seed keeps the closed loop's historical default of 123

@@ -9,6 +9,11 @@
 namespace psens {
 namespace {
 
+/// The engine-choice value version-2 traces used for stochastic greedy
+/// before that engine was removed. Decode refuses it by name: serving the
+/// slot with another engine would silently diverge from the recording.
+constexpr int32_t kRemovedStochasticEngine = 2;
+
 // ---------------------------------------------------------------------------
 // Little-endian primitive encoding. memcpy through fixed-width integers
 // keeps every access aligned and UB-free; on big-endian hosts the byte
@@ -465,6 +470,11 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     for (GreedyEngine& e : record->engine_choices) {
       int32_t raw = 0;
       c.GetI32(&raw);
+      if (raw == kRemovedStochasticEngine) {
+        *error = "engine choice 2 names the stochastic-greedy engine, which "
+                 "was removed; this trace cannot be replayed";
+        return false;
+      }
       if (raw < static_cast<int32_t>(GreedyEngine::kLazy) ||
           raw > static_cast<int32_t>(GreedyEngine::kSieve)) {
         *error = "corrupt slot record: engine choice " + std::to_string(raw) +

@@ -42,9 +42,15 @@ namespace psens {
 /// Version 2 (kTraceVersionAdaptive) appends the per-slot engine-choice
 /// section so an adaptively scheduled run (ServingConfig::slo_ms) can be
 /// replayed bit-identically: live, the choice depends on wall-clock cost
-/// observations; replayed, the recorded choice is pinned. Non-adaptive
-/// runs keep recording version 1, whose bytes are unchanged (the golden
-/// v1 fixture still pins them).
+/// observations; replayed, the recorded choice is pinned. An engine
+/// choice is the GreedyEngine value (0 lazy, 1 eager, 3 sieve); decode
+/// refuses 2, the removed stochastic-greedy engine. Non-adaptive runs
+/// keep recording version 1, whose bytes are unchanged (the golden v1
+/// fixture still pins them).
+///
+/// The header's min_sample and sample_hint fields sized the removed
+/// stochastic-greedy engine's samples. They stay in the layout, are
+/// written as 32 and 0, and are ignored on read.
 ///
 /// `slot_count` is written as kSlotCountOpen while the writer is live and
 /// patched by Finish(); a reader seeing kSlotCountOpen knows the trace
@@ -74,6 +80,7 @@ struct TraceHeader {
   /// *effective* per-slot seed is recorded on every slot record instead).
   uint64_t approx_seed = 0;
   double epsilon = 0.1;
+  /// Format fields only: written as these defaults, ignored on read.
   int32_t min_sample = 32;
   int32_t sample_hint = 0;
 };
@@ -83,8 +90,8 @@ struct TraceSlotRecord {
   int32_t time = 0;
   /// The ApproxSlotSeed the recording engine stamped onto the slot
   /// context. Replay pins it (AcquisitionEngine::PinNextSlotSeed), so a
-  /// stochastic run reproduces even when the replaying config carries a
-  /// different base seed.
+  /// sieve run's exploration sample reproduces even when the replaying
+  /// config carries a different base seed.
   uint64_t slot_seed = 0;
   SensorDelta delta;
   std::vector<PointQuery> point_queries;

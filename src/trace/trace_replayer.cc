@@ -112,9 +112,14 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
   scfg.working_region = header.working_region;
   scfg.dmax = header.dmax;
   scfg.approx.epsilon = header.epsilon;
-  scfg.approx.min_sample = header.min_sample;
-  scfg.approx.sample_hint = header.sample_hint;
   if (!config_.override_approx_seed) scfg.approx.seed = header.approx_seed;
+  // The header passed TraceFile::Load's layout checks, not the serving
+  // config's rules; MakeServingEngine aborts on a config they refuse.
+  const std::string problem = scfg.Validate();
+  if (!problem.empty()) {
+    result.error = "trace header: " + problem;
+    return result;
+  }
   std::unique_ptr<ServingEngine> engine = MakeServingEngine(registry, scfg);
   SlotServer server(engine.get());
   server.set_monitors(monitors);

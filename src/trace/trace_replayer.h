@@ -26,11 +26,10 @@ struct ReplayConfig {
   /// the replaying engine derives seeds from its own base seed — the
   /// knob the seed-persistence regression test flips.
   bool pin_slot_seeds = true;
-  /// Serving stack for the replaying engine (scheduler, threads,
-  /// incremental mode, readings feedback). The working region, dmax, and
-  /// the approx epsilon/min_sample/sample_hint always come from the
-  /// trace header; the base approx seed does too unless
-  /// override_approx_seed imposes serving.approx.seed instead (see
+  /// Serving stack for the replaying engine (scheduler, incremental mode,
+  /// readings feedback). The working region, dmax, and the approx epsilon
+  /// always come from the trace header; the base approx seed does too
+  /// unless override_approx_seed imposes serving.approx.seed instead (see
   /// pin_slot_seeds).
   ServingConfig serving;
   bool override_approx_seed = false;
@@ -49,10 +48,12 @@ struct ReplayResult {
 /// trace, refuses a registry whose checksum differs from the recorded
 /// one, then serves every slot record (delta + query batch, recorded
 /// per-slot approx seed and adaptive engine choice pinned) through the
-/// same SlotServer the live loop used. A version-2 record carrying more
-/// than one engine choice (written by the removed per-shard scheduler
-/// passes) is refused with an error naming the slot. Monitors attach to
-/// replays exactly as to live runs.
+/// same SlotServer the live loop used. A header whose dmax, region or
+/// epsilon the serving config refuses (ServingConfig::Validate) returns
+/// that message in ReplayResult::error before any engine is built. A
+/// version-2 record carrying more than one engine choice (written by the
+/// removed per-shard scheduler passes) is refused with an error naming
+/// the slot. Monitors attach to replays exactly as to live runs.
 class TraceReplayer {
  public:
   explicit TraceReplayer(const ReplayConfig& config);

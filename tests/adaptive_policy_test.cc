@@ -40,7 +40,6 @@ TEST(AdaptivePolicyTest, ChoiceIsDeterministicGivenObservationHistory) {
   // is the property the trace-pinned replay path rests on.
   const auto feed = [](AdaptivePolicy& p) {
     p.Observe(GreedyEngine::kLazy, Features{1000, 10, 20}, 8.0);
-    p.Observe(GreedyEngine::kStochastic, Features{1000, 10, 20}, 5.0);
     p.Observe(GreedyEngine::kSieve, Features{1000, 10, 20}, 0.5);
     p.Observe(GreedyEngine::kLazy, Features{2000, 30, 40}, 21.0);
   };
@@ -60,17 +59,24 @@ TEST(AdaptivePolicyTest, ChoiceIsDeterministicGivenObservationHistory) {
 TEST(AdaptivePolicyTest, UnobservedEngineGetsOneOptimisticTrial) {
   // Each ladder rung is trialed once before its predicted cost can
   // disqualify it — otherwise an engine could never be costed at all.
-  AdaptivePolicy p(1.0, GreedyEngine::kLazy);
+  // The ladder has two rungs: the ceiling (lazy or eager), then the
+  // sieve.
   const Features f{4000, 40, 32};
-  EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kLazy);
-  p.Observe(GreedyEngine::kLazy, f, 50.0);  // 50 ms against a 1 ms SLO
-  EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kStochastic);
-  p.Observe(GreedyEngine::kStochastic, f, 30.0);
-  EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
-  // The floor runs even once it is known to blow the budget: the SLO
-  // degrades quality, never correctness.
-  p.Observe(GreedyEngine::kSieve, f, 20.0);
-  EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
+  for (GreedyEngine ceiling : {GreedyEngine::kLazy, GreedyEngine::kEager}) {
+    AdaptivePolicy p(1.0, ceiling);
+    EXPECT_EQ(p.Choose(f, 0.0), ceiling);
+    p.Observe(ceiling, f, 50.0);  // 50 ms against a 1 ms SLO
+    EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
+    // The floor runs even once it is known to blow the budget: the SLO
+    // degrades quality, never correctness.
+    p.Observe(GreedyEngine::kSieve, f, 20.0);
+    EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
+  }
+  // A sieve ceiling is a one-rung ladder.
+  AdaptivePolicy sieve_only(1.0, GreedyEngine::kSieve);
+  EXPECT_EQ(sieve_only.Choose(f, 0.0), GreedyEngine::kSieve);
+  sieve_only.Observe(GreedyEngine::kSieve, f, 20.0);
+  EXPECT_EQ(sieve_only.Choose(f, 0.0), GreedyEngine::kSieve);
 }
 
 TEST(AdaptivePolicyTest, DegradesUnderSpikeAndRecovers) {
@@ -78,13 +84,11 @@ TEST(AdaptivePolicyTest, DegradesUnderSpikeAndRecovers) {
   const Features base{1000, 10, 16};
   const Features spike{1000, 10, 96};  // 6x query fan-out
   p.Observe(GreedyEngine::kLazy, base, 4.0);
-  p.Observe(GreedyEngine::kStochastic, base, 3.0);
   p.Observe(GreedyEngine::kSieve, base, 0.2);
   // Base load: lazy fits (4 ms <= 0.9 * 10 ms).
   EXPECT_EQ(p.Choose(base, 0.0), GreedyEngine::kLazy);
-  // Spike: the full-sweep engines' predicted cost scales with the 6x
-  // query count past the budget; the sieve's churn-scaled cost still
-  // fits.
+  // Spike: lazy's predicted cost scales with the 6x query count past
+  // the budget; the sieve's churn-scaled cost still fits.
   EXPECT_EQ(p.Choose(spike, 0.0), GreedyEngine::kSieve);
   // Turnover spends the same budget selection has to fit into.
   EXPECT_EQ(p.Choose(base, 9.9), GreedyEngine::kSieve);
@@ -203,7 +207,7 @@ TEST(AdaptiveTraceTest, StaticRunStillRecordsVersion1) {
 }
 
 TEST(AdaptiveTraceTest, ReplayReproducesAdaptiveRunBitForBit) {
-  // A tight SLO walks the ladder (trial, trial, floor) mid-run; a
+  // A tight SLO walks the ladder (trial, floor) mid-run; a
   // generous one never degrades. Either way the recorded choices pin the
   // replay to the live schedule — through a replayer whose own engine is
   // static (slo_ms == 0), since choices are replayed, not re-derived.
@@ -225,8 +229,9 @@ TEST(AdaptiveTraceTest, ReplayReproducesAdaptiveRunBitForBit) {
 }
 
 TEST(AdaptiveTraceTest, TightSloDegradesToTheSieveFloor) {
-  // With a microsecond SLO every engine over-budgets after its one
-  // optimistic trial, so the run must settle on the sieve.
+  // With a microsecond SLO lazy over-budgets after its one optimistic
+  // trial, so the run must settle on the sieve. The ladder has no rung
+  // between them: every recorded choice is one of the two.
   const ChurnScenarioSetup setup = MakeSetup();
   const std::string path = TracePath("adaptive_tight.trc");
   RunChurnClosedLoop(setup, MakeAdaptiveLoopConfig(1e-3, path));
@@ -235,9 +240,13 @@ TEST(AdaptiveTraceTest, TightSloDegradesToTheSieveFloor) {
   std::string error;
   ASSERT_TRUE(trace.Load(path, &error)) << error;
   TraceSlotRecord record;
-  ASSERT_TRUE(
-      trace.DecodeSlot(trace.num_slots() - 1, &record, &error))
-      << error;
+  for (int i = 0; i < trace.num_slots(); ++i) {
+    ASSERT_TRUE(trace.DecodeSlot(i, &record, &error)) << error;
+    for (GreedyEngine e : record.engine_choices) {
+      EXPECT_TRUE(e == GreedyEngine::kLazy || e == GreedyEngine::kSieve)
+          << "slot " << i << " chose engine " << static_cast<int>(e);
+    }
+  }
   ASSERT_EQ(record.engine_choices.size(), 1u);
   EXPECT_EQ(record.engine_choices[0], GreedyEngine::kSieve);
   std::remove(path.c_str());

@@ -1,9 +1,9 @@
-// Tests of the approximate schedulers (src/core/stochastic_greedy.h,
-// src/core/sieve_streaming.h): guarantee-band checks against the exact
-// engines on seeded submodular instances, sieve bucket-state correctness
-// across churn slots, determinism under a fixed seed at 1/4/8 worker
-// threads, and the Theorem 1 payment properties both engines inherit from
-// Algorithm 1's proportional commit rule.
+// Tests of the approximate scheduler (src/core/sieve_streaming.h):
+// guarantee-band checks against the exact engines on seeded submodular
+// instances, sieve bucket-state correctness across churn slots,
+// determinism under a fixed seed, the per-slot seed derivation its
+// exploration sample draws from, and the Theorem 1 payment properties it
+// inherits from Algorithm 1's proportional commit rule.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +12,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
 #include "core/multi_query.h"
 #include "core/sieve_streaming.h"
-#include "core/stochastic_greedy.h"
 #include "engine/acquisition_engine.h"
 #include "mobility/random_waypoint.h"
 #include "sim/experiments.h"
@@ -85,25 +83,6 @@ EngineRun RunEngine(const SlotContext& slot, int num_queries, uint64_t seed,
 // Guarantee band
 // ---------------------------------------------------------------------------
 
-TEST(StochasticGreedyTest, UtilityWithinGuaranteeBandOfExact) {
-  // On monotone submodular instances the stochastic engine's expected
-  // utility is at least (1 - 1/e - epsilon) of exact greedy's; these
-  // seeded instances must clear that band deterministically.
-  const double epsilon = 0.1;
-  const double band = 1.0 - 1.0 / 2.718281828459045 - epsilon;
-  for (int trial = 0; trial < 12; ++trial) {
-    SlotContext slot = MakeUniformThetaSlot(60, 500 + trial);
-    slot.approx.epsilon = epsilon;
-    const EngineRun exact =
-        RunEngine(slot, 10, 900 + trial, GreedyEngine::kEager);
-    const EngineRun stochastic =
-        RunEngine(slot, 10, 900 + trial, GreedyEngine::kStochastic);
-    ASSERT_GT(exact.result.Utility(), 0.0) << "degenerate trial " << trial;
-    EXPECT_GE(stochastic.result.Utility(), band * exact.result.Utility())
-        << "trial " << trial;
-  }
-}
-
 TEST(SieveStreamingTest, UtilityWithinBandOfExact) {
   // Sieve streaming carries a (1/2 - epsilon) worst-case factor; the
   // floor bucket (single-pass accept-any-positive greedy) keeps seeded
@@ -122,40 +101,29 @@ TEST(SieveStreamingTest, UtilityWithinBandOfExact) {
 
 TEST(ApproxSchedulerTest, PaymentsCoverCostAndIndividualRationalityHolds) {
   // Theorem 1 properties depend only on committing positive-net sensors
-  // with proportional payments, which both approximate engines share.
-  for (GreedyEngine engine :
-       {GreedyEngine::kStochastic, GreedyEngine::kSieve}) {
-    for (int trial = 0; trial < 6; ++trial) {
-      const SlotContext slot = MakeUniformThetaSlot(40, 300 + trial);
-      auto queries = MakeCoverageQueries(slot, 8, 400 + trial);
-      std::vector<MultiQuery*> ptrs;
-      for (auto& q : queries) ptrs.push_back(q.get());
-      const SelectionResult result =
-          GreedySensorSelection(ptrs, slot, nullptr, engine);
-      if (!result.selected_sensors.empty()) {
-        EXPECT_GT(result.Utility(), 0.0);
-      }
-      double total_payment = 0.0;
-      for (const auto& q : queries) {
-        EXPECT_GE(q->CurrentValue() + 1e-9, q->TotalPayment());
-        total_payment += q->TotalPayment();
-      }
-      EXPECT_NEAR(total_payment, result.total_cost, 1e-6);
+  // with proportional payments, which the sieve shares with the exact
+  // engines.
+  for (int trial = 0; trial < 6; ++trial) {
+    const SlotContext slot = MakeUniformThetaSlot(40, 300 + trial);
+    auto queries = MakeCoverageQueries(slot, 8, 400 + trial);
+    std::vector<MultiQuery*> ptrs;
+    for (auto& q : queries) ptrs.push_back(q.get());
+    const SelectionResult result =
+        GreedySensorSelection(ptrs, slot, nullptr, GreedyEngine::kSieve);
+    if (!result.selected_sensors.empty()) {
+      EXPECT_GT(result.Utility(), 0.0);
     }
+    double total_payment = 0.0;
+    for (const auto& q : queries) {
+      EXPECT_GE(q->CurrentValue() + 1e-9, q->TotalPayment());
+      total_payment += q->TotalPayment();
+    }
+    EXPECT_NEAR(total_payment, result.total_cost, 1e-6);
   }
 }
 
-TEST(StochasticGreedyTest, EvaluatesFarFewerCandidatesThanEagerOnLargeSlots) {
-  const SlotContext slot = MakeUniformThetaSlot(400, 42);
-  const EngineRun exact = RunEngine(slot, 12, 43, GreedyEngine::kEager);
-  const EngineRun stochastic =
-      RunEngine(slot, 12, 43, GreedyEngine::kStochastic);
-  EXPECT_LT(stochastic.result.valuation_calls,
-            exact.result.valuation_calls / 2);
-}
-
 // ---------------------------------------------------------------------------
-// Determinism: fixed seed, any thread count, reproducible sample stream
+// Determinism: fixed seed, reproducible sample stream
 // ---------------------------------------------------------------------------
 
 void ExpectSameRun(const EngineRun& a, const EngineRun& b,
@@ -171,25 +139,16 @@ void ExpectSameRun(const EngineRun& a, const EngineRun& b,
   }
 }
 
-TEST(ApproxSchedulerTest, DeterministicUnderFixedSeedAtOneFourEightThreads) {
-  for (GreedyEngine engine :
-       {GreedyEngine::kStochastic, GreedyEngine::kSieve}) {
-    SlotContext slot = MakeUniformThetaSlot(120, 77);
-    slot.approx.seed = 2024;
-    const EngineRun serial = RunEngine(slot, 12, 88, engine);
-    for (int threads : {4, 8}) {
-      ThreadPool pool(threads);
-      slot.pool = &pool;
-      const EngineRun parallel = RunEngine(slot, 12, 88, engine);
-      ExpectSameRun(serial, parallel,
-                    engine == GreedyEngine::kStochastic ? "stochastic"
-                                                        : "sieve");
-    }
-    slot.pool = nullptr;
-  }
+TEST(ApproxSchedulerTest, DeterministicUnderFixedSeed) {
+  SlotContext slot = MakeUniformThetaSlot(120, 77);
+  slot.approx.seed = 2024;
+  const EngineRun first = RunEngine(slot, 12, 88, GreedyEngine::kSieve);
+  const EngineRun again = RunEngine(slot, 12, 88, GreedyEngine::kSieve);
+  ASSERT_FALSE(first.result.selected_sensors.empty());
+  ExpectSameRun(first, again, "sieve");
 }
 
-TEST(StochasticGreedyTest, SlotSeedDerivationIsStableAndPinnable) {
+TEST(ApproxSchedulerTest, SlotSeedDerivationIsStableAndPinnable) {
   ApproxParams params;
   params.seed = 7;
   const uint64_t s5 = ApproxSlotSeed(params, 5);
@@ -197,15 +156,12 @@ TEST(StochasticGreedyTest, SlotSeedDerivationIsStableAndPinnable) {
   EXPECT_NE(s5, ApproxSlotSeed(params, 6));
   params.slot_seed = 1234;
   EXPECT_EQ(ApproxSlotSeed(params, 5), 1234u);
-
-  // Same slot, same seed: identical selection. Different slot time:
-  // an independent sample stream (the selections may or may not differ,
-  // but the derivation must be reproducible for each).
-  SlotContext slot = MakeUniformThetaSlot(80, 11);
-  slot.approx.seed = 99;
-  const EngineRun a = RunEngine(slot, 8, 12, GreedyEngine::kStochastic);
-  const EngineRun b = RunEngine(slot, 8, 12, GreedyEngine::kStochastic);
-  ExpectSameRun(a, b, "same slot seed");
+  // Pinned values: traces record these seeds, so the derivation's bits
+  // are part of the replay contract.
+  ApproxParams pinned;
+  pinned.seed = 7;
+  EXPECT_EQ(ApproxSlotSeed(pinned, 5), 4601199455465548305ULL);
+  EXPECT_EQ(ApproxSlotSeed(ApproxParams{}, 0), 17269573165356586466ULL);
 }
 
 TEST(ApproxSchedulerTest, EngineStampsDerivedSlotSeedInBothModes) {
@@ -374,10 +330,10 @@ TEST(SieveStreamingTest, SelectDeltaMatchesSelectArrivals) {
 
 TEST(ApproxSchedulerTest, ExperimentPlumbingDrivesApproxEngines) {
   // The sim-layer path: AggregateExperimentConfig::serving.scheduler
-  // selects the approximate schedulers and serving.approx reaches the
+  // selects the approximate scheduler and serving.approx reaches the
   // slot contexts through the engine. A run must complete, answer
-  // queries, and — for the seeded stochastic engine — be exactly
-  // repeatable.
+  // queries, and — the sieve's exploration sample being seeded — be
+  // exactly repeatable.
   RandomWaypointConfig rwm;
   rwm.num_sensors = 60;
   rwm.num_slots = 4;
@@ -396,17 +352,12 @@ TEST(ApproxSchedulerTest, ExperimentPlumbingDrivesApproxEngines) {
   const ExperimentResult exact = RunAggregateExperiment(config);
   ASSERT_GT(exact.avg_utility, 0.0);
 
-  config.serving.scheduler = GreedyEngine::kStochastic;
-  const ExperimentResult stochastic_a = RunAggregateExperiment(config);
-  const ExperimentResult stochastic_b = RunAggregateExperiment(config);
-  EXPECT_GT(stochastic_a.avg_utility, 0.0);
-  EXPECT_EQ(stochastic_a.avg_utility, stochastic_b.avg_utility)
-      << "seeded stochastic run not repeatable";
-  EXPECT_GE(stochastic_a.avg_utility, 0.4 * exact.avg_utility);
-
   config.serving.scheduler = GreedyEngine::kSieve;
   const ExperimentResult sieve = RunAggregateExperiment(config);
+  const ExperimentResult sieve_again = RunAggregateExperiment(config);
   EXPECT_GT(sieve.avg_utility, 0.0);
+  EXPECT_EQ(sieve.avg_utility, sieve_again.avg_utility)
+      << "seeded sieve run not repeatable";
 }
 
 TEST(ApproxSchedulerTest, EmptySlotAndEmptyQueriesAreNoOps) {
@@ -416,22 +367,16 @@ TEST(ApproxSchedulerTest, EmptySlotAndEmptyQueriesAreNoOps) {
   auto queries = MakeCoverageQueries(empty_slot, 2, 3);
   std::vector<MultiQuery*> ptrs;
   for (auto& q : queries) ptrs.push_back(q.get());
-  for (GreedyEngine engine :
-       {GreedyEngine::kStochastic, GreedyEngine::kSieve}) {
-    const SelectionResult no_sensors =
-        GreedySensorSelection(ptrs, empty_slot, nullptr, engine);
-    EXPECT_TRUE(no_sensors.selected_sensors.empty());
-  }
+  const SelectionResult no_sensors =
+      GreedySensorSelection(ptrs, empty_slot, nullptr, GreedyEngine::kSieve);
+  EXPECT_TRUE(no_sensors.selected_sensors.empty());
 
   const SlotContext slot = MakeUniformThetaSlot(5, 4);
   std::vector<MultiQuery*> none;
-  for (GreedyEngine engine :
-       {GreedyEngine::kStochastic, GreedyEngine::kSieve}) {
-    const SelectionResult no_queries =
-        GreedySensorSelection(none, slot, nullptr, engine);
-    EXPECT_TRUE(no_queries.selected_sensors.empty());
-    EXPECT_EQ(no_queries.valuation_calls, 0);
-  }
+  const SelectionResult no_queries =
+      GreedySensorSelection(none, slot, nullptr, GreedyEngine::kSieve);
+  EXPECT_TRUE(no_queries.selected_sensors.empty());
+  EXPECT_EQ(no_queries.valuation_calls, 0);
 }
 
 }  // namespace

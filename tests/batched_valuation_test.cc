@@ -461,7 +461,6 @@ TEST(ScratchHygieneTest, PoisonedArenaMatchesOwnedBuffersForEveryEngine) {
     const char* label;
   } engines[] = {{GreedyEngine::kLazy, "lazy"},
                  {GreedyEngine::kEager, "eager"},
-                 {GreedyEngine::kStochastic, "stochastic"},
                  {GreedyEngine::kSieve, "sieve"}};
   for (const auto& e : engines) {
     PoisonArena(&arena);
@@ -552,7 +551,7 @@ TEST(ScratchHygieneTest, NonCandidatesGetNoQueriesAndNetMinusCost) {
   const CandidatePlan plan = BuildCandidatePlan(batch.all, n, &arena);
   const CandidatePlan owned_plan = BuildCandidatePlan(batch.all, n, nullptr);
   ASSERT_TRUE(plan.active);
-  NetEvaluator evaluator(batch.all, plan, poisoned, nullptr, nullptr);
+  NetEvaluator evaluator(batch.all, plan, poisoned, nullptr);
 
   // Every other sensor, so the eval set mixes candidates (the left part)
   // and non-candidates (the right part) in ascending order.

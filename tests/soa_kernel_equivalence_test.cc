@@ -149,9 +149,8 @@ TEST(SoaKernelEquivalenceTest, AllEnginesMatchScalarUnderChurn) {
   Rng churn_rng(5);
 
   const GreedyEngine engines[] = {GreedyEngine::kEager, GreedyEngine::kLazy,
-                                  GreedyEngine::kStochastic,
                                   GreedyEngine::kSieve};
-  const char* labels[] = {"eager", "lazy", "stochastic", "sieve"};
+  const char* labels[] = {"eager", "lazy", "sieve"};
   for (int t = 0; t < 8; ++t) {
     engine.ApplyDelta(stream.Next(churn_rng));
     const SlotContext& slot = engine.BeginSlot(t);
@@ -166,7 +165,7 @@ TEST(SoaKernelEquivalenceTest, AllEnginesMatchScalarUnderChurn) {
     scalar.use_soa = false;
     scalar.arena = nullptr;
 
-    for (size_t e = 0; e < 4; ++e) {
+    for (size_t e = 0; e < std::size(engines); ++e) {
       const uint64_t seed = 900 + static_cast<uint64_t>(t);
       const Outcome soa = RunMixedSelection(slot, field, engines[e], seed);
       const Outcome aos = RunMixedSelection(scalar, field, engines[e], seed);

@@ -246,207 +246,6 @@ TEST(StreamingEquivalenceTest, GreedyEnginesMatchIncludingValuationCalls) {
   }
 }
 
-/// One joint greedy selection over aggregate + point queries on `slot`;
-/// returns everything an observer can see (selection sequence, totals,
-/// per-query payments/values, per-query ValuationCalls).
-struct JointRun {
-  SelectionResult selection;
-  std::vector<double> payments;
-  std::vector<double> values;
-  std::vector<int64_t> calls;
-};
-
-JointRun RunJointSelection(const SlotContext& slot, const Rect& field,
-                           GreedyEngine engine, uint64_t seed) {
-  Rng query_rng(seed);
-  const std::vector<AggregateQuery::Params> agg_params =
-      GenerateAggregateQueries(6, field, 8.0, 15.0, 100, query_rng);
-  const std::vector<PointQuery> point_specs = GeneratePointQueries(
-      40, field, BudgetScheme{15.0, false, 0.0}, 0.2, 500, query_rng);
-  std::vector<std::unique_ptr<AggregateQuery>> aggregates;
-  std::vector<std::unique_ptr<PointMultiQuery>> points;
-  std::vector<MultiQuery*> all;
-  for (const AggregateQuery::Params& p : agg_params) {
-    aggregates.push_back(std::make_unique<AggregateQuery>(p, slot));
-    all.push_back(aggregates.back().get());
-  }
-  for (const PointQuery& p : point_specs) {
-    points.push_back(std::make_unique<PointMultiQuery>(p, &slot));
-    all.push_back(points.back().get());
-  }
-  JointRun run;
-  run.selection = GreedySensorSelection(all, slot, nullptr, engine);
-  for (const MultiQuery* q : all) {
-    run.payments.push_back(q->TotalPayment());
-    run.values.push_back(q->CurrentValue());
-    run.calls.push_back(q->ValuationCalls());
-  }
-  return run;
-}
-
-// Intra-slot parallel selection (SlotContext::pool, ServingConfig::threads)
-// must be bit-identical to the serial path for both greedy engines: same
-// selection sequence, payments, values, and per-query ValuationCalls()
-// totals at 1, 4, and 8 worker threads.
-TEST(StreamingEquivalenceTest, ParallelSelectionMatchesSerialAcrossThreadCounts) {
-  const int count = 700;
-  const Rect field{0, 0, 60, 60};
-  ClusteredPopulationConfig config;
-  config.count = count;
-  config.num_clusters = 6;
-  config.cluster_sigma = 5.0;
-  Rng rng(41);
-  const ScaleScenario scenario = GenerateClusteredSensors(config, field, rng);
-
-  for (GreedyEngine engine : {GreedyEngine::kEager, GreedyEngine::kLazy}) {
-    // Serial reference: engine without a pool (threads = 1).
-    ServingConfig serial_config = MakeConfig(field, 8.0, true);
-    AcquisitionEngine serial_engine(scenario.sensors, serial_config);
-    const SlotContext& serial_slot = serial_engine.BeginSlot(0);
-    ASSERT_EQ(serial_slot.pool, nullptr);
-    const JointRun reference = RunJointSelection(serial_slot, field, engine, 77);
-
-    for (int threads : {1, 4, 8}) {
-      ServingConfig parallel_config = MakeConfig(field, 8.0, true);
-      parallel_config.threads = threads;
-      AcquisitionEngine parallel_engine(scenario.sensors, parallel_config);
-      const SlotContext& parallel_slot = parallel_engine.BeginSlot(0);
-      if (threads > 1) {
-        ASSERT_NE(parallel_slot.pool, nullptr);
-      }
-      const JointRun run = RunJointSelection(parallel_slot, field, engine, 77);
-      ASSERT_EQ(run.selection.selected_sensors,
-                reference.selection.selected_sensors)
-          << threads << " threads";
-      ASSERT_EQ(run.selection.total_value, reference.selection.total_value)
-          << threads << " threads";
-      ASSERT_EQ(run.selection.total_cost, reference.selection.total_cost)
-          << threads << " threads";
-      ASSERT_EQ(run.selection.valuation_calls,
-                reference.selection.valuation_calls)
-          << threads << " threads";
-      ASSERT_EQ(run.payments, reference.payments) << threads << " threads";
-      ASSERT_EQ(run.values, reference.values) << threads << " threads";
-      ASSERT_EQ(run.calls, reference.calls) << threads << " threads";
-    }
-  }
-}
-
-// Forces the one remaining concurrency path the mixed suites above never
-// reach: the CELF stale-front re-evaluation's sharded per-query delta
-// batch, which only arms when a single sensor interests >= 256 queries.
-// A dense plan (unindexed slot, so PointMultiQuery exposes no candidate
-// list) with 300 queries makes every sensor interest every query; the
-// parallel run must match the serial run bit for bit, ValuationCalls
-// included.
-TEST(StreamingEquivalenceTest, ParallelStaleFrontBatchMatchesSerialOnDensePlans) {
-  const Rect field{0, 0, 40, 40};
-  const int num_sensors = 90;
-  const int num_queries = 300;  // above the sharding threshold
-
-  const auto run = [&](int threads) {
-    Rng rng(61);
-    SensorPopulationConfig population;
-    population.count = num_sensors;
-    std::vector<Sensor> sensors = GenerateSensors(population, rng);
-    for (Sensor& s : sensors) {
-      s.SetPosition(Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)}, true);
-    }
-    ServingConfig config = MakeConfig(field, 8.0, true);
-    config.index_policy = SlotIndexPolicy::kNone;  // dense candidate plan
-    config.threads = threads;
-    AcquisitionEngine engine(sensors, config);
-    const SlotContext& slot = engine.BeginSlot(0);
-    EXPECT_EQ(slot.index, nullptr);
-
-    Rng query_rng(62);
-    const std::vector<PointQuery> specs = GeneratePointQueries(
-        num_queries, field, BudgetScheme{15.0, false, 0.0}, 0.2, 0, query_rng);
-    std::vector<std::unique_ptr<PointMultiQuery>> queries;
-    std::vector<MultiQuery*> ptrs;
-    for (const PointQuery& q : specs) {
-      queries.push_back(std::make_unique<PointMultiQuery>(q, &slot));
-      ptrs.push_back(queries.back().get());
-    }
-    JointRun result;
-    // The lazy engine is the one with stale-front re-evaluations.
-    result.selection = GreedySensorSelection(ptrs, slot, nullptr, GreedyEngine::kLazy);
-    for (const MultiQuery* q : ptrs) {
-      result.payments.push_back(q->TotalPayment());
-      result.values.push_back(q->CurrentValue());
-      result.calls.push_back(q->ValuationCalls());
-    }
-    return result;
-  };
-
-  const JointRun serial = run(1);
-  ASSERT_FALSE(serial.selection.selected_sensors.empty());
-  for (int threads : {4, 8}) {
-    const JointRun parallel = run(threads);
-    ASSERT_EQ(parallel.selection.selected_sensors,
-              serial.selection.selected_sensors)
-        << threads << " threads";
-    ASSERT_EQ(parallel.selection.total_value, serial.selection.total_value);
-    ASSERT_EQ(parallel.selection.total_cost, serial.selection.total_cost);
-    ASSERT_EQ(parallel.selection.valuation_calls,
-              serial.selection.valuation_calls);
-    ASSERT_EQ(parallel.payments, serial.payments) << threads << " threads";
-    ASSERT_EQ(parallel.values, serial.values) << threads << " threads";
-    ASSERT_EQ(parallel.calls, serial.calls) << threads << " threads";
-  }
-}
-
-// The same guarantee end to end through the streaming loop: an engine
-// serving slots with an intra-slot pool under churn must reproduce the
-// serial engine's schedules and ValuationCalls exactly.
-TEST(StreamingEquivalenceTest, ParallelEngineMatchesSerialUnderChurn) {
-  const int count = 900;
-  const Rect field{0, 0, 70, 70};
-  ClusteredPopulationConfig config;
-  config.count = count;
-  config.num_clusters = 7;
-  config.cluster_sigma = 6.0;
-  Rng rng(43);
-  const ScaleScenario scenario = GenerateClusteredSensors(config, field, rng);
-
-  ChurnConfig churn;
-  churn.arrival_rate = 25;
-  churn.departure_rate = 25;
-  churn.move_fraction = 0.03;
-
-  ServingConfig serial_config = MakeConfig(field, 8.0, true);
-  ServingConfig parallel_config = MakeConfig(field, 8.0, true);
-  parallel_config.threads = 4;
-  AcquisitionEngine serial_engine(scenario.sensors, serial_config);
-  AcquisitionEngine parallel_engine(scenario.sensors, parallel_config);
-  ChurnStream serial_stream(churn, scenario.sensors, field);
-  ChurnStream parallel_stream(churn, scenario.sensors, field);
-  serial_stream.SetClusteredPlacement(&scenario, &config);
-  parallel_stream.SetClusteredPlacement(&scenario, &config);
-  Rng serial_rng(3);
-  Rng parallel_rng(3);
-  for (int t = 0; t < 6; ++t) {
-    serial_engine.ApplyDelta(serial_stream.Next(serial_rng));
-    parallel_engine.ApplyDelta(parallel_stream.Next(parallel_rng));
-    const SlotContext& serial_slot = serial_engine.BeginSlot(t);
-    const SlotContext& parallel_slot = parallel_engine.BeginSlot(t);
-    ExpectSameContext(serial_slot, parallel_slot, t);
-    const GreedyEngine engine =
-        t % 2 == 0 ? GreedyEngine::kLazy : GreedyEngine::kEager;
-    const JointRun serial_run =
-        RunJointSelection(serial_slot, field, engine, 1000 + t);
-    const JointRun parallel_run =
-        RunJointSelection(parallel_slot, field, engine, 1000 + t);
-    ASSERT_EQ(serial_run.selection.selected_sensors,
-              parallel_run.selection.selected_sensors)
-        << "slot " << t;
-    ASSERT_EQ(serial_run.payments, parallel_run.payments) << "slot " << t;
-    ASSERT_EQ(serial_run.calls, parallel_run.calls) << "slot " << t;
-    serial_engine.RecordSlotReadings(serial_run.selection.selected_sensors, t);
-    parallel_engine.RecordSlotReadings(parallel_run.selection.selected_sensors, t);
-  }
-}
-
 TEST(StreamingEquivalenceTest, RebuildModeMatchesBuildSlotContext) {
   SensorPopulationConfig population;
   population.count = 80;
@@ -827,13 +626,11 @@ TEST(ServingConfigTest, ValidateAcceptsDefaultsAndBuilderChains) {
                                   .WithRegion(Rect{0, 0, 100, 100})
                                   .WithDmax(8.0)
                                   .WithScheduler(GreedyEngine::kSieve)
-                                  .WithThreads(0)
                                   .WithEpsilon(0.2)
                                   .WithApproxSeed(9)
                                   .WithRecordReadings(false);
   EXPECT_TRUE(built.Validate().empty()) << built.Validate();
   EXPECT_EQ(built.scheduler, GreedyEngine::kSieve);
-  EXPECT_EQ(built.threads, 0);
   EXPECT_EQ(built.approx.epsilon, 0.2);
   EXPECT_FALSE(built.record_readings);
 }
@@ -841,9 +638,17 @@ TEST(ServingConfigTest, ValidateAcceptsDefaultsAndBuilderChains) {
 TEST(ServingConfigTest, ValidateRejectsBrokenConfigs) {
   EXPECT_FALSE(ServingConfig().WithDmax(0.0).Validate().empty());
   EXPECT_FALSE(ServingConfig().WithDmax(-1.0).Validate().empty());
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ServingConfig().WithDmax(inf).Validate().empty());
   EXPECT_FALSE(
       ServingConfig().WithRegion(Rect{10, 0, 0, 10}).Validate().empty());
-  EXPECT_FALSE(ServingConfig().WithThreads(-1).Validate().empty());
+  EXPECT_FALSE(ServingConfig()
+                   .WithRegion(Rect{std::numeric_limits<double>::quiet_NaN(),
+                                    0, 10, 10})
+                   .Validate()
+                   .empty());
+  EXPECT_FALSE(
+      ServingConfig().WithRegion(Rect{0, 0, inf, 10}).Validate().empty());
   EXPECT_FALSE(ServingConfig().WithEpsilon(0.0).Validate().empty());
   EXPECT_FALSE(ServingConfig().WithEpsilon(-0.1).Validate().empty());
 }

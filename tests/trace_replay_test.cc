@@ -2,14 +2,19 @@
 // exist): a live closed-loop churn run records itself, the replayer
 // re-drives the trace through a fresh engine, and every schedule,
 // payment, and valuation-call count must match bit for bit — for all
-// four selection engines, for any replayer decode-thread count, and for
-// a stochastic replay whose base seed differs from the recorded run's
-// (the per-slot seeds persisted in the trace carry reproduction).
+// three selection engines, for any replayer decode-thread count, and for
+// a sieve replay whose base seed differs from the recorded run's (the
+// per-slot seeds persisted in the trace carry reproduction). Also: a
+// header the serving config refuses, and records naming an engine the
+// replayer cannot serve, fail with an error instead of aborting or
+// diverging.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/workload.h"
@@ -99,7 +104,6 @@ INSTANTIATE_TEST_SUITE_P(
     AllEngines, TraceReplayEngineTest,
     testing::Values(EngineCase{"exact", GreedyEngine::kEager},
                     EngineCase{"lazy", GreedyEngine::kLazy},
-                    EngineCase{"stochastic", GreedyEngine::kStochastic},
                     EngineCase{"sieve", GreedyEngine::kSieve}),
     [](const testing::TestParamInfo<EngineCase>& info) {
       return info.param.name;
@@ -126,21 +130,27 @@ TEST(TraceReplayTest, DecodeThreadCountDoesNotChangeOutcomes) {
   std::remove(path.c_str());
 }
 
-// The ApproxSlotSeed persistence regression (the satellite fix): every
-// slot record carries the seed the recording engine stamped, and the
-// replayer pins it, so a stochastic replay reproduces the live
-// selections even when the replaying config's base seed is different.
-// With pinning disabled the mismatched base seed must actually show —
-// otherwise this test would pass vacuously on a workload too small for
-// sampling to matter.
-TEST(TraceReplayTest, StochasticReplayReproducesAcrossBaseSeeds) {
-  const ChurnScenarioSetup setup = MakeSetup();
+// The ApproxSlotSeed persistence regression: every slot record carries
+// the seed the recording engine stamped, and the replayer pins it, so a
+// sieve replay reproduces the live selections even when the replaying
+// config's base seed is different — the sieve's refinement pass draws its
+// exploration sample from that seed. With pinning disabled the mismatched
+// base seed must actually show, otherwise this test would pass vacuously.
+// The sample is kRefineSampleSize (1536) sensors of the candidate scan,
+// so the population here is large enough for the draw to leave sensors
+// out; on a smaller scan the sample is the whole scan and the seed
+// cannot matter.
+TEST(TraceReplayTest, SieveReplayReproducesAcrossBaseSeeds) {
+  const ChurnScenarioSetup setup = MakeChurnScenario(
+      4000, /*churn_fraction=*/0.02, kSeed, /*with_mobility=*/true);
   const std::string path = TracePath("replay_seed.trc");
-  const ClosedLoopResult live =
-      RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kStochastic, path));
+  ClosedLoopConfig config = MakeLoopConfig(GreedyEngine::kSieve, path);
+  config.slots = 6;
+  config.queries.aggregates_per_slot = 8;
+  const ClosedLoopResult live = RunChurnClosedLoop(setup, config);
 
   ReplayConfig pinned_cfg;
-  pinned_cfg.serving.scheduler = GreedyEngine::kStochastic;
+  pinned_cfg.serving.scheduler = GreedyEngine::kSieve;
   pinned_cfg.override_approx_seed = true;
   pinned_cfg.serving.approx.seed = kSeed ^ 0xDEADBEEF;
   pinned_cfg.pin_slot_seeds = true;
@@ -231,6 +241,109 @@ TEST(TraceReplayTest, MultiEngineChoiceRecordsAreRefused) {
   EXPECT_NE(multi.error.find("engine choices"), std::string::npos)
       << multi.error;
   std::remove(multi_path.c_str());
+}
+
+// Version-2 engine choices are GreedyEngine values. 2 named the removed
+// stochastic-greedy engine: decode refuses it, naming the slot, rather
+// than serve the slot with some other engine. Lazy (0), eager (1) and
+// sieve (3) choices still decode.
+TEST(TraceReplayTest, RemovedEngineChoiceIsRefused) {
+  const ChurnScenarioSetup setup = MakeSetup();
+  const std::string live_path = TracePath("replay_removed_live.trc");
+  RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kLazy, live_path));
+  TraceData data;
+  std::string error;
+  ASSERT_TRUE(ReadTraceFile(live_path, &data, &error)) << error;
+  std::remove(live_path.c_str());
+  ASSERT_GT(data.slots.size(), 4u);
+
+  data.header.version = kTraceVersionAdaptive;
+  data.slots[1].engine_choices = {GreedyEngine::kLazy};
+  data.slots[2].engine_choices = {GreedyEngine::kEager};
+  data.slots[4].engine_choices = {GreedyEngine::kSieve};
+  const std::string kept_path = TracePath("replay_removed_kept.trc");
+  ASSERT_TRUE(WriteTraceFile(kept_path, data));
+  TraceData kept;
+  ASSERT_TRUE(ReadTraceFile(kept_path, &kept, &error)) << error;
+  EXPECT_EQ(kept.slots[1].engine_choices,
+            std::vector<GreedyEngine>{GreedyEngine::kLazy});
+  EXPECT_EQ(kept.slots[2].engine_choices,
+            std::vector<GreedyEngine>{GreedyEngine::kEager});
+  EXPECT_EQ(kept.slots[4].engine_choices,
+            std::vector<GreedyEngine>{GreedyEngine::kSieve});
+  std::remove(kept_path.c_str());
+
+  data.slots[3].engine_choices = {static_cast<GreedyEngine>(2)};
+  const std::string removed_path = TracePath("replay_removed_engine.trc");
+  ASSERT_TRUE(WriteTraceFile(removed_path, data));
+  TraceFile trace;
+  ASSERT_TRUE(trace.Load(removed_path, &error)) << error;
+  TraceSlotRecord record;
+  EXPECT_FALSE(trace.DecodeSlot(3, &record, &error));
+  EXPECT_NE(error.find("slot 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("removed"), std::string::npos) << error;
+
+  const ReplayResult replayed =
+      TraceReplayer(ReplayConfig{}).Replay(removed_path,
+                                           setup.scenario.sensors);
+  EXPECT_FALSE(replayed.ok);
+  EXPECT_NE(replayed.error.find("slot 3"), std::string::npos)
+      << replayed.error;
+  EXPECT_NE(replayed.error.find("removed"), std::string::npos)
+      << replayed.error;
+  std::remove(removed_path.c_str());
+}
+
+// TraceFile::Load checks the header's layout, not its values. A header
+// whose dmax, epsilon or working region the serving config refuses must
+// come back as a replay error naming the field — building the engine
+// from it would abort the process.
+TEST(TraceReplayTest, InvalidHeaderValuesReturnAnError) {
+  const ChurnScenarioSetup setup = MakeSetup();
+  const std::string live_path = TracePath("replay_header_live.trc");
+  ClosedLoopConfig config = MakeLoopConfig(GreedyEngine::kLazy, live_path);
+  config.slots = 2;
+  RunChurnClosedLoop(setup, config);
+  TraceData data;
+  std::string error;
+  ASSERT_TRUE(ReadTraceFile(live_path, &data, &error)) << error;
+  std::remove(live_path.c_str());
+
+  struct BadHeader {
+    const char* field;
+    void (*corrupt)(TraceHeader*);
+  };
+  const BadHeader cases[] = {
+      {"dmax", [](TraceHeader* h) { h->dmax = 0.0; }},
+      {"epsilon",
+       [](TraceHeader* h) {
+         h->epsilon = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"working_region",
+       [](TraceHeader* h) {
+         std::swap(h->working_region.x_min, h->working_region.x_max);
+       }},
+      {"working_region",
+       [](TraceHeader* h) {
+         h->working_region.x_min = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"dmax",
+       [](TraceHeader* h) {
+         h->dmax = std::numeric_limits<double>::infinity();
+       }},
+  };
+  for (const BadHeader& c : cases) {
+    TraceData bad = data;
+    c.corrupt(&bad.header);
+    const std::string path = TracePath("replay_header_bad.trc");
+    ASSERT_TRUE(WriteTraceFile(path, bad));
+    const ReplayResult result =
+        TraceReplayer(ReplayConfig{}).Replay(path, setup.scenario.sensors);
+    EXPECT_FALSE(result.ok) << c.field;
+    EXPECT_NE(result.error.find(c.field), std::string::npos)
+        << c.field << ": " << result.error;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TraceReplayTest, RecordedTraceHasOneRecordPerServedSlot) {
