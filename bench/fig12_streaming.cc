@@ -11,15 +11,19 @@
 // population changed. The incremental engine (src/engine/) repairs both
 // from the delta, paying O(churn).
 //
-// Per population size, the incremental and the rebuild-reference
-// engines consume the *same* deterministic churn delta and query
-// streams. Two serving passes (one per mode, full query load) establish
-// bit-equality — every slot's schedule is recorded in the first pass and
-// compared field by field in the second; any divergence (a selection, a
-// payment, a quality) fails the run — and sustained slots/sec. A
-// separate pair of turnover-only passes, interleaved in 10-slot blocks,
-// measures the gated slot-turnover latency (ApplyDelta + BeginSlot);
-// see docs/BENCHMARKS.md for the methodology rationale.
+// Per population size, the incremental engine and the rebuild reference
+// consume the *same* deterministic churn delta and query streams. The
+// reference is what the batch loops did: a second registry receives the
+// same ApplyDelta stream (an engine that is never asked for a slot), and
+// each slot's context is rebuilt from it with BuildSlotContext. Two
+// serving passes (one per side, full query load) establish bit-equality —
+// every slot's schedule is recorded in the first pass and compared field
+// by field in the second; any divergence (a selection, a payment, a
+// quality) fails the run — and sustained slots/sec. A separate pair of
+// turnover-only passes, interleaved in 10-slot blocks, measures the gated
+// slot-turnover latency (ApplyDelta + BeginSlot, or ApplyDelta +
+// BuildSlotContext); see docs/BENCHMARKS.md for the methodology
+// rationale.
 //
 // `--json PATH` emits the record consumed by
 // scripts/check_bench_regression.py, which gates on bit-equality and on a
@@ -29,7 +33,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,6 +45,32 @@
 
 namespace psens {
 namespace {
+
+/// The per-slot rebuild reference: a registry that receives the same
+/// ApplyDelta stream as the engine under test (an AcquisitionEngine whose
+/// BeginSlot is never called, so it only applies deltas), and a slot
+/// context rebuilt from that registry in full every slot.
+class RebuildSide {
+ public:
+  RebuildSide(const std::vector<Sensor>& sensors, const ServingConfig& config)
+      : config_(config),
+        registry_(sensors, ServingConfig(config).WithIndexPolicy(
+                               SlotIndexPolicy::kNone)) {}
+
+  void ApplyDelta(const SensorDelta& delta) { registry_.ApplyDelta(delta); }
+
+  const SlotContext& BeginSlot(int time) {
+    ctx_ = BuildSlotContext(registry_.sensors(), config_.working_region, time,
+                            config_.dmax, config_.index_policy,
+                            config_.index_auto_threshold);
+    return ctx_;
+  }
+
+ private:
+  ServingConfig config_;
+  AcquisitionEngine registry_;
+  SlotContext ctx_;
+};
 
 struct StreamResult {
   std::string workload;
@@ -89,23 +118,22 @@ StreamResult RunOne(const char* workload, int n, int slots,
     std::vector<double> turnover_samples_ms;  // one per steady-state slot
     double turnover_ms = 0.0;
     double sched_ms = 0.0;
-    std::string index_kind;
 
     /// Median per-slot turnover: the reported latency — robust against
     /// one-off spikes (allocator growth, index re-probes, CI-runner
     /// preemption) that a mean would smear into every run.
     double MedianTurnoverMs() const { return bench::MedianMs(turnover_samples_ms); }
   };
-  const auto run_pass = [&](bool incremental,
+  ServingConfig ecfg;
+  ecfg.working_region = field;
+  ecfg.dmax = dmax;
+  ecfg.index_policy = args.index_policy;
+  ecfg.index_auto_threshold = args.index_threshold;
+  // `side` is the engine or the RebuildSide; both take ApplyDelta then
+  // BeginSlot.
+  const auto run_pass = [&](auto& side,
                             std::vector<PointScheduleResult>* reference,
                             bool* identical) {
-    ServingConfig ecfg;
-    ecfg.working_region = field;
-    ecfg.dmax = dmax;
-    ecfg.index_policy = args.index_policy;
-    ecfg.index_auto_threshold = args.index_threshold;
-    ecfg.incremental = incremental;
-    AcquisitionEngine engine(scenario.sensors, ecfg);
     ChurnStream stream(churn, scenario.sensors, field);
     stream.SetClusteredPlacement(&scenario, &config);
     // Fork from a pass-local copy: Fork advances its parent, and both
@@ -115,16 +143,16 @@ StreamResult RunOne(const char* workload, int n, int slots,
     Rng query_rng = fork_base.Fork(8);
     PointSchedulingOptions options;
     options.scheduler = PointScheduler::kLocalSearch;
-    // Slot 0 is the O(n) cold build in either mode; steady-state slots
+    // Slot 0 is the O(n) cold build on either side; steady-state slots
     // are what the sweep times.
-    engine.BeginSlot(0);
+    side.BeginSlot(0);
     PassTotals totals;
     for (int t = 1; t <= slots; ++t) {
       const SensorDelta delta = stream.Next(churn_rng);
       const SlotContext* slot = nullptr;
       const double turnover = bench::TimeMs([&] {
-        engine.ApplyDelta(delta);
-        slot = &engine.BeginSlot(t);
+        side.ApplyDelta(delta);
+        slot = &side.BeginSlot(t);
       });
       totals.turnover_samples_ms.push_back(turnover);
       totals.turnover_ms += turnover;
@@ -141,32 +169,21 @@ StreamResult RunOne(const char* workload, int n, int slots,
         *identical = false;
       }
     }
-    totals.index_kind = engine.IndexBackendName();
     return totals;
   };
 
-  // Turnover-only passes: the same engines + delta streams, no queries.
+  // Turnover-only passes: the same two sides + delta streams, no queries.
   // The gated latency is measured here so it reflects the cost of the
   // slot transition itself, not how much of the engine's working set the
   // previous slot's scheduling happened to evict — that pollution is
-  // charged (for both modes alike) to the serving passes' slots/sec.
-  // The two modes advance in alternating 10-slot blocks so both sample
+  // charged (to both sides alike) to the serving passes' slots/sec.
+  // The two sides advance in alternating 10-slot blocks so both sample
   // the same machine conditions (frequency scaling, noisy neighbours on
   // shared runners) — two long back-to-back passes would let a few
   // seconds of drift skew the gated ratio.
   const auto run_turnover_passes = [&](PassTotals* inc_totals,
                                        PassTotals* reb_totals) {
-    const auto make_engine = [&](bool incremental) {
-      ServingConfig ecfg;
-      ecfg.working_region = field;
-      ecfg.dmax = dmax;
-      ecfg.index_policy = args.index_policy;
-      ecfg.index_auto_threshold = args.index_threshold;
-      ecfg.incremental = incremental;
-      return std::make_unique<AcquisitionEngine>(scenario.sensors, ecfg);
-    };
-    struct ModeState {
-      std::unique_ptr<AcquisitionEngine> engine;
+    struct Lane {
       ChurnStream stream;
       Rng churn_rng;
       int next_slot = 1;
@@ -174,39 +191,52 @@ StreamResult RunOne(const char* workload, int n, int slots,
     };
     Rng fork_base_inc = rng;
     Rng fork_base_reb = rng;
-    ModeState modes[2] = {
-        {make_engine(true), ChurnStream(churn, scenario.sensors, field),
-         fork_base_inc.Fork(7), 1, inc_totals},
-        {make_engine(false), ChurnStream(churn, scenario.sensors, field),
-         fork_base_reb.Fork(7), 1, reb_totals},
+    Lane lanes[2] = {
+        {ChurnStream(churn, scenario.sensors, field), fork_base_inc.Fork(7), 1,
+         inc_totals},
+        {ChurnStream(churn, scenario.sensors, field), fork_base_reb.Fork(7), 1,
+         reb_totals},
     };
-    for (ModeState& m : modes) {
-      m.stream.SetClusteredPlacement(&scenario, &config);
-      m.engine->BeginSlot(0);
+    AcquisitionEngine engine(scenario.sensors, ecfg);
+    RebuildSide rebuild(scenario.sensors, ecfg);
+    for (Lane& lane : lanes) {
+      lane.stream.SetClusteredPlacement(&scenario, &config);
     }
-    constexpr int kBlock = 10;
-    while (modes[0].next_slot <= slots || modes[1].next_slot <= slots) {
-      for (ModeState& m : modes) {
-        for (int b = 0; b < kBlock && m.next_slot <= slots; ++b) {
-          const int t = m.next_slot++;
-          const SensorDelta delta = m.stream.Next(m.churn_rng);
-          const double turnover = bench::TimeMs([&] {
-            m.engine->ApplyDelta(delta);
-            m.engine->BeginSlot(t);
-          });
-          m.totals->turnover_samples_ms.push_back(turnover);
-          m.totals->turnover_ms += turnover;
-        }
+    engine.BeginSlot(0);
+    rebuild.BeginSlot(0);
+    const auto advance_block = [&](auto& side, Lane& lane) {
+      constexpr int kBlock = 10;
+      for (int b = 0; b < kBlock && lane.next_slot <= slots; ++b) {
+        const int t = lane.next_slot++;
+        const SensorDelta delta = lane.stream.Next(lane.churn_rng);
+        const double turnover = bench::TimeMs([&] {
+          side.ApplyDelta(delta);
+          side.BeginSlot(t);
+        });
+        lane.totals->turnover_samples_ms.push_back(turnover);
+        lane.totals->turnover_ms += turnover;
       }
+    };
+    while (lanes[0].next_slot <= slots || lanes[1].next_slot <= slots) {
+      advance_block(engine, lanes[0]);
+      advance_block(rebuild, lanes[1]);
     }
   };
 
   std::vector<PointScheduleResult> reference;
   reference.reserve(static_cast<size_t>(slots));
   r.identical = true;
-  const PassTotals inc = run_pass(/*incremental=*/true, &reference, nullptr);
-  const PassTotals reb =
-      run_pass(/*incremental=*/false, &reference, &r.identical);
+  PassTotals inc;
+  {
+    AcquisitionEngine engine(scenario.sensors, ecfg);
+    inc = run_pass(engine, &reference, nullptr);
+    r.index_kind = engine.IndexBackendName();
+  }
+  PassTotals reb;
+  {
+    RebuildSide rebuild(scenario.sensors, ecfg);
+    reb = run_pass(rebuild, &reference, &r.identical);
+  }
   PassTotals inc_turnover;
   PassTotals reb_turnover;
   run_turnover_passes(&inc_turnover, &reb_turnover);
@@ -223,7 +253,6 @@ StreamResult RunOne(const char* workload, int n, int slots,
   r.slots_per_sec_rebuild = 1000.0 * slots / (reb.turnover_ms + reb.sched_ms);
   r.slots_per_sec_incremental =
       1000.0 * slots / (inc.turnover_ms + inc.sched_ms);
-  r.index_kind = inc.index_kind;
   return r;
 }
 

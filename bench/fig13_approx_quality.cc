@@ -20,15 +20,9 @@
 // slot-selection latency, speedup over exact (and over lazy), realized
 // utility ratio vs exact, and valuation-call totals.
 //
-// The exact row also carries the column-kernel ablation: the same exact
-// selection re-run with `use_soa = false`, whose scalar reference path
-// reads rows assembled from the slot's columns (SlotSensorTable::Row),
-// not a separate AoS layout.
-//
 // `--json PATH` emits the record consumed by
-// scripts/check_bench_regression.py, which gates the exact row's
-// column-kernel bit-identity and the sieve row at the 100k population
-// (docs/BENCHMARKS.md, "fig13 approximation gate").
+// scripts/check_bench_regression.py, which gates the sieve row at the
+// 100k population (docs/BENCHMARKS.md, "fig13 approximation gate").
 
 #include <algorithm>
 #include <cinttypes>
@@ -67,14 +61,6 @@ struct EngineRow {
   double utility_ratio = 0.0; // vs exact
   int64_t valuation_calls = 0;
   int64_t exact_valuation_calls = 0;
-  // Column-kernel ablation, populated on the exact row only: the same
-  // exact selection re-run against a copy of each slot context with
-  // use_soa = false, arena = nullptr (every valuation takes the scalar
-  // path over assembled rows). soa_speedup = scalar median / column median;
-  // soa_identical = the two paths agreed bit-for-bit on every slot's
-  // selections, values, costs, payments, and ValuationCalls.
-  double soa_speedup = 0.0;
-  bool soa_identical = true;
 };
 
 std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
@@ -101,7 +87,6 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
   ecfg.dmax = dmax;
   ecfg.index_policy = args.index_policy;
   ecfg.index_auto_threshold = args.index_threshold;
-  ecfg.incremental = true;
   ecfg.approx.epsilon = args.epsilon;
   ecfg.approx.seed = args.seed;
   AcquisitionEngine engine(scenario.sensors, ecfg);
@@ -122,10 +107,6 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
   EngineState exact{"exact", {}, 0.0, 0};
   EngineState lazy{"lazy", {}, 0.0, 0};
   EngineState sieve{"sieve", {}, 0.0, 0};
-  // Column-kernel ablation reference: exact greedy re-run against a copy
-  // of the slot context with the scalar valuation paths and no arena.
-  EngineState exact_aos{"exact_aos", {}, 0.0, 0};
-  bool soa_identical = true;
   SieveStreamingScheduler sieve_scheduler(ecfg.approx);
 
   for (int t = 1; t <= slots; ++t) {
@@ -169,52 +150,8 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
           [&] { result = GreedySensorSelection(all, slot, nullptr, kind); }));
       state.utility += result.Utility();
       state.calls += result.valuation_calls;
-      return result;
     };
-    const SelectionResult exact_result = run_engine(exact, GreedyEngine::kEager);
-    {
-      // Column-kernel ablation: the identical batch, re-bound against a
-      // copy of this slot with use_soa off (every kernel takes the scalar
-      // path), selected with the same exact engine. Binding is untimed,
-      // like the column run's. A single diverging bit in the observable
-      // outcome flips soa_identical, which the regression gate treats as
-      // fatal.
-      SlotContext scalar = slot;
-      scalar.use_soa = false;
-      scalar.arena = nullptr;
-      std::vector<std::unique_ptr<AggregateQuery>> aos_aggregates;
-      std::vector<std::unique_ptr<PointMultiQuery>> aos_points;
-      std::vector<MultiQuery*> aos_all;
-      for (const auto& q : aggregates) {
-        aos_aggregates.push_back(
-            std::make_unique<AggregateQuery>(q->params(), scalar));
-        aos_all.push_back(aos_aggregates.back().get());
-      }
-      for (const PointQuery& spec : points) {
-        aos_points.push_back(std::make_unique<PointMultiQuery>(spec, &scalar));
-        aos_all.push_back(aos_points.back().get());
-      }
-      SelectionResult aos_result;
-      exact_aos.ms.push_back(bench::TimeMs([&] {
-        aos_result =
-            GreedySensorSelection(aos_all, scalar, nullptr, GreedyEngine::kEager);
-      }));
-      exact_aos.utility += aos_result.Utility();
-      exact_aos.calls += aos_result.valuation_calls;
-      if (aos_result.selected_sensors != exact_result.selected_sensors ||
-          aos_result.total_value != exact_result.total_value ||
-          aos_result.total_cost != exact_result.total_cost ||
-          aos_result.valuation_calls != exact_result.valuation_calls) {
-        soa_identical = false;
-      }
-      for (size_t i = 0; i < all.size(); ++i) {
-        if (all[i]->TotalPayment() != aos_all[i]->TotalPayment() ||
-            all[i]->CurrentValue() != aos_all[i]->CurrentValue() ||
-            all[i]->ValuationCalls() != aos_all[i]->ValuationCalls()) {
-          soa_identical = false;
-        }
-      }
-    }
+    run_engine(exact, GreedyEngine::kEager);
     run_engine(lazy, GreedyEngine::kLazy);
     {
       // The sieve absorbs the slot's churn delta into its carried bucket
@@ -230,7 +167,6 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
 
   const double exact_median = bench::MedianMs(exact.ms);
   const double lazy_median = bench::MedianMs(lazy.ms);
-  const double exact_aos_median = bench::MedianMs(exact_aos.ms);
   std::vector<EngineRow> rows;
   for (const EngineState* state : {&exact, &lazy, &sieve}) {
     EngineRow row;
@@ -253,11 +189,6 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
         exact.utility != 0.0 ? state->utility / exact.utility : 0.0;
     row.valuation_calls = state->calls;
     row.exact_valuation_calls = exact.calls;
-    if (state == &exact) {
-      row.soa_speedup =
-          exact_median > 0.0 ? exact_aos_median / exact_median : 0.0;
-      row.soa_identical = soa_identical;
-    }
     rows.push_back(row);
   }
   return rows;
@@ -282,15 +213,12 @@ void WriteJson(const std::string& path, double cal_ms,
         "\"exact_median_ms\": %.4f, \"lazy_median_ms\": %.4f, "
         "\"speedup_vs_exact\": %.3f, \"speedup_vs_lazy\": %.3f, "
         "\"utility_ratio\": %.5f, \"valuation_calls\": %" PRId64 ", "
-        "\"exact_valuation_calls\": %" PRId64 ", "
-        "\"soa_speedup\": %.3f, \"soa_identical\": %s}%s\n",
+        "\"exact_valuation_calls\": %" PRId64 "}%s\n",
         r.engine.c_str(), r.sensors, r.slots, r.queries_per_slot,
         r.aggregates_per_slot, r.churn_fraction, r.epsilon, r.median_ms,
         r.exact_median_ms, r.lazy_median_ms, r.speedup_vs_exact,
         r.speedup_vs_lazy, r.utility_ratio, r.valuation_calls,
-        r.exact_valuation_calls, r.soa_speedup,
-        r.soa_identical ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
+        r.exact_valuation_calls, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -333,11 +261,6 @@ int main(int argc, char** argv) {
                   100.0 * r.churn_fraction, r.epsilon, r.median_ms,
                   r.speedup_vs_exact, r.speedup_vs_lazy, r.utility_ratio,
                   r.valuation_calls);
-      if (r.engine == "exact") {
-        std::printf("  soa kernels: %.2fx vs AoS scalar, outcomes %s\n",
-                    r.soa_speedup,
-                    r.soa_identical ? "bit-identical" : "DIVERGED");
-      }
       rows.push_back(r);
     }
   };

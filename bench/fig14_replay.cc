@@ -18,6 +18,13 @@
 //      engines alike — and reports the replayer's sustained slot rate
 //      next to the live closed loop's.
 //
+// Steps 1-3 run as kPairs alternating (live, replay) pairs per engine in
+// this one process. Each pair's replay must match its own live run, and
+// the row's replay_speedup is the median of the per-pair rate ratios: a
+// single live pass against a single replay pass is two separate
+// wall-clock measurements, and on a shared host their ratio swung by
+// more than the gate's margin on runs that never touched replay.
+//
 // `--json PATH` emits the record consumed by
 // scripts/check_bench_regression.py, which fails on any `identical:
 // false` row and gates the lazy row's replay_speedup at 100k sensors
@@ -54,7 +61,9 @@ struct ReplayRow {
   double live_slots_per_sec = 0.0;
   double replay_wall_ms = 0.0;
   double replay_slots_per_sec = 0.0;
-  double replay_speedup = 0.0;
+  double replay_speedup = 0.0;  // median of pair_speedups
+  /// Replay rate over live rate, one per (live, replay) pair.
+  std::vector<double> pair_speedups;
   double total_payment = 0.0;
   int64_t valuation_calls = 0;
   int decode_threads = 1;
@@ -71,6 +80,13 @@ constexpr GreedyEngineCase kEngines[] = {
     {"lazy", GreedyEngine::kLazy},
     {"sieve", GreedyEngine::kSieve},
 };
+
+/// (live, replay) pairs per engine; the gate reads their median ratio.
+constexpr int kPairs = 5;
+
+double SlotsPerSec(size_t slots, double wall_ms) {
+  return wall_ms > 0.0 ? 1000.0 * static_cast<double>(slots) / wall_ms : 0.0;
+}
 
 std::vector<ReplayRow> RunOne(int n, int slots, double churn_fraction,
                               const bench::BenchArgs& args,
@@ -96,26 +112,9 @@ std::vector<ReplayRow> RunOne(int n, int slots, double churn_fraction,
     lcfg.serving.trace_path = path;
     lcfg.serving.approx.epsilon = args.epsilon;
     lcfg.serving.approx.seed = args.seed;
-    const ClosedLoopResult live = RunChurnClosedLoop(setup, lcfg);
-
-    LatencyHistogramMonitor latency;
-    ValuationCounterMonitor calls;
-    IndexRepairMonitor repair;
-    MonitorSet monitors;
-    monitors.Attach(&latency);
-    monitors.Attach(&calls);
-    monitors.Attach(&repair);
-    monitors.StartAll();
     ReplayConfig rcfg;
     rcfg.serving.scheduler = c.engine;
     rcfg.decode_threads = decode_threads;
-    const ReplayResult replayed = TraceReplayer(rcfg).Replay(
-        path, setup.scenario.sensors, &monitors);
-    monitors.StopAll();
-    if (!replayed.ok) {
-      std::fprintf(stderr, "fig14 %s n=%d: replay failed: %s\n", c.name, n,
-                   replayed.error.c_str());
-    }
 
     ReplayRow row;
     row.engine = c.name;
@@ -124,33 +123,58 @@ std::vector<ReplayRow> RunOne(int n, int slots, double churn_fraction,
     row.queries_per_slot = queries.queries_per_slot;
     row.aggregates_per_slot = queries.aggregates_per_slot;
     row.churn_fraction = churn_fraction;
-    row.identical =
-        replayed.ok && replayed.outcomes.size() == live.outcomes.size();
-    if (row.identical) {
-      for (size_t i = 0; i < live.outcomes.size(); ++i) {
+    row.decode_threads = decode_threads;
+    row.identical = true;
+    std::vector<double> live_ms;
+    std::vector<double> replay_ms;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      const ClosedLoopResult live = RunChurnClosedLoop(setup, lcfg);
+
+      LatencyHistogramMonitor latency;
+      ValuationCounterMonitor calls;
+      IndexRepairMonitor repair;
+      MonitorSet monitors;
+      monitors.Attach(&latency);
+      monitors.Attach(&calls);
+      monitors.Attach(&repair);
+      monitors.StartAll();
+      const ReplayResult replayed = TraceReplayer(rcfg).Replay(
+          path, setup.scenario.sensors, &monitors);
+      monitors.StopAll();
+      if (!replayed.ok) {
+        std::fprintf(stderr, "fig14 %s n=%d pair %d: replay failed: %s\n",
+                     c.name, n, pair, replayed.error.c_str());
+      }
+
+      bool identical =
+          replayed.ok && replayed.outcomes.size() == live.outcomes.size();
+      for (size_t i = 0; identical && i < live.outcomes.size(); ++i) {
         if (!SameOutcome(live.outcomes[i], replayed.outcomes[i])) {
-          row.identical = false;
+          identical = false;
           std::fprintf(stderr,
-                       "fig14 %s n=%d: slot %d replay diverged from live\n",
-                       c.name, n, live.outcomes[i].time);
-          break;
+                       "fig14 %s n=%d pair %d: slot %d replay diverged from "
+                       "live\n",
+                       c.name, n, pair, live.outcomes[i].time);
         }
       }
+      row.identical = row.identical && identical;
+      const double live_rate = SlotsPerSec(live.outcomes.size(), live.wall_ms);
+      live_ms.push_back(live.wall_ms);
+      replay_ms.push_back(replayed.wall_ms);
+      row.pair_speedups.push_back(
+          live_rate > 0.0 ? replayed.slots_per_sec / live_rate : 0.0);
+      if (pair == 0) {
+        row.total_payment = live.total_payment;
+        row.valuation_calls = live.valuation_calls;
+        monitors.AppendJson(&row.monitors_json);
+      }
     }
-    row.live_wall_ms = live.wall_ms;
-    row.live_slots_per_sec =
-        live.wall_ms > 0.0
-            ? 1000.0 * static_cast<double>(live.outcomes.size()) / live.wall_ms
-            : 0.0;
-    row.replay_wall_ms = replayed.wall_ms;
-    row.replay_slots_per_sec = replayed.slots_per_sec;
-    row.replay_speedup = row.live_slots_per_sec > 0.0
-                             ? row.replay_slots_per_sec / row.live_slots_per_sec
-                             : 0.0;
-    row.total_payment = live.total_payment;
-    row.valuation_calls = live.valuation_calls;
-    row.decode_threads = decode_threads;
-    monitors.AppendJson(&row.monitors_json);
+    const size_t served = static_cast<size_t>(slots) + 1;  // with slot 0
+    row.live_wall_ms = bench::MedianMs(live_ms);
+    row.live_slots_per_sec = SlotsPerSec(served, row.live_wall_ms);
+    row.replay_wall_ms = bench::MedianMs(replay_ms);
+    row.replay_slots_per_sec = SlotsPerSec(served, row.replay_wall_ms);
+    row.replay_speedup = bench::MedianMs(row.pair_speedups);
     rows.push_back(row);
   }
   return rows;
@@ -167,6 +191,13 @@ void WriteJson(const std::string& path, double cal_ms,
   std::fprintf(f, "  \"cal_ms\": %.6f,\n  \"results\": [\n", cal_ms);
   for (size_t i = 0; i < rows.size(); ++i) {
     const ReplayRow& r = rows[i];
+    std::string pairs;
+    for (double ratio : r.pair_speedups) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%s%.3f", pairs.empty() ? "" : ", ",
+                    ratio);
+      pairs += buf;
+    }
     std::fprintf(
         f,
         "    {\"engine\": \"%s\", \"sensors\": %d, \"slots\": %d, "
@@ -174,13 +205,14 @@ void WriteJson(const std::string& path, double cal_ms,
         "\"identical\": %s, \"live_wall_ms\": %.4f, "
         "\"live_slots_per_sec\": %.3f, \"replay_wall_ms\": %.4f, "
         "\"replay_slots_per_sec\": %.3f, \"replay_speedup\": %.3f, "
+        "\"pair_speedups\": [%s], "
         "\"total_payment\": %.6f, \"valuation_calls\": %" PRId64 ", "
         "\"decode_threads\": %d, \"monitors\": %s}%s\n",
         r.engine.c_str(), r.sensors, r.slots, r.queries_per_slot,
         r.aggregates_per_slot, r.churn_fraction,
         r.identical ? "true" : "false", r.live_wall_ms, r.live_slots_per_sec,
         r.replay_wall_ms, r.replay_slots_per_sec, r.replay_speedup,
-        r.total_payment, r.valuation_calls, r.decode_threads,
+        pairs.c_str(), r.total_payment, r.valuation_calls, r.decode_threads,
         r.monitors_json.c_str(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -1,29 +1,23 @@
-// Fig. 16 (beyond the paper): column-kernel vs scalar valuation microbench.
+// Fig. 16 (beyond the paper): column-kernel valuation microbench.
 //
 // The slot stores its announcements once, as columns (core/slot.h,
 // SlotSensorTable), and the per-query delta loops of all four query
 // families — PointMultiQuery, MultiSensorPointQuery, AggregateQuery,
 // TrajectoryQuery — run as branch-light sweeps over those columns. This
 // sweep isolates the kernels: per population (10k..1M) and per query
-// family it runs the identical exact-greedy selection against (a) the
-// engine's slot context and (b) a copy with `use_soa = false, arena =
-// nullptr`, which routes every valuation through the scalar reference
-// path. That path reads rows assembled from the same columns
-// (SlotSensorTable::Row); there is no separate AoS layout. Reported per
-// row: median selection latency of both paths, the speedup, and a
-// bit-identity verdict over the full observable outcome (selections,
-// values, costs, payments, ValuationCalls).
+// family it times the identical exact-greedy selection against the
+// engine's slot context and reports its median selection latency and an
+// FNV-1a digest of the outcome's raw bit patterns (selections, values,
+// costs, payments, ValuationCalls).
 //
-// Divergence is fatal (exit 1): the column kernels only change how the
-// same inputs are loaded, so a single differing bit means a kernel
-// reordered or re-associated a reduction.
-//
-// `--json PATH` emits the record scripts/check_bench_regression.py
-// consumes (the fig16 gate re-checks the `identical` flags). `--digest
-// PATH` writes one line per row with an FNV-1a hash of the outcome's raw
-// bit patterns; the CI portable-flags job diffs digest files between the
-// default -O3 build and a plain -O2 build to prove the kernels are
-// flag-invariant (docs/BENCHMARKS.md, "fig16 SoA kernel gate").
+// The digest is the bit-equality witness. The counted-reference check of
+// every kernel lives in tests/soa_kernel_equivalence_test.cc; the digests
+// pin the answers across builds and changes: `--json PATH` emits the
+// record scripts/check_bench_regression.py diffs against the committed
+// baseline digests, and `--digest PATH` writes one line per row, which the
+// CI flag-invariance job diffs between the default -O3 build and a plain
+// -O2 build to prove the kernels are flag-invariant (docs/BENCHMARKS.md,
+// "fig16 kernel digests").
 
 #include <cinttypes>
 #include <cmath>
@@ -48,23 +42,14 @@
 namespace psens {
 namespace {
 
-/// Everything an observer can see from one selection run; the digest and
-/// the bit-identity verdict both hash/compare exactly these fields.
+/// Everything an observer can see from one selection run; the digest
+/// hashes exactly these fields.
 struct Outcome {
   SelectionResult selection;
   std::vector<double> payments;
   std::vector<double> values;
   std::vector<int64_t> calls;
 };
-
-bool SameOutcome(const Outcome& a, const Outcome& b) {
-  return a.selection.selected_sensors == b.selection.selected_sensors &&
-         a.selection.total_value == b.selection.total_value &&
-         a.selection.total_cost == b.selection.total_cost &&
-         a.selection.valuation_calls == b.selection.valuation_calls &&
-         a.payments == b.payments && a.values == b.values &&
-         a.calls == b.calls;
-}
 
 /// FNV-1a over the outcome's raw bit patterns. Doubles are hashed by
 /// their byte representation, so the digest is a bit-equality witness,
@@ -124,9 +109,8 @@ const char* KindName(QueryKind kind) {
   return "?";
 }
 
-/// Binding is untimed and identical for both contexts: queries are
-/// regenerated from the same seed, so the column and scalar runs bind the
-/// same batch against their respective views of the same slot.
+/// Binding is untimed: queries are generated from `seed`, so every run
+/// binds the same batch.
 Batch MakeBatch(QueryKind kind, const SlotContext& slot, const Rect& field,
                 uint64_t seed, bool quick) {
   Batch batch;
@@ -207,8 +191,7 @@ Batch MakeBatch(QueryKind kind, const SlotContext& slot, const Rect& field,
 
 /// Selection-only timing, fig13-style: the batch is bound once, every
 /// rep resets selection state and re-runs exact greedy. The first rep
-/// warms any per-query candidate caches (symmetrically on both paths)
-/// and is excluded from the median.
+/// warms any per-query candidate caches and is excluded from the median.
 Outcome TimeSelection(Batch* batch, const SlotContext& slot, int reps,
                       std::vector<double>* ms_out) {
   Outcome out;
@@ -244,15 +227,11 @@ struct KernelRow {
   std::string query;
   int sensors = 0;
   int queries = 0;
-  double soa_median_ms = 0.0;
-  double aos_median_ms = 0.0;
-  double speedup = 0.0;
-  bool identical = false;
+  double median_ms = 0.0;
   uint64_t digest = 0;
 };
 
-std::vector<KernelRow> RunOne(int n, const bench::BenchArgs& args,
-                              bool* all_identical) {
+std::vector<KernelRow> RunOne(int n, const bench::BenchArgs& args) {
   // Same city-scale geometry/churn generator as the fig12/fig13 gates;
   // a few warm slots of churn so the columns being measured went through
   // the O(churn) repair path, not just the cold build.
@@ -264,7 +243,6 @@ std::vector<KernelRow> RunOne(int n, const bench::BenchArgs& args,
   ecfg.dmax = setup.dmax;
   ecfg.index_policy = args.index_policy;
   ecfg.index_auto_threshold = args.index_threshold;
-  ecfg.incremental = true;
   AcquisitionEngine engine(setup.scenario.sensors, ecfg);
   ChurnStream stream(setup.churn, setup.scenario.sensors, setup.field);
   stream.SetClusteredPlacement(&setup.scenario, &setup.config);
@@ -278,36 +256,22 @@ std::vector<KernelRow> RunOne(int n, const bench::BenchArgs& args,
   }
   const SlotContext& slot = engine.BeginSlot(warm_slots + 1);
 
-  // Scalar reference: same membership, same index, same everything —
-  // only the kernels and the arena disabled, so every valuation runs the
-  // scalar path over rows assembled from the columns.
-  SlotContext scalar = slot;
-  scalar.use_soa = false;
-  scalar.arena = nullptr;
-
   const int reps = args.quick ? 3 : 7;
   std::vector<KernelRow> rows;
   for (QueryKind kind :
        {QueryKind::kPoint, QueryKind::kMultiPoint, QueryKind::kAggregate,
         QueryKind::kTrajectory}) {
     const uint64_t seed = args.seed + 1000 + static_cast<uint64_t>(kind);
-    Batch soa_batch = MakeBatch(kind, slot, setup.field, seed, args.quick);
-    Batch aos_batch = MakeBatch(kind, scalar, setup.field, seed, args.quick);
-    std::vector<double> soa_ms, aos_ms;
-    const Outcome soa = TimeSelection(&soa_batch, slot, reps, &soa_ms);
-    const Outcome aos = TimeSelection(&aos_batch, scalar, reps, &aos_ms);
+    Batch batch = MakeBatch(kind, slot, setup.field, seed, args.quick);
+    std::vector<double> ms;
+    const Outcome outcome = TimeSelection(&batch, slot, reps, &ms);
 
     KernelRow row;
     row.query = KindName(kind);
     row.sensors = n;
-    row.queries = static_cast<int>(soa_batch.all.size());
-    row.soa_median_ms = bench::MedianMs(soa_ms);
-    row.aos_median_ms = bench::MedianMs(aos_ms);
-    row.speedup =
-        row.soa_median_ms > 0.0 ? row.aos_median_ms / row.soa_median_ms : 0.0;
-    row.identical = SameOutcome(soa, aos);
-    row.digest = DigestOutcome(soa);
-    if (!row.identical) *all_identical = false;
+    row.queries = static_cast<int>(batch.all.size());
+    row.median_ms = bench::MedianMs(ms);
+    row.digest = DigestOutcome(outcome);
     rows.push_back(row);
   }
   return rows;
@@ -324,14 +288,13 @@ void WriteJson(const std::string& path, double cal_ms,
   std::fprintf(f, "  \"cal_ms\": %.6f,\n  \"results\": [\n", cal_ms);
   for (size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& r = rows[i];
+    // `soa_median_ms` keeps the committed baseline's field name.
     std::fprintf(f,
                  "    {\"query\": \"%s\", \"sensors\": %d, \"queries\": %d, "
-                 "\"soa_median_ms\": %.4f, \"aos_median_ms\": %.4f, "
-                 "\"speedup\": %.3f, \"identical\": %s, "
+                 "\"soa_median_ms\": %.4f, "
                  "\"digest\": \"%016" PRIx64 "\"}%s\n",
-                 r.query.c_str(), r.sensors, r.queries, r.soa_median_ms,
-                 r.aos_median_ms, r.speedup, r.identical ? "true" : "false",
-                 r.digest, i + 1 < rows.size() ? "," : "");
+                 r.query.c_str(), r.sensors, r.queries, r.median_ms, r.digest,
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -380,18 +343,16 @@ int main(int argc, char** argv) {
     populations = capped;
   }
 
-  bench::PrintHeader("fig16: SoA slab kernels vs AoS scalar reference");
-  std::printf("%-12s %9s %8s %12s %12s %9s %10s\n", "query", "sensors",
-              "queries", "soa_ms", "aos_ms", "speedup", "identical");
+  bench::PrintHeader("fig16: column valuation kernels");
+  std::printf("%-12s %9s %8s %12s %18s\n", "query", "sensors", "queries",
+              "median_ms", "digest");
 
   const double cal_ms = bench::CalibrationMs();
-  bool all_identical = true;
   std::vector<KernelRow> rows;
   for (int n : populations) {
-    for (const KernelRow& r : RunOne(n, args, &all_identical)) {
-      std::printf("%-12s %9d %8d %12.3f %12.3f %8.2fx %10s\n",
-                  r.query.c_str(), r.sensors, r.queries, r.soa_median_ms,
-                  r.aos_median_ms, r.speedup, r.identical ? "yes" : "NO");
+    for (const KernelRow& r : RunOne(n, args)) {
+      std::printf("%-12s %9d %8d %12.3f   %016" PRIx64 "\n", r.query.c_str(),
+                  r.sensors, r.queries, r.median_ms, r.digest);
       rows.push_back(r);
     }
   }
@@ -400,10 +361,5 @@ int main(int argc, char** argv) {
               "normalizer)\n", cal_ms);
   if (!args.json_path.empty()) WriteJson(args.json_path, cal_ms, rows);
   if (!digest_path.empty()) WriteDigests(digest_path, rows);
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FATAL: slab kernels diverged from the AoS reference\n");
-    return 1;
-  }
   return 0;
 }

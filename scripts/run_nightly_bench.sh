@@ -51,9 +51,9 @@ run fig13_approx_quality --json "$LOG_DIR/fig13_nightly.json"
 mkdir -p "$LOG_DIR/traces"
 run fig14_replay --json "$LOG_DIR/fig14_nightly.json" \
   --trace-dir "$LOG_DIR/traces"
-# SoA slab-vs-AoS kernel microbench: full populations (10k/100k/1M), one
-# row per query type. Exits non-zero by itself if any slab outcome is not
-# bit-identical to the scalar reference.
+# Column-kernel microbench: full populations (10k/100k/1M), one row per
+# query type, each with its outcome digest (the gate diffs the digests
+# against the committed baseline).
 run fig16_kernel_microbench --json "$LOG_DIR/fig16_nightly.json"
 # Adaptive SLO scheduling: base -> spike -> recover loops at the full
 # population, static-vs-adaptive hit rates plus the fatal

@@ -120,8 +120,8 @@ AxisRun AxisWindow(const std::vector<double>& centers, double origin,
 /// each other; `value_from` is the owner's ValueFrom (they differ only in
 /// captured params).
 ///
-/// When `cached_at`/`cached_delta` are non-null (SlotContext::use_soa), the
-/// kernel memoizes each candidate's delta under `version` — the owner's
+/// The kernel memoizes each candidate's delta in `cached_at`/`cached_delta`
+/// (both candidate-sized) under `version` — the owner's
 /// selection-state version, bumped on every Commit/ResetSelection. A hit
 /// replays the exact double computed by this same kernel under identical
 /// inputs (acc_mask, theta_sum, count, current_value are all unchanged
@@ -136,7 +136,8 @@ void CoverageMarginals(std::span<const int> keys, std::span<double> out,
                        const std::vector<double>& theta,
                        const std::vector<uint64_t>& acc_mask, double theta_sum,
                        int count, double current_value, uint64_t version,
-                       uint64_t* cached_at, double* cached_delta,
+                       std::vector<uint64_t>& cached_at,
+                       std::vector<double>& cached_delta,
                        const ValueFrom& value_from) {
   OrdinalCursor cursor(row_keyed);  // unused on an indexed slot
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -145,7 +146,7 @@ void CoverageMarginals(std::span<const int> keys, std::span<double> out,
       out[i] = 0.0;
       continue;
     }
-    if (cached_at != nullptr && cached_at[ord] == version) {
+    if (cached_at[ord] == version) {
       out[i] = cached_delta[ord];
       continue;
     }
@@ -154,10 +155,8 @@ void CoverageMarginals(std::span<const int> keys, std::span<double> out,
     const int new_covered = PopCountOr(acc_mask, mask);
     out[i] =
         value_from(new_covered, theta_sum + theta[ord], count) - current_value;
-    if (cached_at != nullptr) {
-      cached_at[ord] = version;
-      cached_delta[ord] = out[i];
-    }
+    cached_at[ord] = version;
+    cached_delta[ord] = out[i];
   }
 }
 
@@ -238,11 +237,8 @@ AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
     }
   }
   acc_mask_.assign(NumWords(), 0);
-  soa_ = slot.use_soa;
-  if (soa_) {
-    cached_at_.assign(candidates_.size(), 0);
-    cached_delta_.resize(candidates_.size());
-  }
+  cached_at_.assign(candidates_.size(), 0);
+  cached_delta_.resize(candidates_.size());
 }
 
 const std::vector<int>* AggregateQuery::CandidateSensors() const {
@@ -274,8 +270,7 @@ void AggregateQuery::MarginalsAt(std::span<const int> keys,
   CoverageMarginals(keys, out, slot_indexed_ ? nullptr : &candidates_,
                     mask_words_, NumWords(), theta_, acc_mask_, theta_sum_,
                     static_cast<int>(selected_.size()) + 1, current_value_,
-                    state_version_, soa_ ? cached_at_.data() : nullptr,
-                    soa_ ? cached_delta_.data() : nullptr,
+                    state_version_, cached_at_, cached_delta_,
                     [this](int covered, double ts, int count) {
                       return ValueFrom(covered, ts, count);
                     });
@@ -411,11 +406,8 @@ TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
     for (int si = 0; si < static_cast<int>(table.size()); ++si) bind(si);
   }
   acc_mask_.assign(NumWords(), 0);
-  soa_ = slot.use_soa;
-  if (soa_) {
-    cached_at_.assign(candidates_.size(), 0);
-    cached_delta_.resize(candidates_.size());
-  }
+  cached_at_.assign(candidates_.size(), 0);
+  cached_delta_.resize(candidates_.size());
 }
 
 const std::vector<int>* TrajectoryQuery::CandidateSensors() const {
@@ -447,8 +439,7 @@ void TrajectoryQuery::MarginalsAt(std::span<const int> keys,
   CoverageMarginals(keys, out, slot_indexed_ ? nullptr : &candidates_,
                     mask_words_, NumWords(), theta_, acc_mask_, theta_sum_,
                     static_cast<int>(selected_.size()) + 1, current_value_,
-                    state_version_, soa_ ? cached_at_.data() : nullptr,
-                    soa_ ? cached_delta_.data() : nullptr,
+                    state_version_, cached_at_, cached_delta_,
                     [this](int covered, double ts, int count) {
                       return ValueFrom(covered, ts, count);
                     });

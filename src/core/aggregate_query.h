@@ -100,12 +100,11 @@ class AggregateQuery : public MultiQueryBase {
   int covered_cells_ = 0;
   double theta_sum_ = 0.0;
 
-  /// Per-candidate round-delta memo, armed only under SlotContext::use_soa
-  /// (the ablation switch, so the scalar reference path recomputes every
-  /// probe). `state_version_` names the current selection state; a memo
-  /// entry stamped with it replays the identical double the sweep kernel
-  /// computed under the same inputs.
-  bool soa_ = false;
+  /// Per-candidate round-delta memo of the keyed kernel (MarginalValue,
+  /// the counted reference, recomputes every probe). `state_version_`
+  /// names the current selection state; a memo entry stamped with it
+  /// replays the identical double the sweep kernel computed under the
+  /// same inputs.
   uint64_t state_version_ = 1;
   mutable std::vector<uint64_t> cached_at_;
   mutable std::vector<double> cached_delta_;
@@ -157,7 +156,6 @@ class TrajectoryQuery : public MultiQueryBase {
   double theta_sum_ = 0.0;
 
   /// Round-delta memo; same contract as AggregateQuery's.
-  bool soa_ = false;
   uint64_t state_version_ = 1;
   mutable std::vector<uint64_t> cached_at_;
   mutable std::vector<double> cached_delta_;

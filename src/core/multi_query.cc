@@ -34,32 +34,18 @@ void PointMultiQuery::MarginalsAt(std::span<const int> keys,
   const double current = current_value_;
   const SlotSensorTable& sl = slot_->sensors;
   if (PointMultiQuery::CandidateSensors() != nullptr) {
-    // Keys are candidate positions.
-    if (cand_values_ready_) {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out[i] = cand_values_[static_cast<size_t>(keys[i])] - current;
-      }
-      return;
-    }
+    // Keys are candidate positions into the Eq. 3 value cache.
     for (size_t i = 0; i < keys.size(); ++i) {
-      const int s = candidates_[static_cast<size_t>(keys[i])];
-      out[i] = PointQueryValue(query_, sl.Row(s), dmax) - current;
+      out[i] = cand_values_[static_cast<size_t>(keys[i])] - current;
     }
     return;
   }
-  // Unindexed: keys are slot rows.
-  if (slot_->use_soa) {
-    // Column kernel: contiguous 8-byte loads instead of whole rows.
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const int s = keys[i];
-      out[i] = PointQueryValueAt(query_, sl.x[s], sl.y[s], sl.inaccuracy[s],
-                                 sl.trust[s], dmax) -
-               current;
-    }
-    return;
-  }
+  // Unindexed: keys are slot rows, read from the columns.
   for (size_t i = 0; i < keys.size(); ++i) {
-    out[i] = PointQueryValue(query_, sl.Row(keys[i]), dmax) - current;
+    const int s = keys[i];
+    out[i] = PointQueryValueAt(query_, sl.x[s], sl.y[s], sl.inaccuracy[s],
+                               sl.trust[s], dmax) -
+             current;
   }
 }
 
@@ -79,16 +65,13 @@ const std::vector<int>* PointMultiQuery::CandidateSensors() const {
   if (!candidates_ready_) {
     slot_->index->RangeQuery(query_.location, slot_->dmax, &candidates_);
     candidates_ready_ = true;
-    if (slot_->use_soa) {
-      const SlotSensorTable& sl = slot_->sensors;
-      cand_values_.resize(candidates_.size());
-      for (size_t j = 0; j < candidates_.size(); ++j) {
-        const int s = candidates_[j];
-        cand_values_[j] = PointQueryValueAt(query_, sl.x[s], sl.y[s],
-                                            sl.inaccuracy[s], sl.trust[s],
-                                            slot_->dmax);
-      }
-      cand_values_ready_ = true;
+    const SlotSensorTable& sl = slot_->sensors;
+    cand_values_.resize(candidates_.size());
+    for (size_t j = 0; j < candidates_.size(); ++j) {
+      const int s = candidates_[j];
+      cand_values_[j] = PointQueryValueAt(query_, sl.x[s], sl.y[s],
+                                          sl.inaccuracy[s], sl.trust[s],
+                                          slot_->dmax);
     }
   }
   return &candidates_;

@@ -127,11 +127,11 @@ class PointMultiQuery : public MultiQueryBase {
 
   double MarginalValue(int sensor) const override;
   /// Keyed sweep: on an indexed slot a key is a candidate position, and
-  /// under SlotContext::use_soa a probe is one load of the candidate's
-  /// cached Eq. 3 value (the valuation depends only on (query, sensor),
-  /// never on selection state). Unindexed slots key by slot row and
-  /// compute from the slot's columns. Every path computes the same
-  /// valuation on the same inputs: bit-identical values.
+  /// a probe is one load of the candidate's cached Eq. 3 value (the
+  /// valuation depends only on (query, sensor), never on selection
+  /// state). Unindexed slots key by slot row and compute from the slot's
+  /// columns. Both compute MarginalValue's valuation on the same inputs:
+  /// bit-identical values.
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
   void Commit(int sensor, double payment) override;
@@ -159,12 +159,10 @@ class PointMultiQuery : public MultiQueryBase {
   mutable std::vector<int> candidates_;
   mutable bool candidates_ready_ = false;
   /// Eq. 3 value per candidate (indexed by key, parallel to candidates_),
-  /// computed once per slot binding under SlotContext::use_soa: the
-  /// valuation depends only on (query, sensor), never on selection state,
-  /// so re-probes hit this cache. Filled by CandidateSensors (the pruning
-  /// plan builds before any probe), read-only after.
+  /// computed once per slot binding: the valuation depends only on
+  /// (query, sensor), never on selection state, so re-probes hit this
+  /// cache. Filled with candidates_ by CandidateSensors, read-only after.
   mutable std::vector<double> cand_values_;
-  mutable bool cand_values_ready_ = false;
 };
 
 /// Arbitrary set-valuation query defined by a callback; used in tests and

@@ -11,12 +11,9 @@ const std::vector<int>* MultiSensorPointQuery::CandidateSensors() const {
   if (!candidates_ready_) {
     slot_->index->RangeQuery(params_.location, slot_->dmax, &candidates_);
     candidates_ready_ = true;
-    if (slot_->use_soa) {
-      cand_theta_.resize(candidates_.size());
-      for (size_t j = 0; j < candidates_.size(); ++j) {
-        cand_theta_[j] = QualityFromColumns(candidates_[j]);
-      }
-      cand_theta_ready_ = true;
+    cand_theta_.resize(candidates_.size());
+    for (size_t j = 0; j < candidates_.size(); ++j) {
+      cand_theta_[j] = QualityFromColumns(candidates_[j]);
     }
   }
   return &candidates_;
@@ -60,20 +57,16 @@ void MultiSensorPointQuery::MarginalsAt(std::span<const int> keys,
                                         std::span<double> out) const {
   if (keys.empty()) return;
   // Key-quality resolver: on an indexed slot a key is a candidate
-  // position — the cached theta under use_soa, else the scalar reference
-  // on the candidate's row; unindexed, a key is a slot row. Every branch
-  // computes the same ReadingQuality on the same inputs — bit-identical.
+  // position into the cached thetas; unindexed, a key is a slot row read
+  // from the columns. Both compute Quality's ReadingQuality on the same
+  // inputs — bit-identical.
   const bool listed = MultiSensorPointQuery::CandidateSensors() != nullptr;
-  const bool columns = slot_->use_soa;
   const auto probe_quality = [&](int key) -> double {
-    if (listed) {
-      const size_t k = static_cast<size_t>(key);
-      return cand_theta_ready_ ? cand_theta_[k] : Quality(candidates_[k]);
-    }
-    return columns ? QualityFromColumns(key) : Quality(key);
+    return listed ? cand_theta_[static_cast<size_t>(key)]
+                  : QualityFromColumns(key);
   };
   if (params_.redundancy <= 0) {
-    // ValueFromQualities is identically zero; mirror the scalar branch
+    // ValueFromQualities is identically zero; mirror MarginalValue's branch
     // structure exactly (theta <= 0 probes return a literal 0).
     for (size_t i = 0; i < keys.size(); ++i) {
       out[i] = probe_quality(keys[i]) <= 0.0 ? 0.0 : -current_value_;
@@ -91,7 +84,7 @@ void MultiSensorPointQuery::MarginalsAt(std::span<const int> keys,
     }
     // Top-k sum of {sorted qualities} + theta, accumulated in descending
     // order — the exact value sequence (ties included: equal values are
-    // interchangeable) the scalar path sums after its fresh sort.
+    // interchangeable) MarginalValue sums after its fresh sort.
     double sum = 0.0;
     size_t taken = 0;
     size_t j = 0;

@@ -34,11 +34,11 @@ class MultiSensorPointQuery : public MultiQueryBase {
 
   double MarginalValue(int sensor) const override;
   /// Keyed probe: a key's quality is one load of the candidate quality
-  /// cache on an indexed slot under SlotContext::use_soa. The committed
-  /// qualities are sorted once per batch, and each key's top-k value
-  /// comes from an O(k) merge of its quality into that shared order — the
-  /// same non-increasing value sequence (and so the same floating-point
-  /// sum) the scalar copy+sort produces.
+  /// cache on an indexed slot. The committed qualities are sorted once per
+  /// batch, and each key's top-k value comes from an O(k) merge of its
+  /// quality into that shared order — the same non-increasing value
+  /// sequence (and so the same floating-point sum) MarginalValue's
+  /// copy+sort produces.
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
   void Commit(int sensor, double payment) override;
@@ -63,9 +63,11 @@ class MultiSensorPointQuery : public MultiQueryBase {
   const Params& params() const { return params_; }
 
  private:
+  /// Reading quality theta of `sensor` from its assembled row, filtered
+  /// by theta_min: the reference MarginalValue and Commit use.
   double Quality(int sensor) const;
   /// Quality(sensor) computed straight from the slot's columns
-  /// (bit-identical to the row-assembling scalar path).
+  /// (bit-identical): what the keyed probes read.
   double QualityFromColumns(int sensor) const;
   /// Valuation from a set of reading qualities (top-k mean scaled by B).
   double ValueFromQualities(std::vector<double> qualities) const;
@@ -76,12 +78,10 @@ class MultiSensorPointQuery : public MultiQueryBase {
   mutable std::vector<int> candidates_;
   mutable bool candidates_ready_ = false;
   /// Filtered quality theta per candidate (indexed by key, parallel to
-  /// candidates_), computed once per slot binding under
-  /// SlotContext::use_soa — the quality depends only on (query, sensor),
-  /// so keyed probes resolve against this cache. Same fill/read
-  /// discipline as PointMultiQuery's candidate value cache.
+  /// candidates_), computed once per slot binding — the quality depends
+  /// only on (query, sensor), so keyed probes resolve against this cache.
+  /// Same fill/read discipline as PointMultiQuery's candidate value cache.
   mutable std::vector<double> cand_theta_;
-  mutable bool cand_theta_ready_ = false;
   /// Per-batch scratch: qualities_ sorted descending (see MarginalsAt).
   mutable std::vector<double> batch_sorted_;
 };

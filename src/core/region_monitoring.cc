@@ -73,11 +73,11 @@ std::vector<double> RegionMonitoringManager::CostScale(const SlotContext& slot) 
       slot.index->RectQuery(q.region, &in_region);
       for (int si : in_region) ++counts[si];
     }
-  } else if (slot.use_soa) {
-    // Unindexed hot path over the coordinate columns: a branch-light
-    // contains test per (query, sensor) in query-major order. Identical
-    // counts to the row scan below — Contains is the same comparison
-    // chain, only the operand loads changed.
+  } else {
+    // Unindexed: a branch-light contains test per (query, sensor) over
+    // the coordinate columns, in query-major order. It is the comparison
+    // chain of Rect::Contains, the exact filter the index probes apply,
+    // so both paths count alike (tests/region_monitoring_test.cc).
     const size_t n = slot.sensors.size();
     const double* xs = slot.sensors.x.data();
     const double* ys = slot.sensors.y.data();
@@ -88,13 +88,6 @@ std::vector<double> RegionMonitoringManager::CostScale(const SlotContext& slot) 
         const bool in = xs[si] >= r.x_min && xs[si] <= r.x_max &&
                         ys[si] >= r.y_min && ys[si] <= r.y_max;
         counts[si] += in ? 1 : 0;
-      }
-    }
-  } else {
-    for (size_t si = 0; si < slot.sensors.size(); ++si) {
-      const Point loc = slot.sensors.Row(si).location;
-      for (const RegionMonitoringQuery& q : queries_) {
-        if (q.ActiveAt(slot.time) && q.region.Contains(loc)) ++counts[si];
       }
     }
   }

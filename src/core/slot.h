@@ -42,8 +42,7 @@ struct ApproxParams {
   /// Base seed of the per-slot RNG stream the sieve's refinement pass
   /// draws its exploration sample from. The effective stream is derived
   /// from (seed, SlotContext::time) unless `slot_seed` pins it, so
-  /// re-running a slot — through either the incremental or the rebuild
-  /// engine mode — samples identically (ApproxSlotSeed).
+  /// re-running a slot samples identically (ApproxSlotSeed).
   uint64_t seed = 0x5EEDC0DE5EEDC0DEULL;
   /// Pinned per-slot stream; 0 (default) derives it from seed and time.
   uint64_t slot_seed = 0;
@@ -95,8 +94,8 @@ struct SlotSensor {
 /// Each row is 44 bytes (a 4-byte id plus five 8-byte fields). The
 /// valuation kernels in the query classes and batch_eval stream the
 /// columns, which keeps their fp loads contiguous and lets the compiler
-/// auto-vectorize without intrinsics; scalar reference code reads whole
-/// rows through Row(i).
+/// auto-vectorize without intrinsics; the counted sensor-addressed
+/// references (MultiQuery::MarginalValue) read whole rows through Row(i).
 struct SlotSensorTable {
   std::vector<int> sensor_id;
   std::vector<double> x;
@@ -156,11 +155,6 @@ struct SlotContext {
   /// each BeginSlot). Null means scratch consumers fall back to owned
   /// heap buffers.
   SlotArena* arena = nullptr;
-  /// Ablation/differential-test switch: false routes every valuation
-  /// kernel to its scalar reference path, which reads rows assembled from
-  /// the same columns (SlotSensorTable::Row). The two paths are
-  /// bit-identical (tests/soa_kernel_equivalence_test).
-  bool use_soa = true;
 };
 
 /// (Re)builds `slot.index` from `slot.sensors` per `slot.index_policy`.

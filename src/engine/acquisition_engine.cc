@@ -85,7 +85,6 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
     header.epsilon = config_.approx.epsilon;
     trace_ = TraceWriter::Open(config_.trace_path, header);
   }
-  if (!config_.incremental) return;
   changed_bits_.assign((static_cast<size_t>(n) + 63) / 64, 0);
   cost_dirty_.assign(static_cast<size_t>(n), 0);
   privacy_flag_.assign(static_cast<size_t>(n), 0);
@@ -115,7 +114,6 @@ bool AcquisitionEngine::FinishTrace() {
 }
 
 void AcquisitionEngine::MarkChanged(int id, bool cost_dirty) {
-  if (!config_.incremental) return;
   if (cost_dirty) cost_dirty_[id] = 1;
   changed_bits_[static_cast<size_t>(id) >> 6] |= uint64_t{1} << (id & 63);
 }
@@ -240,16 +238,11 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   // carved from the arena (candidate plans, evaluator buffers, gain
   // scratch) is invalidated in one pointer reset.
   arena_.Reset();
-  if (!config_.incremental) {
-    ctx_ = BuildSlotContext(sensors_, config_.working_region, time,
-                            config_.dmax, config_.index_policy,
-                            config_.index_auto_threshold);
-  }
   ctx_.time = time;
   ctx_.arena = &arena_;
-  // Pin the sieve's per-slot sample stream: both engine modes stamp the
-  // identical derived seed, so sieve selections agree between
-  // incremental and rebuild serving bit for bit.
+  // Pin the sieve's per-slot sample stream: every re-run of this slot
+  // (a replay, or a rebuilt reference context in the tests) stamps the
+  // same derived seed, so its sieve selections agree bit for bit.
   ctx_.approx = config_.approx;
   ctx_.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
   if (has_pinned_slot_seed_) {
@@ -257,7 +250,6 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
     has_pinned_slot_seed_ = false;
   }
   if (trace_ != nullptr) trace_->BeginSlot(time, ctx_.approx.slot_seed);
-  if (!config_.incremental) return ctx_;
   // Privacy-decay set: announced cost drifts with wall-clock time even
   // without any event; membership never changes from it. Changed sensors
   // get the full refresh below instead. Once every history
@@ -309,7 +301,7 @@ void AcquisitionEngine::NoteReading(int id, int time) {
   Sensor& s = sensors_[id];
   s.RecordReading(time);
   MarkChanged(id, /*cost_dirty=*/true);
-  if (config_.incremental && !privacy_flag_[id] &&
+  if (!privacy_flag_[id] &&
       PrivacyLevelValue(s.profile().privacy) > 0.0) {
     privacy_flag_[id] = 1;
     privacy_refresh_.push_back(id);
@@ -329,7 +321,6 @@ void AcquisitionEngine::RecordSlotReadings(const std::vector<int>& slot_indices,
 }
 
 const char* AcquisitionEngine::IndexBackendName() const {
-  if (!config_.incremental) return "rebuild";
   if (ctx_.index == nullptr) return "none";
   return ctx_.index->Name();
 }

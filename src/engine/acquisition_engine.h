@@ -35,7 +35,7 @@ class TraceWriter;
 ///   SelectionResult r = engine.Select(queries, slot, delta);
 ///   engine.RecordSlotReadings(r.selected_sensors, t);
 ///
-/// In incremental mode BeginSlot only touches what the delta invalidated:
+/// BeginSlot only touches what the deltas invalidated:
 /// membership changes merge into the sorted slot-sensor table, moved
 /// sensors patch their location in place and in the index, and announced
 /// costs are recomputed only for sensors whose cost can actually have
@@ -51,10 +51,11 @@ class TraceWriter;
 ///
 /// Contract: for a fixed input stream (registry, deltas, query batches,
 /// per-slot seeds), selections, payments, and valuation-call counts are
-/// bit-identical regardless of index policy or incremental vs rebuild
-/// mode. SameOutcome() (trace/slot_server.h) is the
-/// comparator; the streaming-equivalence and replay differential suites
-/// enforce it.
+/// bit-identical regardless of index policy, and every slot context
+/// equals BuildSlotContext over the current registry (the reference the
+/// streaming-equivalence suite checks it against). SameOutcome()
+/// (trace/slot_server.h) is the comparator; the streaming-equivalence
+/// and replay differential suites enforce it.
 ///
 /// The registry must be id-dense: sensors_[i].id() == i (what
 /// GenerateSensors produces). Asserted at construction.
@@ -134,7 +135,7 @@ class AcquisitionEngine {
   const std::vector<Sensor>& sensors() const { return sensors_; }
   const ServingConfig& config() const { return config_; }
   /// Name of the live dynamic-index backend ("dynamic-grid",
-  /// "kd-buffered", "rebuild" in reference mode, "none" when unindexed).
+  /// "kd-buffered", or "none" when unindexed).
   const char* IndexBackendName() const;
 
   /// Pins the approx slot seed the *next* BeginSlot stamps, overriding

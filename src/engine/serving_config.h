@@ -18,11 +18,10 @@ namespace psens {
 /// by exactly one validated value, consumed by `MakeServingEngine`.
 ///
 /// Every knob preserves the bit-identical-results discipline: for a
-/// fixed input stream, `index_policy`/`index_auto_threshold` and
-/// `incremental` change wall-clock only — selections, payments, and
-/// valuation-call counts are bitwise invariant
-/// (tests/streaming_equivalence_test.cc). Selection runs on the calling
-/// thread.
+/// fixed input stream, `index_policy`/`index_auto_threshold` change
+/// wall-clock only — selections, payments, and valuation-call counts are
+/// bitwise invariant (tests/pruning_equivalence_test.cc). Selection runs
+/// on the calling thread.
 struct ServingConfig {
   /// Working region filtering slot membership (same role as the
   /// `working_region` argument of BuildSlotContext).
@@ -33,17 +32,10 @@ struct ServingConfig {
   GreedyEngine scheduler = GreedyEngine::kLazy;
   SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
   int index_auto_threshold = kSlotIndexAutoThreshold;
-  /// true: repair the slot context and spatial index from deltas (O(churn)
-  /// per slot). false: reference mode — BeginSlot rebuilds both from the
-  /// full registry exactly like the pre-engine batch loops. Both modes
-  /// produce bit-identical slot contexts, selections, and payments
-  /// (tests/streaming_equivalence_test.cc).
-  bool incremental = true;
   /// Approximate-scheduler knobs, stamped onto every slot context.
   /// BeginSlot derives the per-slot RNG stream from (approx.seed, time)
   /// unless approx.slot_seed pins it, so a sieve selection re-run for the
-  /// same slot — incremental or rebuild mode — is reproducible
-  /// (ApproxSlotSeed, core/slot.h).
+  /// same slot is reproducible (ApproxSlotSeed, core/slot.h).
   ApproxParams approx;
   /// When non-empty, the serving engine records its input stream — every
   /// ApplyDelta/ApplyTrace change and every BeginSlot with its stamped
@@ -88,10 +80,6 @@ struct ServingConfig {
   }
   ServingConfig& WithIndexAutoThreshold(int threshold) {
     index_auto_threshold = threshold;
-    return *this;
-  }
-  ServingConfig& WithIncremental(bool on) {
-    incremental = on;
     return *this;
   }
   ServingConfig& WithApprox(const ApproxParams& params) {

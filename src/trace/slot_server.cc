@@ -36,9 +36,10 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
   const SteadyClock::time_point slot_start = SteadyClock::now();
 
   const SlotContext* slot = nullptr;
+  bool applied = false;
   {
     const SteadyClock::time_point start = SteadyClock::now();
-    engine_->ApplyDelta(delta);
+    applied = engine_->ApplyDelta(delta);
     slot = &engine_->BeginSlot(time);
     out.turnover_ms = MsSince(start);
   }
@@ -74,8 +75,11 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
     // A query-free slot (the slot-0 cold build) selects nothing and, for
     // the sieve, leaves the carried bucket state untouched — identically
     // in live and replayed runs.
+    // A refused delta changed nothing and was not journaled, so the slot
+    // selects as delta-free, exactly as its replay does.
     const SteadyClock::time_point start = SteadyClock::now();
-    out.selection = engine_->Select(all, *slot, delta);
+    out.selection =
+        engine_->Select(all, *slot, applied ? delta : SensorDelta{});
     out.selection_ms = MsSince(start);
   }
   if (monitors_ != nullptr) {

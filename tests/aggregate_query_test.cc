@@ -257,10 +257,9 @@ TEST(AggregateQueryTest, WindowedBindMatchesEveryCellOracle) {
     params.cell_size = bc.cell_size;
     params.sensing_range = bc.sensing_range;
     SlotContext synced = MakeCaseSlot(bc, seed++);
-    SlotContext scalar = synced;
+    SlotContext unindexed = synced;
     synced.index_policy = SlotIndexPolicy::kGrid;
     AttachSlotIndex(synced);
-    scalar.use_soa = false;
     const OracleGrid grid = EveryCellBind(params, synced);
     const int n = static_cast<int>(synced.sensors.size());
 
@@ -277,8 +276,8 @@ TEST(AggregateQueryTest, WindowedBindMatchesEveryCellOracle) {
       }
     }
 
-    for (const SlotContext* slot : {&synced, &scalar}) {
-      SCOPED_TRACE(bc.name + (slot == &synced ? " synced" : " scalar"));
+    for (const SlotContext* slot : {&synced, &unindexed}) {
+      SCOPED_TRACE(bc.name + (slot == &synced ? " synced" : " unindexed"));
       AggregateQuery q(params, *slot);
       if (slot->index != nullptr) {
         ASSERT_NE(q.CandidateSensors(), nullptr);

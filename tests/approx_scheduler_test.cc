@@ -164,7 +164,11 @@ TEST(ApproxSchedulerTest, SlotSeedDerivationIsStableAndPinnable) {
   EXPECT_EQ(ApproxSlotSeed(ApproxParams{}, 0), 17269573165356586466ULL);
 }
 
-TEST(ApproxSchedulerTest, EngineStampsDerivedSlotSeedInBothModes) {
+// The engine stamps the derived per-slot seed onto its context, so a
+// sieve selection over the per-slot rebuild reference (BuildSlotContext
+// over the engine's registry, given the same approx knobs) reproduces the
+// engine slot's selection bit for bit.
+TEST(ApproxSchedulerTest, EngineStampsDerivedSlotSeed) {
   SensorPopulationConfig population;
   population.count = 16;
   Rng rng(5);
@@ -172,16 +176,22 @@ TEST(ApproxSchedulerTest, EngineStampsDerivedSlotSeedInBothModes) {
   for (size_t i = 0; i < sensors.size(); ++i) {
     sensors[i].SetPosition(Point{static_cast<double>(i), 1.0}, true);
   }
-  for (bool incremental : {true, false}) {
-    ServingConfig config;
-    config.working_region = Rect{0, 0, 100, 100};
-    config.incremental = incremental;
-    config.approx.seed = 321;
-    AcquisitionEngine engine(sensors, config);
-    const SlotContext& slot = engine.BeginSlot(3);
-    EXPECT_EQ(slot.approx.slot_seed, ApproxSlotSeed(config.approx, 3));
-    EXPECT_EQ(slot.approx.epsilon, config.approx.epsilon);
-  }
+  ServingConfig config;
+  config.working_region = Rect{0, 0, 100, 100};
+  config.approx.seed = 321;
+  AcquisitionEngine engine(sensors, config);
+  const SlotContext& slot = engine.BeginSlot(3);
+  EXPECT_EQ(slot.approx.slot_seed, ApproxSlotSeed(config.approx, 3));
+  EXPECT_EQ(slot.approx.epsilon, config.approx.epsilon);
+
+  SlotContext rebuilt = BuildSlotContext(
+      engine.sensors(), config.working_region, 3, config.dmax);
+  rebuilt.approx = config.approx;
+  rebuilt.approx.slot_seed = ApproxSlotSeed(config.approx, 3);
+  const EngineRun live = RunEngine(slot, 4, 9, GreedyEngine::kSieve);
+  const EngineRun reference = RunEngine(rebuilt, 4, 9, GreedyEngine::kSieve);
+  ASSERT_FALSE(live.result.selected_sensors.empty());
+  ExpectSameRun(live, reference, "sieve");
 }
 
 // ---------------------------------------------------------------------------

@@ -150,41 +150,37 @@ void CommitNext(MultiQuery& query, const std::vector<int>& live, int depth) {
 using QueryFactory =
     std::function<std::unique_ptr<MultiQuery>(const SlotContext& slot)>;
 
-/// Binds the factory's query on an indexed and an unindexed slot, with the
-/// column kernels on and off, and checks the contract before any commit
-/// and after every commit up to `depth`. With `negative_after_best`, the
-/// instance must also produce a negative keyed marginal once the best
-/// sensor is committed, so the contract covers that case.
+/// Binds the factory's query on an indexed and an unindexed slot and
+/// checks the contract before any commit and after every commit up to
+/// `depth`. With `negative_after_best`, the instance must also produce a
+/// negative keyed marginal once the best sensor is committed, so the
+/// contract covers that case.
 void CheckKeyedContract(const QueryFactory& make, const char* name,
                         int num_sensors, uint64_t seed, double side,
                         int depth = 3, bool negative_after_best = false) {
   for (bool indexed : {false, true}) {
-    for (bool soa : {true, false}) {
-      SlotContext slot = MakeSlot(num_sensors, seed, indexed, side);
-      slot.use_soa = soa;
-      const std::unique_ptr<MultiQuery> query = make(slot);
-      const std::string label = std::string(name) +
-                                (indexed ? "/indexed" : "/unindexed") +
-                                (soa ? "/soa" : "/scalar");
-      EXPECT_EQ(query->CandidateSensors() != nullptr,
-                indexed && std::string(name) != "callback")
+    const SlotContext slot = MakeSlot(num_sensors, seed, indexed, side);
+    const std::unique_ptr<MultiQuery> query = make(slot);
+    const std::string label =
+        std::string(name) + (indexed ? "/indexed" : "/unindexed");
+    EXPECT_EQ(query->CandidateSensors() != nullptr,
+              indexed && std::string(name) != "callback")
+        << label;
+    const std::vector<int> live = LiveSensors(*query, slot);
+    ExpectKeyedMatchesScalar(*query, slot, label + "/0 commits");
+    for (int c = 1; c <= depth; ++c) {
+      CommitNext(*query, live, depth);
+      ASSERT_EQ(query->SelectedSensors().size(), static_cast<size_t>(c))
           << label;
-      const std::vector<int> live = LiveSensors(*query, slot);
-      ExpectKeyedMatchesScalar(*query, slot, label + "/0 commits");
-      for (int c = 1; c <= depth; ++c) {
-        CommitNext(*query, live, depth);
-        ASSERT_EQ(query->SelectedSensors().size(), static_cast<size_t>(c))
-            << label;
-        ExpectKeyedMatchesScalar(*query, slot,
-                                 label + "/" + std::to_string(c) + " commits");
-        if (c == 1 && negative_after_best) {
-          const KeyedSensors all = AllKeys(*query, slot);
-          std::vector<double> keyed(all.keys.size());
-          query->MarginalsAt(all.keys, keyed);
-          EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
-                                  [](double d) { return d < 0.0; }))
-              << label << ": the instance should produce negative marginals";
-        }
+      ExpectKeyedMatchesScalar(*query, slot,
+                               label + "/" + std::to_string(c) + " commits");
+      if (c == 1 && negative_after_best) {
+        const KeyedSensors all = AllKeys(*query, slot);
+        std::vector<double> keyed(all.keys.size());
+        query->MarginalsAt(all.keys, keyed);
+        EXPECT_TRUE(std::any_of(keyed.begin(), keyed.end(),
+                                [](double d) { return d < 0.0; }))
+            << label << ": the instance should produce negative marginals";
       }
     }
   }
@@ -449,7 +445,6 @@ TEST(ScratchHygieneTest, PoisonedArenaMatchesOwnedBuffersForEveryEngine) {
   const SlotContext slot =
       BuildSlotContext(MakeRegistry(1200, 41), field, 0, 8.0);
   ASSERT_NE(slot.index, nullptr);
-  ASSERT_TRUE(slot.use_soa);
   SlotArena arena(kPoisonBytes);
   SlotContext poisoned = slot;
   poisoned.arena = &arena;

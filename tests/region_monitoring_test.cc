@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/slot.h"
 #include "gp/kernel.h"
 
 namespace psens {
@@ -99,6 +101,65 @@ TEST(RegionMonitoringTest, CostScaleDisabledIsAllOnes) {
   manager.AddQuery(MakeQuery(2));
   const SlotContext slot = MakeSlot({Point{2, 2}});
   EXPECT_DOUBLE_EQ(manager.CostScale(slot)[0], 1.0);
+}
+
+// CostScale counts, per sensor, the active query regions containing it:
+// by one index rect probe per query on an indexed slot, by a scan of the
+// coordinate columns on an unindexed one. Both must give every sensor the
+// Eq. (18) weight of the count Rect::Contains yields — including sensors
+// exactly on region edges and corners (Contains is inclusive), sensors
+// inside eleven overlapping regions (the 0.1 floor), and a sensor inside
+// only an inactive query's region.
+TEST(RegionMonitoringTest, CostScaleIsIdenticalOnIndexedAndUnindexedSlots) {
+  RegionMonitoringManager manager(Se(), DefaultConfig());
+  std::vector<RegionMonitoringQuery> queries;
+  for (int k = 0; k < 11; ++k) {
+    RegionMonitoringQuery q = MakeQuery(k + 1);
+    q.region = Rect{1.0 * k, 0.5 * k, 12.0 + k, 9.5 + 0.5 * k};
+    queries.push_back(q);
+  }
+  RegionMonitoringQuery later = MakeQuery(20);
+  later.region = Rect{-6, -6, 26, 26};
+  later.t1 = 11;  // not active at slot time 10
+  queries.push_back(later);
+  for (const RegionMonitoringQuery& q : queries) manager.AddQuery(q);
+
+  std::vector<Point> positions;
+  Rng rng(41);
+  for (int i = 0; i < 64; ++i) {
+    positions.push_back(
+        Point{rng.Uniform(-5.0, 25.0), rng.Uniform(-5.0, 25.0)});
+  }
+  for (const RegionMonitoringQuery& q : queries) {
+    const Rect& r = q.region;
+    positions.push_back(Point{r.x_min, r.y_min});
+    positions.push_back(Point{r.x_max, r.y_max});
+    positions.push_back(Point{r.x_min, 0.5 * (r.y_min + r.y_max)});
+    positions.push_back(Point{0.5 * (r.x_min + r.x_max), r.y_max});
+  }
+  positions.push_back(Point{11.0, 6.0});    // inside all eleven active regions
+  positions.push_back(Point{-5.5, -5.5});  // inside the inactive region only
+
+  std::vector<double> expected;
+  for (const Point& p : positions) {
+    int k = 0;
+    for (const RegionMonitoringQuery& q : queries) {
+      if (q.ActiveAt(10) && q.region.Contains(p)) ++k;
+    }
+    expected.push_back(k > 0 ? SharingWeight(k) : 1.0);
+  }
+  EXPECT_EQ(expected[expected.size() - 2], 0.1);
+  EXPECT_EQ(expected.back(), 1.0);
+
+  for (SlotIndexPolicy policy : {SlotIndexPolicy::kNone, SlotIndexPolicy::kGrid,
+                                 SlotIndexPolicy::kKdTree}) {
+    SlotContext slot = MakeSlot(positions);
+    slot.index_policy = policy;
+    AttachSlotIndex(slot);
+    ASSERT_EQ(slot.index == nullptr, policy == SlotIndexPolicy::kNone);
+    EXPECT_EQ(manager.CostScale(slot), expected)
+        << "policy " << static_cast<int>(policy);
+  }
 }
 
 TEST(RegionMonitoringTest, SelectSamplingPointsRespectsBudget) {

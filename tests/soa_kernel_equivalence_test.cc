@@ -1,16 +1,25 @@
 // The column-kernel contract (docs/ARCHITECTURE.md, "Valuation kernels"):
-// the column kernels behind PointMultiQuery, MultiSensorPointQuery,
-// AggregateQuery, and TrajectoryQuery — plus the per-query candidate value
-// caches they enable — produce *bit-identical* selections, payments,
-// values, and ValuationCalls to the scalar reference paths, for every
-// scheduler, under churn, with the slot's columns repaired incrementally.
-// SlotContext::use_soa is the ablation switch: flipping it off on a copied
-// context routes every kernel to its scalar path, which reads rows
-// assembled from the same columns (SlotSensorTable in core/slot.h).
+// the keyed kernels behind PointMultiQuery, MultiSensorPointQuery,
+// AggregateQuery, and TrajectoryQuery (MultiQuery::MarginalsAt) — plus the
+// per-query candidate value caches and round-delta memos they read —
+// produce *bit-identical* selections, payments, values, and ValuationCalls
+// to the counted reference MultiQuery::MarginalValue(sensor), for the lazy,
+// eager and sieve engines, under churn, on indexed and unindexed slots.
+//
+// Both sides wrap every bound query in ReferenceQuery, which forwards
+// each call to the query. On the reference side it keeps the base-class
+// MarginalsAt fallback: one counted MarginalValue probe per key, with the
+// count cancelled, so whole runs compare and their call totals stay
+// equal. On the kernel side it runs the query's own kernel and also
+// checks every value the kernel returns, at every state the run reaches,
+// against that fallback. The reference side also runs without the slot
+// arena, so scratch falls back to owned heap buffers.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,12 +27,76 @@
 #include "core/greedy.h"
 #include "core/multi_query.h"
 #include "core/multi_sensor_point_query.h"
+#include "core/sensor_delta.h"
+#include "core/sieve_streaming.h"
 #include "core/slot.h"
 #include "engine/acquisition_engine.h"
 #include "sim/workload.h"
 
 namespace psens {
 namespace {
+
+/// Forwards every MultiQuery call to the wrapped query. MarginalsAt stays
+/// MultiQuery's reference fallback — each key resolves to its sensor
+/// through CandidateSensors() and is probed with the counted
+/// MarginalValue, and the probes' count is cancelled through
+/// AddValuationCalls — unless `checked`: then it returns the wrapped
+/// query's kernel values and counts each one that differs from the
+/// fallback's in any bit. `probes()` counts the forwarded MarginalValue
+/// calls, so a test can show the reference ran.
+class ReferenceQuery final : public MultiQuery {
+ public:
+  ReferenceQuery(MultiQuery* query, bool checked)
+      : query_(query), checked_(checked) {}
+
+  int id() const override { return query_->id(); }
+  double MarginalValue(int sensor) const override {
+    ++probes_;
+    return query_->MarginalValue(sensor);
+  }
+  void MarginalsAt(std::span<const int> keys,
+                   std::span<double> out) const override {
+    if (!checked_) {
+      MultiQuery::MarginalsAt(keys, out);
+      return;
+    }
+    query_->MarginalsAt(keys, out);
+    reference_.resize(keys.size());
+    MultiQuery::MarginalsAt(keys, reference_);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (std::memcmp(&out[i], &reference_[i], sizeof(double)) != 0) {
+        ++mismatches_;
+      }
+    }
+  }
+  void AddValuationCalls(int64_t count) const override {
+    query_->AddValuationCalls(count);
+  }
+  void Commit(int sensor, double payment) override {
+    query_->Commit(sensor, payment);
+  }
+  double CurrentValue() const override { return query_->CurrentValue(); }
+  double MaxValue() const override { return query_->MaxValue(); }
+  double TotalPayment() const override { return query_->TotalPayment(); }
+  const std::vector<int>& SelectedSensors() const override {
+    return query_->SelectedSensors();
+  }
+  void ResetSelection() override { query_->ResetSelection(); }
+  int64_t ValuationCalls() const override { return query_->ValuationCalls(); }
+  const std::vector<int>* CandidateSensors() const override {
+    return query_->CandidateSensors();
+  }
+
+  int64_t probes() const { return probes_; }
+  int64_t mismatches() const { return mismatches_; }
+
+ private:
+  MultiQuery* query_;
+  bool checked_;
+  mutable std::vector<double> reference_;
+  mutable int64_t probes_ = 0;
+  mutable int64_t mismatches_ = 0;
+};
 
 /// The engine's O(churn) repair must leave every column equal to a fresh
 /// build over the same registry; a repair that skipped one column (or
@@ -46,90 +119,135 @@ struct Outcome {
   std::vector<double> payments;
   std::vector<double> values;
   std::vector<int64_t> calls;
+  /// MarginalValue probes the wrappers forwarded, and kernel values that
+  /// differed from the reference (kernel side only).
+  int64_t probes = 0;
+  int64_t mismatches = 0;
 };
 
-/// Binds a mixed query batch (point, multi-sensor point, aggregate,
-/// trajectory) against `slot` and runs `engine` over it. The batch is
-/// regenerated per call from `seed`, so SoA and scalar runs bind
-/// identical queries against their respective contexts.
-Outcome RunMixedSelection(const SlotContext& slot, const Rect& field,
-                          GreedyEngine engine, uint64_t seed) {
-  Rng query_rng(seed);
-  const std::vector<PointQuery> point_specs = GeneratePointQueries(
-      25, field, BudgetScheme{15.0, false, 0.0}, 0.2, 100, query_rng);
-  const std::vector<AggregateQuery::Params> agg_params =
-      GenerateAggregateQueries(5, field, 8.0, 15.0, 400, query_rng);
-
+/// A mixed query batch (point, multi-sensor point, aggregate, trajectory)
+/// bound against one slot. The batch is regenerated per call from `seed`,
+/// so the kernel and reference sides bind identical queries.
+struct MixedBatch {
   std::vector<std::unique_ptr<PointMultiQuery>> points;
   std::vector<std::unique_ptr<MultiSensorPointQuery>> multi_points;
   std::vector<std::unique_ptr<AggregateQuery>> aggregates;
   std::vector<std::unique_ptr<TrajectoryQuery>> trajectories;
   std::vector<MultiQuery*> all;
-  for (const PointQuery& p : point_specs) {
-    points.push_back(std::make_unique<PointMultiQuery>(p, &slot));
-    all.push_back(points.back().get());
-  }
-  for (int k = 0; k < 6; ++k) {
-    MultiSensorPointQuery::Params mp;
-    mp.id = 500 + k;
-    mp.location = Point{query_rng.Uniform(0.0, field.x_max),
-                        query_rng.Uniform(0.0, field.y_max)};
-    mp.budget = 20.0;
-    mp.theta_min = 0.2;
-    mp.redundancy = 1 + k % 3;
-    multi_points.push_back(std::make_unique<MultiSensorPointQuery>(mp, &slot));
-    all.push_back(multi_points.back().get());
-  }
-  for (const AggregateQuery::Params& p : agg_params) {
-    aggregates.push_back(std::make_unique<AggregateQuery>(p, slot));
-    all.push_back(aggregates.back().get());
-  }
-  for (int k = 0; k < 3; ++k) {
-    TrajectoryQuery::Params tp;
-    tp.id = 700 + k;
-    const double y = query_rng.Uniform(0.0, field.y_max);
-    tp.trajectory.waypoints = {Point{0.0, y}, Point{field.x_max / 2, y},
-                               Point{field.x_max, query_rng.Uniform(0.0, field.y_max)}};
-    tp.budget = 25.0;
-    tp.sensing_range = 12.0;
-    tp.cell_size = 2.0;
-    tp.corridor = 3.0;
-    trajectories.push_back(std::make_unique<TrajectoryQuery>(tp, slot));
-    all.push_back(trajectories.back().get());
+  /// One ReferenceQuery per query, in `all` order: what the scheduler
+  /// sees.
+  std::vector<std::unique_ptr<ReferenceQuery>> wrappers;
+  std::vector<MultiQuery*> selected_through;
+
+  MixedBatch(const SlotContext& slot, const Rect& field, uint64_t seed,
+             bool reference) {
+    Rng query_rng(seed);
+    const std::vector<PointQuery> point_specs = GeneratePointQueries(
+        25, field, BudgetScheme{15.0, false, 0.0}, 0.2, 100, query_rng);
+    const std::vector<AggregateQuery::Params> agg_params =
+        GenerateAggregateQueries(5, field, 8.0, 15.0, 400, query_rng);
+    for (const PointQuery& p : point_specs) {
+      points.push_back(std::make_unique<PointMultiQuery>(p, &slot));
+      all.push_back(points.back().get());
+    }
+    for (int k = 0; k < 6; ++k) {
+      MultiSensorPointQuery::Params mp;
+      mp.id = 500 + k;
+      mp.location = Point{query_rng.Uniform(0.0, field.x_max),
+                          query_rng.Uniform(0.0, field.y_max)};
+      mp.budget = 20.0;
+      mp.theta_min = 0.2;
+      mp.redundancy = 1 + k % 3;
+      multi_points.push_back(
+          std::make_unique<MultiSensorPointQuery>(mp, &slot));
+      all.push_back(multi_points.back().get());
+    }
+    for (const AggregateQuery::Params& p : agg_params) {
+      aggregates.push_back(std::make_unique<AggregateQuery>(p, slot));
+      all.push_back(aggregates.back().get());
+    }
+    for (int k = 0; k < 3; ++k) {
+      TrajectoryQuery::Params tp;
+      tp.id = 700 + k;
+      const double y = query_rng.Uniform(0.0, field.y_max);
+      tp.trajectory.waypoints = {
+          Point{0.0, y}, Point{field.x_max / 2, y},
+          Point{field.x_max, query_rng.Uniform(0.0, field.y_max)}};
+      tp.budget = 25.0;
+      tp.sensing_range = 12.0;
+      tp.cell_size = 2.0;
+      tp.corridor = 3.0;
+      trajectories.push_back(std::make_unique<TrajectoryQuery>(tp, slot));
+      all.push_back(trajectories.back().get());
+    }
+    for (MultiQuery* q : all) {
+      wrappers.push_back(
+          std::make_unique<ReferenceQuery>(q, /*checked=*/!reference));
+      selected_through.push_back(wrappers.back().get());
+    }
   }
 
-  Outcome out;
-  out.selection = GreedySensorSelection(all, slot, nullptr, engine);
-  for (const MultiQuery* q : all) {
-    out.payments.push_back(q->TotalPayment());
-    out.values.push_back(q->CurrentValue());
-    out.calls.push_back(q->ValuationCalls());
+  Outcome Observe(SelectionResult selection) const {
+    Outcome out;
+    out.selection = std::move(selection);
+    for (const MultiQuery* q : all) {
+      out.payments.push_back(q->TotalPayment());
+      out.values.push_back(q->CurrentValue());
+      out.calls.push_back(q->ValuationCalls());
+    }
+    for (const auto& w : wrappers) {
+      out.probes += w->probes();
+      out.mismatches += w->mismatches();
+    }
+    return out;
   }
-  return out;
+};
+
+/// One engine run over a freshly bound batch.
+Outcome RunMixedSelection(const SlotContext& slot, const Rect& field,
+                          GreedyEngine engine, uint64_t seed, bool reference) {
+  const MixedBatch batch(slot, field, seed, reference);
+  return batch.Observe(
+      GreedySensorSelection(batch.selected_through, slot, nullptr, engine));
 }
 
-void ExpectSameOutcome(const Outcome& soa, const Outcome& aos,
+void ExpectSameOutcome(const Outcome& kernel, const Outcome& reference,
                        const char* label, int t) {
-  ASSERT_EQ(soa.selection.selected_sensors, aos.selection.selected_sensors)
+  ASSERT_EQ(kernel.selection.selected_sensors,
+            reference.selection.selected_sensors)
       << label << " slot " << t;
-  ASSERT_EQ(soa.selection.total_value, aos.selection.total_value)
+  ASSERT_EQ(kernel.selection.total_value, reference.selection.total_value)
       << label << " slot " << t;
-  ASSERT_EQ(soa.selection.total_cost, aos.selection.total_cost)
+  ASSERT_EQ(kernel.selection.total_cost, reference.selection.total_cost)
       << label << " slot " << t;
-  ASSERT_EQ(soa.selection.valuation_calls, aos.selection.valuation_calls)
+  ASSERT_EQ(kernel.selection.valuation_calls,
+            reference.selection.valuation_calls)
       << label << " slot " << t;
-  ASSERT_EQ(soa.payments, aos.payments) << label << " slot " << t;
-  ASSERT_EQ(soa.values, aos.values) << label << " slot " << t;
-  ASSERT_EQ(soa.calls, aos.calls) << label << " slot " << t;
+  ASSERT_EQ(kernel.payments, reference.payments) << label << " slot " << t;
+  ASSERT_EQ(kernel.values, reference.values) << label << " slot " << t;
+  ASSERT_EQ(kernel.calls, reference.calls) << label << " slot " << t;
+  ASSERT_EQ(kernel.mismatches, 0) << label << " slot " << t;
+  // Both sides really probed through MarginalValue.
+  ASSERT_GT(kernel.probes, 0) << label << " slot " << t;
+  ASSERT_GT(reference.probes, 0) << label << " slot " << t;
 }
 
-TEST(SoaKernelEquivalenceTest, AllEnginesMatchScalarUnderChurn) {
+constexpr GreedyEngine kEngines[] = {GreedyEngine::kEager, GreedyEngine::kLazy,
+                                     GreedyEngine::kSieve};
+constexpr const char* kLabels[] = {"eager", "lazy", "sieve"};
+
+/// Serves eight churn slots through an engine with `policy` and checks,
+/// per slot, every engine's one-shot selection and a sieve carried across
+/// the slots (SelectDelta absorbing each slot's delta) against the
+/// reference.
+void CheckChurnedSlots(SlotIndexPolicy policy, bool expect_indexed) {
   const int count = 800;
   const Rect field{0, 0, 60, 60};
   ClusteredPopulationConfig config;
   config.count = count;
   config.num_clusters = 6;
   config.cluster_sigma = 5.0;
+  config.profile.random_privacy = true;
   Rng rng(17);
   const ScaleScenario scenario = GenerateClusteredSensors(config, field, rng);
 
@@ -142,44 +260,60 @@ TEST(SoaKernelEquivalenceTest, AllEnginesMatchScalarUnderChurn) {
   ServingConfig engine_config;
   engine_config.working_region = field;
   engine_config.dmax = 8.0;
-  engine_config.incremental = true;
+  engine_config.index_policy = policy;
   AcquisitionEngine engine(scenario.sensors, engine_config);
   ChurnStream stream(churn, scenario.sensors, field);
   stream.SetClusteredPlacement(&scenario, &config);
   Rng churn_rng(5);
+  SieveStreamingScheduler kernel_sieve(engine_config.approx);
+  SieveStreamingScheduler reference_sieve(engine_config.approx);
 
-  const GreedyEngine engines[] = {GreedyEngine::kEager, GreedyEngine::kLazy,
-                                  GreedyEngine::kSieve};
-  const char* labels[] = {"eager", "lazy", "sieve"};
   for (int t = 0; t < 8; ++t) {
-    engine.ApplyDelta(stream.Next(churn_rng));
+    const SensorDelta delta = stream.Next(churn_rng);
+    ASSERT_TRUE(engine.ApplyDelta(delta));
     const SlotContext& slot = engine.BeginSlot(t);
+    ASSERT_EQ(slot.index != nullptr, expect_indexed) << "slot " << t;
     ExpectSameContext(
         slot, BuildSlotContext(engine.sensors(), field, t, engine_config.dmax),
         t);
+    // The reference side: same membership and index, no arena.
+    SlotContext reference = slot;
+    reference.arena = nullptr;
 
-    // Scalar reference: same context with the kernels and the arena
-    // disabled — every valuation runs the scalar path over assembled
-    // rows, and scratch falls back to owned heap buffers.
-    SlotContext scalar = slot;
-    scalar.use_soa = false;
-    scalar.arena = nullptr;
-
-    for (size_t e = 0; e < std::size(engines); ++e) {
-      const uint64_t seed = 900 + static_cast<uint64_t>(t);
-      const Outcome soa = RunMixedSelection(slot, field, engines[e], seed);
-      const Outcome aos = RunMixedSelection(scalar, field, engines[e], seed);
-      ExpectSameOutcome(soa, aos, labels[e], t);
+    const uint64_t seed = 900 + static_cast<uint64_t>(t);
+    for (size_t e = 0; e < std::size(kEngines); ++e) {
+      ExpectSameOutcome(
+          RunMixedSelection(slot, field, kEngines[e], seed, false),
+          RunMixedSelection(reference, field, kEngines[e], seed, true),
+          kLabels[e], t);
     }
-    // Feed readings back so announced costs drift (privacy decay, energy)
-    // and the column repair has real cost churn to track.
+    {
+      const MixedBatch kernel_batch(slot, field, seed, false);
+      const MixedBatch reference_batch(reference, field, seed, true);
+      ExpectSameOutcome(
+          kernel_batch.Observe(kernel_sieve.SelectDelta(
+              kernel_batch.selected_through, slot, delta)),
+          reference_batch.Observe(reference_sieve.SelectDelta(
+              reference_batch.selected_through, reference, delta)),
+          "carried sieve", t);
+    }
+    // Feed readings back so announced costs drift (privacy decay) and the
+    // column repair has real cost churn to track.
     const Outcome feedback =
-        RunMixedSelection(slot, field, GreedyEngine::kLazy, 7000 + t);
+        RunMixedSelection(slot, field, GreedyEngine::kLazy, 7000 + t, false);
     engine.RecordSlotReadings(feedback.selection.selected_sensors, t);
   }
 }
 
-TEST(SoaKernelEquivalenceTest, RebuildModeMatchesScalarToo) {
+TEST(KernelEquivalenceTest, IndexedSlotsMatchReferenceUnderChurn) {
+  CheckChurnedSlots(SlotIndexPolicy::kAuto, /*expect_indexed=*/true);
+}
+
+TEST(KernelEquivalenceTest, UnindexedSlotsMatchReferenceUnderChurn) {
+  CheckChurnedSlots(SlotIndexPolicy::kNone, /*expect_indexed=*/false);
+}
+
+TEST(KernelEquivalenceTest, BuiltSlotMatchesReference) {
   const Rect field{0, 0, 40, 40};
   SensorPopulationConfig population;
   population.count = 300;
@@ -190,19 +324,17 @@ TEST(SoaKernelEquivalenceTest, RebuildModeMatchesScalarToo) {
     s.SetPosition(Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)}, true);
   }
   const SlotContext slot = BuildSlotContext(sensors, field, 3, 6.0);
-  SlotContext scalar = slot;
-  scalar.use_soa = false;
-  scalar.arena = nullptr;
-  for (GreedyEngine e : {GreedyEngine::kEager, GreedyEngine::kLazy}) {
-    const Outcome soa = RunMixedSelection(slot, field, e, 42);
-    const Outcome aos = RunMixedSelection(scalar, field, e, 42);
-    ExpectSameOutcome(soa, aos, "rebuild", 3);
+  ASSERT_NE(slot.index, nullptr);
+  for (size_t e = 0; e < std::size(kEngines); ++e) {
+    ExpectSameOutcome(RunMixedSelection(slot, field, kEngines[e], 42, false),
+                      RunMixedSelection(slot, field, kEngines[e], 42, true),
+                      kLabels[e], 3);
   }
 }
 
 // Unindexed slots exercise the dense-plan kernels (no candidate lists, so
-// the caches never arm and the column sweeps run over every sensor).
-TEST(SoaKernelEquivalenceTest, UnindexedDensePlansMatchScalar) {
+// the point caches never arm and the column sweeps run over every row).
+TEST(KernelEquivalenceTest, UnindexedDensePlansMatchReference) {
   const Rect field{0, 0, 30, 30};
   SensorPopulationConfig population;
   population.count = 150;
@@ -214,13 +346,10 @@ TEST(SoaKernelEquivalenceTest, UnindexedDensePlansMatchScalar) {
   const SlotContext slot =
       BuildSlotContext(sensors, field, 0, 6.0, SlotIndexPolicy::kNone);
   ASSERT_EQ(slot.index, nullptr);
-  SlotContext scalar = slot;
-  scalar.use_soa = false;
-  scalar.arena = nullptr;
-  for (GreedyEngine e : {GreedyEngine::kEager, GreedyEngine::kLazy}) {
-    const Outcome soa = RunMixedSelection(slot, field, e, 314);
-    const Outcome aos = RunMixedSelection(scalar, field, e, 314);
-    ExpectSameOutcome(soa, aos, "dense", 0);
+  for (size_t e = 0; e < std::size(kEngines); ++e) {
+    ExpectSameOutcome(RunMixedSelection(slot, field, kEngines[e], 314, false),
+                      RunMixedSelection(slot, field, kEngines[e], 314, true),
+                      kLabels[e], 0);
   }
 }
 

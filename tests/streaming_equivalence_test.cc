@@ -1,11 +1,12 @@
 // The streaming engine's contract (docs/ARCHITECTURE.md, "Engine layer"):
 // an AcquisitionEngine repairing its slot context and dynamic index from
 // deltas is *bit-identical* — same SlotContext, same selections, payments
-// and ValuationCalls — to one that rebuilds everything from the registry
-// every slot, across schedulers, under zero churn (mobility trace only)
-// and under full churn streams, including feedback populations whose
-// announced costs drift with readings (privacy decay, linear energy,
-// wear-out). Also covered here: the ServingConfig::Validate contract.
+// and ValuationCalls — to the per-slot rebuild reference, BuildSlotContext
+// over the engine's own registry, across schedulers, under zero churn
+// (mobility trace only) and under full churn streams, including feedback
+// populations whose announced costs drift with readings (privacy decay,
+// linear energy, wear-out). Also covered here: the ServingConfig::Validate
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -67,11 +68,10 @@ void ExpectSameSchedule(const PointScheduleResult& a,
   }
 }
 
-ServingConfig MakeConfig(const Rect& region, double dmax, bool incremental) {
+ServingConfig MakeConfig(const Rect& region, double dmax) {
   ServingConfig config;
   config.working_region = region;
   config.dmax = dmax;
-  config.incremental = incremental;
   return config;
 }
 
@@ -104,14 +104,13 @@ TEST(StreamingEquivalenceTest, TraceDrivenSlotsMatchRebuildAcrossSchedulers) {
   for (const SensorPopulationConfig& population : Populations(120)) {
     Rng rng(7);
     const std::vector<Sensor> sensors = GenerateSensors(population, rng);
-    AcquisitionEngine incremental(sensors, MakeConfig(region, 5.0, true));
-    AcquisitionEngine rebuild(sensors, MakeConfig(region, 5.0, false));
+    AcquisitionEngine engine(sensors, MakeConfig(region, 5.0));
     Rng query_rng(99);
     for (int t = 0; t < trace.NumSlots(); ++t) {
-      incremental.ApplyTrace(trace, t);
-      rebuild.ApplyTrace(trace, t);
-      const SlotContext& inc_slot = incremental.BeginSlot(t);
-      const SlotContext& reb_slot = rebuild.BeginSlot(t);
+      engine.ApplyTrace(trace, t);
+      const SlotContext& inc_slot = engine.BeginSlot(t);
+      const SlotContext reb_slot =
+          BuildSlotContext(engine.sensors(), region, t, 5.0);
       ExpectSameContext(inc_slot, reb_slot, t);
 
       const std::vector<PointQuery> queries = GeneratePointQueries(
@@ -125,9 +124,8 @@ TEST(StreamingEquivalenceTest, TraceDrivenSlotsMatchRebuildAcrossSchedulers) {
           SchedulePointQueries(queries, reb_slot, options);
       ExpectSameSchedule(inc_result, reb_result, t);
 
-      // Feed identical readings back so cost/wear state stays aligned.
-      incremental.RecordSlotReadings(inc_result.selected_sensors, t);
-      rebuild.RecordSlotReadings(reb_result.selected_sensors, t);
+      // Readings feed back so announced costs drift (wear-out, privacy).
+      engine.RecordSlotReadings(inc_result.selected_sensors, t);
     }
   }
 }
@@ -150,21 +148,16 @@ TEST(StreamingEquivalenceTest, ChurnStreamsMatchRebuild) {
     churn.departure_rate = 30;
     churn.move_fraction = 0.02;
     churn.price_jitter_fraction = 0.01;
-    AcquisitionEngine incremental(scenario.sensors, MakeConfig(field, 5.0, true));
-    AcquisitionEngine rebuild(scenario.sensors, MakeConfig(field, 5.0, false));
-    // Identical delta sequences via two identically-seeded streams.
-    ChurnStream inc_stream(churn, scenario.sensors, field);
-    ChurnStream reb_stream(churn, scenario.sensors, field);
-    inc_stream.SetClusteredPlacement(&scenario, &config);
-    reb_stream.SetClusteredPlacement(&scenario, &config);
-    Rng inc_rng(5);
-    Rng reb_rng(5);
+    AcquisitionEngine engine(scenario.sensors, MakeConfig(field, 5.0));
+    ChurnStream stream(churn, scenario.sensors, field);
+    stream.SetClusteredPlacement(&scenario, &config);
+    Rng churn_rng(5);
     Rng query_rng(77);
     for (int t = 0; t < 15; ++t) {
-      incremental.ApplyDelta(inc_stream.Next(inc_rng));
-      rebuild.ApplyDelta(reb_stream.Next(reb_rng));
-      const SlotContext& inc_slot = incremental.BeginSlot(t);
-      const SlotContext& reb_slot = rebuild.BeginSlot(t);
+      ASSERT_TRUE(engine.ApplyDelta(stream.Next(churn_rng)));
+      const SlotContext& inc_slot = engine.BeginSlot(t);
+      const SlotContext reb_slot =
+          BuildSlotContext(engine.sensors(), field, t, 5.0);
       ExpectSameContext(inc_slot, reb_slot, t);
 
       const std::vector<PointQuery> queries = GeneratePointQueries(
@@ -178,8 +171,7 @@ TEST(StreamingEquivalenceTest, ChurnStreamsMatchRebuild) {
       const PointScheduleResult reb_result =
           SchedulePointQueries(queries, reb_slot, options);
       ExpectSameSchedule(inc_result, reb_result, t);
-      incremental.RecordSlotReadings(inc_result.selected_sensors, t);
-      rebuild.RecordSlotReadings(reb_result.selected_sensors, t);
+      engine.RecordSlotReadings(inc_result.selected_sensors, t);
     }
   }
 }
@@ -198,42 +190,34 @@ TEST(StreamingEquivalenceTest, GreedyEnginesMatchIncludingValuationCalls) {
   churn.arrival_rate = 20;
   churn.departure_rate = 20;
   churn.move_fraction = 0.05;
-  AcquisitionEngine incremental(scenario.sensors, MakeConfig(field, 8.0, true));
-  AcquisitionEngine rebuild(scenario.sensors, MakeConfig(field, 8.0, false));
-  ChurnStream inc_stream(churn, scenario.sensors, field);
-  ChurnStream reb_stream(churn, scenario.sensors, field);
-  Rng inc_rng(9);
-  Rng reb_rng(9);
+  AcquisitionEngine engine(scenario.sensors, MakeConfig(field, 8.0));
+  ChurnStream stream(churn, scenario.sensors, field);
+  Rng churn_rng(9);
   Rng query_rng(55);
   for (int t = 0; t < 8; ++t) {
-    incremental.ApplyDelta(inc_stream.Next(inc_rng));
-    rebuild.ApplyDelta(reb_stream.Next(reb_rng));
-    const SlotContext& inc_slot = incremental.BeginSlot(t);
-    const SlotContext& reb_slot = rebuild.BeginSlot(t);
+    ASSERT_TRUE(engine.ApplyDelta(stream.Next(churn_rng)));
+    const SlotContext& inc_slot = engine.BeginSlot(t);
+    const SlotContext reb_slot =
+        BuildSlotContext(engine.sensors(), field, t, 8.0);
     ExpectSameContext(inc_slot, reb_slot, t);
 
-    Rng reb_query_rng = query_rng;  // aggregate params drawn twice, identically
-    const std::vector<AggregateQuery::Params> inc_params =
+    const std::vector<AggregateQuery::Params> params =
         GenerateAggregateQueries(8, field, 8.0, 15.0, t * 100, query_rng);
-    const std::vector<AggregateQuery::Params> reb_params =
-        GenerateAggregateQueries(8, field, 8.0, 15.0, t * 100, reb_query_rng);
-    for (GreedyEngine engine : {GreedyEngine::kLazy, GreedyEngine::kEager}) {
+    for (GreedyEngine kind : {GreedyEngine::kLazy, GreedyEngine::kEager}) {
       std::vector<std::unique_ptr<AggregateQuery>> inc_queries;
       std::vector<std::unique_ptr<AggregateQuery>> reb_queries;
       std::vector<MultiQuery*> inc_ptrs;
       std::vector<MultiQuery*> reb_ptrs;
-      for (const AggregateQuery::Params& p : inc_params) {
+      for (const AggregateQuery::Params& p : params) {
         inc_queries.push_back(std::make_unique<AggregateQuery>(p, inc_slot));
         inc_ptrs.push_back(inc_queries.back().get());
-      }
-      for (const AggregateQuery::Params& p : reb_params) {
         reb_queries.push_back(std::make_unique<AggregateQuery>(p, reb_slot));
         reb_ptrs.push_back(reb_queries.back().get());
       }
       const SelectionResult inc_sel =
-          GreedySensorSelection(inc_ptrs, inc_slot, nullptr, engine);
+          GreedySensorSelection(inc_ptrs, inc_slot, nullptr, kind);
       const SelectionResult reb_sel =
-          GreedySensorSelection(reb_ptrs, reb_slot, nullptr, engine);
+          GreedySensorSelection(reb_ptrs, reb_slot, nullptr, kind);
       ASSERT_EQ(inc_sel.selected_sensors, reb_sel.selected_sensors) << t;
       ASSERT_EQ(inc_sel.total_value, reb_sel.total_value) << t;
       ASSERT_EQ(inc_sel.total_cost, reb_sel.total_cost) << t;
@@ -246,7 +230,7 @@ TEST(StreamingEquivalenceTest, GreedyEnginesMatchIncludingValuationCalls) {
   }
 }
 
-TEST(StreamingEquivalenceTest, RebuildModeMatchesBuildSlotContext) {
+TEST(StreamingEquivalenceTest, ColdBuildMatchesBuildSlotContext) {
   SensorPopulationConfig population;
   population.count = 80;
   Rng rng(3);
@@ -255,7 +239,7 @@ TEST(StreamingEquivalenceTest, RebuildModeMatchesBuildSlotContext) {
     s.SetPosition(Point{rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)}, true);
   }
   const Rect region{0, 0, 20, 20};
-  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, false));
+  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0));
   const SlotContext& from_engine = engine.BeginSlot(4);
   const SlotContext direct = BuildSlotContext(sensors, region, 4, 5.0);
   ExpectSameContext(from_engine, direct, 4);
@@ -269,7 +253,7 @@ TEST(StreamingEquivalenceTest, DepartedSensorsLeaveTheSlot) {
   for (Sensor& s : sensors) {
     s.SetPosition(Point{rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)}, true);
   }
-  AcquisitionEngine engine(sensors, MakeConfig(Rect{0, 0, 20, 20}, 5.0, true));
+  AcquisitionEngine engine(sensors, MakeConfig(Rect{0, 0, 20, 20}, 5.0));
   ASSERT_EQ(engine.BeginSlot(0).sensors.size(), 50u);
 
   SensorDelta delta;
@@ -320,7 +304,7 @@ TEST(StreamingEquivalenceTest, ChangedBitSweepCoversWordEdges) {
   sensors[64].SetPosition(sensors[64].position(), false);
   sensors[129].SetPosition(sensors[129].position(), false);
   const Rect region{0, 0, 20, 20};
-  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, true));
+  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0));
   ExpectSameContext(engine.BeginSlot(0),
                     BuildSlotContext(engine.sensors(), region, 0, 5.0), 0);
 
@@ -380,7 +364,7 @@ TEST(StreamingEquivalenceTest, MergeBoundariesMatchBuildSlotContext) {
   const int n = static_cast<int>(sensors.size());
   sensors[0].SetPosition(sensors[0].position(), false);
   const Rect region{0, 0, 20, 20};
-  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, true));
+  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0));
   ExpectSameContext(engine.BeginSlot(0),
                     BuildSlotContext(engine.sensors(), region, 0, 5.0), 0);
   engine.RecordReadings({1, n / 2, n - 1}, 0);
@@ -474,7 +458,7 @@ TEST(StreamingEquivalenceTest, SlotReadingsChargeTheRowsCurrentSensor) {
     s.SetPosition(Point{rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)}, true);
   }
   const Rect region{0, 0, 20, 20};
-  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, true));
+  AcquisitionEngine engine(sensors, MakeConfig(region, 5.0));
   const SlotContext& before = engine.BeginSlot(0);
   ASSERT_EQ(before.sensors.sensor_id[5], 5);
 
@@ -555,7 +539,7 @@ TEST(StreamingEquivalenceTest, ApplyDeltaRefusesMalformedDeltasWhole) {
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
-    AcquisitionEngine engine(sensors, MakeConfig(region, 5.0, true));
+    AcquisitionEngine engine(sensors, MakeConfig(region, 5.0));
     engine.BeginSlot(0);
     // A valid departure rides along: a refusal must not apply it either.
     SensorDelta delta = c.bad;
@@ -594,7 +578,7 @@ TEST(StreamingEquivalenceTest, RefusedDeltaIsNotRecorded) {
   }
   const std::string path =
       ::testing::TempDir() + "/refused_delta_not_recorded.trace";
-  ServingConfig config = MakeConfig(Rect{0, 0, 20, 20}, 5.0, true);
+  ServingConfig config = MakeConfig(Rect{0, 0, 20, 20}, 5.0);
   config.trace_path = path;
   {
     AcquisitionEngine engine(sensors, config);

@@ -7,16 +7,18 @@
 // per-slot seeds persisted in the trace carry reproduction). Also: a
 // header the serving config refuses, and records naming an engine the
 // replayer cannot serve, fail with an error instead of aborting or
-// diverging.
+// diverging; a delta the live engine refuses selects as its replay does.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/serving_engine.h"
 #include "sim/workload.h"
 #include "trace/closed_loop.h"
 #include "trace/trace_reader.h"
@@ -65,10 +67,12 @@ void ExpectSameOutcomes(const std::vector<SlotOutcome>& live,
         << "slot " << live[i].time << " diverged: live selected "
         << live[i].selection.selected_sensors.size() << " sensors (value "
         << live[i].selection.total_value << ", payment "
-        << live[i].total_payment << "), replay selected "
+        << live[i].total_payment << ", "
+        << live[i].selection.valuation_calls << " calls), replay selected "
         << replayed[i].selection.selected_sensors.size() << " (value "
         << replayed[i].selection.total_value << ", payment "
-        << replayed[i].total_payment << ")";
+        << replayed[i].total_payment << ", "
+        << replayed[i].selection.valuation_calls << " calls)";
   }
 }
 
@@ -344,6 +348,65 @@ TEST(TraceReplayTest, InvalidHeaderValuesReturnAnError) {
         << c.field << ": " << result.error;
     std::remove(path.c_str());
   }
+}
+
+// ApplyDelta refuses a malformed delta whole and does not journal it, so
+// the slot must select as if it had no delta: the replay serves the
+// journaled (empty) delta. A sieve run is the sharp case, since the sieve
+// re-offers a delta's moved sensors. Slot 3 of the live run receives 40
+// moves of present sensors plus one NaN price; every replayed slot,
+// including the later ones the sieve's carried state feeds, must match.
+TEST(TraceReplayTest, RefusedDeltaSelectsLikeItsReplay) {
+  SensorPopulationConfig profile;
+  profile.linear_energy = true;
+  profile.random_privacy = true;
+  const ChurnScenarioSetup setup = MakeChurnScenario(
+      600, /*churn_fraction=*/0.05, kSeed, /*with_mobility=*/true, profile);
+  const std::string path = TracePath("replay_refused_delta.trc");
+  const ClosedLoopConfig loop = MakeLoopConfig(GreedyEngine::kSieve, path);
+  ServingConfig scfg = loop.serving;
+  scfg.working_region = setup.field;
+  scfg.dmax = setup.dmax;
+  std::vector<SlotOutcome> live;
+  {
+    const std::unique_ptr<ServingEngine> engine =
+        MakeServingEngine(setup.scenario.sensors, scfg);
+    ChurnWorkload workload(&setup, loop.queries);
+    SlotServer server(engine.get());
+    live.push_back(server.ServeSlot(0, SensorDelta{}, SlotQueryBatch{}));
+    for (int t = 1; t <= 6; ++t) {
+      SensorDelta delta;
+      if (t == 3) {
+        for (int id = 0; static_cast<int>(delta.moves.size()) < 40; ++id) {
+          const Sensor& s = engine->sensors()[static_cast<size_t>(id)];
+          if (!s.present()) continue;
+          delta.moves.push_back(SensorDelta::Placement{
+              id, Point{s.position().y, s.position().x}});
+        }
+        delta.price_changes.push_back(
+            {7, std::numeric_limits<double>::quiet_NaN()});
+      } else {
+        delta = workload.NextDelta();
+      }
+      live.push_back(server.ServeSlot(t, delta, workload.NextQueries(t)));
+    }
+    EXPECT_EQ(engine->refused_deltas(), 1);
+    ASSERT_TRUE(engine->FinishTrace());
+  }
+  TraceData data;
+  std::string error;
+  ASSERT_TRUE(ReadTraceFile(path, &data, &error)) << error;
+  ASSERT_EQ(data.slots.size(), 7u);
+  EXPECT_TRUE(data.slots[3].delta.empty());
+
+  ReplayConfig rcfg;
+  rcfg.serving.scheduler = GreedyEngine::kSieve;
+  const ReplayResult replayed =
+      TraceReplayer(rcfg).Replay(path, setup.scenario.sensors);
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  ExpectSameOutcomes(live, replayed.outcomes);
+  EXPECT_FALSE(live[3].selection.selected_sensors.empty());
+  std::remove(path.c_str());
 }
 
 TEST(TraceReplayTest, RecordedTraceHasOneRecordPerServedSlot) {
