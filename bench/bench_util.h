@@ -49,12 +49,9 @@ inline bool SameSchedule(const PointScheduleResult& a,
 ///   --json PATH      also write machine-readable results to PATH (only
 ///                    binaries that support it; fig11/fig12 do)
 ///   --max-sensors N  cap the population sweep (fig11/fig12)
-///   --index-policy P spatial-index policy for the indexed runs: auto
-///                    (default), grid, kd, none — ablates the kAuto
-///                    density heuristic in the fig11/fig12 sweeps
-///   --index-threshold N
-///                    minimum population for which kAuto builds an index
-///                    (default kSlotIndexAutoThreshold = 32)
+///   --index-policy P spatial-index policy for the indexed runs: grid
+///                    (default) or none; any other value prints the valid
+///                    ones and exits with status 2
 ///   --epsilon E      quality knob of the approximate scheduler
 ///                    (fig13_approx_quality; default 0.1)
 ///   --huge           extend the full-mode population sweep with a
@@ -68,8 +65,7 @@ struct BenchArgs {
   int threads = 0;
   std::string json_path;
   int max_sensors = 0;
-  SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
-  int index_threshold = kSlotIndexAutoThreshold;
+  SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   double epsilon = 0.1;
 
   static BenchArgs Parse(int argc, char** argv) {
@@ -94,8 +90,6 @@ struct BenchArgs {
         args.max_sensors = std::atoi(argv[++i]);
       } else if (std::strcmp(argv[i], "--index-policy") == 0 && i + 1 < argc) {
         args.index_policy = ParseIndexPolicy(argv[++i]);
-      } else if (std::strcmp(argv[i], "--index-threshold") == 0 && i + 1 < argc) {
-        args.index_threshold = std::atoi(argv[++i]);
       } else if (std::strcmp(argv[i], "--epsilon") == 0 && i + 1 < argc) {
         args.epsilon = std::atof(argv[++i]);
       }
@@ -103,16 +97,15 @@ struct BenchArgs {
     return args;
   }
 
+  /// Refuses a name it cannot run rather than measuring another policy
+  /// under that name.
   static SlotIndexPolicy ParseIndexPolicy(const char* name) {
-    if (std::strcmp(name, "none") == 0) return SlotIndexPolicy::kNone;
     if (std::strcmp(name, "grid") == 0) return SlotIndexPolicy::kGrid;
-    if (std::strcmp(name, "kd") == 0 || std::strcmp(name, "kd-tree") == 0) {
-      return SlotIndexPolicy::kKdTree;
-    }
-    if (std::strcmp(name, "auto") != 0) {
-      std::fprintf(stderr, "unknown --index-policy '%s'; using auto\n", name);
-    }
-    return SlotIndexPolicy::kAuto;
+    if (std::strcmp(name, "none") == 0) return SlotIndexPolicy::kNone;
+    std::fprintf(stderr,
+                 "unknown --index-policy '%s'; valid values: grid, none\n",
+                 name);
+    std::exit(2);
   }
 };
 

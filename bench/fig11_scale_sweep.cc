@@ -4,7 +4,7 @@
 // scheme values every sensor against every query. This sweep generates
 // clustered populations of 10k-1M sensors (sim/workload.h's
 // ClusteredPopulationConfig), runs the point-query slot schedulers once
-// with the spatial index (SlotIndexPolicy::kAuto) and once with the
+// with the spatial index (SlotIndexPolicy::kGrid) and once with the
 // reference full scans (kNone), verifies the two produce *bit-identical*
 // assignments and payments, and reports the wall-clock speedup. The
 // brute-force path is O(|Q| * |S|) valuations per slot; the indexed path
@@ -46,10 +46,9 @@ struct SweepResult {
 };
 
 SlotContext MakeSlot(const ScaleScenario& scenario, double dmax,
-                     SlotIndexPolicy policy,
-                     int threshold = kSlotIndexAutoThreshold) {
+                     SlotIndexPolicy policy) {
   return BuildSlotContext(scenario.sensors, scenario.field, /*time=*/0, dmax,
-                          policy, threshold);
+                          policy);
 }
 
 /// Candidate pairs actually scanned by the indexed path (deterministic —
@@ -72,8 +71,7 @@ int64_t CountCandidatePairs(const SlotContext& slot,
 SweepResult RunOne(const char* name, PointScheduler scheduler,
                    const ScaleScenario& scenario,
                    const std::vector<PointQuery>& queries, double dmax,
-                   int reps, uint64_t seed, SlotIndexPolicy index_policy,
-                   int index_threshold) {
+                   int reps, uint64_t seed, SlotIndexPolicy index_policy) {
   SweepResult r;
   r.name = name;
   r.sensors = static_cast<int>(scenario.sensors.size());
@@ -81,11 +79,10 @@ SweepResult RunOne(const char* name, PointScheduler scheduler,
 
   SlotContext brute_slot = MakeSlot(scenario, dmax, SlotIndexPolicy::kNone);
   // Build the indexed slot cold: start unindexed, flip the policy, and
-  // time the one real AttachSlotIndex (BuildSlotContext with kAuto would
+  // time the one real AttachSlotIndex (BuildSlotContext with kGrid would
   // already have built it once, wasting a build and warming the caches
   // the timed build is charged for).
-  SlotContext pruned_slot =
-      MakeSlot(scenario, dmax, SlotIndexPolicy::kNone, index_threshold);
+  SlotContext pruned_slot = MakeSlot(scenario, dmax, SlotIndexPolicy::kNone);
   pruned_slot.index_policy = index_policy;
   r.index_build_ms = bench::TimeMs([&] { AttachSlotIndex(pruned_slot); });
   r.index_kind = pruned_slot.index != nullptr ? pruned_slot.index->Name() : "none";
@@ -206,7 +203,7 @@ int main(int argc, char** argv) {
     };
     for (const auto& w : workloads) {
       SweepResult r = RunOne(w.name, w.scheduler, scenario, queries, dmax, reps,
-                             args.seed, args.index_policy, args.index_threshold);
+                             args.seed, args.index_policy);
       all_identical = all_identical && r.identical;
       std::printf("%-18s %9d %8d %10.2f %10.2f %9.2f %7.1fx %9.1fx %s\n",
                   r.name.c_str(), r.sensors, r.queries, r.brute_ms, r.pruned_ms,

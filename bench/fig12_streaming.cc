@@ -61,8 +61,7 @@ class RebuildSide {
 
   const SlotContext& BeginSlot(int time) {
     ctx_ = BuildSlotContext(registry_.sensors(), config_.working_region, time,
-                            config_.dmax, config_.index_policy,
-                            config_.index_auto_threshold);
+                            config_.dmax, config_.index_policy);
     return ctx_;
   }
 
@@ -120,7 +119,7 @@ StreamResult RunOne(const char* workload, int n, int slots,
     double sched_ms = 0.0;
 
     /// Median per-slot turnover: the reported latency — robust against
-    /// one-off spikes (allocator growth, index re-probes, CI-runner
+    /// one-off spikes (allocator growth, cell spills, CI-runner
     /// preemption) that a mean would smear into every run.
     double MedianTurnoverMs() const { return bench::MedianMs(turnover_samples_ms); }
   };
@@ -128,7 +127,6 @@ StreamResult RunOne(const char* workload, int n, int slots,
   ecfg.working_region = field;
   ecfg.dmax = dmax;
   ecfg.index_policy = args.index_policy;
-  ecfg.index_auto_threshold = args.index_threshold;
   // `side` is the engine or the RebuildSide; both take ApplyDelta then
   // BeginSlot.
   const auto run_pass = [&](auto& side,

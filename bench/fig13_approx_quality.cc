@@ -86,7 +86,6 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
   ecfg.working_region = field;
   ecfg.dmax = dmax;
   ecfg.index_policy = args.index_policy;
-  ecfg.index_auto_threshold = args.index_threshold;
   ecfg.approx.epsilon = args.epsilon;
   ecfg.approx.seed = args.seed;
   AcquisitionEngine engine(scenario.sensors, ecfg);

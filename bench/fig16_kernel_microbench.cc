@@ -242,7 +242,6 @@ std::vector<KernelRow> RunOne(int n, const bench::BenchArgs& args) {
   ecfg.working_region = setup.field;
   ecfg.dmax = setup.dmax;
   ecfg.index_policy = args.index_policy;
-  ecfg.index_auto_threshold = args.index_threshold;
   AcquisitionEngine engine(setup.scenario.sensors, ecfg);
   ChurnStream stream(setup.churn, setup.scenario.sensors, setup.field);
   stream.SetClusteredPlacement(&setup.scenario, &setup.config);

@@ -97,7 +97,6 @@ RunStats ServeRun(const ChurnScenarioSetup& setup, const PhasePlan& plan,
   cfg.dmax = setup.dmax;
   cfg.scheduler = GreedyEngine::kLazy;
   cfg.index_policy = args.index_policy;
-  cfg.index_auto_threshold = args.index_threshold;
   cfg.approx.epsilon = args.epsilon;
   cfg.approx.seed = args.seed;
   cfg.slo_ms = slo_ms;
@@ -334,7 +333,6 @@ int main(int argc, char** argv) {
     ReplayConfig rcfg;
     rcfg.serving.scheduler = GreedyEngine::kLazy;
     rcfg.serving.index_policy = args.index_policy;
-    rcfg.serving.index_auto_threshold = args.index_threshold;
     const ReplayResult replayed =
         TraceReplayer(rcfg).Replay(path, setup.scenario.sensors, nullptr);
     bool identical = replayed.ok &&

@@ -13,23 +13,19 @@ namespace psens {
 class SlotArena;
 class SpatialIndex;
 
-/// How (and whether) a slot's sensor locations are spatially indexed.
-/// The index only ever *prunes* candidate scans — every valuation is
-/// exactly zero beyond its radius, so indexed and unindexed runs produce
-/// bit-identical selections and payments (tests/pruning_equivalence_test).
+/// Whether a slot's sensor locations are spatially indexed. The index
+/// only ever *prunes* candidate scans — every valuation is exactly zero
+/// beyond its radius, so indexed and unindexed runs produce bit-identical
+/// selections and payments (tests/pruning_equivalence_test).
 enum class SlotIndexPolicy {
-  /// Build an index for populations of at least kSlotIndexAutoThreshold
-  /// sensors, choosing grid vs. k-d tree by density (the default).
-  kAuto,
-  /// Never index: schedulers scan `sensors` end to end (the reference
-  /// path, and the right call for tiny slots).
-  kNone,
+  /// Index every non-empty slot with a uniform grid (the default): the
+  /// CSR `UniformGridIndex` on a built slot, the engine's id-keyed
+  /// `DynamicGridIndex` on a served one.
   kGrid,
-  kKdTree,
+  /// Never index: schedulers scan `sensors` end to end (the reference
+  /// path).
+  kNone,
 };
-
-/// Minimum population for which kAuto bothers building an index.
-inline constexpr int kSlotIndexAutoThreshold = 32;
 
 /// Knobs for the approximate scheduler (GreedyEngine::kSieve,
 /// src/core/sieve_streaming.h). Carried on the SlotContext so the
@@ -141,12 +137,9 @@ struct SlotContext {
   double dmax = 5.0;
   /// The announcements of the slot's participating sensors.
   SlotSensorTable sensors;
-  SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
-  /// Minimum population for which kAuto builds an index (ablation knob;
-  /// bench CLIs expose it as --index-threshold).
-  int index_auto_threshold = kSlotIndexAutoThreshold;
+  SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   /// Spatial index over `sensors` locations (point index i == slot-sensor
-  /// index i), or null when the policy/population says brute force.
+  /// index i), or null when the policy is kNone or the slot is empty.
   /// Schedulers treat null as "scan everything".
   std::shared_ptr<const SpatialIndex> index;
   /// Approximate-scheduler knobs (ignored by the exact engines).
@@ -167,13 +160,11 @@ void AttachSlotIndex(SlotContext& slot);
 inline SlotContext BuildSlotContext(const std::vector<Sensor>& sensors,
                                     const Rect& working_region, int time,
                                     double dmax,
-                                    SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto,
-                                    int index_auto_threshold = kSlotIndexAutoThreshold) {
+                                    SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid) {
   SlotContext ctx;
   ctx.time = time;
   ctx.dmax = dmax;
   ctx.index_policy = index_policy;
-  ctx.index_auto_threshold = index_auto_threshold;
   for (const Sensor& s : sensors) {
     if (!s.available()) continue;
     if (!working_region.Contains(s.position())) continue;

@@ -69,7 +69,6 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
   }
   ctx_.dmax = config_.dmax;
   ctx_.index_policy = config_.index_policy;
-  ctx_.index_auto_threshold = config_.index_auto_threshold;
   slot_pos_.assign(static_cast<size_t>(n), -1);
   if (!config_.trace_path.empty()) {
     TraceHeader header;
@@ -89,8 +88,7 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
   cost_dirty_.assign(static_cast<size_t>(n), 0);
   privacy_flag_.assign(static_cast<size_t>(n), 0);
   if (config_.index_policy != SlotIndexPolicy::kNone) {
-    index_ = std::make_unique<DynamicSpatialIndex>(config_.working_region,
-                                                   config_.index_policy, n);
+    index_ = std::make_unique<DynamicGridIndex>(config_.working_region, n);
   }
   for (int id = 0; id < n; ++id) {
     MarkChanged(id, /*cost_dirty=*/true);
@@ -218,12 +216,7 @@ void AcquisitionEngine::RebuildMembership(int time) {
 }
 
 void AcquisitionEngine::AttachIndex() {
-  const int n = static_cast<int>(ctx_.sensors.size());
-  const bool want =
-      index_ != nullptr && n > 0 &&
-      !(config_.index_policy == SlotIndexPolicy::kAuto &&
-        n < config_.index_auto_threshold);
-  if (!want) {
+  if (index_ == nullptr || ctx_.sensors.size() == 0) {
     ctx_.index.reset();
     return;
   }

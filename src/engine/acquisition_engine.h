@@ -23,7 +23,7 @@ class SieveStreamingScheduler;
 class TraceWriter;
 
 /// The serving engine: owns the sensor registry, the current slot
-/// context, a *dynamic* spatial index, and the cross-slot selection state,
+/// context, a dynamic grid index, and the cross-slot selection state,
 /// carrying all of them across time slots. It is the one surface the
 /// serving layer (SlotServer, the closed loop, the trace replayer, the
 /// fig benches) programs against (engine/serving_engine.h names it
@@ -134,8 +134,8 @@ class AcquisitionEngine {
 
   const std::vector<Sensor>& sensors() const { return sensors_; }
   const ServingConfig& config() const { return config_; }
-  /// Name of the live dynamic-index backend ("dynamic-grid",
-  /// "kd-buffered", or "none" when unindexed).
+  /// Name of the index attached to the current slot: "dynamic-grid", or
+  /// "none" under SlotIndexPolicy::kNone and on an empty slot.
   const char* IndexBackendName() const;
 
   /// Pins the approx slot seed the *next* BeginSlot stamps, overriding
@@ -184,7 +184,9 @@ class AcquisitionEngine {
   SlotContext ctx_;
   /// id -> row of ctx_.sensors, or -1 when not a member.
   std::vector<int> slot_pos_;
-  std::unique_ptr<DynamicSpatialIndex> index_;
+  /// Id-keyed grid over the members, laid out once for the registry size
+  /// over the working region; null under SlotIndexPolicy::kNone.
+  std::unique_ptr<DynamicGridIndex> index_;
   std::shared_ptr<SlotIndexView> view_;
   /// One bit per registry id: sensors touched since the last BeginSlot.
   /// BeginSlot sweeps the set bits in ascending id order, clearing each

@@ -18,10 +18,11 @@ namespace psens {
 /// by exactly one validated value, consumed by `MakeServingEngine`.
 ///
 /// Every knob preserves the bit-identical-results discipline: for a
-/// fixed input stream, `index_policy`/`index_auto_threshold` change
-/// wall-clock only — selections, payments, and valuation-call counts are
-/// bitwise invariant (tests/pruning_equivalence_test.cc). Selection runs
-/// on the calling thread.
+/// fixed input stream, `index_policy` (the engine's id-keyed grid, or
+/// none) changes wall-clock only — selections, payments, and
+/// valuation-call counts are bitwise invariant
+/// (tests/pruning_equivalence_test.cc). Selection runs on the calling
+/// thread.
 struct ServingConfig {
   /// Working region filtering slot membership (same role as the
   /// `working_region` argument of BuildSlotContext).
@@ -30,8 +31,7 @@ struct ServingConfig {
   /// Selection engine the serving loop runs each slot (SlotServer /
   /// AcquisitionEngine::Select). kSieve carries cross-slot bucket state.
   GreedyEngine scheduler = GreedyEngine::kLazy;
-  SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
-  int index_auto_threshold = kSlotIndexAutoThreshold;
+  SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   /// Approximate-scheduler knobs, stamped onto every slot context.
   /// BeginSlot derives the per-slot RNG stream from (approx.seed, time)
   /// unless approx.slot_seed pins it, so a sieve selection re-run for the
@@ -76,10 +76,6 @@ struct ServingConfig {
   }
   ServingConfig& WithIndexPolicy(SlotIndexPolicy policy) {
     index_policy = policy;
-    return *this;
-  }
-  ServingConfig& WithIndexAutoThreshold(int threshold) {
-    index_auto_threshold = threshold;
     return *this;
   }
   ServingConfig& WithApprox(const ApproxParams& params) {

@@ -2,57 +2,46 @@
 #define PSENS_INDEX_DYNAMIC_INDEX_H_
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "index/grid_geometry.h"
-#include "index/kd_tree.h"
 #include "index/spatial_index.h"
 
 namespace psens {
 
-enum class SlotIndexPolicy;  // core/slot.h
-
-/// Dynamic uniform bucket grid keyed by sparse non-negative ids. Unlike
+/// Dynamic uniform bucket grid keyed by sparse non-negative ids: the
+/// serving engine's index (engine/acquisition_engine.h). Unlike
 /// `UniformGridIndex` (CSR over a frozen point vector), cells hold plain
-/// id vectors, so Insert/Remove/Move are true O(cell-occupancy) updates —
+/// id lists, so Insert/Remove/Move are true O(cell-occupancy) updates —
 /// a slot with 1% sensor churn pays O(churn) index maintenance instead of
 /// an O(n) rebuild. The grid geometry is fixed at construction (bounds +
 /// expected population); points outside the bounds land in clamped edge
 /// cells, exactly like the static grid's boundary handling, so queries
-/// remain exact. Same exactness contract as every SpatialIndex: final
-/// filters use the brute-force `Distance`/`Contains` predicates and
-/// results are ascending by id.
+/// remain exact at any population. Same exactness contract as every
+/// SpatialIndex: final filters use the brute-force `Distance`/`Contains`
+/// predicates and results are ascending by id.
 class DynamicGridIndex : public SpatialIndex {
  public:
   /// `expected_count` sizes the cells (~2 points per cell when the live
-  /// population is near it); the structure stays correct at any size.
+  /// population is near it) and reserves the per-id arrays for ids below
+  /// it, so the engine's cold build of a dense registry never regrows
+  /// them; the structure stays correct at any size and id.
   DynamicGridIndex(const Rect& bounds, int expected_count);
 
   int size() const override { return live_count_; }
-  bool Insert(int id, const Point& p) override;
-  bool Remove(int id) override;
-  bool Move(int id, const Point& p) override;
+  /// Adds `id` at `p` (an id already live moves there). False for a
+  /// negative id.
+  bool Insert(int id, const Point& p);
+  /// Drops `id`; false when it is not live.
+  bool Remove(int id);
+  /// Relocates `id` (inserting it when not live). A move within one cell
+  /// only updates the stored position.
+  bool Move(int id, const Point& p);
   void RangeQuery(const Point& center, double radius,
                   std::vector<int>* out) const override;
   void RectQuery(const Rect& rect, std::vector<int>* out) const override;
   int Nearest(const Point& p) const override;
   const char* Name() const override { return "dynamic-grid"; }
-
-  /// Fraction of cells holding at least one point, maintained
-  /// incrementally (the density signal the kAuto re-choice keys on).
-  double OccupiedCellFraction() const;
-
-  /// True when the live population has drifted at least 4x away from the
-  /// size the cell layout was sized for — updates and probes then pay for
-  /// over-full (or uselessly empty) cells and the owner should re-lay the
-  /// grid.
-  bool GeometryStale() const;
-
-  /// Appends every live (id, point) pair, ascending by id (used when the
-  /// auto policy migrates the population into the other backend).
-  void CollectLive(std::vector<std::pair<int, Point>>* out) const;
 
  private:
   /// Cell storage tuned for the auto sizing's ~2 points per cell: up to
@@ -82,8 +71,7 @@ class DynamicGridIndex : public SpatialIndex {
 
   GridGeometry geo_;
   int live_count_ = 0;
-  int occupied_cells_ = 0;
-  /// Live points outside `bounds_` (clamped into edge cells). While any
+  /// Live points outside `geo_.bounds` (clamped into edge cells). While any
   /// exist, Nearest's pruning treats edge cells as unbounded outward.
   int outlier_count_ = 0;
   std::vector<Cell> cells_;       // ids, unsorted within a cell
@@ -94,99 +82,6 @@ class DynamicGridIndex : public SpatialIndex {
   ~DynamicGridIndex() override;
   DynamicGridIndex(const DynamicGridIndex&) = delete;
   DynamicGridIndex& operator=(const DynamicGridIndex&) = delete;
-};
-
-/// Dynamic k-d tree keyed by sparse ids: a frozen `KdTreeIndex` over the
-/// last snapshot plus a delta — tombstones for removed snapshot points and
-/// a linearly-scanned side buffer for inserts (a move is tombstone +
-/// insert). When the delta outgrows `RebuildThreshold()` the snapshot is
-/// rebuilt from the live set, so maintenance cost is O(churn) amortized
-/// while queries stay O(log n + churn). Exactness contract as above.
-class BufferedKdTreeIndex : public SpatialIndex {
- public:
-  explicit BufferedKdTreeIndex(std::vector<std::pair<int, Point>> points = {});
-
-  int size() const override { return live_count_; }
-  bool Insert(int id, const Point& p) override;
-  bool Remove(int id) override;
-  bool Move(int id, const Point& p) override;
-  void RangeQuery(const Point& center, double radius,
-                  std::vector<int>* out) const override;
-  void RectQuery(const Rect& rect, std::vector<int>* out) const override;
-  int Nearest(const Point& p) const override;
-  const char* Name() const override { return "kd-buffered"; }
-
-  /// Delta size (tombstones + buffered inserts) that triggers a snapshot
-  /// rebuild: a quarter of the snapshot, floored so tiny trees don't
-  /// thrash.
-  int RebuildThreshold() const;
-  /// Snapshot rebuilds performed so far (observability for tests/benches).
-  int64_t rebuilds() const { return rebuilds_; }
-
-  void CollectLive(std::vector<std::pair<int, Point>>* out) const;
-
- private:
-  void EnsureId(int id);
-  void MaybeRebuild();
-  void Rebuild();
-
-  std::unique_ptr<KdTreeIndex> base_;   // over snapshot positions
-  std::vector<int> snapshot_ids_;       // snapshot position -> id
-  std::vector<char> dead_;              // snapshot position -> tombstoned
-  int tombstones_ = 0;
-  std::vector<int> buffer_;             // inserted ids, unsorted
-  int live_count_ = 0;
-  int64_t rebuilds_ = 0;
-  // Dense by id:
-  std::vector<Point> pos_of_id_;
-  std::vector<int> snapshot_pos_of_id_;  // -1 when not in snapshot
-  std::vector<int> buffer_pos_of_id_;    // -1 when not in buffer
-  /// Snapshot-probe scratch reused across queries — probes sit on the
-  /// scheduler candidate-pruning hot path, and a fresh vector per probe
-  /// costs more than the probe. Makes queries non-reentrant per
-  /// instance; one index per thread (the engine already is).
-  mutable std::vector<int> snap_scratch_;
-};
-
-/// Policy-driven dynamic index: owns one of the two backends per
-/// `SlotIndexPolicy` (kGrid, kKdTree, or kAuto's density-based choice) and
-/// forwards the SpatialIndex interface. Under kAuto the choice is
-/// re-evaluated only when the population has *drifted* — cumulative
-/// membership churn since the last decision exceeding a quarter of the
-/// population — at which point the grid-occupancy probe runs again and the
-/// live set migrates if the verdict changed. Steady-state slots therefore
-/// never pay a re-probe.
-class DynamicSpatialIndex : public SpatialIndex {
- public:
-  DynamicSpatialIndex(const Rect& bounds, SlotIndexPolicy policy,
-                      int expected_count);
-
-  int size() const override { return backend_->size(); }
-  bool Insert(int id, const Point& p) override;
-  bool Remove(int id) override;
-  bool Move(int id, const Point& p) override;
-  void RangeQuery(const Point& center, double radius,
-                  std::vector<int>* out) const override {
-    backend_->RangeQuery(center, radius, out);
-  }
-  void RectQuery(const Rect& rect, std::vector<int>* out) const override {
-    backend_->RectQuery(rect, out);
-  }
-  int Nearest(const Point& p) const override { return backend_->Nearest(p); }
-  const char* Name() const override { return backend_->Name(); }
-
- private:
-  void MaybeRechoose();
-
-  Rect bounds_;
-  SlotIndexPolicy policy_;
-  int expected_count_;
-  /// Membership inserts+removes since the last kAuto decision.
-  int churn_since_choice_ = 0;
-  bool grid_active_ = true;
-  std::unique_ptr<DynamicGridIndex> grid_;
-  std::unique_ptr<BufferedKdTreeIndex> kd_;
-  SpatialIndex* backend_ = nullptr;
 };
 
 }  // namespace psens

@@ -41,14 +41,14 @@ struct GridGeometry {
     return 1.0;
   }
 
-  /// Lays out cells over `bounds` for an expected population of `n`
-  /// points (`cell_size <= 0` picks the auto size). The cell table is
-  /// bounded at ~4 cells per point: a tiny cell on a huge box must not
-  /// allocate an unbounded histogram.
-  static GridGeometry Layout(const Rect& bounds, size_t n, double cell_size) {
+  /// Lays out auto-sized cells over `bounds` for an expected population
+  /// of `n` points. The cell table is bounded at ~4 cells per point: a
+  /// tiny cell on a huge, thin box must not allocate an unbounded
+  /// histogram.
+  static GridGeometry Layout(const Rect& bounds, size_t n) {
     GridGeometry g;
     g.bounds = bounds;
-    g.cell = cell_size > 0.0 ? cell_size : AutoCellSize(bounds, n);
+    g.cell = AutoCellSize(bounds, n);
     g.nx = std::max(1, static_cast<int>(std::ceil(bounds.Width() / g.cell)));
     g.ny = std::max(1, static_cast<int>(std::ceil(bounds.Height() / g.cell)));
     const long long max_cells =

@@ -1,7 +1,6 @@
 #ifndef PSENS_INDEX_SPATIAL_INDEX_H_
 #define PSENS_INDEX_SPATIAL_INDEX_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/geometry.h"
@@ -18,39 +17,19 @@ namespace psens {
 /// changing a single selected sensor, payment, or tie-break
 /// (see docs/ARCHITECTURE.md, "Spatial index layer").
 ///
-/// Indexes come in two flavours. The static structures (`UniformGridIndex`,
-/// `KdTreeIndex`) are built once from a point vector whose positions
-/// 0..n-1 are the indices queries hand back. The dynamic structures
-/// (src/index/dynamic_index.h) additionally support Insert/Remove/Move
-/// keyed by arbitrary non-negative ids, so a long-running engine can repair
-/// the index from a churn delta instead of rebuilding it each slot.
+/// Two grids implement it. `UniformGridIndex` (index/uniform_grid.h) is a
+/// CSR grid built once from a point vector whose positions 0..n-1 are the
+/// indices queries hand back; `BuildSlotContext` attaches one to every
+/// built slot. `DynamicGridIndex` (index/dynamic_index.h) is keyed by
+/// arbitrary non-negative ids and adds Insert/Remove/Move, so the serving
+/// engine repairs it from a churn delta instead of rebuilding it each
+/// slot.
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
 
   /// Number of indexed points.
   virtual int size() const = 0;
-
-  /// Dynamic maintenance, O(delta) per call on implementations that
-  /// support it. The default implementations return false ("static index —
-  /// rebuild instead"). `id` is the point index queries return; dynamic
-  /// implementations accept sparse id sets.
-  virtual bool Insert(int id, const Point& p) {
-    (void)id;
-    (void)p;
-    return false;
-  }
-  virtual bool Remove(int id) {
-    (void)id;
-    return false;
-  }
-  /// Relocates `id` (equivalent to Remove + Insert, but implementations
-  /// can short-circuit moves within the same bucket).
-  virtual bool Move(int id, const Point& p) {
-    (void)id;
-    (void)p;
-    return false;
-  }
 
   /// Appends to `out` the indices (ascending) of all points p with
   /// Distance(p, center) <= radius. `out` is cleared first.
@@ -66,30 +45,10 @@ class SpatialIndex {
   /// index; -1 when the index is empty.
   virtual int Nearest(const Point& p) const = 0;
 
-  /// Human-readable implementation name ("uniform-grid", "kd-tree").
+  /// Human-readable implementation name ("uniform-grid" for the CSR grid,
+  /// "dynamic-grid" for the engine's id-keyed grid).
   virtual const char* Name() const = 0;
 };
-
-/// Uniform bucket grid. O(1) cell lookup; ideal when points are dense and
-/// roughly evenly spread (most cells occupied). `cell_size <= 0` picks a
-/// cell size targeting ~2 points per cell over the bounding box.
-std::unique_ptr<SpatialIndex> BuildUniformGridIndex(const std::vector<Point>& points,
-                                                    double cell_size = 0.0);
-
-/// Balanced k-d tree (median splits, exact subtree bounding boxes).
-/// Robust to heavy clustering, collinear and duplicate points.
-std::unique_ptr<SpatialIndex> BuildKdTreeIndex(const std::vector<Point>& points);
-
-/// Density-based choice between the two: builds the auto-sized grid's
-/// occupancy histogram in O(n) and keeps the grid when at least
-/// `kGridOccupancyThreshold` of its cells are occupied (dense, even
-/// population); falls back to the k-d tree for skewed/clustered
-/// populations where a grid would be mostly empty cells.
-std::unique_ptr<SpatialIndex> BuildSpatialIndexAuto(const std::vector<Point>& points);
-
-/// Occupied-cell fraction below which BuildSpatialIndexAuto prefers the
-/// k-d tree.
-inline constexpr double kGridOccupancyThreshold = 0.20;
 
 }  // namespace psens
 

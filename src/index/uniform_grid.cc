@@ -8,9 +8,8 @@
 
 namespace psens {
 
-UniformGridIndex::UniformGridIndex(const std::vector<Point>& points, double cell_size) {
-  geo_ = GridGeometry::Layout(GridGeometry::BoundsOf(points), points.size(),
-                              cell_size);
+UniformGridIndex::UniformGridIndex(const std::vector<Point>& points) {
+  geo_ = GridGeometry::Layout(GridGeometry::BoundsOf(points), points.size());
 
   // Counting sort into CSR; iterating points in index order keeps each
   // cell's item list ascending. Cell ids are computed once and cached —
@@ -119,16 +118,6 @@ int UniformGridIndex::Nearest(const Point& p) const {
     if (best >= 0 && !any_cell_in_range && ring > 0) break;
   }
   return best;
-}
-
-double UniformGridIndex::OccupiedCellFraction() const {
-  const size_t total = geo_.NumCells();
-  if (total == 0) return 0.0;
-  size_t occupied = 0;
-  for (size_t c = 0; c + 1 < cell_start_.size(); ++c) {
-    if (cell_start_[c + 1] > cell_start_[c]) ++occupied;
-  }
-  return static_cast<double>(occupied) / static_cast<double>(total);
 }
 
 }  // namespace psens

@@ -19,7 +19,7 @@ namespace psens {
 /// grid (index/grid_geometry.h).
 class UniformGridIndex : public SpatialIndex {
  public:
-  explicit UniformGridIndex(const std::vector<Point>& points, double cell_size = 0.0);
+  explicit UniformGridIndex(const std::vector<Point>& points);
 
   int size() const override { return static_cast<int>(cell_items_.size()); }
   void RangeQuery(const Point& center, double radius,
@@ -27,10 +27,6 @@ class UniformGridIndex : public SpatialIndex {
   void RectQuery(const Rect& rect, std::vector<int>* out) const override;
   int Nearest(const Point& p) const override;
   const char* Name() const override { return "uniform-grid"; }
-
-  /// Fraction of grid cells holding at least one point (the density signal
-  /// BuildSpatialIndexAuto keys on).
-  double OccupiedCellFraction() const;
 
  private:
   GridGeometry geo_;

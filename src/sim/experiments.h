@@ -45,10 +45,10 @@ struct PointExperimentConfig {
   double theta_min = 0.2;
   PointScheduler scheduler = PointScheduler::kLocalSearch;
   SensorPopulationConfig sensors;  // `count` must match the trace
-  /// Spatial-index policy for each slot's sensor population (kAuto: index
-  /// large slots, prune valuations; kNone: reference full scans). Pruned
+  /// Spatial-index policy for each slot's sensor population (kGrid: index
+  /// every slot, prune valuations; kNone: reference full scans). Pruned
   /// and unpruned runs produce bit-identical results.
-  SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
+  SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   uint64_t seed = 123;
   int64_t node_limit = 500'000;
   /// Worker threads sharding the simulation slots; 0 = hardware
@@ -115,7 +115,7 @@ struct LocationMonitoringExperimentConfig {
   std::vector<double> history_values;
   SensorPopulationConfig sensors;
   /// Same contract as PointExperimentConfig::index_policy.
-  SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
+  SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   uint64_t seed = 123;
 };
 
@@ -145,7 +145,7 @@ struct RegionMonitoringExperimentConfig {
   bool share_extra_sensors = true;
   SensorPopulationConfig sensors;
   /// Same contract as PointExperimentConfig::index_policy.
-  SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
+  SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   uint64_t seed = 123;
 };
 

@@ -79,8 +79,8 @@ bool HasCrossSlotFeedback(const SensorPopulationConfig& config, int num_slots);
 /// Generator for city-scale sensor populations (100k-1M participants):
 /// sensors concentrate in Gaussian clusters ("districts") whose weights
 /// follow a Zipf-like law, over a uniform background — the density skew of
-/// real participatory deployments that uniform populations miss and that
-/// the spatial index's density heuristic keys on.
+/// real participatory deployments that uniform populations miss, and the
+/// crowded grid cells the spatial index must stay exact and fast on.
 struct ClusteredPopulationConfig {
   int count = 100'000;
   int num_clusters = 32;

@@ -64,11 +64,12 @@ ClosedLoopResult RunChurnClosedLoop(const ChurnScenarioSetup& setup,
 
   ClosedLoopResult result;
   result.outcomes.reserve(static_cast<size_t>(config.slots) + 1);
-  const auto start = std::chrono::steady_clock::now();
   // Slot 0 is the cold build, served uniformly as an empty-input slot so
   // a recorded trace replays it the same way (outcomes[0] is trivial).
+  // The clock starts after it: wall_ms covers the served slots only.
   result.outcomes.push_back(
       server.ServeSlot(0, SensorDelta{}, SlotQueryBatch{}));
+  const auto start = std::chrono::steady_clock::now();
   for (int t = 1; t <= config.slots; ++t) {
     const SensorDelta delta = workload.NextDelta();
     const SlotQueryBatch queries = workload.NextQueries(t);

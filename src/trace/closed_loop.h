@@ -67,7 +67,8 @@ struct ClosedLoopResult {
   double total_utility = 0.0;
   double total_payment = 0.0;
   int64_t valuation_calls = 0;
-  /// Wall-clock of the served slots (cold build excluded).
+  /// Wall-clock of slots 1..slots: the clock starts after slot 0, so the
+  /// cold build is excluded.
   double wall_ms = 0.0;
 };
 

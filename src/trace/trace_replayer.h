@@ -26,7 +26,7 @@ struct ReplayConfig {
   /// the replaying engine derives seeds from its own base seed — the
   /// knob the seed-persistence regression test flips.
   bool pin_slot_seeds = true;
-  /// Serving stack for the replaying engine (scheduler, incremental mode,
+  /// Serving stack for the replaying engine (scheduler, index policy,
   /// readings feedback). The working region, dmax, and the approx epsilon
   /// always come from the trace header; the base approx seed does too
   /// unless override_approx_seed imposes serving.approx.seed instead (see
@@ -39,7 +39,11 @@ struct ReplayResult {
   bool ok = false;
   std::string error;
   std::vector<SlotOutcome> outcomes;
-  /// Wall-clock of the serving loop and the achieved slot rate.
+  /// Wall-clock of the serving loop over the records after the first, and
+  /// the slot rate it achieved. The first record's BeginSlot is the fresh
+  /// engine's O(n) cold build, so it is left out, as the closed loop
+  /// leaves out its slot 0 (ClosedLoopResult::wall_ms); both are 0 for a
+  /// trace of fewer than two records.
   double wall_ms = 0.0;
   double slots_per_sec = 0.0;
 };

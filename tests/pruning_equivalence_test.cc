@@ -2,7 +2,7 @@
 // scheduler must produce *bit-identical* selections, payments, and
 // accounting — pruning only skips work whose result is exactly zero.
 // Covers the slot schedulers directly and every fig02-fig10 experiment
-// runner end to end (SlotIndexPolicy::kAuto vs kNone).
+// runner end to end (SlotIndexPolicy::kGrid vs kNone).
 
 #include <gtest/gtest.h>
 
@@ -70,7 +70,7 @@ void ExpectSameSchedule(const PointScheduleResult& a, const PointScheduleResult&
 TEST(PruningEquivalenceTest, PointSchedulersMatchUnprunedBitForBit) {
   for (uint64_t seed : {1ull, 2ull, 3ull}) {
     const std::vector<PointQuery> queries = MakeQueries(120, 900 + seed);
-    const SlotContext indexed = MakeSlot(200, seed, SlotIndexPolicy::kAuto);
+    const SlotContext indexed = MakeSlot(200, seed, SlotIndexPolicy::kGrid);
     SlotContext plain = MakeSlot(200, seed, SlotIndexPolicy::kNone);
     ASSERT_NE(indexed.index, nullptr);
     ASSERT_EQ(plain.index, nullptr);
@@ -88,16 +88,14 @@ TEST(PruningEquivalenceTest, PointSchedulersMatchUnprunedBitForBit) {
   }
 }
 
-TEST(PruningEquivalenceTest, BothIndexKindsMatchUnpruned) {
+TEST(PruningEquivalenceTest, GridIndexMatchesUnpruned) {
   const std::vector<PointQuery> queries = MakeQueries(100, 5);
   SlotContext plain = MakeSlot(150, 4, SlotIndexPolicy::kNone);
   PointSchedulingOptions options;
   const PointScheduleResult reference = SchedulePointQueries(queries, plain, options);
-  for (SlotIndexPolicy policy : {SlotIndexPolicy::kGrid, SlotIndexPolicy::kKdTree}) {
-    const SlotContext slot = MakeSlot(150, 4, policy);
-    ASSERT_NE(slot.index, nullptr);
-    ExpectSameSchedule(SchedulePointQueries(queries, slot, options), reference);
-  }
+  const SlotContext slot = MakeSlot(150, 4, SlotIndexPolicy::kGrid);
+  ASSERT_NE(slot.index, nullptr);
+  ExpectSameSchedule(SchedulePointQueries(queries, slot, options), reference);
 }
 
 struct GreedyRun {
@@ -159,7 +157,7 @@ void ExpectSameGreedy(const GreedyRun& a, const GreedyRun& b) {
 
 TEST(PruningEquivalenceTest, GreedyEnginesMatchUnprunedOnMixedQueries) {
   for (uint64_t seed : {10ull, 11ull, 12ull}) {
-    const SlotContext indexed = MakeSlot(180, seed, SlotIndexPolicy::kAuto);
+    const SlotContext indexed = MakeSlot(180, seed, SlotIndexPolicy::kGrid);
     const SlotContext plain = MakeSlot(180, seed, SlotIndexPolicy::kNone);
     ASSERT_NE(indexed.index, nullptr);
     for (GreedyEngine engine : {GreedyEngine::kEager, GreedyEngine::kLazy}) {
@@ -176,7 +174,7 @@ TEST(PruningEquivalenceTest, GreedyEnginesMatchUnprunedOnMixedQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: every fig02-fig10 experiment runner, kAuto vs kNone.
+// End-to-end: every fig02-fig10 experiment runner, kGrid vs kNone.
 // ---------------------------------------------------------------------------
 
 void ExpectSameResult(const ExperimentResult& a, const ExperimentResult& b) {
@@ -207,7 +205,7 @@ TEST(PruningEquivalenceTest, PointExperimentMatches) {
                                    PointScheduler::kBaseline}) {
     SCOPED_TRACE(static_cast<int>(scheduler));
     config.scheduler = scheduler;
-    config.index_policy = SlotIndexPolicy::kAuto;
+    config.index_policy = SlotIndexPolicy::kGrid;
     const ExperimentResult pruned = RunPointExperiment(config);
     config.index_policy = SlotIndexPolicy::kNone;
     const ExperimentResult plain = RunPointExperiment(config);
@@ -231,7 +229,7 @@ TEST(PruningEquivalenceTest, AggregateExperimentMatches) {
   for (bool greedy : {true, false}) {
     SCOPED_TRACE(greedy);
     config.greedy = greedy;
-    config.serving.index_policy = SlotIndexPolicy::kAuto;
+    config.serving.index_policy = SlotIndexPolicy::kGrid;
     const ExperimentResult pruned = RunAggregateExperiment(config);
     config.serving.index_policy = SlotIndexPolicy::kNone;
     const ExperimentResult plain = RunAggregateExperiment(config);
@@ -256,7 +254,7 @@ TEST(PruningEquivalenceTest, LocationMonitoringExperimentMatches) {
   config.history_values = history.values;
   config.sensors.lifetime = 10;
   config.point_scheduler = PointScheduler::kOptimal;
-  config.index_policy = SlotIndexPolicy::kAuto;
+  config.index_policy = SlotIndexPolicy::kGrid;
   const ExperimentResult pruned = RunLocationMonitoringExperiment(config);
   config.index_policy = SlotIndexPolicy::kNone;
   const ExperimentResult plain = RunLocationMonitoringExperiment(config);
@@ -270,10 +268,10 @@ TEST(PruningEquivalenceTest, RegionMonitoringExperimentMatches) {
   RegionMonitoringExperimentConfig config;
   config.kernel = field.SpatialKernel();
   config.num_slots = 8;
-  config.num_sensors = 40;  // above the kAuto threshold so pruning engages
+  config.num_sensors = 40;
   config.budget_factor = 15.0;
   config.sensors.lifetime = 8;
-  config.index_policy = SlotIndexPolicy::kAuto;
+  config.index_policy = SlotIndexPolicy::kGrid;
   const ExperimentResult pruned = RunRegionMonitoringExperiment(config);
   config.index_policy = SlotIndexPolicy::kNone;
   const ExperimentResult plain = RunRegionMonitoringExperiment(config);
@@ -303,7 +301,7 @@ TEST(PruningEquivalenceTest, QueryMixExperimentMatches) {
   for (bool alg5 : {true, false}) {
     SCOPED_TRACE(alg5);
     config.use_alg5 = alg5;
-    config.serving.index_policy = SlotIndexPolicy::kAuto;
+    config.serving.index_policy = SlotIndexPolicy::kGrid;
     const QueryMixResultSummary pruned = RunQueryMixExperiment(config);
     config.serving.index_policy = SlotIndexPolicy::kNone;
     const QueryMixResultSummary plain = RunQueryMixExperiment(config);
@@ -331,7 +329,7 @@ TEST(PruningEquivalenceTest, LargeClusteredWorkloadMatches) {
   const std::vector<PointQuery> queries = GenerateClusteredPointQueries(
       150, scenario, config, BudgetScheme{15.0, false, 0.0}, 0.2, 0, rng);
   const SlotContext indexed = BuildSlotContext(
-      scenario.sensors, scenario.field, 0, 5.0, SlotIndexPolicy::kAuto);
+      scenario.sensors, scenario.field, 0, 5.0, SlotIndexPolicy::kGrid);
   const SlotContext plain = BuildSlotContext(
       scenario.sensors, scenario.field, 0, 5.0, SlotIndexPolicy::kNone);
   ASSERT_NE(indexed.index, nullptr);

@@ -151,8 +151,7 @@ TEST(RegionMonitoringTest, CostScaleIsIdenticalOnIndexedAndUnindexedSlots) {
   EXPECT_EQ(expected[expected.size() - 2], 0.1);
   EXPECT_EQ(expected.back(), 1.0);
 
-  for (SlotIndexPolicy policy : {SlotIndexPolicy::kNone, SlotIndexPolicy::kGrid,
-                                 SlotIndexPolicy::kKdTree}) {
+  for (SlotIndexPolicy policy : {SlotIndexPolicy::kNone, SlotIndexPolicy::kGrid}) {
     SlotContext slot = MakeSlot(positions);
     slot.index_policy = policy;
     AttachSlotIndex(slot);

@@ -306,7 +306,7 @@ void CheckChurnedSlots(SlotIndexPolicy policy, bool expect_indexed) {
 }
 
 TEST(KernelEquivalenceTest, IndexedSlotsMatchReferenceUnderChurn) {
-  CheckChurnedSlots(SlotIndexPolicy::kAuto, /*expect_indexed=*/true);
+  CheckChurnedSlots(SlotIndexPolicy::kGrid, /*expect_indexed=*/true);
 }
 
 TEST(KernelEquivalenceTest, UnindexedSlotsMatchReferenceUnderChurn) {

@@ -1,9 +1,9 @@
-// Tests of the spatial index subsystem (src/index/): the uniform grid and
-// the k-d tree must return *exactly* the brute-force result set — same
-// predicate, ascending order — on random, clustered, and adversarial
-// (collinear, duplicate-point, degenerate) inputs, and the auto factory
-// must pick the right structure by density. Probe outputs stay ascending
-// on both sides of the radix-sort cutoff.
+// Tests of the spatial index subsystem (src/index/): the static CSR grid
+// and the engine's id-keyed dynamic grid must return *exactly* the
+// brute-force result set — same predicate, ascending order — on random,
+// clustered, and adversarial (collinear, duplicate-point, degenerate)
+// inputs, and the dynamic grid must stay exact through churn histories.
+// Probe outputs stay ascending on both sides of the radix-sort cutoff.
 
 #include "index/spatial_index.h"
 
@@ -11,10 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <initializer_list>
+#include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "common/rng.h"
 #include "core/slot.h"
 #include "index/dynamic_index.h"
-#include "index/kd_tree.h"
 #include "index/probe_order.h"
 #include "index/uniform_grid.h"
 
@@ -61,24 +59,47 @@ int BruteNearest(const std::vector<Point>& points, const Point& p) {
   return best;
 }
 
-/// Exercises every query type of `index` against brute force on `points`.
+/// Draws one location: where a test population puts its points, and
+/// (jittered) where the checks probe.
+using PointGenerator = std::function<Point(Rng&)>;
+
+/// Uniform over the 50 x 50 box most tests populate.
+Point UniformBoxPoint(Rng& rng) {
+  return Point{rng.Uniform(0.0, 50.0), rng.Uniform(0.0, 50.0)};
+}
+
+/// A drawn location moved by up to 5 units per axis, so probes land in,
+/// between, and just outside the generator's populated areas.
+Point ProbeNear(const PointGenerator& draw, Rng& rng) {
+  const Point p = draw(rng);
+  return Point{p.x + rng.Uniform(-5.0, 5.0), p.y + rng.Uniform(-5.0, 5.0)};
+}
+
+/// Rectangle spanned by two probe locations.
+Rect ProbeRect(const PointGenerator& draw, Rng& rng) {
+  const Point a = ProbeNear(draw, rng);
+  const Point b = ProbeNear(draw, rng);
+  return Rect{std::min(a.x, b.x), std::min(a.y, b.y), std::max(a.x, b.x),
+              std::max(a.y, b.y)};
+}
+
+/// Exercises every query type of `index` against brute force on `points`,
+/// probing around the locations `draw` produces.
 void CheckIndexAgainstBruteForce(const SpatialIndex& index,
                                  const std::vector<Point>& points,
-                                 uint64_t seed) {
+                                 uint64_t seed,
+                                 const PointGenerator& draw = UniformBoxPoint) {
   ASSERT_EQ(index.size(), static_cast<int>(points.size()));
   Rng rng(seed);
   std::vector<int> got;
   for (int probe = 0; probe < 30; ++probe) {
-    const Point center{rng.Uniform(-5.0, 55.0), rng.Uniform(-5.0, 55.0)};
+    const Point center = ProbeNear(draw, rng);
     for (double radius : {0.0, 0.8, 4.0, 12.0, 200.0}) {
       index.RangeQuery(center, radius, &got);
       EXPECT_EQ(got, BruteRange(points, center, radius))
           << "range probe " << probe << " r=" << radius;
     }
-    const double x0 = rng.Uniform(-5.0, 55.0), x1 = rng.Uniform(-5.0, 55.0);
-    const double y0 = rng.Uniform(-5.0, 55.0), y1 = rng.Uniform(-5.0, 55.0);
-    const Rect rect{std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
-                    std::max(y0, y1)};
+    const Rect rect = ProbeRect(draw, rng);
     index.RectQuery(rect, &got);
     EXPECT_EQ(got, BruteRect(points, rect)) << "rect probe " << probe;
     EXPECT_EQ(index.Nearest(center), BruteNearest(points, center))
@@ -189,25 +210,34 @@ TEST(SpatialIndexTest, GridMatchesBruteForceOnRandomInputs) {
   }
 }
 
-TEST(SpatialIndexTest, KdTreeMatchesBruteForceOnRandomInputs) {
-  for (uint64_t seed : {1ull, 2ull, 3ull}) {
-    const std::vector<Point> points = UniformPoints(400, seed);
-    KdTreeIndex tree(points);
-    CheckIndexAgainstBruteForce(tree, points, 100 + seed);
-  }
-}
-
-TEST(SpatialIndexTest, BothMatchBruteForceOnClusteredInputs) {
+TEST(SpatialIndexTest, GridMatchesBruteForceOnClusteredInputs) {
   const std::vector<Point> points = ClusteredPoints(300, 7);
   UniformGridIndex grid(points);
-  KdTreeIndex tree(points);
   CheckIndexAgainstBruteForce(grid, points, 11);
-  CheckIndexAgainstBruteForce(tree, points, 11);
 }
 
-/// Loads `points` into a dynamic index as ids 0..n-1, so the static
+/// One point of a heavily clustered population: three sigma = 0.5
+/// clusters at corners of a 1000 x 1000 box, so a grid sized for a few
+/// hundred such points (~58-unit cells) holds each cluster in a handful
+/// of crowded cells and leaves the rest empty, and about half the points
+/// fall just outside the box.
+Point CornerClusterPoint(Rng& rng) {
+  static constexpr Point kCenters[] = {{0, 0}, {1000, 1000}, {0, 1000}};
+  const Point& c = kCenters[rng.UniformInt(0, 2)];
+  return Point{rng.Normal(c.x, 0.5), rng.Normal(c.y, 0.5)};
+}
+
+TEST(SpatialIndexTest, GridMatchesBruteForceOnHeavilyClusteredInputs) {
+  Rng rng(13);
+  std::vector<Point> points;
+  for (int i = 0; i < 600; ++i) points.push_back(CornerClusterPoint(rng));
+  UniformGridIndex grid(points);
+  CheckIndexAgainstBruteForce(grid, points, 31, CornerClusterPoint);
+}
+
+/// Loads `points` into a dynamic grid as ids 0..n-1, so the static
 /// brute-force helpers above apply to it unchanged.
-void InsertAll(SpatialIndex* index, const std::vector<Point>& points) {
+void InsertAll(DynamicGridIndex* index, const std::vector<Point>& points) {
   for (size_t i = 0; i < points.size(); ++i) {
     ASSERT_TRUE(index->Insert(static_cast<int>(i), points[i]));
   }
@@ -217,83 +247,42 @@ TEST(SpatialIndexTest, AdversarialInputs) {
   for (const NamedPoints& set : AdversarialSets()) {
     SCOPED_TRACE(set.name);
     UniformGridIndex grid(set.points);
-    KdTreeIndex tree(set.points);
     CheckIndexAgainstBruteForce(grid, set.points, 23);
-    CheckIndexAgainstBruteForce(tree, set.points, 23);
     if (set.points.empty()) {
       EXPECT_EQ(grid.Nearest(Point{0, 0}), -1);
-      EXPECT_EQ(tree.Nearest(Point{0, 0}), -1);
     }
-    // Every dynamic backend, over fixed bounds some sets leave (the
+    // The dynamic grid, over fixed bounds some sets leave (the
     // collinear-y set sits at x = -3, in the clamped edge cells).
-    const Rect bounds{0, 0, 50, 50};
-    const int n = static_cast<int>(set.points.size());
-    DynamicGridIndex dynamic_grid(bounds, n);
-    BufferedKdTreeIndex buffered_tree;
-    DynamicSpatialIndex auto_index(bounds, SlotIndexPolicy::kAuto, n);
-    DynamicSpatialIndex grid_index(bounds, SlotIndexPolicy::kGrid, n);
-    DynamicSpatialIndex kd_index(bounds, SlotIndexPolicy::kKdTree, n);
-    for (SpatialIndex* index :
-         std::initializer_list<SpatialIndex*>{&dynamic_grid, &buffered_tree,
-                                              &auto_index, &grid_index,
-                                              &kd_index}) {
-      SCOPED_TRACE(index->Name());
-      InsertAll(index, set.points);
-      CheckIndexAgainstBruteForce(*index, set.points, 23);
-    }
+    DynamicGridIndex dynamic_grid(Rect{0, 0, 50, 50},
+                                  static_cast<int>(set.points.size()));
+    InsertAll(&dynamic_grid, set.points);
+    CheckIndexAgainstBruteForce(dynamic_grid, set.points, 23);
   }
 }
 
 TEST(DynamicIndexTest, MatchBruteForceOnRandomInputs) {
   const std::vector<Point> points = UniformPoints(400, 4);
-  const Rect bounds{0, 0, 50, 50};
-  DynamicGridIndex dynamic_grid(bounds, 400);
-  BufferedKdTreeIndex buffered_tree;
+  DynamicGridIndex dynamic_grid(Rect{0, 0, 50, 50}, 400);
   InsertAll(&dynamic_grid, points);
-  InsertAll(&buffered_tree, points);
   CheckIndexAgainstBruteForce(dynamic_grid, points, 104);
-  CheckIndexAgainstBruteForce(buffered_tree, points, 104);
 }
 
 TEST(SpatialIndexTest, NearestTieBreaksToLowestIndex) {
   // Two points equidistant from the probe; the lower index must win in
-  // both implementations (matching the ascending brute-force scan).
+  // both grids (matching the ascending brute-force scan).
   const std::vector<Point> points{Point{0.0, 1.0}, Point{0.0, -1.0},
                                   Point{0.0, 1.0}};
   UniformGridIndex grid(points);
-  KdTreeIndex tree(points);
+  DynamicGridIndex dynamic_grid(Rect{-1, -1, 1, 1}, 3);
+  InsertAll(&dynamic_grid, points);
   EXPECT_EQ(grid.Nearest(Point{0.0, 0.0}), 0);
-  EXPECT_EQ(tree.Nearest(Point{0.0, 0.0}), 0);
-}
-
-TEST(SpatialIndexTest, AutoFactoryPicksGridForDenseUniformPopulations) {
-  const std::vector<Point> points = UniformPoints(2000, 9);
-  const auto index = BuildSpatialIndexAuto(points);
-  EXPECT_STREQ(index->Name(), "uniform-grid");
-  CheckIndexAgainstBruteForce(*index, points, 31);
-}
-
-TEST(SpatialIndexTest, AutoFactoryPicksKdTreeForHeavilyClusteredPopulations) {
-  // Three tight clusters in a huge otherwise-empty bounding box: the
-  // auto-sized grid is almost entirely empty cells.
-  Rng rng(13);
-  std::vector<Point> points;
-  const Point centers[] = {{0, 0}, {1000, 1000}, {0, 1000}};
-  for (int i = 0; i < 600; ++i) {
-    const Point& c = centers[i % 3];
-    points.push_back(Point{rng.Normal(c.x, 0.5), rng.Normal(c.y, 0.5)});
-  }
-  const auto index = BuildSpatialIndexAuto(points);
-  EXPECT_STREQ(index->Name(), "kd-tree");
-  std::vector<int> got;
-  index->RangeQuery(Point{0, 0}, 3.0, &got);
-  EXPECT_EQ(got, BruteRange(points, Point{0, 0}, 3.0));
+  EXPECT_EQ(dynamic_grid.Nearest(Point{0.0, 0.0}), 0);
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic indexes (src/index/dynamic_index.h): Insert/Remove/Move must keep
-// every probe exactly equal to a brute-force scan of the live set — and to
-// a freshly built static index — through arbitrary churn histories.
+// The dynamic grid (src/index/dynamic_index.h): Insert/Remove/Move must
+// keep every probe exactly equal to a brute-force scan of the live set
+// through arbitrary churn histories.
 // ---------------------------------------------------------------------------
 
 /// Mirror of a dynamic index's live set, with brute-force probes.
@@ -337,149 +326,104 @@ class LiveSet {
   std::map<int, Point> points_;  // ordered: brute results ascend by id
 };
 
-void CheckDynamicAgainstLiveSet(const SpatialIndex& index, const LiveSet& live,
-                                uint64_t seed) {
+/// Probes `index` around locations `draw` produces and compares every
+/// answer with a brute-force scan of `live`.
+void CheckDynamicAgainstLiveSet(const DynamicGridIndex& index,
+                                const LiveSet& live,
+                                const PointGenerator& draw, uint64_t seed) {
   ASSERT_EQ(index.size(), live.size());
   Rng rng(seed);
   std::vector<int> got;
   for (int probe = 0; probe < 10; ++probe) {
-    const Point center{rng.Uniform(-5.0, 55.0), rng.Uniform(-5.0, 55.0)};
-    for (double radius : {0.0, 2.0, 9.0, 100.0}) {
+    const Point center = ProbeNear(draw, rng);
+    for (double radius : {0.0, 0.5, 2.0, 9.0, 100.0}) {
       index.RangeQuery(center, radius, &got);
       EXPECT_EQ(got, live.Range(center, radius)) << "r=" << radius;
     }
-    const double x0 = rng.Uniform(-5.0, 55.0), x1 = rng.Uniform(-5.0, 55.0);
-    const double y0 = rng.Uniform(-5.0, 55.0), y1 = rng.Uniform(-5.0, 55.0);
-    const Rect rect{std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
-                    std::max(y0, y1)};
+    const Rect rect = ProbeRect(draw, rng);
     index.RectQuery(rect, &got);
     EXPECT_EQ(got, live.InRect(rect)) << "rect probe " << probe;
     EXPECT_EQ(index.Nearest(center), live.Nearest(center)) << "probe " << probe;
   }
 }
 
-/// Random interleaving of inserts, removes, and moves over a sparse id
-/// space, verified against the live set after every batch.
-void ChurnAndVerify(SpatialIndex* index, uint64_t seed) {
+/// Churn history over a sparse id space with locations from `draw`,
+/// verified against the live set after every batch of 40 ops: first
+/// `preload` inserts (ids 0..preload-1), then 12 batches of random
+/// inserts, removes, and moves, then removes until nothing is live, then
+/// 80 fresh inserts — so a cell that grew also empties and fills again.
+void ChurnAndVerify(DynamicGridIndex* index, const PointGenerator& draw,
+                    uint64_t seed, int preload = 0) {
   Rng rng(seed);
   LiveSet live;
   std::vector<int> ids;
+  uint64_t check = seed;
+  const auto insert = [&](int id) {
+    const Point p = draw(rng);
+    if (live.points().count(id) != 0) return;
+    ids.push_back(id);
+    EXPECT_TRUE(index->Insert(id, p));
+    live.Insert(id, p);
+  };
+  const auto remove_at = [&](size_t k) {
+    const int id = ids[k];
+    ids[k] = ids.back();
+    ids.pop_back();
+    EXPECT_TRUE(index->Remove(id));
+    live.Remove(id);
+  };
+  for (int id = 0; id < preload; ++id) {
+    insert(id);
+    if ((id + 1) % 40 == 0 || id + 1 == preload) {
+      CheckDynamicAgainstLiveSet(*index, live, draw, check++);
+    }
+  }
   for (int batch = 0; batch < 12; ++batch) {
     for (int op = 0; op < 40; ++op) {
       const int roll = static_cast<int>(rng.UniformInt(0, 99));
       if (roll < 45 || ids.empty()) {
-        const int id = static_cast<int>(rng.UniformInt(0, 999));
-        const Point p{rng.Uniform(0.0, 50.0), rng.Uniform(0.0, 50.0)};
-        if (live.points().count(id) == 0) {
-          ids.push_back(id);
-          EXPECT_TRUE(index->Insert(id, p));
-          live.Insert(id, p);
-        }
+        insert(static_cast<int>(rng.UniformInt(0, 999)));
       } else if (roll < 70) {
-        const size_t k = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1));
-        const int id = ids[k];
-        ids[k] = ids.back();
-        ids.pop_back();
-        EXPECT_TRUE(index->Remove(id));
-        live.Remove(id);
+        remove_at(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1)));
       } else {
         const size_t k = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1));
-        const Point p{rng.Uniform(0.0, 50.0), rng.Uniform(0.0, 50.0)};
+        const Point p = draw(rng);
         EXPECT_TRUE(index->Move(ids[k], p));
         live.Insert(ids[k], p);  // overwrite position
       }
     }
-    CheckDynamicAgainstLiveSet(*index, live, seed + batch);
+    CheckDynamicAgainstLiveSet(*index, live, draw, check++);
+  }
+  while (!ids.empty()) {
+    for (int op = 0; op < 40 && !ids.empty(); ++op) {
+      remove_at(static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1)));
+    }
+    CheckDynamicAgainstLiveSet(*index, live, draw, check++);
+  }
+  for (int id = 0; id < 80; ++id) {
+    insert(2000 + id);
+    if ((id + 1) % 40 == 0) {
+      CheckDynamicAgainstLiveSet(*index, live, draw, check++);
+    }
   }
 }
 
 TEST(DynamicIndexTest, GridMatchesBruteForceUnderChurn) {
   DynamicGridIndex grid(Rect{0, 0, 50, 50}, 400);
-  ChurnAndVerify(&grid, 101);
+  ChurnAndVerify(&grid, UniformBoxPoint, 101);
 }
 
-TEST(DynamicIndexTest, BufferedKdTreeMatchesBruteForceUnderChurn) {
-  // The churn equilibrium stays under RebuildThreshold(), so this
-  // exercises the tombstone/buffer delta paths; the snapshot-rebuild
-  // crossing is pinned by BufferedKdTreeRebuildPreservesResults below.
-  BufferedKdTreeIndex tree;
-  ChurnAndVerify(&tree, 202);
-}
-
-TEST(DynamicIndexTest, AutoPolicyMatchesBruteForceUnderChurn) {
-  DynamicSpatialIndex index(Rect{0, 0, 50, 50}, SlotIndexPolicy::kAuto, 400);
-  ChurnAndVerify(&index, 303);
-}
-
-TEST(DynamicIndexTest, BufferedKdTreeRebuildPreservesResults) {
-  // Deterministic crossing of the rebuild threshold: results before and
-  // after the snapshot fold must be identical for the same probes.
-  std::vector<std::pair<int, Point>> initial;
-  Rng rng(17);
-  LiveSet live;
-  for (int id = 0; id < 300; ++id) {
-    const Point p{rng.Uniform(0.0, 50.0), rng.Uniform(0.0, 50.0)};
-    initial.emplace_back(id, p);
-    live.Insert(id, p);
-  }
-  BufferedKdTreeIndex tree(initial);
-  const int64_t rebuilds_at_start = tree.rebuilds();
-  // Delete and insert until the delta crosses RebuildThreshold().
-  for (int id = 0; id < 200; ++id) {
-    tree.Remove(id);
-    live.Remove(id);
-    const int fresh = 1000 + id;
-    const Point p{rng.Uniform(0.0, 50.0), rng.Uniform(0.0, 50.0)};
-    tree.Insert(fresh, p);
-    live.Insert(fresh, p);
-  }
-  EXPECT_GT(tree.rebuilds(), rebuilds_at_start);
-  CheckDynamicAgainstLiveSet(tree, live, 404);
-}
-
-TEST(DynamicIndexTest, AutoPolicyRechoosesBackendWhenDensityDrifts) {
-  // Dense uniform load → grid. Collapse to three tight clusters in a huge
-  // empty box → after enough churn the auto policy must migrate to the
-  // buffered k-d tree, preserving exact results throughout.
-  const Rect bounds{0, 0, 1000, 1000};
-  DynamicSpatialIndex index(bounds, SlotIndexPolicy::kAuto, 2000);
-  Rng rng(23);
-  LiveSet live;
-  for (int id = 0; id < 2000; ++id) {
-    const Point p{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)};
-    index.Insert(id, p);
-    live.Insert(id, p);
-  }
-  EXPECT_STREQ(index.Name(), "dynamic-grid");
-
-  for (int id = 0; id < 2000; ++id) {
-    index.Remove(id);
-    live.Remove(id);
-  }
-  const Point centers[] = {{1, 1}, {999, 999}, {1, 999}};
-  for (int id = 3000; id < 3600; ++id) {
-    const Point& c = centers[id % 3];
-    const Point p = bounds.Clamp(
-        Point{rng.Normal(c.x, 0.5), rng.Normal(c.y, 0.5)});
-    index.Insert(id, p);
-    live.Insert(id, p);
-  }
-  EXPECT_STREQ(index.Name(), "kd-buffered");
-  CheckDynamicAgainstLiveSet(index, live, 505);
-}
-
-TEST(DynamicIndexTest, StaticIndexesRejectDynamicOps) {
-  const std::vector<Point> points{{1, 1}, {2, 2}};
-  UniformGridIndex grid(points);
-  KdTreeIndex tree(points);
-  EXPECT_FALSE(grid.Insert(5, Point{3, 3}));
-  EXPECT_FALSE(grid.Remove(0));
-  EXPECT_FALSE(grid.Move(0, Point{4, 4}));
-  EXPECT_FALSE(tree.Insert(5, Point{3, 3}));
-  EXPECT_FALSE(tree.Remove(0));
-  EXPECT_FALSE(tree.Move(0, Point{4, 4}));
+TEST(DynamicIndexTest, GridMatchesBruteForceUnderClusteredChurn) {
+  // Sized for the 600 preloaded points: each cluster's few cells hold
+  // far more than Cell::kInline (6) ids and spill to heap blocks, moves
+  // carry ids between clusters, and the drain empties the spilled cells
+  // before the refill reuses them. Points beyond the box sit in clamped
+  // edge cells, so Nearest also runs with open edges.
+  DynamicGridIndex grid(Rect{0, 0, 1000, 1000}, 600);
+  ChurnAndVerify(&grid, CornerClusterPoint, 202, /*preload=*/600);
 }
 
 TEST(SpatialIndexTest, AttachSlotIndexHonorsPolicy) {
@@ -497,30 +441,16 @@ TEST(SpatialIndexTest, AttachSlotIndexHonorsPolicy) {
   AttachSlotIndex(slot);
   EXPECT_EQ(slot.index, nullptr);
 
-  slot.index_policy = SlotIndexPolicy::kAuto;
+  slot.index_policy = SlotIndexPolicy::kGrid;
   AttachSlotIndex(slot);
   ASSERT_NE(slot.index, nullptr);
   EXPECT_EQ(slot.index->size(), 64);
-
-  slot.index_policy = SlotIndexPolicy::kGrid;
-  AttachSlotIndex(slot);
   EXPECT_STREQ(slot.index->Name(), "uniform-grid");
 
-  slot.index_policy = SlotIndexPolicy::kKdTree;
-  AttachSlotIndex(slot);
-  EXPECT_STREQ(slot.index->Name(), "kd-tree");
-
-  // kAuto skips tiny populations (below kSlotIndexAutoThreshold).
-  SlotContext tiny;
-  for (int i = 0; i < kSlotIndexAutoThreshold - 1; ++i) {
-    SlotSensor s;
-    s.sensor_id = i;
-    s.location = Point{static_cast<double>(i), 0.0};
-    tiny.sensors.Append(s);
-  }
-  tiny.index_policy = SlotIndexPolicy::kAuto;
-  AttachSlotIndex(tiny);
-  EXPECT_EQ(tiny.index, nullptr);
+  // An empty slot has nothing to index.
+  SlotContext empty;
+  AttachSlotIndex(empty);
+  EXPECT_EQ(empty.index, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -619,10 +549,9 @@ TEST(ProbeOrderTest, EveryBackendOrdersResultsAroundTheCutoff) {
       }
       ExpectProbesReturnSorted(UniformGridIndex(points), picked,
                                label + " grid");
-      ExpectProbesReturnSorted(KdTreeIndex(points), picked, label + " kd");
 
-      // Dynamic backends: sparse ids — the picked ones plus a few hundred
-      // far fillers — half in the k-d snapshot and half buffered.
+      // Dynamic grid: sparse ids — the picked ones plus a few hundred far
+      // fillers.
       std::vector<std::pair<int, Point>> live;
       for (int i = 0; i < id_space; ++i) {
         if (inside[static_cast<size_t>(i)] || i % 97 == 3) {
@@ -633,13 +562,6 @@ TEST(ProbeOrderTest, EveryBackendOrdersResultsAroundTheCutoff) {
                             static_cast<int>(live.size()));
       for (const auto& [id, p] : live) ASSERT_TRUE(grid.Insert(id, p));
       ExpectProbesReturnSorted(grid, picked, label + " dynamic grid");
-      std::vector<std::pair<int, Point>> snapshot;
-      for (size_t k = 0; k < live.size(); k += 2) snapshot.push_back(live[k]);
-      BufferedKdTreeIndex buffered(snapshot);
-      for (size_t k = 1; k < live.size(); k += 2) {
-        ASSERT_TRUE(buffered.Insert(live[k].first, live[k].second));
-      }
-      ExpectProbesReturnSorted(buffered, picked, label + " buffered kd");
     }
   }
 }

@@ -7,7 +7,8 @@
 // per-slot seeds persisted in the trace carry reproduction). Also: a
 // header the serving config refuses, and records naming an engine the
 // replayer cannot serve, fail with an error instead of aborting or
-// diverging; a delta the live engine refuses selects as its replay does.
+// diverging; a delta the live engine refuses selects as its replay does;
+// the replay rate leaves out the cold-build record.
 
 #include <gtest/gtest.h>
 
@@ -406,6 +407,32 @@ TEST(TraceReplayTest, RefusedDeltaSelectsLikeItsReplay) {
   ASSERT_TRUE(replayed.ok) << replayed.error;
   ExpectSameOutcomes(live, replayed.outcomes);
   EXPECT_FALSE(live[3].selection.selected_sensors.empty());
+  std::remove(path.c_str());
+}
+
+TEST(TraceReplayTest, ReplayRateLeavesOutTheColdBuildRecord) {
+  // The first record's BeginSlot is the fresh engine's cold build, so the
+  // replay clock starts after it: a trace of slot 0 alone times nothing,
+  // and a longer one reports kSlots slots over its wall time.
+  const ChurnScenarioSetup setup = MakeSetup();
+  const std::string path = TracePath("replay_rate.trc");
+  ClosedLoopConfig config = MakeLoopConfig(GreedyEngine::kLazy, path);
+  config.slots = 0;
+  RunChurnClosedLoop(setup, config);
+  ReplayResult cold = TraceReplayer(ReplayConfig{}).Replay(
+      path, setup.scenario.sensors);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cold.outcomes.size(), 1u);
+  EXPECT_EQ(cold.wall_ms, 0.0);
+  EXPECT_EQ(cold.slots_per_sec, 0.0);
+
+  RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kLazy, path));
+  ReplayResult steady = TraceReplayer(ReplayConfig{}).Replay(
+      path, setup.scenario.sensors);
+  ASSERT_TRUE(steady.ok) << steady.error;
+  EXPECT_EQ(steady.outcomes.size(), static_cast<size_t>(kSlots) + 1);
+  ASSERT_GT(steady.wall_ms, 0.0);
+  EXPECT_DOUBLE_EQ(steady.slots_per_sec, 1000.0 * kSlots / steady.wall_ms);
   std::remove(path.c_str());
 }
 
