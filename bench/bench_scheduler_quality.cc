@@ -14,6 +14,7 @@
 #include "common/table.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/point_scheduling.h"
 #include "mobility/synthetic_nokia.h"
 #include "sim/experiments.h"
@@ -113,17 +114,17 @@ void RunGreedyEngineAblation(const BenchArgs& args) {
     const auto params = psens::GenerateAggregateQueries(30, working, 10.0, 15.0,
                                                         t * 100, query_rng);
     // Fresh query objects per engine: selection state is stored on them.
-    const auto run = [&](psens::GreedyEngine engine) {
+    const auto run = [&](auto select) {
       std::vector<std::unique_ptr<psens::AggregateQuery>> queries;
       for (const auto& p : params) {
         queries.push_back(std::make_unique<psens::AggregateQuery>(p, slot));
       }
       std::vector<psens::MultiQuery*> ptrs;
       for (auto& q : queries) ptrs.push_back(q.get());
-      return psens::GreedySensorSelection(ptrs, slot, nullptr, engine);
+      return select(ptrs, slot, nullptr);
     };
-    const psens::SelectionResult eager = run(psens::GreedyEngine::kEager);
-    const psens::SelectionResult lazy = run(psens::GreedyEngine::kLazy);
+    const psens::SelectionResult eager = run(psens::EagerGreedySensorSelection);
+    const psens::SelectionResult lazy = run(psens::LazyGreedySensorSelection);
     eager_calls += eager.valuation_calls;
     lazy_calls += lazy.valuation_calls;
     eager_utility += eager.Utility();

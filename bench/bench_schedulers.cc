@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/point_scheduling.h"
 #include "mobility/random_waypoint.h"
 #include "sim/experiments.h"
@@ -83,7 +84,8 @@ void BM_PointBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_PointBaseline)->Args({100, 300})->Args({200, 300});
 
-void RunGreedyAggregate(benchmark::State& state, GreedyEngine engine) {
+void RunGreedyAggregate(benchmark::State& state,
+                        decltype(&LazyGreedySensorSelection) select) {
   const SlotContext slot = MakeSlot(static_cast<int>(state.range(0)), 7);
   Rng rng(9);
   const std::vector<AggregateQuery::Params> params = GenerateAggregateQueries(
@@ -96,7 +98,7 @@ void RunGreedyAggregate(benchmark::State& state, GreedyEngine engine) {
     }
     std::vector<MultiQuery*> ptrs;
     for (auto& q : queries) ptrs.push_back(q.get());
-    const SelectionResult result = GreedySensorSelection(ptrs, slot, nullptr, engine);
+    const SelectionResult result = select(ptrs, slot, nullptr);
     valuation_calls = result.valuation_calls;
     benchmark::DoNotOptimize(result);
   }
@@ -104,12 +106,12 @@ void RunGreedyAggregate(benchmark::State& state, GreedyEngine engine) {
 }
 
 void BM_GreedyAggregateEager(benchmark::State& state) {
-  RunGreedyAggregate(state, GreedyEngine::kEager);
+  RunGreedyAggregate(state, EagerGreedySensorSelection);
 }
 BENCHMARK(BM_GreedyAggregateEager)->Args({100, 30})->Args({200, 30});
 
 void BM_GreedyAggregateLazy(benchmark::State& state) {
-  RunGreedyAggregate(state, GreedyEngine::kLazy);
+  RunGreedyAggregate(state, LazyGreedySensorSelection);
 }
 BENCHMARK(BM_GreedyAggregateLazy)->Args({100, 30})->Args({200, 30});
 

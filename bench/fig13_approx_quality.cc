@@ -11,9 +11,11 @@
 // serves the same deterministic churn + query streams with three
 // engines —
 //
-//   exact       GreedyEngine::kEager, the paper's literal Algorithm 1
-//               (the reference "exact" of the reported speedups)
-//   lazy        GreedyEngine::kLazy, exact CELF (the production default)
+//   exact       EagerGreedySensorSelection, the paper's literal
+//               Algorithm 1 (the reference "exact" of the reported
+//               speedups; a reference function, not a serving engine)
+//   lazy        LazyGreedySensorSelection, exact CELF (the serving
+//               default)
 //   sieve       SieveStreamingScheduler fed each slot's SensorDelta
 //
 // — on identical slot contexts, and reports each engine's median
@@ -36,6 +38,7 @@
 #include "common/rng.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/multi_query.h"
 #include "core/sieve_streaming.h"
 #include "engine/acquisition_engine.h"
@@ -142,16 +145,16 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
       all.push_back(point_queries.back().get());
     }
 
-    const auto run_engine = [&](EngineState& state, GreedyEngine kind) {
+    const auto run_engine = [&](EngineState& state, auto select) {
       for (MultiQuery* q : all) q->ResetSelection();
       SelectionResult result;
-      state.ms.push_back(bench::TimeMs(
-          [&] { result = GreedySensorSelection(all, slot, nullptr, kind); }));
+      state.ms.push_back(
+          bench::TimeMs([&] { result = select(all, slot, nullptr); }));
       state.utility += result.Utility();
       state.calls += result.valuation_calls;
     };
-    run_engine(exact, GreedyEngine::kEager);
-    run_engine(lazy, GreedyEngine::kLazy);
+    run_engine(exact, EagerGreedySensorSelection);
+    run_engine(lazy, LazyGreedySensorSelection);
     {
       // The sieve absorbs the slot's churn delta into its carried bucket
       // state; its timed cost is the whole absorb + commit step.

@@ -14,9 +14,9 @@
 //      monitor set attached (latency histogram, valuation counters,
 //      index-repair timing), and
 //   3. checks every slot's schedule, payments, and valuation-call count
-//      replayed *bit-identically* — for the exact-eager, lazy, and sieve
-//      engines alike — and reports the replayer's sustained slot rate
-//      next to the live closed loop's.
+//      replayed *bit-identically* — for both serving engines, lazy and
+//      sieve — and reports the replayer's sustained slot rate next to
+//      the live closed loop's.
 //
 // Steps 1-3 run as kPairs alternating (live, replay) pairs per engine in
 // this one process. Each pair's replay must match its own live run, and
@@ -66,7 +66,6 @@ struct ReplayRow {
   std::vector<double> pair_speedups;
   double total_payment = 0.0;
   int64_t valuation_calls = 0;
-  int decode_threads = 1;
   std::string monitors_json;
 };
 
@@ -76,7 +75,6 @@ struct GreedyEngineCase {
 };
 
 constexpr GreedyEngineCase kEngines[] = {
-    {"exact", GreedyEngine::kEager},
     {"lazy", GreedyEngine::kLazy},
     {"sieve", GreedyEngine::kSieve},
 };
@@ -90,8 +88,7 @@ double SlotsPerSec(size_t slots, double wall_ms) {
 
 std::vector<ReplayRow> RunOne(int n, int slots, double churn_fraction,
                               const bench::BenchArgs& args,
-                              const std::string& trace_dir,
-                              int decode_threads) {
+                              const std::string& trace_dir) {
   const ChurnScenarioSetup setup = MakeChurnScenario(
       n, churn_fraction, args.seed, /*with_mobility=*/false);
 
@@ -112,9 +109,8 @@ std::vector<ReplayRow> RunOne(int n, int slots, double churn_fraction,
     lcfg.serving.trace_path = path;
     lcfg.serving.approx.epsilon = args.epsilon;
     lcfg.serving.approx.seed = args.seed;
-    ReplayConfig rcfg;
-    rcfg.serving.scheduler = c.engine;
-    rcfg.decode_threads = decode_threads;
+    const ServingConfig replay_serving =
+        ServingConfig().WithScheduler(c.engine);
 
     ReplayRow row;
     row.engine = c.name;
@@ -123,7 +119,6 @@ std::vector<ReplayRow> RunOne(int n, int slots, double churn_fraction,
     row.queries_per_slot = queries.queries_per_slot;
     row.aggregates_per_slot = queries.aggregates_per_slot;
     row.churn_fraction = churn_fraction;
-    row.decode_threads = decode_threads;
     row.identical = true;
     std::vector<double> live_ms;
     std::vector<double> replay_ms;
@@ -137,10 +132,8 @@ std::vector<ReplayRow> RunOne(int n, int slots, double churn_fraction,
       monitors.Attach(&latency);
       monitors.Attach(&calls);
       monitors.Attach(&repair);
-      monitors.StartAll();
-      const ReplayResult replayed = TraceReplayer(rcfg).Replay(
+      const ReplayResult replayed = TraceReplayer(replay_serving).Replay(
           path, setup.scenario.sensors, &monitors);
-      monitors.StopAll();
       if (!replayed.ok) {
         std::fprintf(stderr, "fig14 %s n=%d pair %d: replay failed: %s\n",
                      c.name, n, pair, replayed.error.c_str());
@@ -210,12 +203,12 @@ void WriteJson(const std::string& path, double cal_ms,
         "\"replay_slots_per_sec\": %.3f, \"replay_speedup\": %.3f, "
         "\"pair_speedups\": [%s], "
         "\"total_payment\": %.6f, \"valuation_calls\": %" PRId64 ", "
-        "\"decode_threads\": %d, \"monitors\": %s}%s\n",
+        "\"monitors\": %s}%s\n",
         r.engine.c_str(), r.sensors, r.slots, r.queries_per_slot,
         r.aggregates_per_slot, r.churn_fraction,
         r.identical ? "true" : "false", r.live_wall_ms, r.live_slots_per_sec,
         r.replay_wall_ms, r.replay_slots_per_sec, r.replay_speedup,
-        pairs.c_str(), r.total_payment, r.valuation_calls, r.decode_threads,
+        pairs.c_str(), r.total_payment, r.valuation_calls,
         r.monitors_json.c_str(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -228,16 +221,12 @@ void WriteJson(const std::string& path, double cal_ms,
 int main(int argc, char** argv) {
   using namespace psens;
   bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
-  // fig14-specific flags (BenchArgs ignores what it does not know):
+  // fig14-specific flag (BenchArgs ignores what it does not know):
   //   --trace-dir DIR      keep recorded traces under DIR
-  //   --decode-threads N   replayer decode workers (default 4)
   std::string trace_dir;
-  int decode_threads = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-dir") == 0 && i + 1 < argc) {
       trace_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--decode-threads") == 0 && i + 1 < argc) {
-      decode_threads = std::atoi(argv[++i]);
     }
   }
   const bool keep_traces = !trace_dir.empty();
@@ -269,7 +258,7 @@ int main(int argc, char** argv) {
   std::vector<ReplayRow> rows;
   for (int n : populations) {
     for (const ReplayRow& r :
-         RunOne(n, slots, churn_fraction, args, trace_dir, decode_threads)) {
+         RunOne(n, slots, churn_fraction, args, trace_dir)) {
       std::printf("%-11s %9d %6d %10s %12.2f %14.2f %8.2fx %9" PRId64 "\n",
                   r.engine.c_str(), r.sensors, r.slots,
                   r.identical ? "yes" : "NO", r.live_slots_per_sec,

@@ -190,8 +190,9 @@ Batch MakeBatch(QueryKind kind, const SlotContext& slot, const Rect& field,
 }
 
 /// Selection-only timing, fig13-style: the batch is bound once, every
-/// rep resets selection state and re-runs exact greedy. The first rep
-/// warms any per-query candidate caches and is excluded from the median.
+/// rep resets selection state and re-runs eager Algorithm 1
+/// (EagerGreedySensorSelection). The first rep warms any per-query
+/// candidate caches and is excluded from the median.
 Outcome TimeSelection(Batch* batch, const SlotContext& slot, int reps,
                       std::vector<double>* ms_out) {
   Outcome out;
@@ -206,8 +207,7 @@ Outcome TimeSelection(Batch* batch, const SlotContext& slot, int reps,
     for (MultiQuery* q : batch->all) q->ResetSelection();
     SelectionResult result;
     const double ms = bench::TimeMs([&] {
-      result = GreedySensorSelection(batch->all, slot, nullptr,
-                                     GreedyEngine::kEager);
+      result = EagerGreedySensorSelection(batch->all, slot);
     });
     if (rep > 0) ms_out->push_back(ms);
     out.selection = std::move(result);

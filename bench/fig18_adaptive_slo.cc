@@ -163,7 +163,6 @@ struct SloRow {
   double hit_rate = 0.0;
   double spike_hit_rate = 0.0;
   int lazy_slots = 0;
-  int eager_slots = 0;
   int sieve_slots = 0;
   double utility_ratio_vs_static = 0.0;
   bool replay_identical = true;
@@ -191,7 +190,6 @@ SloRow ScoreRun(const RunStats& run, const PhasePlan& plan, double slo_ms) {
     if (plan.IsSpike(t)) spike_hits += hit ? 1 : 0;
     switch (run.engines[i]) {
       case GreedyEngine::kLazy: ++row.lazy_slots; break;
-      case GreedyEngine::kEager: ++row.eager_slots; break;
       case GreedyEngine::kSieve: ++row.sieve_slots; break;
     }
     if (plan.IsRecover(t) && run.engines[i] == GreedyEngine::kLazy) {
@@ -229,12 +227,12 @@ void WriteJson(const std::string& path, double cal_ms, double base_median_ms,
         "\"sensors\": %d, \"slots\": %d, \"base_queries\": %d, "
         "\"spike_queries\": %d, \"hardware_threads\": %d, "
         "\"hit_rate\": %.4f, \"spike_hit_rate\": %.4f, "
-        "\"lazy_slots\": %d, \"eager_slots\": %d, "
+        "\"lazy_slots\": %d, "
         "\"sieve_slots\": %d, \"utility_ratio_vs_static\": %.5f, "
         "\"replay_identical\": %s, \"recovered\": %s}%s\n",
         r.mode.c_str(), r.slo_label.c_str(), r.slo_ms, r.sensors, r.slots,
         r.base_queries, r.spike_queries, r.hardware_threads, r.hit_rate,
-        r.spike_hit_rate, r.lazy_slots, r.eager_slots, r.sieve_slots,
+        r.spike_hit_rate, r.lazy_slots, r.sieve_slots,
         r.utility_ratio_vs_static,
         r.replay_identical ? "true" : "false",
         r.recovered ? "true" : "false", i + 1 < rows.size() ? "," : "");
@@ -305,9 +303,9 @@ int main(int argc, char** argv) {
   };
   const SloLevel levels[] = {{"tight", 0.6}, {"medium", 3.0}, {"loose", 50.0}};
 
-  std::printf("%-9s %-7s %10s %9s %10s %6s %6s %6s %8s %8s\n", "mode",
-              "slo", "slo_ms", "hit_rate", "spike_hit", "lazy", "eager",
-              "sieve", "replay", "recov");
+  std::printf("%-9s %-7s %10s %9s %10s %6s %6s %8s %8s\n", "mode", "slo",
+              "slo_ms", "hit_rate", "spike_hit", "lazy", "sieve", "replay",
+              "recov");
   std::vector<SloRow> rows;
   bool all_identical = true;
   for (const SloLevel& level : levels) {
@@ -330,11 +328,12 @@ int main(int argc, char** argv) {
     // Replay the recorded adaptive trace: the choices were made from
     // wall-clock observations, yet the replay must be bit-identical
     // because the trace pins them.
-    ReplayConfig rcfg;
-    rcfg.serving.scheduler = GreedyEngine::kLazy;
-    rcfg.serving.index_policy = args.index_policy;
+    const ServingConfig replay_serving =
+        ServingConfig()
+            .WithScheduler(GreedyEngine::kLazy)
+            .WithIndexPolicy(args.index_policy);
     const ReplayResult replayed =
-        TraceReplayer(rcfg).Replay(path, setup.scenario.sensors, nullptr);
+        TraceReplayer(replay_serving).Replay(path, setup.scenario.sensors);
     bool identical = replayed.ok &&
                      replayed.outcomes.size() == ad.outcomes.size() + 1;
     if (!replayed.ok) {
@@ -369,10 +368,10 @@ int main(int argc, char** argv) {
     arow.replay_identical = identical;
 
     for (const SloRow* r : {&srow, &arow}) {
-      std::printf("%-9s %-7s %10.3f %8.1f%% %9.1f%% %6d %6d %6d %8s %8s\n",
+      std::printf("%-9s %-7s %10.3f %8.1f%% %9.1f%% %6d %6d %8s %8s\n",
                   r->mode.c_str(), r->slo_label.c_str(), r->slo_ms,
                   100.0 * r->hit_rate, 100.0 * r->spike_hit_rate,
-                  r->lazy_slots, r->eager_slots, r->sieve_slots,
+                  r->lazy_slots, r->sieve_slots,
                   r->replay_identical ? "yes" : "NO",
                   r->recovered ? "yes" : "no");
       rows.push_back(*r);

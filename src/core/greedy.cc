@@ -42,21 +42,14 @@ double CommitWithProportionalPayments(const std::vector<MultiQuery*>& queries,
   return true_cost;
 }
 
-namespace {
-
-/// The literal Algorithm 1: full rescan of every remaining sensor each
-/// round. Reference implementation for GreedyEngine::kEager. When queries
-/// expose candidate lists (indexed slots), the rescan covers only sensors
-/// some query can value, and each sensor's net sums only over its
-/// interested queries — selections and payments are bit-identical to the
-/// dense scan (see core/candidate_pruning.h). The rescan itself runs
-/// through the batched round evaluator (core/batch_eval.h): per-query
-/// keyed sweeps over the remaining scan rows instead of per-sensor
-/// virtual probes — with nets, tie-breaks, and valuation-call totals
-/// bit-identical to this loop's historical sensor-major scalar form.
-SelectionResult EagerGreedySensorSelection(const std::vector<MultiQuery*>& queries,
-                                           const SlotContext& slot,
-                                           const std::vector<double>* cost_scale) {
+// The rescan runs through the batched round evaluator
+// (core/batch_eval.h): per-query keyed sweeps over the remaining scan
+// rows instead of per-sensor virtual probes — with nets, tie-breaks, and
+// valuation-call totals bit-identical to the historical sensor-major
+// scalar loop.
+SelectionResult EagerGreedySensorSelection(
+    const std::vector<MultiQuery*>& queries, const SlotContext& slot,
+    const std::vector<double>* cost_scale) {
   SelectionResult result;
   const int64_t calls_before = TotalValuationCalls(queries);
   const int n = static_cast<int>(slot.sensors.size());
@@ -106,19 +99,12 @@ SelectionResult EagerGreedySensorSelection(const std::vector<MultiQuery*>& queri
   return result;
 }
 
-}  // namespace
-
 SelectionResult GreedySensorSelection(const std::vector<MultiQuery*>& queries,
                                       const SlotContext& slot,
                                       const std::vector<double>* cost_scale,
                                       GreedyEngine engine) {
-  switch (engine) {
-    case GreedyEngine::kEager:
-      return EagerGreedySensorSelection(queries, slot, cost_scale);
-    case GreedyEngine::kSieve:
-      return SieveStreamingSensorSelection(queries, slot, cost_scale);
-    case GreedyEngine::kLazy:
-      break;
+  if (engine == GreedyEngine::kSieve) {
+    return SieveStreamingSensorSelection(queries, slot, cost_scale);
   }
   return LazyGreedySensorSelection(queries, slot, cost_scale);
 }

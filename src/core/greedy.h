@@ -23,20 +23,17 @@ struct SelectionResult {
   double Utility() const { return total_value - total_cost; }
 };
 
-/// Which engine executes the Algorithm 1 selection rule. The numbers are
+/// Which engine serves the Algorithm 1 selection rule. The numbers are
 /// part of the version-2 trace format (per-slot engine choices), so they
-/// are written out: 2 named the removed stochastic-greedy engine, and
-/// trace decode refuses it.
+/// are written out: 1 named the eager Algorithm 1 rescan and 2 the
+/// removed stochastic-greedy engine, and trace decode refuses both.
 enum class GreedyEngine {
   /// CELF-style lazy evaluation (src/core/lazy_greedy.h): a max-heap of
   /// cached net gains where only the heap front is re-evaluated. Selects
-  /// the identical sensor sequence as kEager whenever the valuations are
-  /// submodular, with far fewer valuation calls. The default.
+  /// the identical sensor sequence as EagerGreedySensorSelection whenever
+  /// the valuations are submodular, with far fewer valuation calls. The
+  /// default.
   kLazy = 0,
-  /// The paper's literal exhaustive rescan of every remaining sensor each
-  /// round. Kept as the reference implementation for tests and for the
-  /// valuation-call comparisons in bench_scheduler_quality.
-  kEager = 1,
   /// Sieve streaming (src/core/sieve_streaming.h): threshold-bucketed
   /// single-pass selection. Deterministic; the bucket state can also be
   /// carried across slots by SieveStreamingScheduler so churn deltas are
@@ -55,11 +52,24 @@ enum class GreedyEngine {
 /// `cost_scale[s]`, when provided, multiplies sensor s's cost during
 /// selection (used by Algorithm 3's sharing weights, Eq. 18, and by
 /// Algorithm 5's payment adjustment); the *paid* cost is still the true
-/// slot cost.
+/// slot cost. GreedySensorSelection serves it through `engine`.
 SelectionResult GreedySensorSelection(const std::vector<MultiQuery*>& queries,
                                       const SlotContext& slot,
                                       const std::vector<double>* cost_scale = nullptr,
                                       GreedyEngine engine = GreedyEngine::kLazy);
+
+/// The paper's Algorithm 1 as written: every round rescans every
+/// remaining sensor. It is the reference the serving engines are tested
+/// and benchmarked against, not a serving engine: lazy selects the same
+/// sequence on submodular valuations, and fig13 reports the sieve's
+/// utility and speed against it. When queries expose candidate lists
+/// (indexed slots), the rescan covers only sensors some query can value,
+/// and each sensor's net sums only over its interested queries —
+/// selections and payments are bit-identical to the dense scan (see
+/// core/candidate_pruning.h).
+SelectionResult EagerGreedySensorSelection(
+    const std::vector<MultiQuery*>& queries, const SlotContext& slot,
+    const std::vector<double>* cost_scale = nullptr);
 
 struct CandidatePlan;
 
@@ -70,7 +80,7 @@ int64_t TotalValuationCalls(const std::vector<MultiQuery*>& queries);
 /// Algorithm 1 line 10: commits `sensor` to every benefiting query,
 /// splitting its *true* announced cost proportionally to the positive
 /// marginal values (pi_{q,a} = delta_v * c_a / sum delta_v). Returns the
-/// cost charged. Every engine — eager, lazy, sieve — funnels
+/// cost charged. Every selection function — eager, lazy, sieve — funnels
 /// its commits through this one implementation, so the Theorem 1 payment
 /// properties and cross-engine payment equivalence rest on a single body
 /// of code.

@@ -55,8 +55,8 @@ struct QueryMixOptions {
   /// continuous queries should then be configured to emit point queries
   /// only at desired times.
   bool use_greedy = true;
-  /// Engine executing the Algorithm 1 selection inside Algorithm 5; the
-  /// lazy CELF engine is the default, kEager restores the literal rescan.
+  /// Engine executing the Algorithm 1 selection inside Algorithm 5: the
+  /// lazy CELF engine (default) or the sieve.
   GreedyEngine engine = GreedyEngine::kLazy;
   uint64_t seed = 1;
 };

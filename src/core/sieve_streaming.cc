@@ -180,7 +180,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   // net0 sweep, so the bench costs no extra valuations; entries whose
   // sensor left the slot are dropped (a returning sensor re-enters via
   // the arrival/move stream).
-  if (slot.approx.sieve_refine) {
+  {
     std::unordered_map<int, double> merged;
     merged.reserve(bench_.size() + offered.size());
     for (const auto& [net, gid] : bench_) {
@@ -273,12 +273,12 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   double winner_value = 0.0;
   for (const MultiQuery* q : queries) winner_value += q->CurrentValue();
 
-  // Refinement pass (ApproxParams::sieve_refine): the winner's single
-  // pass both misses late value (a high threshold rejected a sensor
-  // whose marginal is large against the final selection) and
-  // over-commits (the mean-quality factor of the aggregate valuation is
-  // non-submodular, so accept-any-positive dilutes). An add-only pass
-  // on top of the winner cannot fix the second failure, so the
+  // Refinement pass: the winner's single pass both misses late value (a
+  // high threshold rejected a sensor whose marginal is large against the
+  // final selection) and over-commits (the mean-quality factor of the
+  // aggregate valuation is non-submodular, so accept-any-positive
+  // dilutes). An add-only pass on top of the winner cannot fix the
+  // second failure, so the
   // refinement runs CELF-style greedy rounds FROM SCRATCH over a
   // population-independent pool — the buckets' members plus the bench
   // of top singleton-net candidates — and keeps whichever selection,
@@ -288,7 +288,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   bool use_refined = false;
   std::vector<int> refined_sel;
   double refined_cost = 0.0;
-  if (slot.approx.sieve_refine && best_bucket >= 0) {
+  if (best_bucket >= 0) {
     std::vector<int> pool;
     for (const Bucket& bucket : buckets_) {
       for (int gid : bucket.members) {

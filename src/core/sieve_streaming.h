@@ -21,14 +21,14 @@ struct SensorDelta;
 /// bucket, and streams candidates once per bucket in announcement order:
 /// a sensor joins bucket j iff its net marginal against the bucket's
 /// current selection is at least tau_j. The best bucket by realized
-/// utility is committed with Algorithm 1's proportional payments, then
-/// (ApproxParams::sieve_refine, default on) a refinement pass runs
-/// CELF-style greedy rounds from scratch over a population-independent
-/// candidate pool — the union of all buckets' members, a persistent
-/// "bench" of the best singleton-net candidates ever streamed (capped
-/// at kRefineBenchSize), and a per-slot seeded exploration sample of
-/// the candidate scan (kRefineSampleSize) — and keeps whichever
-/// selection, winner replay or refined, realizes the higher utility.
+/// utility is committed with Algorithm 1's proportional payments, then a
+/// refinement pass runs CELF-style greedy rounds from scratch over a
+/// population-independent candidate pool — the union of all buckets'
+/// members, a persistent "bench" of the best singleton-net candidates
+/// ever streamed (capped at kRefineBenchSize), and a per-slot seeded
+/// exploration sample of the candidate scan (kRefineSampleSize) — and
+/// keeps whichever selection, winner replay or refined, realizes the
+/// higher utility.
 /// The bench recovers stream-order rejects with large singleton nets;
 /// the sample tracks queries that moved since initialization (the
 /// delta path only streams arrivals). The sample RNG seeds from the
@@ -82,8 +82,8 @@ class SieveStreamingScheduler {
 
   bool initialized() const { return initialized_; }
   /// Global sensor ids of the last Select* call's committed selection:
-  /// the winning bucket's members in acceptance order, followed by any
-  /// refinement-pass picks (ApproxParams::sieve_refine) in commit order.
+  /// the winning bucket's members in acceptance order, or the
+  /// refinement pass's picks in commit order when those realize more.
   /// Empty before the first call.
   const std::vector<int>& winner_members() const { return winner_members_; }
   int num_buckets() const { return static_cast<int>(buckets_.size()); }
@@ -107,11 +107,10 @@ class SieveStreamingScheduler {
   bool initialized_ = false;
   std::vector<Bucket> buckets_;  // descending tau; floor bucket last
   std::vector<int> winner_members_;
-  /// Refinement bench (ApproxParams::sieve_refine): the top streamed
-  /// candidates by singleton net, (net, global id) sorted descending,
-  /// capped — sensors no bucket accepted but whose singleton net says
-  /// they belong in refinement contention. Maintained only when
-  /// refinement is on.
+  /// Refinement bench: the top streamed candidates by singleton net,
+  /// (net, global id) sorted descending, capped — sensors no bucket
+  /// accepted but whose singleton net says they belong in refinement
+  /// contention.
   std::vector<std::pair<double, int>> bench_;
 };
 

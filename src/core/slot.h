@@ -42,16 +42,6 @@ struct ApproxParams {
   uint64_t seed = 0x5EEDC0DE5EEDC0DEULL;
   /// Pinned per-slot stream; 0 (default) derives it from seed and time.
   uint64_t slot_seed = 0;
-  /// Sieve-streaming refinement pass (core/sieve_streaming.h): after
-  /// the winning bucket commits, CELF-style re-greedy from scratch over
-  /// a population-independent pool — bucket members, a persistent bench
-  /// of top singleton-net candidates, and a seeded per-slot exploration
-  /// sample — keeping the better of the bucket replay and the refined
-  /// selection. Lifts the sieve's realized utility from the single-pass
-  /// ~0.5x of exact to >= 0.8x while staying >= 20x faster (the pool is
-  /// capped, not the population). false restores the single-pass
-  /// behaviour (ablations and the valuation-call micro-tests).
-  bool sieve_refine = true;
 };
 
 /// The per-slot sampling stream: ApproxParams::slot_seed when set, else a

@@ -3,19 +3,6 @@
 #include <algorithm>
 
 namespace psens {
-namespace {
-
-// Quality ladder from a given ceiling, best first. Lazy and eager are
-// quality-identical, so neither appears below the other — a ceiling of
-// either steps straight to the sieve.
-int Ladder(GreedyEngine ceiling, GreedyEngine out[2]) {
-  int n = 0;
-  if (ceiling != GreedyEngine::kSieve) out[n++] = ceiling;
-  out[n++] = GreedyEngine::kSieve;
-  return n;
-}
-
-}  // namespace
 
 AdaptivePolicy::AdaptivePolicy(double slo_ms, GreedyEngine ceiling)
     : slo_ms_(slo_ms), ceiling_(ceiling) {}
@@ -33,26 +20,23 @@ double AdaptivePolicy::WorkUnits(GreedyEngine engine,
 
 GreedyEngine AdaptivePolicy::Choose(const SlotFeatures& features,
                                     double turnover_ms) const {
-  GreedyEngine ladder[2];
-  const int n = Ladder(ceiling_, ladder);
   const double budget = std::max(0.0, slo_ms_ - turnover_ms);
-  for (int i = 0; i < n; ++i) {
-    const GreedyEngine e = ladder[i];
-    // Optimistic first trial: an engine with no coefficient yet runs once
-    // so the model learns it; mispredicting "free" forever would pin the
-    // policy at the ceiling.
-    if (!observed(e)) return e;
-    if (PredictMs(e, features) <= kSafety * budget) return e;
+  // Optimistic first trial: lazy with no coefficient yet runs once so the
+  // model learns it; mispredicting "free" forever would pin the policy
+  // at the ceiling.
+  if (ceiling_ == GreedyEngine::kLazy &&
+      (!observed(GreedyEngine::kLazy) ||
+       PredictMs(GreedyEngine::kLazy, features) <= kSafety * budget)) {
+    return GreedyEngine::kLazy;
   }
-  // Nothing fits: run the floor anyway. The SLO degrades quality, it
+  // The floor runs whether or not it fits: the SLO degrades quality, it
   // never skips a slot.
-  return ladder[n - 1];
+  return GreedyEngine::kSieve;
 }
 
 void AdaptivePolicy::Observe(GreedyEngine engine, const SlotFeatures& features,
                              double selection_ms) {
-  const int idx = static_cast<int>(engine);
-  if (idx < 0 || idx >= kNumEngines) return;
+  const int idx = Rung(engine);
   if (selection_ms < 0.0) selection_ms = 0.0;
   const double per_unit = selection_ms / WorkUnits(engine, features);
   if (!seen_[idx]) {
@@ -65,14 +49,13 @@ void AdaptivePolicy::Observe(GreedyEngine engine, const SlotFeatures& features,
 
 double AdaptivePolicy::PredictMs(GreedyEngine engine,
                                  const SlotFeatures& features) const {
-  const int idx = static_cast<int>(engine);
-  if (idx < 0 || idx >= kNumEngines || !seen_[idx]) return 0.0;
+  const int idx = Rung(engine);
+  if (!seen_[idx]) return 0.0;
   return ms_per_unit_[idx] * WorkUnits(engine, features);
 }
 
 bool AdaptivePolicy::observed(GreedyEngine engine) const {
-  const int idx = static_cast<int>(engine);
-  return idx >= 0 && idx < kNumEngines && seen_[idx];
+  return seen_[Rung(engine)];
 }
 
 }  // namespace psens

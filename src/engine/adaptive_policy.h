@@ -13,14 +13,14 @@ namespace psens {
 ///
 /// Cost model: one EWMA coefficient per engine — milliseconds per "work
 /// unit", where an engine's work units scale the way its algorithm does
-/// (full-sweep engines with members x queries, the sieve with
-/// churn x queries; see WorkUnits). PredictMs is coefficient x units, so
-/// a single observation at one slot size extrapolates to other sizes and
-/// the model tracks drift (thermal, contention) through the EWMA.
+/// (lazy with members x queries, the sieve with churn x queries; see
+/// WorkUnits). PredictMs is coefficient x units, so a single observation
+/// at one slot size extrapolates to other sizes and the model tracks
+/// drift (thermal, contention) through the EWMA.
 ///
 /// Choose walks the quality ladder downward from the configured ceiling
 ///
-///   lazy/eager -> sieve
+///   lazy -> sieve   (a sieve ceiling is the sieve alone)
 ///
 /// and returns the first engine whose predicted cost fits inside a
 /// safety-factored share of the remaining budget (slo_ms - turnover_ms).
@@ -66,9 +66,9 @@ class AdaptivePolicy {
   double slo_ms() const { return slo_ms_; }
   GreedyEngine ceiling() const { return ceiling_; }
 
-  /// The feature->work mapping per engine: the full-sweep engines (eager,
-  /// lazy) scale with members x queries; the sieve's delta path scales
-  /// with (churn + 1) x queries, independent of population.
+  /// The feature->work mapping per engine: lazy scales with members x
+  /// queries; the sieve's delta path scales with (churn + 1) x queries,
+  /// independent of population.
   static double WorkUnits(GreedyEngine engine, const SlotFeatures& features);
 
   /// Fraction of the remaining budget a prediction must fit inside —
@@ -78,13 +78,15 @@ class AdaptivePolicy {
   static constexpr double kAlpha = 0.4;
 
  private:
-  /// Indexed by the GreedyEngine value (kSieve = 3; slot 2 stays unused).
-  static constexpr int kNumEngines = 4;
+  /// Per-engine state index: 0 lazy, 1 sieve.
+  static int Rung(GreedyEngine engine) {
+    return engine == GreedyEngine::kSieve ? 1 : 0;
+  }
 
   double slo_ms_;
   GreedyEngine ceiling_;
-  double ms_per_unit_[kNumEngines] = {0.0, 0.0, 0.0, 0.0};
-  bool seen_[kNumEngines] = {false, false, false, false};
+  double ms_per_unit_[2] = {0.0, 0.0};
+  bool seen_[2] = {false, false};
 };
 
 }  // namespace psens

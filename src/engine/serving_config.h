@@ -29,7 +29,10 @@ struct ServingConfig {
   Rect working_region;
   double dmax = 5.0;
   /// Selection engine the serving loop runs each slot (SlotServer /
-  /// AcquisitionEngine::Select). kSieve carries cross-slot bucket state.
+  /// AcquisitionEngine::Select): kLazy (exact CELF) or kSieve, which
+  /// carries cross-slot bucket state. The paper's eager rescan is a
+  /// reference function (EagerGreedySensorSelection), not a serving
+  /// engine.
   GreedyEngine scheduler = GreedyEngine::kLazy;
   SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   /// Approximate-scheduler knobs, stamped onto every slot context.
@@ -51,9 +54,9 @@ struct ServingConfig {
   /// `scheduler` runs every slot exactly as configured. > 0:
   /// AcquisitionEngine::Select consults an AdaptivePolicy
   /// each slot, treating `scheduler` as the quality *ceiling* and
-  /// degrading down the ladder (lazy -> sieve) when the
-  /// policy's per-engine cost model predicts the ceiling would blow the
-  /// remaining budget (slo_ms minus the slot's measured turnover time).
+  /// degrading from lazy to the sieve when the policy's per-engine cost
+  /// model predicts lazy would blow the remaining budget (slo_ms minus
+  /// the slot's measured turnover time).
   /// Chosen engines are recorded per slot in version-2 traces, so an
   /// adaptive run — whose live choices depend on wall-clock observations —
   /// still replays bit-identically (the replayer pins the recorded

@@ -35,30 +35,13 @@ double LatencyHistogramMonitor::BucketLowMs(int i) {
   return i == 0 ? 0.0 : std::ldexp(1.0, i) / 1000.0;
 }
 
-void LatencyHistogramMonitor::OnSlotEnd(int /*time*/, double total_ms) {
-  ++buckets_[BucketIndex(total_ms)];
-  if (count_ == 0 || total_ms < min_ms_) min_ms_ = total_ms;
-  if (total_ms > max_ms_) max_ms_ = total_ms;
+void LatencyHistogramMonitor::OnSlot(const SlotOutcome& out) {
+  const double ms = out.total_ms;
+  ++buckets_[BucketIndex(ms)];
+  if (count_ == 0 || ms < min_ms_) min_ms_ = ms;
+  if (ms > max_ms_) max_ms_ = ms;
   ++count_;
-  total_ms_ += total_ms;
-}
-
-void LatencyHistogramMonitor::Merge(const LatencyHistogramMonitor& other) {
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (other.count_ > 0) {
-    if (count_ == 0 || other.min_ms_ < min_ms_) min_ms_ = other.min_ms_;
-    if (other.max_ms_ > max_ms_) max_ms_ = other.max_ms_;
-  }
-  count_ += other.count_;
-  total_ms_ += other.total_ms_;
-}
-
-void LatencyHistogramMonitor::ClearData() {
-  std::fill(std::begin(buckets_), std::end(buckets_), 0);
-  count_ = 0;
-  total_ms_ = 0.0;
-  min_ms_ = 0.0;
-  max_ms_ = 0.0;
+  total_ms_ += ms;
 }
 
 void LatencyHistogramMonitor::AppendJson(std::string* out) const {
@@ -82,25 +65,13 @@ void LatencyHistogramMonitor::AppendJson(std::string* out) const {
 // ValuationCounterMonitor
 // ---------------------------------------------------------------------------
 
-void ValuationCounterMonitor::OnSelection(int /*time*/,
-                                          const SelectionResult& result,
-                                          double /*ms*/) {
+void ValuationCounterMonitor::OnSlot(const SlotOutcome& out) {
+  const SelectionResult& result = out.selection;
   total_calls_ += result.valuation_calls;
   max_slot_calls_ = std::max(max_slot_calls_, result.valuation_calls);
   ++selections_;
   selected_sensors_ += static_cast<int64_t>(result.selected_sensors.size());
-}
-
-void ValuationCounterMonitor::OnSlotEnd(int /*time*/, double /*total_ms*/) {
   ++slots_;
-}
-
-void ValuationCounterMonitor::ClearData() {
-  total_calls_ = 0;
-  max_slot_calls_ = 0;
-  selections_ = 0;
-  selected_sensors_ = 0;
-  slots_ = 0;
 }
 
 void ValuationCounterMonitor::AppendJson(std::string* out) const {
@@ -116,18 +87,12 @@ void ValuationCounterMonitor::AppendJson(std::string* out) const {
 // IndexRepairMonitor
 // ---------------------------------------------------------------------------
 
-void IndexRepairMonitor::OnTurnover(int /*time*/, double ms) {
+void IndexRepairMonitor::OnSlot(const SlotOutcome& out) {
+  const double ms = out.turnover_ms;
   if (count_ == 0 || ms < min_ms_) min_ms_ = ms;
   if (ms > max_ms_) max_ms_ = ms;
   ++count_;
   total_ms_ += ms;
-}
-
-void IndexRepairMonitor::ClearData() {
-  count_ = 0;
-  total_ms_ = 0.0;
-  min_ms_ = 0.0;
-  max_ms_ = 0.0;
 }
 
 void IndexRepairMonitor::AppendJson(std::string* out) const {

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "core/multi_query.h"
+#include "trace/monitor.h"
 #include "trace/trace_writer.h"
 
 namespace psens {
@@ -46,7 +47,6 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
   // The adaptive policy budgets Select against slo_ms minus this slot's
   // turnover; a no-op for static (slo_ms == 0) engines.
   engine_->NoteTurnoverMs(out.turnover_ms);
-  if (monitors_ != nullptr) monitors_->NotifyTurnover(time, out.turnover_ms);
 
   // Recording: the delta was journaled by ApplyDelta; the queries attach
   // to the record BeginSlot just opened.
@@ -82,9 +82,6 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
         engine_->Select(all, *slot, applied ? delta : SensorDelta{});
     out.selection_ms = MsSince(start);
   }
-  if (monitors_ != nullptr) {
-    monitors_->NotifySelection(time, out.selection, out.selection_ms);
-  }
 
   for (const MultiQuery* q : all) out.total_payment += q->TotalPayment();
   if (engine_->config().record_readings) {
@@ -92,7 +89,7 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
   }
 
   out.total_ms = MsSince(slot_start);
-  if (monitors_ != nullptr) monitors_->NotifySlotEnd(time, out.total_ms);
+  if (monitors_ != nullptr) monitors_->NotifySlot(out);
   return out;
 }
 

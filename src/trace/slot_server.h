@@ -8,9 +8,10 @@
 #include "core/point_query.h"
 #include "core/sensor_delta.h"
 #include "engine/serving_engine.h"
-#include "trace/monitor.h"
 
 namespace psens {
+
+class MonitorSet;  // trace/monitor.h
 
 /// One slot's query arrivals. The server binds aggregates first, then
 /// point queries — the binding order is part of the serving contract,
@@ -61,7 +62,8 @@ class SlotServer {
   void set_monitors(MonitorSet* monitors) { monitors_ = monitors; }
 
   /// Serves one slot end to end. `delta` is the slot's churn; `queries`
-  /// the slot's arrivals.
+  /// the slot's arrivals. The attached monitors see the outcome once,
+  /// after its total_ms is set (MonitorSet::NotifySlot).
   SlotOutcome ServeSlot(int time, const SensorDelta& delta,
                         const SlotQueryBatch& queries);
 

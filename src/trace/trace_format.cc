@@ -9,10 +9,17 @@
 namespace psens {
 namespace {
 
-/// The engine-choice value version-2 traces used for stochastic greedy
-/// before that engine was removed. Decode refuses it by name: serving the
-/// slot with another engine would silently diverge from the recording.
-constexpr int32_t kRemovedStochasticEngine = 2;
+/// The engine a version-2 engine-choice value stood for before that
+/// engine left serving, or null for a value that is still served or was
+/// never used. Decode refuses these by name: serving the slot with
+/// another engine would silently diverge from the recording.
+const char* RemovedEngineName(int32_t choice) {
+  switch (choice) {
+    case 1: return "eager Algorithm 1";
+    case 2: return "stochastic-greedy";
+    default: return nullptr;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Little-endian primitive encoding. memcpy through fixed-width integers
@@ -470,9 +477,10 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     for (GreedyEngine& e : record->engine_choices) {
       int32_t raw = 0;
       c.GetI32(&raw);
-      if (raw == kRemovedStochasticEngine) {
-        *error = "engine choice 2 names the stochastic-greedy engine, which "
-                 "was removed; this trace cannot be replayed";
+      if (const char* removed = RemovedEngineName(raw)) {
+        *error = "engine choice " + std::to_string(raw) + " names the " +
+                 removed + " engine, which was removed from serving; this "
+                 "trace cannot be replayed";
         return false;
       }
       if (raw < static_cast<int32_t>(GreedyEngine::kLazy) ||

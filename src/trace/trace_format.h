@@ -43,8 +43,9 @@ namespace psens {
 /// section so an adaptively scheduled run (ServingConfig::slo_ms) can be
 /// replayed bit-identically: live, the choice depends on wall-clock cost
 /// observations; replayed, the recorded choice is pinned. An engine
-/// choice is the GreedyEngine value (0 lazy, 1 eager, 3 sieve); decode
-/// refuses 2, the removed stochastic-greedy engine. Non-adaptive runs
+/// choice is the GreedyEngine value (0 lazy, 3 sieve); decode refuses 1
+/// and 2, which named engines since removed from serving (eager
+/// Algorithm 1 and stochastic greedy), naming the slot. Non-adaptive runs
 /// keep recording version 1, whose bytes are unchanged (the golden v1
 /// fixture still pins them).
 ///

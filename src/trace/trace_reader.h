@@ -13,7 +13,7 @@ namespace psens {
 /// span of every slot record (offsets into the owned file image). The
 /// structural scan — header fields, record length chain, finalized slot
 /// count vs records actually present — happens here; per-record field
-/// decoding is deferred so the replayer can fan it out across threads
+/// decoding is deferred, so a replay holds one decoded record at a time
 /// (records are independently decodable by construction).
 class TraceFile {
  public:

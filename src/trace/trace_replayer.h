@@ -1,7 +1,6 @@
 #ifndef PSENS_TRACE_TRACE_REPLAYER_H_
 #define PSENS_TRACE_TRACE_REPLAYER_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,29 +10,6 @@
 #include "trace/trace_reader.h"
 
 namespace psens {
-
-struct ReplayConfig {
-  /// Worker threads decoding slot records ahead of the serving loop.
-  /// 1 decodes inline; N > 1 spawns N decoders that claim records by
-  /// atomic counter while the caller's thread serves them strictly in
-  /// recorded order — so schedules, payments, and valuation-call counts
-  /// are bit-identical for every thread count (the decode is pure).
-  int decode_threads = 1;
-  /// Paced replay: serve at most this many slots per second (sleeping
-  /// between slots). 0 replays at maximum speed.
-  double target_slots_per_sec = 0.0;
-  /// Impose each record's slot_seed via PinNextSlotSeed (default). Off,
-  /// the replaying engine derives seeds from its own base seed — the
-  /// knob the seed-persistence regression test flips.
-  bool pin_slot_seeds = true;
-  /// Serving stack for the replaying engine (scheduler, index policy,
-  /// readings feedback). The working region, dmax, and the approx epsilon
-  /// always come from the trace header; the base approx seed does too
-  /// unless override_approx_seed imposes serving.approx.seed instead (see
-  /// pin_slot_seeds).
-  ServingConfig serving;
-  bool override_approx_seed = false;
-};
 
 struct ReplayResult {
   bool ok = false;
@@ -50,31 +26,35 @@ struct ReplayResult {
 
 /// Re-drives a recorded serving run against a fresh engine: loads the
 /// trace, refuses a registry whose checksum differs from the recorded
-/// one, then serves every slot record (delta + query batch, recorded
-/// per-slot approx seed and adaptive engine choice pinned) through the
-/// same SlotServer the live loop used. A header whose dmax, region or
-/// epsilon the serving config refuses (ServingConfig::Validate) returns
-/// that message in ReplayResult::error before any engine is built. A
-/// version-2 record carrying more than one engine choice (written by the
-/// removed per-shard scheduler passes) is refused with an error naming
-/// the slot. Monitors attach to replays exactly as to live runs.
+/// one, then decodes and serves one slot record at a time (delta + query
+/// batch, with the recorded per-slot approx seed and adaptive engine
+/// choice pinned) through the same SlotServer the live loop used. The
+/// working region, dmax, epsilon and base approx seed come from the
+/// trace header; the rest of the replaying engine's ServingConfig
+/// (scheduler, index policy, readings feedback) is the caller's. A
+/// header whose values the serving config refuses
+/// (ServingConfig::Validate) returns that message in ReplayResult::error
+/// before any engine is built. A version-2 record carrying more than one
+/// engine choice (written by the removed per-shard scheduler passes) is
+/// refused with an error naming the slot. Monitors attach to replays
+/// exactly as to live runs.
 class TraceReplayer {
  public:
-  explicit TraceReplayer(const ReplayConfig& config);
+  explicit TraceReplayer(const ServingConfig& serving);
 
   /// Replays the trace at `path` over `registry` (the initial sensor
   /// population the trace was recorded against).
   ReplayResult Replay(const std::string& path,
                       const std::vector<Sensor>& registry,
-                      MonitorSet* monitors = nullptr);
+                      MonitorSet* monitors = nullptr) const;
 
   /// Same, over an already-loaded trace file.
   ReplayResult Replay(const TraceFile& trace,
                       const std::vector<Sensor>& registry,
-                      MonitorSet* monitors = nullptr);
+                      MonitorSet* monitors = nullptr) const;
 
  private:
-  ReplayConfig config_;
+  ServingConfig serving_;
 };
 
 }  // namespace psens

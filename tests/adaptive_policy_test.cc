@@ -4,7 +4,8 @@
 // first trial that seeds each engine's cost coefficient, version-2 trace
 // recording of the per-slot engine choices, bit-identical replay of an
 // adaptive run through a static engine, and the sieve refinement pass's
-// utility floor against exact greedy on submodular coverage instances.
+// utility floor against eager Algorithm 1 on submodular coverage
+// instances.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
 #include "core/multi_query.h"
+#include "core/sieve_streaming.h"
 #include "engine/adaptive_policy.h"
 #include "sim/experiments.h"
 #include "sim/workload.h"
@@ -59,19 +61,16 @@ TEST(AdaptivePolicyTest, ChoiceIsDeterministicGivenObservationHistory) {
 TEST(AdaptivePolicyTest, UnobservedEngineGetsOneOptimisticTrial) {
   // Each ladder rung is trialed once before its predicted cost can
   // disqualify it — otherwise an engine could never be costed at all.
-  // The ladder has two rungs: the ceiling (lazy or eager), then the
-  // sieve.
+  // The ladder has two rungs: lazy, then the sieve.
   const Features f{4000, 40, 32};
-  for (GreedyEngine ceiling : {GreedyEngine::kLazy, GreedyEngine::kEager}) {
-    AdaptivePolicy p(1.0, ceiling);
-    EXPECT_EQ(p.Choose(f, 0.0), ceiling);
-    p.Observe(ceiling, f, 50.0);  // 50 ms against a 1 ms SLO
-    EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
-    // The floor runs even once it is known to blow the budget: the SLO
-    // degrades quality, never correctness.
-    p.Observe(GreedyEngine::kSieve, f, 20.0);
-    EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
-  }
+  AdaptivePolicy p(1.0, GreedyEngine::kLazy);
+  EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kLazy);
+  p.Observe(GreedyEngine::kLazy, f, 50.0);  // 50 ms against a 1 ms SLO
+  EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
+  // The floor runs even once it is known to blow the budget: the SLO
+  // degrades quality, never correctness.
+  p.Observe(GreedyEngine::kSieve, f, 20.0);
+  EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
   // A sieve ceiling is a one-rung ladder.
   AdaptivePolicy sieve_only(1.0, GreedyEngine::kSieve);
   EXPECT_EQ(sieve_only.Choose(f, 0.0), GreedyEngine::kSieve);
@@ -217,11 +216,9 @@ TEST(AdaptiveTraceTest, ReplayReproducesAdaptiveRunBitForBit) {
     const ClosedLoopResult live =
         RunChurnClosedLoop(setup, MakeAdaptiveLoopConfig(slo_ms, path));
 
-    ReplayConfig rcfg;
-    rcfg.serving.scheduler = GreedyEngine::kLazy;
-    rcfg.serving.approx.seed = kSeed;
     const ReplayResult replayed =
-        TraceReplayer(rcfg).Replay(path, setup.scenario.sensors);
+        TraceReplayer(ServingConfig().WithScheduler(GreedyEngine::kLazy))
+            .Replay(path, setup.scenario.sensors);
     ASSERT_TRUE(replayed.ok) << replayed.error;
     ExpectSameOutcomes(live.outcomes, replayed.outcomes);
     std::remove(path.c_str());
@@ -277,7 +274,7 @@ SlotContext MakeUniformThetaSlot(int num_sensors, uint64_t seed) {
 }
 
 double RunUtility(const SlotContext& slot, int num_queries, uint64_t seed,
-                  GreedyEngine engine) {
+                  decltype(&EagerGreedySensorSelection) select) {
   Rng rng(seed);
   std::vector<std::unique_ptr<AggregateQuery>> queries;
   for (int i = 0; i < num_queries; ++i) {
@@ -290,26 +287,19 @@ double RunUtility(const SlotContext& slot, int num_queries, uint64_t seed,
   }
   std::vector<MultiQuery*> ptrs;
   for (auto& q : queries) ptrs.push_back(q.get());
-  return GreedySensorSelection(ptrs, slot, nullptr, engine).Utility();
+  return select(ptrs, slot, nullptr).Utility();
 }
 
-TEST(SieveRefinementTest, RefinementNeverLowersUtilityAndClearsTheFloor) {
+TEST(SieveRefinementTest, RefinedSieveClearsTheFloor) {
   double sum_refined = 0.0;
   double sum_exact = 0.0;
   for (int trial = 0; trial < 8; ++trial) {
-    SlotContext slot = MakeUniformThetaSlot(60, 2500 + trial);
+    const SlotContext slot = MakeUniformThetaSlot(60, 2500 + trial);
     const double exact =
-        RunUtility(slot, 10, 2900 + trial, GreedyEngine::kEager);
+        RunUtility(slot, 10, 2900 + trial, EagerGreedySensorSelection);
     ASSERT_GT(exact, 0.0) << "degenerate trial " << trial;
     const double refined =
-        RunUtility(slot, 10, 2900 + trial, GreedyEngine::kSieve);
-    SlotContext raw = slot;
-    raw.approx.sieve_refine = false;
-    const double unrefined =
-        RunUtility(raw, 10, 2900 + trial, GreedyEngine::kSieve);
-    // The pass only commits strictly positive-net additions, so it can
-    // never lose utility against the unrefined sieve.
-    EXPECT_GE(refined, unrefined) << "trial " << trial;
+        RunUtility(slot, 10, 2900 + trial, SieveStreamingSensorSelection);
     // Per-instance floor, below the 0.8 fig13 aggregate gate to absorb
     // single-instance variance.
     EXPECT_GE(refined, 0.7 * exact) << "trial " << trial;

@@ -65,13 +65,16 @@ struct EngineRun {
   std::vector<double> values;
 };
 
+/// The eager reference and the sieve share one signature.
+using SelectFn = decltype(&EagerGreedySensorSelection);
+
 EngineRun RunEngine(const SlotContext& slot, int num_queries, uint64_t seed,
-                    GreedyEngine engine) {
+                    SelectFn select) {
   auto queries = MakeCoverageQueries(slot, num_queries, seed);
   std::vector<MultiQuery*> ptrs;
   for (auto& q : queries) ptrs.push_back(q.get());
   EngineRun run;
-  run.result = GreedySensorSelection(ptrs, slot, nullptr, engine);
+  run.result = select(ptrs, slot, nullptr);
   for (const auto& q : queries) {
     run.payments.push_back(q->TotalPayment());
     run.values.push_back(q->CurrentValue());
@@ -90,9 +93,9 @@ TEST(SieveStreamingTest, UtilityWithinBandOfExact) {
   for (int trial = 0; trial < 12; ++trial) {
     SlotContext slot = MakeUniformThetaSlot(60, 1500 + trial);
     const EngineRun exact =
-        RunEngine(slot, 10, 1900 + trial, GreedyEngine::kEager);
+        RunEngine(slot, 10, 1900 + trial, EagerGreedySensorSelection);
     const EngineRun sieve =
-        RunEngine(slot, 10, 1900 + trial, GreedyEngine::kSieve);
+        RunEngine(slot, 10, 1900 + trial, SieveStreamingSensorSelection);
     ASSERT_GT(exact.result.Utility(), 0.0) << "degenerate trial " << trial;
     EXPECT_GE(sieve.result.Utility(), 0.4 * exact.result.Utility())
         << "trial " << trial;
@@ -142,8 +145,10 @@ void ExpectSameRun(const EngineRun& a, const EngineRun& b,
 TEST(ApproxSchedulerTest, DeterministicUnderFixedSeed) {
   SlotContext slot = MakeUniformThetaSlot(120, 77);
   slot.approx.seed = 2024;
-  const EngineRun first = RunEngine(slot, 12, 88, GreedyEngine::kSieve);
-  const EngineRun again = RunEngine(slot, 12, 88, GreedyEngine::kSieve);
+  const EngineRun first =
+      RunEngine(slot, 12, 88, SieveStreamingSensorSelection);
+  const EngineRun again =
+      RunEngine(slot, 12, 88, SieveStreamingSensorSelection);
   ASSERT_FALSE(first.result.selected_sensors.empty());
   ExpectSameRun(first, again, "sieve");
 }
@@ -188,8 +193,9 @@ TEST(ApproxSchedulerTest, EngineStampsDerivedSlotSeed) {
       engine.sensors(), config.working_region, 3, config.dmax);
   rebuilt.approx = config.approx;
   rebuilt.approx.slot_seed = ApproxSlotSeed(config.approx, 3);
-  const EngineRun live = RunEngine(slot, 4, 9, GreedyEngine::kSieve);
-  const EngineRun reference = RunEngine(rebuilt, 4, 9, GreedyEngine::kSieve);
+  const EngineRun live = RunEngine(slot, 4, 9, SieveStreamingSensorSelection);
+  const EngineRun reference =
+      RunEngine(rebuilt, 4, 9, SieveStreamingSensorSelection);
   ASSERT_FALSE(live.result.selected_sensors.empty());
   ExpectSameRun(live, reference, "sieve");
 }

@@ -24,6 +24,7 @@
 #include "core/batch_eval.h"
 #include "core/candidate_pruning.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/multi_query.h"
 #include "core/multi_sensor_point_query.h"
 #include "core/sensor_delta.h"
@@ -452,19 +453,17 @@ TEST(ScratchHygieneTest, PoisonedArenaMatchesOwnedBuffersForEveryEngine) {
   clean.arena = nullptr;
 
   const struct {
-    GreedyEngine engine;
+    decltype(&EagerGreedySensorSelection) select;
     const char* label;
-  } engines[] = {{GreedyEngine::kLazy, "lazy"},
-                 {GreedyEngine::kEager, "eager"},
-                 {GreedyEngine::kSieve, "sieve"}};
+  } engines[] = {{LazyGreedySensorSelection, "lazy"},
+                 {EagerGreedySensorSelection, "eager"},
+                 {SieveStreamingSensorSelection, "sieve"}};
   for (const auto& e : engines) {
     PoisonArena(&arena);
     MixedBatch poisoned_batch(poisoned, area, 77);
     MixedBatch clean_batch(clean, area, 77);
-    const SelectionResult a =
-        GreedySensorSelection(poisoned_batch.all, poisoned, nullptr, e.engine);
-    const SelectionResult b =
-        GreedySensorSelection(clean_batch.all, clean, nullptr, e.engine);
+    const SelectionResult a = e.select(poisoned_batch.all, poisoned, nullptr);
+    const SelectionResult b = e.select(clean_batch.all, clean, nullptr);
     EXPECT_EQ(arena.chunk_count(), 1u) << e.label << ": spilled past the poison";
     ExpectSameSelection(a, poisoned_batch, b, clean_batch, e.label);
   }

@@ -20,6 +20,7 @@
 #include "core/batch_eval.h"
 #include "core/candidate_pruning.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/multi_query.h"
 #include "core/multi_sensor_point_query.h"
 #include "core/slot.h"
@@ -277,7 +278,9 @@ TEST(CandidatePlanTest, UninterestedQueryCountsNoCallsInAnyBuild) {
   // beside queries that do buy sensors. The debug pruning cross-check
   // probes the far query after every commit; those probes must not count,
   // or Debug builds would report different valuation_calls than Release.
-  for (GreedyEngine engine : {GreedyEngine::kLazy, GreedyEngine::kEager}) {
+  using SelectFn = decltype(&EagerGreedySensorSelection);
+  for (SelectFn select :
+       {LazyGreedySensorSelection, EagerGreedySensorSelection}) {
     const SlotContext slot = MakeSlot(64, 17, true);
     ASSERT_NE(slot.index, nullptr);
     Batch batch;
@@ -292,8 +295,7 @@ TEST(CandidatePlanTest, UninterestedQueryCountsNoCallsInAnyBuild) {
     ASSERT_NE(far_ptr->CandidateSensors(), nullptr);
     ASSERT_TRUE(far_ptr->CandidateSensors()->empty());
 
-    const SelectionResult result =
-        GreedySensorSelection(batch.all, slot, nullptr, engine);
+    const SelectionResult result = select(batch.all, slot, nullptr);
     ASSERT_FALSE(result.selected_sensors.empty());
     EXPECT_EQ(far_ptr->ValuationCalls(), 0);
     int64_t total = 0;

@@ -62,13 +62,16 @@ struct EngineRun {
   std::vector<double> values;
 };
 
+/// The eager reference and the lazy engine share one signature.
+using SelectFn = decltype(&EagerGreedySensorSelection);
+
 EngineRun RunEngine(const SlotContext& slot, int num_queries, uint64_t seed,
-                    GreedyEngine engine) {
+                    SelectFn select) {
   auto queries = MakeCoverageQueries(slot, num_queries, seed);
   std::vector<MultiQuery*> ptrs;
   for (auto& q : queries) ptrs.push_back(q.get());
   EngineRun run;
-  run.result = GreedySensorSelection(ptrs, slot, nullptr, engine);
+  run.result = select(ptrs, slot, nullptr);
   for (const auto& q : queries) {
     run.payments.push_back(q->TotalPayment());
     run.values.push_back(q->CurrentValue());
@@ -79,8 +82,10 @@ EngineRun RunEngine(const SlotContext& slot, int num_queries, uint64_t seed,
 TEST(LazyGreedyTest, MatchesEagerOnSubmodularCoverageInstances) {
   for (int trial = 0; trial < 20; ++trial) {
     const SlotContext slot = MakeUniformThetaSlot(20, 500 + trial);
-    const EngineRun eager = RunEngine(slot, 8, 900 + trial, GreedyEngine::kEager);
-    const EngineRun lazy = RunEngine(slot, 8, 900 + trial, GreedyEngine::kLazy);
+    const EngineRun eager =
+        RunEngine(slot, 8, 900 + trial, EagerGreedySensorSelection);
+    const EngineRun lazy =
+        RunEngine(slot, 8, 900 + trial, LazyGreedySensorSelection);
     // Identical selection *sequence*, not just set: tie-breaking matches.
     EXPECT_EQ(eager.result.selected_sensors, lazy.result.selected_sensors)
         << "trial " << trial;
@@ -98,8 +103,10 @@ TEST(LazyGreedyTest, MakesFewerValuationCallsWhenSelectingSeveralSensors) {
   int64_t eager_total = 0, lazy_total = 0;
   for (int trial = 0; trial < 10; ++trial) {
     const SlotContext slot = MakeUniformThetaSlot(30, 700 + trial);
-    const EngineRun eager = RunEngine(slot, 10, 800 + trial, GreedyEngine::kEager);
-    const EngineRun lazy = RunEngine(slot, 10, 800 + trial, GreedyEngine::kLazy);
+    const EngineRun eager =
+        RunEngine(slot, 10, 800 + trial, EagerGreedySensorSelection);
+    const EngineRun lazy =
+        RunEngine(slot, 10, 800 + trial, LazyGreedySensorSelection);
     EXPECT_LE(lazy.result.valuation_calls, eager.result.valuation_calls);
     eager_total += eager.result.valuation_calls;
     lazy_total += lazy.result.valuation_calls;
@@ -128,17 +135,17 @@ TEST(LazyGreedyTest, MatchesEagerWithPointQueriesAndCostScale) {
       scale.push_back(rng.Uniform(0.5, 1.5));
     }
 
-    const auto run = [&](GreedyEngine engine) {
+    const auto run = [&](SelectFn select) {
       std::vector<std::unique_ptr<PointMultiQuery>> queries;
       for (const PointQuery& q : specs) {
         queries.push_back(std::make_unique<PointMultiQuery>(q, &slot));
       }
       std::vector<MultiQuery*> ptrs;
       for (auto& q : queries) ptrs.push_back(q.get());
-      return GreedySensorSelection(ptrs, slot, &scale, engine);
+      return select(ptrs, slot, &scale);
     };
-    const SelectionResult eager = run(GreedyEngine::kEager);
-    const SelectionResult lazy = run(GreedyEngine::kLazy);
+    const SelectionResult eager = run(EagerGreedySensorSelection);
+    const SelectionResult lazy = run(LazyGreedySensorSelection);
     EXPECT_EQ(eager.selected_sensors, lazy.selected_sensors) << "trial " << trial;
     EXPECT_DOUBLE_EQ(eager.total_value, lazy.total_value);
     EXPECT_DOUBLE_EQ(eager.total_cost, lazy.total_cost);

@@ -1,9 +1,9 @@
-// Monitor hook contract: bucket math of the latency histogram, merge
-// semantics, the Start/Pause/Resume/Stop/Reset lifecycle (including
-// pause and reset mid-run), guarded MonitorSet dispatch, a zero-slot
+// Monitor hook contract: bucket math of the latency histogram, what each
+// monitor folds from the one OnSlot hook (SlotOutcome::total_ms,
+// turnover_ms, selection), MonitorSet dispatch and JSON, a zero-slot
 // trace replayed under monitors, and the substrate's core passivity
 // promise — a monitored replay schedules bit-identically to an
-// unmonitored one.
+// unmonitored one, and the monitors see every served slot.
 
 #include <gtest/gtest.h>
 
@@ -43,98 +43,60 @@ TEST(LatencyHistogramTest, BucketBoundaries) {
   }
 }
 
-TEST(LatencyHistogramTest, AccumulateAndMerge) {
+SlotOutcome Outcome(int time, double turnover_ms, double total_ms) {
+  SlotOutcome out;
+  out.time = time;
+  out.turnover_ms = turnover_ms;
+  out.total_ms = total_ms;
+  return out;
+}
+
+TEST(LatencyHistogramTest, Accumulate) {
   LatencyHistogramMonitor a;
-  a.Start();
-  a.OnSlotEnd(0, 0.5);
-  a.OnSlotEnd(1, 1.5);
-  a.OnSlotEnd(2, 0.003);
+  a.OnSlot(Outcome(0, 0.1, 0.5));
+  a.OnSlot(Outcome(1, 0.1, 1.5));
+  a.OnSlot(Outcome(2, 0.1, 0.003));
   EXPECT_EQ(a.count(), 3);
   EXPECT_DOUBLE_EQ(a.total_ms(), 2.003);
   EXPECT_DOUBLE_EQ(a.min_ms(), 0.003);
   EXPECT_DOUBLE_EQ(a.max_ms(), 1.5);
-
-  LatencyHistogramMonitor b;
-  b.Start();
-  b.OnSlotEnd(0, 10.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 4);
-  EXPECT_DOUBLE_EQ(a.max_ms(), 10.0);
-  EXPECT_DOUBLE_EQ(a.min_ms(), 0.003);
-  EXPECT_EQ(a.bucket_count(LatencyHistogramMonitor::BucketIndex(10.0)), 1);
-
-  // Merging an empty histogram changes nothing.
-  LatencyHistogramMonitor empty;
-  const int64_t before = a.count();
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), before);
+  EXPECT_EQ(a.bucket_count(LatencyHistogramMonitor::BucketIndex(1.5)), 1);
 
   std::string json;
   a.AppendJson(&json);
-  EXPECT_NE(json.find("\"count\": 4"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"count\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"buckets\": ["), std::string::npos) << json;
 }
 
-TEST(MonitorLifecycleTest, PauseAndResetMidRun) {
-  ValuationCounterMonitor m;
-  SelectionResult result;
-  result.valuation_calls = 100;
-  result.selected_sensors = {1, 2, 3};
-
-  // Idle: events must not be delivered through a MonitorSet.
-  MonitorSet set;
-  set.Attach(&m);
-  set.NotifySelection(0, result, 1.0);
-  EXPECT_EQ(m.total_calls(), 0);
-
-  m.Start();
-  set.NotifySelection(1, result, 1.0);
-  set.NotifySlotEnd(1, 2.0);
-  EXPECT_EQ(m.total_calls(), 100);
-  EXPECT_EQ(m.slots(), 1);
-
-  // Paused mid-run: deliveries stop, accumulated data survives.
-  m.Pause();
-  EXPECT_EQ(m.state(), MonitorBase::State::kPaused);
-  set.NotifySelection(2, result, 1.0);
-  EXPECT_EQ(m.total_calls(), 100);
-
-  m.Resume();
-  set.NotifySelection(3, result, 1.0);
-  EXPECT_EQ(m.total_calls(), 200);
-  EXPECT_EQ(m.selected_sensors(), 6);
-
-  // Reset mid-run: data cleared, state (running) kept, counting resumes.
-  m.Reset();
-  EXPECT_EQ(m.total_calls(), 0);
-  EXPECT_TRUE(m.running());
-  set.NotifySelection(4, result, 1.0);
-  EXPECT_EQ(m.total_calls(), 100);
-
-  m.Stop();
-  set.NotifySelection(5, result, 1.0);
-  EXPECT_EQ(m.total_calls(), 100);
-  EXPECT_EQ(m.state(), MonitorBase::State::kStopped);
-
-  // Resume is only legal from paused; a stopped monitor stays stopped.
-  m.Resume();
-  EXPECT_EQ(m.state(), MonitorBase::State::kStopped);
-}
-
-TEST(MonitorLifecycleTest, IndexRepairStats) {
+TEST(MonitorTest, IndexRepairStats) {
   IndexRepairMonitor m;
-  m.Start();
-  m.OnTurnover(1, 2.0);
-  m.OnTurnover(2, 4.0);
-  m.OnTurnover(3, 0.5);
+  m.OnSlot(Outcome(1, 2.0, 9.0));
+  m.OnSlot(Outcome(2, 4.0, 9.0));
+  m.OnSlot(Outcome(3, 0.5, 9.0));
   EXPECT_EQ(m.count(), 3);
   EXPECT_DOUBLE_EQ(m.min_ms(), 0.5);
   EXPECT_DOUBLE_EQ(m.max_ms(), 4.0);
   EXPECT_DOUBLE_EQ(m.mean_ms(), 6.5 / 3.0);
-  m.Reset();
-  EXPECT_EQ(m.count(), 0);
-  EXPECT_DOUBLE_EQ(m.min_ms(), 0.0);
-  EXPECT_DOUBLE_EQ(m.mean_ms(), 0.0);
+}
+
+TEST(MonitorTest, ValuationCountersCountEverySlot) {
+  // A query-free slot (the cold build) selects nothing and still counts
+  // one selection, as every served slot does.
+  ValuationCounterMonitor m;
+  MonitorSet set;
+  set.Attach(&m);
+  SlotOutcome busy = Outcome(1, 1.0, 2.0);
+  busy.selection.valuation_calls = 100;
+  busy.selection.selected_sensors = {1, 2, 3};
+  set.NotifySlot(Outcome(0, 5.0, 5.0));
+  set.NotifySlot(busy);
+  busy.selection.valuation_calls = 40;
+  set.NotifySlot(busy);
+  EXPECT_EQ(m.total_calls(), 140);
+  EXPECT_EQ(m.max_slot_calls(), 100);
+  EXPECT_EQ(m.selections(), 3);
+  EXPECT_EQ(m.selected_sensors(), 6);
+  EXPECT_EQ(m.slots(), 3);
 }
 
 TEST(MonitorSetTest, JsonIsKeyedByMonitorName) {
@@ -145,10 +107,7 @@ TEST(MonitorSetTest, JsonIsKeyedByMonitorName) {
   set.Attach(&latency);
   set.Attach(&calls);
   set.Attach(&repair);
-  set.StartAll();
-  set.NotifyTurnover(0, 1.0);
-  set.NotifySlotEnd(0, 3.0);
-  set.StopAll();
+  set.NotifySlot(Outcome(0, 1.0, 3.0));
   std::string json;
   set.AppendJson(&json);
   EXPECT_NE(json.find("\"latency_histogram\": {"), std::string::npos) << json;
@@ -176,9 +135,8 @@ TEST(MonitorReplayTest, ZeroSlotTraceUnderMonitors) {
   LatencyHistogramMonitor latency;
   MonitorSet set;
   set.Attach(&latency);
-  set.StartAll();
   const ReplayResult result =
-      TraceReplayer(ReplayConfig{}).Replay(path, sensors, &set);
+      TraceReplayer(ServingConfig{}).Replay(path, sensors, &set);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.outcomes.empty());
   EXPECT_EQ(latency.count(), 0);
@@ -201,7 +159,7 @@ TEST(MonitorReplayTest, MonitoredReplayEqualsUnmonitoredReplay) {
   RunChurnClosedLoop(setup, config);
 
   const ReplayResult bare =
-      TraceReplayer(ReplayConfig{}).Replay(path, setup.scenario.sensors);
+      TraceReplayer(ServingConfig{}).Replay(path, setup.scenario.sensors);
   ASSERT_TRUE(bare.ok) << bare.error;
 
   LatencyHistogramMonitor latency;
@@ -211,11 +169,9 @@ TEST(MonitorReplayTest, MonitoredReplayEqualsUnmonitoredReplay) {
   set.Attach(&latency);
   set.Attach(&calls);
   set.Attach(&repair);
-  set.StartAll();
   const ReplayResult monitored =
-      TraceReplayer(ReplayConfig{}).Replay(path, setup.scenario.sensors, &set);
+      TraceReplayer(ServingConfig{}).Replay(path, setup.scenario.sensors, &set);
   ASSERT_TRUE(monitored.ok) << monitored.error;
-  set.StopAll();
 
   ASSERT_EQ(bare.outcomes.size(), monitored.outcomes.size());
   for (size_t i = 0; i < bare.outcomes.size(); ++i) {
@@ -223,13 +179,22 @@ TEST(MonitorReplayTest, MonitoredReplayEqualsUnmonitoredReplay) {
         << "attaching monitors changed slot " << bare.outcomes[i].time;
   }
   // The monitors saw every served slot and the real work totals.
-  EXPECT_EQ(latency.count(), static_cast<int64_t>(monitored.outcomes.size()));
-  EXPECT_EQ(repair.count(), static_cast<int64_t>(monitored.outcomes.size()));
+  const int64_t slots = static_cast<int64_t>(monitored.outcomes.size());
+  EXPECT_EQ(latency.count(), slots);
+  EXPECT_EQ(repair.count(), slots);
+  EXPECT_EQ(calls.slots(), slots);
+  EXPECT_EQ(calls.selections(), slots);
   int64_t total_calls = 0;
+  double total_ms = 0.0;
+  double turnover_ms = 0.0;
   for (const SlotOutcome& o : monitored.outcomes) {
     total_calls += o.selection.valuation_calls;
+    total_ms += o.total_ms;
+    turnover_ms += o.turnover_ms;
   }
   EXPECT_EQ(calls.total_calls(), total_calls);
+  EXPECT_DOUBLE_EQ(latency.total_ms(), total_ms);
+  EXPECT_DOUBLE_EQ(repair.total_ms(), turnover_ms);
   std::remove(path.c_str());
 }
 

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/multi_sensor_point_query.h"
 #include "core/point_scheduling.h"
 #include "core/slot.h"
@@ -104,8 +105,11 @@ struct GreedyRun {
   std::vector<double> values;
 };
 
+/// The eager reference and the lazy engine share one signature.
+using SelectFn = decltype(&EagerGreedySensorSelection);
+
 GreedyRun RunMixedGreedy(const SlotContext& slot, uint64_t seed,
-                         GreedyEngine engine, bool baseline = false) {
+                         SelectFn select, bool baseline = false) {
   Rng rng(seed);
   std::vector<std::unique_ptr<MultiQuery>> owned;
   for (int i = 0; i < 12; ++i) {
@@ -136,7 +140,7 @@ GreedyRun RunMixedGreedy(const SlotContext& slot, uint64_t seed,
 
   GreedyRun run;
   run.result = baseline ? BaselineSequentialSelection(ptrs, slot)
-                        : GreedySensorSelection(ptrs, slot, nullptr, engine);
+                        : select(ptrs, slot, nullptr);
   for (const auto& q : owned) {
     run.payments.push_back(q->TotalPayment());
     run.values.push_back(q->CurrentValue());
@@ -160,16 +164,18 @@ TEST(PruningEquivalenceTest, GreedyEnginesMatchUnprunedOnMixedQueries) {
     const SlotContext indexed = MakeSlot(180, seed, SlotIndexPolicy::kGrid);
     const SlotContext plain = MakeSlot(180, seed, SlotIndexPolicy::kNone);
     ASSERT_NE(indexed.index, nullptr);
-    for (GreedyEngine engine : {GreedyEngine::kEager, GreedyEngine::kLazy}) {
-      SCOPED_TRACE(static_cast<int>(engine));
-      const GreedyRun pruned = RunMixedGreedy(indexed, 700 + seed, engine);
-      const GreedyRun reference = RunMixedGreedy(plain, 700 + seed, engine);
+    for (SelectFn select :
+         {EagerGreedySensorSelection, LazyGreedySensorSelection}) {
+      SCOPED_TRACE(select == EagerGreedySensorSelection ? "eager" : "lazy");
+      const GreedyRun pruned = RunMixedGreedy(indexed, 700 + seed, select);
+      const GreedyRun reference = RunMixedGreedy(plain, 700 + seed, select);
       ExpectSameGreedy(pruned, reference);
       // Pruning must reduce (never increase) the valuation work.
       EXPECT_LE(pruned.result.valuation_calls, reference.result.valuation_calls);
     }
-    ExpectSameGreedy(RunMixedGreedy(indexed, 800 + seed, GreedyEngine::kLazy, true),
-                     RunMixedGreedy(plain, 800 + seed, GreedyEngine::kLazy, true));
+    ExpectSameGreedy(
+        RunMixedGreedy(indexed, 800 + seed, LazyGreedySensorSelection, true),
+        RunMixedGreedy(plain, 800 + seed, LazyGreedySensorSelection, true));
   }
 }
 

@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/multi_query.h"
 #include "core/multi_sensor_point_query.h"
 #include "core/sensor_delta.h"
@@ -203,12 +204,15 @@ struct MixedBatch {
   }
 };
 
-/// One engine run over a freshly bound batch.
+/// The three selection functions (eager reference, lazy, sieve) share
+/// one signature.
+using SelectFn = decltype(&EagerGreedySensorSelection);
+
+/// One selection run over a freshly bound batch.
 Outcome RunMixedSelection(const SlotContext& slot, const Rect& field,
-                          GreedyEngine engine, uint64_t seed, bool reference) {
+                          SelectFn select, uint64_t seed, bool reference) {
   const MixedBatch batch(slot, field, seed, reference);
-  return batch.Observe(
-      GreedySensorSelection(batch.selected_through, slot, nullptr, engine));
+  return batch.Observe(select(batch.selected_through, slot, nullptr));
 }
 
 void ExpectSameOutcome(const Outcome& kernel, const Outcome& reference,
@@ -232,8 +236,9 @@ void ExpectSameOutcome(const Outcome& kernel, const Outcome& reference,
   ASSERT_GT(reference.probes, 0) << label << " slot " << t;
 }
 
-constexpr GreedyEngine kEngines[] = {GreedyEngine::kEager, GreedyEngine::kLazy,
-                                     GreedyEngine::kSieve};
+constexpr SelectFn kSelects[] = {EagerGreedySensorSelection,
+                                 LazyGreedySensorSelection,
+                                 SieveStreamingSensorSelection};
 constexpr const char* kLabels[] = {"eager", "lazy", "sieve"};
 
 /// Serves eight churn slots through an engine with `policy` and checks,
@@ -281,10 +286,10 @@ void CheckChurnedSlots(SlotIndexPolicy policy, bool expect_indexed) {
     reference.arena = nullptr;
 
     const uint64_t seed = 900 + static_cast<uint64_t>(t);
-    for (size_t e = 0; e < std::size(kEngines); ++e) {
+    for (size_t e = 0; e < std::size(kSelects); ++e) {
       ExpectSameOutcome(
-          RunMixedSelection(slot, field, kEngines[e], seed, false),
-          RunMixedSelection(reference, field, kEngines[e], seed, true),
+          RunMixedSelection(slot, field, kSelects[e], seed, false),
+          RunMixedSelection(reference, field, kSelects[e], seed, true),
           kLabels[e], t);
     }
     {
@@ -300,7 +305,8 @@ void CheckChurnedSlots(SlotIndexPolicy policy, bool expect_indexed) {
     // Feed readings back so announced costs drift (privacy decay) and the
     // column repair has real cost churn to track.
     const Outcome feedback =
-        RunMixedSelection(slot, field, GreedyEngine::kLazy, 7000 + t, false);
+        RunMixedSelection(slot, field, LazyGreedySensorSelection, 7000 + t,
+                          false);
     engine.RecordSlotReadings(feedback.selection.selected_sensors, t);
   }
 }
@@ -325,9 +331,9 @@ TEST(KernelEquivalenceTest, BuiltSlotMatchesReference) {
   }
   const SlotContext slot = BuildSlotContext(sensors, field, 3, 6.0);
   ASSERT_NE(slot.index, nullptr);
-  for (size_t e = 0; e < std::size(kEngines); ++e) {
-    ExpectSameOutcome(RunMixedSelection(slot, field, kEngines[e], 42, false),
-                      RunMixedSelection(slot, field, kEngines[e], 42, true),
+  for (size_t e = 0; e < std::size(kSelects); ++e) {
+    ExpectSameOutcome(RunMixedSelection(slot, field, kSelects[e], 42, false),
+                      RunMixedSelection(slot, field, kSelects[e], 42, true),
                       kLabels[e], 3);
   }
 }
@@ -346,9 +352,9 @@ TEST(KernelEquivalenceTest, UnindexedDensePlansMatchReference) {
   const SlotContext slot =
       BuildSlotContext(sensors, field, 0, 6.0, SlotIndexPolicy::kNone);
   ASSERT_EQ(slot.index, nullptr);
-  for (size_t e = 0; e < std::size(kEngines); ++e) {
-    ExpectSameOutcome(RunMixedSelection(slot, field, kEngines[e], 314, false),
-                      RunMixedSelection(slot, field, kEngines[e], 314, true),
+  for (size_t e = 0; e < std::size(kSelects); ++e) {
+    ExpectSameOutcome(RunMixedSelection(slot, field, kSelects[e], 314, false),
+                      RunMixedSelection(slot, field, kSelects[e], 314, true),
                       kLabels[e], 0);
   }
 }

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/point_scheduling.h"
 #include "core/slot.h"
 #include "engine/acquisition_engine.h"
@@ -203,7 +204,9 @@ TEST(StreamingEquivalenceTest, GreedyEnginesMatchIncludingValuationCalls) {
 
     const std::vector<AggregateQuery::Params> params =
         GenerateAggregateQueries(8, field, 8.0, 15.0, t * 100, query_rng);
-    for (GreedyEngine kind : {GreedyEngine::kLazy, GreedyEngine::kEager}) {
+    using SelectFn = decltype(&EagerGreedySensorSelection);
+    for (SelectFn select :
+         {LazyGreedySensorSelection, EagerGreedySensorSelection}) {
       std::vector<std::unique_ptr<AggregateQuery>> inc_queries;
       std::vector<std::unique_ptr<AggregateQuery>> reb_queries;
       std::vector<MultiQuery*> inc_ptrs;
@@ -214,10 +217,8 @@ TEST(StreamingEquivalenceTest, GreedyEnginesMatchIncludingValuationCalls) {
         reb_queries.push_back(std::make_unique<AggregateQuery>(p, reb_slot));
         reb_ptrs.push_back(reb_queries.back().get());
       }
-      const SelectionResult inc_sel =
-          GreedySensorSelection(inc_ptrs, inc_slot, nullptr, kind);
-      const SelectionResult reb_sel =
-          GreedySensorSelection(reb_ptrs, reb_slot, nullptr, kind);
+      const SelectionResult inc_sel = select(inc_ptrs, inc_slot, nullptr);
+      const SelectionResult reb_sel = select(reb_ptrs, reb_slot, nullptr);
       ASSERT_EQ(inc_sel.selected_sensors, reb_sel.selected_sensors) << t;
       ASSERT_EQ(inc_sel.total_value, reb_sel.total_value) << t;
       ASSERT_EQ(inc_sel.total_cost, reb_sel.total_cost) << t;

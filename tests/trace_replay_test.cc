@@ -1,14 +1,14 @@
 // Replay-based differential suite (the record/replay harness's reason to
 // exist): a live closed-loop churn run records itself, the replayer
 // re-drives the trace through a fresh engine, and every schedule,
-// payment, and valuation-call count must match bit for bit — for all
-// three selection engines, for any replayer decode-thread count, and for
-// a sieve replay whose base seed differs from the recorded run's (the
-// per-slot seeds persisted in the trace carry reproduction). Also: a
-// header the serving config refuses, and records naming an engine the
-// replayer cannot serve, fail with an error instead of aborting or
-// diverging; a delta the live engine refuses selects as its replay does;
-// the replay rate leaves out the cold-build record.
+// payment, and valuation-call count must match bit for bit — for both
+// serving engines, and for a sieve trace rewritten with a different
+// header base seed (the per-slot seeds persisted in the records carry
+// reproduction; perturbing them must show). Also: a header the serving
+// config refuses, and records naming an engine the replayer cannot
+// serve, fail with an error instead of aborting or diverging; a delta the
+// live engine refuses selects as its replay does; the replay rate leaves
+// out the cold-build record.
 
 #include <gtest/gtest.h>
 
@@ -92,10 +92,9 @@ TEST_P(TraceReplayEngineTest, ReplayReproducesLiveRunBitForBit) {
       RunChurnClosedLoop(setup, MakeLoopConfig(c.engine, path));
   ASSERT_EQ(static_cast<int>(live.outcomes.size()), kSlots + 1);
 
-  ReplayConfig rcfg;
-  rcfg.serving.scheduler = c.engine;
-  TraceReplayer replayer(rcfg);
-  const ReplayResult replayed = replayer.Replay(path, setup.scenario.sensors);
+  const ReplayResult replayed =
+      TraceReplayer(ServingConfig().WithScheduler(c.engine))
+          .Replay(path, setup.scenario.sensors);
   ASSERT_TRUE(replayed.ok) << replayed.error;
   ExpectSameOutcomes(live.outcomes, replayed.outcomes);
   // The run did real work; a trivially empty schedule would vacuously
@@ -107,44 +106,22 @@ TEST_P(TraceReplayEngineTest, ReplayReproducesLiveRunBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, TraceReplayEngineTest,
-    testing::Values(EngineCase{"exact", GreedyEngine::kEager},
-                    EngineCase{"lazy", GreedyEngine::kLazy},
+    testing::Values(EngineCase{"lazy", GreedyEngine::kLazy},
                     EngineCase{"sieve", GreedyEngine::kSieve}),
     [](const testing::TestParamInfo<EngineCase>& info) {
       return info.param.name;
     });
 
-TEST(TraceReplayTest, DecodeThreadCountDoesNotChangeOutcomes) {
-  const ChurnScenarioSetup setup = MakeSetup();
-  const std::string path = TracePath("replay_threads.trc");
-  const ClosedLoopResult live =
-      RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kLazy, path));
-
-  ReplayConfig serial_cfg;
-  serial_cfg.decode_threads = 1;
-  ReplayConfig parallel_cfg;
-  parallel_cfg.decode_threads = 8;
-  const ReplayResult serial =
-      TraceReplayer(serial_cfg).Replay(path, setup.scenario.sensors);
-  const ReplayResult parallel =
-      TraceReplayer(parallel_cfg).Replay(path, setup.scenario.sensors);
-  ASSERT_TRUE(serial.ok) << serial.error;
-  ASSERT_TRUE(parallel.ok) << parallel.error;
-  ExpectSameOutcomes(live.outcomes, serial.outcomes);
-  ExpectSameOutcomes(serial.outcomes, parallel.outcomes);
-  std::remove(path.c_str());
-}
-
 // The ApproxSlotSeed persistence regression: every slot record carries
 // the seed the recording engine stamped, and the replayer pins it, so a
-// sieve replay reproduces the live selections even when the replaying
-// config's base seed is different — the sieve's refinement pass draws its
-// exploration sample from that seed. With pinning disabled the mismatched
-// base seed must actually show, otherwise this test would pass vacuously.
-// The sample is kRefineSampleSize (1536) sensors of the candidate scan,
-// so the population here is large enough for the draw to leave sensors
-// out; on a smaller scan the sample is the whole scan and the seed
-// cannot matter.
+// sieve replay reproduces the live selections even when the trace
+// header's base seed is different — the sieve's refinement pass draws
+// its exploration sample from the slot seed. Perturbing the recorded
+// slot seeds must actually show, otherwise this test would pass
+// vacuously. The sample is kRefineSampleSize (1536) sensors of the
+// candidate scan, so the population here is large enough for the draw to
+// leave sensors out; on a smaller scan the sample is the whole scan and
+// the seed cannot matter.
 TEST(TraceReplayTest, SieveReplayReproducesAcrossBaseSeeds) {
   const ChurnScenarioSetup setup = MakeChurnScenario(
       4000, /*churn_fraction=*/0.02, kSeed, /*with_mobility=*/true);
@@ -153,35 +130,42 @@ TEST(TraceReplayTest, SieveReplayReproducesAcrossBaseSeeds) {
   config.slots = 6;
   config.queries.aggregates_per_slot = 8;
   const ClosedLoopResult live = RunChurnClosedLoop(setup, config);
+  TraceData data;
+  std::string error;
+  ASSERT_TRUE(ReadTraceFile(path, &data, &error)) << error;
+  std::remove(path.c_str());
+  const TraceReplayer replayer(
+      ServingConfig().WithScheduler(GreedyEngine::kSieve));
 
-  ReplayConfig pinned_cfg;
-  pinned_cfg.serving.scheduler = GreedyEngine::kSieve;
-  pinned_cfg.override_approx_seed = true;
-  pinned_cfg.serving.approx.seed = kSeed ^ 0xDEADBEEF;
-  pinned_cfg.pin_slot_seeds = true;
-  const ReplayResult pinned =
-      TraceReplayer(pinned_cfg).Replay(path, setup.scenario.sensors);
-  ASSERT_TRUE(pinned.ok) << pinned.error;
-  ExpectSameOutcomes(live.outcomes, pinned.outcomes);
+  data.header.approx_seed ^= 0xDEADBEEF;
+  const std::string reseeded_path = TracePath("replay_seed_header.trc");
+  ASSERT_TRUE(WriteTraceFile(reseeded_path, data));
+  const ReplayResult reseeded =
+      replayer.Replay(reseeded_path, setup.scenario.sensors);
+  ASSERT_TRUE(reseeded.ok) << reseeded.error;
+  ExpectSameOutcomes(live.outcomes, reseeded.outcomes);
+  std::remove(reseeded_path.c_str());
 
-  ReplayConfig unpinned_cfg = pinned_cfg;
-  unpinned_cfg.pin_slot_seeds = false;
-  const ReplayResult unpinned =
-      TraceReplayer(unpinned_cfg).Replay(path, setup.scenario.sensors);
-  ASSERT_TRUE(unpinned.ok) << unpinned.error;
-  ASSERT_EQ(unpinned.outcomes.size(), live.outcomes.size());
+  for (TraceSlotRecord& slot : data.slots) {
+    slot.slot_seed ^= 0x9E3779B97F4A7C15ULL;
+  }
+  const std::string perturbed_path = TracePath("replay_seed_slots.trc");
+  ASSERT_TRUE(WriteTraceFile(perturbed_path, data));
+  const ReplayResult perturbed =
+      replayer.Replay(perturbed_path, setup.scenario.sensors);
+  ASSERT_TRUE(perturbed.ok) << perturbed.error;
+  ASSERT_EQ(perturbed.outcomes.size(), live.outcomes.size());
   bool any_diverged = false;
   for (size_t i = 0; i < live.outcomes.size(); ++i) {
-    if (!SameOutcome(live.outcomes[i], unpinned.outcomes[i])) {
+    if (!SameOutcome(live.outcomes[i], perturbed.outcomes[i])) {
       any_diverged = true;
       break;
     }
   }
   EXPECT_TRUE(any_diverged)
-      << "replay with a different base seed and no per-slot pinning "
-         "reproduced the live run anyway — the seed-persistence test has "
-         "lost its teeth";
-  std::remove(path.c_str());
+      << "replay with every recorded slot seed perturbed reproduced the "
+         "live run anyway — the seed-persistence test has lost its teeth";
+  std::remove(perturbed_path.c_str());
 }
 
 TEST(TraceReplayTest, MismatchedRegistryIsRefused) {
@@ -192,7 +176,7 @@ TEST(TraceReplayTest, MismatchedRegistryIsRefused) {
   std::vector<Sensor> tampered = setup.scenario.sensors;
   tampered[7].SetBasePrice(tampered[7].profile().base_price + 1.0);
   const ReplayResult result =
-      TraceReplayer(ReplayConfig{}).Replay(path, tampered);
+      TraceReplayer(ServingConfig{}).Replay(path, tampered);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("registry mismatch"), std::string::npos)
       << result.error;
@@ -200,7 +184,7 @@ TEST(TraceReplayTest, MismatchedRegistryIsRefused) {
   std::vector<Sensor> short_registry = setup.scenario.sensors;
   short_registry.pop_back();
   const ReplayResult short_result =
-      TraceReplayer(ReplayConfig{}).Replay(path, short_registry);
+      TraceReplayer(ServingConfig{}).Replay(path, short_registry);
   EXPECT_FALSE(short_result.ok);
   std::remove(path.c_str());
 }
@@ -228,19 +212,19 @@ TEST(TraceReplayTest, MultiEngineChoiceRecordsAreRefused) {
   }
   const std::string single_path = TracePath("replay_choices_single.trc");
   ASSERT_TRUE(WriteTraceFile(single_path, data));
-  ReplayConfig rcfg;
-  rcfg.serving.scheduler = GreedyEngine::kLazy;
+  const TraceReplayer replayer(
+      ServingConfig().WithScheduler(GreedyEngine::kLazy));
   const ReplayResult single =
-      TraceReplayer(rcfg).Replay(single_path, setup.scenario.sensors);
+      replayer.Replay(single_path, setup.scenario.sensors);
   ASSERT_TRUE(single.ok) << single.error;
   ExpectSameOutcomes(live.outcomes, single.outcomes);
   std::remove(single_path.c_str());
 
-  data.slots[3].engine_choices = {GreedyEngine::kLazy, GreedyEngine::kEager};
+  data.slots[3].engine_choices = {GreedyEngine::kLazy, GreedyEngine::kSieve};
   const std::string multi_path = TracePath("replay_choices_multi.trc");
   ASSERT_TRUE(WriteTraceFile(multi_path, data));
   const ReplayResult multi =
-      TraceReplayer(rcfg).Replay(multi_path, setup.scenario.sensors);
+      replayer.Replay(multi_path, setup.scenario.sensors);
   EXPECT_FALSE(multi.ok);
   EXPECT_NE(multi.error.find("slot 3"), std::string::npos) << multi.error;
   EXPECT_NE(multi.error.find("engine choices"), std::string::npos)
@@ -248,10 +232,11 @@ TEST(TraceReplayTest, MultiEngineChoiceRecordsAreRefused) {
   std::remove(multi_path.c_str());
 }
 
-// Version-2 engine choices are GreedyEngine values. 2 named the removed
-// stochastic-greedy engine: decode refuses it, naming the slot, rather
-// than serve the slot with some other engine. Lazy (0), eager (1) and
-// sieve (3) choices still decode.
+// Version-2 engine choices are GreedyEngine values. 1 named eager
+// Algorithm 1 and 2 stochastic greedy, engines since removed from
+// serving: decode refuses each, naming the slot, rather than serve the
+// slot with some other engine. Lazy (0) and sieve (3) choices still
+// decode.
 TEST(TraceReplayTest, RemovedEngineChoiceIsRefused) {
   const ChurnScenarioSetup setup = MakeSetup();
   const std::string live_path = TracePath("replay_removed_live.trc");
@@ -264,7 +249,6 @@ TEST(TraceReplayTest, RemovedEngineChoiceIsRefused) {
 
   data.header.version = kTraceVersionAdaptive;
   data.slots[1].engine_choices = {GreedyEngine::kLazy};
-  data.slots[2].engine_choices = {GreedyEngine::kEager};
   data.slots[4].engine_choices = {GreedyEngine::kSieve};
   const std::string kept_path = TracePath("replay_removed_kept.trc");
   ASSERT_TRUE(WriteTraceFile(kept_path, data));
@@ -272,31 +256,34 @@ TEST(TraceReplayTest, RemovedEngineChoiceIsRefused) {
   ASSERT_TRUE(ReadTraceFile(kept_path, &kept, &error)) << error;
   EXPECT_EQ(kept.slots[1].engine_choices,
             std::vector<GreedyEngine>{GreedyEngine::kLazy});
-  EXPECT_EQ(kept.slots[2].engine_choices,
-            std::vector<GreedyEngine>{GreedyEngine::kEager});
   EXPECT_EQ(kept.slots[4].engine_choices,
             std::vector<GreedyEngine>{GreedyEngine::kSieve});
   std::remove(kept_path.c_str());
 
-  data.slots[3].engine_choices = {static_cast<GreedyEngine>(2)};
-  const std::string removed_path = TracePath("replay_removed_engine.trc");
-  ASSERT_TRUE(WriteTraceFile(removed_path, data));
-  TraceFile trace;
-  ASSERT_TRUE(trace.Load(removed_path, &error)) << error;
-  TraceSlotRecord record;
-  EXPECT_FALSE(trace.DecodeSlot(3, &record, &error));
-  EXPECT_NE(error.find("slot 3"), std::string::npos) << error;
-  EXPECT_NE(error.find("removed"), std::string::npos) << error;
+  for (const int removed : {1, 2}) {
+    SCOPED_TRACE(removed);
+    data.slots[3].engine_choices = {static_cast<GreedyEngine>(removed)};
+    const std::string removed_path = TracePath("replay_removed_engine.trc");
+    ASSERT_TRUE(WriteTraceFile(removed_path, data));
+    TraceFile trace;
+    ASSERT_TRUE(trace.Load(removed_path, &error)) << error;
+    TraceSlotRecord record;
+    EXPECT_FALSE(trace.DecodeSlot(3, &record, &error));
+    EXPECT_NE(error.find("slot 3"), std::string::npos) << error;
+    EXPECT_NE(error.find("engine choice " + std::to_string(removed)),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("removed"), std::string::npos) << error;
 
-  const ReplayResult replayed =
-      TraceReplayer(ReplayConfig{}).Replay(removed_path,
-                                           setup.scenario.sensors);
-  EXPECT_FALSE(replayed.ok);
-  EXPECT_NE(replayed.error.find("slot 3"), std::string::npos)
-      << replayed.error;
-  EXPECT_NE(replayed.error.find("removed"), std::string::npos)
-      << replayed.error;
-  std::remove(removed_path.c_str());
+    const ReplayResult replayed = TraceReplayer(ServingConfig{}).Replay(
+        removed_path, setup.scenario.sensors);
+    EXPECT_FALSE(replayed.ok);
+    EXPECT_NE(replayed.error.find("slot 3"), std::string::npos)
+        << replayed.error;
+    EXPECT_NE(replayed.error.find("removed"), std::string::npos)
+        << replayed.error;
+    std::remove(removed_path.c_str());
+  }
 }
 
 // TraceFile::Load checks the header's layout, not its values. A header
@@ -343,7 +330,7 @@ TEST(TraceReplayTest, InvalidHeaderValuesReturnAnError) {
     const std::string path = TracePath("replay_header_bad.trc");
     ASSERT_TRUE(WriteTraceFile(path, bad));
     const ReplayResult result =
-        TraceReplayer(ReplayConfig{}).Replay(path, setup.scenario.sensors);
+        TraceReplayer(ServingConfig{}).Replay(path, setup.scenario.sensors);
     EXPECT_FALSE(result.ok) << c.field;
     EXPECT_NE(result.error.find(c.field), std::string::npos)
         << c.field << ": " << result.error;
@@ -400,10 +387,9 @@ TEST(TraceReplayTest, RefusedDeltaSelectsLikeItsReplay) {
   ASSERT_EQ(data.slots.size(), 7u);
   EXPECT_TRUE(data.slots[3].delta.empty());
 
-  ReplayConfig rcfg;
-  rcfg.serving.scheduler = GreedyEngine::kSieve;
   const ReplayResult replayed =
-      TraceReplayer(rcfg).Replay(path, setup.scenario.sensors);
+      TraceReplayer(ServingConfig().WithScheduler(GreedyEngine::kSieve))
+          .Replay(path, setup.scenario.sensors);
   ASSERT_TRUE(replayed.ok) << replayed.error;
   ExpectSameOutcomes(live, replayed.outcomes);
   EXPECT_FALSE(live[3].selection.selected_sensors.empty());
@@ -419,7 +405,7 @@ TEST(TraceReplayTest, ReplayRateLeavesOutTheColdBuildRecord) {
   ClosedLoopConfig config = MakeLoopConfig(GreedyEngine::kLazy, path);
   config.slots = 0;
   RunChurnClosedLoop(setup, config);
-  ReplayResult cold = TraceReplayer(ReplayConfig{}).Replay(
+  ReplayResult cold = TraceReplayer(ServingConfig{}).Replay(
       path, setup.scenario.sensors);
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_EQ(cold.outcomes.size(), 1u);
@@ -427,7 +413,7 @@ TEST(TraceReplayTest, ReplayRateLeavesOutTheColdBuildRecord) {
   EXPECT_EQ(cold.slots_per_sec, 0.0);
 
   RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kLazy, path));
-  ReplayResult steady = TraceReplayer(ReplayConfig{}).Replay(
+  ReplayResult steady = TraceReplayer(ServingConfig{}).Replay(
       path, setup.scenario.sensors);
   ASSERT_TRUE(steady.ok) << steady.error;
   EXPECT_EQ(steady.outcomes.size(), static_cast<size_t>(kSlots) + 1);
