@@ -47,7 +47,8 @@ inline bool SameSchedule(const PointScheduleResult& a,
 ///                    (default 0 = hardware concurrency; results are
 ///                    bit-identical for any value)
 ///   --json PATH      also write machine-readable results to PATH (only
-///                    binaries that support it; fig11/fig12 do)
+///                    binaries that support it: fig11, fig12, fig13,
+///                    fig14, fig16 and fig18 do)
 ///   --max-sensors N  cap the population sweep (fig11/fig12)
 ///   --index-policy P spatial-index policy for the indexed runs: grid
 ///                    (default) or none; any other value prints the valid

@@ -27,11 +27,12 @@
 //
 // `--json PATH` emits the record consumed by
 // scripts/check_bench_regression.py, which fails on any `identical:
-// false` row and gates the lazy row's replay_speedup at 100k sensors
-// (>= --min-fig14-speedup; the replayer must sustain at least the live
-// closed-loop slot rate, within timer noise). `--trace-dir DIR` keeps
-// the recorded traces (the nightly job uploads them as artifacts);
-// without it traces live in a temp directory and are deleted.
+// false` row and gates the median of the lazy row's pair_speedups at
+// 100k sensors (>= 0.9, 0.5 in the nightly; the replayer must sustain
+// at least the live closed-loop slot rate, within timer noise).
+// `--trace-dir DIR` keeps the recorded traces (the nightly job uploads
+// them as artifacts); without it traces live in a temp directory and are
+// deleted.
 
 #include <cinttypes>
 #include <cstdio>

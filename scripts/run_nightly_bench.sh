@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
-# Runs the full (non --quick) fig02-fig18 benchmark suite and bundles the
-# machine-readable outputs into one BENCH_nightly.json. Used by the
-# scheduled nightly workflow (.github/workflows/nightly.yml) so the
-# PR-path bench gate can stay on the fast --quick settings; also runnable
-# locally: scripts/run_nightly_bench.sh [build-dir] [out.json] [log-dir].
+# Runs the full (non --quick) fig02-fig18 benchmark suite, writing each
+# binary's stdout and the fig11-fig18 --json outputs under the log
+# directory. Used by the scheduled nightly workflow
+# (.github/workflows/nightly.yml), whose gate step merges the JSON files
+# into BENCH_nightly.json, so the PR-path bench gate can stay on the fast
+# --quick settings; also runnable locally:
+# scripts/run_nightly_bench.sh [build-dir] [log-dir].
 #
-# Every binary's stdout is captured under the log directory. A failing
-# binary fails the script (after the remaining binaries have run), so one
-# broken figure doesn't hide the others' results.
+# A failing binary fails the script (after the remaining binaries have
+# run), so one broken figure doesn't hide the others' results.
 
 set -u
 
 BUILD_DIR=${1:-build}
-OUT=${2:-BENCH_nightly.json}
-LOG_DIR=${3:-bench_nightly_logs}
+LOG_DIR=${2:-bench_nightly_logs}
 mkdir -p "$LOG_DIR"
 
 status=0
@@ -60,42 +60,5 @@ run fig16_kernel_microbench --json "$LOG_DIR/fig16_nightly.json"
 # replay-identity column. Exits non-zero by itself if any adaptive run
 # fails to degrade, recover, or replay bit-identically.
 run fig18_adaptive_slo --json "$LOG_DIR/fig18_nightly.json"
-
-python3 - "$OUT" "$LOG_DIR" <<'PY'
-import json, os, sys, time
-
-out_path, log_dir = sys.argv[1], sys.argv[2]
-
-def load(name):
-    path = os.path.join(log_dir, name)
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return None
-
-fig11 = load("fig11_nightly.json") or {}
-fig12 = load("fig12_nightly.json") or {}
-fig13 = load("fig13_nightly.json") or {}
-fig14 = load("fig14_nightly.json") or {}
-fig16 = load("fig16_nightly.json") or {}
-fig18 = load("fig18_nightly.json") or {}
-
-doc = {
-    "suite": "nightly-full",
-    "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    "cal_ms": fig11.get("cal_ms", 0.0),
-    "fig11": fig11.get("results", []),
-    "fig12": fig12.get("results", []),
-    "fig13": fig13.get("results", []),
-    "fig14": fig14.get("results", []),
-    "fig16": fig16.get("results", []),
-    "fig18": fig18.get("results", []),
-    "logs": sorted(f for f in os.listdir(log_dir) if f.endswith(".log")),
-}
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-print(f"wrote {out_path}")
-PY
 
 exit $status
