@@ -27,40 +27,42 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 /// Presents the engine's id-keyed dynamic index as the slot-indexed
-/// SpatialIndex the schedulers consume. ctx_.sensors' rows ascend by
-/// sensor_id, so the id -> slot-index map is monotone and translated
-/// result lists stay ascending — the tie-break/accumulation-order half of
-/// the exactness contract survives the translation for free.
+/// SpatialIndex the schedulers consume: an id's slot index is its member
+/// rank. Ranks are monotone in id, so translated result lists stay
+/// ascending — the tie-break/accumulation-order half of the exactness
+/// contract survives the translation for free.
 class AcquisitionEngine::SlotIndexView : public SpatialIndex {
  public:
-  SlotIndexView(const SpatialIndex* base, const std::vector<int>* slot_pos)
-      : base_(base), slot_pos_(slot_pos) {}
+  SlotIndexView(const SpatialIndex* base, const MemberRanks* ranks)
+      : base_(base), ranks_(ranks) {}
 
   int size() const override { return base_->size(); }
   void RangeQuery(const Point& center, double radius,
                   std::vector<int>* out) const override {
     base_->RangeQuery(center, radius, out);
-    for (int& v : *out) v = (*slot_pos_)[v];
+    for (int& v : *out) v = static_cast<int>(ranks_->Row(v));
   }
   void RectQuery(const Rect& rect, std::vector<int>* out) const override {
     base_->RectQuery(rect, out);
-    for (int& v : *out) v = (*slot_pos_)[v];
+    for (int& v : *out) v = static_cast<int>(ranks_->Row(v));
   }
   int Nearest(const Point& p) const override {
     const int id = base_->Nearest(p);
-    return id < 0 ? -1 : (*slot_pos_)[id];
+    return id < 0 ? -1 : static_cast<int>(ranks_->Row(id));
   }
   const char* Name() const override { return base_->Name(); }
 
  private:
   const SpatialIndex* base_;
-  const std::vector<int>* slot_pos_;
+  const MemberRanks* ranks_;
 };
 
 AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
                                      const ServingConfig& config)
     : config_(config),
       sensors_(std::move(sensors)),
+      ranks_(sensors_.size()),
+      grid_batch_(std::max<size_t>(4096, sensors_.size() / 16)),
       last_select_engine_(config.scheduler) {
   const int n = static_cast<int>(sensors_.size());
   for (int i = 0; i < n; ++i) {
@@ -69,7 +71,6 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
   }
   ctx_.dmax = config_.dmax;
   ctx_.index_policy = config_.index_policy;
-  slot_pos_.assign(static_cast<size_t>(n), -1);
   if (!config_.trace_path.empty()) {
     TraceHeader header;
     // Adaptive runs record their per-slot engine choices, which needs the
@@ -175,28 +176,34 @@ void AcquisitionEngine::RefreshMember(int id, int time) {
   const Sensor& s = sensors_[id];
   const bool member =
       s.available() && config_.working_region.Contains(s.position());
-  const int pos = slot_pos_[id];
-  if (member && pos < 0) {
-    pending_insert_.push_back(id);
-    if (index_ != nullptr) index_->Insert(id, s.position());
+  const bool was_member = ranks_.Contains(id);
+  if (member != was_member) {
+    (member ? pending_insert_ : pending_remove_).push_back(id);
+    QueueGridOp(id, s.position(), member);
     return;
   }
-  if (!member) {
-    if (pos >= 0) {
-      pending_remove_.push_back(id);
-      if (index_ != nullptr) index_->Remove(id);
-    }
-    return;
-  }
+  if (!member) return;
   // Continuing member: patch its row in place.
-  const size_t row = static_cast<size_t>(pos);
+  const size_t row = ranks_.Row(id);
   SlotSensorTable& table = ctx_.sensors;
   if (!(Point{table.x[row], table.y[row]} == s.position())) {
     table.x[row] = s.position().x;
     table.y[row] = s.position().y;
-    if (index_ != nullptr) index_->Move(id, s.position());
+    QueueGridOp(id, s.position(), /*live=*/true);
   }
   if (cost_dirty_[id] || privacy_flag_[id]) table.cost[row] = s.Cost(time);
+}
+
+void AcquisitionEngine::QueueGridOp(int id, const Point& position,
+                                    bool live) {
+  if (index_ == nullptr) return;
+  grid_ops_.push_back(GridOp{position, id, live});
+  if (grid_ops_.size() >= grid_batch_) FlushGridOps();
+}
+
+void AcquisitionEngine::FlushGridOps() {
+  index_->Apply(grid_ops_);
+  grid_ops_.clear();
 }
 
 void AcquisitionEngine::RebuildMembership(int time) {
@@ -204,7 +211,7 @@ void AcquisitionEngine::RebuildMembership(int time) {
   assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
   assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
   MergeSortedMembership(
-      &ctx_.sensors, &slot_pos_, pending_insert_, pending_remove_,
+      &ctx_.sensors, &ranks_, pending_insert_, pending_remove_,
       [&](int id) {
         const Sensor& s = sensors_[id];
         return SlotSensor{id, s.position(), s.Cost(time),
@@ -221,7 +228,7 @@ void AcquisitionEngine::AttachIndex() {
     return;
   }
   if (view_ == nullptr) {
-    view_ = std::make_shared<SlotIndexView>(index_.get(), &slot_pos_);
+    view_ = std::make_shared<SlotIndexView>(index_.get(), &ranks_);
   }
   ctx_.index = view_;
 }
@@ -258,8 +265,7 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
       continue;
     }
     const Sensor& s = sensors_[id];
-    const int pos = slot_pos_[id];
-    if (pos >= 0) ctx_.sensors.cost[static_cast<size_t>(pos)] = s.Cost(time);
+    if (ranks_.Contains(id)) ctx_.sensors.cost[ranks_.Row(id)] = s.Cost(time);
     const bool decaying =
         !s.report_history().empty() &&
         time - s.report_history().back() < s.profile().privacy_window;
@@ -271,8 +277,9 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   }
   privacy_refresh_.resize(keep);
   // Sweeping the changed bits visits ids in ascending order, which turns
-  // the refresh loop's registry, context, and slot_pos accesses into
-  // forward sweeps (and hands RebuildMembership pre-sorted pending lists).
+  // the refresh loop's registry, context, and rank accesses into forward
+  // sweeps (and hands RebuildMembership pre-sorted pending lists). Each id
+  // is visited once, so no id repeats within a grid batch.
   for (size_t w = 0; w < changed_bits_.size(); ++w) {
     uint64_t bits = changed_bits_[w];
     if (bits == 0) continue;
@@ -283,6 +290,7 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
       cost_dirty_[id] = 0;
     }
   }
+  if (!grid_ops_.empty()) FlushGridOps();
   if (!pending_insert_.empty() || !pending_remove_.empty()) {
     RebuildMembership(time);
   }

@@ -37,7 +37,8 @@ class TraceWriter;
 ///
 /// BeginSlot only touches what the deltas invalidated:
 /// membership changes merge into the sorted slot-sensor table, moved
-/// sensors patch their location in place and in the index, and announced
+/// sensors patch their location in place, the index takes the slot's
+/// membership and position changes as cell-ordered batches, and announced
 /// costs are recomputed only for sensors whose cost can actually have
 /// changed (price re-announcements, readings taken, and the privacy decay
 /// set — see below). The resulting context is bit-identical to a from-
@@ -50,10 +51,12 @@ class TraceWriter;
 /// and therefore lives with the engine, not with any one serving loop.
 ///
 /// Contract: for a fixed input stream (registry, deltas, query batches,
-/// per-slot seeds), selections, payments, and valuation-call counts are
-/// bit-identical regardless of index policy, and every slot context
-/// equals BuildSlotContext over the current registry (the reference the
-/// streaming-equivalence suite checks it against). SameOutcome()
+/// per-slot seeds), selections and payments are bit-identical regardless
+/// of index policy (an indexed slot prunes valuation calls, so only their
+/// count differs), and every slot context equals BuildSlotContext over
+/// the current registry (the reference the streaming-equivalence suite
+/// checks it against), so the two select alike down to their valuation
+/// calls. SameOutcome()
 /// (trace/slot_server.h) is the comparator; the streaming-equivalence
 /// and replay differential suites enforce it.
 ///
@@ -65,7 +68,7 @@ class AcquisitionEngine {
   ~AcquisitionEngine();  // out-of-line: sieve_/policy_ types are incomplete
 
   // Pinned: the slot context's index view holds pointers into this
-  // object (slot_pos_, the dynamic index), so a moved-from or copied
+  // object (ranks_, the dynamic index), so a moved-from or copied
   // engine would hand schedulers dangling state.
   AcquisitionEngine(const AcquisitionEngine&) = delete;
   AcquisitionEngine& operator=(const AcquisitionEngine&) = delete;
@@ -158,8 +161,9 @@ class AcquisitionEngine {
 
  private:
   /// Adapter presenting the engine's id-keyed dynamic index as the
-  /// slot-indexed SpatialIndex schedulers expect. Sensor ids ascend with
-  /// slot indices, so translated results stay ascending.
+  /// slot-indexed SpatialIndex schedulers expect: each id becomes its
+  /// member rank (ranks_). Ranks ascend with ids, so translated results
+  /// stay ascending.
   class SlotIndexView;
 
   void MarkChanged(int id, bool cost_dirty);
@@ -168,6 +172,10 @@ class AcquisitionEngine {
   }
   void NoteReading(int id, int time);
   void RefreshMember(int id, int time);
+  /// Queues one grid op for the slot's batch, applying the batch once it
+  /// holds grid_batch_ ops.
+  void QueueGridOp(int id, const Point& position, bool live);
+  void FlushGridOps();
   void RebuildMembership(int time);
   void AttachIndex();
   /// Runs one engine over the slot, owning the sieve lifecycle: the
@@ -182,11 +190,17 @@ class AcquisitionEngine {
   ServingConfig config_;
   std::vector<Sensor> sensors_;
   SlotContext ctx_;
-  /// id -> row of ctx_.sensors, or -1 when not a member.
-  std::vector<int> slot_pos_;
+  /// The members of ctx_.sensors by id; a member's row is its rank.
+  MemberRanks ranks_;
   /// Id-keyed grid over the members, laid out once for the registry size
   /// over the working region; null under SlotIndexPolicy::kNone.
   std::unique_ptr<DynamicGridIndex> index_;
+  /// The grid ops BeginSlot's sweep has queued and not yet applied.
+  std::vector<GridOp> grid_ops_;
+  /// Ops per grid batch: max(4096, n / 16) for an n-sensor registry. The
+  /// batch's op and touch buffers grow with it; the bound keeps them to
+  /// 1/16 of a cold build's, where all n sensors arrive at once.
+  const size_t grid_batch_;
   std::shared_ptr<SlotIndexView> view_;
   /// One bit per registry id: sensors touched since the last BeginSlot.
   /// BeginSlot sweeps the set bits in ascending id order, clearing each

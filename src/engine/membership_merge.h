@@ -1,7 +1,9 @@
 #ifndef PSENS_ENGINE_MEMBERSHIP_MERGE_H_
 #define PSENS_ENGINE_MEMBERSHIP_MERGE_H_
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -9,23 +11,41 @@
 
 namespace psens {
 
-/// Old-table row where a new member with `id` slots into a member table
-/// sorted ascending by sensor id: the row of the next live member above
-/// it. Registries are near-fully live, so a forward scan of slot_pos
-/// (4 bytes/step, sequential) almost always hits on the first probe,
-/// where a binary search of the id column would take ~20.
-inline size_t MemberInsertPosition(const std::vector<int>& slot_pos, int id,
-                                   size_t old_size) {
-  // Cold build (slot 0): nothing is live yet, and without this early-out
-  // every insert would scan to the registry end — O(n^2) over a fresh
-  // million-sensor registry.
-  if (old_size == 0) return 0;
-  const int registry = static_cast<int>(slot_pos.size());
-  for (int j = id + 1; j < registry; ++j) {
-    if (slot_pos[j] >= 0) return static_cast<size_t>(slot_pos[j]);
+/// The member set as a presence bitmap over registry ids, with the
+/// member count before each 64-bit word. Member table rows ascend by id,
+/// so a member's row is its rank, the number of members below it, and so
+/// is the row a non-member would be inserted at:
+/// row(id) = before[w] + popcount(bits[w] & below(id)), w = id / 64.
+/// The bits change only in MergeSortedMembership, which recounts once.
+struct MemberRanks {
+  std::vector<uint64_t> bits;
+  std::vector<uint32_t> before;
+
+  explicit MemberRanks(size_t registry)
+      : bits((registry + 63) / 64, 0), before(bits.size(), 0) {}
+
+  bool Contains(int id) const {
+    return (bits[static_cast<size_t>(id) >> 6] >> (id & 63)) & 1;
   }
-  return old_size;
-}
+  size_t Row(int id) const {
+    const size_t w = static_cast<size_t>(id) >> 6;
+    const uint64_t below = (uint64_t{1} << (id & 63)) - 1;
+    return before[w] + static_cast<size_t>(std::popcount(bits[w] & below));
+  }
+  void Set(int id, bool member) {
+    const uint64_t bit = uint64_t{1} << (id & 63);
+    uint64_t& word = bits[static_cast<size_t>(id) >> 6];
+    word = member ? word | bit : word & ~bit;
+  }
+  /// Rebuilds `before` from `bits`: one pass over n/64 words.
+  void Recount() {
+    uint32_t sum = 0;
+    for (size_t w = 0; w < bits.size(); ++w) {
+      before[w] = sum;
+      sum += static_cast<uint32_t>(std::popcount(bits[w]));
+    }
+  }
+};
 
 /// MergeSortedMembership's plan: the runs of surviving rows and the rows
 /// inserted members land on. Its capacity persists across slots.
@@ -47,13 +67,14 @@ struct MembershipMergePlan {
 ///
 /// With k churn events over n members the table has at most k+1 runs of
 /// surviving rows. A first pass plans each run's destination without
-/// touching the table; a second moves each run with one memmove per
-/// column (44 bytes per row over the six columns) and fixes up the moved
-/// rows' slot_pos entries from the sensor_id column while it is still
-/// cache-hot; inserted rows are written last. The O(n) byte traffic is
-/// unavoidable (every row after the first event shifts), but in place each
-/// moved line is read and written once, where a copy into a second table
-/// also pays for fetching the destination.
+/// touching the table: every event's old-table row is its rank in
+/// `ranks`, which still holds the old membership. A second pass moves
+/// each run with one memmove per column (44 bytes per row over the six
+/// columns); inserted rows are written last, and the bitmap takes the
+/// events and recounts once. The O(n) byte traffic is unavoidable (every
+/// row after the first event shifts), but in place each moved line is
+/// read and written once, where a copy into a second table also pays for
+/// fetching the destination.
 ///
 /// Move order keeps every run's source intact until it moves. Destinations
 /// ascend and are disjoint, so a run moving left (or not at all) lands
@@ -64,13 +85,13 @@ struct MembershipMergePlan {
 /// runs move from the last back to the first. Each lands before the
 /// destination of the run after it, which has already moved.
 ///
-/// `inserts` and `removes` must be sorted ascending and disjoint;
-/// `slot_pos` maps sensor id -> row in `members` (-1 = non-member) and is
-/// kept consistent. `announce(id)` returns a freshly inserted member's
-/// SlotSensor (its sensor_id field is ignored: the merge writes `id`); it
-/// is invoked in ascending id order.
+/// `inserts` and `removes` must be sorted ascending and disjoint, and
+/// `ranks` must describe `members`' ids; both stay consistent.
+/// `announce(id)` returns a freshly inserted member's SlotSensor (its
+/// sensor_id field is ignored: the merge writes `id`); it is invoked in
+/// ascending id order.
 template <typename AnnounceFn>
-void MergeSortedMembership(SlotSensorTable* members, std::vector<int>* slot_pos,
+void MergeSortedMembership(SlotSensorTable* members, MemberRanks* ranks,
                            const std::vector<int>& inserts,
                            const std::vector<int>& removes,
                            AnnounceFn&& announce, MembershipMergePlan* plan) {
@@ -91,17 +112,17 @@ void MergeSortedMembership(SlotSensorTable* members, std::vector<int>* slot_pos,
   size_t ii = 0;  // inserts cursor
   size_t ri = 0;  // removes cursor
   // Events ascend by sensor id, and the old table is sorted by sensor id,
-  // so event rows ascend too: removals resolve their row through
-  // slot_pos, insertions land before the first larger id.
+  // so event rows ascend too: a removal's row and an insertion's landing
+  // row (before the first larger id) are both its rank.
   while (ii < inserts.size() || ri < removes.size()) {
     const bool take_insert =
         ri >= removes.size() ||
         (ii < inserts.size() && inserts[ii] < removes[ri]);
     if (take_insert) {
-      plan_run(MemberInsertPosition(*slot_pos, inserts[ii++], old_size));
+      plan_run(ranks->Row(inserts[ii++]));
       insert_rows.push_back(di++);
     } else {
-      plan_run(static_cast<size_t>((*slot_pos)[removes[ri++]]));
+      plan_run(ranks->Row(removes[ri++]));
       ++si;  // skip the removed row
     }
   }
@@ -121,10 +142,6 @@ void MergeSortedMembership(SlotSensorTable* members, std::vector<int>* slot_pos,
     move_column(members->cost, r);
     move_column(members->inaccuracy, r);
     move_column(members->trust, r);
-    const int* ids = members->sensor_id.data();
-    for (size_t k = r.dst; k < r.dst + r.len; ++k) {
-      (*slot_pos)[ids[k]] = static_cast<int>(k);
-    }
   };
   size_t waiting = 0;  // first run still waiting to move right
   for (size_t r = 0; r < runs.size(); ++r) {
@@ -135,7 +152,6 @@ void MergeSortedMembership(SlotSensorTable* members, std::vector<int>* slot_pos,
   }
   for (size_t w = runs.size(); w-- > waiting;) move_run(runs[w]);
 
-  for (int id : removes) (*slot_pos)[id] = -1;
   for (size_t k = 0; k < inserts.size(); ++k) {
     const size_t row = insert_rows[k];
     const int id = inserts[k];
@@ -146,9 +162,11 @@ void MergeSortedMembership(SlotSensorTable* members, std::vector<int>* slot_pos,
     members->cost[row] = s.cost;
     members->inaccuracy[row] = s.inaccuracy;
     members->trust[row] = s.trust;
-    (*slot_pos)[id] = static_cast<int>(row);
   }
   members->Resize(new_size);
+  for (int id : removes) ranks->Set(id, false);
+  for (int id : inserts) ranks->Set(id, true);
+  ranks->Recount();
 }
 
 }  // namespace psens

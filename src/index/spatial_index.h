@@ -21,9 +21,9 @@ namespace psens {
 /// CSR grid built once from a point vector whose positions 0..n-1 are the
 /// indices queries hand back; `BuildSlotContext` attaches one to every
 /// built slot. `DynamicGridIndex` (index/dynamic_index.h) is keyed by
-/// arbitrary non-negative ids and adds Insert/Remove/Move, so the serving
-/// engine repairs it from a churn delta instead of rebuilding it each
-/// slot.
+/// arbitrary non-negative ids and adds one batched mutator, `Apply`, so
+/// the serving engine repairs it from each slot's churn instead of
+/// rebuilding it.
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;

@@ -2,7 +2,8 @@
 // and the engine's id-keyed dynamic grid must return *exactly* the
 // brute-force result set — same predicate, ascending order — on random,
 // clustered, and adversarial (collinear, duplicate-point, degenerate)
-// inputs, and the dynamic grid must stay exact through churn histories.
+// inputs, and the dynamic grid must stay exact through churn histories
+// applied as batches.
 // Probe outputs stay ascending on both sides of the radix-sort cutoff.
 
 #include "index/spatial_index.h"
@@ -14,6 +15,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -235,12 +237,14 @@ TEST(SpatialIndexTest, GridMatchesBruteForceOnHeavilyClusteredInputs) {
   CheckIndexAgainstBruteForce(grid, points, 31, CornerClusterPoint);
 }
 
-/// Loads `points` into a dynamic grid as ids 0..n-1, so the static
-/// brute-force helpers above apply to it unchanged.
+/// Loads `points` into a dynamic grid as ids 0..n-1, in one batch, so
+/// the static brute-force helpers above apply to it unchanged.
 void InsertAll(DynamicGridIndex* index, const std::vector<Point>& points) {
+  std::vector<GridOp> ops;
   for (size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(index->Insert(static_cast<int>(i), points[i]));
+    ops.push_back(GridOp{points[i], static_cast<int>(i), /*live=*/true});
   }
+  index->Apply(ops);
 }
 
 TEST(SpatialIndexTest, AdversarialInputs) {
@@ -280,7 +284,7 @@ TEST(SpatialIndexTest, NearestTieBreaksToLowestIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// The dynamic grid (src/index/dynamic_index.h): Insert/Remove/Move must
+// The dynamic grid (src/index/dynamic_index.h): Apply's batches must
 // keep every probe exactly equal to a brute-force scan of the live set
 // through arbitrary churn histories.
 // ---------------------------------------------------------------------------
@@ -348,37 +352,56 @@ void CheckDynamicAgainstLiveSet(const DynamicGridIndex& index,
 }
 
 /// Churn history over a sparse id space with locations from `draw`,
-/// verified against the live set after every batch of 40 ops: first
-/// `preload` inserts (ids 0..preload-1), then 12 batches of random
-/// inserts, removes, and moves, then removes until nothing is live, then
-/// 80 fresh inserts — so a cell that grew also empties and fills again.
+/// applied through DynamicGridIndex::Apply in batches of 40 ops and
+/// verified against the live set after every batch: first `preload`
+/// inserts (ids 0..preload-1), then 12 batches of random inserts,
+/// removes, and moves, then removes until nothing is live, then 80 fresh
+/// inserts — so a cell that grew also empties and fills again. Ids within
+/// a batch must be distinct, so an op on an id the pending batch already
+/// holds applies the batch early.
 void ChurnAndVerify(DynamicGridIndex* index, const PointGenerator& draw,
                     uint64_t seed, int preload = 0) {
   Rng rng(seed);
   LiveSet live;
   std::vector<int> ids;
+  std::vector<GridOp> batch;
+  std::set<int> batch_ids;
   uint64_t check = seed;
+  const auto flush = [&] {
+    index->Apply(batch);
+    batch.clear();
+    batch_ids.clear();
+  };
+  const auto queue = [&](int id, const Point& p, bool live_after) {
+    if (!batch_ids.insert(id).second) {
+      flush();
+      batch_ids.insert(id);
+    }
+    batch.push_back(GridOp{p, id, live_after});
+  };
+  const auto verify = [&] {
+    flush();
+    CheckDynamicAgainstLiveSet(*index, live, draw, check++);
+  };
   const auto insert = [&](int id) {
     const Point p = draw(rng);
     if (live.points().count(id) != 0) return;
     ids.push_back(id);
-    EXPECT_TRUE(index->Insert(id, p));
+    queue(id, p, /*live_after=*/true);
     live.Insert(id, p);
   };
   const auto remove_at = [&](size_t k) {
     const int id = ids[k];
     ids[k] = ids.back();
     ids.pop_back();
-    EXPECT_TRUE(index->Remove(id));
+    queue(id, Point{}, /*live_after=*/false);
     live.Remove(id);
   };
   for (int id = 0; id < preload; ++id) {
     insert(id);
-    if ((id + 1) % 40 == 0 || id + 1 == preload) {
-      CheckDynamicAgainstLiveSet(*index, live, draw, check++);
-    }
+    if ((id + 1) % 40 == 0 || id + 1 == preload) verify();
   }
-  for (int batch = 0; batch < 12; ++batch) {
+  for (int batch_no = 0; batch_no < 12; ++batch_no) {
     for (int op = 0; op < 40; ++op) {
       const int roll = static_cast<int>(rng.UniformInt(0, 99));
       if (roll < 45 || ids.empty()) {
@@ -390,24 +413,22 @@ void ChurnAndVerify(DynamicGridIndex* index, const PointGenerator& draw,
         const size_t k = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1));
         const Point p = draw(rng);
-        EXPECT_TRUE(index->Move(ids[k], p));
+        queue(ids[k], p, /*live_after=*/true);
         live.Insert(ids[k], p);  // overwrite position
       }
     }
-    CheckDynamicAgainstLiveSet(*index, live, draw, check++);
+    verify();
   }
   while (!ids.empty()) {
     for (int op = 0; op < 40 && !ids.empty(); ++op) {
       remove_at(static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1)));
     }
-    CheckDynamicAgainstLiveSet(*index, live, draw, check++);
+    verify();
   }
   for (int id = 0; id < 80; ++id) {
     insert(2000 + id);
-    if ((id + 1) % 40 == 0) {
-      CheckDynamicAgainstLiveSet(*index, live, draw, check++);
-    }
+    if ((id + 1) % 40 == 0) verify();
   }
 }
 
@@ -424,6 +445,106 @@ TEST(DynamicIndexTest, GridMatchesBruteForceUnderClusteredChurn) {
   // edge cells, so Nearest also runs with open edges.
   DynamicGridIndex grid(Rect{0, 0, 1000, 1000}, 600);
   ChurnAndVerify(&grid, CornerClusterPoint, 202, /*preload=*/600);
+}
+
+// One batch at every cell edge Apply's cell walk has: a full inline cell
+// (Cell::kInline = 6 ids) that loses one id and gains another, a cell
+// that grows past kInline and spills, a cell drained to empty, and moves
+// across cells and within one. The ops are listed out of id and cell
+// order, with the full cell's insert ahead of its remove: applied in op
+// order it would spill, and the walk's remove-before-insert keeps it
+// inline. Every batch is checked against brute force.
+TEST(DynamicIndexTest, OneBatchAcrossCellEdges) {
+  const Rect bounds{0, 0, 10, 10};
+  // 50 expected points over 100 square units: 2-unit cells, 5 x 5.
+  const GridGeometry geo = GridGeometry::Layout(bounds, 50);
+  ASSERT_EQ(geo.cell, 2.0);
+  ASSERT_EQ(geo.nx, 5);
+  ASSERT_EQ(geo.ny, 5);
+  // A point in cell (cx, cy) at fractions (fx, fy) of the cell's sides.
+  const auto in_cell = [](int cx, int cy, double fx, double fy) {
+    return Point{2.0 * (cx + fx), 2.0 * (cy + fy)};
+  };
+  DynamicGridIndex grid(bounds, 50);
+  LiveSet live;
+  uint64_t check = 7;
+  const PointGenerator box = [](Rng& rng) {
+    return Point{rng.Uniform(0.0, 10.0), rng.Uniform(0.0, 10.0)};
+  };
+  const auto apply = [&](const std::vector<GridOp>& ops) {
+    grid.Apply(ops);
+    for (const GridOp& op : ops) {
+      if (op.live) {
+        live.Insert(op.id, op.position);
+      } else {
+        live.Remove(op.id);
+      }
+    }
+    CheckDynamicAgainstLiveSet(grid, live, box, check++);
+  };
+
+  // Cell A (0, 0): ids 0-5, full inline. B (2, 2): ids 10-14. C (4, 4):
+  // ids 20-22. D (1, 3): ids 30 and 31. E (3, 1): id 40.
+  std::vector<GridOp> load;
+  for (int k = 5; k >= 0; --k) {
+    load.push_back(GridOp{in_cell(0, 0, 0.1 * k + 0.05, 0.5), k, true});
+  }
+  for (int k = 0; k < 5; ++k) {
+    load.push_back(GridOp{in_cell(2, 2, 0.5, 0.15 * k + 0.1), 10 + k, true});
+  }
+  for (int k = 0; k < 3; ++k) {
+    load.push_back(GridOp{in_cell(4, 4, 0.3 * k + 0.1, 0.9), 20 + k, true});
+  }
+  load.push_back(GridOp{in_cell(1, 3, 0.2, 0.2), 31, true});
+  load.push_back(GridOp{in_cell(1, 3, 0.8, 0.8), 30, true});
+  load.push_back(GridOp{in_cell(3, 1, 0.5, 0.5), 40, true});
+  apply(load);
+  EXPECT_EQ(grid.size(), 17);
+  EXPECT_EQ(grid.SpilledCells(), 0);
+
+  apply({
+      GridOp{in_cell(2, 2, 0.9, 0.9), 15, true},   // B: 6
+      GridOp{in_cell(0, 0, 0.95, 0.95), 6, true},  // A gains 6 ...
+      GridOp{in_cell(4, 4, 0.0, 0.0), 21, false},  // C drains
+      GridOp{in_cell(3, 1, 0.1, 0.9), 30, true},   // D -> E
+      GridOp{in_cell(2, 2, 0.1, 0.9), 16, true},   // B: 7, spills
+      GridOp{Point{}, 2, false},                   // ... and loses 2
+      GridOp{in_cell(1, 3, 0.6, 0.4), 31, true},   // within D
+      GridOp{in_cell(0, 0, 0.05, 0.95), 0, true},  // within A
+      GridOp{Point{}, 22, false},
+      GridOp{in_cell(2, 2, 0.9, 0.1), 17, true},  // B: 8
+      GridOp{Point{}, 20, false},
+      GridOp{Point{}, 99, false},  // never live: a no-op
+  });
+  EXPECT_EQ(grid.size(), 17);
+  EXPECT_EQ(grid.SpilledCells(), 1);  // B only; A stayed inline
+  std::vector<int> got;
+  grid.RectQuery(Rect{8.0, 8.0, 10.0, 10.0}, &got);
+  EXPECT_TRUE(got.empty()) << "cell C drained";
+  grid.RectQuery(Rect{0.0, 0.0, 2.0, 2.0}, &got);
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 3, 4, 5, 6}));
+
+  // Refill the drained cell from the spilled one and drain the spilled
+  // one to empty; it keeps its heap block.
+  std::vector<GridOp> shuffle;
+  for (int id = 10; id <= 17; ++id) {
+    shuffle.push_back(
+        id % 2 == 0 ? GridOp{in_cell(4, 4, 0.1 * (id - 9), 0.5), id, true}
+                    : GridOp{Point{}, id, false});
+  }
+  shuffle.push_back(GridOp{in_cell(4, 4, 0.5, 0.1), 22, true});
+  apply(shuffle);
+  EXPECT_EQ(grid.SpilledCells(), 1);
+  grid.RectQuery(Rect{4.0, 4.0, 6.0, 6.0}, &got);
+  EXPECT_TRUE(got.empty()) << "cell B drained";
+
+  // Everything leaves in one batch.
+  std::vector<GridOp> clear;
+  for (const auto& [id, p] : live.points()) {
+    clear.push_back(GridOp{p, id, false});
+  }
+  apply(clear);
+  EXPECT_EQ(grid.size(), 0);
 }
 
 TEST(SpatialIndexTest, AttachSlotIndexHonorsPolicy) {
@@ -560,7 +681,9 @@ TEST(ProbeOrderTest, EveryBackendOrdersResultsAroundTheCutoff) {
       }
       DynamicGridIndex grid(Rect{0.0, 0.0, 60.0, 60.0},
                             static_cast<int>(live.size()));
-      for (const auto& [id, p] : live) ASSERT_TRUE(grid.Insert(id, p));
+      std::vector<GridOp> ops;
+      for (const auto& [id, p] : live) ops.push_back(GridOp{p, id, true});
+      grid.Apply(ops);
       ExpectProbesReturnSorted(grid, picked, label + " dynamic grid");
     }
   }

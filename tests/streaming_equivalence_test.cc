@@ -21,6 +21,7 @@
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
 #include "core/lazy_greedy.h"
+#include "core/multi_query.h"
 #include "core/point_scheduling.h"
 #include "core/slot.h"
 #include "engine/acquisition_engine.h"
@@ -445,6 +446,155 @@ TEST(StreamingEquivalenceTest, MergeBoundariesMatchBuildSlotContext) {
   const SlotContext& s9 = engine.BeginSlot(9);
   ExpectSameContext(s9, BuildSlotContext(engine.sensors(), region, 9, 5.0), 9);
   ASSERT_EQ(s9.sensors.size(), static_cast<size_t>(n));
+}
+
+/// A served slot's index must answer every probe exactly as the fresh
+/// build's CSR grid does, in slot rows: the engine's grid answers in ids
+/// and its view translates them to member ranks.
+void ExpectSameProbes(const SlotContext& served, const SlotContext& built,
+                      const Rect& region, Rng& rng, int slot) {
+  ASSERT_NE(served.index, nullptr) << "slot " << slot;
+  ASSERT_NE(built.index, nullptr) << "slot " << slot;
+  std::vector<int> got;
+  std::vector<int> want;
+  for (int probe = 0; probe < 20; ++probe) {
+    const Point c{rng.Uniform(region.x_min, region.x_max),
+                  rng.Uniform(region.y_min, region.y_max)};
+    served.index->RangeQuery(c, 4.0, &got);
+    built.index->RangeQuery(c, 4.0, &want);
+    ASSERT_EQ(got, want) << "slot " << slot << " range probe " << probe;
+    const Rect r{c.x - 3.0, c.y - 2.0, c.x + 2.0, c.y + 3.0};
+    served.index->RectQuery(r, &got);
+    built.index->RectQuery(r, &want);
+    ASSERT_EQ(got, want) << "slot " << slot << " rect probe " << probe;
+    ASSERT_EQ(served.index->Nearest(c), built.index->Nearest(c))
+        << "slot " << slot << " nearest probe " << probe;
+  }
+}
+
+// The engine hands its grid each slot's churn in batches of
+// max(4096, n / 16) ops and reads member rows as ranks in a presence
+// bitmap. On a 10,003-sensor registry (not a multiple of 64) the cold
+// build's 10,001 inserts take three batches, a slot of 5,000 moves and
+// 3,000 departures takes two, and arrivals and departures hit ids 0, 63,
+// 64 and n - 1: the first word edge and the partial last word. Every
+// slot must equal a fresh build, probe for probe and in its selections
+// (valuation calls included), and select what an unindexed engine fed the
+// same deltas selects (pruning only lowers its valuation calls).
+TEST(StreamingEquivalenceTest, GridBatchesAndRankEdgesMatchRebuild) {
+  const int n = 10003;
+  const Rect region{0, 0, 100, 100};
+  SensorPopulationConfig population;
+  population.count = n;
+  population.random_privacy = true;
+  Rng rng(83);
+  std::vector<Sensor> sensors = GenerateSensors(population, rng);
+  for (Sensor& s : sensors) {
+    s.SetPosition(Point{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)},
+                  true);
+  }
+  sensors[64].SetPosition(sensors[64].position(), false);
+  sensors[n - 1].SetPosition(sensors[n - 1].position(), false);
+  const ServingConfig indexed = MakeConfig(region, 5.0);
+  ServingConfig unindexed = indexed;
+  unindexed.index_policy = SlotIndexPolicy::kNone;
+  AcquisitionEngine engine(sensors, indexed);
+  AcquisitionEngine reference(sensors, unindexed);
+
+  // Ids off the four edges, shuffled: slot 1 moves the first 5,000 and
+  // takes the next 3,000 out; slot 2 brings those back and moves 5,000.
+  std::vector<int> ids;
+  for (int id = 1; id < n - 1; ++id) {
+    if (id != 63 && id != 64) ids.push_back(id);
+  }
+  for (size_t k = ids.size() - 1; k > 0; --k) {
+    std::swap(ids[k], ids[static_cast<size_t>(
+                          rng.UniformInt(0, static_cast<int64_t>(k)))]);
+  }
+  const auto place = [&] {
+    return Point{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
+  };
+  std::vector<SensorDelta> deltas(5);
+  deltas[1].arrivals = {{64, place()}, {n - 1, place()}};
+  deltas[1].departures = {0, 63};
+  deltas[2].arrivals = {{0, place()}, {63, place()}};
+  deltas[2].departures = {64, n - 1};
+  for (size_t k = 0; k < 8000; ++k) {
+    if (k < 5000) {
+      deltas[1].moves.push_back({ids[k], place()});
+      deltas[2].moves.push_back({ids[k], place()});
+    } else {
+      deltas[1].departures.push_back(ids[k]);
+      deltas[2].arrivals.push_back({ids[k], place()});
+    }
+  }
+  // Slot 3 is quiet; slot 4 moves and re-prices the edges.
+  deltas[4].moves = {{0, place()}, {63, place()}, {n - 2, place()}};
+  deltas[4].price_changes = {{0, 2.5}, {63, 4.0}, {n - 2, 1.5}};
+
+  Rng query_rng(89);
+  Rng probe_rng(97);
+  for (int t = 0; t < static_cast<int>(deltas.size()); ++t) {
+    ASSERT_TRUE(engine.ApplyDelta(deltas[t]));
+    ASSERT_TRUE(reference.ApplyDelta(deltas[t]));
+    const SlotContext& slot = engine.BeginSlot(t);
+    const SlotContext& ref_slot = reference.BeginSlot(t);
+    const SlotContext built =
+        BuildSlotContext(engine.sensors(), region, t, 5.0);
+    ExpectSameContext(slot, built, t);
+    ExpectSameProbes(slot, built, region, probe_rng, t);
+    ASSERT_EQ(ref_slot.index, nullptr);
+    ASSERT_EQ(ref_slot.sensors.sensor_id, slot.sensors.sensor_id) << t;
+
+    const std::vector<AggregateQuery::Params> aggregates =
+        GenerateAggregateQueries(4, region, 5.0, 15.0, t * 100, query_rng);
+    const std::vector<PointQuery> points = GeneratePointQueries(
+        40, region, BudgetScheme{15.0, false, 0.0}, 0.2, t * 100 + 50,
+        query_rng);
+    // Served, built and unindexed: each binds its own copy of the batch.
+    std::vector<SelectionResult> results;
+    std::vector<double> payments;
+    for (const SlotContext* s : {&slot, &built, &ref_slot}) {
+      std::vector<std::unique_ptr<MultiQuery>> owned;
+      std::vector<MultiQuery*> queries;
+      for (const AggregateQuery::Params& p : aggregates) {
+        owned.push_back(std::make_unique<AggregateQuery>(p, *s));
+        queries.push_back(owned.back().get());
+      }
+      for (const PointQuery& q : points) {
+        owned.push_back(std::make_unique<PointMultiQuery>(q, s));
+        queries.push_back(owned.back().get());
+      }
+      if (s == &slot) {
+        results.push_back(engine.Select(queries, *s, deltas[t]));
+      } else if (s == &ref_slot) {
+        results.push_back(reference.Select(queries, *s, deltas[t]));
+      } else {
+        results.push_back(LazyGreedySensorSelection(queries, *s, nullptr));
+      }
+      double paid = 0.0;
+      for (const MultiQuery* q : queries) paid += q->TotalPayment();
+      payments.push_back(paid);
+    }
+    ASSERT_FALSE(results[0].selected_sensors.empty()) << t;
+    ASSERT_EQ(results[0].valuation_calls, results[1].valuation_calls) << t;
+    for (size_t k = 1; k < results.size(); ++k) {
+      ASSERT_EQ(results[0].selected_sensors, results[k].selected_sensors) << t;
+      ASSERT_EQ(results[0].total_value, results[k].total_value) << t;
+      ASSERT_EQ(results[0].total_cost, results[k].total_cost) << t;
+      ASSERT_EQ(payments[0], payments[k]) << t;
+    }
+    engine.RecordSlotReadings(results[0].selected_sensors, t);
+    reference.RecordSlotReadings(results[2].selected_sensors, t);
+  }
+  // The edge ids ended where the deltas put them.
+  const std::vector<int>& members = engine.BeginSlot(5).sensors.sensor_id;
+  for (int id : {0, 63}) {
+    EXPECT_TRUE(std::binary_search(members.begin(), members.end(), id)) << id;
+  }
+  for (int id : {64, n - 1}) {
+    EXPECT_FALSE(std::binary_search(members.begin(), members.end(), id)) << id;
+  }
 }
 
 // RecordSlotReadings addresses the current slot's rows. After churn has
