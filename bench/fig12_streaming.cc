@@ -37,11 +37,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/rng.h"
 #include "core/point_scheduling.h"
 #include "core/slot.h"
 #include "engine/acquisition_engine.h"
 #include "sim/workload.h"
+#include "trace/closed_loop.h"
 
 namespace psens {
 namespace {
@@ -101,14 +101,13 @@ StreamResult RunOne(const char* workload, int n, int slots,
   // announce-stream shape (not gated).
   const ChurnScenarioSetup setup =
       MakeChurnScenario(n, churn_fraction, args.seed, with_mobility);
-  const double dmax = setup.dmax;
-  const Rect& field = setup.field;
-  const ClusteredPopulationConfig& config = setup.config;
-  const ScaleScenario& scenario = setup.scenario;
-  const ChurnConfig& churn = setup.churn;
-  const Rng& rng = setup.rng_after_generation;
+  const std::vector<Sensor>& sensors = setup.scenario.sensors;
 
   r.queries_per_slot = args.quick ? 128 : 256;
+  // Point queries only: each pass schedules them with local search.
+  ChurnQueryConfig query_config;
+  query_config.queries_per_slot = r.queries_per_slot;
+  query_config.aggregates_per_slot = 0;
 
   // One pass of the serving loop in the given mode over the deterministic
   // delta/query streams. `reference` holds pass 1's per-slot schedules;
@@ -124,21 +123,17 @@ StreamResult RunOne(const char* workload, int n, int slots,
     double MedianTurnoverMs() const { return bench::MedianMs(turnover_samples_ms); }
   };
   ServingConfig ecfg;
-  ecfg.working_region = field;
-  ecfg.dmax = dmax;
+  ecfg.working_region = setup.field;
+  ecfg.dmax = setup.dmax;
   ecfg.index_policy = args.index_policy;
   // `side` is the engine or the RebuildSide; both take ApplyDelta then
   // BeginSlot.
   const auto run_pass = [&](auto& side,
                             std::vector<PointScheduleResult>* reference,
                             bool* identical) {
-    ChurnStream stream(churn, scenario.sensors, field);
-    stream.SetClusteredPlacement(&scenario, &config);
-    // Fork from a pass-local copy: Fork advances its parent, and both
-    // passes must consume identical delta/query streams.
-    Rng fork_base = rng;
-    Rng churn_rng = fork_base.Fork(7);
-    Rng query_rng = fork_base.Fork(8);
+    // A pass-local workload: both passes consume identical delta/query
+    // streams.
+    ChurnWorkload workload(&setup, query_config);
     PointSchedulingOptions options;
     options.scheduler = PointScheduler::kLocalSearch;
     // Slot 0 is the O(n) cold build on either side; steady-state slots
@@ -146,7 +141,7 @@ StreamResult RunOne(const char* workload, int n, int slots,
     side.BeginSlot(0);
     PassTotals totals;
     for (int t = 1; t <= slots; ++t) {
-      const SensorDelta delta = stream.Next(churn_rng);
+      const SensorDelta delta = workload.NextDelta();
       const SlotContext* slot = nullptr;
       const double turnover = bench::TimeMs([&] {
         side.ApplyDelta(delta);
@@ -154,9 +149,7 @@ StreamResult RunOne(const char* workload, int n, int slots,
       });
       totals.turnover_samples_ms.push_back(turnover);
       totals.turnover_ms += turnover;
-      const std::vector<PointQuery> queries = GenerateClusteredPointQueries(
-          r.queries_per_slot, scenario, config, BudgetScheme{15.0, false, 0.0},
-          /*theta_min=*/0.2, /*id_base=*/t * r.queries_per_slot, query_rng);
+      const std::vector<PointQuery> queries = workload.NextQueries(t).points;
       options.seed = args.seed + static_cast<uint64_t>(t);
       PointScheduleResult result;
       totals.sched_ms += bench::TimeMs(
@@ -182,31 +175,23 @@ StreamResult RunOne(const char* workload, int n, int slots,
   const auto run_turnover_passes = [&](PassTotals* inc_totals,
                                        PassTotals* reb_totals) {
     struct Lane {
-      ChurnStream stream;
-      Rng churn_rng;
+      ChurnWorkload workload;
       int next_slot = 1;
       PassTotals* totals;
     };
-    Rng fork_base_inc = rng;
-    Rng fork_base_reb = rng;
     Lane lanes[2] = {
-        {ChurnStream(churn, scenario.sensors, field), fork_base_inc.Fork(7), 1,
-         inc_totals},
-        {ChurnStream(churn, scenario.sensors, field), fork_base_reb.Fork(7), 1,
-         reb_totals},
+        {ChurnWorkload(&setup, query_config), 1, inc_totals},
+        {ChurnWorkload(&setup, query_config), 1, reb_totals},
     };
-    AcquisitionEngine engine(scenario.sensors, ecfg);
-    RebuildSide rebuild(scenario.sensors, ecfg);
-    for (Lane& lane : lanes) {
-      lane.stream.SetClusteredPlacement(&scenario, &config);
-    }
+    AcquisitionEngine engine(sensors, ecfg);
+    RebuildSide rebuild(sensors, ecfg);
     engine.BeginSlot(0);
     rebuild.BeginSlot(0);
     const auto advance_block = [&](auto& side, Lane& lane) {
       constexpr int kBlock = 10;
       for (int b = 0; b < kBlock && lane.next_slot <= slots; ++b) {
         const int t = lane.next_slot++;
-        const SensorDelta delta = lane.stream.Next(lane.churn_rng);
+        const SensorDelta delta = lane.workload.NextDelta();
         const double turnover = bench::TimeMs([&] {
           side.ApplyDelta(delta);
           side.BeginSlot(t);
@@ -226,13 +211,13 @@ StreamResult RunOne(const char* workload, int n, int slots,
   r.identical = true;
   PassTotals inc;
   {
-    AcquisitionEngine engine(scenario.sensors, ecfg);
+    AcquisitionEngine engine(sensors, ecfg);
     inc = run_pass(engine, &reference, nullptr);
     r.index_kind = engine.IndexBackendName();
   }
   PassTotals reb;
   {
-    RebuildSide rebuild(scenario.sensors, ecfg);
+    RebuildSide rebuild(sensors, ecfg);
     reb = run_pass(rebuild, &reference, &r.identical);
   }
   PassTotals inc_turnover;

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/rng.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
 #include "core/lazy_greedy.h"
@@ -43,6 +42,7 @@
 #include "core/sieve_streaming.h"
 #include "engine/acquisition_engine.h"
 #include "sim/workload.h"
+#include "trace/closed_loop.h"
 
 namespace psens {
 namespace {
@@ -69,34 +69,22 @@ struct EngineRow {
 std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
                               const bench::BenchArgs& args) {
   // Same city-scale geometry and churn shape as fig12's gate row, by
-  // construction: both figures call MakeChurnScenario (sim/workload.h).
+  // construction: both figures call MakeChurnScenario (sim/workload.h),
+  // and both draw their streams through ChurnWorkload.
   const ChurnScenarioSetup setup = MakeChurnScenario(
       n, churn_fraction, args.seed, /*with_mobility=*/false);
-  const double side = setup.side;
-  const double dmax = setup.dmax;
-  const Rect& field = setup.field;
-  const ClusteredPopulationConfig& config = setup.config;
-  const ScaleScenario& scenario = setup.scenario;
-  const ChurnConfig& churn = setup.churn;
-  const Rng& rng = setup.rng_after_generation;
-
-  const int queries_per_slot = args.quick ? 128 : 256;
-  const int aggregates_per_slot = args.quick ? 16 : 24;
-  const double agg_half = 25.0;  // 50x50 overlapping monitoring regions
-  const double agg_range = 10.0;
+  ChurnQueryConfig query_config;
+  query_config.queries_per_slot = args.quick ? 128 : 256;
+  query_config.aggregates_per_slot = args.quick ? 16 : 24;
+  ChurnWorkload workload(&setup, query_config);
 
   ServingConfig ecfg;
-  ecfg.working_region = field;
-  ecfg.dmax = dmax;
+  ecfg.working_region = setup.field;
+  ecfg.dmax = setup.dmax;
   ecfg.index_policy = args.index_policy;
   ecfg.approx.epsilon = args.epsilon;
   ecfg.approx.seed = args.seed;
-  AcquisitionEngine engine(scenario.sensors, ecfg);
-  ChurnStream stream(churn, scenario.sensors, field);
-  stream.SetClusteredPlacement(&scenario, &config);
-  Rng fork_base = rng;
-  Rng churn_rng = fork_base.Fork(7);
-  Rng query_rng = fork_base.Fork(8);
+  AcquisitionEngine engine(setup.scenario.sensors, ecfg);
 
   engine.BeginSlot(0);  // cold build, not measured
 
@@ -112,35 +100,24 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
   SieveStreamingScheduler sieve_scheduler(ecfg.approx);
 
   for (int t = 1; t <= slots; ++t) {
-    const SensorDelta delta = stream.Next(churn_rng);
+    const SensorDelta delta = workload.NextDelta();
     engine.ApplyDelta(delta);
     const SlotContext& slot = engine.BeginSlot(t);
 
     // Query binding (coverage masks, candidate probes) is query-arrival
     // work, identical for every engine, and excluded from the timed
     // selection. All engines reuse the same bound objects via
-    // ResetSelection, so utilities are directly comparable.
-    const std::vector<PointQuery> points = GenerateClusteredPointQueries(
-        queries_per_slot, scenario, config, BudgetScheme{15.0, false, 0.0},
-        /*theta_min=*/0.2, /*id_base=*/t * queries_per_slot, query_rng);
+    // ResetSelection, so utilities are directly comparable. Aggregates
+    // bind first, as SlotServer binds them.
+    const SlotQueryBatch batch = workload.NextQueries(t);
     std::vector<std::unique_ptr<AggregateQuery>> aggregates;
     std::vector<std::unique_ptr<PointMultiQuery>> point_queries;
     std::vector<MultiQuery*> all;
-    for (int i = 0; i < aggregates_per_slot; ++i) {
-      const Point c = DrawScenarioLocation(scenario, config, query_rng);
-      AggregateQuery::Params params;
-      params.id = t * 1000 + i;
-      params.region =
-          Rect{std::max(0.0, c.x - agg_half), std::max(0.0, c.y - agg_half),
-               std::min(side, c.x + agg_half), std::min(side, c.y + agg_half)};
-      params.budget = params.region.Width() * params.region.Height() /
-                      (1.5 * agg_range) * 2.0;
-      params.sensing_range = agg_range;
-      params.cell_size = 5.0;
+    for (const AggregateQuery::Params& params : batch.aggregates) {
       aggregates.push_back(std::make_unique<AggregateQuery>(params, slot));
       all.push_back(aggregates.back().get());
     }
-    for (const PointQuery& spec : points) {
+    for (const PointQuery& spec : batch.points) {
       point_queries.push_back(std::make_unique<PointMultiQuery>(spec, &slot));
       all.push_back(point_queries.back().get());
     }
@@ -175,8 +152,8 @@ std::vector<EngineRow> RunOne(int n, int slots, double churn_fraction,
     row.engine = state->name;
     row.sensors = n;
     row.slots = slots;
-    row.queries_per_slot = queries_per_slot;
-    row.aggregates_per_slot = aggregates_per_slot;
+    row.queries_per_slot = query_config.queries_per_slot;
+    row.aggregates_per_slot = query_config.aggregates_per_slot;
     row.churn_fraction = churn_fraction;
     row.epsilon = args.epsilon;
     row.median_ms = bench::MedianMs(state->ms);

@@ -2,13 +2,13 @@
 //
 // The slot stores its announcements once, as columns (core/slot.h,
 // SlotSensorTable), and the per-query delta loops of all four query
-// families — PointMultiQuery, MultiSensorPointQuery, AggregateQuery,
-// TrajectoryQuery — run as branch-light sweeps over those columns. This
-// sweep isolates the kernels: per population (10k..1M) and per query
-// family it times the identical exact-greedy selection against the
-// engine's slot context and reports its median selection latency and an
-// FNV-1a digest of the outcome's raw bit patterns (selections, values,
-// costs, payments, ValuationCalls).
+// families — PointMultiQuery, MultiSensorPointQuery, and AggregateQuery
+// over regions and over trajectories — run as branch-light sweeps over
+// those columns. This sweep isolates the kernels: per population
+// (10k..1M) and per query family it times the identical exact-greedy
+// selection against the engine's slot context and reports its median
+// selection latency and an FNV-1a digest of the outcome's raw bit
+// patterns (selections, values, costs, payments, ValuationCalls).
 //
 // The digest is the bit-equality witness. The counted-reference check of
 // every kernel lives in tests/soa_kernel_equivalence_test.cc; the digests
@@ -93,7 +93,7 @@ struct Batch {
   std::vector<std::unique_ptr<PointMultiQuery>> points;
   std::vector<std::unique_ptr<MultiSensorPointQuery>> multi_points;
   std::vector<std::unique_ptr<AggregateQuery>> aggregates;
-  std::vector<std::unique_ptr<TrajectoryQuery>> trajectories;
+  std::vector<std::unique_ptr<AggregateQuery>> trajectories;
   std::vector<MultiQuery*> all;
 };
 
@@ -170,7 +170,7 @@ Batch MakeBatch(QueryKind kind, const SlotContext& slot, const Rect& field,
     case QueryKind::kTrajectory: {
       const int count = quick ? 4 : 8;
       for (int k = 0; k < count; ++k) {
-        TrajectoryQuery::Params tp;
+        AggregateQuery::TrajectoryParams tp;
         tp.id = 700 + k;
         const double y = rng.Uniform(0.0, field.y_max);
         tp.trajectory.waypoints = {Point{0.0, y}, Point{side / 2, y},
@@ -180,7 +180,7 @@ Batch MakeBatch(QueryKind kind, const SlotContext& slot, const Rect& field,
         tp.cell_size = 4.0;
         tp.corridor = 4.0;
         batch.trajectories.push_back(
-            std::make_unique<TrajectoryQuery>(tp, slot));
+            std::make_unique<AggregateQuery>(tp, slot));
         batch.all.push_back(batch.trajectories.back().get());
       }
       break;

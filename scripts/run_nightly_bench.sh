@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runs the full (non --quick) fig02-fig18 benchmark suite, writing each
-# binary's stdout and the fig11-fig18 --json outputs under the log
-# directory. Used by the scheduled nightly workflow
+# Runs the full (non --quick) fig02-fig18 benchmark suite and the alpha
+# ablation, writing each binary's stdout and the fig11-fig18 --json
+# outputs under the log directory. Used by the scheduled nightly workflow
 # (.github/workflows/nightly.yml), whose gate step merges the JSON files
 # into BENCH_nightly.json, so the PR-path bench gate can stay on the fast
 # --quick settings; also runnable locally:
@@ -37,6 +37,9 @@ run fig07_aggregate
 run fig08_location_monitoring
 run fig09_region_monitoring
 run fig10_query_mix
+# Ablation of alpha, the budget-pacing fraction of Algorithms 2/3:
+# console table only.
+run bench_alpha_sweep
 
 # Scale/streaming/approximation/replay sweeps: full populations, JSON
 # captured. fig14 keeps its recorded traces under the log directory so

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <span>
 
-#include "index/spatial_index.h"
+#include "core/slot.h"
 
 namespace psens {
 namespace {
@@ -109,136 +109,147 @@ AxisRun AxisWindow(const std::vector<double>& centers, double origin,
   return AxisRun{first, last};
 }
 
-/// Shared keyed-sweep kernel of the two coverage valuations (Eq. 5 over
-/// region cells / trajectory-corridor cells): out[i] = marginal of the
-/// sensor keys[i] addresses against the accumulated coverage state. On an
-/// indexed slot a key is the candidate ordinal (`row_keyed` is null); on
-/// an unindexed one it is a slot row, resolved by an OrdinalCursor over the
-/// ascending candidates `row_keyed` (-1: covers nothing, marginal 0).
-/// Masks live in one flat word slab (`words` per candidate ordinal) and
-/// `theta` is keyed by the same ordinal, so a probe reads both next to
-/// each other; `value_from` is the owner's ValueFrom (they differ only in
-/// captured params).
-///
-/// The kernel memoizes each candidate's delta in `cached_at`/`cached_delta`
-/// (both candidate-sized) under `version` — the owner's
-/// selection-state version, bumped on every Commit/ResetSelection. A hit
-/// replays the exact double computed by this same kernel under identical
-/// inputs (acc_mask, theta_sum, count, current_value are all unchanged
-/// since the stamp), so served values are bit-identical to recomputation;
-/// valuation-call accounting is external (the round evaluator) and does
-/// not observe hits. In a joint greedy round only the queries the last
-/// commit touched recompute — everyone else's sweep becomes two loads.
-template <typename ValueFrom>
-void CoverageMarginals(std::span<const int> keys, std::span<double> out,
-                       const std::vector<int>* row_keyed,
-                       const std::vector<uint64_t>& mask_words, int words,
-                       const std::vector<double>& theta,
-                       const std::vector<uint64_t>& acc_mask, double theta_sum,
-                       int count, double current_value, uint64_t version,
-                       std::vector<uint64_t>& cached_at,
-                       std::vector<double>& cached_delta,
-                       const ValueFrom& value_from) {
-  OrdinalCursor cursor(row_keyed);  // unused on an indexed slot
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const int ord = row_keyed != nullptr ? cursor.Resolve(keys[i]) : keys[i];
-    if (ord < 0) {
-      out[i] = 0.0;
-      continue;
-    }
-    if (cached_at[ord] == version) {
-      out[i] = cached_delta[ord];
-      continue;
-    }
-    const uint64_t* mask =
-        mask_words.data() + static_cast<size_t>(ord) * static_cast<size_t>(words);
-    const int new_covered = PopCountOr(acc_mask, mask);
-    out[i] =
-        value_from(new_covered, theta_sum + theta[ord], count) - current_value;
-    cached_at[ord] = version;
-    cached_delta[ord] = out[i];
-  }
-}
-
 }  // namespace
 
+template <typename Cover>
+void AggregateQuery::BindCandidates(const SlotContext& slot, const Rect& reach,
+                                    const Cover& cover) {
+  slot_indexed_ = slot.index != nullptr;
+  std::vector<int> coarse;
+  SlotRowsInRect(slot, reach, &coarse);
+  // Survivors ascend, so candidates_ does; their location and quality
+  // inputs stream from the slot's columns.
+  const SlotSensorTable& table = slot.sensors;
+  std::vector<uint64_t> mask(static_cast<size_t>(NumWords()));
+  for (int si : coarse) {
+    std::fill(mask.begin(), mask.end(), 0);
+    if (!cover(Point{table.x[si], table.y[si]}, mask.data())) continue;
+    mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
+    theta_.push_back(SensorTheta(table.inaccuracy[si], table.trust[si]));
+    candidates_.push_back(si);
+  }
+  acc_mask_.assign(NumWords(), 0);
+  cached_at_.assign(candidates_.size(), 0);
+  cached_delta_.resize(candidates_.size());
+}
+
 AggregateQuery::AggregateQuery(const Params& params, const SlotContext& slot)
-    : MultiQueryBase(params.id), params_(params) {
-  const double cell = std::max(1e-9, params_.cell_size);
-  cells_x_ = std::max(1, static_cast<int>(std::ceil(params_.region.Width() / cell)));
+    : MultiQueryBase(params.id), budget_(params.budget) {
+  const double cell = std::max(1e-9, params.cell_size);
+  const int cells_x =
+      std::max(1, static_cast<int>(std::ceil(params.region.Width() / cell)));
   const int cells_y =
-      std::max(1, static_cast<int>(std::ceil(params_.region.Height() / cell)));
-  num_cells_ = cells_x_ * cells_y;
+      std::max(1, static_cast<int>(std::ceil(params.region.Height() / cell)));
+  num_cells_ = cells_x * cells_y;
   // Cell centers per axis, from the same expressions (same operand order)
   // a per-cell evaluation would use, so every center keeps its bits.
-  std::vector<double> col_x(static_cast<size_t>(cells_x_));
-  for (int cx = 0; cx < cells_x_; ++cx) {
-    col_x[cx] = params_.region.x_min + (cx + 0.5) * cell;
+  std::vector<double> col_x(static_cast<size_t>(cells_x));
+  for (int cx = 0; cx < cells_x; ++cx) {
+    col_x[cx] = params.region.x_min + (cx + 0.5) * cell;
   }
   std::vector<double> row_y(static_cast<size_t>(cells_y));
   for (int cy = 0; cy < cells_y; ++cy) {
-    row_y[cy] = params_.region.y_min + (cy + 0.5) * cell;
+    row_y[cy] = params.region.y_min + (cy + 0.5) * cell;
   }
 
-  const double range = params_.sensing_range;
+  const double range = params.sensing_range;
   // Quick reject: a sensing disk touching the region requires the sensor
-  // inside the region grown by the range. With a slot index this is one
-  // rect probe instead of a full population scan; the probe returns
-  // exactly the sensors the brute-force Contains test accepts, ascending.
-  const Rect grown{params_.region.x_min - range, params_.region.y_min - range,
-                   params_.region.x_max + range, params_.region.y_max + range};
-  slot_indexed_ = slot.index != nullptr;
-  const SlotSensorTable& table = slot.sensors;
-  std::vector<int> coarse;
-  if (slot_indexed_) {
-    slot.index->RectQuery(grown, &coarse);
-  } else {
-    for (int si = 0; si < static_cast<int>(table.size()); ++si) {
-      if (grown.Contains(Point{table.x[si], table.y[si]})) coarse.push_back(si);
-    }
-  }
-  // Bind loop over the coarse survivors, whose location and quality
-  // inputs stream from the slot's columns.
-  //
+  // inside the region grown by the range.
+  const Rect grown{params.region.x_min - range, params.region.y_min - range,
+                   params.region.x_max + range, params.region.y_max + range};
   // Each survivor tests only the cells of its exact axis windows. A cell
   // is covered iff Distance(center, loc) <= range, i.e. iff
   // sqrt(fl(fl(dx*dx) + fl(dy*dy))) <= range. IEEE rounding is monotone
   // and fl(dy*dy) >= 0, so the rounded sum is never below fl(dx*dx), and
   // sqrt is monotone: a column failing the 1-D test sqrt(fl(dx*dx)) <=
   // range (the same predicate with dy = 0) fails in every row, and a NaN
-  // sum fails the 2-D test outright. Rows likewise. The 1-D test is monotone in |dx| and
-  // the centers ascend with the index, so the passing columns form one
-  // run, which AxisWindow finds exactly. The unchanged 2-D test over the
-  // window therefore sets exactly the bits a test of every region cell
-  // would set, in O(window cells) per candidate.
-  std::vector<uint64_t> mask(static_cast<size_t>(NumWords()), 0);
-  for (int si : coarse) {
-    const Point loc{table.x[si], table.y[si]};
+  // sum fails the 2-D test outright. Rows likewise. The 1-D test is
+  // monotone in |dx| and the centers ascend with the index, so the
+  // passing columns form one run, which AxisWindow finds exactly. The
+  // unchanged 2-D test over the window therefore sets exactly the bits a
+  // test of every region cell would set, in O(window cells) per
+  // candidate.
+  BindCandidates(slot, grown, [&](const Point& loc, uint64_t* mask) {
     const AxisRun cols =
-        AxisWindow(col_x, params_.region.x_min, cell, loc.x, range);
-    if (cols.first > cols.last) continue;
+        AxisWindow(col_x, params.region.x_min, cell, loc.x, range);
+    if (cols.first > cols.last) return false;
     const AxisRun rows =
-        AxisWindow(row_y, params_.region.y_min, cell, loc.y, range);
-    std::fill(mask.begin(), mask.end(), 0);
+        AxisWindow(row_y, params.region.y_min, cell, loc.y, range);
     bool any = false;
     for (int cy = rows.first; cy <= rows.last; ++cy) {
       for (int cx = cols.first; cx <= cols.last; ++cx) {
         // Branch-free: which window cells pass is data-dependent.
         const bool in = Distance(Point{col_x[cx], row_y[cy]}, loc) <= range;
-        const int c = cy * cells_x_ + cx;
+        const int c = cy * cells_x + cx;
         mask[c / 64] |= uint64_t{in} << (c % 64);
         any |= in;
       }
     }
-    if (any) {
-      mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
-      theta_.push_back(SensorTheta(table.inaccuracy[si], table.trust[si]));
-      candidates_.push_back(si);
+    return any;
+  });
+}
+
+AggregateQuery::AggregateQuery(const TrajectoryParams& params,
+                               const SlotContext& slot)
+    : MultiQueryBase(params.id), budget_(params.budget) {
+  // Cells of interest: grid cells of the trajectory's bounding box whose
+  // center lies within `corridor` of the polyline.
+  const double cell = std::max(1e-9, params.cell_size);
+  const Rect box = params.trajectory.BoundingBox();
+  const double corridor = params.corridor;
+  const int nx = std::max(
+      1, static_cast<int>(std::ceil((box.Width() + 2 * corridor) / cell)));
+  const int ny = std::max(
+      1, static_cast<int>(std::ceil((box.Height() + 2 * corridor) / cell)));
+  std::vector<Point> centers;
+  for (int y = 0; y < ny; ++y) {
+    for (int x = 0; x < nx; ++x) {
+      const Point center{box.x_min - corridor + (x + 0.5) * cell,
+                         box.y_min - corridor + (y + 0.5) * cell};
+      if (params.trajectory.DistanceTo(center) <= corridor) {
+        centers.push_back(center);
+      }
     }
   }
-  acc_mask_.assign(NumWords(), 0);
-  cached_at_.assign(candidates_.size(), 0);
-  cached_delta_.resize(candidates_.size());
+  if (centers.empty()) {
+    // Degenerate trajectory: its first waypoint (if any) is the single
+    // cell of interest.
+    const std::vector<Point>& waypoints = params.trajectory.waypoints;
+    centers.push_back(waypoints.empty() ? Point{0, 0} : waypoints.front());
+  }
+  num_cells_ = static_cast<int>(centers.size());
+
+  // Coarse reject: a sensor covering any corridor cell lies inside the
+  // cell centers' bounding box grown by the sensing range. Grow by a
+  // rounding slack too: a boundary sensor lost to the +-range
+  // arithmetic's rounding would drop a candidate a test of every sensor
+  // keeps. The slack dwarfs that rounding while staying far below any
+  // cell size.
+  Rect grown{centers[0].x, centers[0].y, centers[0].x, centers[0].y};
+  for (const Point& c : centers) {
+    grown.x_min = std::min(grown.x_min, c.x);
+    grown.x_max = std::max(grown.x_max, c.x);
+    grown.y_min = std::min(grown.y_min, c.y);
+    grown.y_max = std::max(grown.y_max, c.y);
+  }
+  const double range = params.sensing_range;
+  const double slack =
+      1e-9 * (1.0 + std::abs(grown.x_max) + std::abs(grown.y_max) +
+              std::abs(grown.x_min) + std::abs(grown.y_min) + range);
+  grown.x_min -= range + slack;
+  grown.y_min -= range + slack;
+  grown.x_max += range + slack;
+  grown.y_max += range + slack;
+  BindCandidates(slot, grown, [&](const Point& loc, uint64_t* mask) {
+    bool any = false;
+    for (int c = 0; c < num_cells_; ++c) {
+      if (Distance(centers[c], loc) <= range) {
+        mask[c / 64] |= uint64_t{1} << (c % 64);
+        any = true;
+      }
+    }
+    return any;
+  });
 }
 
 const std::vector<int>* AggregateQuery::CandidateSensors() const {
@@ -249,38 +260,52 @@ double AggregateQuery::ValueFrom(int covered_cells, double theta_sum,
                                  int count) const {
   if (count == 0) return 0.0;
   const double coverage = static_cast<double>(covered_cells) / num_cells_;
-  return params_.budget * coverage * (theta_sum / count);
+  return budget_ * coverage * (theta_sum / count);
 }
 
 double AggregateQuery::MarginalValue(int sensor) const {
   ++valuation_calls_;
   const int ord = OrdinalIn(candidates_, sensor);
   if (ord < 0) return 0.0;  // not a candidate: no change
-  const uint64_t* mask = mask_words_.data() +
-                         static_cast<size_t>(ord) * static_cast<size_t>(NumWords());
-  const int new_covered = PopCountOr(acc_mask_, mask);
-  const double new_value =
-      ValueFrom(new_covered, theta_sum_ + theta_[ord],
-                static_cast<int>(selected_.size()) + 1);
-  return new_value - current_value_;
+  const int new_covered = PopCountOr(acc_mask_, MaskOf(ord));
+  return ValueFrom(new_covered, theta_sum_ + theta_[ord],
+                   static_cast<int>(selected_.size()) + 1) -
+         current_value_;
 }
 
 void AggregateQuery::MarginalsAt(std::span<const int> keys,
                                  std::span<double> out) const {
-  CoverageMarginals(keys, out, slot_indexed_ ? nullptr : &candidates_,
-                    mask_words_, NumWords(), theta_, acc_mask_, theta_sum_,
-                    static_cast<int>(selected_.size()) + 1, current_value_,
-                    state_version_, cached_at_, cached_delta_,
-                    [this](int covered, double ts, int count) {
-                      return ValueFrom(covered, ts, count);
-                    });
+  // Selection state and slab stride read once: the memo stores below
+  // would otherwise force a reload of each per key.
+  const uint64_t version = state_version_;
+  const double theta_sum = theta_sum_;
+  const double current_value = current_value_;
+  const int count = static_cast<int>(selected_.size()) + 1;
+  const size_t words = static_cast<size_t>(NumWords());
+  OrdinalCursor cursor(&candidates_);  // unused on an indexed slot
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const int ord = slot_indexed_ ? keys[i] : cursor.Resolve(keys[i]);
+    if (ord < 0) {
+      out[i] = 0.0;
+      continue;
+    }
+    if (cached_at_[ord] == version) {
+      out[i] = cached_delta_[ord];
+      continue;
+    }
+    const int new_covered = PopCountOr(
+        acc_mask_, mask_words_.data() + static_cast<size_t>(ord) * words);
+    out[i] = ValueFrom(new_covered, theta_sum + theta_[ord], count) -
+             current_value;
+    cached_at_[ord] = version;
+    cached_delta_[ord] = out[i];
+  }
 }
 
 void AggregateQuery::Commit(int sensor, double payment) {
   const int ord = OrdinalIn(candidates_, sensor);
   if (ord >= 0) {
-    OrInto(acc_mask_, mask_words_.data() +
-                          static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
+    OrInto(acc_mask_, MaskOf(ord));
     covered_cells_ = PopCount(acc_mask_);
     theta_sum_ += theta_[ord];
   }
@@ -310,177 +335,7 @@ double AggregateQuery::ValueOf(const std::vector<int>& sensors) const {
   for (int s : sensors) {
     const int ord = OrdinalIn(candidates_, s);
     if (ord >= 0) {
-      OrInto(acc, mask_words_.data() +
-                      static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
-      theta_sum += theta_[ord];
-    }
-    ++count;
-  }
-  return ValueFrom(PopCount(acc), theta_sum, count);
-}
-
-// ---------------------------------------------------------------------------
-// TrajectoryQuery
-// ---------------------------------------------------------------------------
-
-TrajectoryQuery::TrajectoryQuery(const Params& params, const SlotContext& slot)
-    : MultiQueryBase(params.id), params_(params) {
-  // Cells of interest: grid cells of the trajectory's bounding box whose
-  // center lies within `corridor` of the polyline.
-  const double cell = std::max(1e-9, params_.cell_size);
-  const Rect box = params_.trajectory.BoundingBox();
-  const int nx = std::max(1, static_cast<int>(std::ceil((box.Width() + 2 * params_.corridor) / cell)));
-  const int ny = std::max(1, static_cast<int>(std::ceil((box.Height() + 2 * params_.corridor) / cell)));
-  for (int y = 0; y < ny; ++y) {
-    for (int x = 0; x < nx; ++x) {
-      const Point center{box.x_min - params_.corridor + (x + 0.5) * cell,
-                         box.y_min - params_.corridor + (y + 0.5) * cell};
-      if (params_.trajectory.DistanceTo(center) <= params_.corridor) {
-        cell_centers_.push_back(center);
-      }
-    }
-  }
-  num_cells_ = static_cast<int>(cell_centers_.size());
-  if (num_cells_ == 0) {
-    // Degenerate trajectory: treat its first waypoint (if any) as the
-    // single cell of interest.
-    if (!params_.trajectory.waypoints.empty()) {
-      cell_centers_.push_back(params_.trajectory.waypoints.front());
-      num_cells_ = 1;
-    } else {
-      num_cells_ = 1;
-      cell_centers_.push_back(Point{0, 0});
-    }
-  }
-
-  // Candidates bind in ascending slot order, so candidates_ ascends.
-  const SlotSensorTable& table = slot.sensors;
-  std::vector<uint64_t> mask(static_cast<size_t>(NumWords()), 0);
-  const auto bind = [&](int si) {
-    const Point loc{table.x[si], table.y[si]};
-    std::fill(mask.begin(), mask.end(), 0);
-    bool any = false;
-    for (int c = 0; c < num_cells_; ++c) {
-      if (Distance(cell_centers_[c], loc) <= params_.sensing_range) {
-        mask[c / 64] |= uint64_t{1} << (c % 64);
-        any = true;
-      }
-    }
-    if (any) {
-      mask_words_.insert(mask_words_.end(), mask.begin(), mask.end());
-      theta_.push_back(SensorTheta(table.inaccuracy[si], table.trust[si]));
-      candidates_.push_back(si);
-    }
-  };
-  slot_indexed_ = slot.index != nullptr;
-  if (slot_indexed_) {
-    // Coarse pruning: a sensor covering any corridor cell lies inside the
-    // cell centers' bounding box grown by the sensing range.
-    Rect grown;
-    grown.x_min = grown.x_max = cell_centers_[0].x;
-    grown.y_min = grown.y_max = cell_centers_[0].y;
-    for (const Point& c : cell_centers_) {
-      grown.x_min = std::min(grown.x_min, c.x);
-      grown.x_max = std::max(grown.x_max, c.x);
-      grown.y_min = std::min(grown.y_min, c.y);
-      grown.y_max = std::max(grown.y_max, c.y);
-    }
-    // Grow by the range plus a rounding slack: unlike AggregateQuery's
-    // quick reject (where both paths test the same grown rect), the
-    // unindexed trajectory path has no coarse filter at all, so a
-    // boundary sensor lost to the +-range arithmetic's rounding would
-    // break bit-equality with the dense scan. The slack dwarfs that
-    // rounding while staying far below any cell size.
-    const double slack =
-        1e-9 * (1.0 + std::abs(grown.x_max) + std::abs(grown.y_max) +
-                std::abs(grown.x_min) + std::abs(grown.y_min) +
-                params_.sensing_range);
-    grown.x_min -= params_.sensing_range + slack;
-    grown.y_min -= params_.sensing_range + slack;
-    grown.x_max += params_.sensing_range + slack;
-    grown.y_max += params_.sensing_range + slack;
-    std::vector<int> coarse;
-    slot.index->RectQuery(grown, &coarse);
-    for (int si : coarse) bind(si);
-  } else {
-    for (int si = 0; si < static_cast<int>(table.size()); ++si) bind(si);
-  }
-  acc_mask_.assign(NumWords(), 0);
-  cached_at_.assign(candidates_.size(), 0);
-  cached_delta_.resize(candidates_.size());
-}
-
-const std::vector<int>* TrajectoryQuery::CandidateSensors() const {
-  return slot_indexed_ ? &candidates_ : nullptr;
-}
-
-double TrajectoryQuery::ValueFrom(int covered_cells, double theta_sum,
-                                  int count) const {
-  if (count == 0) return 0.0;
-  const double coverage = static_cast<double>(covered_cells) / num_cells_;
-  return params_.budget * coverage * (theta_sum / count);
-}
-
-double TrajectoryQuery::MarginalValue(int sensor) const {
-  ++valuation_calls_;
-  const int ord = OrdinalIn(candidates_, sensor);
-  if (ord < 0) return 0.0;
-  const uint64_t* mask = mask_words_.data() +
-                         static_cast<size_t>(ord) * static_cast<size_t>(NumWords());
-  const int new_covered = PopCountOr(acc_mask_, mask);
-  const double new_value =
-      ValueFrom(new_covered, theta_sum_ + theta_[ord],
-                static_cast<int>(selected_.size()) + 1);
-  return new_value - current_value_;
-}
-
-void TrajectoryQuery::MarginalsAt(std::span<const int> keys,
-                                  std::span<double> out) const {
-  CoverageMarginals(keys, out, slot_indexed_ ? nullptr : &candidates_,
-                    mask_words_, NumWords(), theta_, acc_mask_, theta_sum_,
-                    static_cast<int>(selected_.size()) + 1, current_value_,
-                    state_version_, cached_at_, cached_delta_,
-                    [this](int covered, double ts, int count) {
-                      return ValueFrom(covered, ts, count);
-                    });
-}
-
-void TrajectoryQuery::Commit(int sensor, double payment) {
-  const int ord = OrdinalIn(candidates_, sensor);
-  if (ord >= 0) {
-    OrInto(acc_mask_, mask_words_.data() +
-                          static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
-    covered_cells_ = PopCount(acc_mask_);
-    theta_sum_ += theta_[ord];
-  }
-  selected_.push_back(sensor);
-  current_value_ = ValueFrom(covered_cells_, theta_sum_,
-                             static_cast<int>(selected_.size()));
-  total_payment_ += payment;
-  ++state_version_;  // |S| changed even when ord < 0: every memo is stale
-}
-
-void TrajectoryQuery::ResetSelection() {
-  MultiQueryBase::ResetSelection();
-  acc_mask_.assign(NumWords(), 0);
-  covered_cells_ = 0;
-  theta_sum_ = 0.0;
-  ++state_version_;
-}
-
-double TrajectoryQuery::CurrentCoverage() const {
-  return num_cells_ > 0 ? static_cast<double>(covered_cells_) / num_cells_ : 0.0;
-}
-
-double TrajectoryQuery::ValueOf(const std::vector<int>& sensors) const {
-  std::vector<uint64_t> acc(NumWords(), 0);
-  double theta_sum = 0.0;
-  int count = 0;
-  for (int s : sensors) {
-    const int ord = OrdinalIn(candidates_, s);
-    if (ord >= 0) {
-      OrInto(acc, mask_words_.data() +
-                      static_cast<size_t>(ord) * static_cast<size_t>(NumWords()));
+      OrInto(acc, MaskOf(ord));
       theta_sum += theta_[ord];
     }
     ++count;

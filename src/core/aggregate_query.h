@@ -14,7 +14,7 @@ namespace psens {
 ///
 ///   v_q(S) = B_q * G_q(S) * (sum_{s in S} theta_s) / |S|,
 ///
-/// where G_q is the fraction of the query region covered by the selected
+/// where G_q is the fraction of the query's cells covered by the selected
 /// sensors' sensing disks and theta_s = (1 - gamma_s) * tau_s is the
 /// sensor's location-independent reading quality. The mean-quality factor
 /// makes the valuation non-submodular and non-monotone (Section 3.2),
@@ -22,8 +22,9 @@ namespace psens {
 /// rather than the local-search approximation.
 ///
 /// Queries over trajectories (Section 2.2.3) are the same valuation with
-/// the coverage computed over cells near the trajectory; see
-/// `TrajectoryQuery`.
+/// the coverage computed over the cells near the trajectory. The two
+/// constructors differ only in which cells they rasterize and how they
+/// bind sensors to them; everything after binding is shared.
 class AggregateQuery : public MultiQueryBase {
  public:
   struct Params {
@@ -36,11 +37,24 @@ class AggregateQuery : public MultiQueryBase {
     double cell_size = 2.0;
   };
 
-  /// Largest rasterization grid (columns x rows) a query may ask for.
-  /// In-repo workloads build at most 2,500 cells. The constructor assumes
-  /// finite params, a positive cell size, a non-negative range, an
-  /// uninverted region and a grid within this cap; trace decode refuses
-  /// replayed records that break any of these.
+  /// A query over a trajectory: its cells are those of the trajectory's
+  /// bounding box, grown by `corridor`, whose centers lie within
+  /// `corridor` of the polyline.
+  struct TrajectoryParams {
+    int id = 0;
+    Trajectory trajectory;
+    double budget = 0.0;
+    double sensing_range = 10.0;
+    double cell_size = 2.0;
+    /// Half-width of the corridor of interest around the trajectory.
+    double corridor = 2.0;
+  };
+
+  /// Largest rasterization grid (columns x rows) a region query may ask
+  /// for. In-repo workloads build at most 2,500 cells. The region
+  /// constructor assumes finite params, a positive cell size, a
+  /// non-negative range, an uninverted region and a grid within this cap;
+  /// trace decode refuses replayed records that break any of these.
   static constexpr int kMaxCells = 1 << 20;
 
   /// Binds the query to the slot: precomputes each candidate sensor's
@@ -48,23 +62,36 @@ class AggregateQuery : public MultiQueryBase {
   /// per-axis window its disk can reach. Sensors whose disk misses the
   /// region entirely are not candidates.
   AggregateQuery(const Params& params, const SlotContext& slot);
+  /// Binds a trajectory query: each sensor near the corridor tests every
+  /// corridor cell.
+  AggregateQuery(const TrajectoryParams& params, const SlotContext& slot);
 
   /// Sensor-addressed reference probe; the sensor's candidate ordinal
   /// comes from a binary search over candidates_ (as in Commit and
   /// ValueOf).
   double MarginalValue(int sensor) const override;
-  /// Keyed sweep over precomputed coverage bitsets — one virtual call per
-  /// batch instead of per sensor. On an indexed slot a key *is* the
+  /// Keyed sweep over the precomputed coverage bitsets: one virtual call
+  /// per batch instead of per sensor. On an indexed slot a key *is* the
   /// candidate ordinal; an unindexed slot's keys are slot rows, resolved
-  /// by binary search.
+  /// by an ordinal cursor (-1: covers nothing, marginal 0).
+  ///
+  /// The sweep memoizes each candidate's delta in cached_at_ /
+  /// cached_delta_ under state_version_, which every Commit and
+  /// ResetSelection bumps. A hit replays the exact double this kernel
+  /// computed under identical inputs (acc_mask_, theta_sum_, |S| and the
+  /// current value are all unchanged since the stamp), so served values
+  /// are bit-identical to recomputation; valuation-call accounting is
+  /// external (the round evaluator) and does not observe hits. In a joint
+  /// greedy round only the queries the last commit touched recompute.
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
   void Commit(int sensor, double payment) override;
-  double MaxValue() const override { return params_.budget; }
+  double MaxValue() const override { return budget_; }
 
-  /// Sensors whose sensing disk covers at least one region cell (marginal
-  /// value is exactly zero for all others). Exposed only when the slot was
-  /// indexed at bind time, so unindexed slots keep the reference scan.
+  /// Sensors whose sensing disk covers at least one of the query's cells
+  /// (marginal value is exactly zero for all others). Exposed only when
+  /// the slot was indexed at bind time, so unindexed slots keep the
+  /// reference scan.
   const std::vector<int>* CandidateSensors() const override;
 
   void ResetSelection() override;
@@ -76,15 +103,22 @@ class AggregateQuery : public MultiQueryBase {
   /// baseline and tests).
   double ValueOf(const std::vector<int>& sensors) const;
 
-  const Params& params() const { return params_; }
-
  private:
+  /// Shared bind tail: every slot row inside `reach` (a rect no covering
+  /// sensor lies outside) whose `cover(location, mask)` sets a bit in its
+  /// zeroed NumWords()-word mask becomes the next candidate ordinal.
+  template <typename Cover>
+  void BindCandidates(const SlotContext& slot, const Rect& reach,
+                      const Cover& cover);
   int NumWords() const { return static_cast<int>((num_cells_ + 63) / 64); }
+  const uint64_t* MaskOf(int ord) const {
+    return mask_words_.data() +
+           static_cast<size_t>(ord) * static_cast<size_t>(NumWords());
+  }
   double ValueFrom(int covered_cells, double theta_sum, int count) const;
 
-  Params params_;
+  double budget_ = 0.0;
   int num_cells_ = 0;
-  int cells_x_ = 0;
   /// Coverage masks in one flat word slab, NumWords() words per candidate
   /// ordinal, so a keyed probe reads one contiguous word run. All bind
   /// state is candidate-sized: nothing here spans the slot membership.
@@ -100,62 +134,8 @@ class AggregateQuery : public MultiQueryBase {
   int covered_cells_ = 0;
   double theta_sum_ = 0.0;
 
-  /// Per-candidate round-delta memo of the keyed kernel (MarginalValue,
-  /// the counted reference, recomputes every probe). `state_version_`
-  /// names the current selection state; a memo entry stamped with it
-  /// replays the identical double the sweep kernel computed under the
-  /// same inputs.
-  uint64_t state_version_ = 1;
-  mutable std::vector<uint64_t> cached_at_;
-  mutable std::vector<double> cached_delta_;
-};
-
-/// Query over a trajectory (Section 2.2.3): treated as a spatial-aggregate
-/// query whose cells are those within `corridor` of the polyline.
-class TrajectoryQuery : public MultiQueryBase {
- public:
-  struct Params {
-    int id = 0;
-    Trajectory trajectory;
-    double budget = 0.0;
-    double sensing_range = 10.0;
-    double cell_size = 2.0;
-    /// Half-width of the corridor of interest around the trajectory.
-    double corridor = 2.0;
-  };
-
-  TrajectoryQuery(const Params& params, const SlotContext& slot);
-
-  double MarginalValue(int sensor) const override;
-  void MarginalsAt(std::span<const int> keys,
-                   std::span<double> out) const override;
-  void Commit(int sensor, double payment) override;
-  double MaxValue() const override { return params_.budget; }
-  const std::vector<int>* CandidateSensors() const override;
-  void ResetSelection() override;
-
-  double CurrentCoverage() const;
-  double ValueOf(const std::vector<int>& sensors) const;
-
- private:
-  int NumWords() const { return static_cast<int>((num_cells_ + 63) / 64); }
-  double ValueFrom(int covered_cells, double theta_sum, int count) const;
-
-  Params params_;
-  int num_cells_ = 0;
-  std::vector<Point> cell_centers_;
-  /// Flat coverage slab, ordinal-keyed theta and ascending candidates,
-  /// same layout as AggregateQuery's.
-  std::vector<uint64_t> mask_words_;
-  std::vector<double> theta_;
-  std::vector<int> candidates_;
-  bool slot_indexed_ = false;
-
-  std::vector<uint64_t> acc_mask_;
-  int covered_cells_ = 0;
-  double theta_sum_ = 0.0;
-
-  /// Round-delta memo; same contract as AggregateQuery's.
+  /// Round-delta memo of the keyed kernel (MarginalValue, the counted
+  /// reference, recomputes every probe); see MarginalsAt.
   uint64_t state_version_ = 1;
   mutable std::vector<uint64_t> cached_at_;
   mutable std::vector<double> cached_delta_;

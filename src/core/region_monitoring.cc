@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "gp/gaussian_process.h"
-#include "index/spatial_index.h"
 
 namespace psens {
 
@@ -62,34 +61,14 @@ double RegionMonitoringManager::SlotValue(const RegionMonitoringQuery& query, in
 std::vector<double> RegionMonitoringManager::CostScale(const SlotContext& slot) const {
   std::vector<double> scale(slot.sensors.size(), 1.0);
   if (!config_.cost_weighting) return scale;
-  // k = number of active query regions containing each sensor. On indexed
-  // slots this is one rect probe per query instead of a sensors x queries
-  // scan; the counts — and so the Eq. (18) weights — are identical.
+  // k = number of active query regions containing each sensor: one rect
+  // probe per query on an indexed slot, a Contains scan otherwise.
   std::vector<int> counts(slot.sensors.size(), 0);
-  if (slot.index != nullptr) {
-    std::vector<int> in_region;
-    for (const RegionMonitoringQuery& q : queries_) {
-      if (!q.ActiveAt(slot.time)) continue;
-      slot.index->RectQuery(q.region, &in_region);
-      for (int si : in_region) ++counts[si];
-    }
-  } else {
-    // Unindexed: a branch-light contains test per (query, sensor) over
-    // the coordinate columns, in query-major order. It is the comparison
-    // chain of Rect::Contains, the exact filter the index probes apply,
-    // so both paths count alike (tests/region_monitoring_test.cc).
-    const size_t n = slot.sensors.size();
-    const double* xs = slot.sensors.x.data();
-    const double* ys = slot.sensors.y.data();
-    for (const RegionMonitoringQuery& q : queries_) {
-      if (!q.ActiveAt(slot.time)) continue;
-      const Rect r = q.region;
-      for (size_t si = 0; si < n; ++si) {
-        const bool in = xs[si] >= r.x_min && xs[si] <= r.x_max &&
-                        ys[si] >= r.y_min && ys[si] <= r.y_max;
-        counts[si] += in ? 1 : 0;
-      }
-    }
+  std::vector<int> in_region;
+  for (const RegionMonitoringQuery& q : queries_) {
+    if (!q.ActiveAt(slot.time)) continue;
+    SlotRowsInRect(slot, q.region, &in_region);
+    for (int si : in_region) ++counts[si];
   }
   for (size_t si = 0; si < counts.size(); ++si) {
     if (counts[si] > 0) scale[si] = SharingWeight(counts[si]);
@@ -241,15 +220,7 @@ std::vector<PointQuery> RegionMonitoringManager::CreatePointQueries(
     const double remaining = q.budget - q.spent;
     if (remaining <= 0.0) continue;
     std::vector<int> in_region;
-    if (slot.index != nullptr) {
-      slot.index->RectQuery(q.region, &in_region);
-    } else {
-      for (int si = 0; si < static_cast<int>(slot.sensors.size()); ++si) {
-        if (q.region.Contains(slot.sensors.Row(si).location)) {
-          in_region.push_back(si);
-        }
-      }
-    }
+    SlotRowsInRect(slot, q.region, &in_region);
     const std::vector<int> planned =
         SelectSamplingPoints(q, slot, in_region, cost_scale, remaining);
     planned_[qi] = planned;

@@ -54,6 +54,14 @@ constexpr size_t kRefineBenchSize = 1024;
 /// persistent hotspots, so sampled winners accumulate in the bench.
 constexpr size_t kRefineSampleSize = 1536;
 
+/// The bench's order, (net desc, global id asc): deterministic whatever
+/// order its entries arrive in.
+bool BenchOrder(const std::pair<double, int>& a,
+                const std::pair<double, int>& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second < b.second;
+}
+
 }  // namespace
 
 SieveStreamingScheduler::SieveStreamingScheduler(const ApproxParams& params)
@@ -195,13 +203,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     bench_.clear();
     bench_.reserve(merged.size());
     for (const auto& [gid, net] : merged) bench_.emplace_back(net, gid);
-    // (net desc, gid asc): deterministic regardless of map order.
-    std::sort(bench_.begin(), bench_.end(),
-              [](const std::pair<double, int>& a,
-                 const std::pair<double, int>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
+    std::sort(bench_.begin(), bench_.end(), BenchOrder);
     if (bench_.size() > kRefineBenchSize) bench_.resize(kRefineBenchSize);
   }
 
@@ -352,12 +354,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
       bench_.emplace_back(
           fill[k], slot.sensors.sensor_id[static_cast<size_t>(pool[k])]);
     }
-    std::sort(bench_.begin(), bench_.end(),
-              [](const std::pair<double, int>& a,
-                 const std::pair<double, int>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
+    std::sort(bench_.begin(), bench_.end(), BenchOrder);
     if (bench_.size() > kRefineBenchSize) bench_.resize(kRefineBenchSize);
     const auto worse = [](const HeapEntry& a, const HeapEntry& b) {
       if (a.net != b.net) return a.net < b.net;

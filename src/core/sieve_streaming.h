@@ -80,13 +80,11 @@ class SieveStreamingScheduler {
                                  const std::vector<int>& arrival_ids,
                                  const std::vector<double>* cost_scale = nullptr);
 
-  bool initialized() const { return initialized_; }
   /// Global sensor ids of the last Select* call's committed selection:
   /// the winning bucket's members in acceptance order, or the
   /// refinement pass's picks in commit order when those realize more.
   /// Empty before the first call.
   const std::vector<int>& winner_members() const { return winner_members_; }
-  int num_buckets() const { return static_cast<int>(buckets_.size()); }
 
  private:
   struct Bucket {

@@ -7,11 +7,11 @@
 
 #include "common/geometry.h"
 #include "core/sensor.h"
+#include "index/spatial_index.h"
 
 namespace psens {
 
 class SlotArena;
-class SpatialIndex;
 
 /// Whether a slot's sensor locations are spatially indexed. The index
 /// only ever *prunes* candidate scans — every valuation is exactly zero
@@ -143,6 +143,24 @@ struct SlotContext {
 /// (Re)builds `slot.index` from `slot.sensors` per `slot.index_policy`.
 /// Defined in src/index/spatial_index.cc.
 void AttachSlotIndex(SlotContext& slot);
+
+/// Writes to `out` (cleared first) the slot rows whose location lies in
+/// `rect` (inclusive bounds, Rect::Contains), ascending: one probe of the
+/// slot index, or a Contains scan of the columns when the slot is
+/// unindexed. The index returns exactly what the scan accepts, so the
+/// two agree bit for bit.
+inline void SlotRowsInRect(const SlotContext& slot, const Rect& rect,
+                           std::vector<int>* out) {
+  if (slot.index != nullptr) {
+    slot.index->RectQuery(rect, out);
+    return;
+  }
+  out->clear();
+  const SlotSensorTable& table = slot.sensors;
+  for (int si = 0; si < static_cast<int>(table.size()); ++si) {
+    if (rect.Contains(Point{table.x[si], table.y[si]})) out->push_back(si);
+  }
+}
 
 /// Builds the slot context from the sensor registry: available sensors
 /// inside `working_region` announce their location and cost. Attaches the

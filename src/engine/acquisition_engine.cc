@@ -346,21 +346,20 @@ SelectionResult AcquisitionEngine::Select(
     return SelectWith(queries, slot, delta, config_.scheduler);
   }
   // Adaptive path (ServingConfig::slo_ms > 0): choose, run self-timed,
-  // feed the realized latency back, and record the choice.
+  // feed a lazy slot's realized latency back, and record the choice.
   if (policy_ == nullptr) {
     policy_ = std::make_unique<AdaptivePolicy>(config_.slo_ms,
                                                config_.scheduler);
   }
   AdaptivePolicy::SlotFeatures features;
   features.members = static_cast<int>(slot.sensors.size());
-  features.churn = static_cast<int>(
-      delta.arrivals.size() + delta.departures.size() + delta.moves.size() +
-      delta.price_changes.size());
   features.queries = static_cast<int>(queries.size());
   const GreedyEngine engine = policy_->Choose(features, last_turnover_ms_);
   const auto start = std::chrono::steady_clock::now();
   SelectionResult r = SelectWith(queries, slot, delta, engine);
-  policy_->Observe(engine, features, MsSince(start));
+  if (engine == GreedyEngine::kLazy) {
+    policy_->Observe(features, MsSince(start));
+  }
   if (trace_ != nullptr) trace_->StageEngineChoices({engine});
   return r;
 }

@@ -110,7 +110,7 @@ class AcquisitionEngine {
   ///
   /// With ServingConfig::slo_ms > 0 the scheduler is chosen per slot by
   /// an AdaptivePolicy (the configured scheduler is the quality ceiling),
-  /// the realized selection latency is fed back to the policy's cost
+  /// a lazy selection's realized latency is fed back to the policy's cost
   /// model, and the chosen engine is staged onto the slot's trace record
   /// (version-2 traces). A pinned choice (PinNextSelectEngine — the
   /// replay path) overrides both the policy and the static config.

@@ -7,14 +7,8 @@ namespace psens {
 AdaptivePolicy::AdaptivePolicy(double slo_ms, GreedyEngine ceiling)
     : slo_ms_(slo_ms), ceiling_(ceiling) {}
 
-double AdaptivePolicy::WorkUnits(GreedyEngine engine,
-                                 const SlotFeatures& features) {
+double AdaptivePolicy::WorkUnits(const SlotFeatures& features) {
   const double q = std::max(1, features.queries);
-  if (engine == GreedyEngine::kSieve) {
-    // Delta path: bucket replays touch carried members + arrivals, both
-    // bounded by churn, never the population.
-    return std::max(1.0, (features.churn + 1) * q);
-  }
   return std::max(1, features.members) * q;
 }
 
@@ -25,8 +19,7 @@ GreedyEngine AdaptivePolicy::Choose(const SlotFeatures& features,
   // model learns it; mispredicting "free" forever would pin the policy
   // at the ceiling.
   if (ceiling_ == GreedyEngine::kLazy &&
-      (!observed(GreedyEngine::kLazy) ||
-       PredictMs(GreedyEngine::kLazy, features) <= kSafety * budget)) {
+      (!seen_ || PredictMs(features) <= kSafety * budget)) {
     return GreedyEngine::kLazy;
   }
   // The floor runs whether or not it fits: the SLO degrades quality, it
@@ -34,28 +27,21 @@ GreedyEngine AdaptivePolicy::Choose(const SlotFeatures& features,
   return GreedyEngine::kSieve;
 }
 
-void AdaptivePolicy::Observe(GreedyEngine engine, const SlotFeatures& features,
+void AdaptivePolicy::Observe(const SlotFeatures& features,
                              double selection_ms) {
-  const int idx = Rung(engine);
   if (selection_ms < 0.0) selection_ms = 0.0;
-  const double per_unit = selection_ms / WorkUnits(engine, features);
-  if (!seen_[idx]) {
-    ms_per_unit_[idx] = per_unit;
-    seen_[idx] = true;
+  const double per_unit = selection_ms / WorkUnits(features);
+  if (!seen_) {
+    ms_per_unit_ = per_unit;
+    seen_ = true;
     return;
   }
-  ms_per_unit_[idx] = (1.0 - kAlpha) * ms_per_unit_[idx] + kAlpha * per_unit;
+  ms_per_unit_ = (1.0 - kAlpha) * ms_per_unit_ + kAlpha * per_unit;
 }
 
-double AdaptivePolicy::PredictMs(GreedyEngine engine,
-                                 const SlotFeatures& features) const {
-  const int idx = Rung(engine);
-  if (!seen_[idx]) return 0.0;
-  return ms_per_unit_[idx] * WorkUnits(engine, features);
-}
-
-bool AdaptivePolicy::observed(GreedyEngine engine) const {
-  return seen_[Rung(engine)];
+double AdaptivePolicy::PredictMs(const SlotFeatures& features) const {
+  if (!seen_) return 0.0;
+  return ms_per_unit_ * WorkUnits(features);
 }
 
 }  // namespace psens

@@ -8,28 +8,27 @@ namespace psens {
 /// Latency-SLO scheduler selection (ServingConfig::slo_ms). Each slot,
 /// AcquisitionEngine::Select asks the policy which engine to run given the
 /// slot's features and how much of the budget the slot's turnover
-/// already spent; after the selection runs, Observe() feeds the realized
-/// latency back into a per-engine online cost model.
+/// already spent; after a lazy selection runs, Observe() feeds its
+/// realized latency back into lazy's online cost model.
 ///
-/// Cost model: one EWMA coefficient per engine — milliseconds per "work
-/// unit", where an engine's work units scale the way its algorithm does
-/// (lazy with members x queries, the sieve with churn x queries; see
-/// WorkUnits). PredictMs is coefficient x units, so a single observation
-/// at one slot size extrapolates to other sizes and the model tracks
-/// drift (thermal, contention) through the EWMA.
+/// Cost model: one EWMA coefficient — milliseconds per "work unit", where
+/// lazy's work units scale with members x queries (WorkUnits). PredictMs
+/// is coefficient x units, so a single observation at one slot size
+/// extrapolates to other sizes and the model tracks drift (thermal,
+/// contention) through the EWMA.
 ///
 /// Choose walks the quality ladder downward from the configured ceiling
 ///
 ///   lazy -> sieve   (a sieve ceiling is the sieve alone)
 ///
-/// and returns the first engine whose predicted cost fits inside a
-/// safety-factored share of the remaining budget (slo_ms - turnover_ms).
-/// An engine with no observations yet is chosen optimistically the first
-/// time it is reached — one trial seeds its coefficient. When nothing
-/// fits, the ladder's floor (the sieve) runs anyway: the SLO degrades
-/// quality, never correctness. Recovery is symmetric — when a spike
-/// passes, the predicted cost of higher-quality engines falls back under
-/// budget and Choose climbs the ladder again.
+/// and returns lazy when its predicted cost fits inside a safety-factored
+/// share of the remaining budget (slo_ms - turnover_ms). Lazy with no
+/// observations yet is chosen optimistically — one trial seeds its
+/// coefficient. Otherwise the ladder's floor (the sieve) runs, and it
+/// runs whether or not it fits, so it needs no cost model: the SLO
+/// degrades quality, never correctness. Recovery is symmetric — when a
+/// spike passes, lazy's predicted cost falls back under budget and
+/// Choose climbs the ladder again.
 ///
 /// Determinism: Choose is a pure function of (features, turnover, the
 /// observation history). Live runs feed wall-clock observations, so live
@@ -41,7 +40,6 @@ class AdaptivePolicy {
   /// Slot features the cost model predicts from.
   struct SlotFeatures {
     int members = 0;  ///< slot context size (announced, in-region sensors)
-    int churn = 0;    ///< delta entries absorbed this slot
     int queries = 0;  ///< bound queries in the slot's batch
   };
 
@@ -53,23 +51,20 @@ class AdaptivePolicy {
   /// ApplyDelta+BeginSlot time of this slot (0 when unknown).
   GreedyEngine Choose(const SlotFeatures& features, double turnover_ms) const;
 
-  /// Feeds one realized selection latency back into `engine`'s
-  /// coefficient (EWMA, alpha = kAlpha).
-  void Observe(GreedyEngine engine, const SlotFeatures& features,
-               double selection_ms);
+  /// Feeds one realized lazy selection latency back into the coefficient
+  /// (EWMA, alpha = kAlpha).
+  void Observe(const SlotFeatures& features, double selection_ms);
 
-  /// Predicted selection cost of `engine` on a slot shaped like
-  /// `features`. 0 until the engine has been observed once.
-  double PredictMs(GreedyEngine engine, const SlotFeatures& features) const;
+  /// Predicted lazy selection cost on a slot shaped like `features`. 0
+  /// until lazy has been observed once.
+  double PredictMs(const SlotFeatures& features) const;
 
-  bool observed(GreedyEngine engine) const;
+  bool observed() const { return seen_; }
   double slo_ms() const { return slo_ms_; }
   GreedyEngine ceiling() const { return ceiling_; }
 
-  /// The feature->work mapping per engine: lazy scales with members x
-  /// queries; the sieve's delta path scales with (churn + 1) x queries,
-  /// independent of population.
-  static double WorkUnits(GreedyEngine engine, const SlotFeatures& features);
+  /// The feature->work mapping: lazy scales with members x queries.
+  static double WorkUnits(const SlotFeatures& features);
 
   /// Fraction of the remaining budget a prediction must fit inside —
   /// headroom for prediction error before a deadline is actually missed.
@@ -78,15 +73,10 @@ class AdaptivePolicy {
   static constexpr double kAlpha = 0.4;
 
  private:
-  /// Per-engine state index: 0 lazy, 1 sieve.
-  static int Rung(GreedyEngine engine) {
-    return engine == GreedyEngine::kSieve ? 1 : 0;
-  }
-
   double slo_ms_;
   GreedyEngine ceiling_;
-  double ms_per_unit_[2] = {0.0, 0.0};
-  bool seen_[2] = {false, false};
+  double ms_per_unit_ = 0.0;
+  bool seen_ = false;
 };
 
 }  // namespace psens

@@ -54,8 +54,8 @@ struct ServingConfig {
   /// `scheduler` runs every slot exactly as configured. > 0:
   /// AcquisitionEngine::Select consults an AdaptivePolicy
   /// each slot, treating `scheduler` as the quality *ceiling* and
-  /// degrading from lazy to the sieve when the policy's per-engine cost
-  /// model predicts lazy would blow the remaining budget (slo_ms minus
+  /// degrading from lazy to the sieve when the policy's cost model
+  /// predicts lazy would blow the remaining budget (slo_ms minus
   /// the slot's measured turnover time).
   /// Chosen engines are recorded per slot in version-2 traces, so an
   /// adaptive run — whose live choices depend on wall-clock observations —

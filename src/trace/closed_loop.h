@@ -28,9 +28,9 @@ struct ChurnQueryConfig {
 
 /// Deterministic per-slot input generator over a ChurnScenarioSetup:
 /// draws each slot's SensorDelta from the scenario's ChurnStream (fork 7)
-/// and its query batch from the query stream (fork 8) — the exact RNG
-/// layout of the fig12/fig13 benches, so a trace recorded from this
-/// workload captures the same streams those gates measure.
+/// and its query batch from the query stream (fork 8). The fig12 and
+/// fig13 benches draw their inputs through it, so a trace recorded from
+/// this workload captures the same streams those gates measure.
 class ChurnWorkload {
  public:
   ChurnWorkload(const ChurnScenarioSetup* setup, const ChurnQueryConfig& config);

@@ -1,7 +1,7 @@
 // Tests of the latency-SLO adaptive scheduler (src/engine/adaptive_policy.h,
 // ServingConfig::slo_ms): the policy's deterministic choice function, its
 // degrade-under-spike / recover-after-spike ladder walk, the optimistic
-// first trial that seeds each engine's cost coefficient, version-2 trace
+// first trial that seeds lazy's cost coefficient, version-2 trace
 // recording of the per-slot engine choices, bit-identical replay of an
 // adaptive run through a static engine, and the sieve refinement pass's
 // utility floor against eager Algorithm 1 on submodular coverage
@@ -41,9 +41,8 @@ TEST(AdaptivePolicyTest, ChoiceIsDeterministicGivenObservationHistory) {
   // history): two policies fed the same history agree everywhere. This
   // is the property the trace-pinned replay path rests on.
   const auto feed = [](AdaptivePolicy& p) {
-    p.Observe(GreedyEngine::kLazy, Features{1000, 10, 20}, 8.0);
-    p.Observe(GreedyEngine::kSieve, Features{1000, 10, 20}, 0.5);
-    p.Observe(GreedyEngine::kLazy, Features{2000, 30, 40}, 21.0);
+    p.Observe(Features{1000, 20}, 8.0);
+    p.Observe(Features{2000, 40}, 21.0);
   };
   AdaptivePolicy a(10.0, GreedyEngine::kLazy);
   AdaptivePolicy b(10.0, GreedyEngine::kLazy);
@@ -51,7 +50,7 @@ TEST(AdaptivePolicyTest, ChoiceIsDeterministicGivenObservationHistory) {
   feed(b);
   for (int members : {100, 1000, 5000}) {
     for (double turnover : {0.0, 2.0, 9.0}) {
-      const Features f{members, members / 100, 20};
+      const Features f{members, 20};
       EXPECT_EQ(a.Choose(f, turnover), b.Choose(f, turnover))
           << members << " members, turnover " << turnover;
     }
@@ -59,35 +58,32 @@ TEST(AdaptivePolicyTest, ChoiceIsDeterministicGivenObservationHistory) {
 }
 
 TEST(AdaptivePolicyTest, UnobservedEngineGetsOneOptimisticTrial) {
-  // Each ladder rung is trialed once before its predicted cost can
-  // disqualify it — otherwise an engine could never be costed at all.
-  // The ladder has two rungs: lazy, then the sieve.
-  const Features f{4000, 40, 32};
+  // Lazy is trialed once before its predicted cost can disqualify it —
+  // otherwise it could never be costed at all. The ladder has two rungs:
+  // lazy, then the sieve.
+  const Features f{4000, 32};
   AdaptivePolicy p(1.0, GreedyEngine::kLazy);
+  EXPECT_FALSE(p.observed());
   EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kLazy);
-  p.Observe(GreedyEngine::kLazy, f, 50.0);  // 50 ms against a 1 ms SLO
-  EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
-  // The floor runs even once it is known to blow the budget: the SLO
-  // degrades quality, never correctness.
-  p.Observe(GreedyEngine::kSieve, f, 20.0);
+  p.Observe(f, 50.0);  // 50 ms against a 1 ms SLO
+  EXPECT_TRUE(p.observed());
+  // The floor runs although nothing says it fits: the SLO degrades
+  // quality, never correctness.
   EXPECT_EQ(p.Choose(f, 0.0), GreedyEngine::kSieve);
   // A sieve ceiling is a one-rung ladder.
   AdaptivePolicy sieve_only(1.0, GreedyEngine::kSieve);
-  EXPECT_EQ(sieve_only.Choose(f, 0.0), GreedyEngine::kSieve);
-  sieve_only.Observe(GreedyEngine::kSieve, f, 20.0);
   EXPECT_EQ(sieve_only.Choose(f, 0.0), GreedyEngine::kSieve);
 }
 
 TEST(AdaptivePolicyTest, DegradesUnderSpikeAndRecovers) {
   AdaptivePolicy p(10.0, GreedyEngine::kLazy);
-  const Features base{1000, 10, 16};
-  const Features spike{1000, 10, 96};  // 6x query fan-out
-  p.Observe(GreedyEngine::kLazy, base, 4.0);
-  p.Observe(GreedyEngine::kSieve, base, 0.2);
+  const Features base{1000, 16};
+  const Features spike{1000, 96};  // 6x query fan-out
+  p.Observe(base, 4.0);
   // Base load: lazy fits (4 ms <= 0.9 * 10 ms).
   EXPECT_EQ(p.Choose(base, 0.0), GreedyEngine::kLazy);
   // Spike: lazy's predicted cost scales with the 6x query count past
-  // the budget; the sieve's churn-scaled cost still fits.
+  // the budget, so the floor runs.
   EXPECT_EQ(p.Choose(spike, 0.0), GreedyEngine::kSieve);
   // Turnover spends the same budget selection has to fit into.
   EXPECT_EQ(p.Choose(base, 9.9), GreedyEngine::kSieve);
@@ -95,26 +91,15 @@ TEST(AdaptivePolicyTest, DegradesUnderSpikeAndRecovers) {
   EXPECT_EQ(p.Choose(base, 0.0), GreedyEngine::kLazy);
 }
 
-TEST(AdaptivePolicyTest, SieveCostIsPopulationIndependent) {
-  // The sieve's delta path scales with churn x queries, not population —
-  // the reason it is the ladder's floor.
-  const Features small{100, 5, 8};
-  const Features large{100000, 5, 8};
-  EXPECT_EQ(AdaptivePolicy::WorkUnits(GreedyEngine::kSieve, small),
-            AdaptivePolicy::WorkUnits(GreedyEngine::kSieve, large));
-  EXPECT_GT(AdaptivePolicy::WorkUnits(GreedyEngine::kLazy, large),
-            AdaptivePolicy::WorkUnits(GreedyEngine::kLazy, small));
-}
-
 TEST(AdaptivePolicyTest, EwmaTracksDrift) {
   AdaptivePolicy p(100.0, GreedyEngine::kLazy);
-  const Features f{100, 0, 1};
-  p.Observe(GreedyEngine::kLazy, f, 10.0);
+  const Features f{100, 1};
+  p.Observe(f, 10.0);
   // The first observation seeds the coefficient exactly.
-  EXPECT_NEAR(p.PredictMs(GreedyEngine::kLazy, f), 10.0, 1e-9);
+  EXPECT_NEAR(p.PredictMs(f), 10.0, 1e-9);
   // A sustained 2x slowdown (contention, thermal) is absorbed.
-  for (int i = 0; i < 50; ++i) p.Observe(GreedyEngine::kLazy, f, 20.0);
-  EXPECT_NEAR(p.PredictMs(GreedyEngine::kLazy, f), 20.0, 0.1);
+  for (int i = 0; i < 50; ++i) p.Observe(f, 20.0);
+  EXPECT_NEAR(p.PredictMs(f), 20.0, 0.1);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 
 #include "common/rng.h"
@@ -298,15 +299,100 @@ TEST(AggregateQueryTest, WindowedBindMatchesEveryCellOracle) {
   }
 }
 
+// The two binders share one cell numbering (row-major from the raster's
+// lower-left cell) and one kernel, so where a trajectory's corridor keeps
+// its whole raster, the trajectory query and the region query over that
+// raster are the same Eq. 5 instance, bit for bit.
+TEST(AggregateQueryTest, TrajectoryAndRegionBindersAgreeWhereCellsCoincide) {
+  // Corridor 2 around (0,0)-(20,0) at cell 2 rasterizes 12 x 2 cells
+  // centered on x = -1, 1, ..., 21 and y = -1, 1. Every center lies
+  // within the corridor (the corner centers sit sqrt(2) from an
+  // endpoint), so all 24 are kept: the cells of [-2,22] x [-2,2].
+  AggregateQuery::TrajectoryParams tp;
+  tp.id = 1;
+  tp.trajectory.waypoints = {{0, 0}, {20, 0}};
+  tp.budget = 60.0;
+  tp.sensing_range = 5.0;
+  tp.cell_size = 2.0;
+  tp.corridor = 2.0;
+  AggregateQuery::Params rp;
+  rp.id = 2;
+  rp.region = Rect{-2, -2, 22, 2};
+  rp.budget = tp.budget;
+  rp.sensing_range = tp.sensing_range;
+  rp.cell_size = tp.cell_size;
+
+  Rng rng(29);
+  SlotContext unindexed;
+  unindexed.dmax = 10.0;
+  for (int i = 0; i < 40; ++i) {
+    SlotSensor s;
+    s.sensor_id = i;
+    s.location = Point{rng.Uniform(-10, 30), rng.Uniform(-10, 10)};
+    s.cost = 1.0;
+    s.inaccuracy = rng.Uniform(0.0, 0.4);
+    s.trust = rng.Uniform(0.5, 1.0);
+    unindexed.sensors.Append(s);
+  }
+  SlotContext indexed = unindexed;
+  AttachSlotIndex(indexed);
+  ASSERT_NE(indexed.index, nullptr);
+
+  for (const SlotContext* slot : {&indexed, &unindexed}) {
+    SCOPED_TRACE(slot == &indexed ? "indexed" : "unindexed");
+    AggregateQuery trajectory(tp, *slot);
+    AggregateQuery region(rp, *slot);
+    const int n = static_cast<int>(slot->sensors.size());
+    // Keys are candidate ordinals on the indexed slot, slot rows on the
+    // unindexed one.
+    const std::vector<int>* candidates = region.CandidateSensors();
+    ASSERT_EQ(candidates != nullptr, slot == &indexed);
+    size_t num_keys = static_cast<size_t>(n);
+    if (candidates != nullptr) {
+      ASSERT_NE(trajectory.CandidateSensors(), nullptr);
+      EXPECT_EQ(*trajectory.CandidateSensors(), *candidates);
+      num_keys = candidates->size();
+    }
+    std::vector<int> keys(num_keys);
+    std::iota(keys.begin(), keys.end(), 0);
+    std::vector<double> from_trajectory(num_keys);
+    std::vector<double> from_region(num_keys);
+    std::vector<int> committed;
+    // Commit every sensor in row order, candidates or not, checking the
+    // empty selection and the state after each commit.
+    for (int next = 0; next <= n; ++next) {
+      SCOPED_TRACE(::testing::Message() << committed.size() << " committed");
+      for (int s = 0; s < n; ++s) {
+        EXPECT_EQ(trajectory.MarginalValue(s), region.MarginalValue(s))
+            << "sensor " << s;
+      }
+      trajectory.MarginalsAt(keys, from_trajectory);
+      region.MarginalsAt(keys, from_region);
+      EXPECT_EQ(from_trajectory, from_region);
+      EXPECT_EQ(trajectory.ValueOf(committed), region.ValueOf(committed));
+      EXPECT_EQ(trajectory.CurrentValue(), region.CurrentValue());
+      EXPECT_EQ(trajectory.CurrentCoverage(), region.CurrentCoverage());
+      if (next == n) break;
+      trajectory.Commit(next, 0.0);
+      region.Commit(next, 0.0);
+      committed.push_back(next);
+    }
+    // The run covered cells and valued them: the comparisons were not
+    // all of zeros.
+    EXPECT_GT(region.CurrentCoverage(), 0.0);
+    EXPECT_GT(region.CurrentValue(), 0.0);
+  }
+}
+
 TEST(TrajectoryQueryTest, SensorOnTrajectoryCovers) {
-  TrajectoryQuery::Params params;
+  AggregateQuery::TrajectoryParams params;
   params.id = 1;
   params.trajectory.waypoints = {{0, 0}, {20, 0}};
   params.budget = 50.0;
   params.sensing_range = 30.0;
   params.corridor = 2.0;
   const SlotContext slot = MakeSlot({Point{10, 0}});
-  TrajectoryQuery q(params, slot);
+  AggregateQuery q(params, slot);
   EXPECT_GT(q.MarginalValue(0), 0.0);
   q.Commit(0, 0.0);
   EXPECT_DOUBLE_EQ(q.CurrentCoverage(), 1.0);
@@ -314,26 +400,26 @@ TEST(TrajectoryQueryTest, SensorOnTrajectoryCovers) {
 }
 
 TEST(TrajectoryQueryTest, SensorFarFromTrajectoryDoesNot) {
-  TrajectoryQuery::Params params;
+  AggregateQuery::TrajectoryParams params;
   params.id = 1;
   params.trajectory.waypoints = {{0, 0}, {20, 0}};
   params.budget = 50.0;
   params.sensing_range = 5.0;
   params.corridor = 2.0;
   const SlotContext slot = MakeSlot({Point{10, 50}});
-  TrajectoryQuery q(params, slot);
+  AggregateQuery q(params, slot);
   EXPECT_DOUBLE_EQ(q.MarginalValue(0), 0.0);
 }
 
 TEST(TrajectoryQueryTest, PartialCoverageAlongLongRoute) {
-  TrajectoryQuery::Params params;
+  AggregateQuery::TrajectoryParams params;
   params.id = 1;
   params.trajectory.waypoints = {{0, 0}, {100, 0}};
   params.budget = 50.0;
   params.sensing_range = 10.0;
   params.corridor = 2.0;
   const SlotContext slot = MakeSlot({Point{0, 0}});
-  TrajectoryQuery q(params, slot);
+  AggregateQuery q(params, slot);
   q.Commit(0, 0.0);
   EXPECT_GT(q.CurrentCoverage(), 0.0);
   EXPECT_LT(q.CurrentCoverage(), 0.5);
@@ -341,7 +427,7 @@ TEST(TrajectoryQueryTest, PartialCoverageAlongLongRoute) {
 
 TEST(TrajectoryQueryTest, MarginalConsistentWithValueOf) {
   Rng rng(5);
-  TrajectoryQuery::Params params;
+  AggregateQuery::TrajectoryParams params;
   params.id = 1;
   params.trajectory.waypoints = {{0, 0}, {15, 5}, {30, 0}};
   params.budget = 80.0;
@@ -351,7 +437,7 @@ TEST(TrajectoryQueryTest, MarginalConsistentWithValueOf) {
     positions.push_back(Point{rng.Uniform(0, 30), rng.Uniform(-5, 10)});
   }
   const SlotContext slot = MakeSlot(positions);
-  TrajectoryQuery q(params, slot);
+  AggregateQuery q(params, slot);
   std::vector<int> committed;
   double value = 0.0;
   for (int i = 0; i < 5; ++i) {
@@ -364,10 +450,10 @@ TEST(TrajectoryQueryTest, MarginalConsistentWithValueOf) {
 }
 
 TEST(TrajectoryQueryTest, EmptyTrajectoryDoesNotCrash) {
-  TrajectoryQuery::Params params;
+  AggregateQuery::TrajectoryParams params;
   params.budget = 10.0;
   const SlotContext slot = MakeSlot({Point{0, 0}});
-  TrajectoryQuery q(params, slot);
+  AggregateQuery q(params, slot);
   (void)q.MarginalValue(0);
 }
 

@@ -247,7 +247,7 @@ TEST(KeyedValuationTest, AggregateQueryMatchesScalar) {
 TEST(KeyedValuationTest, TrajectoryQueryMatchesScalar) {
   CheckKeyedContract(
       [](const SlotContext& slot) {
-        TrajectoryQuery::Params params;
+        AggregateQuery::TrajectoryParams params;
         params.id = 5;
         params.trajectory.waypoints = {Point{5.0, 5.0}, Point{20.0, 25.0},
                                        Point{35.0, 30.0}};
@@ -255,7 +255,7 @@ TEST(KeyedValuationTest, TrajectoryQueryMatchesScalar) {
         params.sensing_range = 8.0;
         params.cell_size = 2.0;
         params.corridor = 3.0;
-        return std::make_unique<TrajectoryQuery>(params, slot);
+        return std::make_unique<AggregateQuery>(params, slot);
       },
       "trajectory", 80, 23, 40.0);
 }
@@ -345,10 +345,10 @@ TEST(KeyedValuationTest, CoverageQueriesOnNonCandidateSensors) {
   ap.budget = 30.0;
   AggregateQuery aggregate(ap, slot);
   ExpectNonCandidateGrowsSelection(aggregate, 0, 5);
-  TrajectoryQuery::Params tp;
+  AggregateQuery::TrajectoryParams tp;
   tp.trajectory.waypoints = {Point{6.0, 6.0}, Point{14.0, 12.0}};
   tp.budget = 30.0;
-  TrajectoryQuery trajectory(tp, slot);
+  AggregateQuery trajectory(tp, slot);
   ExpectNonCandidateGrowsSelection(trajectory, 0, 5);
 }
 

@@ -1,10 +1,11 @@
 // The column-kernel contract (docs/ARCHITECTURE.md, "Valuation kernels"):
-// the keyed kernels behind PointMultiQuery, MultiSensorPointQuery,
-// AggregateQuery, and TrajectoryQuery (MultiQuery::MarginalsAt) — plus the
-// per-query candidate value caches and round-delta memos they read —
-// produce *bit-identical* selections, payments, values, and ValuationCalls
-// to the counted reference MultiQuery::MarginalValue(sensor), for the lazy,
-// eager and sieve engines, under churn, on indexed and unindexed slots.
+// the keyed kernels behind PointMultiQuery, MultiSensorPointQuery, and
+// AggregateQuery over regions and trajectories (MultiQuery::MarginalsAt) —
+// plus the per-query candidate value caches and round-delta memos they
+// read — produce *bit-identical* selections, payments, values, and
+// ValuationCalls to the counted reference MultiQuery::MarginalValue(sensor),
+// for the lazy, eager and sieve engines, under churn, on indexed and
+// unindexed slots.
 //
 // Both sides wrap every bound query in ReferenceQuery, which forwards
 // each call to the query. On the reference side it keeps the base-class
@@ -133,7 +134,7 @@ struct MixedBatch {
   std::vector<std::unique_ptr<PointMultiQuery>> points;
   std::vector<std::unique_ptr<MultiSensorPointQuery>> multi_points;
   std::vector<std::unique_ptr<AggregateQuery>> aggregates;
-  std::vector<std::unique_ptr<TrajectoryQuery>> trajectories;
+  std::vector<std::unique_ptr<AggregateQuery>> trajectories;
   std::vector<MultiQuery*> all;
   /// One ReferenceQuery per query, in `all` order: what the scheduler
   /// sees.
@@ -168,7 +169,7 @@ struct MixedBatch {
       all.push_back(aggregates.back().get());
     }
     for (int k = 0; k < 3; ++k) {
-      TrajectoryQuery::Params tp;
+      AggregateQuery::TrajectoryParams tp;
       tp.id = 700 + k;
       const double y = query_rng.Uniform(0.0, field.y_max);
       tp.trajectory.waypoints = {
@@ -178,7 +179,7 @@ struct MixedBatch {
       tp.sensing_range = 12.0;
       tp.cell_size = 2.0;
       tp.corridor = 3.0;
-      trajectories.push_back(std::make_unique<TrajectoryQuery>(tp, slot));
+      trajectories.push_back(std::make_unique<AggregateQuery>(tp, slot));
       all.push_back(trajectories.back().get());
     }
     for (MultiQuery* q : all) {
