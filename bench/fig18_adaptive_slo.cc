@@ -38,6 +38,12 @@
 // <= 0.5, the loose-SLO adaptive run staying undegraded (all-lazy), and
 // recovery (the recover phase back on lazy) — see docs/BENCHMARKS.md,
 // "fig18 gate". `--trace-dir DIR` keeps the recorded traces.
+//
+// Each row also reports `spike_median_ms`, the median turnover +
+// selection time over its spike-phase slots, and `spike_units`, that
+// median divided by the unit: what the spike costs the engines the run
+// chose, in SLO units (the medium SLO is 3 units). Both are
+// informational; no gate reads them.
 
 #include <algorithm>
 #include <cinttypes>
@@ -162,6 +168,10 @@ struct SloRow {
   int hardware_threads = 0;
   double hit_rate = 0.0;
   double spike_hit_rate = 0.0;
+  /// Median turnover + selection over spike-phase slots, and that median
+  /// in units of the static lazy base-phase median.
+  double spike_median_ms = 0.0;
+  double spike_units = 0.0;
   int lazy_slots = 0;
   int sieve_slots = 0;
   double utility_ratio_vs_static = 0.0;
@@ -177,17 +187,23 @@ bool Hit(const SlotOutcome& out, double slo_ms) {
   return out.turnover_ms + out.selection_ms <= slo_ms;
 }
 
-SloRow ScoreRun(const RunStats& run, const PhasePlan& plan, double slo_ms) {
+SloRow ScoreRun(const RunStats& run, const PhasePlan& plan, double slo_ms,
+                double base_median_ms) {
   SloRow row;
   row.slo_ms = slo_ms;
   int hits = 0;
   int spike_hits = 0;
   int recover_lazy = 0;
+  std::vector<double> spike_ms;
   for (size_t i = 0; i < run.outcomes.size(); ++i) {
-    const int t = run.outcomes[i].time;
-    const bool hit = Hit(run.outcomes[i], slo_ms);
+    const SlotOutcome& out = run.outcomes[i];
+    const int t = out.time;
+    const bool hit = Hit(out, slo_ms);
     hits += hit ? 1 : 0;
-    if (plan.IsSpike(t)) spike_hits += hit ? 1 : 0;
+    if (plan.IsSpike(t)) {
+      spike_hits += hit ? 1 : 0;
+      spike_ms.push_back(out.turnover_ms + out.selection_ms);
+    }
     switch (run.engines[i]) {
       case GreedyEngine::kLazy: ++row.lazy_slots; break;
       case GreedyEngine::kSieve: ++row.sieve_slots; break;
@@ -201,6 +217,9 @@ SloRow ScoreRun(const RunStats& run, const PhasePlan& plan, double slo_ms) {
   row.hit_rate = n > 0 ? static_cast<double>(hits) / n : 0.0;
   row.spike_hit_rate =
       plan.phase > 0 ? static_cast<double>(spike_hits) / plan.phase : 0.0;
+  row.spike_median_ms = bench::MedianMs(spike_ms);
+  row.spike_units =
+      base_median_ms > 0.0 ? row.spike_median_ms / base_median_ms : 0.0;
   // "Recovered" = the recover phase is (mostly) back on the quality
   // ceiling; the one-slot tail of a sieve re-entry is tolerated.
   row.recovered = plan.phase > 0 &&
@@ -227,13 +246,14 @@ void WriteJson(const std::string& path, double cal_ms, double base_median_ms,
         "\"sensors\": %d, \"slots\": %d, \"base_queries\": %d, "
         "\"spike_queries\": %d, \"hardware_threads\": %d, "
         "\"hit_rate\": %.4f, \"spike_hit_rate\": %.4f, "
+        "\"spike_median_ms\": %.4f, \"spike_units\": %.4f, "
         "\"lazy_slots\": %d, "
         "\"sieve_slots\": %d, \"utility_ratio_vs_static\": %.5f, "
         "\"replay_identical\": %s, \"recovered\": %s}%s\n",
         r.mode.c_str(), r.slo_label.c_str(), r.slo_ms, r.sensors, r.slots,
         r.base_queries, r.spike_queries, r.hardware_threads, r.hit_rate,
-        r.spike_hit_rate, r.lazy_slots, r.sieve_slots,
-        r.utility_ratio_vs_static,
+        r.spike_hit_rate, r.spike_median_ms, r.spike_units, r.lazy_slots,
+        r.sieve_slots, r.utility_ratio_vs_static,
         r.replay_identical ? "true" : "false",
         r.recovered ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
@@ -303,15 +323,15 @@ int main(int argc, char** argv) {
   };
   const SloLevel levels[] = {{"tight", 0.6}, {"medium", 3.0}, {"loose", 50.0}};
 
-  std::printf("%-9s %-7s %10s %9s %10s %6s %6s %8s %8s\n", "mode", "slo",
-              "slo_ms", "hit_rate", "spike_hit", "lazy", "sieve", "replay",
-              "recov");
+  std::printf("%-9s %-7s %10s %9s %10s %9s %6s %6s %6s %8s %8s\n", "mode",
+              "slo", "slo_ms", "hit_rate", "spike_hit", "spike_ms", "units",
+              "lazy", "sieve", "replay", "recov");
   std::vector<SloRow> rows;
   bool all_identical = true;
   for (const SloLevel& level : levels) {
     const double slo_ms = level.factor * base_median_ms;
 
-    SloRow srow = ScoreRun(st, plan, slo_ms);
+    SloRow srow = ScoreRun(st, plan, slo_ms, base_median_ms);
     srow.mode = "static";
     srow.slo_label = level.label;
     srow.sensors = sensors;
@@ -356,7 +376,7 @@ int main(int argc, char** argv) {
     all_identical = all_identical && identical;
     if (!keep_traces) std::remove(path);
 
-    SloRow arow = ScoreRun(ad, plan, slo_ms);
+    SloRow arow = ScoreRun(ad, plan, slo_ms, base_median_ms);
     arow.mode = "adaptive";
     arow.slo_label = level.label;
     arow.sensors = sensors;
@@ -368,12 +388,12 @@ int main(int argc, char** argv) {
     arow.replay_identical = identical;
 
     for (const SloRow* r : {&srow, &arow}) {
-      std::printf("%-9s %-7s %10.3f %8.1f%% %9.1f%% %6d %6d %8s %8s\n",
-                  r->mode.c_str(), r->slo_label.c_str(), r->slo_ms,
-                  100.0 * r->hit_rate, 100.0 * r->spike_hit_rate,
-                  r->lazy_slots, r->sieve_slots,
-                  r->replay_identical ? "yes" : "NO",
-                  r->recovered ? "yes" : "no");
+      std::printf(
+          "%-9s %-7s %10.3f %8.1f%% %9.1f%% %9.3f %6.2f %6d %6d %8s %8s\n",
+          r->mode.c_str(), r->slo_label.c_str(), r->slo_ms,
+          100.0 * r->hit_rate, 100.0 * r->spike_hit_rate, r->spike_median_ms,
+          r->spike_units, r->lazy_slots, r->sieve_slots,
+          r->replay_identical ? "yes" : "NO", r->recovered ? "yes" : "no");
       rows.push_back(*r);
     }
   }

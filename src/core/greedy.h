@@ -28,8 +28,8 @@ struct SelectionResult {
 /// are written out: 1 named the eager Algorithm 1 rescan and 2 the
 /// removed stochastic-greedy engine, and trace decode refuses both.
 enum class GreedyEngine {
-  /// CELF-style lazy evaluation (src/core/lazy_greedy.h): a max-heap of
-  /// cached net gains where only the heap front is re-evaluated. Selects
+  /// CELF-style lazy evaluation (src/core/lazy_greedy.h): a frontier of
+  /// cached net gains where only the front is re-evaluated. Selects
   /// the identical sensor sequence as EagerGreedySensorSelection whenever
   /// the valuations are submodular, with far fewer valuation calls. The
   /// default.

@@ -14,17 +14,17 @@ namespace psens {
 /// eager loop in greedy.cc — repeatedly pick the sensor maximizing
 /// sum_{q: delta_v > 0} delta_v_{q,a} - c_a until no sensor has positive
 /// net benefit — but instead of rescanning every remaining sensor each
-/// round it keeps a max-heap of *cached* net gains and only re-evaluates
-/// the top candidate:
+/// round it keeps the *cached* net gains in a CelfFrontier
+/// (core/celf_frontier.h) and only re-evaluates its front:
 ///
-///   - pop the heap maximum; if its cached net was computed this round it
-///     is fresh and wins (or, if non-positive, terminates the run);
+///   - take the front; if its cached net was computed this round it is
+///     fresh and wins (or, if not positive, terminates the run);
 ///   - otherwise re-evaluate its net against the current selection, stamp
-///     it with the round, and push it back.
+///     it with the round, and update it.
 ///
 /// When every participating valuation v_q is submodular, cached nets are
 /// upper bounds on true nets (marginals only shrink as selections grow),
-/// so a fresh heap maximum provably dominates all other candidates and
+/// so a fresh front provably dominates all other candidates and
 /// the lazy run selects the *identical* sensor sequence — with identical
 /// proportional payments (Algorithm 1 line 10) — as the eager rescan,
 /// while typically making far fewer valuation calls (tracked through the

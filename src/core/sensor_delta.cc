@@ -41,8 +41,9 @@ bool CheckPlacements(const std::vector<SensorDelta::Placement>& placements,
 }
 
 /// A base price becomes an announced cost: NaN would make nets NaN, which
-/// breaks the CELF heap comparator's strict weak ordering, and a negative
-/// price would yield negative payments.
+/// the sieve's threshold tests pass and would commit (the CELF frontier
+/// ranks a NaN net last and never commits it), and a negative price would
+/// yield negative payments.
 bool CheckPriceChanges(const std::vector<SensorDelta::PriceChange>& changes,
                        std::string* error) {
   for (size_t i = 0; i < changes.size(); ++i) {

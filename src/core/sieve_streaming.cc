@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "core/batch_eval.h"
 #include "core/candidate_pruning.h"
+#include "core/celf_frontier.h"
 #include "core/sensor_delta.h"
 
 namespace psens {
@@ -326,19 +327,15 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
 
     for (MultiQuery* q : queries) q->ResetSelection();
-    // CELF over the pool: one batched fill, then only stale heap fronts
-    // re-evaluate. `stamp` is the round the cached net was computed in;
-    // a fresh front commits. Ordering (net desc, idx asc) reproduces
-    // the eager loop's strict-> lowest-index tie-break, so the pass is
-    // deterministic. The mean-quality
-    // factor's mild non-submodularity carries the same caveat as the
-    // CELF engine: a stale cache can under-rank a marginal that grew —
-    // Theorem 1's payment properties are unaffected.
-    struct HeapEntry {
-      double net;
-      int idx;
-      int stamp;
-    };
+    // CELF over the pool: one batched fill, then only stale fronts
+    // re-evaluate. `stamp` is the round a cached net was computed in; a
+    // fresh front commits. The pool ascends by slot index, so the
+    // frontier's (net desc, position asc) order reproduces the eager
+    // loop's strict-> lowest-index tie-break, and the pass is
+    // deterministic. The mean-quality factor's mild non-submodularity
+    // carries the same caveat as the CELF engine: a stale cache can
+    // under-rank a marginal that grew — Theorem 1's payment properties
+    // are unaffected.
     std::vector<double> fill(pool.size());
     evaluator.EvaluateSensorNets(pool, fill.data());
     // Bench refresh: the fill just computed every pool sensor's
@@ -356,34 +353,30 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     }
     std::sort(bench_.begin(), bench_.end(), BenchOrder);
     if (bench_.size() > kRefineBenchSize) bench_.resize(kRefineBenchSize);
-    const auto worse = [](const HeapEntry& a, const HeapEntry& b) {
-      if (a.net != b.net) return a.net < b.net;
-      return a.idx > b.idx;
-    };
-    std::vector<HeapEntry> heap;
-    heap.reserve(pool.size());
-    for (size_t k = 0; k < pool.size(); ++k) {
-      if (fill[k] > 0.0) heap.push_back(HeapEntry{fill[k], pool[k], 0});
-    }
-    std::make_heap(heap.begin(), heap.end(), worse);
+    // Pool entries without a positive fill stay live but rank below every
+    // positive one: the first to reach the front means no positive net is
+    // left, and the stop rule ends the pass there.
+    CelfFrontier frontier(fill);
+    std::vector<int> stamp(pool.size(), 0);
     int round = 0;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), worse);
-      HeapEntry top = heap.back();
-      heap.pop_back();
-      if (top.net <= 0.0) break;
-      if (top.stamp == round) {
+    while (frontier.TopNet() > 0.0) {
+      const int k = frontier.Top();
+      const int idx = pool[static_cast<size_t>(k)];
+      if (stamp[static_cast<size_t>(k)] == round) {
         refined_cost +=
-            CommitWithProportionalPayments(queries, plan, slot, top.idx);
-        refined_sel.push_back(top.idx);
+            CommitWithProportionalPayments(queries, plan, slot, idx);
+        refined_sel.push_back(idx);
+        frontier.Remove(k);
         ++round;
         continue;
       }
-      top.net = evaluator.EvaluateSensorNet(top.idx);
-      top.stamp = round;
-      if (top.net <= 0.0) continue;  // marginals only shrink (modulo caveat)
-      heap.push_back(top);
-      std::push_heap(heap.begin(), heap.end(), worse);
+      const double net = evaluator.EvaluateSensorNet(idx);
+      stamp[static_cast<size_t>(k)] = round;
+      if (net > 0.0) {
+        frontier.Update(k, net);
+      } else {
+        frontier.Remove(k);  // marginals only shrink (modulo caveat)
+      }
     }
     double refined_value = 0.0;
     for (const MultiQuery* q : queries) refined_value += q->CurrentValue();
