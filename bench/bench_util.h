@@ -45,7 +45,12 @@ inline bool SameSchedule(const PointScheduleResult& a,
 ///   --quick          shorthand for a fast smoke run (--slots 10)
 ///   --threads N      worker threads for independent sweep points / slots
 ///                    (default 0 = hardware concurrency; results are
-///                    bit-identical for any value)
+///                    bit-identical for any value). fig02-fig04, fig06
+///                    and fig07 shard simulation slots (fig06's feedback
+///                    population runs them in order anyway); fig05 and
+///                    bench_alpha_sweep shard sweep points. fig08-fig10
+///                    serve slots sequentially, because their monitoring
+///                    managers carry state across slots.
 ///   --json PATH      also write machine-readable results to PATH (only
 ///                    binaries that support it: fig11, fig12, fig13,
 ///                    fig14, fig16 and fig18 do)

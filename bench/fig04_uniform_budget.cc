@@ -41,6 +41,7 @@ void Run(const BenchArgs& args) {
       config.scheduler = scheduler;
       config.sensors.lifetime = args.slots;
       config.seed = args.seed;
+      config.parallelism = args.threads;
       const psens::ExperimentResult r = psens::RunPointExperiment(config);
       util_row.push_back(r.avg_utility);
       sat_row.push_back(r.satisfaction);

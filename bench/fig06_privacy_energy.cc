@@ -42,6 +42,7 @@ void RunForLifetime(const BenchArgs& args, const psens::Trace& trace,
       config.sensors.beta_max = 4.0;
       config.sensors.lifetime = lifetime;
       config.seed = args.seed;
+      config.parallelism = args.threads;
       const psens::ExperimentResult r = psens::RunPointExperiment(config);
       util_row.push_back(r.avg_utility);
       sat_row.push_back(r.satisfaction);

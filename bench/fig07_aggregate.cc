@@ -42,6 +42,7 @@ void Run(const BenchArgs& args) {
       config.greedy = greedy;
       config.sensors.lifetime = args.slots;
       config.seed = args.seed;
+      config.parallelism = args.threads;
       const psens::ExperimentResult r = psens::RunAggregateExperiment(config);
       util_row.push_back(r.avg_utility);
       quality_row.push_back(r.avg_quality);

@@ -7,7 +7,6 @@
 #include "core/batch_eval.h"
 #include "core/candidate_pruning.h"
 #include "core/lazy_greedy.h"
-#include "core/sieve_streaming.h"
 
 namespace psens {
 
@@ -101,11 +100,7 @@ SelectionResult EagerGreedySensorSelection(
 
 SelectionResult GreedySensorSelection(const std::vector<MultiQuery*>& queries,
                                       const SlotContext& slot,
-                                      const std::vector<double>* cost_scale,
-                                      GreedyEngine engine) {
-  if (engine == GreedyEngine::kSieve) {
-    return SieveStreamingSensorSelection(queries, slot, cost_scale);
-  }
+                                      const std::vector<double>* cost_scale) {
   return LazyGreedySensorSelection(queries, slot, cost_scale);
 }
 

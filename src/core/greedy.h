@@ -52,11 +52,12 @@ enum class GreedyEngine {
 /// `cost_scale[s]`, when provided, multiplies sensor s's cost during
 /// selection (used by Algorithm 3's sharing weights, Eq. 18, and by
 /// Algorithm 5's payment adjustment); the *paid* cost is still the true
-/// slot cost. GreedySensorSelection serves it through `engine`.
+/// slot cost. GreedySensorSelection serves it with the lazy CELF engine
+/// (LazyGreedySensorSelection); only the serving engine
+/// (AcquisitionEngine::Select) chooses between lazy and the sieve.
 SelectionResult GreedySensorSelection(const std::vector<MultiQuery*>& queries,
                                       const SlotContext& slot,
-                                      const std::vector<double>* cost_scale = nullptr,
-                                      GreedyEngine engine = GreedyEngine::kLazy);
+                                      const std::vector<double>* cost_scale = nullptr);
 
 /// The paper's Algorithm 1 as written: every round rescans every
 /// remaining sensor. It is the reference the serving engines are tested

@@ -32,8 +32,7 @@ QueryMixSlotResult RunGreedyMix(const SlotContext& slot,
                                 const std::vector<PointQuery>& user_point_queries,
                                 const std::vector<AggregateQuery::Params>& aggregates,
                                 LocationMonitoringManager* location_manager,
-                                RegionMonitoringManager* region_manager,
-                                GreedyEngine engine) {
+                                RegionMonitoringManager* region_manager) {
   QueryMixSlotResult result;
 
   // Stage 1: point-query creation for continuous queries.
@@ -78,8 +77,7 @@ QueryMixSlotResult RunGreedyMix(const SlotContext& slot,
     cost_scale = region_manager->CostScale(slot);
     scale_ptr = &cost_scale;
   }
-  const SelectionResult selection =
-      GreedySensorSelection(all, slot, scale_ptr, engine);
+  const SelectionResult selection = GreedySensorSelection(all, slot, scale_ptr);
   result.selected_sensors = selection.selected_sensors;
   result.total_cost = selection.total_cost;
   result.valuation_calls = selection.valuation_calls;
@@ -230,7 +228,7 @@ QueryMixSlotResult RunQueryMixSlot(const SlotContext& slot,
                                    const QueryMixOptions& options) {
   if (options.use_greedy) {
     return RunGreedyMix(slot, user_point_queries, aggregates, location_manager,
-                        region_manager, options.engine);
+                        region_manager);
   }
   return RunBaselineMix(slot, user_point_queries, aggregates, location_manager,
                         region_manager);

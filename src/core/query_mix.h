@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/aggregate_query.h"
-#include "core/greedy.h"
 #include "core/location_monitoring.h"
 #include "core/point_query.h"
 #include "core/region_monitoring.h"
@@ -55,10 +54,6 @@ struct QueryMixOptions {
   /// continuous queries should then be configured to emit point queries
   /// only at desired times.
   bool use_greedy = true;
-  /// Engine executing the Algorithm 1 selection inside Algorithm 5: the
-  /// lazy CELF engine (default) or the sieve.
-  GreedyEngine engine = GreedyEngine::kLazy;
-  uint64_t seed = 1;
 };
 
 /// Algorithm 5 ("Data Acquisition for Query Mix") for one time slot:

@@ -208,8 +208,10 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     if (bench_.size() > kRefineBenchSize) bench_.resize(kRefineBenchSize);
   }
 
+  // EnsureBuckets always keeps the floor bucket, so there is at least one
+  // bucket and the first one seeds the running best.
   double best_utility = 0.0;
-  int best_bucket = -1;
+  size_t best_bucket = 0;
   std::vector<std::vector<int>> new_members(buckets_.size());
   std::vector<int> sorted_members;
   for (size_t b = 0; b < buckets_.size(); ++b) {
@@ -250,9 +252,9 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     for (const MultiQuery* q : queries) value += q->CurrentValue();
     const double utility = value - cost_sum;
     // Strict >: ties go to the higher-threshold (cheaper) bucket.
-    if (best_bucket < 0 || utility > best_utility) {
+    if (b == 0 || utility > best_utility) {
       best_utility = utility;
-      best_bucket = static_cast<int>(b);
+      best_bucket = b;
     }
   }
   for (size_t b = 0; b < buckets_.size(); ++b) {
@@ -265,13 +267,11 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   winner_members_.clear();
   std::vector<int> winner_sel;
   double winner_cost = 0.0;
-  if (best_bucket >= 0) {
-    for (int gid : buckets_[static_cast<size_t>(best_bucket)].members) {
-      const int idx = SlotIndexOf(slot, gid);
-      if (idx < 0) continue;
-      winner_cost += CommitWithProportionalPayments(queries, plan, slot, idx);
-      winner_sel.push_back(idx);
-    }
+  for (int gid : buckets_[best_bucket].members) {
+    const int idx = SlotIndexOf(slot, gid);
+    if (idx < 0) continue;
+    winner_cost += CommitWithProportionalPayments(queries, plan, slot, idx);
+    winner_sel.push_back(idx);
   }
   double winner_value = 0.0;
   for (const MultiQuery* q : queries) winner_value += q->CurrentValue();
@@ -288,108 +288,104 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   // winner replay or refined, realizes the higher utility. Realized
   // utility climbs from the single-pass ~0.5x of exact to >= 0.8x at
   // >= 20x speedup (the fig13 gate floors).
-  bool use_refined = false;
-  std::vector<int> refined_sel;
-  double refined_cost = 0.0;
-  if (best_bucket >= 0) {
-    std::vector<int> pool;
-    for (const Bucket& bucket : buckets_) {
-      for (int gid : bucket.members) {
-        const int idx = SlotIndexOf(slot, gid);
-        if (idx >= 0) pool.push_back(idx);
-      }
-    }
-    for (const auto& [net, gid] : bench_) {
+  std::vector<int> pool;
+  for (const Bucket& bucket : buckets_) {
+    for (int gid : bucket.members) {
       const int idx = SlotIndexOf(slot, gid);
       if (idx >= 0) pool.push_back(idx);
     }
-    {
-      // Exploration sample (see kRefineSampleSize). Seeded from the
-      // slot seed the engine stamps (pinned on replay), xored with a
-      // fixed constant — the sample, and hence the whole refinement, is
-      // bit-reproducible.
-      const std::span<const int> scan = plan.ScanSensors();
-      const size_t sample = std::min(kRefineSampleSize, scan.size());
-      if (sample > 0) {
-        Rng rng(ApproxSlotSeed(slot.approx, slot.time) ^
-                0x51E7EBE7C4ULL);
-        std::vector<int> scratch(scan.begin(), scan.end());
-        for (size_t i = 0; i < sample; ++i) {
-          const size_t j =
-              i + static_cast<size_t>(rng.UniformInt(
-                      0, static_cast<int64_t>(scratch.size() - i) - 1));
-          std::swap(scratch[i], scratch[j]);
-          pool.push_back(scratch[i]);
-        }
+  }
+  for (const auto& [net, gid] : bench_) {
+    const int idx = SlotIndexOf(slot, gid);
+    if (idx >= 0) pool.push_back(idx);
+  }
+  {
+    // Exploration sample (see kRefineSampleSize). Seeded from the slot
+    // seed the engine stamps (pinned on replay), xored with a fixed
+    // constant — the sample, and hence the whole refinement, is
+    // bit-reproducible.
+    const std::span<const int> scan = plan.ScanSensors();
+    const size_t sample = std::min(kRefineSampleSize, scan.size());
+    if (sample > 0) {
+      Rng rng(ApproxSlotSeed(slot.approx, slot.time) ^ 0x51E7EBE7C4ULL);
+      std::vector<int> scratch(scan.begin(), scan.end());
+      for (size_t i = 0; i < sample; ++i) {
+        const size_t j =
+            i + static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(scratch.size() - i) - 1));
+        std::swap(scratch[i], scratch[j]);
+        pool.push_back(scratch[i]);
       }
     }
-    std::sort(pool.begin(), pool.end());
-    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  }
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
 
+  for (MultiQuery* q : queries) q->ResetSelection();
+  // CELF over the pool: one batched fill, then only stale fronts
+  // re-evaluate. `stamp` is the round a cached net was computed in; a
+  // fresh front commits. The pool ascends by slot index, so the
+  // frontier's (net desc, position asc) order reproduces the eager
+  // loop's strict-> lowest-index tie-break, and the pass is
+  // deterministic. The mean-quality factor's mild non-submodularity
+  // carries the same caveat as the CELF engine: a stale cache can
+  // under-rank a marginal that grew — Theorem 1's payment properties
+  // are unaffected.
+  std::vector<double> fill(pool.size());
+  evaluator.EvaluateSensorNets(pool, fill.data());
+  // Bench refresh: the fill just computed every pool sensor's
+  // singleton net against the CURRENT queries — the ranking the cap
+  // eviction should use (the net0-based merge above ranks arrivals by
+  // whatever slot they streamed in). Sampled winners earn their seat
+  // here; sensors whose relevance moved away with the queries age
+  // out.
+  bench_.clear();
+  bench_.reserve(pool.size());
+  for (size_t k = 0; k < pool.size(); ++k) {
+    if (fill[k] <= 0.0) continue;
+    bench_.emplace_back(
+        fill[k], slot.sensors.sensor_id[static_cast<size_t>(pool[k])]);
+  }
+  std::sort(bench_.begin(), bench_.end(), BenchOrder);
+  if (bench_.size() > kRefineBenchSize) bench_.resize(kRefineBenchSize);
+  // Pool entries without a positive fill stay live but rank below every
+  // positive one: the first to reach the front means no positive net is
+  // left, and the stop rule ends the pass there.
+  CelfFrontier frontier(fill);
+  std::vector<int> stamp(pool.size(), 0);
+  int round = 0;
+  std::vector<int> refined_sel;
+  double refined_cost = 0.0;
+  while (frontier.TopNet() > 0.0) {
+    const int k = frontier.Top();
+    const int idx = pool[static_cast<size_t>(k)];
+    if (stamp[static_cast<size_t>(k)] == round) {
+      refined_cost += CommitWithProportionalPayments(queries, plan, slot, idx);
+      refined_sel.push_back(idx);
+      frontier.Remove(k);
+      ++round;
+      continue;
+    }
+    const double net = evaluator.EvaluateSensorNet(idx);
+    stamp[static_cast<size_t>(k)] = round;
+    if (net > 0.0) {
+      frontier.Update(k, net);
+    } else {
+      frontier.Remove(k);  // marginals only shrink (modulo caveat)
+    }
+  }
+  double refined_value = 0.0;
+  for (const MultiQuery* q : queries) refined_value += q->CurrentValue();
+  const bool use_refined =
+      refined_value - refined_cost > winner_value - winner_cost;
+  if (!use_refined) {
+    // Re-commit the winner so the queries' selection/payment state
+    // matches the returned result (SlotServer charges TotalPayment
+    // from the queries, not from the result).
     for (MultiQuery* q : queries) q->ResetSelection();
-    // CELF over the pool: one batched fill, then only stale fronts
-    // re-evaluate. `stamp` is the round a cached net was computed in; a
-    // fresh front commits. The pool ascends by slot index, so the
-    // frontier's (net desc, position asc) order reproduces the eager
-    // loop's strict-> lowest-index tie-break, and the pass is
-    // deterministic. The mean-quality factor's mild non-submodularity
-    // carries the same caveat as the CELF engine: a stale cache can
-    // under-rank a marginal that grew — Theorem 1's payment properties
-    // are unaffected.
-    std::vector<double> fill(pool.size());
-    evaluator.EvaluateSensorNets(pool, fill.data());
-    // Bench refresh: the fill just computed every pool sensor's
-    // singleton net against the CURRENT queries — the ranking the cap
-    // eviction should use (the net0-based merge above ranks arrivals by
-    // whatever slot they streamed in). Sampled winners earn their seat
-    // here; sensors whose relevance moved away with the queries age
-    // out.
-    bench_.clear();
-    bench_.reserve(pool.size());
-    for (size_t k = 0; k < pool.size(); ++k) {
-      if (fill[k] <= 0.0) continue;
-      bench_.emplace_back(
-          fill[k], slot.sensors.sensor_id[static_cast<size_t>(pool[k])]);
-    }
-    std::sort(bench_.begin(), bench_.end(), BenchOrder);
-    if (bench_.size() > kRefineBenchSize) bench_.resize(kRefineBenchSize);
-    // Pool entries without a positive fill stay live but rank below every
-    // positive one: the first to reach the front means no positive net is
-    // left, and the stop rule ends the pass there.
-    CelfFrontier frontier(fill);
-    std::vector<int> stamp(pool.size(), 0);
-    int round = 0;
-    while (frontier.TopNet() > 0.0) {
-      const int k = frontier.Top();
-      const int idx = pool[static_cast<size_t>(k)];
-      if (stamp[static_cast<size_t>(k)] == round) {
-        refined_cost +=
-            CommitWithProportionalPayments(queries, plan, slot, idx);
-        refined_sel.push_back(idx);
-        frontier.Remove(k);
-        ++round;
-        continue;
-      }
-      const double net = evaluator.EvaluateSensorNet(idx);
-      stamp[static_cast<size_t>(k)] = round;
-      if (net > 0.0) {
-        frontier.Update(k, net);
-      } else {
-        frontier.Remove(k);  // marginals only shrink (modulo caveat)
-      }
-    }
-    double refined_value = 0.0;
-    for (const MultiQuery* q : queries) refined_value += q->CurrentValue();
-    use_refined = refined_value - refined_cost > winner_value - winner_cost;
-    if (!use_refined) {
-      // Re-commit the winner so the queries' selection/payment state
-      // matches the returned result (SlotServer charges TotalPayment
-      // from the queries, not from the result).
-      for (MultiQuery* q : queries) q->ResetSelection();
-      winner_cost = 0.0;
-      for (int idx : winner_sel) {
-        winner_cost += CommitWithProportionalPayments(queries, plan, slot, idx);
-      }
+    winner_cost = 0.0;
+    for (int idx : winner_sel) {
+      winner_cost += CommitWithProportionalPayments(queries, plan, slot, idx);
     }
   }
   const std::vector<int>& final_sel = use_refined ? refined_sel : winner_sel;

@@ -112,9 +112,9 @@ class SieveStreamingScheduler {
   std::vector<std::pair<double, int>> bench_;
 };
 
-/// One-shot per-slot sieve selection — what GreedyEngine::kSieve in
-/// GreedySensorSelection dispatches to. Equivalent to
-/// SieveStreamingScheduler(slot.approx).SelectFull(...).
+/// One-shot per-slot sieve selection, for callers without cross-slot
+/// state (the serving engine keeps a SieveStreamingScheduler instead).
+/// Equivalent to SieveStreamingScheduler(slot.approx).SelectFull(...).
 SelectionResult SieveStreamingSensorSelection(
     const std::vector<MultiQuery*>& queries, const SlotContext& slot,
     const std::vector<double>* cost_scale = nullptr);

@@ -36,7 +36,6 @@ class AcquisitionEngine::SlotIndexView : public SpatialIndex {
   SlotIndexView(const SpatialIndex* base, const MemberRanks* ranks)
       : base_(base), ranks_(ranks) {}
 
-  int size() const override { return base_->size(); }
   void RangeQuery(const Point& center, double radius,
                   std::vector<int>* out) const override {
     base_->RangeQuery(center, radius, out);
@@ -45,10 +44,6 @@ class AcquisitionEngine::SlotIndexView : public SpatialIndex {
   void RectQuery(const Rect& rect, std::vector<int>* out) const override {
     base_->RectQuery(rect, out);
     for (int& v : *out) v = static_cast<int>(ranks_->Row(v));
-  }
-  int Nearest(const Point& p) const override {
-    const int id = base_->Nearest(p);
-    return id < 0 ? -1 : static_cast<int>(ranks_->Row(id));
   }
   const char* Name() const override { return base_->Name(); }
 
@@ -377,7 +372,7 @@ SelectionResult AcquisitionEngine::SelectWith(
   const bool stale = last_select_engine_ != GreedyEngine::kSieve;
   last_select_engine_ = engine;
   if (engine != GreedyEngine::kSieve) {
-    return GreedySensorSelection(queries, slot, nullptr, engine);
+    return GreedySensorSelection(queries, slot);
   }
   if (sieve_ == nullptr || stale) {
     sieve_ = std::make_unique<SieveStreamingScheduler>(config_.approx);

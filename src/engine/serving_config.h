@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "common/geometry.h"
 #include "core/greedy.h"
@@ -45,10 +44,11 @@ struct ServingConfig {
   /// per-slot approx seed — to a binary trace at this path
   /// (src/trace/trace_format.h). Recording never alters scheduling.
   std::string trace_path;
-  /// Feed purchased readings back via RecordSlotReadings — the closed
-  /// loop's cross-slot energy/privacy feedback. Replay uses the same
-  /// default so the feedback path is replayed too.
-  bool record_readings = true;
+  /// Purchased readings always feed back via RecordSlotReadings — the
+  /// closed loop's cross-slot energy/privacy feedback, which replay
+  /// re-runs too. A constant, not a knob: traces do not record it, so a
+  /// run without feedback could not be replayed.
+  static constexpr bool record_readings = true;
   /// Per-slot latency budget in milliseconds for the adaptive scheduler
   /// (src/engine/adaptive_policy.h). 0 (default): static scheduling —
   /// `scheduler` runs every slot exactly as configured. > 0:
@@ -81,28 +81,12 @@ struct ServingConfig {
     index_policy = policy;
     return *this;
   }
-  ServingConfig& WithApprox(const ApproxParams& params) {
-    approx = params;
-    return *this;
-  }
   ServingConfig& WithEpsilon(double epsilon) {
     approx.epsilon = epsilon;
     return *this;
   }
   ServingConfig& WithApproxSeed(uint64_t seed) {
     approx.seed = seed;
-    return *this;
-  }
-  ServingConfig& WithTracePath(std::string path) {
-    trace_path = std::move(path);
-    return *this;
-  }
-  ServingConfig& WithRecordReadings(bool on) {
-    record_readings = on;
-    return *this;
-  }
-  ServingConfig& WithSloMs(double ms) {
-    slo_ms = ms;
     return *this;
   }
 

@@ -4,8 +4,6 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <cmath>
-#include <limits>
 
 #include "index/probe_order.h"
 
@@ -97,10 +95,7 @@ void DynamicGridIndex::Apply(std::span<const GridOp> ops) {
     const bool was_live = id < static_cast<int>(live_.size()) && live_[id];
     if (!was_live && !op.live) continue;
     int old_cell = -1;
-    if (was_live) {
-      old_cell = geo_.CellOf(pos_of_id_[id]);
-      if (!geo_.bounds.Contains(pos_of_id_[id])) --outlier_count_;
-    }
+    if (was_live) old_cell = geo_.CellOf(pos_of_id_[id]);
     if (!op.live) {
       touch(old_cell, /*insert=*/false, id);
       live_[id] = 0;
@@ -117,7 +112,6 @@ void DynamicGridIndex::Apply(std::span<const GridOp> ops) {
       if (was_live) touch(old_cell, /*insert=*/false, id);
       touch(new_cell, /*insert=*/true, id);
     }
-    if (!geo_.bounds.Contains(op.position)) ++outlier_count_;
     pos_of_id_[id] = op.position;
   }
   SortTouches();
@@ -218,42 +212,6 @@ void DynamicGridIndex::RectQuery(const Rect& rect, std::vector<int>* out) const 
     }
   }
   SortProbeIds(out);
-}
-
-int DynamicGridIndex::Nearest(const Point& p) const {
-  if (live_count_ == 0) return -1;
-  const int pcx = geo_.CellX(p.x);
-  const int pcy = geo_.CellY(p.y);
-  int best = -1;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  const int max_ring = std::max(geo_.nx, geo_.ny);
-  for (int ring = 0; ring <= max_ring; ++ring) {
-    bool any_cell_in_range = false;
-    for (int cy = pcy - ring; cy <= pcy + ring; ++cy) {
-      if (cy < 0 || cy >= geo_.ny) continue;
-      for (int cx = pcx - ring; cx <= pcx + ring; ++cx) {
-        if (cx < 0 || cx >= geo_.nx) continue;
-        if (ring > 0 && std::abs(cx - pcx) != ring && std::abs(cy - pcy) != ring)
-          continue;
-        if (geo_.CellMinDist2(p, cx, cy, /*open_edges=*/outlier_count_ > 0) > best_d2) continue;
-        any_cell_in_range = true;
-        const Cell& cell = cells_[cy * geo_.nx + cx];
-        const int32_t* ids = cell.data();
-        for (int k = 0; k < cell.count; ++k) {
-          const int id = ids[k];
-          const double dx = pos_of_id_[id].x - p.x;
-          const double dy = pos_of_id_[id].y - p.y;
-          const double d2 = dx * dx + dy * dy;
-          if (d2 < best_d2 || (d2 == best_d2 && id < best)) {
-            best_d2 = d2;
-            best = id;
-          }
-        }
-      }
-    }
-    if (best >= 0 && !any_cell_in_range && ring > 0) break;
-  }
-  return best;
 }
 
 }  // namespace psens

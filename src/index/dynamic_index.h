@@ -38,16 +38,16 @@ class DynamicGridIndex : public SpatialIndex {
   /// them; the structure stays correct at any size and id.
   DynamicGridIndex(const Rect& bounds, int expected_count);
 
-  int size() const override { return live_count_; }
+  /// Live ids.
+  int size() const { return live_count_; }
   /// Applies one batch of updates, the grid's only mutator. Ids in a
   /// batch must be non-negative and distinct (asserted in debug builds).
   ///
-  /// A pass in op order updates each id's liveness, position and the
-  /// outlier count and emits its cell touches: a remove from the old
-  /// cell, an insert into the new one, both for a move between cells. A
-  /// radix sort orders the touches by (cell, remove before insert), and
-  /// one walk applies them in ascending cell order, reading the cell
-  /// array forward. Removes first keep a full cell that swaps one id for
+  /// A pass in op order updates each id's liveness and position and
+  /// emits its cell touches: a remove from the old cell, an insert into
+  /// the new one, both for a move between cells. A radix sort orders the
+  /// touches by (cell, remove before insert), and one walk applies them
+  /// in ascending cell order, reading the cell array forward. Removes first keep a full cell that swaps one id for
   /// another inline; a repeated id could meet its own insert and remove
   /// in the wrong order. Cells are unsorted id sets and every probe sorts
   /// its output, so the touch order changes no result.
@@ -55,7 +55,6 @@ class DynamicGridIndex : public SpatialIndex {
   void RangeQuery(const Point& center, double radius,
                   std::vector<int>* out) const override;
   void RectQuery(const Rect& rect, std::vector<int>* out) const override;
-  int Nearest(const Point& p) const override;
   const char* Name() const override { return "dynamic-grid"; }
   /// Cells whose ids have spilled from the cell record to a heap block.
   /// An O(cells) scan for tests; cells never return inline.
@@ -91,9 +90,6 @@ class DynamicGridIndex : public SpatialIndex {
 
   GridGeometry geo_;
   int live_count_ = 0;
-  /// Live points outside `geo_.bounds` (clamped into edge cells). While any
-  /// exist, Nearest's pruning treats edge cells as unbounded outward.
-  int outlier_count_ = 0;
   std::vector<Cell> cells_;       // ids, unsorted within a cell
   std::vector<Point> pos_of_id_;  // dense by id
   std::vector<char> live_;        // dense by id

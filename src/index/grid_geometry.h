@@ -93,27 +93,6 @@ struct GridGeometry {
   }
   int CellOf(const Point& p) const { return CellY(p.y) * nx + CellX(p.x); }
   size_t NumCells() const { return static_cast<size_t>(nx) * ny; }
-
-  /// Squared distance from `p` to cell (cx, cy)'s rectangle (0 inside).
-  /// With `open_edges`, boundary cells extend to infinity on their
-  /// outward side — required when clamped edge cells may hold points
-  /// that lie outside the bounds, where the finite box would not be a
-  /// valid lower bound.
-  double CellMinDist2(const Point& p, int cx, int cy,
-                      bool open_edges = false) const {
-    const double inf = std::numeric_limits<double>::infinity();
-    const double x_lo =
-        open_edges && cx == 0 ? -inf : bounds.x_min + cx * cell;
-    const double x_hi =
-        open_edges && cx == nx - 1 ? inf : bounds.x_min + (cx + 1) * cell;
-    const double y_lo =
-        open_edges && cy == 0 ? -inf : bounds.y_min + cy * cell;
-    const double y_hi =
-        open_edges && cy == ny - 1 ? inf : bounds.y_min + (cy + 1) * cell;
-    const double dx = std::max({x_lo - p.x, p.x - x_hi, 0.0});
-    const double dy = std::max({y_lo - p.y, p.y - y_hi, 0.0});
-    return dx * dx + dy * dy;
-  }
 };
 
 /// Two-phase exact disk filter shared by every index implementation:

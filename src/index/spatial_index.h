@@ -28,9 +28,6 @@ class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
 
-  /// Number of indexed points.
-  virtual int size() const = 0;
-
   /// Appends to `out` the indices (ascending) of all points p with
   /// Distance(p, center) <= radius. `out` is cleared first.
   virtual void RangeQuery(const Point& center, double radius,
@@ -40,10 +37,6 @@ class SpatialIndex {
   /// `rect` (inclusive bounds, same as Rect::Contains). `out` is cleared
   /// first.
   virtual void RectQuery(const Rect& rect, std::vector<int>* out) const = 0;
-
-  /// Index of the point nearest to `p`; ties broken toward the lowest
-  /// index; -1 when the index is empty.
-  virtual int Nearest(const Point& p) const = 0;
 
   /// Human-readable implementation name ("uniform-grid" for the CSR grid,
   /// "dynamic-grid" for the engine's id-keyed grid).

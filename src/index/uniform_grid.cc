@@ -1,9 +1,5 @@
 #include "index/uniform_grid.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "index/probe_order.h"
 
 namespace psens {
@@ -81,43 +77,6 @@ void UniformGridIndex::RectQuery(const Rect& rect, std::vector<int>* out) const 
     }
   }
   SortProbeIds(out);
-}
-
-int UniformGridIndex::Nearest(const Point& p) const {
-  if (cell_items_.empty()) return -1;
-  const int pcx = geo_.CellX(p.x);
-  const int pcy = geo_.CellY(p.y);
-  int best = -1;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  const int max_ring = std::max(geo_.nx, geo_.ny);
-  for (int ring = 0; ring <= max_ring; ++ring) {
-    bool any_cell_in_range = false;
-    for (int cy = pcy - ring; cy <= pcy + ring; ++cy) {
-      if (cy < 0 || cy >= geo_.ny) continue;
-      for (int cx = pcx - ring; cx <= pcx + ring; ++cx) {
-        if (cx < 0 || cx >= geo_.nx) continue;
-        // Only the ring's perimeter; the interior was handled earlier.
-        if (ring > 0 && std::abs(cx - pcx) != ring && std::abs(cy - pcy) != ring)
-          continue;
-        // <= so that an equal-distance, lower-index point is still found.
-        if (geo_.CellMinDist2(p, cx, cy) > best_d2) continue;
-        any_cell_in_range = true;
-        const int c = cy * geo_.nx + cx;
-        for (int k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
-          const double dx = xs_[k] - p.x;
-          const double dy = ys_[k] - p.y;
-          const double d2 = dx * dx + dy * dy;
-          const int i = cell_items_[k];
-          if (d2 < best_d2 || (d2 == best_d2 && i < best)) {
-            best_d2 = d2;
-            best = i;
-          }
-        }
-      }
-    }
-    if (best >= 0 && !any_cell_in_range && ring > 0) break;
-  }
-  return best;
 }
 
 }  // namespace psens

@@ -21,11 +21,9 @@ class UniformGridIndex : public SpatialIndex {
  public:
   explicit UniformGridIndex(const std::vector<Point>& points);
 
-  int size() const override { return static_cast<int>(cell_items_.size()); }
   void RangeQuery(const Point& center, double radius,
                   std::vector<int>* out) const override;
   void RectQuery(const Rect& rect, std::vector<int>* out) const override;
-  int Nearest(const Point& p) const override;
   const char* Name() const override { return "uniform-grid"; }
 
  private:

@@ -51,20 +51,12 @@ struct SlotOutcome {
   std::vector<int> read_sensor_ids;
 };
 
-/// Serving configuration shared by all slots of one experiment run (the
-/// simple experiments, whose configs expose only an index policy).
+/// Serving configuration shared by all slots of one experiment run: the
+/// experiment's region, dmax and index policy over the defaults.
 ServingConfig MakeServingConfig(const Rect& working_region, double dmax,
                                 SlotIndexPolicy index_policy) {
   return ServingConfig().WithRegion(working_region).WithDmax(dmax).WithIndexPolicy(
       index_policy);
-}
-
-/// Stamps the experiment's region/dmax onto a caller-provided serving
-/// config (AggregateExperimentConfig::serving and friends own every other
-/// knob).
-ServingConfig StampServingConfig(ServingConfig serving,
-                                 const Rect& working_region, double dmax) {
-  return serving.WithRegion(working_region).WithDmax(dmax);
 }
 
 /// Runs `slots` slot bodies either sequentially with sensor-state feedback
@@ -216,10 +208,8 @@ ExperimentResult RunAggregateExperiment(const AggregateExperimentConfig& config)
     std::vector<MultiQuery*> ptrs;
     for (auto& q : queries) ptrs.push_back(q.get());
     const SelectionResult selection =
-        config.greedy
-            ? GreedySensorSelection(ptrs, slot, nullptr,
-                                    config.serving.scheduler)
-            : BaselineSequentialSelection(ptrs, slot);
+        config.greedy ? GreedySensorSelection(ptrs, slot)
+                      : BaselineSequentialSelection(ptrs, slot);
 
     SlotOutcome out;
     out.utility = selection.Utility();
@@ -240,8 +230,8 @@ ExperimentResult RunAggregateExperiment(const AggregateExperimentConfig& config)
   };
   return ReduceOutcomes(RunSlots(
       *config.trace, slots, sensors, population,
-      StampServingConfig(config.serving, config.working_region,
-                         config.sensing_range),
+      MakeServingConfig(config.working_region, config.sensing_range,
+                        config.index_policy),
       config.parallelism, body));
 }
 
@@ -384,7 +374,8 @@ QueryMixResultSummary RunQueryMixExperiment(const QueryMixExperimentConfig& conf
   population.count = config.trace->NumSensors();
   std::unique_ptr<ServingEngine> engine = MakeServingEngine(
       GenerateSensors(population, sensor_rng),
-      StampServingConfig(config.serving, config.working_region, config.dmax));
+      MakeServingConfig(config.working_region, config.dmax,
+                        config.index_policy));
 
   LocationMonitoringManager::Config lm_config;
   lm_config.alpha = config.alpha;
@@ -423,8 +414,6 @@ QueryMixResultSummary RunQueryMixExperiment(const QueryMixExperimentConfig& conf
 
     QueryMixOptions options;
     options.use_greedy = config.use_alg5;
-    options.engine = config.serving.scheduler;
-    options.seed = config.seed + static_cast<uint64_t>(t);
     const QueryMixSlotResult slot_result = RunQueryMixSlot(
         slot, points, aggregates, &lm_manager, /*region_manager=*/nullptr, options);
 

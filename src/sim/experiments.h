@@ -6,9 +6,8 @@
 #include <vector>
 
 #include "common/geometry.h"
-#include "core/greedy.h"
 #include "core/point_scheduling.h"
-#include "engine/serving_config.h"
+#include "core/slot.h"
 #include "data/gaussian_field.h"
 #include "gp/kernel.h"
 #include "mobility/trace.h"
@@ -77,16 +76,11 @@ struct AggregateExperimentConfig {
   /// True: Algorithm 1. False: sequential baseline (Section 4.4).
   bool greedy = true;
   SensorPopulationConfig sensors;
+  /// Same contract as PointExperimentConfig::index_policy.
+  SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   uint64_t seed = 123;
   /// Same contract as PointExperimentConfig::parallelism.
   int parallelism = 0;
-  /// The serving stack for the Algorithm 1 selection: `scheduler` picks
-  /// the engine (kSieve runs the approximate scheduler, configured by
-  /// `serving.approx`), `index_policy` the slot index (same contract as
-  /// PointExperimentConfig::index_policy). The working region and dmax
-  /// are stamped from this config's own fields by the runner. Results are
-  /// bit-identical across `parallelism` and index choices.
-  ServingConfig serving;
 };
 
 ExperimentResult RunAggregateExperiment(const AggregateExperimentConfig& config);
@@ -171,11 +165,9 @@ struct QueryMixExperimentConfig {
   std::vector<double> history_times;
   std::vector<double> history_values;
   SensorPopulationConfig sensors;
+  /// Same contract as PointExperimentConfig::index_policy.
+  SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   uint64_t seed = 123;
-  /// Serving stack for the Algorithm 1 selection inside Algorithm 5 —
-  /// same contract as AggregateExperimentConfig::serving (scheduler,
-  /// approx knobs, index policy).
-  ServingConfig serving;
 };
 
 struct QueryMixResultSummary {

@@ -84,9 +84,7 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
   }
 
   for (const MultiQuery* q : all) out.total_payment += q->TotalPayment();
-  if (engine_->config().record_readings) {
-    engine_->RecordSlotReadings(out.selection.selected_sensors, time);
-  }
+  engine_->RecordSlotReadings(out.selection.selected_sensors, time);
 
   out.total_ms = MsSince(slot_start);
   if (monitors_ != nullptr) monitors_->NotifySlot(out);

@@ -44,12 +44,11 @@ bool SameOutcome(const SlotOutcome& a, const SlotOutcome& b);
 /// the live closed loop (trace/closed_loop.h), the trace replayer
 /// (trace/trace_replayer.h), and the fig14/fig18 benches: apply the
 /// slot's churn delta, begin the slot, bind the query batch, run the
-/// engine's configured scheduler, charge payments, and (when
-/// ServingConfig::record_readings) feed the purchased readings back into
-/// the engine's energy/privacy state. Live and replayed runs execute the
-/// identical statements per slot, which is what makes the replay
-/// differential tests meaningful — any schedule drift is a real
-/// determinism bug, not a harness skew.
+/// engine's configured scheduler, charge payments, and feed the
+/// purchased readings back into the engine's energy/privacy state. Live
+/// and replayed runs execute the identical statements per slot, which is
+/// what makes the replay differential tests meaningful — any schedule
+/// drift is a real determinism bug, not a harness skew.
 ///
 /// When the engine is recording (ServingConfig::trace_path), the server
 /// stages each slot's query batch onto the open trace record; attaching

@@ -1,6 +1,7 @@
 // Tests of the approximate scheduler (src/core/sieve_streaming.h):
 // guarantee-band checks against the exact engines on seeded submodular
-// instances, sieve bucket-state correctness across churn slots,
+// instances, the refinement pass against the lazy engine as an oracle,
+// sieve bucket-state correctness across churn slots,
 // determinism under a fixed seed, the per-slot seed derivation its
 // exploration sample draws from, and the Theorem 1 payment properties it
 // inherits from Algorithm 1's proportional commit rule.
@@ -8,17 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/aggregate_query.h"
 #include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "core/multi_query.h"
+#include "core/point_query.h"
 #include "core/sieve_streaming.h"
 #include "engine/acquisition_engine.h"
-#include "mobility/random_waypoint.h"
-#include "sim/experiments.h"
 #include "sim/workload.h"
 
 namespace psens {
@@ -65,12 +69,28 @@ struct EngineRun {
   std::vector<double> values;
 };
 
-/// The eager reference and the sieve share one signature.
+/// The eager reference, the lazy engine and the sieve share one
+/// signature.
 using SelectFn = decltype(&EagerGreedySensorSelection);
 
+/// Runs `select` on `num_queries` coverage queries over `slot`, followed
+/// by `num_points` point queries. On a uniform-theta slot both kinds are
+/// submodular: a coverage query values the area its sensors cover, a
+/// point query its best reading.
 EngineRun RunEngine(const SlotContext& slot, int num_queries, uint64_t seed,
-                    SelectFn select) {
-  auto queries = MakeCoverageQueries(slot, num_queries, seed);
+                    SelectFn select, int num_points = 0) {
+  std::vector<std::unique_ptr<MultiQuery>> queries;
+  for (auto& q : MakeCoverageQueries(slot, num_queries, seed)) {
+    queries.push_back(std::move(q));
+  }
+  Rng rng(seed + 1);
+  for (int i = 0; i < num_points; ++i) {
+    PointQuery q;
+    q.id = num_queries + i;
+    q.location = Point{rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 40.0)};
+    q.budget = rng.Uniform(5.0, 20.0);
+    queries.push_back(std::make_unique<PointMultiQuery>(q, &slot));
+  }
   std::vector<MultiQuery*> ptrs;
   for (auto& q : queries) ptrs.push_back(q.get());
   EngineRun run;
@@ -111,8 +131,7 @@ TEST(ApproxSchedulerTest, PaymentsCoverCostAndIndividualRationalityHolds) {
     auto queries = MakeCoverageQueries(slot, 8, 400 + trial);
     std::vector<MultiQuery*> ptrs;
     for (auto& q : queries) ptrs.push_back(q.get());
-    const SelectionResult result =
-        GreedySensorSelection(ptrs, slot, nullptr, GreedyEngine::kSieve);
+    const SelectionResult result = SieveStreamingSensorSelection(ptrs, slot);
     if (!result.selected_sensors.empty()) {
       EXPECT_GT(result.Utility(), 0.0);
     }
@@ -123,6 +142,54 @@ TEST(ApproxSchedulerTest, PaymentsCoverCostAndIndividualRationalityHolds) {
     }
     EXPECT_NEAR(total_payment, result.total_cost, 1e-6);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Refinement pass against the lazy engine
+// ---------------------------------------------------------------------------
+
+/// The bit patterns of `values`: what "equal bit for bit" compares.
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+// A slot of at most kRefineSampleSize (1,536) scan rows puts every scan
+// row in the refinement's exploration sample, so the refinement is CELF
+// over exactly the rows the lazy engine scans, with the same row order
+// and tie-break. Unless the winning bucket realizes strictly more, the
+// sieve returns the refined selection, which must then be lazy's bit for
+// bit: selection, totals, and every query's payment and value.
+TEST(SieveRefinementOracleTest, RefinementMatchesLazyUnlessTheWinnerBeatsIt) {
+  int matched = 0;
+  int selecting = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    for (const bool indexed : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "trial " << trial << " indexed " << indexed);
+      SlotContext slot = MakeUniformThetaSlot(50 + 13 * trial, 5300 + trial);
+      slot.index_policy =
+          indexed ? SlotIndexPolicy::kGrid : SlotIndexPolicy::kNone;
+      AttachSlotIndex(slot);
+      const EngineRun lazy = RunEngine(slot, 4, 6300 + trial,
+                                       LazyGreedySensorSelection, 20);
+      const EngineRun sieve = RunEngine(slot, 4, 6300 + trial,
+                                        SieveStreamingSensorSelection, 20);
+      if (sieve.result.Utility() > lazy.result.Utility()) continue;
+      ++matched;
+      if (lazy.result.selected_sensors.size() > 2) ++selecting;
+      EXPECT_EQ(sieve.result.selected_sensors, lazy.result.selected_sensors);
+      EXPECT_EQ(Bits({sieve.result.total_value, sieve.result.total_cost}),
+                Bits({lazy.result.total_value, lazy.result.total_cost}));
+      EXPECT_EQ(Bits(sieve.payments), Bits(lazy.payments));
+      EXPECT_EQ(Bits(sieve.values), Bits(lazy.values));
+    }
+  }
+  // The comparison must cover most slots, and those must exercise the
+  // loop: several picks, hence re-evaluated stale fronts.
+  EXPECT_GE(matched, 50);
+  EXPECT_GE(selecting, 50);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,38 +411,6 @@ TEST(SieveStreamingTest, SelectDeltaMatchesSelectArrivals) {
   EXPECT_EQ(via_delta.total_cost, via_ids.result.total_cost);
 }
 
-TEST(ApproxSchedulerTest, ExperimentPlumbingDrivesApproxEngines) {
-  // The sim-layer path: AggregateExperimentConfig::serving.scheduler
-  // selects the approximate scheduler and serving.approx reaches the
-  // slot contexts through the engine. A run must complete, answer
-  // queries, and — the sieve's exploration sample being seeded — be
-  // exactly repeatable.
-  RandomWaypointConfig rwm;
-  rwm.num_sensors = 60;
-  rwm.num_slots = 4;
-  rwm.seed = 9;
-  const Trace trace = GenerateRandomWaypoint(rwm);
-  AggregateExperimentConfig config;
-  config.trace = &trace;
-  config.working_region = Rect{0, 0, 80, 80};
-  config.num_slots = 4;
-  config.mean_queries_per_slot = 6;
-  config.sensors.lifetime = 4;
-  config.seed = 31;
-  config.serving.approx.seed = 77;
-
-  config.serving.scheduler = GreedyEngine::kLazy;
-  const ExperimentResult exact = RunAggregateExperiment(config);
-  ASSERT_GT(exact.avg_utility, 0.0);
-
-  config.serving.scheduler = GreedyEngine::kSieve;
-  const ExperimentResult sieve = RunAggregateExperiment(config);
-  const ExperimentResult sieve_again = RunAggregateExperiment(config);
-  EXPECT_GT(sieve.avg_utility, 0.0);
-  EXPECT_EQ(sieve.avg_utility, sieve_again.avg_utility)
-      << "seeded sieve run not repeatable";
-}
-
 TEST(ApproxSchedulerTest, EmptySlotAndEmptyQueriesAreNoOps) {
   SlotContext empty_slot;
   empty_slot.time = 0;
@@ -384,13 +419,12 @@ TEST(ApproxSchedulerTest, EmptySlotAndEmptyQueriesAreNoOps) {
   std::vector<MultiQuery*> ptrs;
   for (auto& q : queries) ptrs.push_back(q.get());
   const SelectionResult no_sensors =
-      GreedySensorSelection(ptrs, empty_slot, nullptr, GreedyEngine::kSieve);
+      SieveStreamingSensorSelection(ptrs, empty_slot);
   EXPECT_TRUE(no_sensors.selected_sensors.empty());
 
   const SlotContext slot = MakeUniformThetaSlot(5, 4);
   std::vector<MultiQuery*> none;
-  const SelectionResult no_queries =
-      GreedySensorSelection(none, slot, nullptr, GreedyEngine::kSieve);
+  const SelectionResult no_queries = SieveStreamingSensorSelection(none, slot);
   EXPECT_TRUE(no_queries.selected_sensors.empty());
   EXPECT_EQ(no_queries.valuation_calls, 0);
 }

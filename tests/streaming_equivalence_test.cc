@@ -467,8 +467,6 @@ void ExpectSameProbes(const SlotContext& served, const SlotContext& built,
     served.index->RectQuery(r, &got);
     built.index->RectQuery(r, &want);
     ASSERT_EQ(got, want) << "slot " << slot << " rect probe " << probe;
-    ASSERT_EQ(served.index->Nearest(c), built.index->Nearest(c))
-        << "slot " << slot << " nearest probe " << probe;
   }
 }
 
@@ -762,12 +760,10 @@ TEST(ServingConfigTest, ValidateAcceptsDefaultsAndBuilderChains) {
                                   .WithDmax(8.0)
                                   .WithScheduler(GreedyEngine::kSieve)
                                   .WithEpsilon(0.2)
-                                  .WithApproxSeed(9)
-                                  .WithRecordReadings(false);
+                                  .WithApproxSeed(9);
   EXPECT_TRUE(built.Validate().empty()) << built.Validate();
   EXPECT_EQ(built.scheduler, GreedyEngine::kSieve);
   EXPECT_EQ(built.approx.epsilon, 0.2);
-  EXPECT_FALSE(built.record_readings);
 }
 
 TEST(ServingConfigTest, ValidateRejectsBrokenConfigs) {
