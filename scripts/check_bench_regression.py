@@ -13,8 +13,7 @@ and borrow fig11's.
 The gate fails (exit 1), naming the row, when:
   - a given figure has no rows;
   - an IDENTITY row does not hold its flag (bit-identity, zero tolerance);
-  - a FLOORS row misses its bound, or its selector matches no row (rows
-    needing more hardware threads than the run had are skipped, warned);
+  - a FLOORS row misses its bound, or its selector matches no row;
   - against the baseline row with the same BASELINE key, a work metric
     grows more than TOLERANCE or a digest field changes. Normalized time
     above TOLERANCE only warns: shared runners jitter more than that.
@@ -29,7 +28,6 @@ figures' baseline sections (and only those) instead of checking.
 
 import argparse
 import json
-import operator
 import statistics
 import sys
 
@@ -47,30 +45,22 @@ IDENTITY = [
     ("fig11", {}, "identical"),  # indexed run == brute force
     ("fig12", {}, "identical"),  # incremental engine == per-slot rebuild
     ("fig14", {}, "identical"),  # replay == its live run, every pair
-    ("fig18", {"mode": "adaptive"}, "replay_identical"),
 ]
 
 SIEVE = {"engine": "sieve", "sensors": 100_000, "churn": 0.01}
-MEDIUM = {"mode": "adaptive", "slo_label": "medium"}
 
-# figure, row selector, metric, comparison, PR bound, nightly bound,
-# hardware threads the row needs. A callable selector value picks from
-# the figure's values of that field; a string bound names a field of the
-# same row. docs/BENCHMARKS.md gives each floor's rationale.
+# figure, row selector, metric, PR floor, nightly floor: every matching
+# row's metric must be >= the floor. A callable selector value picks from
+# the figure's values of that field. docs/BENCHMARKS.md gives each
+# floor's rationale.
 FLOORS = [
-    ("fig11", {"sensors": max}, "speedup", ">=", 10, 8, 0),
+    ("fig11", {"sensors": max}, "speedup", 10, 8),
     ("fig12", {"workload": "churn", "sensors": 100_000},
-     "turnover_speedup", ">=", 4, 3, 0),
-    ("fig13", SIEVE, "utility_ratio", ">=", 0.8, 0.70, 0),
-    ("fig13", SIEVE, "speedup_vs_exact", ">=", 20, 10, 0),
+     "turnover_speedup", 4, 3),
+    ("fig13", SIEVE, "utility_ratio", 0.8, 0.70),
+    ("fig13", SIEVE, "speedup_vs_exact", 20, 10),
     ("fig14", {"engine": "lazy", "sensors": 100_000},
-     median_pair_speedup, ">=", 0.9, 0.5, 0),
-    ("fig18", MEDIUM, "hit_rate", ">=", 0.95, 0.90, 2),
-    ("fig18", {"mode": "static", "slo_label": "medium"},
-     "spike_hit_rate", "<=", 0.5, 0.5, 2),
-    ("fig18", MEDIUM, "recovered", "==", True, True, 2),
-    ("fig18", {"mode": "adaptive", "slo_label": "loose"},
-     "lazy_slots", "==", "slots", "slots", 2),
+     median_pair_speedup, 0.9, 0.5),
 ]
 
 # figure: row key, work metrics (fatal above TOLERANCE), digest fields
@@ -87,12 +77,8 @@ BASELINE = {
               ("valuation_calls",), (), "replay_wall_ms"),
     "fig16": (("query", "sensors", "queries"), (), ("digest",),
               "soa_median_ms"),
-    "fig18": (("mode", "slo_label", "sensors", "slots"), (), (), None),
     "bench_schedulers": (("name",), (), (), "real_time_ms"),
 }
-
-OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
-
 
 def load(path):
     with open(path) as f:
@@ -132,7 +118,7 @@ def read_results(paths, error):
         else:
             fig = str(doc.get("bench", "")).split("_")[0]
         if fig not in BASELINE:
-            error(f"{path}: not a fig11-fig18 --json output or a "
+            error(f"{path}: not a fig11-fig16 --json output or a "
                   "google-benchmark report")
         if fig in figs:
             error(f"{path}: a second {fig} input")
@@ -151,8 +137,7 @@ def matching(rows, selector):
     return [r for r in rows if all(r.get(k) == v for k, v in want.items())]
 
 
-def check_floor(fig, rows, selector, metric, op, bound, threads,
-                failures, warnings):
+def check_floor(fig, rows, selector, metric, floor, failures):
     matched = matching(rows, selector)
     name = getattr(metric, "__name__", metric)
     if not matched:
@@ -160,19 +145,13 @@ def check_floor(fig, rows, selector, metric, op, bound, threads,
                         f"{name}")
     for r in matched:
         where = row_name(fig, r)
-        if r.get("hardware_threads", 0) < threads:
-            warnings.append(f"{where}: {name} SKIPPED, needs >= {threads} "
-                            f"hardware threads, run had "
-                            f"{r.get('hardware_threads', 0)}")
-            continue
         value = metric(r) if callable(metric) else r.get(metric)
-        limit = r.get(bound) if isinstance(bound, str) else bound
         if value is None:
             failures.append(f"{where}: no {name}")
-        elif not OPS[op](value, limit):
-            failures.append(f"{where}: {name} {value}, needs {op} {limit}")
+        elif not value >= floor:
+            failures.append(f"{where}: {name} {value}, needs >= {floor}")
         else:
-            print(f"ok: {where}: {name} {value} {op} {limit}")
+            print(f"ok: {where}: {name} {value} >= {floor}")
 
 
 def diff_baseline(fig, section, base_section, failures, warnings):
@@ -195,8 +174,7 @@ def diff_baseline(fig, section, base_section, failures, warnings):
             if b.get(d) and r.get(d) != b[d]:
                 failures.append(f"{where}: {d} {r.get(d)} != baseline {b[d]}"
                                 " (re-bless with --update if intended)")
-        if time_metric and cal > 0 and base_cal > 0 \
-                and b.get(time_metric, 0) > 0:
+        if cal > 0 and base_cal > 0 and b.get(time_metric, 0) > 0:
             norm, base_norm = r[time_metric] / cal, b[time_metric] / base_cal
             if norm > base_norm * limit:
                 warnings.append(f"{where}: normalized {time_metric} "
@@ -209,7 +187,7 @@ def main(argv=None):
         description="Check benchmark results against the gate tables and "
                     "the committed baseline (docs/BENCHMARKS.md).")
     ap.add_argument("results", nargs="+",
-                    help="fig11-fig18 --json outputs and bench_schedulers "
+                    help="fig11-fig16 --json outputs and bench_schedulers "
                          "--benchmark_out reports, in any order")
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--out", default="BENCH_pr.json")
@@ -245,11 +223,10 @@ def main(argv=None):
         for r in matching(figs.get(fig, {}).get("results", []), selector):
             if not r.get(field, False):
                 failures.append(f"{row_name(fig, r)}: {field} is false")
-    for fig, selector, metric, op, pr, nightly, threads in FLOORS:
+    for fig, selector, metric, pr, nightly in FLOORS:
         if figs.get(fig, {}).get("results"):
-            check_floor(fig, figs[fig]["results"], selector, metric, op,
-                        nightly if args.nightly else pr, threads,
-                        failures, warnings)
+            check_floor(fig, figs[fig]["results"], selector, metric,
+                        nightly if args.nightly else pr, failures)
     if base is None:
         warnings.append(f"no baseline at {args.baseline}; work, digest and "
                         "time diffs skipped (--update creates it)")

@@ -22,13 +22,6 @@ def fig(bench, rows, cal_ms=50.0):
     return {"bench": bench, "cal_ms": cal_ms, "results": rows}
 
 
-def slo_row(mode, label, **fields):
-    return {"mode": mode, "slo_label": label, "sensors": 40000, "slots": 48,
-            "hardware_threads": 4, "hit_rate": 1.0, "spike_hit_rate": 1.0,
-            "lazy_slots": 48, "recovered": True, "replay_identical": True,
-            **fields}
-
-
 SHAPE13 = {"sensors": 100000, "churn": 0.01, "slots": 10, "queries": 128,
            "epsilon": 0.1}
 
@@ -64,10 +57,6 @@ GOOD = {
     "fig16": fig("fig16_kernel_microbench", [
         {"query": "point", "sensors": 10000, "queries": 48,
          "digest": "53c7cd85fd25511c", "soa_median_ms": 0.2}]),
-    "fig18": fig("fig18_adaptive_slo", [
-        slo_row("static", "medium", spike_hit_rate=0.0),
-        slo_row("adaptive", "medium", hit_rate=0.97, lazy_slots=32),
-        slo_row("adaptive", "loose")]),
     "bench_schedulers": {"benchmarks": [
         {"name": "BM_PointBaseline/50", "run_type": "iteration",
          "real_time": 1000.0, "time_unit": "ns"}]},
@@ -75,7 +64,7 @@ GOOD = {
 
 # Each identity row: (figure, index of a GOOD row it gates, flag).
 IDENTITY_ROWS = [("fig11", 0, "identical"), ("fig12", 1, "identical"),
-                 ("fig14", 1, "identical"), ("fig18", 2, "replay_identical")]
+                 ("fig14", 1, "identical")]
 
 # Each floor row (figure, metric): its PR bound, its nightly bound, and a
 # value past both.
@@ -85,10 +74,6 @@ FLOOR_BOUNDS = {
     ("fig13", "utility_ratio"): (0.8, 0.70, 0.6),
     ("fig13", "speedup_vs_exact"): (20, 10, 8.0),
     ("fig14", "median_pair_speedup"): (0.9, 0.5, 0.4),
-    ("fig18", "hit_rate"): (0.95, 0.90, 0.85),
-    ("fig18", "spike_hit_rate"): (0.5, 0.5, 0.6),
-    ("fig18", "recovered"): (True, True, False),
-    ("fig18", "lazy_slots"): ("slots", "slots", 47),
 }
 
 # Each baseline check (figure, field): a work count, or a digest string.
@@ -153,14 +138,11 @@ class GateTest(unittest.TestCase):
                 row[field] = False
                 self.assert_fails(docs, gate.row_name(figure, row) +
                                   f": {field} is false")
-        docs = copy.deepcopy(GOOD)
-        docs["fig18"]["results"][0]["replay_identical"] = False  # static
-        self.assertEqual(self.run_gate(docs)[0], 0)
 
     def test_floor_rows_at_both_bounds(self):
         names = [(f, getattr(m, "__name__", m)) for f, _, m, *_ in gate.FLOORS]
         self.assertEqual(sorted(names), sorted(FLOOR_BOUNDS))
-        for figure, selector, metric, _, pr, nightly, _ in gate.FLOORS:
+        for figure, selector, metric, pr, nightly in gate.FLOORS:
             name = getattr(metric, "__name__", metric)
             with self.subTest(figure=figure, metric=name):
                 self.assertEqual((pr, nightly),
@@ -171,8 +153,6 @@ class GateTest(unittest.TestCase):
                 needle = f"{gate.row_name(figure, row)}: {name}"
                 self.assert_fails(docs, needle)
                 self.assert_fails(docs, needle, "--nightly")
-                if isinstance(pr, (bool, str)):
-                    continue
                 for flags, bound in (((), pr), (("--nightly",), nightly)):
                     set_field(docs, figure, selector, name, bound)
                     self.assertEqual(self.run_gate(docs, *flags)[0], 0)
@@ -206,18 +186,6 @@ class GateTest(unittest.TestCase):
                 docs[figure]["results" if figure != "bench_schedulers"
                              else "benchmarks"] = []
                 self.assert_fails(docs, f"{figure} produced no rows")
-
-    def test_one_thread_fig18_skips_deadline_rows(self):
-        docs = copy.deepcopy(GOOD)
-        for r in docs["fig18"]["results"]:
-            r.update(hardware_threads=1, hit_rate=0.0, spike_hit_rate=1.0,
-                     recovered=False, lazy_slots=0)
-        code, out = self.run_gate(docs)
-        self.assertEqual(code, 0, out)
-        self.assertEqual(out.count("SKIPPED"), 4)
-        docs["fig18"]["results"][2]["replay_identical"] = False
-        self.assert_fails(docs, "slo_label=loose sensors=40000 slots=48: "
-                                "replay_identical is false")
 
     def test_baseline_work_and_digest_rows(self):
         for figure, field in BASELINE_FIELDS:
@@ -274,7 +242,7 @@ class GateTest(unittest.TestCase):
             with self.subTest(doc=doc):
                 code, out = self.run_gate({**GOOD, "other": doc})
                 self.assertEqual(code, 2, out)
-                self.assertIn("other_in.json: not a fig11-fig18", out)
+                self.assertIn("other_in.json: not a fig11-fig16", out)
         code, out = self.run_gate({**GOOD, "fig11_again": GOOD["fig11"]})
         self.assertEqual(code, 2)
         self.assertIn("a second fig11 input", out)

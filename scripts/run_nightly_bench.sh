@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs the full (non --quick) fig02-fig18 benchmark suite and the alpha
-# ablation, writing each binary's stdout and the fig11-fig18 --json
+# Runs the full (non --quick) fig02-fig16 benchmark suite and the alpha
+# ablation, writing each binary's stdout and the fig11-fig16 --json
 # outputs under the log directory. Used by the scheduled nightly workflow
 # (.github/workflows/nightly.yml), whose gate step merges the JSON files
 # into BENCH_nightly.json, so the PR-path bench gate can stay on the fast
@@ -58,10 +58,5 @@ run fig14_replay --json "$LOG_DIR/fig14_nightly.json" \
 # query type, each with its outcome digest (the gate diffs the digests
 # against the committed baseline).
 run fig16_kernel_microbench --json "$LOG_DIR/fig16_nightly.json"
-# Adaptive SLO scheduling: base -> spike -> recover loops at the full
-# population, static-vs-adaptive hit rates plus the fatal
-# replay-identity column. Exits non-zero by itself if any adaptive run
-# fails to degrade, recover, or replay bit-identically.
-run fig18_adaptive_slo --json "$LOG_DIR/fig18_nightly.json"
 
 exit $status

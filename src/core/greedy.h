@@ -23,22 +23,19 @@ struct SelectionResult {
   double Utility() const { return total_value - total_cost; }
 };
 
-/// Which engine serves the Algorithm 1 selection rule. The numbers are
-/// part of the version-2 trace format (per-slot engine choices), so they
-/// are written out: 1 named the eager Algorithm 1 rescan and 2 the
-/// removed stochastic-greedy engine, and trace decode refuses both.
+/// Which engine serves the Algorithm 1 selection rule.
 enum class GreedyEngine {
   /// CELF-style lazy evaluation (src/core/lazy_greedy.h): a frontier of
   /// cached net gains where only the front is re-evaluated. Selects
   /// the identical sensor sequence as EagerGreedySensorSelection whenever
   /// the valuations are submodular, with far fewer valuation calls. The
   /// default.
-  kLazy = 0,
+  kLazy,
   /// Sieve streaming (src/core/sieve_streaming.h): threshold-bucketed
   /// single-pass selection. Deterministic; the bucket state can also be
   /// carried across slots by SieveStreamingScheduler so churn deltas are
   /// absorbed without re-streaming the whole population.
-  kSieve = 3,
+  kSieve,
 };
 
 /// Algorithm 1 ("Greedy Sensor Selection"): iteratively pick the sensor a

@@ -307,7 +307,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     const std::span<const int> scan = plan.ScanSensors();
     const size_t sample = std::min(kRefineSampleSize, scan.size());
     if (sample > 0) {
-      Rng rng(ApproxSlotSeed(slot.approx, slot.time) ^ 0x51E7EBE7C4ULL);
+      Rng rng(ApproxSlotSeed(slot) ^ 0x51E7EBE7C4ULL);
       std::vector<int> scratch(scan.begin(), scan.end());
       for (size_t i = 0; i < sample; ++i) {
         const size_t j =

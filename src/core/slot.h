@@ -37,19 +37,16 @@ struct ApproxParams {
   double epsilon = 0.1;
   /// Base seed of the per-slot RNG stream the sieve's refinement pass
   /// draws its exploration sample from. The effective stream is derived
-  /// from (seed, SlotContext::time) unless `slot_seed` pins it, so
-  /// re-running a slot samples identically (ApproxSlotSeed).
+  /// from (seed, SlotContext::time) unless SlotContext::slot_seed pins
+  /// it, so re-running a slot samples identically (ApproxSlotSeed).
   uint64_t seed = 0x5EEDC0DE5EEDC0DEULL;
-  /// Pinned per-slot stream; 0 (default) derives it from seed and time.
-  uint64_t slot_seed = 0;
 };
 
-/// The per-slot sampling stream: ApproxParams::slot_seed when set, else a
-/// splitmix64-style mix of ApproxParams::seed and `time`. The engine
-/// stamps it onto each slot context and traces record it, so a replay
-/// can pin the stream without knowing the base seed.
+/// The per-slot sampling stream derived from ApproxParams::seed and
+/// `time`: a splitmix64-style mix, never 0. The engine stamps it onto
+/// each slot context (SlotContext::slot_seed) and traces record it, so a
+/// replay can pin the stream without knowing the base seed.
 inline uint64_t ApproxSlotSeed(const ApproxParams& params, int time) {
-  if (params.slot_seed != 0) return params.slot_seed;
   // splitmix64 finalizer over seed xor a time-derived odd constant: slots
   // get well-separated streams from one base seed.
   uint64_t z = params.seed + 0x9E3779B97F4A7C15ULL *
@@ -134,11 +131,22 @@ struct SlotContext {
   std::shared_ptr<const SpatialIndex> index;
   /// Approximate-scheduler knobs (ignored by the exact engines).
   ApproxParams approx;
+  /// The sieve's per-slot sampling stream, stamped by the engine (or
+  /// pinned by replay, AcquisitionEngine::PinNextSlotSeed). 0 on a built
+  /// context: the stream is then ApproxSlotSeed(approx, time).
+  uint64_t slot_seed = 0;
   /// Slot-lifetime scratch arena (non-owning; the engine resets it at
   /// each BeginSlot). Null means scratch consumers fall back to owned
   /// heap buffers.
   SlotArena* arena = nullptr;
 };
+
+/// The sieve's sampling stream for `slot`: its stamped slot_seed, else
+/// the stream derived from (approx.seed, time).
+inline uint64_t ApproxSlotSeed(const SlotContext& slot) {
+  return slot.slot_seed != 0 ? slot.slot_seed
+                             : ApproxSlotSeed(slot.approx, slot.time);
+}
 
 /// (Re)builds `slot.index` from `slot.sensors` per `slot.index_policy`.
 /// Defined in src/index/spatial_index.cc.

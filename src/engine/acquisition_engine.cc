@@ -3,28 +3,17 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
 
 #include "core/sieve_streaming.h"
-#include "engine/adaptive_policy.h"
 #include "engine/membership_merge.h"
 #include "engine/serving_engine.h"
 #include "trace/trace_writer.h"
 
 namespace psens {
-namespace {
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 /// Presents the engine's id-keyed dynamic index as the slot-indexed
 /// SpatialIndex the schedulers consume: an id's slot index is its member
@@ -57,8 +46,7 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
     : config_(config),
       sensors_(std::move(sensors)),
       ranks_(sensors_.size()),
-      grid_batch_(std::max<size_t>(4096, sensors_.size() / 16)),
-      last_select_engine_(config.scheduler) {
+      grid_batch_(std::max<size_t>(4096, sensors_.size() / 16)) {
   const int n = static_cast<int>(sensors_.size());
   for (int i = 0; i < n; ++i) {
     assert(sensors_[i].id() == i && "registry must be id-dense");
@@ -68,10 +56,6 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
   ctx_.index_policy = config_.index_policy;
   if (!config_.trace_path.empty()) {
     TraceHeader header;
-    // Adaptive runs record their per-slot engine choices, which needs the
-    // version-2 record layout; plain runs keep writing version-1 bytes.
-    header.version =
-        config_.slo_ms > 0.0 ? kTraceVersionAdaptive : kTraceVersion;
     header.registry_count = static_cast<uint32_t>(n);
     header.registry_checksum = RegistryChecksum(sensors_);
     header.dmax = config_.dmax;
@@ -239,12 +223,12 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   // (a replay, or a rebuilt reference context in the tests) stamps the
   // same derived seed, so its sieve selections agree bit for bit.
   ctx_.approx = config_.approx;
-  ctx_.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
+  ctx_.slot_seed = ApproxSlotSeed(config_.approx, time);
   if (has_pinned_slot_seed_) {
-    ctx_.approx.slot_seed = pinned_slot_seed_;
+    ctx_.slot_seed = pinned_slot_seed_;
     has_pinned_slot_seed_ = false;
   }
-  if (trace_ != nullptr) trace_->BeginSlot(time, ctx_.approx.slot_seed);
+  if (trace_ != nullptr) trace_->BeginSlot(time, ctx_.slot_seed);
   // Privacy-decay set: announced cost drifts with wall-clock time even
   // without any event; membership never changes from it. Changed sensors
   // get the full refresh below instead. Once every history
@@ -321,60 +305,13 @@ const char* AcquisitionEngine::IndexBackendName() const {
   return ctx_.index->Name();
 }
 
-void AcquisitionEngine::PinNextSelectEngine(GreedyEngine engine) {
-  pinned_engine_ = engine;
-  has_pinned_engine_ = true;
-}
-
 SelectionResult AcquisitionEngine::Select(
     const std::vector<MultiQuery*>& queries, const SlotContext& slot,
     const SensorDelta& delta) {
-  // Replay pinning overrides everything: the recorded run already made
-  // the (wall-clock-dependent) choice, and re-deriving it would diverge.
-  if (has_pinned_engine_) {
-    has_pinned_engine_ = false;
-    SelectionResult r = SelectWith(queries, slot, delta, pinned_engine_);
-    if (trace_ != nullptr) trace_->StageEngineChoices({pinned_engine_});
-    return r;
-  }
-  if (config_.slo_ms <= 0.0) {
-    return SelectWith(queries, slot, delta, config_.scheduler);
-  }
-  // Adaptive path (ServingConfig::slo_ms > 0): choose, run self-timed,
-  // feed a lazy slot's realized latency back, and record the choice.
-  if (policy_ == nullptr) {
-    policy_ = std::make_unique<AdaptivePolicy>(config_.slo_ms,
-                                               config_.scheduler);
-  }
-  AdaptivePolicy::SlotFeatures features;
-  features.members = static_cast<int>(slot.sensors.size());
-  features.queries = static_cast<int>(queries.size());
-  const GreedyEngine engine = policy_->Choose(features, last_turnover_ms_);
-  const auto start = std::chrono::steady_clock::now();
-  SelectionResult r = SelectWith(queries, slot, delta, engine);
-  if (engine == GreedyEngine::kLazy) {
-    policy_->Observe(features, MsSince(start));
-  }
-  if (trace_ != nullptr) trace_->StageEngineChoices({engine});
-  return r;
-}
-
-SelectionResult AcquisitionEngine::SelectWith(
-    const std::vector<MultiQuery*>& queries, const SlotContext& slot,
-    const SensorDelta& delta, GreedyEngine engine) {
-  // Re-entering the sieve after another engine's slots: the carried
-  // buckets missed those slots' deltas, so the state is stale — rebuild
-  // (SelectDelta falls back to a full re-stream). Keyed purely on the
-  // choice sequence, so pinned replay choices reproduce the same resets.
-  // A static all-sieve run never transitions, so its buckets carry across
-  // every slot. (Before the first Select sieve_ is still null, so the
-  // initial last_select_engine_ value does not matter.)
-  const bool stale = last_select_engine_ != GreedyEngine::kSieve;
-  last_select_engine_ = engine;
-  if (engine != GreedyEngine::kSieve) {
+  if (config_.scheduler != GreedyEngine::kSieve) {
     return GreedySensorSelection(queries, slot);
   }
-  if (sieve_ == nullptr || stale) {
+  if (sieve_ == nullptr) {
     sieve_ = std::make_unique<SieveStreamingScheduler>(config_.approx);
   }
   return sieve_->SelectDelta(queries, slot, delta);

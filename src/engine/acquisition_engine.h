@@ -18,7 +18,6 @@
 
 namespace psens {
 
-class AdaptivePolicy;
 class SieveStreamingScheduler;
 class TraceWriter;
 
@@ -47,8 +46,9 @@ class TraceWriter;
 /// Select runs the configured scheduler (ServingConfig::scheduler) and
 /// commits Algorithm 1's proportional payments through
 /// CommitWithProportionalPayments; for GreedyEngine::kSieve it owns the
-/// cross-slot sieve bucket state, which is part of the run's determinism
-/// and therefore lives with the engine, not with any one serving loop.
+/// one cross-slot sieve bucket state, which is part of the run's
+/// determinism and therefore lives with the engine, not with any one
+/// serving loop.
 ///
 /// Contract: for a fixed input stream (registry, deltas, query batches,
 /// per-slot seeds), selections and payments are bit-identical regardless
@@ -65,7 +65,7 @@ class TraceWriter;
 class AcquisitionEngine {
  public:
   AcquisitionEngine(std::vector<Sensor> sensors, const ServingConfig& config);
-  ~AcquisitionEngine();  // out-of-line: sieve_/policy_ types are incomplete
+  ~AcquisitionEngine();  // out-of-line: the sieve_ type is incomplete
 
   // Pinned: the slot context's index view holds pointers into this
   // object (ranks_, the dynamic index), so a moved-from or copied
@@ -105,35 +105,14 @@ class AcquisitionEngine {
 
   /// Runs the configured scheduler over the bound queries and commits
   /// proportional payments. `delta` is the slot's churn delta (the sieve
-  /// absorbs it instead of re-streaming the population; the other
-  /// schedulers ignore it).
-  ///
-  /// With ServingConfig::slo_ms > 0 the scheduler is chosen per slot by
-  /// an AdaptivePolicy (the configured scheduler is the quality ceiling),
-  /// a lazy selection's realized latency is fed back to the policy's cost
-  /// model, and the chosen engine is staged onto the slot's trace record
-  /// (version-2 traces). A pinned choice (PinNextSelectEngine — the
-  /// replay path) overrides both the policy and the static config.
+  /// absorbs it instead of re-streaming the population; lazy ignores it).
   SelectionResult Select(const std::vector<MultiQuery*>& queries,
                          const SlotContext& slot, const SensorDelta& delta);
 
-  /// Reports the measured ApplyDelta+BeginSlot latency of the slot about
-  /// to be selected; the adaptive policy subtracts it from slo_ms to get
-  /// Select's remaining budget. SlotServer calls this each slot; callers
-  /// that never do simply leave the full SLO as Select's budget.
-  void NoteTurnoverMs(double ms) { last_turnover_ms_ = ms; }
-
-  /// Pins the engine for the *next* Select call, overriding the adaptive
-  /// policy and the static config for that one slot. The trace replayer
-  /// imposes each recorded slot's choice this way, so an adaptive run
-  /// replays bit-identically without re-deriving choices from
-  /// (machine-dependent) wall-clock observations.
-  void PinNextSelectEngine(GreedyEngine engine);
-
-  /// The engine the most recent Select actually ran (the configured
-  /// scheduler before the first Select). What fig18 reads to report the
-  /// adaptive engine mix.
-  GreedyEngine last_select_engine() const { return last_select_engine_; }
+  /// Does nothing. It took the slot's turnover time for the removed
+  /// adaptive SLO scheduler; perfbench's traced serving loop still calls
+  /// it, so it stays until that loop is deleted.
+  void NoteTurnoverMs(double /*ms*/) {}
 
   const std::vector<Sensor>& sensors() const { return sensors_; }
   const ServingConfig& config() const { return config_; }
@@ -178,14 +157,6 @@ class AcquisitionEngine {
   void FlushGridOps();
   void RebuildMembership(int time);
   void AttachIndex();
-  /// Runs one engine over the slot, owning the sieve lifecycle: the
-  /// cross-slot sieve state is reset when the choice sequence re-enters
-  /// kSieve from a different engine (the carried buckets missed the
-  /// intervening deltas), a rule that depends only on the choice sequence
-  /// so replayed choices reproduce the same resets.
-  SelectionResult SelectWith(const std::vector<MultiQuery*>& queries,
-                             const SlotContext& slot,
-                             const SensorDelta& delta, GreedyEngine engine);
 
   ServingConfig config_;
   std::vector<Sensor> sensors_;
@@ -228,15 +199,9 @@ class AcquisitionEngine {
   bool has_pinned_slot_seed_ = false;
 
   /// Cross-slot sieve bucket state (GreedyEngine::kSieve only), built
-  /// lazily from config().approx on the first Select.
+  /// lazily from config().approx on the first Select and carried across
+  /// every later slot.
   std::unique_ptr<SieveStreamingScheduler> sieve_;
-  /// Latency-SLO policy (ServingConfig::slo_ms > 0), built lazily.
-  std::unique_ptr<AdaptivePolicy> policy_;
-  double last_turnover_ms_ = 0.0;
-  /// One-shot engine override for the next Select (replay).
-  bool has_pinned_engine_ = false;
-  GreedyEngine pinned_engine_ = GreedyEngine::kLazy;
-  GreedyEngine last_select_engine_;
 };
 
 }  // namespace psens

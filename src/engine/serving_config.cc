@@ -19,9 +19,6 @@ std::string ServingConfig::Validate() const {
     return "working_region is inverted (max < min)";
   }
   if (!(approx.epsilon > 0.0)) return "approx.epsilon must be positive";
-  if (!std::isfinite(slo_ms) || slo_ms < 0.0) {
-    return "slo_ms must be finite and >= 0 (0 disables adaptive scheduling)";
-  }
   return std::string();
 }
 

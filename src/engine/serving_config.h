@@ -36,8 +36,8 @@ struct ServingConfig {
   SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   /// Approximate-scheduler knobs, stamped onto every slot context.
   /// BeginSlot derives the per-slot RNG stream from (approx.seed, time)
-  /// unless approx.slot_seed pins it, so a sieve selection re-run for the
-  /// same slot is reproducible (ApproxSlotSeed, core/slot.h).
+  /// and stamps it as SlotContext::slot_seed, so a sieve selection re-run
+  /// for the same slot is reproducible (ApproxSlotSeed, core/slot.h).
   ApproxParams approx;
   /// When non-empty, the serving engine records its input stream — every
   /// ApplyDelta/ApplyTrace change and every BeginSlot with its stamped
@@ -49,19 +49,6 @@ struct ServingConfig {
   /// re-runs too. A constant, not a knob: traces do not record it, so a
   /// run without feedback could not be replayed.
   static constexpr bool record_readings = true;
-  /// Per-slot latency budget in milliseconds for the adaptive scheduler
-  /// (src/engine/adaptive_policy.h). 0 (default): static scheduling —
-  /// `scheduler` runs every slot exactly as configured. > 0:
-  /// AcquisitionEngine::Select consults an AdaptivePolicy
-  /// each slot, treating `scheduler` as the quality *ceiling* and
-  /// degrading from lazy to the sieve when the policy's cost model
-  /// predicts lazy would blow the remaining budget (slo_ms minus
-  /// the slot's measured turnover time).
-  /// Chosen engines are recorded per slot in version-2 traces, so an
-  /// adaptive run — whose live choices depend on wall-clock observations —
-  /// still replays bit-identically (the replayer pins the recorded
-  /// choice via PinNextSelectEngine).
-  double slo_ms = 0.0;
 
   // Builder-style setters, so call sites can assemble a config in one
   // expression (`ServingConfig().WithRegion(field).WithDmax(8.0)`).

@@ -44,9 +44,6 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
     slot = &engine_->BeginSlot(time);
     out.turnover_ms = MsSince(start);
   }
-  // The adaptive policy budgets Select against slo_ms minus this slot's
-  // turnover; a no-op for static (slo_ms == 0) engines.
-  engine_->NoteTurnoverMs(out.turnover_ms);
 
   // Recording: the delta was journaled by ApplyDelta; the queries attach
   // to the record BeginSlot just opened.
@@ -77,10 +74,8 @@ SlotOutcome SlotServer::ServeSlot(int time, const SensorDelta& delta,
     // in live and replayed runs.
     // A refused delta changed nothing and was not journaled, so the slot
     // selects as delta-free, exactly as its replay does.
-    const SteadyClock::time_point start = SteadyClock::now();
     out.selection =
         engine_->Select(all, *slot, applied ? delta : SensorDelta{});
-    out.selection_ms = MsSince(start);
   }
 
   for (const MultiQuery* q : all) out.total_payment += q->TotalPayment();

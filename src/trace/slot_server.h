@@ -30,7 +30,6 @@ struct SlotOutcome {
   SelectionResult selection;
   double total_payment = 0.0;
   double turnover_ms = 0.0;
-  double selection_ms = 0.0;
   double total_ms = 0.0;
 };
 
@@ -42,7 +41,7 @@ bool SameOutcome(const SlotOutcome& a, const SlotOutcome& b);
 
 /// The one serving step, shared by every consumer of a ServingEngine —
 /// the live closed loop (trace/closed_loop.h), the trace replayer
-/// (trace/trace_replayer.h), and the fig14/fig18 benches: apply the
+/// (trace/trace_replayer.h), and the fig14 bench: apply the
 /// slot's churn delta, begin the slot, bind the query batch, run the
 /// engine's configured scheduler, charge payments, and feed the
 /// purchased readings back into the engine's energy/privacy state. Live

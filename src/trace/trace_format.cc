@@ -9,17 +9,9 @@
 namespace psens {
 namespace {
 
-/// The engine a version-2 engine-choice value stood for before that
-/// engine left serving, or null for a value that is still served or was
-/// never used. Decode refuses these by name: serving the slot with
-/// another engine would silently diverge from the recording.
-const char* RemovedEngineName(int32_t choice) {
-  switch (choice) {
-    case 1: return "eager Algorithm 1";
-    case 2: return "stochastic-greedy";
-    default: return nullptr;
-  }
-}
+/// The version whose slot records carried the removed adaptive SLO
+/// scheduler's engine choices.
+constexpr uint32_t kAdaptiveSloTraceVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Little-endian primitive encoding. memcpy through fixed-width integers
@@ -306,10 +298,15 @@ bool DecodeHeader(const char* data, size_t size, uint64_t file_size,
     *error = "trace truncated: header fields incomplete";
     return false;
   }
-  if (header->version < kTraceVersion || header->version > kTraceVersionMax) {
+  if (header->version == kAdaptiveSloTraceVersion) {
+    *error = "trace version 2 records the engine choices of the adaptive SLO "
+             "scheduler, which was removed from serving; this trace cannot "
+             "be replayed";
+    return false;
+  }
+  if (header->version != kTraceVersion) {
     *error = "version skew: trace version " + std::to_string(header->version) +
-             ", reader supports versions " + std::to_string(kTraceVersion) +
-             ".." + std::to_string(kTraceVersionMax);
+             ", reader supports version " + std::to_string(kTraceVersion);
     return false;
   }
   if (header_bytes != kTraceHeaderBytes) {
@@ -334,8 +331,7 @@ bool DecodeHeader(const char* data, size_t size, uint64_t file_size,
   return true;
 }
 
-void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
-                      uint32_t version) {
+void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out) {
   PutU32(kSlotRecordMagic, out);
   PutI32(record.time, out);
   PutU64(record.slot_seed, out);
@@ -378,18 +374,10 @@ void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
     PutF64(p.sensing_range, out);
     PutF64(p.cell_size, out);
   }
-  // Version >= 2: the adaptive engine-choice section. Version-gated so
-  // every v1 record byte stays exactly what the golden fixture pins.
-  if (version >= kTraceVersionAdaptive) {
-    PutU32(static_cast<uint32_t>(record.engine_choices.size()), out);
-    for (GreedyEngine e : record.engine_choices) {
-      PutI32(static_cast<int32_t>(e), out);
-    }
-  }
 }
 
 bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
-                      std::string* error, uint32_t version) {
+                      std::string* error) {
   Cursor c(data, size);
   uint32_t magic = 0;
   if (!c.GetU32(&magic) || magic != kSlotRecordMagic) {
@@ -465,32 +453,6 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetF64(&p.sensing_range);
     c.GetF64(&p.cell_size);
     if (!CheckAggregateParams(p, error)) return false;
-  }
-  record->engine_choices.clear();
-  if (version >= kTraceVersionAdaptive) {
-    if (!c.GetCount(sizeof(int32_t), &n)) {
-      *error = "corrupt slot record: engine-choice count exceeds record "
-               "payload";
-      return false;
-    }
-    record->engine_choices.resize(n);
-    for (GreedyEngine& e : record->engine_choices) {
-      int32_t raw = 0;
-      c.GetI32(&raw);
-      if (const char* removed = RemovedEngineName(raw)) {
-        *error = "engine choice " + std::to_string(raw) + " names the " +
-                 removed + " engine, which was removed from serving; this "
-                 "trace cannot be replayed";
-        return false;
-      }
-      if (raw < static_cast<int32_t>(GreedyEngine::kLazy) ||
-          raw > static_cast<int32_t>(GreedyEngine::kSieve)) {
-        *error = "corrupt slot record: engine choice " + std::to_string(raw) +
-                 " out of range";
-        return false;
-      }
-      e = static_cast<GreedyEngine>(raw);
-    }
   }
   if (!c.AtEnd()) {
     *error = "corrupt slot record: " + std::to_string(c.remaining()) +

@@ -7,7 +7,6 @@
 
 #include "common/geometry.h"
 #include "core/aggregate_query.h"
-#include "core/greedy.h"
 #include "core/point_query.h"
 #include "core/sensor.h"
 #include "core/sensor_delta.h"
@@ -36,18 +35,12 @@ namespace psens {
 ///            u64 slot_seed |
 ///            u32 n + entries for: arrivals, departures, moves,
 ///            price_changes, point queries, aggregate queries
-///            [version >= 2] u32 n + i32 engine per adaptive engine
-///            choice (empty on slots where Select never ran)
 ///
-/// Version 2 (kTraceVersionAdaptive) appends the per-slot engine-choice
-/// section so an adaptively scheduled run (ServingConfig::slo_ms) can be
-/// replayed bit-identically: live, the choice depends on wall-clock cost
-/// observations; replayed, the recorded choice is pinned. An engine
-/// choice is the GreedyEngine value (0 lazy, 3 sieve); decode refuses 1
-/// and 2, which named engines since removed from serving (eager
-/// Algorithm 1 and stochastic greedy), naming the slot. Non-adaptive runs
-/// keep recording version 1, whose bytes are unchanged (the golden v1
-/// fixture still pins them).
+/// Version 2 appended to every slot record the engines the adaptive SLO
+/// scheduler chose. That scheduler was removed, and a replay without its
+/// choices would silently diverge, so DecodeHeader refuses a version-2
+/// trace and names it. Version 1 is the only layout written or read (the
+/// golden v1 fixture pins its bytes).
 ///
 /// The header's min_sample and sample_hint fields sized the removed
 /// stochastic-greedy engine's samples. They stay in the layout, are
@@ -58,10 +51,6 @@ namespace psens {
 /// was never finalized (crash mid-record) and counts records itself.
 inline constexpr char kTraceMagic[8] = {'P', 'S', 'E', 'N', 'S', 'T', 'R', 'C'};
 inline constexpr uint32_t kTraceVersion = 1;
-/// Trace version carrying per-slot adaptive engine choices.
-inline constexpr uint32_t kTraceVersionAdaptive = 2;
-/// Highest version this reader/writer pair supports.
-inline constexpr uint32_t kTraceVersionMax = 2;
 inline constexpr uint32_t kTraceHeaderBytes = 96;
 inline constexpr uint32_t kSlotRecordMagic = 0x544F4C53u;  // "SLOT"
 inline constexpr uint32_t kSlotCountOpen = 0xFFFFFFFFu;
@@ -77,8 +66,8 @@ struct TraceHeader {
   uint64_t registry_checksum = 0;
   double dmax = 5.0;
   Rect working_region;
-  /// ServingConfig::approx at record time (slot_seed excluded: the
-  /// *effective* per-slot seed is recorded on every slot record instead).
+  /// ServingConfig::approx at record time. The per-slot seed the engine
+  /// derived from it is recorded on every slot record.
   uint64_t approx_seed = 0;
   double epsilon = 0.1;
   /// Format fields only: written as these defaults, ignored on read.
@@ -97,14 +86,6 @@ struct TraceSlotRecord {
   SensorDelta delta;
   std::vector<PointQuery> point_queries;
   std::vector<AggregateQuery::Params> aggregate_queries;
-  /// Version >= 2 only: the engine the adaptive policy chose for this
-  /// slot's Select — one entry, or none when Select never ran (query-free
-  /// slots) or the run was not adaptive. Replay pins it
-  /// (AcquisitionEngine::PinNextSelectEngine) so the schedule reproduces
-  /// bit for bit. The on-disk section is a list; records with more than
-  /// one entry came from per-shard scheduler passes and TraceReplayer
-  /// refuses them.
-  std::vector<GreedyEngine> engine_choices;
 };
 
 /// Fully decoded trace.
@@ -122,21 +103,17 @@ uint64_t RegistryChecksum(const std::vector<Sensor>& sensors);
 /// Serializes `record` (without the leading payload_bytes field) onto
 /// `out`. Deterministic byte-for-byte: the same record always encodes to
 /// the same bytes, which is what the golden round-trip test pins.
-/// `version` selects the record layout: 1 omits the engine-choice
-/// section (v1 bytes are unchanged by the v2 extension), 2 appends it.
-void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
-                      uint32_t version = kTraceVersion);
+void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out);
 
-/// Decodes one slot-record payload (the bytes after payload_bytes) laid
-/// out per `version` (the containing trace header's). Returns false and
-/// sets `*error` on any malformed input — bad magic, counts exceeding
-/// the payload, trailing bytes, aggregate params that AggregateQuery
-/// cannot bind (non-finite, non-positive cell size, negative range,
-/// inverted region, grid above AggregateQuery::kMaxCells) — without
-/// reading out of bounds. The delta's values and ids are checked
+/// Decodes one slot-record payload (the bytes after payload_bytes).
+/// Returns false and sets `*error` on any malformed input — bad magic,
+/// counts exceeding the payload, trailing bytes, aggregate params that
+/// AggregateQuery cannot bind (non-finite, non-positive cell size,
+/// negative range, inverted region, grid above AggregateQuery::kMaxCells)
+/// — without reading out of bounds. The delta's values and ids are checked
 /// separately, by ValidateSensorDelta in TraceFile::DecodeSlot.
 bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
-                      std::string* error, uint32_t version = kTraceVersion);
+                      std::string* error);
 
 /// Serializes the 96-byte header.
 void EncodeHeader(const TraceHeader& header, std::string* out);
@@ -146,9 +123,11 @@ void EncodeHeader(const TraceHeader& header, std::string* out);
 /// the in-place slot-count patch.
 void AppendU32LE(uint32_t v, std::string* out);
 
-/// Decodes and validates a header. `file_size` bounds the slot count
-/// sanity check: a finalized slot_count no record stream of `file_size`
-/// bytes could hold is rejected as corruption.
+/// Decodes and validates a header. Any version but kTraceVersion is
+/// refused (version 2 with a message naming the removed adaptive SLO
+/// scheduler). `file_size` bounds the slot count sanity check: a
+/// finalized slot_count no record stream of `file_size` bytes could hold
+/// is rejected as corruption.
 bool DecodeHeader(const char* data, size_t size, uint64_t file_size,
                   TraceHeader* header, std::string* error);
 

@@ -83,7 +83,7 @@ bool TraceFile::DecodeSlot(int i, TraceSlotRecord* record,
                            std::string* error) const {
   const RecordSpan& span = records_[static_cast<size_t>(i)];
   if (!DecodeSlotRecord(bytes_.data() + span.offset, span.size, record,
-                        error, header_.version)) {
+                        error)) {
     *error = "slot " + std::to_string(i) + ": " + *error;
     return false;
   }

@@ -64,20 +64,7 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
     if (!trace.DecodeSlot(static_cast<int>(i), &record, &result.error)) {
       return result;
     }
-    if (record.engine_choices.size() > 1) {
-      // Only per-shard scheduler passes (no longer supported) recorded
-      // more than one engine per slot; serving the first choice alone
-      // would silently diverge from the recorded run.
-      result.error = "slot " + std::to_string(i) + ": records " +
-                     std::to_string(record.engine_choices.size()) +
-                     " engine choices (a per-shard scheduler run); only "
-                     "single-engine traces can be replayed";
-      return result;
-    }
     engine->PinNextSlotSeed(record.slot_seed);
-    if (!record.engine_choices.empty()) {
-      engine->PinNextSelectEngine(record.engine_choices[0]);
-    }
     SlotQueryBatch batch;
     batch.points = std::move(record.point_queries);
     batch.aggregates = std::move(record.aggregate_queries);

@@ -27,17 +27,14 @@ struct ReplayResult {
 /// Re-drives a recorded serving run against a fresh engine: loads the
 /// trace, refuses a registry whose checksum differs from the recorded
 /// one, then decodes and serves one slot record at a time (delta + query
-/// batch, with the recorded per-slot approx seed and adaptive engine
-/// choice pinned) through the same SlotServer the live loop used. The
-/// working region, dmax, epsilon and base approx seed come from the
-/// trace header; the rest of the replaying engine's ServingConfig
-/// (scheduler, index policy, readings feedback) is the caller's. A
-/// header whose values the serving config refuses
+/// batch, with the recorded per-slot approx seed pinned) through the
+/// same SlotServer the live loop used. The working region, dmax, epsilon
+/// and base approx seed come from the trace header; the rest of the
+/// replaying engine's ServingConfig (scheduler, index policy) is the
+/// caller's. A header whose values the serving config refuses
 /// (ServingConfig::Validate) returns that message in ReplayResult::error
-/// before any engine is built. A version-2 record carrying more than one
-/// engine choice (written by the removed per-shard scheduler passes) is
-/// refused with an error naming the slot. Monitors attach to replays
-/// exactly as to live runs.
+/// before any engine is built. Monitors attach to replays exactly as to
+/// live runs.
 class TraceReplayer {
  public:
   explicit TraceReplayer(const ServingConfig& serving);

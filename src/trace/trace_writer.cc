@@ -25,13 +25,12 @@ void ClearRecord(TraceSlotRecord* record) {
   record->delta.price_changes.clear();
   record->point_queries.clear();
   record->aggregate_queries.clear();
-  record->engine_choices.clear();
 }
 
 bool WriteRecord(std::FILE* file, const TraceSlotRecord& record,
-                 std::string* scratch, uint32_t version) {
+                 std::string* scratch) {
   scratch->clear();
-  EncodeSlotRecord(record, scratch, version);
+  EncodeSlotRecord(record, scratch);
   std::string framed;
   framed.reserve(scratch->size() + sizeof(uint32_t));
   // Length prefix first: the reader walks records by it and validates it
@@ -51,12 +50,6 @@ std::unique_ptr<TraceWriter> TraceWriter::Open(const std::string& path,
     return nullptr;
   }
   TraceHeader open_header = header;
-  // Clamp, don't trust: a header assembled with a stray version must not
-  // produce a file no reader accepts.
-  if (open_header.version < kTraceVersion) open_header.version = kTraceVersion;
-  if (open_header.version > kTraceVersionMax) {
-    open_header.version = kTraceVersionMax;
-  }
   open_header.slot_count = kSlotCountOpen;
   std::string bytes;
   EncodeHeader(open_header, &bytes);
@@ -66,12 +59,11 @@ std::unique_ptr<TraceWriter> TraceWriter::Open(const std::string& path,
     std::fclose(file);
     return nullptr;
   }
-  return std::unique_ptr<TraceWriter>(
-      new TraceWriter(file, path, open_header.version));
+  return std::unique_ptr<TraceWriter>(new TraceWriter(file, path));
 }
 
-TraceWriter::TraceWriter(std::FILE* file, std::string path, uint32_t version)
-    : file_(file), path_(std::move(path)), version_(version) {}
+TraceWriter::TraceWriter(std::FILE* file, std::string path)
+    : file_(file), path_(std::move(path)) {}
 
 TraceWriter::~TraceWriter() { Finish(); }
 
@@ -122,24 +114,9 @@ void TraceWriter::StageAggregateQueries(
                                  queries.begin(), queries.end());
 }
 
-void TraceWriter::StageEngineChoices(const std::vector<GreedyEngine>& engines) {
-  if (file_ == nullptr) return;
-  if (version_ < kTraceVersionAdaptive) return;
-  if (!slot_open_) {
-    if (!warned_no_slot_) {
-      std::fprintf(stderr,
-                   "TraceWriter: engine choices staged before the first "
-                   "BeginSlot are dropped\n");
-      warned_no_slot_ = true;
-    }
-    return;
-  }
-  open_.engine_choices = engines;
-}
-
 void TraceWriter::FlushOpenSlot() {
   if (!slot_open_) return;
-  if (!WriteRecord(file_, open_, &scratch_, version_)) write_failed_ = true;
+  if (!WriteRecord(file_, open_, &scratch_)) write_failed_ = true;
   slot_open_ = false;
   ++slots_written_;
 }
@@ -176,9 +153,6 @@ bool WriteTraceFile(const std::string& path, const TraceData& data) {
     writer->BeginSlot(slot.time, slot.slot_seed);
     writer->StagePointQueries(slot.point_queries);
     writer->StageAggregateQueries(slot.aggregate_queries);
-    if (!slot.engine_choices.empty()) {
-      writer->StageEngineChoices(slot.engine_choices);
-    }
   }
   return writer->Finish();
 }

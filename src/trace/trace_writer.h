@@ -25,11 +25,8 @@ namespace psens {
 /// recognizes as unfinalized rather than silently short.
 class TraceWriter {
  public:
-  /// Opens `path` and writes the header. The header's `version` picks
-  /// the record layout (kTraceVersion for plain runs, a value up to
-  /// kTraceVersionMax for extended layouts; out-of-range versions are
-  /// clamped into that range). Returns null (with a message on stderr)
-  /// when the file cannot be created.
+  /// Opens `path` and writes the header. Returns null (with a message on
+  /// stderr) when the file cannot be created.
   static std::unique_ptr<TraceWriter> Open(const std::string& path,
                                            const TraceHeader& header);
 
@@ -54,28 +51,20 @@ class TraceWriter {
   void StageAggregateQueries(
       const std::vector<AggregateQuery::Params>& queries);
 
-  /// Attach the adaptive policy's engine choices to the open slot record
-  /// (AcquisitionEngine::Select calls this as it dispatches). Recorded only
-  /// when the trace was opened at kTraceVersionAdaptive or later — on a
-  /// version-1 writer this is a no-op, keeping v1 bytes choice-free.
-  void StageEngineChoices(const std::vector<GreedyEngine>& engines);
-
   /// Flushes the open record, patches the header's slot count, and
   /// closes the file. Idempotent. Returns false if any write failed.
   bool Finish();
 
   int slots_written() const { return slots_written_; }
   const std::string& path() const { return path_; }
-  uint32_t version() const { return version_; }
 
  private:
-  TraceWriter(std::FILE* file, std::string path, uint32_t version);
+  TraceWriter(std::FILE* file, std::string path);
 
   void FlushOpenSlot();
 
   std::FILE* file_ = nullptr;
   std::string path_;
-  uint32_t version_ = kTraceVersion;
   std::string scratch_;
   TraceSlotRecord open_;
   SensorDelta staged_delta_;

@@ -1,10 +1,11 @@
 // Tests of the approximate scheduler (src/core/sieve_streaming.h):
 // guarantee-band checks against the exact engines on seeded submodular
-// instances, the refinement pass against the lazy engine as an oracle,
-// sieve bucket-state correctness across churn slots,
-// determinism under a fixed seed, the per-slot seed derivation its
-// exploration sample draws from, and the Theorem 1 payment properties it
-// inherits from Algorithm 1's proportional commit rule.
+// instances, the refinement pass against the lazy engine as an oracle and
+// its utility floor against eager Algorithm 1, sieve bucket-state
+// correctness across churn slots, determinism under a fixed seed, the
+// per-slot seed derivation its exploration sample draws from, and the
+// Theorem 1 payment properties it inherits from Algorithm 1's
+// proportional commit rule.
 
 #include <gtest/gtest.h>
 
@@ -192,6 +193,33 @@ TEST(SieveRefinementOracleTest, RefinementMatchesLazyUnlessTheWinnerBeatsIt) {
   EXPECT_GE(selecting, 50);
 }
 
+double RunUtility(const SlotContext& slot, int num_queries, uint64_t seed,
+                  SelectFn select) {
+  return RunEngine(slot, num_queries, seed, select).result.Utility();
+}
+
+// The refinement pass's utility floor against eager Algorithm 1 on
+// submodular coverage instances.
+TEST(SieveRefinementTest, RefinedSieveClearsTheFloor) {
+  double sum_refined = 0.0;
+  double sum_exact = 0.0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const SlotContext slot = MakeUniformThetaSlot(60, 2500 + trial);
+    const double exact =
+        RunUtility(slot, 10, 2900 + trial, EagerGreedySensorSelection);
+    ASSERT_GT(exact, 0.0) << "degenerate trial " << trial;
+    const double refined =
+        RunUtility(slot, 10, 2900 + trial, SieveStreamingSensorSelection);
+    // Per-instance floor, below the 0.8 fig13 aggregate gate to absorb
+    // single-instance variance.
+    EXPECT_GE(refined, 0.7 * exact) << "trial " << trial;
+    sum_refined += refined;
+    sum_exact += exact;
+  }
+  // The fig13 quality gate's target, averaged over the trials.
+  EXPECT_GE(sum_refined, 0.8 * sum_exact);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: fixed seed, reproducible sample stream
 // ---------------------------------------------------------------------------
@@ -226,8 +254,13 @@ TEST(ApproxSchedulerTest, SlotSeedDerivationIsStableAndPinnable) {
   const uint64_t s5 = ApproxSlotSeed(params, 5);
   EXPECT_EQ(s5, ApproxSlotSeed(params, 5));
   EXPECT_NE(s5, ApproxSlotSeed(params, 6));
-  params.slot_seed = 1234;
-  EXPECT_EQ(ApproxSlotSeed(params, 5), 1234u);
+  // A built slot (slot_seed 0) derives its stream; a stamped one pins it.
+  SlotContext slot;
+  slot.approx = params;
+  slot.time = 5;
+  EXPECT_EQ(ApproxSlotSeed(slot), s5);
+  slot.slot_seed = 1234;
+  EXPECT_EQ(ApproxSlotSeed(slot), 1234u);
   // Pinned values: traces record these seeds, so the derivation's bits
   // are part of the replay contract.
   ApproxParams pinned;
@@ -253,13 +286,13 @@ TEST(ApproxSchedulerTest, EngineStampsDerivedSlotSeed) {
   config.approx.seed = 321;
   AcquisitionEngine engine(sensors, config);
   const SlotContext& slot = engine.BeginSlot(3);
-  EXPECT_EQ(slot.approx.slot_seed, ApproxSlotSeed(config.approx, 3));
+  EXPECT_EQ(slot.slot_seed, ApproxSlotSeed(config.approx, 3));
   EXPECT_EQ(slot.approx.epsilon, config.approx.epsilon);
 
   SlotContext rebuilt = BuildSlotContext(
       engine.sensors(), config.working_region, 3, config.dmax);
   rebuilt.approx = config.approx;
-  rebuilt.approx.slot_seed = ApproxSlotSeed(config.approx, 3);
+  rebuilt.slot_seed = ApproxSlotSeed(config.approx, 3);
   const EngineRun live = RunEngine(slot, 4, 9, SieveStreamingSensorSelection);
   const EngineRun reference =
       RunEngine(rebuilt, 4, 9, SieveStreamingSensorSelection);

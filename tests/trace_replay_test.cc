@@ -5,10 +5,10 @@
 // serving engines, and for a sieve trace rewritten with a different
 // header base seed (the per-slot seeds persisted in the records carry
 // reproduction; perturbing them must show). Also: a header the serving
-// config refuses, and records naming an engine the replayer cannot
-// serve, fail with an error instead of aborting or diverging; a delta the
-// live engine refuses selects as its replay does; the replay rate leaves
-// out the cold-build record.
+// config refuses, and a version-2 trace of the removed adaptive SLO
+// scheduler, fail with an error instead of aborting or diverging; a delta
+// the live engine refuses selects as its replay does; the replay rate
+// leaves out the cold-build record.
 
 #include <gtest/gtest.h>
 
@@ -189,101 +189,33 @@ TEST(TraceReplayTest, MismatchedRegistryIsRefused) {
   std::remove(path.c_str());
 }
 
-// Version-2 slot records carry a list of engine choices. A single choice
-// (the adaptive policy's) is pinned and replays bit-identically; more
-// than one came from per-shard scheduler passes, which the single engine
-// cannot reproduce, so the replayer refuses the trace and names the slot
-// instead of silently serving the first choice.
-TEST(TraceReplayTest, MultiEngineChoiceRecordsAreRefused) {
+// Version-2 traces recorded the engine choices of the adaptive SLO
+// scheduler, since removed. Load refuses one and names that scheduler;
+// replaying it without the choices would silently diverge.
+TEST(TraceReplayTest, AdaptiveSloTraceIsRefusedAtLoad) {
   const ChurnScenarioSetup setup = MakeSetup();
-  const std::string live_path = TracePath("replay_choices_live.trc");
-  const ClosedLoopResult live =
-      RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kLazy, live_path));
+  const std::string live_path = TracePath("replay_v2_live.trc");
+  ClosedLoopConfig config = MakeLoopConfig(GreedyEngine::kLazy, live_path);
+  config.slots = 2;
+  RunChurnClosedLoop(setup, config);
   TraceData data;
   std::string error;
   ASSERT_TRUE(ReadTraceFile(live_path, &data, &error)) << error;
   std::remove(live_path.c_str());
 
-  data.header.version = kTraceVersionAdaptive;
-  for (TraceSlotRecord& slot : data.slots) {
-    if (!slot.point_queries.empty() || !slot.aggregate_queries.empty()) {
-      slot.engine_choices = {GreedyEngine::kLazy};
-    }
-  }
-  const std::string single_path = TracePath("replay_choices_single.trc");
-  ASSERT_TRUE(WriteTraceFile(single_path, data));
-  const TraceReplayer replayer(
-      ServingConfig().WithScheduler(GreedyEngine::kLazy));
-  const ReplayResult single =
-      replayer.Replay(single_path, setup.scenario.sensors);
-  ASSERT_TRUE(single.ok) << single.error;
-  ExpectSameOutcomes(live.outcomes, single.outcomes);
-  std::remove(single_path.c_str());
-
-  data.slots[3].engine_choices = {GreedyEngine::kLazy, GreedyEngine::kSieve};
-  const std::string multi_path = TracePath("replay_choices_multi.trc");
-  ASSERT_TRUE(WriteTraceFile(multi_path, data));
-  const ReplayResult multi =
-      replayer.Replay(multi_path, setup.scenario.sensors);
-  EXPECT_FALSE(multi.ok);
-  EXPECT_NE(multi.error.find("slot 3"), std::string::npos) << multi.error;
-  EXPECT_NE(multi.error.find("engine choices"), std::string::npos)
-      << multi.error;
-  std::remove(multi_path.c_str());
-}
-
-// Version-2 engine choices are GreedyEngine values. 1 named eager
-// Algorithm 1 and 2 stochastic greedy, engines since removed from
-// serving: decode refuses each, naming the slot, rather than serve the
-// slot with some other engine. Lazy (0) and sieve (3) choices still
-// decode.
-TEST(TraceReplayTest, RemovedEngineChoiceIsRefused) {
-  const ChurnScenarioSetup setup = MakeSetup();
-  const std::string live_path = TracePath("replay_removed_live.trc");
-  RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kLazy, live_path));
-  TraceData data;
-  std::string error;
-  ASSERT_TRUE(ReadTraceFile(live_path, &data, &error)) << error;
-  std::remove(live_path.c_str());
-  ASSERT_GT(data.slots.size(), 4u);
-
-  data.header.version = kTraceVersionAdaptive;
-  data.slots[1].engine_choices = {GreedyEngine::kLazy};
-  data.slots[4].engine_choices = {GreedyEngine::kSieve};
-  const std::string kept_path = TracePath("replay_removed_kept.trc");
-  ASSERT_TRUE(WriteTraceFile(kept_path, data));
-  TraceData kept;
-  ASSERT_TRUE(ReadTraceFile(kept_path, &kept, &error)) << error;
-  EXPECT_EQ(kept.slots[1].engine_choices,
-            std::vector<GreedyEngine>{GreedyEngine::kLazy});
-  EXPECT_EQ(kept.slots[4].engine_choices,
-            std::vector<GreedyEngine>{GreedyEngine::kSieve});
-  std::remove(kept_path.c_str());
-
-  for (const int removed : {1, 2}) {
-    SCOPED_TRACE(removed);
-    data.slots[3].engine_choices = {static_cast<GreedyEngine>(removed)};
-    const std::string removed_path = TracePath("replay_removed_engine.trc");
-    ASSERT_TRUE(WriteTraceFile(removed_path, data));
-    TraceFile trace;
-    ASSERT_TRUE(trace.Load(removed_path, &error)) << error;
-    TraceSlotRecord record;
-    EXPECT_FALSE(trace.DecodeSlot(3, &record, &error));
-    EXPECT_NE(error.find("slot 3"), std::string::npos) << error;
-    EXPECT_NE(error.find("engine choice " + std::to_string(removed)),
-              std::string::npos)
-        << error;
-    EXPECT_NE(error.find("removed"), std::string::npos) << error;
-
-    const ReplayResult replayed = TraceReplayer(ServingConfig{}).Replay(
-        removed_path, setup.scenario.sensors);
-    EXPECT_FALSE(replayed.ok);
-    EXPECT_NE(replayed.error.find("slot 3"), std::string::npos)
-        << replayed.error;
-    EXPECT_NE(replayed.error.find("removed"), std::string::npos)
-        << replayed.error;
-    std::remove(removed_path.c_str());
-  }
+  data.header.version = 2;
+  const std::string path = TracePath("replay_v2.trc");
+  ASSERT_TRUE(WriteTraceFile(path, data));
+  TraceFile trace;
+  EXPECT_FALSE(trace.Load(path, &error));
+  EXPECT_NE(error.find("adaptive SLO scheduler"), std::string::npos)
+      << error;
+  const ReplayResult replayed =
+      TraceReplayer(ServingConfig{}).Replay(path, setup.scenario.sensors);
+  EXPECT_FALSE(replayed.ok);
+  EXPECT_NE(replayed.error.find("adaptive SLO scheduler"), std::string::npos)
+      << replayed.error;
+  std::remove(path.c_str());
 }
 
 // TraceFile::Load checks the header's layout, not its values. A header
@@ -429,6 +361,7 @@ TEST(TraceReplayTest, RecordedTraceHasOneRecordPerServedSlot) {
   TraceFile trace;
   std::string error;
   ASSERT_TRUE(trace.Load(path, &error)) << error;
+  EXPECT_EQ(trace.header().version, kTraceVersion);
   EXPECT_EQ(trace.num_slots(), kSlots + 1);
   EXPECT_EQ(trace.header().registry_count,
             static_cast<uint32_t>(setup.scenario.sensors.size()));
