@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/parallel_for.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "data/ozone_trace.h"
 #include "mobility/synthetic_nokia.h"
 #include "sim/experiments.h"
@@ -34,11 +34,10 @@ void Run(const BenchArgs& args) {
   history.DaySlice(0, &hist_times, &hist_values);
 
   // Sweep points are independent runs (the monitoring simulation itself is
-  // sequential in its slots): shard them over the pool, report in order.
+  // sequential in its slots): shard them over threads, report in order.
   const std::vector<double> alphas = {0.0, 0.25, 0.5, 0.75, 1.0};
   std::vector<psens::ExperimentResult> results(alphas.size());
-  psens::ThreadPool pool(psens::ThreadPool::ResolveParallelism(args.threads));
-  pool.ParallelFor(static_cast<int>(alphas.size()), [&](int i) {
+  psens::ParallelFor(static_cast<int>(alphas.size()), args.threads, [&](int i) {
     psens::LocationMonitoringExperimentConfig config;
     config.trace = &trace;
     config.working_region = working;

@@ -140,8 +140,8 @@ void BM_PointExperimentParallel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * config.num_slots);
 }
-// UseRealTime: the work runs on pool workers, so wall clock — not the
-// main thread's CPU time — is the meaningful rate base.
+// UseRealTime: the work runs on ParallelFor's helper threads too, so wall
+// clock — not the main thread's CPU time — is the meaningful rate base.
 BENCHMARK(BM_PointExperimentParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/parallel_for.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "mobility/synthetic_nokia.h"
 #include "sim/experiments.h"
 
@@ -30,14 +30,13 @@ void Run(const BenchArgs& args) {
   psens::Table satisfaction({"num_queries", "Optimal", "LocalSearch", "Baseline"});
 
   // Every (query count, scheduler) sweep point is an independent
-  // simulation: shard them over the pool and assemble the tables in sweep
+  // simulation: shard them over threads and assemble the tables in sweep
   // order afterwards. Slot-level parallelism inside RunPointExperiment is
   // disabled (parallelism = 1) — the sweep grid is the coarser, better
   // grain.
   const int points = static_cast<int>(query_counts.size() * schedulers.size());
   std::vector<psens::ExperimentResult> results(points);
-  psens::ThreadPool pool(psens::ThreadPool::ResolveParallelism(args.threads));
-  pool.ParallelFor(points, [&](int i) {
+  psens::ParallelFor(points, args.threads, [&](int i) {
     psens::PointExperimentConfig config;
     config.trace = &trace;
     config.working_region = working;

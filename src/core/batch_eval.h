@@ -30,8 +30,8 @@ namespace psens {
 ///     nets are bit-identical.
 ///
 /// Everything runs on the calling thread: one selection run is one
-/// thread's work. (Experiment runners shard independent *slots* over a
-/// ThreadPool, each slot with its own evaluator.)
+/// thread's work. (Experiment runners shard independent *slots* over
+/// threads with ParallelFor, each slot with its own evaluator.)
 class NetEvaluator {
  public:
   /// All referenced objects must outlive the evaluator; `cost_scale` may

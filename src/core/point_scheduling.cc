@@ -12,6 +12,9 @@
 namespace psens {
 namespace {
 
+/// Additive improvement threshold for local search moves.
+constexpr double kMinImprovement = 1e-6;
+
 /// Fills per-query assignment records and Eq. (11) payments given the
 /// location -> sensor assignment of a facility-location solution.
 PointScheduleResult MakeResult(const std::vector<PointQuery>& queries,
@@ -121,9 +124,8 @@ PointScheduleResult RunBaseline(const std::vector<PointQuery>& queries,
 /// O(coverage) per candidate.
 class FacilityLocalSearch {
  public:
-  FacilityLocalSearch(const FacilityLocationProblem& problem, double epsilon)
+  explicit FacilityLocalSearch(const FacilityLocationProblem& problem)
       : problem_(problem),
-        epsilon_(epsilon),
         n_(problem.NumSensors()),
         covers_(problem.num_locations) {
     active_.resize(n_);
@@ -207,13 +209,13 @@ class FacilityLocalSearch {
     while (improved) {
       improved = false;
       for (int i : scan) {
-        if (!open_[i] && AddGain(i) > epsilon_) {
+        if (!open_[i] && AddGain(i) > kMinImprovement) {
           Open(i);
           improved = true;
         }
       }
       for (int i : scan) {
-        if (open_[i] && RemoveGain(i) > epsilon_) {
+        if (open_[i] && RemoveGain(i) > kMinImprovement) {
           Close(i);
           improved = true;
         }
@@ -241,7 +243,6 @@ class FacilityLocalSearch {
   }
 
   const FacilityLocationProblem& problem_;
-  const double epsilon_;
   const int n_;
   std::vector<char> active_;
   std::vector<std::vector<std::pair<int, double>>> covers_;
@@ -326,10 +327,10 @@ FacilityLocationProblem BuildPointProblem(const std::vector<PointQuery>& queries
 }
 
 FacilityLocationSolution LocalSearchFacility(const FacilityLocationProblem& problem,
-                                             double epsilon, bool randomized,
-                                             uint64_t seed, int restarts) {
+                                             bool randomized, uint64_t seed,
+                                             int restarts) {
   const int n = problem.NumSensors();
-  FacilityLocalSearch search(problem, epsilon);
+  FacilityLocalSearch search(problem);
   Rng rng(seed);
 
   std::vector<char> best_open(n, 0);
@@ -354,7 +355,7 @@ FacilityLocationSolution LocalSearchFacility(const FacilityLocationProblem& prob
       // Deterministic variant starts from the best singleton, per Feige
       // et al.'s Local Search.
       int best_single = -1;
-      double best_gain = epsilon;
+      double best_gain = kMinImprovement;
       for (int i = 0; i < n; ++i) {
         if (!search.active(i)) continue;
         const double g = search.AddGain(i);
@@ -404,17 +405,16 @@ PointScheduleResult SchedulePointQueries(const std::vector<PointQuery>& queries,
       // Warm-start the branch-and-bound with the local-search solution;
       // a near-optimal incumbent prunes most of the tree.
       const FacilityLocationSolution warm =
-          LocalSearchFacility(problem, options.epsilon, false, options.seed, 1);
+          LocalSearchFacility(problem, false, options.seed, 1);
       FacilityLocationSolver solver(options.node_limit);
       solution = solver.Solve(problem, &warm.open);
       break;
     }
     case PointScheduler::kLocalSearch:
-      solution = LocalSearchFacility(problem, options.epsilon, false, options.seed, 1);
+      solution = LocalSearchFacility(problem, false, options.seed, 1);
       break;
     case PointScheduler::kRandomizedLocalSearch:
-      solution = LocalSearchFacility(problem, options.epsilon, true, options.seed,
-                                     options.restarts);
+      solution = LocalSearchFacility(problem, true, options.seed, options.restarts);
       break;
     case PointScheduler::kBaseline:
       break;  // handled above

@@ -61,8 +61,6 @@ struct PointScheduleResult {
 
 struct PointSchedulingOptions {
   PointScheduler scheduler = PointScheduler::kLocalSearch;
-  /// Additive improvement threshold for local search moves.
-  double epsilon = 1e-6;
   /// Restarts for the randomized local search.
   int restarts = 3;
   uint64_t seed = 1;
@@ -91,7 +89,6 @@ PointScheduleResult SchedulePointQueries(const std::vector<PointQuery>& queries,
 /// Local-search maximization of the submodular utility u (Eq. 12) over a
 /// facility-location instance. Exposed for tests and micro-benchmarks.
 FacilityLocationSolution LocalSearchFacility(const FacilityLocationProblem& problem,
-                                             double epsilon = 1e-6,
                                              bool randomized = false,
                                              uint64_t seed = 1, int restarts = 1);
 

@@ -19,13 +19,6 @@ struct TypeMetrics {
   double value = 0.0;
   /// Sum over answered queries of achieved value / max value.
   double quality_sum = 0.0;
-
-  double SatisfactionRatio() const {
-    return total > 0 ? static_cast<double>(answered) / total : 0.0;
-  }
-  double MeanQuality() const {
-    return answered > 0 ? quality_sum / answered : 0.0;
-  }
 };
 
 struct QueryMixSlotResult {

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <memory>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "core/greedy.h"
 #include "core/location_monitoring.h"
 #include "core/query_mix.h"
@@ -29,9 +29,8 @@ void ApplyTraceSlot(const Trace& trace, int slot, std::vector<Sensor>* sensors) 
 namespace {
 
 /// Independent RNG stream for slot `t`, a pure function of (base, t): the
-/// same stream backs the sequential and the sharded execution paths, so a
-/// slot's workload never depends on which thread — or in which order — it
-/// runs.
+/// same stream backs the slot at any worker count, so a slot's workload
+/// never depends on which thread — or in which order — it runs.
 Rng SlotStream(const Rng& base, int t) {
   Rng fork_source = base;  // Fork advances its parent; keep `base` pristine
   return fork_source.Fork(static_cast<uint64_t>(t) + 1);
@@ -59,13 +58,16 @@ ServingConfig MakeServingConfig(const Rect& working_region, double dmax,
       index_policy);
 }
 
-/// Runs `slots` slot bodies either sequentially with sensor-state feedback
-/// (RecordReadings between slots) or sharded over a thread pool when the
-/// population carries no cross-slot feedback. Every path streams the trace
-/// through a persistent serving engine (MakeServingEngine) — the slot
-/// context and spatial index are repaired from each slot's
-/// position/presence delta rather than rebuilt — which is bit-identical
-/// to per-slot reconstruction (tests/streaming_equivalence_test.cc).
+/// Runs `slots` slot bodies, each worker streaming the trace through its
+/// own persistent serving engine (MakeServingEngine) — the slot context
+/// and spatial index are repaired from each slot's position/presence delta
+/// rather than rebuilt, bit-identical to per-slot reconstruction
+/// (tests/streaming_equivalence_test.cc). A population with cross-slot
+/// feedback runs on one worker, which serves the slots in order and feeds
+/// each slot's readings back (RecordReadings) before the next. Without
+/// feedback the slots are sharded over up to `parallelism` workers:
+/// nothing is fed back, so any worker count — and any slot order within a
+/// worker — produces the same announcements a fresh rebuild would.
 /// `body(t, slot)` must only read `slot` and return the slot's partials.
 template <typename SlotBody>
 std::vector<SlotOutcome> RunSlots(const Trace& trace, int slots,
@@ -74,44 +76,19 @@ std::vector<SlotOutcome> RunSlots(const Trace& trace, int slots,
                                   const ServingConfig& serving_config,
                                   int parallelism, const SlotBody& body) {
   std::vector<SlotOutcome> outcomes(static_cast<size_t>(std::max(slots, 0)));
-  if (HasCrossSlotFeedback(population, slots)) {
-    std::unique_ptr<ServingEngine> engine =
-        MakeServingEngine(sensors, serving_config);
-    for (int t = 0; t < slots; ++t) {
-      engine->ApplyTrace(trace, t);
-      outcomes[t] = body(t, engine->BeginSlot(t));
-      engine->RecordReadings(outcomes[t].read_sensor_ids, t);
-    }
-    return outcomes;
-  }
-  // Independent slots: each worker owns a pristine engine over its own
-  // registry snapshot, and nothing on this path feeds slot outcomes back,
-  // so any worker count — and any slot order within a worker — produces
-  // the same announcements a fresh rebuild would.
-  const int threads =
-      std::min(ThreadPool::ResolveParallelism(parallelism), std::max(slots, 1));
-  if (threads == 1) {
-    std::unique_ptr<ServingEngine> engine =
-        MakeServingEngine(sensors, serving_config);
-    for (int t = 0; t < slots; ++t) {
-      engine->ApplyTrace(trace, t);
-      outcomes[t] = body(t, engine->BeginSlot(t));
-    }
-    return outcomes;
-  }
-  ThreadPool pool(threads);
+  const bool feedback = HasCrossSlotFeedback(population, slots);
+  const int workers =
+      feedback ? 1 : std::min(ResolveParallelism(parallelism), std::max(slots, 1));
   std::atomic<int> next{0};
-  for (int w = 0; w < threads; ++w) {
-    pool.Submit([&] {
-      std::unique_ptr<ServingEngine> engine =
-          MakeServingEngine(sensors, serving_config);
-      for (int t = next++; t < slots; t = next++) {
-        engine->ApplyTrace(trace, t);
-        outcomes[t] = body(t, engine->BeginSlot(t));
-      }
-    });
-  }
-  pool.Wait();
+  ParallelFor(workers, workers, [&](int) {
+    std::unique_ptr<ServingEngine> engine =
+        MakeServingEngine(sensors, serving_config);
+    for (int t = next++; t < slots; t = next++) {
+      engine->ApplyTrace(trace, t);
+      outcomes[t] = body(t, engine->BeginSlot(t));
+      if (feedback) engine->RecordReadings(outcomes[t].read_sensor_ids, t);
+    }
+  });
   return outcomes;
 }
 
@@ -160,7 +137,6 @@ ExperimentResult RunPointExperiment(const PointExperimentConfig& config) {
                              t * config.queries_per_slot, slot_rng);
     PointSchedulingOptions options;
     options.scheduler = config.scheduler;
-    options.node_limit = config.node_limit;
     options.seed = config.seed + static_cast<uint64_t>(t);
     const PointScheduleResult schedule = SchedulePointQueries(queries, slot, options);
 

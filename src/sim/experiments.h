@@ -49,7 +49,6 @@ struct PointExperimentConfig {
   /// and unpruned runs produce bit-identical results.
   SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   uint64_t seed = 123;
-  int64_t node_limit = 500'000;
   /// Worker threads sharding the simulation slots; 0 = hardware
   /// concurrency. Slot workloads derive from per-slot RNG streams and the
   /// reduction runs in slot order, so the result is bit-identical for any

@@ -42,7 +42,7 @@ TEST(LocalSearchTest, NeverNegativeObjective) {
   Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     const FacilityLocationProblem p = RandomProblem(12, 10, 0.5, rng);
-    const FacilityLocationSolution s = LocalSearchFacility(p, 1e-6, false, trial);
+    const FacilityLocationSolution s = LocalSearchFacility(p, false, trial);
     EXPECT_GE(s.objective, 0.0);
   }
 }
@@ -86,7 +86,7 @@ TEST(LocalSearchTest, RandomizedRestartsNeverWorseThanZero) {
   const FacilityLocationProblem p = RandomProblem(20, 25, 0.3, rng);
   const FacilityLocationSolution deterministic = LocalSearchFacility(p);
   const FacilityLocationSolution randomized =
-      LocalSearchFacility(p, 1e-6, /*randomized=*/true, /*seed=*/42, /*restarts=*/5);
+      LocalSearchFacility(p, /*randomized=*/true, /*seed=*/42, /*restarts=*/5);
   EXPECT_GE(randomized.objective, 0.0);
   // Both are local optima of the same landscape; neither dominates in
   // general, but both must be consistent evaluations.
@@ -97,8 +97,8 @@ TEST(LocalSearchTest, RandomizedRestartsNeverWorseThanZero) {
 TEST(LocalSearchTest, DeterministicGivenSeed) {
   Rng rng(11);
   const FacilityLocationProblem p = RandomProblem(15, 15, 0.4, rng);
-  const FacilityLocationSolution a = LocalSearchFacility(p, 1e-6, true, 123, 3);
-  const FacilityLocationSolution b = LocalSearchFacility(p, 1e-6, true, 123, 3);
+  const FacilityLocationSolution a = LocalSearchFacility(p, true, 123, 3);
+  const FacilityLocationSolution b = LocalSearchFacility(p, true, 123, 3);
   EXPECT_EQ(a.open, b.open);
 }
 

@@ -1,4 +1,4 @@
-// Tests of the thread pool and the parallel slot execution of the
+// Tests of ParallelFor and the parallel slot execution of the
 // experiment runners: sharding independent slots over workers must be a
 // pure performance knob — any parallelism value yields the bit-identical
 // ExperimentResult for the same seed.
@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "mobility/random_waypoint.h"
 #include "sim/experiments.h"
 #include "sim/workload.h"
@@ -16,32 +18,53 @@
 namespace psens {
 namespace {
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h = 0;
-  pool.ParallelFor(257, [&](int i) { ++hits[i]; });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  for (int n : {0, 1, 3, 257}) {
+    for (int threads : {0, 1, 2, 4}) {
+      std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+      for (auto& h : hits) h = 0;
+      ParallelFor(n, threads, [&](int i) { ++hits[i]; });
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << ", n " << n << ", threads " << threads;
+      }
+    }
   }
 }
 
-TEST(ThreadPoolTest, SubmitWaitRunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&counter] { ++counter; });
+TEST(ParallelForTest, OneThreadRunsInlineInAscendingOrder) {
+  // RunSlots' feedback path relies on this: its slots must run in order
+  // on the caller, each seeing the readings of the one before.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  std::vector<std::thread::id> ran_on;
+  ParallelFor(257, 1, [&](int i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(order.size(), 257u);
+  for (int i = 0; i < 257; ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(ran_on[i], caller) << "index " << i;
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPoolTest, ResolveParallelism) {
-  EXPECT_EQ(ThreadPool::ResolveParallelism(3), 3);
-  EXPECT_EQ(ThreadPool::ResolveParallelism(1), 1);
-  EXPECT_GE(ThreadPool::ResolveParallelism(0), 1);
-  EXPECT_GE(ThreadPool::ResolveParallelism(-2), 1);
+TEST(ParallelForTest, RethrowsABodyExceptionAfterJoining) {
+  std::atomic<int> ran{0};
+  EXPECT_THROW(ParallelFor(257, 4,
+                           [&](int i) {
+                             ++ran;
+                             if (i == 100) throw std::runtime_error("slot 100");
+                           }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 101);
+}
+
+TEST(ParallelForTest, ResolveParallelism) {
+  EXPECT_EQ(ResolveParallelism(3), 3);
+  EXPECT_EQ(ResolveParallelism(1), 1);
+  EXPECT_GE(ResolveParallelism(0), 1);
+  EXPECT_GE(ResolveParallelism(-2), 1);
 }
 
 TEST(HasCrossSlotFeedbackTest, DetectsFeedbackSources) {
