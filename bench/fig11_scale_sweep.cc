@@ -4,12 +4,16 @@
 // scheme values every sensor against every query. This sweep generates
 // clustered populations of 10k-1M sensors (sim/workload.h's
 // ClusteredPopulationConfig), runs the point-query slot schedulers once
-// with the spatial index (SlotIndexPolicy::kGrid) and once with the
-// reference full scans (kNone), verifies the two produce *bit-identical*
+// with the spatial index (SlotIndexPolicy::kGrid) and once as the paper's
+// unpruned schedulers, verifies the two produce *bit-identical*
 // assignments and payments, and reports the wall-clock speedup. The
-// brute-force path is O(|Q| * |S|) valuations per slot; the indexed path
-// valuates only the sensors inside each query's dmax disk, so the speedup
-// grows with the population (the asymptotic win candidate pruning buys).
+// brute-force side's slot carries an AllRowsIndex, which answers every
+// probe with every row, so it values every sensor against every query:
+// O(|Q| * |S|) valuations per slot. The point schedulers skip
+// non-positive values, so a superset of the true rows is exact. The
+// indexed path valuates only the sensors inside each query's dmax disk,
+// so the speedup grows with the population (the asymptotic win candidate
+// pruning buys).
 //
 // `--json PATH` emits the machine-readable record consumed by
 // scripts/check_bench_regression.py (the CI benchmark-regression gate);
@@ -18,6 +22,8 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -45,6 +51,25 @@ struct SweepResult {
   std::string index_kind;
 };
 
+/// The unpruned schedulers' "index": every probe answers every row, so
+/// the schedulers value each query against the whole population.
+class AllRowsIndex : public SpatialIndex {
+ public:
+  explicit AllRowsIndex(size_t n) : rows_(n) {
+    std::iota(rows_.begin(), rows_.end(), 0);
+  }
+  void RangeQuery(const Point&, double, std::vector<int>* out) const override {
+    *out = rows_;
+  }
+  void RectQuery(const Rect&, std::vector<int>* out) const override {
+    *out = rows_;
+  }
+  const char* Name() const override { return "all-rows"; }
+
+ private:
+  std::vector<int> rows_;
+};
+
 SlotContext MakeSlot(const ScaleScenario& scenario, double dmax,
                      SlotIndexPolicy policy) {
   return BuildSlotContext(scenario.sensors, scenario.field, /*time=*/0, dmax,
@@ -55,14 +80,10 @@ SlotContext MakeSlot(const ScaleScenario& scenario, double dmax,
 /// the regression gate tracks this as a machine-independent work metric).
 int64_t CountCandidatePairs(const SlotContext& slot,
                             const std::vector<PointQuery>& queries) {
-  if (slot.index == nullptr) {
-    return static_cast<int64_t>(slot.sensors.size()) *
-           static_cast<int64_t>(queries.size());
-  }
   int64_t total = 0;
   std::vector<int> candidates;
   for (const PointQuery& q : queries) {
-    slot.index->RangeQuery(q.location, slot.dmax, &candidates);
+    SlotRowsInRange(slot, q.location, slot.dmax, &candidates);
     total += static_cast<int64_t>(candidates.size());
   }
   return total;
@@ -78,6 +99,7 @@ SweepResult RunOne(const char* name, PointScheduler scheduler,
   r.queries = static_cast<int>(queries.size());
 
   SlotContext brute_slot = MakeSlot(scenario, dmax, SlotIndexPolicy::kNone);
+  brute_slot.index = std::make_shared<AllRowsIndex>(brute_slot.sensors.size());
   // Build the indexed slot cold: start unindexed, flip the policy, and
   // time the one real AttachSlotIndex (BuildSlotContext with kGrid would
   // already have built it once, wasting a build and warming the caches

@@ -36,37 +36,6 @@ int OrdinalIn(const std::vector<int>& candidates, int sensor) {
   return static_cast<int>(it - candidates.begin());
 }
 
-/// OrdinalIn for a batch of slot rows that usually ascend (the round
-/// evaluator's dense keys): a cursor resumes at the previous row's
-/// position, so a sweep over every row costs O(1) per row on top of one
-/// step per candidate, and a lone row costs O(log C). A row below its
-/// predecessor restarts the search, so any order resolves correctly.
-class OrdinalCursor {
- public:
-  explicit OrdinalCursor(const std::vector<int>* candidates)
-      : candidates_(candidates) {}
-
-  int Resolve(int row) {
-    const std::vector<int>& c = *candidates_;
-    const int size = static_cast<int>(c.size());
-    if (row < prev_) at_ = 0;
-    prev_ = row;
-    if (at_ < size && c[static_cast<size_t>(at_)] < row) {
-      ++at_;
-      if (at_ < size && c[static_cast<size_t>(at_)] < row) {
-        at_ = static_cast<int>(
-            std::lower_bound(c.begin() + at_ + 1, c.end(), row) - c.begin());
-      }
-    }
-    return at_ < size && c[static_cast<size_t>(at_)] == row ? at_ : -1;
-  }
-
- private:
-  const std::vector<int>* candidates_;
-  int at_ = 0;  // first candidate not below the previous row
-  int prev_ = 0;
-};
-
 /// Location-independent sensor quality used by the aggregate valuation.
 double SensorTheta(double inaccuracy, double trust) {
   return (1.0 - inaccuracy) * trust;
@@ -114,7 +83,6 @@ AxisRun AxisWindow(const std::vector<double>& centers, double origin,
 template <typename Cover>
 void AggregateQuery::BindCandidates(const SlotContext& slot, const Rect& reach,
                                     const Cover& cover) {
-  slot_indexed_ = slot.index != nullptr;
   std::vector<int> coarse;
   SlotRowsInRect(slot, reach, &coarse);
   // Survivors ascend, so candidates_ does; their location and quality
@@ -253,7 +221,7 @@ AggregateQuery::AggregateQuery(const TrajectoryParams& params,
 }
 
 const std::vector<int>* AggregateQuery::CandidateSensors() const {
-  return slot_indexed_ ? &candidates_ : nullptr;
+  return &candidates_;
 }
 
 double AggregateQuery::ValueFrom(int covered_cells, double theta_sum,
@@ -282,13 +250,8 @@ void AggregateQuery::MarginalsAt(std::span<const int> keys,
   const double current_value = current_value_;
   const int count = static_cast<int>(selected_.size()) + 1;
   const size_t words = static_cast<size_t>(NumWords());
-  OrdinalCursor cursor(&candidates_);  // unused on an indexed slot
   for (size_t i = 0; i < keys.size(); ++i) {
-    const int ord = slot_indexed_ ? keys[i] : cursor.Resolve(keys[i]);
-    if (ord < 0) {
-      out[i] = 0.0;
-      continue;
-    }
+    const int ord = keys[i];
     if (cached_at_[ord] == version) {
       out[i] = cached_delta_[ord];
       continue;

@@ -71,9 +71,7 @@ class AggregateQuery : public MultiQueryBase {
   /// ValueOf).
   double MarginalValue(int sensor) const override;
   /// Keyed sweep over the precomputed coverage bitsets: one virtual call
-  /// per batch instead of per sensor. On an indexed slot a key *is* the
-  /// candidate ordinal; an unindexed slot's keys are slot rows, resolved
-  /// by an ordinal cursor (-1: covers nothing, marginal 0).
+  /// per batch instead of per sensor. A key *is* the candidate ordinal.
   ///
   /// The sweep memoizes each candidate's delta in cached_at_ /
   /// cached_delta_ under state_version_, which every Commit and
@@ -89,9 +87,7 @@ class AggregateQuery : public MultiQueryBase {
   double MaxValue() const override { return budget_; }
 
   /// Sensors whose sensing disk covers at least one of the query's cells
-  /// (marginal value is exactly zero for all others). Exposed only when
-  /// the slot was indexed at bind time, so unindexed slots keep the
-  /// reference scan.
+  /// (marginal value is exactly zero for all others).
   const std::vector<int>* CandidateSensors() const override;
 
   void ResetSelection() override;
@@ -127,7 +123,6 @@ class AggregateQuery : public MultiQueryBase {
   std::vector<double> theta_;
   /// Sensors with non-empty masks, ascending; position = ordinal.
   std::vector<int> candidates_;
-  bool slot_indexed_ = false;
 
   // Incremental selection state.
   std::vector<uint64_t> acc_mask_;

@@ -14,21 +14,14 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
       cost_scale_(cost_scale) {
   const size_t num_rows = static_cast<size_t>(plan_.NumRows());
   SlotArena* arena = slot.arena;
-  // One query's pairs at a time: a listed query keys at most its listed
-  // entries; a dense query keys the eval set itself (at most every row)
-  // and needs only delta storage.
+  // One query's pairs at a time: a query keys at most its listed entries.
   size_t max_listed = 0;
-  size_t max_pairs = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const int q = static_cast<int>(qi);
-    if (plan_.IsDense(q)) {
-      max_pairs = std::max(max_pairs, num_rows);
-    } else {
-      max_listed = std::max(max_listed, plan_.KeyRows(q).size());
-    }
+    max_listed =
+        std::max(max_listed, plan_.KeyRows(static_cast<int>(qi)).size());
   }
   query_keys_.Acquire(arena, max_listed);
-  query_deltas_.Acquire(arena, std::max(max_pairs, max_listed));
+  query_deltas_.Acquire(arena, max_listed);
   calls_.Acquire(arena, queries.size());
   std::fill(calls_.begin(), calls_.end(), int64_t{0});
   // Row-sized state: EvaluateRowNets zeroes positive_sum_ over its own
@@ -61,22 +54,10 @@ void NetEvaluator::EvaluateRowNets(std::span<const int> rows, double* net) {
   // sensor-major loop's (ascending query) order.
   double* deltas = query_deltas_.data();
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    const int q = static_cast<int>(qi);
-    if (plan_.IsDense(q)) {
-      // A dense query keys each row by the row itself: its keys are the
-      // whole eval set.
-      queries_[qi]->MarginalsAt(rows, std::span<double>(deltas, rows.size()));
-      for (size_t j = 0; j < rows.size(); ++j) {
-        if (deltas[j] > 0.0) {
-          positive_sum_[static_cast<size_t>(rows[j])] += deltas[j];
-        }
-      }
-      calls_[qi] += static_cast<int64_t>(rows.size());
-      continue;
-    }
-    // A listed query's keys are its marked entries; each maps back to its
-    // row through the plan.
-    const std::span<const int> key_rows = plan_.KeyRows(q);
+    // The query's keys are its marked entries; each maps back to its row
+    // through the plan.
+    const std::span<const int> key_rows =
+        plan_.KeyRows(static_cast<int>(qi));
     int* keys = query_keys_.data();
     size_t m = 0;
     for (size_t k = 0; k < key_rows.size(); ++k) {
@@ -107,13 +88,13 @@ void NetEvaluator::EvaluateRowNets(std::span<const int> rows, double* net) {
 double NetEvaluator::EvaluateRowNet(int row) {
   // One keyed probe per pair, ascending query order.
   double positive_sum = 0.0;
-  plan_.ForEachPair(row, [&](int qi, int key) {
+  for (const CandidatePair& p : plan_.PairsOf(row)) {
     double delta = 0.0;
-    queries_[static_cast<size_t>(qi)]->MarginalsAt(
-        std::span<const int>(&key, 1), std::span<double>(&delta, 1));
-    ++calls_[static_cast<size_t>(qi)];
+    queries_[static_cast<size_t>(p.query)]->MarginalsAt(
+        std::span<const int>(&p.key, 1), std::span<double>(&delta, 1));
+    ++calls_[static_cast<size_t>(p.query)];
     if (delta > 0.0) positive_sum += delta;
-  });
+  }
   return positive_sum - row_cost_[static_cast<size_t>(row)];
 }
 

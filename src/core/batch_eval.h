@@ -74,11 +74,9 @@ class NetEvaluator {
   /// the engine attached one (reset at the next BeginSlot — the evaluator
   /// never outlives its slot) and owns heap storage otherwise. Nothing is
   /// sized by the slot membership: per-row state spans the scan rows, and
-  /// the pair scratch holds one query's pairs — dense plans (every query
-  /// interested in every sensor, e.g. unindexed slots) never materialize
-  /// the |Q| x n cross product.
+  /// the pair scratch holds one query's pairs.
   ///
-  /// One listed query's marked keys, and one query's deltas.
+  /// One query's marked keys, and their deltas.
   ArenaBuffer<int> query_keys_;
   ArenaBuffer<double> query_deltas_;
   /// Valuation calls per query not yet merged (FlushValuationCalls).

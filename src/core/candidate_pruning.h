@@ -11,10 +11,9 @@
 namespace psens {
 
 /// One entry of a scan row's CSR run: `query` is the query's position in
-/// the selection's query list, and `key` addresses the row's sensor in
-/// that query's own candidate-sized state (MultiQuery::MarginalsAt). The
-/// key is the sensor's position in the query's CandidateSensors() list,
-/// or the slot row itself for a dense query (one exposing no list).
+/// the selection's query list, and `key` is the row's sensor's position in
+/// that query's CandidateSensors() list, which addresses the query's own
+/// candidate-sized state (MultiQuery::MarginalsAt).
 struct CandidatePair {
   int query;
   int key;
@@ -23,8 +22,7 @@ struct CandidatePair {
 /// Inverted candidate index for one joint selection run: which queries can
 /// possibly assign positive marginal value to which sensor, and under
 /// which key each query addresses it. Built from the queries'
-/// CandidateSensors() hooks; a query exposing no candidate list ("dense")
-/// is attached to every sensor.
+/// CandidateSensors() lists.
 ///
 /// The plan is exact, not heuristic: CandidateSensors() is contractually
 /// conservative (a sensor outside the list has marginal value <= 0 against
@@ -32,47 +30,39 @@ struct CandidatePair {
 /// has net gain <= -cost and can never be picked by Algorithm 1's
 /// positive-net rule. Scanning `sensors` (ascending) instead of all slot
 /// sensors, and summing marginals over a row's pairs (ascending query
-/// order) instead of all queries, therefore reproduces the dense scan's
-/// selections, payments, and tie-breaks bit for bit.
+/// order) instead of all queries, therefore selects, pays and breaks ties
+/// bit for bit as a scan of every (sensor, query) pair would.
 ///
-/// Everything selection touches is addressed by scan row or by key, so an
-/// active plan's per-run state is sized by candidate pairs; only the
+/// Everything selection touches is addressed by scan row or by key, so
+/// the plan's per-run state is sized by candidate pairs; only the
 /// unfilled `row_of` and the n/64-word `scan_bits` span the membership.
 struct CandidatePlan {
-  /// False when no query exposed a candidate list; engines then run the
-  /// reference dense loops (identical behaviour *and* identical
-  /// valuation-call counts to the pre-index code). Every query is dense
-  /// and every slot sensor is its own scan row.
-  bool active = false;
-  int num_queries = 0;
-  /// Scan sensors, ascending: those with at least one interested query
-  /// (every sensor when the plan is inactive or some query is dense).
+  /// Scan sensors, ascending: those with at least one interested query.
   /// Position r in this list is the sensor's scan row, so rows ascend
   /// with sensor index.
   ArenaBuffer<int> sensors;
-  /// One bit per slot sensor, set for scan sensors (active plans only).
-  /// RowOf tests it before touching row_of, so sensors no query lists —
-  /// the sieve's arrivals and carried bucket members — resolve to no row
-  /// without reading row_of.
+  /// One bit per slot sensor, set for scan sensors. RowOf tests it before
+  /// touching row_of, so sensors no query lists — the sieve's arrivals
+  /// and carried bucket members — resolve to no row without reading
+  /// row_of.
   ArenaBuffer<uint64_t> scan_bits;
   /// Scan row of each scan sensor: sensors[row_of[s]] == s. Written only
   /// where s's scan bit is set, and read only there, so the buffer is
-  /// never filled — an active plan costs O(pairs + n/64), not O(n).
+  /// never filled — a plan costs O(pairs + n/64), not O(n).
   ArenaBuffer<int> row_of;
-  /// CSR over scan rows (active plans only): row r's interested queries
-  /// and their keys, ascending by query position, are
+  /// CSR over scan rows: row r's interested queries and their keys,
+  /// ascending by query position, are
   /// pairs[pair_offsets[r] .. pair_offsets[r+1]). One flat slab
   /// (arena-backed when the slot carries an arena), so a CELF
   /// re-evaluation walks one contiguous run.
   ArenaBuffer<int64_t> pair_offsets;
   ArenaBuffer<CandidatePair> pairs;
-  /// Per query: 1 when it exposes no candidate list (its key is the row).
-  ArenaBuffer<char> dense;
-  /// Query-major mirror of the pairs, by key: entry k of listed query q's
+  /// Query-major mirror of the pairs, by key (one range per query, so
+  /// key_offsets holds |Q| + 1 entries): entry k of query q's
   /// CandidateSensors() list maps to key_rows[key_offsets[q] + k], its
-  /// scan row, or -1 for an out-of-range entry the plan dropped. A dense
-  /// query's range is empty. The batched round evaluator
-  /// (core/batch_eval.h) sweeps each query's keys through it.
+  /// scan row, or -1 for an out-of-range entry the plan dropped. The
+  /// batched round evaluator (core/batch_eval.h) sweeps each query's keys
+  /// through it.
   ArenaBuffer<int64_t> key_offsets;
   ArenaBuffer<int> key_rows;
 
@@ -84,34 +74,18 @@ struct CandidatePlan {
   }
   /// Scan row of slot sensor `sensor`, or -1 when no query lists it.
   int RowOf(int sensor) const {
-    if (!active) return sensor;
     const size_t s = static_cast<size_t>(sensor);
     if (((scan_bits[s >> 6] >> (s & 63)) & 1) == 0) return -1;
     return row_of[s];
   }
-  /// Row `row`'s (query, key) pairs, ascending by query (active plans).
+  /// Row `row`'s (query, key) pairs, ascending by query.
   std::span<const CandidatePair> PairsOf(int row) const {
     const size_t r = static_cast<size_t>(row);
     const size_t b = static_cast<size_t>(pair_offsets[r]);
     const size_t e = static_cast<size_t>(pair_offsets[r + 1]);
     return {pairs.data() + b, e - b};
   }
-  /// Calls f(query, key) for every query interested in scan row `row`, in
-  /// ascending query order — the pair run of an active plan, or every
-  /// query keyed by the row itself when the plan is inactive.
-  template <typename F>
-  void ForEachPair(int row, F&& f) const {
-    if (!active) {
-      for (int qi = 0; qi < num_queries; ++qi) f(qi, row);
-      return;
-    }
-    for (const CandidatePair& p : PairsOf(row)) f(p.query, p.key);
-  }
-  /// True when `query` exposes no candidate list: its keys are the rows.
-  bool IsDense(int query) const {
-    return dense[static_cast<size_t>(query)] != 0;
-  }
-  /// Scan rows of listed query `query`'s keys (-1 for dropped entries).
+  /// Scan rows of query `query`'s keys (-1 for dropped entries).
   std::span<const int> KeyRows(int query) const {
     const size_t q = static_cast<size_t>(query);
     const size_t b = static_cast<size_t>(key_offsets[q]);

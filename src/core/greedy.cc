@@ -1,7 +1,6 @@
 #include "core/greedy.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "core/batch_eval.h"
@@ -27,11 +26,11 @@ double CommitWithProportionalPayments(const std::vector<MultiQuery*>& queries,
   double positive_sum = 0.0;
   const int row = plan.RowOf(sensor);
   if (row >= 0) {
-    plan.ForEachPair(row, [&](int qi, int) {
-      const double delta = queries[qi]->MarginalValue(sensor);
-      marginals.emplace_back(qi, delta);
+    for (const CandidatePair& p : plan.PairsOf(row)) {
+      const double delta = queries[p.query]->MarginalValue(sensor);
+      marginals.emplace_back(p.query, delta);
       if (delta > 0.0) positive_sum += delta;
-    });
+    }
   }
   for (const auto& [qi, delta] : marginals) {
     if (delta > 0.0) {
@@ -113,16 +112,12 @@ SelectionResult BaselineSequentialSelection(const std::vector<MultiQuery*>& quer
   for (int s = 0; s < n; ++s) remaining_cost[s] = slot.sensors.cost[s];
   std::vector<char> selected(n, 0);
 
-  std::vector<int> all_sensors(n);
-  std::iota(all_sensors.begin(), all_sensors.end(), 0);
-
   for (MultiQuery* q : queries) {
     // Greedily buy sensors maximizing this query's own net utility at the
     // sensors' remaining (possibly zero) cost. Only the query's candidate
     // sensors can have positive net (others have marginal <= 0 against
-    // cost >= 0), so the scan shrinks to them on indexed slots.
-    const std::vector<int>* candidates = q->CandidateSensors();
-    const std::vector<int>& scan = candidates != nullptr ? *candidates : all_sensors;
+    // cost >= 0), so the scan covers only them.
+    const std::vector<int>& scan = *q->CandidateSensors();
     std::vector<char> used(n, 0);
     while (true) {
       int best_sensor = -1;

@@ -60,10 +60,10 @@ SelectionResult GreedySensorSelection(const std::vector<MultiQuery*>& queries,
 /// remaining sensor. It is the reference the serving engines are tested
 /// and benchmarked against, not a serving engine: lazy selects the same
 /// sequence on submodular valuations, and fig13 reports the sieve's
-/// utility and speed against it. When queries expose candidate lists
-/// (indexed slots), the rescan covers only sensors some query can value,
-/// and each sensor's net sums only over its interested queries —
-/// selections and payments are bit-identical to the dense scan (see
+/// utility and speed against it. The rescan covers only sensors some
+/// query lists as a candidate, and each sensor's net sums only over its
+/// interested queries — selections and payments are bit-identical to a
+/// scan of every sensor against every query (see
 /// core/candidate_pruning.h).
 SelectionResult EagerGreedySensorSelection(
     const std::vector<MultiQuery*>& queries, const SlotContext& slot,

@@ -16,10 +16,10 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
   const int64_t calls_before = TotalValuationCalls(queries);
   const int n = static_cast<int>(slot.sensors.size());
 
-  // Candidate pruning (indexed slots): a sensor no query can value has
-  // net gain <= -cost and is no scan row; a scan row's net sums only
-  // over its interested queries. Identical selections and payments, fewer
-  // valuation calls (core/candidate_pruning.h).
+  // Candidate pruning: a sensor no query can value has net gain <= -cost
+  // and is no scan row; a scan row's net sums only over its interested
+  // queries. Identical selections and payments, fewer valuation calls
+  // than valuing every sensor (core/candidate_pruning.h).
   const CandidatePlan plan = BuildCandidatePlan(queries, n, slot.arena);
   NetEvaluator evaluator(queries, plan, slot, cost_scale);
 

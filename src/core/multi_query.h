@@ -1,7 +1,6 @@
 #ifndef PSENS_CORE_MULTI_QUERY_H_
 #define PSENS_CORE_MULTI_QUERY_H_
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -30,9 +29,8 @@ class MultiQuery {
   /// Keyed batch kernel: out[i] = exactly the value MarginalValue would
   /// return, against the current selection, for the sensor that keys[i]
   /// addresses — *without* valuation-call accounting. A key is the
-  /// sensor's position in this query's CandidateSensors() list, or the
-  /// slot row itself when the query exposes no list. Keys thus index the
-  /// query's own candidate-sized state, and the candidate plan
+  /// sensor's position in this query's CandidateSensors() list. Keys thus
+  /// index the query's own candidate-sized state, and the candidate plan
   /// (core/candidate_pruning.h) hands every pair its key. The round
   /// evaluator (core/batch_eval.h) is the only batch caller and counts
   /// each evaluated key through AddValuationCalls, so per-query
@@ -76,12 +74,12 @@ class MultiQuery {
   virtual int64_t ValuationCalls() const = 0;
 
   /// Slot-sensor indices (ascending) that can ever carry positive marginal
-  /// value for this query, or nullptr for "unknown — consider every
-  /// sensor". Implementations must be conservative: a sensor outside the
+  /// value for this query; never null, on indexed and unindexed slots
+  /// alike. Implementations must be conservative: a sensor outside the
   /// list must have MarginalValue <= 0 against *every* selection state.
-  /// The greedy engines use this to skip hopeless valuations
-  /// (core/candidate_pruning.h); pruned and dense runs select identically.
-  virtual const std::vector<int>* CandidateSensors() const { return nullptr; }
+  /// The engines value only listed sensors (core/candidate_pruning.h),
+  /// and a key is a position in this list.
+  virtual const std::vector<int>* CandidateSensors() const = 0;
 };
 
 /// Common bookkeeping for MultiQuery implementations.
@@ -126,20 +124,17 @@ class PointMultiQuery : public MultiQueryBase {
   const PointQuery& query() const { return query_; }
 
   double MarginalValue(int sensor) const override;
-  /// Keyed sweep: on an indexed slot a key is a candidate position, and
-  /// a probe is one load of the candidate's cached Eq. 3 value (the
-  /// valuation depends only on (query, sensor), never on selection
-  /// state). Unindexed slots key by slot row and compute from the slot's
-  /// columns. Both compute MarginalValue's valuation on the same inputs:
-  /// bit-identical values.
+  /// Keyed sweep: a key is a candidate position, and a probe is one load
+  /// of the candidate's cached Eq. 3 value (the valuation depends only on
+  /// (query, sensor), never on selection state). The cache holds
+  /// MarginalValue's valuation on the same inputs: bit-identical values.
   void MarginalsAt(std::span<const int> keys,
                    std::span<double> out) const override;
   void Commit(int sensor, double payment) override;
   double MaxValue() const override { return query_.budget; }
 
   /// Sensors within dmax of the queried location (Eq. 4 quality — and so
-  /// Eq. 3 value — is exactly zero beyond it), via the slot's spatial
-  /// index; nullptr when the slot is unindexed.
+  /// Eq. 3 value — is exactly zero beyond it), from SlotRowsInRange.
   const std::vector<int>* CandidateSensors() const override;
 
   /// The slot sensor currently providing the best reading (-1 if none).
@@ -163,31 +158,6 @@ class PointMultiQuery : public MultiQueryBase {
   /// (query, sensor), never on selection state, so re-probes hit this
   /// cache. Filled with candidates_ by CandidateSensors, read-only after.
   mutable std::vector<double> cand_values_;
-};
-
-/// Arbitrary set-valuation query defined by a callback; used in tests and
-/// available to applications with custom utility functions (the paper
-/// treats valuations as black boxes).
-class CallbackMultiQuery : public MultiQueryBase {
- public:
-  using SetValuation = std::function<double(const std::vector<int>&)>;
-
-  CallbackMultiQuery(int id, SetValuation valuation, double max_value)
-      : MultiQueryBase(id), valuation_(std::move(valuation)), max_value_(max_value) {}
-
-  double MarginalValue(int sensor) const override;
-  /// Batched probe (keys are slot rows: the query exposes no candidate
-  /// list) reusing one selection+candidate scratch vector instead of
-  /// copying the selection per sensor.
-  void MarginalsAt(std::span<const int> keys,
-                   std::span<double> out) const override;
-  void Commit(int sensor, double payment) override;
-  double MaxValue() const override { return max_value_; }
-
- private:
-  SetValuation valuation_;
-  double max_value_;
-  mutable std::vector<int> batch_with_;
 };
 
 }  // namespace psens

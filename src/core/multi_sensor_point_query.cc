@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "index/spatial_index.h"
-
 namespace psens {
 
 const std::vector<int>* MultiSensorPointQuery::CandidateSensors() const {
-  if (slot_->index == nullptr) return nullptr;
   if (!candidates_ready_) {
-    slot_->index->RangeQuery(params_.location, slot_->dmax, &candidates_);
+    SlotRowsInRange(*slot_, params_.location, slot_->dmax, &candidates_);
     candidates_ready_ = true;
     cand_theta_.resize(candidates_.size());
     for (size_t j = 0; j < candidates_.size(); ++j) {
@@ -56,20 +53,16 @@ double MultiSensorPointQuery::MarginalValue(int sensor) const {
 void MultiSensorPointQuery::MarginalsAt(std::span<const int> keys,
                                         std::span<double> out) const {
   if (keys.empty()) return;
-  // Key-quality resolver: on an indexed slot a key is a candidate
-  // position into the cached thetas; unindexed, a key is a slot row read
-  // from the columns. Both compute Quality's ReadingQuality on the same
-  // inputs — bit-identical.
-  const bool listed = MultiSensorPointQuery::CandidateSensors() != nullptr;
-  const auto probe_quality = [&](int key) -> double {
-    return listed ? cand_theta_[static_cast<size_t>(key)]
-                  : QualityFromColumns(key);
-  };
+  // A key is a candidate position into the cached thetas, which hold
+  // Quality's ReadingQuality on the same inputs — bit-identical.
+  MultiSensorPointQuery::CandidateSensors();  // binds the cache once
   if (params_.redundancy <= 0) {
     // ValueFromQualities is identically zero; mirror MarginalValue's branch
     // structure exactly (theta <= 0 probes return a literal 0).
     for (size_t i = 0; i < keys.size(); ++i) {
-      out[i] = probe_quality(keys[i]) <= 0.0 ? 0.0 : -current_value_;
+      out[i] = cand_theta_[static_cast<size_t>(keys[i])] <= 0.0
+                   ? 0.0
+                   : -current_value_;
     }
     return;
   }
@@ -77,7 +70,7 @@ void MultiSensorPointQuery::MarginalsAt(std::span<const int> keys,
   std::sort(batch_sorted_.begin(), batch_sorted_.end(), std::greater<double>());
   const size_t k = static_cast<size_t>(params_.redundancy);
   for (size_t i = 0; i < keys.size(); ++i) {
-    const double theta = probe_quality(keys[i]);
+    const double theta = cand_theta_[static_cast<size_t>(keys[i])];
     if (theta <= 0.0) {
       out[i] = 0.0;
       continue;

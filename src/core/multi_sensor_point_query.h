@@ -34,7 +34,7 @@ class MultiSensorPointQuery : public MultiQueryBase {
 
   double MarginalValue(int sensor) const override;
   /// Keyed probe: a key's quality is one load of the candidate quality
-  /// cache on an indexed slot. The committed qualities are sorted once per
+  /// cache. The committed qualities are sorted once per
   /// batch, and each key's top-k value comes from an O(k) merge of its
   /// quality into that shared order — the same non-increasing value
   /// sequence (and so the same floating-point sum) MarginalValue's
@@ -45,8 +45,7 @@ class MultiSensorPointQuery : public MultiQueryBase {
   double MaxValue() const override { return params_.budget; }
 
   /// Sensors within dmax of the queried location (quality — and so the
-  /// top-k valuation — is exactly zero beyond it); nullptr when the slot
-  /// is unindexed.
+  /// top-k valuation — is exactly zero beyond it), from SlotRowsInRange.
   const std::vector<int>* CandidateSensors() const override;
 
   void ResetSelection() override {
@@ -67,7 +66,7 @@ class MultiSensorPointQuery : public MultiQueryBase {
   /// by theta_min: the reference MarginalValue and Commit use.
   double Quality(int sensor) const;
   /// Quality(sensor) computed straight from the slot's columns
-  /// (bit-identical): what the keyed probes read.
+  /// (bit-identical): what the candidate cache holds.
   double QualityFromColumns(int sensor) const;
   /// Valuation from a set of reading qualities (top-k mean scaled by B).
   double ValueFromQualities(std::vector<double> qualities) const;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <utility>
 
 #include "common/rng.h"
-#include "index/spatial_index.h"
 
 namespace psens {
 namespace {
@@ -72,14 +70,9 @@ PointScheduleResult RunBaseline(const std::vector<PointQuery>& queries,
   // query at the same location for free; we implement the more general
   // rule from Section 4.3 (cost of selected sensors drops to zero).
   std::vector<char> selected(slot.sensors.size(), 0);
-  // On indexed slots only sensors within dmax of the query can have
-  // positive value (Eq. 4); the range probe returns them ascending, so the
-  // arg-max tie-breaks exactly like the full ascending scan.
-  std::vector<int> all_sensors;
-  if (slot.index == nullptr) {
-    all_sensors.resize(slot.sensors.size());
-    std::iota(all_sensors.begin(), all_sensors.end(), 0);
-  }
+  // Only sensors within dmax of the query can have positive value
+  // (Eq. 4); the range probe returns them ascending, so the arg-max
+  // tie-breaks exactly like a scan of every sensor.
   std::vector<int> candidates;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     PointAssignment& a = result.assignments[qi];
@@ -87,11 +80,8 @@ PointScheduleResult RunBaseline(const std::vector<PointQuery>& queries,
     int best_sensor = -1;
     double best_utility = 0.0;
     double best_value = 0.0;
-    if (slot.index != nullptr) {
-      slot.index->RangeQuery(queries[qi].location, slot.dmax, &candidates);
-    }
-    const std::vector<int>& scan = slot.index != nullptr ? candidates : all_sensors;
-    for (int si : scan) {
+    SlotRowsInRange(slot, queries[qi].location, slot.dmax, &candidates);
+    for (int si : candidates) {
       const double value =
           PointQueryValue(queries[qi], slot.sensors.Row(si), slot.dmax);
       if (value <= 0.0) continue;
@@ -282,8 +272,8 @@ FacilityLocationProblem BuildPointProblem(const std::vector<PointQuery>& queries
   problem.value.resize(slot.sensors.size());
 
   // Queries grouped per location in arrival order, so each (location,
-  // sensor) valuation sum accumulates in exactly the order the dense
-  // query-major scan used.
+  // sensor) valuation sum accumulates in exactly the order a query-major
+  // scan of every sensor would.
   std::vector<std::vector<int>> queries_at(locations.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     queries_at[static_cast<size_t>((*location_of_query)[qi])].push_back(
@@ -292,23 +282,15 @@ FacilityLocationProblem BuildPointProblem(const std::vector<PointQuery>& queries
 
   // v_l(s) = sum over queries at l of v_q(s) (Eq. 10 drops non-positive
   // entries: a sensor is simply never assigned where it yields nothing).
-  // Only sensors within dmax of l can contribute (Eq. 4), so on indexed
-  // slots each location values its range-probe candidates instead of the
-  // whole population; candidates come back ascending, and locations are
+  // Only sensors within dmax of l can contribute (Eq. 4), so each
+  // location values its range-probe candidates instead of the whole
+  // population; candidates come back ascending, and locations are
   // processed in ascending order, so each sensor's sparse value list keeps
   // the reference (location-ascending) layout bit for bit.
-  std::vector<int> all_sensors;
-  if (slot.index == nullptr) {
-    all_sensors.resize(slot.sensors.size());
-    std::iota(all_sensors.begin(), all_sensors.end(), 0);
-  }
-  std::vector<int> candidates;
+  std::vector<int> scan;
   std::vector<double> sums;
   for (size_t l = 0; l < locations.size(); ++l) {
-    if (slot.index != nullptr) {
-      slot.index->RangeQuery(locations[l], slot.dmax, &candidates);
-    }
-    const std::vector<int>& scan = slot.index != nullptr ? candidates : all_sensors;
+    SlotRowsInRange(slot, locations[l], slot.dmax, &scan);
     sums.assign(scan.size(), 0.0);
     for (int qi : queries_at[l]) {
       for (size_t k = 0; k < scan.size(); ++k) {

@@ -14,16 +14,18 @@ namespace psens {
 class SlotArena;
 
 /// Whether a slot's sensor locations are spatially indexed. The index
-/// only ever *prunes* candidate scans — every valuation is exactly zero
-/// beyond its radius, so indexed and unindexed runs produce bit-identical
-/// selections and payments (tests/pruning_equivalence_test).
+/// only changes how candidates are found (SlotRowsInRange and
+/// SlotRowsInRect below): a probe returns exactly the rows a scan of the
+/// columns accepts, so indexed and unindexed runs produce bit-identical
+/// selections, payments and valuation calls
+/// (tests/pruning_equivalence_test).
 enum class SlotIndexPolicy {
   /// Index every non-empty slot with a uniform grid (the default): the
   /// CSR `UniformGridIndex` on a built slot, the engine's id-keyed
   /// `DynamicGridIndex` on a served one.
   kGrid,
-  /// Never index: schedulers scan `sensors` end to end (the reference
-  /// path).
+  /// Never index: candidates come from a scan of `sensors` (the
+  /// reference the grid is checked against).
   kNone,
 };
 
@@ -127,7 +129,8 @@ struct SlotContext {
   SlotIndexPolicy index_policy = SlotIndexPolicy::kGrid;
   /// Spatial index over `sensors` locations (point index i == slot-sensor
   /// index i), or null when the policy is kNone or the slot is empty.
-  /// Schedulers treat null as "scan everything".
+  /// Read only through SlotRowsInRange and SlotRowsInRect, which scan the
+  /// columns when it is null.
   std::shared_ptr<const SpatialIndex> index;
   /// Approximate-scheduler knobs (ignored by the exact engines).
   ApproxParams approx;
@@ -152,11 +155,29 @@ inline uint64_t ApproxSlotSeed(const SlotContext& slot) {
 /// Defined in src/index/spatial_index.cc.
 void AttachSlotIndex(SlotContext& slot);
 
+/// Writes to `out` (cleared first) the slot rows whose location lies
+/// within `radius` of `center` (Distance(p, center) <= radius, the d_max
+/// cut of Eq. 4), ascending: one probe of the slot index, or a scan of
+/// the columns when the slot is unindexed. The index returns exactly what
+/// the scan accepts, so the two agree bit for bit.
+inline void SlotRowsInRange(const SlotContext& slot, const Point& center,
+                            double radius, std::vector<int>* out) {
+  if (slot.index != nullptr) {
+    slot.index->RangeQuery(center, radius, out);
+    return;
+  }
+  out->clear();
+  const SlotSensorTable& table = slot.sensors;
+  for (int si = 0; si < static_cast<int>(table.size()); ++si) {
+    if (Distance(Point{table.x[si], table.y[si]}, center) <= radius) {
+      out->push_back(si);
+    }
+  }
+}
+
 /// Writes to `out` (cleared first) the slot rows whose location lies in
-/// `rect` (inclusive bounds, Rect::Contains), ascending: one probe of the
-/// slot index, or a Contains scan of the columns when the slot is
-/// unindexed. The index returns exactly what the scan accepts, so the
-/// two agree bit for bit.
+/// `rect` (inclusive bounds, Rect::Contains), ascending, the same way:
+/// an index probe, or a Contains scan of the columns.
 inline void SlotRowsInRect(const SlotContext& slot, const Rect& rect,
                            std::vector<int>* out) {
   if (slot.index != nullptr) {

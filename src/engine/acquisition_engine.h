@@ -51,12 +51,12 @@ class TraceWriter;
 /// serving loop.
 ///
 /// Contract: for a fixed input stream (registry, deltas, query batches,
-/// per-slot seeds), selections and payments are bit-identical regardless
-/// of index policy (an indexed slot prunes valuation calls, so only their
-/// count differs), and every slot context equals BuildSlotContext over
-/// the current registry (the reference the streaming-equivalence suite
-/// checks it against), so the two select alike down to their valuation
-/// calls. SameOutcome()
+/// per-slot seeds), selections, payments and valuation calls are
+/// bit-identical regardless of index policy (an unindexed slot finds the
+/// grid's candidates by a column scan), and every slot context equals
+/// BuildSlotContext over the current registry (the reference the
+/// streaming-equivalence suite checks it against), so the two select
+/// alike down to their valuation calls. SameOutcome()
 /// (trace/slot_server.h) is the comparator; the streaming-equivalence
 /// and replay differential suites enforce it.
 ///

@@ -16,33 +16,9 @@ double SquaredExponentialKernel::SupportRadius(double tol) const {
   return length_scale_ * std::sqrt(2.0 * std::log(variance_ / tol));
 }
 
-double Matern32Kernel::SupportRadius(double tol) const {
-  if (tol <= 0.0) return std::numeric_limits<double>::infinity();
-  if (tol >= variance_) return 0.0;
-  // Solve (1 + r) exp(-r) = tol / variance by bisection; the left side is
-  // strictly decreasing for r > 0.
-  const double target = tol / variance_;
-  double lo = 0.0, hi = 1.0;
-  while ((1.0 + hi) * std::exp(-hi) > target) hi *= 2.0;
-  for (int it = 0; it < 64; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if ((1.0 + mid) * std::exp(-mid) > target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi * length_scale_ / std::sqrt(3.0);
-}
-
 double SquaredExponentialKernel::operator()(const Point& a, const Point& b) const {
   const double d = Distance(a, b);
   return variance_ * std::exp(-d * d / (2.0 * length_scale_ * length_scale_));
-}
-
-double Matern32Kernel::operator()(const Point& a, const Point& b) const {
-  const double r = std::sqrt(3.0) * Distance(a, b) / length_scale_;
-  return variance_ * (1.0 + r) * std::exp(-r);
 }
 
 Matrix CovarianceMatrix(const Kernel& kernel, const std::vector<Point>& a,

@@ -40,21 +40,6 @@ class SquaredExponentialKernel : public Kernel {
   double length_scale_;
 };
 
-/// Matern-3/2 kernel: variance * (1 + r) * exp(-r), r = sqrt(3) d / l.
-class Matern32Kernel : public Kernel {
- public:
-  Matern32Kernel(double variance, double length_scale)
-      : variance_(variance), length_scale_(length_scale) {}
-
-  double operator()(const Point& a, const Point& b) const override;
-  double Variance() const override { return variance_; }
-  double SupportRadius(double tol) const override;
-
- private:
-  double variance_;
-  double length_scale_;
-};
-
 /// Builds the covariance matrix K with K(i, j) = kernel(a[i], b[j]).
 Matrix CovarianceMatrix(const Kernel& kernel, const std::vector<Point>& a,
                         const std::vector<Point>& b);

@@ -343,16 +343,12 @@ TEST(AggregateQueryTest, TrajectoryAndRegionBindersAgreeWhereCellsCoincide) {
     AggregateQuery trajectory(tp, *slot);
     AggregateQuery region(rp, *slot);
     const int n = static_cast<int>(slot->sensors.size());
-    // Keys are candidate ordinals on the indexed slot, slot rows on the
-    // unindexed one.
+    // Keys are candidate ordinals on either slot.
     const std::vector<int>* candidates = region.CandidateSensors();
-    ASSERT_EQ(candidates != nullptr, slot == &indexed);
-    size_t num_keys = static_cast<size_t>(n);
-    if (candidates != nullptr) {
-      ASSERT_NE(trajectory.CandidateSensors(), nullptr);
-      EXPECT_EQ(*trajectory.CandidateSensors(), *candidates);
-      num_keys = candidates->size();
-    }
+    ASSERT_NE(candidates, nullptr);
+    ASSERT_NE(trajectory.CandidateSensors(), nullptr);
+    EXPECT_EQ(*trajectory.CandidateSensors(), *candidates);
+    const size_t num_keys = candidates->size();
     std::vector<int> keys(num_keys);
     std::iota(keys.begin(), keys.end(), 0);
     std::vector<double> from_trajectory(num_keys);

@@ -156,16 +156,34 @@ std::vector<uint64_t> Bits(const std::vector<double>& values) {
   return bits;
 }
 
+void ExpectSameRun(const EngineRun& a, const EngineRun& b,
+                   const char* context) {
+  EXPECT_EQ(a.result.selected_sensors, b.result.selected_sensors) << context;
+  EXPECT_EQ(a.result.total_value, b.result.total_value) << context;
+  EXPECT_EQ(a.result.total_cost, b.result.total_cost) << context;
+  EXPECT_EQ(a.result.valuation_calls, b.result.valuation_calls) << context;
+  ASSERT_EQ(a.payments.size(), b.payments.size()) << context;
+  for (size_t i = 0; i < a.payments.size(); ++i) {
+    EXPECT_EQ(a.payments[i], b.payments[i]) << context << " query " << i;
+    EXPECT_EQ(a.values[i], b.values[i]) << context << " query " << i;
+  }
+}
+
 // A slot of at most kRefineSampleSize (1,536) scan rows puts every scan
 // row in the refinement's exploration sample, so the refinement is CELF
 // over exactly the rows the lazy engine scans, with the same row order
 // and tie-break. Unless the winning bucket realizes strictly more, the
 // sieve returns the refined selection, which must then be lazy's bit for
 // bit: selection, totals, and every query's payment and value.
+//
+// The unindexed slot finds its candidates by a column scan, which must
+// match the grid's: the sieve's kNone run of each slot is its kGrid run,
+// valuation calls included.
 TEST(SieveRefinementOracleTest, RefinementMatchesLazyUnlessTheWinnerBeatsIt) {
   int matched = 0;
   int selecting = 0;
   for (int trial = 0; trial < 30; ++trial) {
+    EngineRun grid_sieve;
     for (const bool indexed : {true, false}) {
       SCOPED_TRACE(testing::Message()
                    << "trial " << trial << " indexed " << indexed);
@@ -177,6 +195,11 @@ TEST(SieveRefinementOracleTest, RefinementMatchesLazyUnlessTheWinnerBeatsIt) {
                                        LazyGreedySensorSelection, 20);
       const EngineRun sieve = RunEngine(slot, 4, 6300 + trial,
                                         SieveStreamingSensorSelection, 20);
+      if (indexed) {
+        grid_sieve = sieve;
+      } else {
+        ExpectSameRun(sieve, grid_sieve, "sieve, kNone vs kGrid");
+      }
       if (sieve.result.Utility() > lazy.result.Utility()) continue;
       ++matched;
       if (lazy.result.selected_sensors.size() > 2) ++selecting;
@@ -223,19 +246,6 @@ TEST(SieveRefinementTest, RefinedSieveClearsTheFloor) {
 // ---------------------------------------------------------------------------
 // Determinism: fixed seed, reproducible sample stream
 // ---------------------------------------------------------------------------
-
-void ExpectSameRun(const EngineRun& a, const EngineRun& b,
-                   const char* context) {
-  EXPECT_EQ(a.result.selected_sensors, b.result.selected_sensors) << context;
-  EXPECT_EQ(a.result.total_value, b.result.total_value) << context;
-  EXPECT_EQ(a.result.total_cost, b.result.total_cost) << context;
-  EXPECT_EQ(a.result.valuation_calls, b.result.valuation_calls) << context;
-  ASSERT_EQ(a.payments.size(), b.payments.size()) << context;
-  for (size_t i = 0; i < a.payments.size(); ++i) {
-    EXPECT_EQ(a.payments[i], b.payments[i]) << context << " query " << i;
-    EXPECT_EQ(a.values[i], b.values[i]) << context << " query " << i;
-  }
-}
 
 TEST(ApproxSchedulerTest, DeterministicUnderFixedSeed) {
   SlotContext slot = MakeUniformThetaSlot(120, 77);

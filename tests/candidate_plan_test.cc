@@ -1,10 +1,9 @@
 // The candidate plan's keys (core/candidate_pruning.h): every (query, key)
 // pair of a scan row must address that row's sensor in the query's own
-// state — its position in the query's CandidateSensors() list, or the row
-// itself for a dense query — including where the plan drops out-of-range
-// list entries. Also pins that the debug pruning cross-check leaves every
-// valuation-call count unchanged, so build flags cannot leak into
-// outcomes.
+// state — its position in the query's CandidateSensors() list — including
+// where the plan drops out-of-range list entries. Also pins that the debug
+// pruning cross-check leaves every valuation-call count unchanged, so
+// build flags cannot leak into outcomes.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +23,7 @@
 #include "core/multi_query.h"
 #include "core/multi_sensor_point_query.h"
 #include "core/slot.h"
+#include "tests/callback_multi_query.h"
 
 namespace psens {
 namespace {
@@ -118,39 +118,28 @@ void AddSlotQueries(const SlotContext& slot, uint64_t seed, Batch* batch) {
 void ExpectKeysResolve(const CandidatePlan& plan,
                        const std::vector<MultiQuery*>& queries, int num_sensors,
                        const std::string& label) {
-  ASSERT_EQ(plan.num_queries, static_cast<int>(queries.size())) << label;
+  ASSERT_EQ(plan.key_offsets.size(), queries.size() + 1) << label;
   int64_t pairs = 0;
   for (int row = 0; row < plan.NumRows(); ++row) {
     const int sensor = plan.sensors[static_cast<size_t>(row)];
     EXPECT_EQ(plan.RowOf(sensor), row) << label;
     int last_query = -1;
-    plan.ForEachPair(row, [&](int qi, int key) {
+    for (const auto [qi, key] : plan.PairsOf(row)) {
       ++pairs;
       EXPECT_GT(qi, last_query) << label << " row " << row;
       last_query = qi;
-      const std::vector<int>* list =
-          queries[static_cast<size_t>(qi)]->CandidateSensors();
-      if (list == nullptr) {
-        EXPECT_TRUE(plan.IsDense(qi)) << label;
-        EXPECT_EQ(key, row) << label << " dense query " << qi;
-        EXPECT_EQ(sensor, row) << label << " dense rows are slot rows";
-      } else {
-        EXPECT_FALSE(plan.IsDense(qi)) << label;
-        EXPECT_EQ(list->at(static_cast<size_t>(key)), sensor)
-            << label << " query " << qi << " row " << row;
-        EXPECT_EQ(plan.KeyRows(qi)[static_cast<size_t>(key)], row) << label;
-      }
-    });
+      const std::vector<int>& list =
+          *queries[static_cast<size_t>(qi)]->CandidateSensors();
+      EXPECT_EQ(list.at(static_cast<size_t>(key)), sensor)
+          << label << " query " << qi << " row " << row;
+      EXPECT_EQ(plan.KeyRows(qi)[static_cast<size_t>(key)], row) << label;
+    }
   }
   // Every in-range list entry is exactly one pair; dropped entries map to
   // no row.
   int64_t expected = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const std::vector<int>* list = queries[qi]->CandidateSensors();
-    if (list == nullptr) {
-      expected += plan.NumRows();
-      continue;
-    }
     const std::span<const int> key_rows = plan.KeyRows(static_cast<int>(qi));
     ASSERT_EQ(key_rows.size(), list->size()) << label;
     for (size_t k = 0; k < list->size(); ++k) {
@@ -167,40 +156,43 @@ void ExpectKeysResolve(const CandidatePlan& plan,
 }
 
 TEST(CandidatePlanTest, KeysResolveToTheRowsSensor) {
+  // The unindexed slot finds its candidates by a column scan, and must
+  // plan exactly the indexed slot's scan rows.
+  std::vector<int> indexed_rows;
   for (bool indexed : {true, false}) {
     const SlotContext slot = MakeSlot(600, 5, indexed);
     const int n = static_cast<int>(slot.sensors.size());
     Batch batch;
     AddSlotQueries(slot, 9, &batch);
     const CandidatePlan plan = BuildCandidatePlan(batch.all, n, nullptr);
-    EXPECT_EQ(plan.active, indexed);
     ExpectKeysResolve(plan, batch.all, n, indexed ? "indexed" : "unindexed");
-    if (indexed) {
-      EXPECT_LT(plan.NumRows(), n) << "pruning should drop some sensors";
-      for (int s = 0; s < n; ++s) {
-        const int row = plan.RowOf(s);
-        if (row >= 0) {
-          EXPECT_EQ(plan.sensors[static_cast<size_t>(row)], s);
-        }
+    EXPECT_LT(plan.NumRows(), n) << "pruning should drop some sensors";
+    for (int s = 0; s < n; ++s) {
+      const int row = plan.RowOf(s);
+      if (row >= 0) {
+        EXPECT_EQ(plan.sensors[static_cast<size_t>(row)], s);
       }
+    }
+    const std::span<const int> rows = plan.ScanSensors();
+    if (indexed) {
+      indexed_rows.assign(rows.begin(), rows.end());
     } else {
-      EXPECT_EQ(plan.NumRows(), n);
-      for (int s = 0; s < n; ++s) EXPECT_EQ(plan.RowOf(s), s);
+      EXPECT_EQ(std::vector<int>(rows.begin(), rows.end()), indexed_rows);
     }
   }
 }
 
-TEST(CandidatePlanTest, DenseQueryMakesEverySensorARow) {
+TEST(CandidatePlanTest, AllRowsQueryMakesEverySensorARow) {
   const SlotContext slot = MakeSlot(300, 7, true);
   const int n = static_cast<int>(slot.sensors.size());
   Batch batch;
   AddSlotQueries(slot, 3, &batch);
   batch.Add(std::make_unique<CallbackMultiQuery>(
-      99, [](const std::vector<int>& set) { return 1.0 * set.size(); }, 1e9));
+      99, [](const std::vector<int>& set) { return 1.0 * set.size(); }, 1e9,
+      n));
   const CandidatePlan plan = BuildCandidatePlan(batch.all, n, nullptr);
-  ASSERT_TRUE(plan.active);
   EXPECT_EQ(plan.NumRows(), n);
-  ExpectKeysResolve(plan, batch.all, n, "dense+listed");
+  ExpectKeysResolve(plan, batch.all, n, "all-rows+listed");
 }
 
 TEST(CandidatePlanTest, KeysSurviveDroppedOutOfRangeEntries) {
@@ -213,7 +205,6 @@ TEST(CandidatePlanTest, KeysSurviveDroppedOutOfRangeEntries) {
       1, std::vector<int>{-7, n + 3, 5, 9, 1 << 20, 40, n}, n));
   batch.Add(std::make_unique<ListedQuery>(2, std::vector<int>{9, 12}, n));
   const CandidatePlan plan = BuildCandidatePlan(batch.all, n, nullptr);
-  ASSERT_TRUE(plan.active);
   ASSERT_EQ(plan.NumRows(), 4);  // sensors 5, 9, 12, 40
   ExpectKeysResolve(plan, batch.all, n, "sanitized");
   const std::span<const CandidatePair> run9 = plan.PairsOf(plan.RowOf(9));

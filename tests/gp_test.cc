@@ -19,8 +19,6 @@ std::shared_ptr<const Kernel> Se(double variance = 2.0, double length = 3.0) {
 TEST(KernelTest, VarianceAtZeroDistance) {
   const SquaredExponentialKernel se(2.0, 3.0);
   EXPECT_DOUBLE_EQ(se(Point{1, 1}, Point{1, 1}), 2.0);
-  const Matern32Kernel m(1.5, 2.0);
-  EXPECT_DOUBLE_EQ(m(Point{0, 0}, Point{0, 0}), 1.5);
 }
 
 TEST(KernelTest, SymmetricAndDecaying) {
@@ -29,13 +27,6 @@ TEST(KernelTest, SymmetricAndDecaying) {
   EXPECT_DOUBLE_EQ(se(a, b), se(b, a));
   EXPECT_GT(se(a, b), se(a, c));
   EXPECT_GT(se(a, b), 0.0);
-}
-
-TEST(KernelTest, Matern32DecaysSlowerThanSeAtLargeDistance) {
-  const SquaredExponentialKernel se(1.0, 2.0);
-  const Matern32Kernel m(1.0, 2.0);
-  const Point a{0, 0}, far{10, 0};
-  EXPECT_GT(m(a, far), se(a, far));
 }
 
 TEST(KernelTest, CovarianceMatrixIsPsd) {

@@ -197,9 +197,13 @@ TEST(LazyGreedyTest, SelectsNothingWhenCostsDominate) {
   const SelectionResult result = LazyGreedySensorSelection(ptrs, slot);
   EXPECT_TRUE(result.selected_sensors.empty());
   EXPECT_DOUBLE_EQ(result.total_value, 0.0);
-  // One full initial sweep is the price of finding out nothing pays.
-  EXPECT_EQ(result.valuation_calls,
-            static_cast<int64_t>(slot.sensors.size() * queries.size()));
+  // One full initial sweep of every query's candidates is the price of
+  // finding out nothing pays.
+  int64_t listed = 0;
+  for (const auto& q : queries) {
+    listed += static_cast<int64_t>(q->CandidateSensors()->size());
+  }
+  EXPECT_EQ(result.valuation_calls, listed);
 }
 
 TEST(LazyGreedyTest, EmptySlotAndEmptyQueriesAreNoOps) {

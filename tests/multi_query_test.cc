@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/callback_multi_query.h"
+
 namespace psens {
 namespace {
 
@@ -95,7 +97,7 @@ TEST(CallbackMultiQueryTest, UsesCallbackForValues) {
                        [](const std::vector<int>& set) {
                          return 3.0 * static_cast<double>(set.size());
                        },
-                       100.0);
+                       100.0, /*num_sensors=*/5);
   EXPECT_DOUBLE_EQ(q.MarginalValue(0), 3.0);
   q.Commit(0, 1.0);
   EXPECT_DOUBLE_EQ(q.CurrentValue(), 3.0);
@@ -107,7 +109,8 @@ TEST(CallbackMultiQueryTest, UsesCallbackForValues) {
 }
 
 TEST(CallbackMultiQueryTest, CountsValuationCalls) {
-  CallbackMultiQuery q(1, [](const std::vector<int>&) { return 1.0; }, 1.0);
+  CallbackMultiQuery q(1, [](const std::vector<int>&) { return 1.0; }, 1.0,
+                       /*num_sensors=*/2);
   const int64_t before = q.ValuationCalls();
   (void)q.MarginalValue(0);
   (void)q.MarginalValue(1);

@@ -150,6 +150,9 @@ GreedyRun RunMixedGreedy(const SlotContext& slot, uint64_t seed,
 
 void ExpectSameGreedy(const GreedyRun& a, const GreedyRun& b) {
   EXPECT_EQ(a.result.selected_sensors, b.result.selected_sensors);
+  // Grid and column scan find the same candidates, so they value the
+  // same (sensor, query) pairs.
+  EXPECT_EQ(a.result.valuation_calls, b.result.valuation_calls);
   EXPECT_EQ(a.result.total_value, b.result.total_value);
   EXPECT_EQ(a.result.total_cost, b.result.total_cost);
   ASSERT_EQ(a.payments.size(), b.payments.size());
@@ -170,8 +173,6 @@ TEST(PruningEquivalenceTest, GreedyEnginesMatchUnprunedOnMixedQueries) {
       const GreedyRun pruned = RunMixedGreedy(indexed, 700 + seed, select);
       const GreedyRun reference = RunMixedGreedy(plain, 700 + seed, select);
       ExpectSameGreedy(pruned, reference);
-      // Pruning must reduce (never increase) the valuation work.
-      EXPECT_LE(pruned.result.valuation_calls, reference.result.valuation_calls);
     }
     ExpectSameGreedy(
         RunMixedGreedy(indexed, 800 + seed, LazyGreedySensorSelection, true),

@@ -339,9 +339,9 @@ TEST(KernelEquivalenceTest, BuiltSlotMatchesReference) {
   }
 }
 
-// Unindexed slots exercise the dense-plan kernels (no candidate lists, so
-// the point caches never arm and the column sweeps run over every row).
-TEST(KernelEquivalenceTest, UnindexedDensePlansMatchReference) {
+// An unindexed built slot: every query's candidates come from the slot
+// helpers' column scan instead of a grid probe.
+TEST(KernelEquivalenceTest, UnindexedBuiltSlotMatchesReference) {
   const Rect field{0, 0, 30, 30};
   SensorPopulationConfig population;
   population.count = 150;

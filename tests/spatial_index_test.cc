@@ -3,7 +3,8 @@
 // brute-force result set — same predicate, ascending order — on random,
 // clustered, and adversarial (collinear, duplicate-point, degenerate)
 // inputs, and the dynamic grid must stay exact through churn histories
-// applied as batches.
+// applied as batches. The column scan an unindexed slot answers with
+// (SlotRowsInRange / SlotRowsInRect) is held to the same checks.
 // Probe outputs stay ascending on both sides of the radix-sort cutoff.
 
 #include "index/spatial_index.h"
@@ -137,6 +138,34 @@ void CheckIndexAgainstBruteForce(const SpatialIndex& index,
   }
 }
 
+/// An unindexed slot over `points` (row i at points[i]), probed through
+/// the slot helpers, which scan its columns: the same checks then hold
+/// the scan to brute force too.
+class SlotScan : public SpatialIndex {
+ public:
+  explicit SlotScan(const std::vector<Point>& points) {
+    slot_.index_policy = SlotIndexPolicy::kNone;
+    for (size_t i = 0; i < points.size(); ++i) {
+      SlotSensor s;
+      s.sensor_id = static_cast<int>(i);
+      s.location = points[i];
+      slot_.sensors.Append(s);
+    }
+    AttachSlotIndex(slot_);
+  }
+  void RangeQuery(const Point& center, double radius,
+                  std::vector<int>* out) const override {
+    SlotRowsInRange(slot_, center, radius, out);
+  }
+  void RectQuery(const Rect& rect, std::vector<int>* out) const override {
+    SlotRowsInRect(slot_, rect, out);
+  }
+  const char* Name() const override { return "slot-scan"; }
+
+ private:
+  SlotContext slot_;
+};
+
 std::vector<Point> UniformPoints(int n, uint64_t seed) {
   Rng rng(seed);
   std::vector<Point> points;
@@ -190,6 +219,7 @@ TEST(SpatialIndexTest, GridMatchesBruteForceOnRandomInputs) {
     const std::vector<Point> points = UniformPoints(400, seed);
     UniformGridIndex grid(points);
     CheckIndexAgainstBruteForce(grid, points, 100 + seed);
+    CheckIndexAgainstBruteForce(SlotScan(points), points, 100 + seed);
   }
 }
 
@@ -197,6 +227,7 @@ TEST(SpatialIndexTest, GridMatchesBruteForceOnClusteredInputs) {
   const std::vector<Point> points = ClusteredPoints(300, 7);
   UniformGridIndex grid(points);
   CheckIndexAgainstBruteForce(grid, points, 11);
+  CheckIndexAgainstBruteForce(SlotScan(points), points, 11);
 }
 
 /// One point of a heavily clustered population: three sigma = 0.5
@@ -216,6 +247,8 @@ TEST(SpatialIndexTest, GridMatchesBruteForceOnHeavilyClusteredInputs) {
   for (int i = 0; i < 600; ++i) points.push_back(CornerClusterPoint(rng));
   UniformGridIndex grid(points);
   CheckIndexAgainstBruteForce(grid, points, 31, CornerClusterPoint);
+  CheckIndexAgainstBruteForce(SlotScan(points), points, 31,
+                              CornerClusterPoint);
 }
 
 /// Loads `points` into a dynamic grid as ids 0..n-1, in one batch, so
@@ -233,6 +266,7 @@ TEST(SpatialIndexTest, AdversarialInputs) {
     SCOPED_TRACE(set.name);
     UniformGridIndex grid(set.points);
     CheckIndexAgainstBruteForce(grid, set.points, 23);
+    CheckIndexAgainstBruteForce(SlotScan(set.points), set.points, 23);
     // The dynamic grid, over fixed bounds some sets leave (the
     // collinear-y set sits at x = -3, in the clamped edge cells).
     DynamicGridIndex dynamic_grid(Rect{0, 0, 50, 50},

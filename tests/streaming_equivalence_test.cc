@@ -478,7 +478,8 @@ void ExpectSameProbes(const SlotContext& served, const SlotContext& built,
 // 64 and n - 1: the first word edge and the partial last word. Every
 // slot must equal a fresh build, probe for probe and in its selections
 // (valuation calls included), and select what an unindexed engine fed the
-// same deltas selects (pruning only lowers its valuation calls).
+// same deltas selects, valuation calls included too: its column scan
+// finds the grid's candidates.
 TEST(StreamingEquivalenceTest, GridBatchesAndRankEdgesMatchRebuild) {
   const int n = 10003;
   const Rect region{0, 0, 100, 100};
@@ -575,8 +576,8 @@ TEST(StreamingEquivalenceTest, GridBatchesAndRankEdgesMatchRebuild) {
       payments.push_back(paid);
     }
     ASSERT_FALSE(results[0].selected_sensors.empty()) << t;
-    ASSERT_EQ(results[0].valuation_calls, results[1].valuation_calls) << t;
     for (size_t k = 1; k < results.size(); ++k) {
+      ASSERT_EQ(results[0].valuation_calls, results[k].valuation_calls) << t;
       ASSERT_EQ(results[0].selected_sensors, results[k].selected_sensors) << t;
       ASSERT_EQ(results[0].total_value, results[k].total_value) << t;
       ASSERT_EQ(results[0].total_cost, results[k].total_cost) << t;
